@@ -76,21 +76,20 @@ def _wrap(x) -> Tensor:
 class Node:
     """One recorded primitive application."""
 
-    __slots__ = ("op", "inputs", "output", "vjp", "fn")
+    __slots__ = ("op", "inputs", "output", "vjp")
 
-    def __init__(self, op, inputs, output, vjp, fn):
+    def __init__(self, op, inputs, output, vjp):
         self.op = op
         self.inputs = inputs
         self.output = output
         self.vjp = vjp  # fn(cotangent Tensor) -> tuple of cotangents (None = no grad)
-        self.fn = fn  # raw value recomputation, for replay()
 
 
 _TAPE_STACK: list["Tape"] = []
 
 
 class Tape:
-    """Ordered, replayable record of primitive ops.
+    """Ordered record of primitive ops.
 
     Use as a context manager; ops executed inside are recorded in
     topological (execution) order. gradient() may be called while the tape
@@ -141,23 +140,14 @@ class Tape:
                 cot[id(inp)] = gi if acc is None else add(acc, gi)
         return [cot.get(id(s)) or Tensor(np.zeros_like(s.value)) for s in sources]
 
-    def replay(self) -> None:
-        """Re-execute every node from its recorded inputs, in order.
-
-        Outputs are overwritten in place; with unchanged leaf values the
-        recomputation is bit-identical (fixed kernels and reduction order).
-        """
-        for node in self.nodes:
-            node.output.value = node.fn()
-
 
 def _record(op: str, inputs: tuple[Tensor, ...], out_value: np.ndarray,
-            vjp: Callable, fn: Callable[[], np.ndarray]) -> Tensor:
+            vjp: Callable) -> Tensor:
     out = Tensor(out_value)
     if _TAPE_STACK:
         # Record on every active tape so an outer tape can differentiate
         # through work done (and backward passes taken) under an inner one.
-        node = Node(op, inputs, out, vjp, fn)
+        node = Node(op, inputs, out, vjp)
         for tape in _TAPE_STACK:
             tape.nodes.append(node)
     return out
@@ -189,8 +179,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: {a.shape} vs {b.shape}") from e
     sa, sb = a.shape, b.shape
     return _record("add", (a, b), val,
-                   lambda g: (_sum_to_shape(g, sa), _sum_to_shape(g, sb)),
-                   lambda: a.value + b.value)
+                   lambda g: (_sum_to_shape(g, sa), _sum_to_shape(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -201,8 +190,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"sub: {a.shape} vs {b.shape}") from e
     sa, sb = a.shape, b.shape
     return _record("sub", (a, b), val,
-                   lambda g: (_sum_to_shape(g, sa), _sum_to_shape(neg(g), sb)),
-                   lambda: a.value - b.value)
+                   lambda g: (_sum_to_shape(g, sa), _sum_to_shape(neg(g), sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -214,8 +202,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.shape, b.shape
     return _record("mul", (a, b), val,
                    lambda g: (_sum_to_shape(mul(g, b), sa),
-                              _sum_to_shape(mul(g, a), sb)),
-                   lambda: a.value * b.value)
+                              _sum_to_shape(mul(g, a), sb)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -227,16 +214,14 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.shape, b.shape
     out = _record("div", (a, b), val,
                   lambda g: (_sum_to_shape(div(g, b), sa),
-                             _sum_to_shape(neg(div(mul(g, out), b)), sb)),
-                  lambda: a.value / b.value)
+                             _sum_to_shape(neg(div(mul(g, out), b)), sb)))
     return out
 
 
 def neg(a: Tensor) -> Tensor:
     a = _wrap(a)
     return _record("neg", (a,), -a.value,
-                   lambda g: (neg(g),),
-                   lambda: -a.value)
+                   lambda g: (neg(g),))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +232,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
     return _record("matmul", (a, b), a.value @ b.value,
-                   lambda g: (matmul(g, transpose(b)), matmul(transpose(a), g)),
-                   lambda: a.value @ b.value)
+                   lambda g: (matmul(g, transpose(b)), matmul(transpose(a), g)))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -256,8 +240,7 @@ def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"transpose: expected 2-D, got {a.shape}")
     return _record("transpose", (a,), a.value.T.copy(),
-                   lambda g: (transpose(g),),
-                   lambda: a.value.T.copy())
+                   lambda g: (transpose(g),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -268,8 +251,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"reshape: {a.shape} -> {shape}") from e
     return _record("reshape", (a,), val,
-                   lambda g: (reshape(g, orig),),
-                   lambda: a.value.reshape(shape))
+                   lambda g: (reshape(g, orig),))
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -282,23 +264,16 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         raise ShapeError(f"gather_rows: index out of range for {a.shape}")
     n_rows = a.shape[0]
     return _record("gather", (a,), a.value[idx],
-                   lambda g: (scatter_rows(g, idx, n_rows),),
-                   lambda: a.value[idx])
+                   lambda g: (scatter_rows(g, idx, n_rows),))
 
 
 def scatter_rows(a: Tensor, idx, n_rows: int) -> Tensor:
     """Adjoint of gather_rows: sum rows of `a` into an n_rows-tall zero matrix."""
     a = _wrap(a)
     idx = np.asarray(idx, dtype=np.intp)
-
-    def fwd():
-        out = np.zeros((n_rows, a.value.shape[1]))
-        np.add.at(out, idx, a.value)
-        return out
-
-    return _record("scatter", (a,), fwd(),
-                   lambda g: (gather_rows(g, idx),),
-                   fwd)
+    out = np.zeros((n_rows, a.value.shape[1]))
+    np.add.at(out, idx, a.value)
+    return _record("scatter", (a,), out, lambda g: (gather_rows(g, idx),))
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +282,7 @@ def scatter_rows(a: Tensor, idx, n_rows: int) -> Tensor:
 def tanh(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = _record("tanh", (a,), np.tanh(a.value),
-                  lambda g: (mul(g, sub(Tensor(1.0), mul(out, out))),),
-                  lambda: np.tanh(a.value))
+                  lambda g: (mul(g, sub(Tensor(1.0), mul(out, out))),))
     return out
 
 
@@ -316,31 +290,27 @@ def relu(a: Tensor) -> Tensor:
     a = _wrap(a)
     mask = Tensor((a.value > 0).astype(np.float64))
     return _record("relu", (a,), np.maximum(a.value, 0.0),
-                   lambda g: (mul(g, mask),),
-                   lambda: np.maximum(a.value, 0.0))
+                   lambda g: (mul(g, mask),))
 
 
 def exp(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = _record("exp", (a,), np.exp(a.value),
-                  lambda g: (mul(g, out),),
-                  lambda: np.exp(a.value))
+                  lambda g: (mul(g, out),))
     return out
 
 
 def log(a: Tensor) -> Tensor:
     a = _wrap(a)
     return _record("log", (a,), np.log(a.value),
-                   lambda g: (div(g, a),),
-                   lambda: np.log(a.value))
+                   lambda g: (div(g, a),))
 
 
 def sign(a: Tensor) -> Tensor:
     """Elementwise sign with sign(0)=0. Zero gradient by convention."""
     a = _wrap(a)
     return _record("sign", (a,), np.sign(a.value),
-                   lambda g: (None,),
-                   lambda: np.sign(a.value))
+                   lambda g: (None,))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +334,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (broadcast_to(gg, in_shape),)
 
     return _record("sum", (a,), np.sum(a.value, axis=axis, keepdims=keepdims),
-                   vjp, lambda: np.sum(a.value, axis=axis, keepdims=keepdims))
+                   vjp)
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -383,8 +353,7 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"broadcast_to: {a.shape} -> {shape}") from e
     return _record("broadcast", (a,), val,
-                   lambda g: (_sum_to_shape(g, orig),),
-                   lambda: np.broadcast_to(a.value, shape).copy())
+                   lambda g: (_sum_to_shape(g, orig),))
 
 
 def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -394,13 +363,8 @@ def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     so the backward pass stays twice-differentiable.
     """
     a = _wrap(a)
-
-    def fwd():
-        m = np.max(a.value, axis=axis, keepdims=True)
-        out = m + np.log(np.sum(np.exp(a.value - m), axis=axis, keepdims=True))
-        return out if keepdims else np.squeeze(out, axis=axis)
-
-    out = _record("logsumexp", (a,), fwd(), None, fwd)
+    m = np.max(a.value, axis=axis, keepdims=True)
+    val = m + np.log(np.sum(np.exp(a.value - m), axis=axis, keepdims=True))
 
     def vjp(g):
         lse_k = out if keepdims else _expand_axis(out, axis, a.ndim)
@@ -408,8 +372,9 @@ def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
         soft = exp(sub(a, broadcast_to(lse_k, a.shape)))
         return (mul(broadcast_to(g_k, a.shape), soft),)
 
-    if _TAPE_STACK:
-        _TAPE_STACK[-1].nodes[-1].vjp = vjp
+    if not keepdims:
+        val = np.squeeze(val, axis=axis)
+    out = _record("logsumexp", (a,), val, vjp)
     return out
 
 

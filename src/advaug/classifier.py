@@ -42,6 +42,12 @@ class ClassifierParams:
         out.extend([self.head_w, self.head_b])
         return out
 
+    @classmethod
+    def from_tensors(cls, tensors: list[Tensor]) -> ClassifierParams:
+        """Inverse of all_tensors: (w, b) pairs, then head W and b."""
+        return cls(list(zip(tensors[:-2:2], tensors[1:-2:2])),
+                   tensors[-2], tensors[-1])
+
     def copy_values(self) -> list[np.ndarray]:
         return [t.value.copy() for t in self.all_tensors()]
 
@@ -122,6 +128,4 @@ def load_checkpoint(path) -> ClassifierParams:
     with np.load(path) as blob:
         depth = int(blob["layout"][0])
         values = [blob[f"p{i}"] for i in range(2 * depth + 2)]
-    extractor = [(Tensor(values[2 * i]), Tensor(values[2 * i + 1]))
-                 for i in range(depth)]
-    return ClassifierParams(extractor, Tensor(values[-2]), Tensor(values[-1]))
+    return ClassifierParams.from_tensors([Tensor(v) for v in values])

@@ -33,14 +33,6 @@ class LossConfig:
 
 
 @dataclass
-class PerturbationStrategy:
-    """Per-sample scalar eps and the feature-space step eps * sign(g)."""
-
-    eps: object  # (n,) array or (n, 1) Tensor
-    delta: object  # (n, H) array or Tensor
-
-
-@dataclass
 class RegularizerReport:
     """First-order decomposition diagnostics of the surrogate loss."""
 
@@ -50,12 +42,12 @@ class RegularizerReport:
     per_sample: np.ndarray  # n x 3 breakdown in the same order
 
 
-def compute_delta(grad_h: np.ndarray, eps) -> PerturbationStrategy:
-    """delta_i = eps_i * sign(g_i), with the sign factor always constant.
+def compute_delta(grad_h: np.ndarray, eps) -> np.ndarray | Tensor:
+    """n x H steps delta_i = eps_i * sign(g_i), the sign factor constant.
 
     eps > 0 points along the CE ascent direction (adversarial), eps < 0
-    against it. A Tensor eps keeps the dependence of delta on the
-    perturbation network alive for the meta-composition.
+    against it. A Tensor eps gives a Tensor delta, which keeps the
+    dependence on the perturbation network alive for the meta-composition.
     """
     grad_h = np.asarray(grad_h, dtype=np.float64)
     n, width = grad_h.shape
@@ -66,12 +58,11 @@ def compute_delta(grad_h: np.ndarray, eps) -> PerturbationStrategy:
         if np.max(np.abs(eps.value)) >= 1.0:
             raise ValueError("|eps| must be < 1")
         col = eps if eps.shape == (n, 1) else ad.reshape(eps, (n, 1))
-        delta = ad.mul(ad.broadcast_to(col, (n, width)), Tensor(sgn))
-        return PerturbationStrategy(col, delta)
+        return ad.mul(ad.broadcast_to(col, (n, width)), Tensor(sgn))
     eps = np.asarray(eps, dtype=np.float64).reshape(n)
     if np.max(np.abs(eps), initial=0.0) >= 1.0:
         raise ValueError("|eps| must be < 1")
-    return PerturbationStrategy(eps, eps[:, None] * sgn)
+    return eps[:, None] * sgn
 
 
 def quadratic_row(w, sigma, c: int) -> Tensor:

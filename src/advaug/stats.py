@@ -77,11 +77,14 @@ class ClassStats:
         return [self.covariance(c) for c in range(self.num_classes)]
 
     def set_covariance(self, c: int, sigma: np.ndarray) -> None:
-        """Overwrite Sigma_c, keeping counts so later pooling continues."""
-        n = max(self.counts[c], 1.0)
+        """Overwrite Sigma_c, keeping counts so later pooling continues.
+
+        A class with no observed sample has no estimate to overwrite.
+        """
+        n = self.counts[c]
+        if n == 0:
+            raise ValueError(f"set_covariance: class {c} has no samples")
         self.scatter[c] = (np.diag(sigma) * n if self.diagonal else sigma * n)
-        if self.counts[c] == 0:
-            self.counts[c] = 1.0
 
 
 def update_covariance(stats: ClassStats, features: np.ndarray,

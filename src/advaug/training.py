@@ -1,21 +1,22 @@
 """Bilevel meta-training loop.
 
-Each meta iteration performs four sub-steps on one persistent tape:
+Each meta iteration runs four stages:
 
-1. ``pseudo_step``: a plain-SGD lookahead update of the classifier under the
-   surrogate loss, with the perturbation scale kept as a differentiable
-   function of the perturbation net and the class covariances kept as leaf
-   tensors.
-2. ``meta_update_omega``: cross-entropy on the balanced meta batch, evaluated
-   at the lookahead parameters, differentiated back through the lookahead
-   step into the perturbation net (Adam update).
-3. ``meta_update_sigma``: the same meta loss differentiated into the class
-   covariance leaves (SGD step + PSD projection, persisted into the running
-   class statistics).
+1. Observe the batch: a detached forward updates the running class
+   statistics and the per-sample history, and yields the characteristics
+   and gradient signs shared by the two classifier steps below.
+2. ``lookahead_meta_loss``: on one tape, the surrogate loss (perturbation
+   scale a differentiable function of the perturbation net, class
+   covariances as leaf tensors), the plain-SGD lookahead parameters
+   phi' = phi - lr * grad_phi, and cross-entropy on the balanced meta
+   batch evaluated at phi'.
+3. One hypergradient sweep of the meta loss into the perturbation net and
+   the covariance leaves; the net takes an Adam step, each observed
+   class covariance an SGD step plus PSD projection that persists into
+   the running class statistics.
 4. ``final_step``: the real classifier update (momentum SGD + weight decay)
    under the surrogate loss rebuilt with the refreshed perturbation net and
-   covariances.  Per-sample characteristics and gradient signs are computed
-   once per iteration and shared by the lookahead and final steps.
+   covariances.
 
 Iterations up to the warm-up horizon use plain cross-entropy instead.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,21 +153,14 @@ class MetaState:
     last_train_loss: float = math.nan
 
 
-@dataclass
-class PseudoStep:
-    """Artifacts of one lookahead step, shared by the two meta updates."""
+class Lookahead(NamedTuple):
+    """One recorded lookahead: the tape and what the meta update reads."""
 
     tape: Tape
-    pseudo_params: list[Tensor]
-    sigma_leaves: list[Tensor]
+    meta_loss: Tensor
     eps: Tensor | None
-    train_loss: Tensor
-    characteristics: np.ndarray
-    grad_h: np.ndarray
-    batch_idx: np.ndarray
-    lr: float
-    meta_loss: Tensor | None = None
-    meta_idx: np.ndarray | None = None
+    sigma_leaves: list[Tensor]
+    pseudo_params: list[Tensor]
 
 
 def init_state(config: TrainerConfig, dataset: Dataset,
@@ -212,11 +207,12 @@ def sample_meta_batch(state: MetaState) -> np.ndarray:
     return state.meta_rng.choice(n_meta, size=size, replace=False)
 
 
-def _observe_batch(state: MetaState, batch_idx: np.ndarray) -> np.ndarray:
+def _observe_batch(state: MetaState, batch_idx: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Update running stats/EMAs from the detached batch forward.
 
     Returns the normalized characteristics matrix used by the perturbation
-    net for this iteration.
+    net for this iteration and the per-sample CE gradients w.r.t. features.
     """
     x = state.dataset.features[batch_idx]
     y = state.dataset.labels[batch_idx]
@@ -266,7 +262,7 @@ def _surrogate_loss(state: MetaState, x: np.ndarray, y: np.ndarray,
     delta = None
     if not cfg.freeze_eps:
         eps = eps_forward(state.perturb, characteristics)
-        delta = compute_delta(grad_h, eps).delta
+        delta = compute_delta(grad_h, eps)
     sigma_leaves = [Tensor(state.stats.covariance(c))
                     for c in range(state.dataset.num_classes)]
     h = extract_features(state.params, x)
@@ -277,79 +273,69 @@ def _surrogate_loss(state: MetaState, x: np.ndarray, y: np.ndarray,
     return augmented_ce_loss(z, y), eps, sigma_leaves
 
 
-def pseudo_step(state: MetaState, batch_idx: np.ndarray) -> PseudoStep:
-    """Lookahead classifier update, recorded for later differentiation."""
-    characteristics, grad_h = _observe_batch(state, batch_idx)
+def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
+                        meta_idx: np.ndarray, characteristics: np.ndarray,
+                        grad_h: np.ndarray) -> Lookahead:
+    """Meta cross-entropy at the lookahead parameters, on one tape.
+
+    The lookahead phi' = phi - lr * grad_phi(surrogate loss) keeps its
+    dependence on the perturbation net (through eps) and on the covariance
+    leaves, so one gradient of the meta loss gives both hypergradients.
+    Reads the state without changing it.
+    """
     x = state.dataset.features[batch_idx]
     y = state.dataset.labels[batch_idx]
-    lr = learning_rate(state.config, state.t)
-    tape = Tape()
-    with tape:
+    lr = Tensor(learning_rate(state.config, state.t))
+    with Tape() as tape:
         loss, eps, sigma_leaves = _surrogate_loss(
             state, x, y, characteristics, grad_h)
         _check_finite_loss(state, loss, "train")
         phi = state.params.all_tensors()
         grads = tape.gradient(loss, phi)
-        lr_t = Tensor(lr)
-        pseudo = [ad.sub(p, ad.mul(lr_t, g))
+        pseudo = [ad.sub(p, ad.mul(lr, g))
                   for p, g in zip(phi, grads, strict=True)]
+        ahead = ClassifierParams.from_tensors(pseudo)
+        h = extract_features(ahead, state.metadata.features[meta_idx])
+        meta_loss = augmented_ce_loss(logits(ahead, h),
+                                      state.metadata.labels[meta_idx])
+    _check_finite_loss(state, meta_loss, "meta")
+    return Lookahead(tape, meta_loss, eps, sigma_leaves, pseudo)
+
+
+def final_step(state: MetaState, batch_idx: np.ndarray,
+               characteristics: np.ndarray, grad_h: np.ndarray) -> None:
+    """Real classifier update with refreshed perturbations/covariances."""
+    x = state.dataset.features[batch_idx]
+    y = state.dataset.labels[batch_idx]
+    with Tape() as tape:
+        loss, _, _ = _surrogate_loss(state, x, y, characteristics, grad_h)
+        _check_finite_loss(state, loss, "train")
+        grads = tape.gradient(loss, state.params.all_tensors())
+    state.sgd.step(grads, learning_rate(state.config, state.t))
     state.last_train_loss = float(loss.value)
-    return PseudoStep(tape=tape, pseudo_params=pseudo,
-                      sigma_leaves=sigma_leaves, eps=eps, train_loss=loss,
-                      characteristics=characteristics, grad_h=grad_h,
-                      batch_idx=batch_idx, lr=lr)
 
 
-def _forward_param_list(tensors: list[Tensor], depth: int,
-                        x: np.ndarray) -> Tensor:
-    """Classifier forward through an explicit parameter list (layout as
-    ClassifierParams.all_tensors: depth (w, b) pairs then head w, b)."""
-    h = Tensor(x)
-    for i in range(depth):
-        h = ad.relu(ad.add(ad.matmul(h, tensors[2 * i]), tensors[2 * i + 1]))
-    return ad.add(ad.matmul(h, ad.transpose(tensors[-2])), tensors[-1])
-
-
-def _ensure_meta_loss(state: MetaState, step: PseudoStep,
-                      meta_idx: np.ndarray) -> Tensor:
-    if step.meta_loss is not None:
-        if step.meta_idx is not None and not np.array_equal(
-                step.meta_idx, meta_idx):
-            raise ValueError("meta updates must share one meta batch")
-        return step.meta_loss
-    xm = state.metadata.features[meta_idx]
-    ym = state.metadata.labels[meta_idx]
-    depth = len(state.params.extractor)
-    with step.tape:
-        zm = _forward_param_list(step.pseudo_params, depth, xm)
-        step.meta_loss = augmented_ce_loss(zm, ym)
-    step.meta_idx = np.asarray(meta_idx)
-    _check_finite_loss(state, step.meta_loss, "meta")
-    return step.meta_loss
-
-
-def meta_update_omega(state: MetaState, step: PseudoStep,
-                      meta_idx: np.ndarray) -> None:
-    """Adam step on the perturbation net along the meta hypergradient."""
-    if step.eps is None:
-        return  # perturbations frozen at zero; no dependence to update
-    meta_loss = _ensure_meta_loss(state, step, meta_idx)
-    grads = step.tape.gradient(meta_loss, state.perturb.all_tensors())
-    if not all(np.all(np.isfinite(g.value)) for g in grads):
-        state.events.append(
-            f"iteration {state.t}: non-finite perturbation-net "
-            "hypergradient, update skipped")
-        return
-    state.adam.step(grads)
-
-
-def meta_update_sigma(state: MetaState, step: PseudoStep,
-                      meta_idx: np.ndarray) -> None:
-    """SGD + PSD projection on each class covariance along its
-    hypergradient; results persist into the running statistics."""
-    meta_loss = _ensure_meta_loss(state, step, meta_idx)
-    grads = step.tape.gradient(meta_loss, step.sigma_leaves)
-    for c, (leaf, g) in enumerate(zip(step.sigma_leaves, grads, strict=True)):
+def meta_iteration(state: MetaState, batch_idx: np.ndarray,
+                   meta_idx: np.ndarray) -> None:
+    """Observe, look ahead, update omega and Sigma from one sweep, step."""
+    characteristics, grad_h = _observe_batch(state, batch_idx)
+    ahead = lookahead_meta_loss(state, batch_idx, meta_idx, characteristics,
+                                grad_h)
+    # Frozen perturbations are zero: the net has no path to the meta loss.
+    omega = [] if ahead.eps is None else state.perturb.all_tensors()
+    grads = ahead.tape.gradient(ahead.meta_loss, omega + ahead.sigma_leaves)
+    omega_grads, sigma_grads = grads[:len(omega)], grads[len(omega):]
+    if omega:
+        if all(np.all(np.isfinite(g.value)) for g in omega_grads):
+            state.adam.step(omega_grads)
+        else:
+            state.events.append(
+                f"iteration {state.t}: non-finite perturbation-net "
+                "hypergradient, update skipped")
+    for c, (leaf, g) in enumerate(zip(ahead.sigma_leaves, sigma_grads,
+                                      strict=True)):
+        if state.stats.counts[c] == 0:
+            continue  # no sample yet: no estimate, and a zero hypergradient
         if not np.all(np.isfinite(g.value)):
             state.events.append(
                 f"iteration {state.t}: non-finite covariance hypergradient "
@@ -364,27 +350,7 @@ def meta_update_sigma(state: MetaState, step: PseudoStep,
                 f"class {c} ({exc}), keeping previous value")
             continue
         state.stats.set_covariance(c, projected)
-
-
-def final_step(state: MetaState, step: PseudoStep) -> None:
-    """Real classifier update with refreshed perturbations/covariances."""
-    x = state.dataset.features[step.batch_idx]
-    y = state.dataset.labels[step.batch_idx]
-    with Tape() as tape:
-        loss, _, _ = _surrogate_loss(
-            state, x, y, step.characteristics, step.grad_h)
-        _check_finite_loss(state, loss, "train")
-        grads = tape.gradient(loss, state.params.all_tensors())
-    state.sgd.step(grads, step.lr)
-    state.last_train_loss = float(loss.value)
-
-
-def meta_iteration(state: MetaState, batch_idx: np.ndarray,
-                   meta_idx: np.ndarray) -> None:
-    step = pseudo_step(state, batch_idx)
-    meta_update_omega(state, step, meta_idx)
-    meta_update_sigma(state, step, meta_idx)
-    final_step(state, step)
+    final_step(state, batch_idx, characteristics, grad_h)
 
 
 def full_train_eps(state: MetaState) -> np.ndarray:
@@ -470,11 +436,9 @@ def _regularizer_row(state: MetaState, eps_all: np.ndarray) -> dict:
 
 
 def train(config: TrainerConfig, dataset: Dataset, metadata: MetaDataset,
-          eval_data: Dataset | None = None,
-          state: MetaState | None = None) -> tuple[MetaState, MetricsLog]:
+          eval_data: Dataset | None = None) -> tuple[MetaState, MetricsLog]:
     """Run the full schedule: warm-up then meta iterations, logged per epoch."""
-    if state is None:
-        state = init_state(config, dataset, metadata)
+    state = init_state(config, dataset, metadata)
     log = MetricsLog(dataset.num_classes)
     iters_per_epoch = max(1, round(dataset.n / config.batch_train))
     epoch = 0

@@ -3,9 +3,10 @@
 Each suite re-derives a core identity of the surrogate-loss construction
 from an independent oracle (Monte Carlo sampling, finite differences, or
 brute-force recomputation) and reports a structured pass/fail record.  The
-full acceptance-grade sweeps live in the test suite; these are fast
-versions of the same checks for use on a fresh checkout or inside `run
---oracle-suite` sanity gates.
+defaults are fast versions of the acceptance-grade checks, for use on a
+fresh checkout or inside `run --oracle-suite` sanity gates; the acceptance
+gate runs the gradient and hypergradient suites itself, on its own
+instances and budgets.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .data import Dataset, MetaDataset
 from .loss import LossConfig, adjusted_logits, augmented_ce_loss
 from .oracles import fd_gradient, mc_expected_ce, mgf_check, random_bound_instance
 from .stats import ClassStats, update_covariance
-from .training import (TrainerConfig, _forward_param_list, _observe_batch,
-                       _surrogate_loss, init_state, learning_rate)
+from .training import (TrainerConfig, _observe_batch, init_state,
+                       lookahead_meta_loss)
 
 
 def jensen_suite(instances: int = 200, draws: int = 4000,
@@ -122,7 +123,7 @@ def gradient_suite(instances: int = 10, seed: int = 0) -> dict:
             fd = fd_gradient(f, value.ravel().copy()).reshape(value.shape)
             scale = max(np.abs(fd).max(), 1e-12)
             worst = max(worst, np.abs(grads[k].value - fd).max() / scale)
-    return {"name": "gradient", "passed": worst < 1e-4,
+    return {"name": "gradient", "passed": worst < 1e-4, "worst": worst,
             "detail": f"max rel err {worst:.3e} over {instances} instances"}
 
 
@@ -144,49 +145,41 @@ def _tiny_state(seed: int):
     return state, obs
 
 
-def _meta_value(state, obs):
-    """Lookahead + meta CE on one tape, from current parameter values."""
-    f, grad_h = obs
-    x = state.dataset.features
-    y = state.dataset.labels
-    tape = Tape()
-    with tape:
-        loss, eps, leaves = _surrogate_loss(state, x, y, f, grad_h)
-        phi = state.params.all_tensors()
-        grads = tape.gradient(loss, phi)
-        lr_t = Tensor(learning_rate(state.config, state.t))
-        pseudo = [ad.sub(p, ad.mul(lr_t, g)) for p, g in zip(phi, grads)]
-        zm = _forward_param_list(pseudo, 0, state.metadata.features)
-        meta_loss = augmented_ce_loss(zm, state.metadata.labels)
-    return meta_loss, tape, leaves
-
-
 def hypergradient_suite(seed: int = 0) -> dict:
-    """Meta-gradients through the lookahead step vs finite differences."""
-    state, obs = _tiny_state(seed)
-    meta_loss, tape, leaves = _meta_value(state, obs)
-    omega = state.perturb.all_tensors()
-    hyper_omega = tape.gradient(meta_loss, omega)
-    hyper_sigma = tape.gradient(meta_loss, leaves)
-    step = 1e-5
-    worst = 0.0
+    """Meta-gradients through the lookahead step vs finite differences.
 
-    for t_idx, tensor in enumerate(omega):
+    The record's `kink_margin` is the smallest |input| of the perturbation
+    net's relu; finite differences are only meaningful when it is not tiny.
+    """
+    state, (f, grad_h) = _tiny_state(seed)
+    batch = np.arange(4)
+
+    def meta_value():
+        return lookahead_meta_loss(state, batch, batch, f, grad_h)
+
+    ahead = meta_value()
+    omega = state.perturb.all_tensors()
+    hyper = ahead.tape.gradient(ahead.meta_loss, omega + ahead.sigma_leaves)
+    step = 1e-5
+    worst_omega = worst_sigma = 0.0
+
+    for tensor, analytic in zip(omega, hyper):
         fd = np.zeros_like(tensor.value)
         it = np.nditer(tensor.value, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
             orig = tensor.value[idx]
             tensor.value[idx] = orig + step
-            up, *_ = _meta_value(state, obs)
+            up = meta_value().meta_loss
             tensor.value[idx] = orig - step
-            dn, *_ = _meta_value(state, obs)
+            dn = meta_value().meta_loss
             tensor.value[idx] = orig
             fd[idx] = (float(up.value) - float(dn.value)) / (2 * step)
         scale = max(np.abs(fd).max(), 1e-12)
-        worst = max(worst, np.abs(hyper_omega[t_idx].value - fd).max() / scale)
+        worst_omega = max(worst_omega,
+                          np.abs(analytic.value - fd).max() / scale)
 
-    for c in range(2):
+    for c, analytic in enumerate(hyper[len(omega):]):
         base = state.stats.covariance(c)
         fd = np.zeros_like(base)
         for i in range(base.shape[0]):
@@ -194,16 +187,22 @@ def hypergradient_suite(seed: int = 0) -> dict:
                 bump = np.zeros_like(base)
                 bump[i, j] = step
                 state.stats.set_covariance(c, base + bump)
-                up, *_ = _meta_value(state, obs)
+                up = meta_value().meta_loss
                 state.stats.set_covariance(c, base - bump)
-                dn, *_ = _meta_value(state, obs)
+                dn = meta_value().meta_loss
                 fd[i, j] = (float(up.value) - float(dn.value)) / (2 * step)
         state.stats.set_covariance(c, base)
         scale = max(np.abs(fd).max(), 1e-12)
-        worst = max(worst, np.abs(hyper_sigma[c].value - fd).max() / scale)
+        worst_sigma = max(worst_sigma,
+                          np.abs(analytic.value - fd).max() / scale)
 
-    return {"name": "hypergradient", "passed": worst < 1e-3,
-            "detail": f"max rel err {worst:.3e}"}
+    kink = float(np.abs(f @ state.perturb.w1.value
+                        + state.perturb.b1.value).min())
+    worst = max(worst_omega, worst_sigma)
+    return {"name": "hypergradient", "passed": worst < 1e-3, "worst": worst,
+            "worst_omega": worst_omega, "worst_sigma": worst_sigma,
+            "kink_margin": kink,
+            "detail": f"max rel err {worst:.3e}, relu margin {kink:.1e}"}
 
 
 def covariance_suite(partitions: int = 5, seed: int = 0) -> dict:

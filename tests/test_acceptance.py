@@ -18,20 +18,18 @@ import numpy as np
 import pytest
 
 import advaug.autodiff as ad
-from advaug.autodiff import Tape, Tensor
+from advaug import verification
+from advaug.autodiff import Tensor
 from advaug.cli import ALPHA_GRID, main as cli_main
 from advaug.config import parse_config, trainer_config
-from advaug.data import Dataset, MetaDataset
 from advaug.loss import (
     LossConfig,
     adjusted_logits,
-    augmented_ce_loss,
     quadratic_terms,
     surrogate_per_sample,
 )
 from advaug.metrics import run_summary
 from advaug.oracles import (
-    fd_gradient,
     finite_loss_convergence,
     mc_expected_ce,
     mgf_check,
@@ -39,15 +37,7 @@ from advaug.oracles import (
 )
 from advaug.scenarios import build_scenario
 from advaug.stats import ClassStats, update_covariance
-from advaug.training import (
-    TrainerConfig,
-    _forward_param_list,
-    _observe_batch,
-    _surrogate_loss,
-    init_state,
-    learning_rate,
-    train,
-)
+from advaug.training import train
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SEEDS = (0, 1, 2, 3, 4)
@@ -217,143 +207,26 @@ def test_criterion_04_finite_sample_convergence():
              f"{elapsed:.1f}s")
 
 
-def _pipeline_instance(rng):
-    """Two-layer pipeline with relu inputs kept away from the kink."""
-    n, in_dim, hid, c = 5, 3, 4, 3
-    while True:
-        x = rng.normal(size=(n, in_dim))
-        w1 = rng.normal(size=(in_dim, hid)) * 0.7
-        b1 = rng.normal(size=hid)
-        if np.abs(x @ w1 + b1).min() > 1e-3:
-            break
-    labels = rng.integers(0, c, size=n)
-    delta = rng.uniform(-0.9, 0.9, size=(n, 1)) * np.sign(
-        rng.normal(size=(n, hid)))
-    sigmas = [a @ a.T / hid for a in rng.normal(size=(c, hid, hid))]
-    priors = rng.uniform(0.1, 1.0, size=c)
-    priors /= priors.sum()
-    params = [w1, b1, rng.normal(size=(c, hid)), rng.normal(size=c)]
-    cfg = LossConfig(alpha=float(rng.uniform(0.1, 1.0)), beta=1.0)
-    return x, labels, delta, sigmas, priors, params, cfg
-
-
-def _pipeline_loss(values, x, labels, delta, sigmas, priors, cfg):
-    w1, b1, hw, hb = [Tensor(v) for v in values]
-    h = ad.relu(ad.add(ad.matmul(Tensor(x), w1), b1))
-    rho = quadratic_terms(hw, [Tensor(s) for s in sigmas], labels)
-    z = adjusted_logits(hw, hb, h, Tensor(delta), rho, priors, cfg)
-    return augmented_ce_loss(z, labels), [w1, b1, hw, hb]
-
-
 def test_criterion_05_gradient_correctness():
     t0 = time.time()
-    rng = np.random.default_rng(17)
-    worst = 0.0
-    for _ in range(50):
-        x, labels, delta, sigmas, priors, params, cfg = _pipeline_instance(rng)
-        with Tape() as tape:
-            loss, tensors = _pipeline_loss(params, x, labels, delta, sigmas,
-                                           priors, cfg)
-            grads = tape.gradient(loss, tensors)
-        for k, value in enumerate(params):
-            def f(v, k=k):
-                trial = [p.copy() for p in params]
-                trial[k] = v.reshape(params[k].shape)
-                out, _ = _pipeline_loss(trial, x, labels, delta, sigmas,
-                                        priors, cfg)
-                return float(out.value)
-            fd = fd_gradient(f, value.ravel().copy()).reshape(value.shape)
-            scale = max(np.abs(fd).max(), 1e-12)
-            worst = max(worst, np.abs(grads[k].value - fd).max() / scale)
+    record = verification.gradient_suite(instances=50, seed=17)
     elapsed = time.time() - t0
-    passed = worst < 1e-4 and elapsed < 60.0
+    passed = record["worst"] < 1e-4 and elapsed < 60.0
     _verdict(5, "gradient-correctness", passed,
-             f"max rel err {worst:.2e} over 50 instances, {elapsed:.1f}s")
-
-
-def _tiny_meta_instance(seed: int = 0):
-    """2-class, 2-feature head-only instance with 4 train + 4 meta points."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(4, 2))
-    ds = Dataset(features=x, labels=np.array([0, 1, 0, 1]),
-                 class_counts=np.array([2, 2]))
-    md = MetaDataset(features=rng.normal(size=(4, 2)),
-                     labels=np.array([0, 0, 1, 1]), per_class=2)
-    cfg = TrainerConfig(t1=0, t2=10, alpha=0.6, beta=1.0, batch_train=4,
-                        batch_meta=4, hidden=(), feat_dim=2, perturb_hidden=4,
-                        decay_points=(), seed=seed)
-    state = init_state(cfg, ds, md)
-    state.t = 1
-    state.perturb.load_values([rng.normal(scale=0.3, size=t.value.shape)
-                               for t in state.perturb.all_tensors()])
-    f, grad_h = _observe_batch(state, np.arange(4))
-    # FD needs smooth relu inputs inside the perturbation net
-    assert np.abs(f @ state.perturb.w1.value
-                  + state.perturb.b1.value).min() > 1e-3
-    return state, f, grad_h
-
-
-def _tiny_meta_value(state, f, grad_h):
-    """Lookahead step plus meta CE on one tape, from current values."""
-    tape = Tape()
-    with tape:
-        loss, _, leaves = _surrogate_loss(state, state.dataset.features,
-                                          state.dataset.labels, f, grad_h)
-        phi = state.params.all_tensors()
-        grads = tape.gradient(loss, phi)
-        lr = Tensor(learning_rate(state.config, state.t))
-        pseudo = [ad.sub(p, ad.mul(lr, g)) for p, g in zip(phi, grads)]
-        zm = _forward_param_list(pseudo, len(state.params.extractor),
-                                 state.metadata.features)
-        meta_loss = augmented_ce_loss(zm, state.metadata.labels)
-    return meta_loss, tape, leaves
+             f"max rel err {record['worst']:.2e} over 50 instances, "
+             f"{elapsed:.1f}s")
 
 
 def test_criterion_06_hypergradient_correctness():
     t0 = time.time()
-    state, f, grad_h = _tiny_meta_instance(seed=0)
-    meta_loss, tape, leaves = _tiny_meta_value(state, f, grad_h)
-    omega = state.perturb.all_tensors()
-    hyper_omega = tape.gradient(meta_loss, omega)
-    hyper_sigma = tape.gradient(meta_loss, leaves)
-    step = 1e-5
-    worst = 0.0
-
-    for t_idx, tensor in enumerate(omega):
-        fd = np.zeros_like(tensor.value)
-        it = np.nditer(tensor.value, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = tensor.value[idx]
-            tensor.value[idx] = orig + step
-            up, *_ = _tiny_meta_value(state, f, grad_h)
-            tensor.value[idx] = orig - step
-            dn, *_ = _tiny_meta_value(state, f, grad_h)
-            tensor.value[idx] = orig
-            fd[idx] = (float(up.value) - float(dn.value)) / (2 * step)
-        scale = max(np.abs(fd).max(), 1e-12)
-        worst = max(worst, np.abs(hyper_omega[t_idx].value - fd).max() / scale)
-
-    for c in range(2):
-        base = state.stats.covariance(c)
-        fd = np.zeros_like(base)
-        for i in range(base.shape[0]):
-            for j in range(base.shape[1]):
-                bump = np.zeros_like(base)
-                bump[i, j] = step
-                state.stats.set_covariance(c, base + bump)
-                up, *_ = _tiny_meta_value(state, f, grad_h)
-                state.stats.set_covariance(c, base - bump)
-                dn, *_ = _tiny_meta_value(state, f, grad_h)
-                fd[i, j] = (float(up.value) - float(dn.value)) / (2 * step)
-        state.stats.set_covariance(c, base)
-        scale = max(np.abs(fd).max(), 1e-12)
-        worst = max(worst, np.abs(hyper_sigma[c].value - fd).max() / scale)
-
+    record = verification.hypergradient_suite(seed=0)
+    # FD needs smooth relu inputs inside the perturbation net
+    assert record["kink_margin"] > 1e-3
     elapsed = time.time() - t0
-    passed = worst < 1e-3 and elapsed < 60.0
+    passed = record["worst"] < 1e-3 and elapsed < 60.0
     _verdict(6, "hypergradient-correctness", passed,
-             f"max rel err {worst:.2e} across omega and sigma, {elapsed:.1f}s")
+             f"max rel err {record['worst']:.2e} across omega and sigma, "
+             f"{elapsed:.1f}s")
 
 
 def test_criterion_07_covariance_pooling():

@@ -1,4 +1,4 @@
-"""Engine tests: frozen analytic values, finite-difference oracles, replay."""
+"""Engine tests: frozen analytic values, finite-difference oracles, tape rules."""
 
 import numpy as np
 import pytest
@@ -295,29 +295,6 @@ class TestSecondOrder:
 
 
 class TestReplay:
-    def build(self, w_val):
-        tape = Tape()
-        with tape:
-            x = Tensor([[0.5, -1.0], [2.0, 0.25]])
-            w = Tensor(w_val)
-            h = ad.tanh(ad.matmul(x, w))
-            out = ad.tsum(ad.logsumexp(h, axis=1))
-        return tape, w, out
-
-    def test_replay_is_bit_identical(self):
-        tape, _, out = self.build(np.array([[0.3, -0.2], [1.1, 0.7]]))
-        before = out.value.tobytes()
-        tape.replay()
-        assert out.value.tobytes() == before
-
-    def test_replay_recomputes_from_updated_leaves(self):
-        w_val = np.array([[0.3, -0.2], [1.1, 0.7]])
-        tape, w, out = self.build(w_val)
-        w.value = w_val * 2.0
-        tape.replay()
-        _, _, fresh = self.build(w_val * 2.0)
-        assert out.value.tobytes() == fresh.value.tobytes()
-
     def test_gradient_of_untaped_target_rejected(self):
         with Tape() as tape:
             x = Tensor(1.0)

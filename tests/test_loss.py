@@ -22,12 +22,12 @@ def np_ce(z, labels):
 class TestComputeDelta:
     def test_zero_eps_zero_delta(self):
         g = np.random.default_rng(0).normal(size=(3, 4))
-        strat = compute_delta(g, np.zeros(3))
-        assert np.array_equal(strat.delta, np.zeros((3, 4)))
+        delta = compute_delta(g, np.zeros(3))
+        assert np.array_equal(delta, np.zeros((3, 4)))
 
     def test_sign_pattern(self):
-        strat = compute_delta(np.array([[0.3, -0.1, 0.0]]), np.array([0.5]))
-        assert np.array_equal(strat.delta, [[0.5, -0.5, 0.0]])
+        delta = compute_delta(np.array([[0.3, -0.1, 0.0]]), np.array([0.5]))
+        assert np.array_equal(delta, [[0.5, -0.5, 0.0]])
 
     def test_small_positive_eps_is_ascent_direction(self):
         rng = np.random.default_rng(1)
@@ -40,9 +40,9 @@ class TestComputeDelta:
             g = (q / q.sum() - np.eye(c)[y]) @ w
             if np.min(np.abs(g)) < 1e-6:
                 continue
-            strat = compute_delta(g, np.array([1e-3]))
+            delta = compute_delta(g, np.array([1e-3]))
             before = np_ce(h @ w.T + b, y)[0]
-            after = np_ce((h + strat.delta) @ w.T + b, y)[0]
+            after = np_ce((h + delta) @ w.T + b, y)[0]
             assert after >= before - 1e-12
 
     def test_eps_magnitude_validated(self):
@@ -54,8 +54,8 @@ class TestComputeDelta:
         g = np.array([[0.3, -0.2], [0.0, 0.7]])
         with Tape() as tape:
             eps = Tensor(np.array([[0.5], [-0.25]]))
-            strat = compute_delta(g, eps)
-            total = ad.tsum(strat.delta)
+            delta = compute_delta(g, eps)
+            total = ad.tsum(delta)
             (grad,) = tape.gradient(total, [eps])
         # d(sum delta)/d eps_i = sum of signs in row i
         assert np.allclose(grad.value, [[0.0], [1.0]])
@@ -137,10 +137,10 @@ class TestAdjustedLogits:
 
     def test_reduction_to_plain_logits(self):
         w, b, h, labels, sigmas, g, priors = self.setup_case()
-        strat = compute_delta(g, np.zeros(len(labels)))
+        delta = compute_delta(g, np.zeros(len(labels)))
         rho = quadratic_terms(Tensor(w), [Tensor(s) for s in sigmas], labels)
         z = adjusted_logits(Tensor(w), Tensor(b), Tensor(h),
-                            Tensor(strat.delta), rho, priors,
+                            Tensor(delta), rho, priors,
                             LossConfig(alpha=0.0, beta=0.0))
         assert np.max(np.abs(z.value - (h @ w.T + b))) < 1e-12
 
@@ -158,15 +158,15 @@ class TestAdjustedLogits:
     def test_matches_scalar_oracle(self):
         w, b, h, labels, sigmas, g, priors = self.setup_case(seed=8)
         config = LossConfig(alpha=0.7, beta=0.9)
-        strat = compute_delta(g, np.linspace(-0.8, 0.8, len(labels)))
+        delta = compute_delta(g, np.linspace(-0.8, 0.8, len(labels)))
         rho = quadratic_terms(Tensor(w), [Tensor(s) for s in sigmas], labels)
         z = adjusted_logits(Tensor(w), Tensor(b), Tensor(h),
-                            Tensor(strat.delta), rho, priors, config)
+                            Tensor(delta), rho, priors, config)
         for i in range(len(labels)):
             for j in range(4):
                 dw = w[j] - w[labels[i]]
                 rho_ij = 0.5 * dw @ sigmas[labels[i]] @ dw
-                expect = (w[j] @ (h[i] + strat.delta[i]) + b[j]
+                expect = (w[j] @ (h[i] + delta[i]) + b[j]
                           + config.alpha * rho_ij
                           + config.beta * np.log(priors[j]))
                 assert z.value[i, j] == pytest.approx(expect, abs=1e-10)

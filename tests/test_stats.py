@@ -76,6 +76,12 @@ class TestUpdateCovariance:
         stats.set_covariance(0, target)
         assert np.allclose(stats.covariance(0), target, atol=1e-12)
 
+    def test_set_covariance_of_unseen_class_rejected(self):
+        stats = ClassStats(2, 3)
+        with pytest.raises(ValueError):
+            stats.set_covariance(1, np.eye(3))
+        assert stats.counts[1] == 0
+
 
 class TestClassPriors:
     def test_balanced_two_class(self):

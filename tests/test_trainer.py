@@ -17,21 +17,17 @@ from advaug.training import (
     MomentumSgd,
     NumericalAbort,
     TrainerConfig,
-    _ensure_meta_loss,
-    _forward_param_list,
     _observe_batch,
-    _surrogate_loss,
     final_step,
     init_state,
     learning_rate,
+    lookahead_meta_loss,
     meta_iteration,
-    meta_update_omega,
-    meta_update_sigma,
-    pseudo_step,
     sample_train_batch,
     train,
     warmup_step,
 )
+from advaug.verification import hypergradient_suite
 
 RANGE = 1.0 - 1e-9  # perturbation net output scale
 
@@ -57,6 +53,12 @@ def tiny_setup(alpha=0.5, beta=1.0, eta1=0.05, eta2=1e-3, freeze_eps=False,
             [rng.normal(scale=0.3, size=t.value.shape)
              for t in state.perturb.all_tensors()])
     return state
+
+
+def observe_and_look_ahead(state, idx=np.arange(4)):
+    """The first two stages of a meta iteration, on one shared batch."""
+    characteristics, grad_h = _observe_batch(state, idx)
+    return lookahead_meta_loss(state, idx, idx, characteristics, grad_h)
 
 
 class TestConfig:
@@ -154,11 +156,11 @@ class TestWarmup:
             warmup_step(state, np.arange(4))
 
 
-class TestPseudoStep:
+class TestLookahead:
     def test_zero_eta1_keeps_params(self):
         state = tiny_setup(eta1=0.0)
-        step = pseudo_step(state, np.arange(4))
-        for pseudo, p in zip(step.pseudo_params,
+        ahead = observe_and_look_ahead(state)
+        for pseudo, p in zip(ahead.pseudo_params,
                              state.params.all_tensors()):
             np.testing.assert_array_equal(pseudo.value, p.value)
 
@@ -169,9 +171,9 @@ class TestPseudoStep:
         y = state.dataset.labels
         priors = state.priors
 
-        step = pseudo_step(state, np.arange(4))
-        f = step.characteristics
-        grad_h = step.grad_h
+        f, grad_h = _observe_batch(state, np.arange(4))
+        ahead = lookahead_meta_loss(state, np.arange(4), np.arange(4), f,
+                                    grad_h)
 
         # Independent scripted computation with explicit loops.
         ov = [t.value for t in state.perturb.all_tensors()]
@@ -203,101 +205,37 @@ class TestPseudoStep:
 
         expect_w = w - cfg.eta1 * dw
         expect_b = b - cfg.eta1 * db
-        np.testing.assert_allclose(step.pseudo_params[0].value, expect_w,
+        np.testing.assert_allclose(ahead.pseudo_params[0].value, expect_w,
                                    rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(step.pseudo_params[1].value, expect_b,
+        np.testing.assert_allclose(ahead.pseudo_params[1].value, expect_b,
                                    rtol=1e-10, atol=1e-12)
 
     def test_frozen_eps_builds_no_perturbation(self):
         state = tiny_setup(freeze_eps=True)
-        step = pseudo_step(state, np.arange(4))
-        assert step.eps is None
-
-
-def build_meta_value(state, batch_idx, meta_idx):
-    """Pure pipeline: surrogate grads -> lookahead -> meta CE.
-
-    Returns (meta_loss_value, tape, eps, sigma_leaves) built on one tape
-    from the state's current parameter values, without mutating stats.
-    """
-    f, grad_h = state._frozen_obs
-    x = state.dataset.features[batch_idx]
-    y = state.dataset.labels[batch_idx]
-    lr = learning_rate(state.config, state.t)
-    tape = Tape()
-    with tape:
-        loss, eps, leaves = _surrogate_loss(state, x, y, f, grad_h)
-        phi = state.params.all_tensors()
-        grads = tape.gradient(loss, phi)
-        lr_t = Tensor(lr)
-        pseudo = [ad.sub(p, ad.mul(lr_t, g)) for p, g in zip(phi, grads)]
-        zm = _forward_param_list(pseudo, len(state.params.extractor),
-                                 state.metadata.features[meta_idx])
-        ml = augmented_ce_loss(zm, state.metadata.labels[meta_idx])
-    return ml, tape, eps, leaves
+        assert observe_and_look_ahead(state).eps is None
 
 
 class TestHypergradients:
-    def setup_method(self):
-        self.state = tiny_setup(alpha=0.6, beta=1.0, seed=3)
-        self.batch = np.arange(4)
-        self.meta = np.arange(4)
-        f, grad_h = _observe_batch(self.state, self.batch)
-        self.state._frozen_obs = (f, grad_h)
+    @staticmethod
+    def fd_record():
+        # Same instance as tiny_setup(alpha=0.6, seed=3).
+        record = hypergradient_suite(seed=3)
         # FD needs smooth relu inputs: assert the seed stays off the kink
-        pre = f @ self.state.perturb.w1.value + self.state.perturb.b1.value
-        assert np.abs(pre).min() > 1e-3
+        assert record["kink_margin"] > 1e-3
+        return record
 
     def test_omega_hypergradient_matches_fd(self):
-        state = self.state
-        ml, tape, _, _ = build_meta_value(state, self.batch, self.meta)
-        hyper = tape.gradient(ml, state.perturb.all_tensors())
-
-        step = 1e-5
-        for t_idx, tensor in enumerate(state.perturb.all_tensors()):
-            fd = np.zeros_like(tensor.value)
-            it = np.nditer(tensor.value, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = tensor.value[idx]
-                tensor.value[idx] = orig + step
-                up, *_ = build_meta_value(state, self.batch, self.meta)
-                tensor.value[idx] = orig - step
-                dn, *_ = build_meta_value(state, self.batch, self.meta)
-                tensor.value[idx] = orig
-                fd[idx] = (float(up.value) - float(dn.value)) / (2 * step)
-            scale = max(np.abs(fd).max(), 1e-12)
-            rel = np.abs(hyper[t_idx].value - fd).max() / scale
-            assert rel < 1e-3, f"omega tensor {t_idx}: rel err {rel}"
+        record = self.fd_record()
+        assert record["worst_omega"] < 1e-3, record["detail"]
 
     def test_sigma_hypergradient_matches_fd(self):
-        state = self.state
-        ml, tape, _, leaves = build_meta_value(state, self.batch, self.meta)
-        hyper = tape.gradient(ml, leaves)
-
-        step = 1e-5
-        for c in range(2):
-            base = state.stats.covariance(c)
-            fd = np.zeros_like(base)
-            for i in range(base.shape[0]):
-                for j in range(base.shape[1]):
-                    bump = np.zeros_like(base)
-                    bump[i, j] = step
-                    state.stats.set_covariance(c, base + bump)
-                    up, *_ = build_meta_value(state, self.batch, self.meta)
-                    state.stats.set_covariance(c, base - bump)
-                    dn, *_ = build_meta_value(state, self.batch, self.meta)
-                    fd[i, j] = (float(up.value) - float(dn.value)) / (2 * step)
-            state.stats.set_covariance(c, base)
-            scale = max(np.abs(fd).max(), 1e-12)
-            rel = np.abs(hyper[c].value - fd).max() / scale
-            assert rel < 1e-3, f"sigma class {c}: rel err {rel}"
+        record = self.fd_record()
+        assert record["worst_sigma"] < 1e-3, record["detail"]
 
     def test_alpha_zero_gives_exactly_zero_sigma_gradient(self):
         state = tiny_setup(alpha=0.0, seed=5)
-        step = pseudo_step(state, np.arange(4))
-        ml = _ensure_meta_loss(state, step, np.arange(4))
-        grads = step.tape.gradient(ml, step.sigma_leaves)
+        ahead = observe_and_look_ahead(state)
+        grads = ahead.tape.gradient(ahead.meta_loss, ahead.sigma_leaves)
         for g in grads:
             np.testing.assert_array_equal(g.value, np.zeros_like(g.value))
 
@@ -306,50 +244,60 @@ class TestMetaUpdates:
     def test_zero_eta2_keeps_omega(self):
         state = tiny_setup(eta2=0.0)
         before = state.perturb.copy_values()
-        step = pseudo_step(state, np.arange(4))
-        meta_update_omega(state, step, np.arange(4))
+        meta_iteration(state, np.arange(4), np.arange(4))
         for b, t in zip(before, state.perturb.all_tensors()):
             np.testing.assert_array_equal(b, t.value)
 
     def test_meta_updates_move_parameters(self):
         state = tiny_setup(alpha=0.6, seed=7)
         omega_before = state.perturb.copy_values()
-        sigma_before = [state.stats.covariance(c) for c in range(2)]
-        step = pseudo_step(state, np.arange(4))
-        sigma_post_obs = [state.stats.covariance(c) for c in range(2)]
-        meta_update_omega(state, step, np.arange(4))
-        meta_update_sigma(state, step, np.arange(4))
+        observed = copy.deepcopy(state)
+        _observe_batch(observed, np.arange(4))
+        meta_iteration(state, np.arange(4), np.arange(4))
         assert any(not np.array_equal(b, t.value) for b, t in
                    zip(omega_before, state.perturb.all_tensors()))
-        moved = [not np.allclose(sigma_post_obs[c],
+        moved = [not np.allclose(observed.stats.covariance(c),
                                  state.stats.covariance(c), atol=1e-16)
                  for c in range(2)]
         assert any(moved)
-        del sigma_before
 
     def test_sigma_step_direction_and_projection(self):
         state = tiny_setup(alpha=0.6, seed=9)
-        step = pseudo_step(state, np.arange(4))
-        ml = _ensure_meta_loss(state, step, np.arange(4))
-        grads = step.tape.gradient(ml, step.sigma_leaves)
+        ahead = observe_and_look_ahead(copy.deepcopy(state))
+        grads = ahead.tape.gradient(ahead.meta_loss, ahead.sigma_leaves)
         expected = []
         for c in range(2):
-            cand = step.sigma_leaves[c].value - state.config.eta2 * grads[c].value
+            cand = ahead.sigma_leaves[c].value - state.config.eta2 * grads[c].value
             cand = 0.5 * (cand + cand.T)
             vals, vecs = np.linalg.eigh(cand)
             proj = (vecs * np.maximum(vals, 0.0)) @ vecs.T
             expected.append(0.5 * (proj + proj.T))
-        meta_update_sigma(state, step, np.arange(4))
+        meta_iteration(state, np.arange(4), np.arange(4))
         for c in range(2):
             np.testing.assert_allclose(state.stats.covariance(c), expected[c],
                                        rtol=1e-12, atol=1e-14)
 
-    def test_mismatched_meta_batches_rejected(self):
-        state = tiny_setup()
-        step = pseudo_step(state, np.arange(4))
-        _ensure_meta_loss(state, step, np.array([0, 1, 2, 3]))
-        with pytest.raises(ValueError):
-            _ensure_meta_loss(state, step, np.array([0, 1, 2, 2]))
+    def test_unseen_class_gains_no_phantom_sample(self):
+        # Class 2 is absent from the first batch of a run with t1 = 0: its
+        # covariance has no estimate and the meta update must leave it so.
+        rng = np.random.default_rng(0)
+        ds = Dataset(features=rng.normal(size=(6, 2)),
+                     labels=np.array([0, 1, 0, 1, 0, 2]),
+                     class_counts=np.array([3, 2, 1]))
+        md = MetaDataset(features=rng.normal(size=(3, 2)),
+                         labels=np.array([0, 1, 2]), per_class=1)
+        cfg = TrainerConfig(t1=0, t2=10, alpha=0.6, batch_train=4,
+                            batch_meta=3, hidden=(), feat_dim=2,
+                            perturb_hidden=4, decay_points=(), seed=0)
+        state = init_state(cfg, ds, md)
+        state.t = 1
+        meta_iteration(state, np.arange(4), np.arange(3))
+        np.testing.assert_array_equal(state.stats.counts, [2, 2, 0])
+        np.testing.assert_array_equal(state.stats.means[2], [0.0, 0.0])
+        # The class's first real batch then sets its moments exactly.
+        meta_iteration(state, np.array([5]), np.arange(3))
+        assert state.stats.counts[2] == 1
+        np.testing.assert_array_equal(state.stats.means[2], ds.features[5])
 
 
 class TestFinalStep:
@@ -358,9 +306,11 @@ class TestFinalStep:
         state.config.momentum = 0.0
         state.config.weight_decay = 0.0
         state.sgd = MomentumSgd(state.params.all_tensors(), 0.0, 0.0)
-        step = pseudo_step(state, np.arange(4))
-        final_step(state, step)
-        for pseudo, p in zip(step.pseudo_params, state.params.all_tensors()):
+        f, grad_h = _observe_batch(state, np.arange(4))
+        ahead = lookahead_meta_loss(state, np.arange(4), np.arange(4), f,
+                                    grad_h)
+        final_step(state, np.arange(4), f, grad_h)
+        for pseudo, p in zip(ahead.pseudo_params, state.params.all_tensors()):
             np.testing.assert_array_equal(pseudo.value, p.value)
 
     def test_uses_refreshed_omega(self):
@@ -369,12 +319,10 @@ class TestFinalStep:
         state.config.momentum = 0.0
         state.config.weight_decay = 0.0
         state.sgd = MomentumSgd(state.params.all_tensors(), 0.0, 0.0)
-        step = pseudo_step(state, np.arange(4))
-        meta_update_omega(state, step, np.arange(4))
-        meta_update_sigma(state, step, np.arange(4))
-        final_step(state, step)
+        ahead = observe_and_look_ahead(copy.deepcopy(state))
+        meta_iteration(state, np.arange(4), np.arange(4))
         diffs = [np.abs(pseudo.value - p.value).max()
-                 for pseudo, p in zip(step.pseudo_params,
+                 for pseudo, p in zip(ahead.pseudo_params,
                                       state.params.all_tensors())]
         assert max(diffs) > 0
 
@@ -489,7 +437,7 @@ class TestStateInit:
     def test_state_is_deepcopyable(self):
         state = tiny_setup()
         clone = copy.deepcopy(state)
-        pseudo_step(clone, np.arange(4))
+        observe_and_look_ahead(clone)
         # original untouched by the clone's stats update
         assert isinstance(state, MetaState)
         np.testing.assert_array_equal(state.params.head_w.value,
