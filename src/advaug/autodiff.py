@@ -288,9 +288,12 @@ def tanh(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     a = _wrap(a)
-    mask = Tensor((a.value > 0).astype(np.float64))
-    return _record("relu", (a,), np.maximum(a.value, 0.0),
-                   lambda g: (mul(g, mask),))
+    # The mask (a > 0) equals (out > 0); it is built only when a backward
+    # pass needs it, so untaped forwards do not pay for it.
+    out = _record("relu", (a,), np.maximum(a.value, 0.0),
+                  lambda g: (mul(g, Tensor((out.value > 0)
+                                           .astype(np.float64))),))
+    return out
 
 
 def exp(a: Tensor) -> Tensor:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifier import softmax_lse
 from .stats import ClassStats
 
 CHARACTERISTIC_NAMES = (
@@ -62,7 +63,6 @@ class History:
         self.capacity = capacity
         self.decay = decay
         self.seen = np.zeros(capacity, dtype=bool)
-        self.counts = np.zeros(capacity, dtype=np.intp)
         self.loss_ema = np.zeros(capacity)
         self.margin_ema = np.zeros(capacity)
         self.correct_ema = np.zeros(capacity)
@@ -78,11 +78,6 @@ class History:
                        -5.0, 5.0)
 
 
-def _softmax(z):
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def extract(view: BatchView, history: History,
             stats: ClassStats) -> CharacteristicsBatch:
     """The 15 raw scalars per sample, plus their normalized variants.
@@ -94,8 +89,7 @@ def extract(view: BatchView, history: History,
     labels = np.asarray(view.labels, dtype=np.intp)
     z = view.logits
     rows = np.arange(n)
-    q = _softmax(z)
-    lse = np.log(np.exp(z - z.max(1, keepdims=True)).sum(1)) + z.max(1)
+    q, lse = softmax_lse(z)
     loss = lse - z[rows, labels]
     masked = z.copy()
     masked[rows, labels] = -np.inf
@@ -146,7 +140,6 @@ def update_history(history: History, ids: np.ndarray,
         fresh = ~history.seen[ids]
         value = raw[:, col]
         table[ids] = np.where(fresh, value, d * old + (1 - d) * value)
-    history.counts[ids] += 1
     history.seen[ids] = True
     if history.norm_count == 0:
         history.norm_mean = raw.mean(axis=0)

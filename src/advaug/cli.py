@@ -2,7 +2,9 @@
 
 Verbs:
   run       train one scenario from a config file, writing artifacts
-  sweep     run the alpha grid {0.1, 0.25, 0.5, 0.75, 1} off one base config
+  sweep     run the alpha grid {0.1, 0.25, 0.5, 0.75, 1} off one base config;
+            a failing alpha stops it with that run's exit code, and the
+            summary keeps the rows that finished
   compare   paired-seed comparison of two sets of run directories
   verify    run the analytical self-check suites
   gen-data  materialize a scenario's train/meta/test splits as CSV
@@ -135,7 +137,9 @@ def cmd_sweep(args) -> int:
         member.output_dir = str(root / f"alpha_{alpha}")
         code, summary = _execute_run(member, root / f"alpha_{alpha}")
         if code != 0:
-            return code
+            print(f"sweep stopped at alpha {alpha} (exit {code}); "
+                  f"{len(rows)} finished rows kept", file=sys.stderr)
+            break
         rows.append((alpha, summary["accuracy"],
                      summary["worst_class_recall"], summary["test_loss"]))
     root.mkdir(parents=True, exist_ok=True)
@@ -146,6 +150,8 @@ def cmd_sweep(args) -> int:
                          "test_loss"])
         for row in rows:
             writer.writerow([repr(float(v)) for v in row])
+    if code != 0:
+        return code
     print("alpha  accuracy  worst_class_recall")
     for alpha, acc, wcr, _ in rows:
         print(f"{alpha:<6g} {acc:<9.4f} {wcr:.4f}")

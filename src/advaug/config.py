@@ -1,7 +1,9 @@
 """Run configuration: flat INI files with sections mirroring the modules.
 
-Every key is typed and validated; unknown sections or keys are rejected so
-config typos cannot silently change an experiment.  `write_resolved`
+Every key is typed; unknown sections or keys are rejected so config typos
+cannot silently change an experiment.  The data rules live here; the
+[model], [loss] and [training] values are checked by building the trainer's
+`TrainerConfig` from them, its fields named after the keys.  `write_resolved`
 materializes all defaults, producing a file that reproduces the run exactly.
 """
 
@@ -103,7 +105,7 @@ _LOSS_SCHEMA = {
 }
 
 _TRAINING_SCHEMA = {
-    "t1": (int, -1),  # -1 resolves to 30% of t2
+    "t1": (int, -1),  # -1, and only -1, resolves to 30% of t2
     "t2": (int, 1500),
     "eta1": (float, 0.05),
     "eta2": (float, 1e-3),
@@ -189,25 +191,19 @@ def parse_config(path: str) -> RunConfig:
                     output_dir=run["output_dir"],
                     oracle_suite=run["oracle_suite"], **resolved)
     _validate(cfg)
-    if cfg.training["t1"] < 0:
+    if cfg.training["t1"] == -1:
         cfg.training["t1"] = int(round(0.3 * cfg.training["t2"]))
+    try:
+        trainer_config(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not cfg.output_dir:
         cfg.output_dir = f"{cfg.scenario}_seed{cfg.seed}"
     return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
-    tr = cfg.training
-    if tr["t2"] < 1:
-        raise ConfigError("[training] t2 must be >= 1")
-    if tr["t1"] > tr["t2"]:
-        raise ConfigError("[training] t1 must not exceed t2")
-    if tr["eta1"] < 0 or tr["eta2"] < 0:
-        raise ConfigError("[training] learning rates must be non-negative")
-    if tr["batch_train"] < 1 or tr["batch_meta"] < 1:
-        raise ConfigError("[training] batch sizes must be positive")
-    if cfg.loss["alpha"] < 0 or cfg.loss["beta"] < 0:
-        raise ConfigError("[loss] alpha and beta must be non-negative")
+    """The [data] rules of each scenario."""
     if cfg.scenario in ("longtail", "noise"):
         std = cfg.data["blob_std"]
         stds = std if isinstance(std, tuple) else (std,)
@@ -256,20 +252,8 @@ def write_resolved(cfg: RunConfig, path: str) -> None:
 
 
 def trainer_config(cfg: RunConfig):
-    """Map a RunConfig onto the trainer's hyperparameter set."""
+    """The trainer's hyperparameter set; raises ValueError on a bad value."""
     from .training import TrainerConfig
 
-    return TrainerConfig(
-        t1=cfg.training["t1"], t2=cfg.training["t2"],
-        eta1=cfg.training["eta1"], eta2=cfg.training["eta2"],
-        batch_train=cfg.training["batch_train"],
-        batch_meta=cfg.training["batch_meta"],
-        alpha=cfg.loss["alpha"], beta=cfg.loss["beta"],
-        momentum=cfg.training["momentum"],
-        weight_decay=cfg.training["weight_decay"],
-        hidden=cfg.model["hidden"], feat_dim=cfg.model["feat_dim"],
-        perturb_hidden=cfg.model["perturb_hidden"],
-        freeze_eps=cfg.training["freeze_eps"],
-        detach_rho_w=cfg.training["detach_rho"],
-        diagonal_sigma=cfg.training["diagonal_sigma"],
-        seed=cfg.seed)
+    return TrainerConfig(**cfg.model, **cfg.loss, **cfg.training,
+                         seed=cfg.seed)

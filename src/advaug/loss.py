@@ -131,15 +131,6 @@ def surrogate_per_sample(w, b, h, delta, rho, labels: np.ndarray,
     return ad.softmax_cross_entropy(z, labels)
 
 
-def weighted_surrogate_bound(w, b, h, delta, rho, labels: np.ndarray,
-                             priors: np.ndarray, alpha: float) -> Tensor:
-    """Pre-adjustment variant: sum_i (1/pi_{y_i}) * bound_i."""
-    priors = np.asarray(priors, dtype=np.float64)
-    terms = surrogate_per_sample(w, b, h, delta, rho, labels, alpha)
-    weights = 1.0 / priors[np.asarray(labels, dtype=np.intp)]
-    return ad.tsum(ad.mul(terms, Tensor(weights)))
-
-
 def regularizer_terms(q: np.ndarray, rho: np.ndarray, w: np.ndarray,
                       delta: np.ndarray, priors: np.ndarray,
                       labels: np.ndarray) -> RegularizerReport:

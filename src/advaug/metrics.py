@@ -16,15 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import ClassifierParams, predict_logits
+from .classifier import ClassifierParams, detached_forward
 
 
 def evaluate(params: ClassifierParams, features: np.ndarray,
              labels: np.ndarray,
              group_ids: np.ndarray | None = None) -> dict:
     """Detached evaluation: loss, accuracy, per-class recall, worst group."""
-    z = predict_logits(params, features)
+    _, z = detached_forward(params, features)
     labels = np.asarray(labels)
+    # Its own log-softmax: softmax_lse adds the max back after the log,
+    # which would move the last bits of the logged test loss.
     shifted = z - z.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     n = z.shape[0]

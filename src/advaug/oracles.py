@@ -9,26 +9,9 @@ these as ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .stats import cholesky_with_jitter
-
-
-@dataclass
-class OracleConfig:
-    mc_count: int = 10000
-    seed: int = 0
-    fd_step: float = 1e-5
-    draw_budget: int = 100  # base count M; sample i gets M / pi_{y_i}
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        if self.mc_count < 1000:
-            raise ValueError("mc_count must be >= 1000 for bound checks")
-        if not 1e-7 <= self.fd_step <= 1e-3:
-            raise ValueError("fd step outside [1e-7, 1e-3]")
 
 
 def explicit_augment(h: np.ndarray, delta: np.ndarray, sigma: np.ndarray,

@@ -33,8 +33,8 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .characteristics import (BatchView, History, extract, update_history)
 from .classifier import (ClassifierParams, ce_grad_wrt_features,
-                         extract_features, init_classifier, logits,
-                         numpy_features)
+                         detached_forward, extract_features, init_classifier,
+                         logits, softmax_lse)
 from .data import Dataset, MetaDataset
 from .loss import (LossConfig, adjusted_logits, augmented_ce_loss,
                    compute_delta, quadratic_terms, regularizer_terms)
@@ -49,7 +49,12 @@ class NumericalAbort(RuntimeError):
 
 @dataclass
 class TrainerConfig:
-    """Hyperparameters of one training run."""
+    """Hyperparameters of one training run, checked on construction.
+
+    This is the only check on them: `config.parse_config` builds one from
+    the [model], [loss] and [training] sections, whose keys are the field
+    names.
+    """
 
     t1: int
     t2: int
@@ -67,22 +72,26 @@ class TrainerConfig:
     feat_dim: int = 16
     perturb_hidden: int = 100
     freeze_eps: bool = False
-    detach_rho_w: bool = False
+    detach_rho: bool = False
     diagonal_sigma: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.t2 < 1:
-            raise ValueError("t2 must be positive")
-        if not 0 <= self.t1 <= self.t2:
-            raise ValueError("need 0 <= t1 <= t2")
+            raise ValueError("t2 must be >= 1")
+        if self.t1 < 0:
+            raise ValueError(f"t1 must be >= 0, got {self.t1}")
+        if self.t1 > self.t2:
+            raise ValueError("t1 must not exceed t2")
         if self.eta1 < 0 or self.eta2 < 0:
             raise ValueError("learning rates must be non-negative")
         if self.batch_train < 1 or self.batch_meta < 1:
             raise ValueError("batch sizes must be positive")
         if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        LossConfig(alpha=self.alpha, beta=self.beta)  # range check
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.feat_dim < 1 or any(width < 1 for width in self.hidden):
+            raise ValueError("feat_dim and hidden widths must be >= 1")
+        self.loss_config()  # alpha and beta range check
 
     def loss_config(self) -> LossConfig:
         return LossConfig(alpha=self.alpha, beta=self.beta)
@@ -207,6 +216,15 @@ def sample_meta_batch(state: MetaState) -> np.ndarray:
     return state.meta_rng.choice(n_meta, size=size, replace=False)
 
 
+def _batch_view(state: MetaState, ids: np.ndarray) -> BatchView:
+    """Detached forward of the training rows `ids` under the current state."""
+    y = state.dataset.labels[ids]
+    h, z = detached_forward(state.params, state.dataset.features[ids])
+    return BatchView(ids=ids, h=h, logits=z, labels=y,
+                     grad_h=ce_grad_wrt_features(state.params, z, y),
+                     progress=state.t / state.config.t2)
+
+
 def _observe_batch(state: MetaState, batch_idx: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Update running stats/EMAs from the detached batch forward.
@@ -214,18 +232,12 @@ def _observe_batch(state: MetaState, batch_idx: np.ndarray
     Returns the normalized characteristics matrix used by the perturbation
     net for this iteration and the per-sample CE gradients w.r.t. features.
     """
-    x = state.dataset.features[batch_idx]
-    y = state.dataset.labels[batch_idx]
-    h_np = numpy_features(state.params, x)
-    logits_np = h_np @ state.params.head_w.value.T + state.params.head_b.value
-    grad_h = ce_grad_wrt_features(state.params, h_np, y)
-    update_covariance(state.stats, h_np, y)
-    view = BatchView(ids=batch_idx, h=h_np, logits=logits_np, labels=y,
-                     grad_h=grad_h, progress=state.t / state.config.t2)
+    view = _batch_view(state, batch_idx)
+    update_covariance(state.stats, view.h, view.labels)
     batch = extract(view, state.history, state.stats)
     update_history(state.history, batch_idx, batch.raw)
-    state.last_batch = (batch_idx, grad_h)
-    return batch.normalized, grad_h
+    state.last_batch = (batch_idx, view.grad_h)
+    return batch.normalized, view.grad_h
 
 
 def _check_finite_loss(state: MetaState, loss: Tensor, stage: str) -> None:
@@ -267,7 +279,7 @@ def _surrogate_loss(state: MetaState, x: np.ndarray, y: np.ndarray,
                     for c in range(state.dataset.num_classes)]
     h = extract_features(state.params, x)
     rho = quadratic_terms(state.params.head_w, sigma_leaves, y,
-                          detach_w=cfg.detach_rho_w)
+                          detach_w=cfg.detach_rho)
     z = adjusted_logits(state.params.head_w, state.params.head_b, h, delta,
                         rho, state.priors, cfg.loss_config())
     return augmented_ce_loss(z, y), eps, sigma_leaves
@@ -360,14 +372,7 @@ def full_train_eps(state: MetaState) -> np.ndarray:
     """
     if state.config.freeze_eps:
         return np.zeros(state.dataset.n)
-    x = state.dataset.features
-    y = state.dataset.labels
-    h_np = numpy_features(state.params, x)
-    logits_np = h_np @ state.params.head_w.value.T + state.params.head_b.value
-    grad_h = ce_grad_wrt_features(state.params, h_np, y)
-    view = BatchView(ids=np.arange(state.dataset.n), h=h_np,
-                     logits=logits_np, labels=y, grad_h=grad_h,
-                     progress=state.t / state.config.t2)
+    view = _batch_view(state, np.arange(state.dataset.n))
     batch = extract(view, state.history, state.stats)
     return eps_forward(state.perturb, batch.normalized).value[:, 0]
 
@@ -417,17 +422,15 @@ def _regularizer_row(state: MetaState, eps_all: np.ndarray) -> dict:
     batch_idx, grad_h = state.last_batch
     x = state.dataset.features[batch_idx]
     y = state.dataset.labels[batch_idx]
-    h_np = numpy_features(state.params, x)
     delta = eps_all[batch_idx][:, None] * np.sign(grad_h)
     sigma_leaves = [Tensor(state.stats.covariance(c))
                     for c in range(state.dataset.num_classes)]
     w = state.params.head_w
     rho = quadratic_terms(w, sigma_leaves, y)
-    z = adjusted_logits(w, state.params.head_b, Tensor(h_np), Tensor(delta),
+    z = adjusted_logits(w, state.params.head_b,
+                        extract_features(state.params, x), Tensor(delta),
                         rho, state.priors, state.config.loss_config())
-    zv = z.value - z.value.max(axis=1, keepdims=True)
-    q = np.exp(zv)
-    q /= q.sum(axis=1, keepdims=True)
+    q, _ = softmax_lse(z.value)
     report = regularizer_terms(q, rho.value, w.value, delta, state.priors, y)
     # Scale by the loss coefficients so ablation toggles zero the columns.
     return {"gen_term": state.config.alpha * report.generalization,

@@ -5,17 +5,17 @@ from an independent oracle (Monte Carlo sampling, finite differences, or
 brute-force recomputation) and reports a structured pass/fail record.  The
 defaults are fast versions of the acceptance-grade checks, for use on a
 fresh checkout or inside `run --oracle-suite` sanity gates; the acceptance
-gate runs the gradient and hypergradient suites itself, on its own
-instances and budgets.
+gate runs the Jensen, gradient, hypergradient and covariance suites itself,
+with its own instance counts, thresholds and budgets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from . import loss as loss_mod
 from .autodiff import Tape, Tensor
+from .classifier import ClassifierParams, extract_features
 from .data import Dataset, MetaDataset
 from .loss import LossConfig, adjusted_logits, augmented_ce_loss
 from .oracles import fd_gradient, mc_expected_ce, mgf_check, random_bound_instance
@@ -26,9 +26,12 @@ from .training import (TrainerConfig, _observe_batch, init_state,
 
 def jensen_suite(instances: int = 200, draws: int = 4000,
                  seed: int = 0) -> dict:
-    """Closed-form surrogate must dominate the sampled expectation."""
+    """Closed-form surrogate must dominate the sampled expectation.
+
+    Instance k draws its Monte Carlo samples from seed + 1000 + k.
+    """
     rng = np.random.default_rng(seed)
-    violations = 0
+    held = 0
     worst = np.inf
     for k in range(instances):
         inst = random_bound_instance(rng)
@@ -44,13 +47,13 @@ def jensen_suite(instances: int = 200, draws: int = 4000,
             inst["alpha"]).value[0]
         mc, se = mc_expected_ce(inst["w"], inst["b"], inst["h"],
                                 inst["delta"], inst["sigma"], inst["alpha"],
-                                y, count=draws, seed=seed + k)
-        margin = closed + 1e-12 - (mc - 3.0 * se)
+                                y, count=draws, seed=seed + 1000 + k)
+        margin = float(closed + 1e-12 - (mc - 3.0 * se))
         worst = min(worst, margin)
-        if margin < 0:
-            violations += 1
-    return {"name": "jensen", "passed": violations == 0,
-            "detail": f"{violations}/{instances} violations, "
+        held += margin >= 0
+    return {"name": "jensen", "passed": held == instances, "worst": worst,
+            "held": held,
+            "detail": f"{instances - held}/{instances} violations, "
                       f"worst margin {worst:.3e}"}
 
 
@@ -96,11 +99,13 @@ def _random_pipeline(rng):
 
 
 def _pipeline_loss(values, x, labels, delta, sigmas, priors, cfg):
-    w1, b1, hw, hb = [Tensor(v) for v in values]
-    h = ad.relu(ad.add(ad.matmul(Tensor(x), w1), b1))
-    rho = loss_mod.quadratic_terms(hw, [Tensor(s) for s in sigmas], labels)
-    z = adjusted_logits(hw, hb, h, Tensor(delta), rho, priors, cfg)
-    return augmented_ce_loss(z, labels), [w1, b1, hw, hb]
+    params = ClassifierParams.from_tensors([Tensor(v) for v in values])
+    h = extract_features(params, x)
+    rho = loss_mod.quadratic_terms(params.head_w,
+                                   [Tensor(s) for s in sigmas], labels)
+    z = adjusted_logits(params.head_w, params.head_b, h, Tensor(delta), rho,
+                        priors, cfg)
+    return augmented_ce_loss(z, labels), params.all_tensors()
 
 
 def gradient_suite(instances: int = 10, seed: int = 0) -> dict:
@@ -206,7 +211,10 @@ def hypergradient_suite(seed: int = 0) -> dict:
 
 
 def covariance_suite(partitions: int = 5, seed: int = 0) -> dict:
-    """Streaming per-class covariance equals the full-batch computation."""
+    """Streaming per-class covariance equals the full-batch computation.
+
+    Each partition splits a random order of the rows into 2 to 8 chunks.
+    """
     rng = np.random.default_rng(seed)
     n, dim, c = 60, 5, 3
     x = rng.normal(size=(n, dim)) @ rng.normal(size=(dim, dim))
@@ -216,7 +224,9 @@ def covariance_suite(partitions: int = 5, seed: int = 0) -> dict:
     worst = 0.0
     for _ in range(partitions):
         order = rng.permutation(n)
-        cuts = np.sort(rng.choice(np.arange(1, n), size=4, replace=False))
+        pieces = int(rng.integers(1, 8))
+        cuts = np.sort(rng.choice(np.arange(1, n), size=pieces,
+                                  replace=False))
         pooled = ClassStats(c, dim)
         for chunk in np.split(order, cuts):
             update_covariance(pooled, x[chunk], y[chunk])
@@ -224,6 +234,7 @@ def covariance_suite(partitions: int = 5, seed: int = 0) -> dict:
             worst = max(worst, np.abs(pooled.covariance(cls)
                                       - full.covariance(cls)).max())
     return {"name": "covariance-pooling", "passed": worst < 1e-10,
+            "worst": worst,
             "detail": f"max pooled-vs-full deviation {worst:.3e}"}
 
 

@@ -22,21 +22,10 @@ from advaug import verification
 from advaug.autodiff import Tensor
 from advaug.cli import ALPHA_GRID, main as cli_main
 from advaug.config import parse_config, trainer_config
-from advaug.loss import (
-    LossConfig,
-    adjusted_logits,
-    quadratic_terms,
-    surrogate_per_sample,
-)
+from advaug.loss import LossConfig, adjusted_logits, quadratic_terms
 from advaug.metrics import run_summary
-from advaug.oracles import (
-    finite_loss_convergence,
-    mc_expected_ce,
-    mgf_check,
-    random_bound_instance,
-)
+from advaug.oracles import finite_loss_convergence, mgf_check
 from advaug.scenarios import build_scenario
-from advaug.stats import ClassStats, update_covariance
 from advaug.training import train
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -129,31 +118,12 @@ def test_criterion_01_reduction_identity():
 
 def test_criterion_02_jensen_upper_bound():
     t0 = time.time()
-    rng = np.random.default_rng(0)
-    held = 0
-    worst_margin = np.inf
-    for k in range(1000):
-        inst = random_bound_instance(rng)  # C <= 5, width <= 8
-        c = inst["w"].shape[0]
-        y = inst["y"]
-        sigmas = [None] * c
-        sigmas[y] = Tensor(inst["sigma"])
-        labels = np.array([y])
-        rho = quadratic_terms(Tensor(inst["w"]), sigmas, labels)
-        closed = surrogate_per_sample(
-            Tensor(inst["w"]), Tensor(inst["b"]), Tensor(inst["h"][None, :]),
-            Tensor(inst["delta"][None, :]), rho, labels,
-            inst["alpha"]).value[0]
-        mc, se = mc_expected_ce(inst["w"], inst["b"], inst["h"],
-                                inst["delta"], inst["sigma"], inst["alpha"],
-                                y, count=100000, seed=1000 + k)
-        margin = float(closed + 1e-12 - (mc - 3.0 * se))
-        worst_margin = min(worst_margin, margin)
-        held += margin >= 0
+    record = verification.jensen_suite(instances=1000, draws=100000, seed=0)
+    held = record["held"]
     elapsed = time.time() - t0
     passed = held == 1000 and elapsed < 120.0
     _verdict(2, "jensen-upper-bound", passed,
-             f"{held}/1000 bounds hold, worst margin {worst_margin:+.2e}, "
+             f"{held}/1000 bounds hold, worst margin {record['worst']:+.2e}, "
              f"{elapsed:.1f}s")
 
 
@@ -231,23 +201,8 @@ def test_criterion_06_hypergradient_correctness():
 
 def test_criterion_07_covariance_pooling():
     t0 = time.time()
-    rng = np.random.default_rng(23)
-    n, dim, c = 60, 5, 3
-    x = rng.normal(size=(n, dim)) @ rng.normal(size=(dim, dim))
-    y = rng.integers(0, c, size=n)
-    full = ClassStats(c, dim)
-    update_covariance(full, x, y)
-    worst = 0.0
-    for _ in range(20):
-        order = rng.permutation(n)
-        pieces = int(rng.integers(1, 8))
-        cuts = np.sort(rng.choice(np.arange(1, n), size=pieces, replace=False))
-        pooled = ClassStats(c, dim)
-        for chunk in np.split(order, cuts):
-            update_covariance(pooled, x[chunk], y[chunk])
-        for cls in range(c):
-            worst = max(worst, np.abs(pooled.covariance(cls)
-                                      - full.covariance(cls)).max())
+    record = verification.covariance_suite(partitions=20, seed=23)
+    worst = record["worst"]
     elapsed = time.time() - t0
     passed = worst <= 1e-10 and elapsed < 10.0
     _verdict(7, "covariance-pooling", passed,

@@ -5,9 +5,9 @@ import pytest
 
 from advaug import autodiff as ad
 from advaug.autodiff import Tape, Tensor
-from advaug.classifier import (ce_grad_wrt_features, extract_features,
-                               init_classifier, load_checkpoint, logits,
-                               save_checkpoint)
+from advaug.classifier import (ce_grad_wrt_features, detached_forward,
+                               extract_features, init_classifier,
+                               load_checkpoint, logits, save_checkpoint)
 
 
 class TestExtractFeatures:
@@ -63,6 +63,17 @@ class TestExtractFeatures:
         with pytest.raises(ad.ShapeError):
             extract_features(params, np.ones((2, 5)))
 
+    def test_detached_forward_matches_taped_forward(self):
+        params = init_classifier(in_dim=3, num_classes=4, hidden=(8,),
+                                 feat_dim=5, seed=4)
+        x = np.random.default_rng(4).normal(size=(6, 3))
+        with Tape():
+            h = extract_features(params, x)
+            z = logits(params, h)
+        h_np, z_np = detached_forward(params, x)
+        assert h_np.tobytes() == h.value.tobytes()
+        assert np.allclose(z_np, z.value, rtol=0.0, atol=1e-12)
+
 
 class TestLogits:
     def test_zero_features_give_bias(self):
@@ -99,14 +110,16 @@ class TestCeGradWrtFeatures:
         params.head_w.value = np.array([[50.0, 0.0], [-50.0, 0.0]])
         params.head_b.value[:] = 0.0
         h = np.array([[10.0, 0.0]])  # q is onehot(0) to machine precision
-        g = ce_grad_wrt_features(params, h, np.array([0]))
+        g = ce_grad_wrt_features(params, detached_forward(params, h)[1],
+                                 np.array([0]))
         assert np.max(np.abs(g)) < 1e-12
 
     def test_hand_evaluated_binary_case(self):
         params = init_classifier(in_dim=1, num_classes=2, hidden=(), feat_dim=1)
         params.head_w.value = np.array([[1.0], [-1.0]])
         params.head_b.value[:] = 0.0
-        g = ce_grad_wrt_features(params, np.array([[0.0]]), np.array([0]))
+        g = ce_grad_wrt_features(params, np.array([[0.0, 0.0]]),
+                                 np.array([0]))
         assert g[0, 0] == pytest.approx(-1.0)
 
     def test_matches_finite_differences(self):
@@ -114,7 +127,7 @@ class TestCeGradWrtFeatures:
         params = init_classifier(in_dim=6, num_classes=4, hidden=(), feat_dim=6)
         h = rng.normal(size=(3, 6))
         y = np.array([1, 3, 0])
-        g = ce_grad_wrt_features(params, h, y)
+        g = ce_grad_wrt_features(params, detached_forward(params, h)[1], y)
 
         def ce(hv):
             z = hv @ params.head_w.value.T + params.head_b.value

@@ -74,6 +74,15 @@ class TestRun:
         cfg = write_ini(tmp_path, text)
         assert main(["run", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
 
+    def test_invalid_hyperparameter_exits_2(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, TINY + "momentum = 1.0\n")
+        assert main(["run", "--config", cfg,
+                     "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "momentum" in err
+        assert not (tmp_path / "o").exists()
+
     def test_divergence_exits_3(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, TINY.replace("t1 = 5", "t1 = 5\neta1 = 100000"))
         assert main(["run", "--config", cfg, "--output", str(tmp_path / "o")]) == 3
@@ -114,6 +123,14 @@ class TestSweep:
         for alpha in ALPHA_GRID:
             assert (root / f"alpha_{alpha}" / "summary.json").exists()
         assert "sweep complete" in capsys.readouterr().out
+
+    def test_failing_alpha_keeps_finished_rows(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, TINY.replace("t1 = 5", "t1 = 5\neta1 = 100000"))
+        root = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--output", str(root)]) == 3
+        lines = (root / "sweep_summary.csv").read_text().strip().splitlines()
+        assert lines == ["alpha,accuracy,worst_class_recall,test_loss"]
+        assert f"alpha {ALPHA_GRID[0]}" in capsys.readouterr().err
 
 
 class TestCompare:

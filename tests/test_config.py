@@ -114,6 +114,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="t1 must not exceed"):
             parse_config(write_ini(tmp_path, text))
 
+    def test_only_minus_one_means_auto_t1(self, tmp_path):
+        text = MINIMAL + "[training]\nt1 = -5\n"
+        with pytest.raises(ConfigError, match="t1 must be >= 0"):
+            parse_config(write_ini(tmp_path, text))
+
+    def test_zero_width_layer_rejected(self, tmp_path):
+        for n, model in enumerate(["hidden = 0", "feat_dim = 0"]):
+            text = MINIMAL + f"[model]\n{model}\n"
+            with pytest.raises(ConfigError, match="widths must be >= 1"):
+                parse_config(write_ini(tmp_path, text, f"{n}.ini"))
+
     def test_negative_alpha(self, tmp_path):
         text = MINIMAL + "[loss]\nalpha = -0.5\n"
         with pytest.raises(ConfigError, match="alpha and beta"):
@@ -163,7 +174,7 @@ class TestTrainerConfig:
         cfg = parse_config(write_ini(tmp_path, text))
         cfg.seed = 9
         tc = trainer_config(cfg)
-        assert tc.detach_rho_w is True
+        assert tc.detach_rho is True
         assert tc.freeze_eps is True
         assert tc.hidden == (16, 8)
         assert tc.feat_dim == 4

@@ -8,7 +8,7 @@ from advaug.autodiff import Tape, Tensor
 from advaug.loss import (LossConfig, adjusted_logits, augmented_ce_loss,
                          base_logits, compute_delta, quadratic_row,
                          quadratic_terms, regularizer_terms,
-                         surrogate_per_sample, weighted_surrogate_bound)
+                         surrogate_per_sample)
 from advaug.oracles import fd_gradient
 from advaug.stats import project_psd
 
@@ -255,34 +255,6 @@ class TestAugmentedCeLoss:
 
 
 class TestWeightedSurrogateBound:
-    def test_balanced_priors_scale_ce(self):
-        rng = np.random.default_rng(12)
-        n, c, width = 6, 3, 4
-        w, b = rng.normal(size=(c, width)), rng.normal(size=c)
-        h = rng.normal(size=(n, width))
-        labels = rng.integers(0, c, size=n)
-        priors = np.full(c, 1.0 / c)
-        sigmas = [Tensor(np.eye(width))] * c
-        rho = quadratic_terms(Tensor(w), sigmas, labels)
-        bound = weighted_surrogate_bound(Tensor(w), Tensor(b), Tensor(h),
-                                         None, rho, labels, priors, alpha=0.3)
-        per = surrogate_per_sample(Tensor(w), Tensor(b), Tensor(h), None,
-                                   rho, labels, alpha=0.3)
-        assert bound.value == pytest.approx(n * c * per.value.mean(),
-                                            rel=1e-12)
-
-    def test_alpha_zero_no_delta_is_weighted_ce(self):
-        rng = np.random.default_rng(13)
-        w, b = rng.normal(size=(3, 2)), rng.normal(size=3)
-        h = rng.normal(size=(4, 2))
-        labels = np.array([0, 1, 2, 0])
-        priors = np.array([0.6, 0.3, 0.1])
-        bound = weighted_surrogate_bound(Tensor(w), Tensor(b), Tensor(h),
-                                         None, None, labels, priors,
-                                         alpha=0.0)
-        expect = np.sum(np_ce(h @ w.T + b, labels) / priors[labels])
-        assert bound.value == pytest.approx(expect, rel=1e-12)
-
     def test_dominates_mc_estimate(self):
         from advaug.oracles import mc_expected_ce
         rng = np.random.default_rng(14)

@@ -6,19 +6,9 @@ import pytest
 from advaug import autodiff as ad
 from advaug.autodiff import Tape, Tensor
 from advaug.loss import quadratic_terms, surrogate_per_sample
-from advaug.oracles import (OracleConfig, draws_per_sample, explicit_augment,
-                            fd_gradient, finite_loss_convergence, mc_expected_ce,
+from advaug.oracles import (draws_per_sample, explicit_augment, fd_gradient,
+                            finite_loss_convergence, mc_expected_ce,
                             mgf_check, random_bound_instance)
-
-
-class TestOracleConfig:
-    def test_rejects_small_mc_count(self):
-        with pytest.raises(ValueError):
-            OracleConfig(mc_count=500)
-
-    def test_rejects_bad_fd_step(self):
-        with pytest.raises(ValueError):
-            OracleConfig(fd_step=1e-2)
 
 
 class TestExplicitAugment:
