@@ -1,11 +1,14 @@
 """Minimal dense-tensor reverse-mode autodiff with second-order support.
 
 Every primitive computes its value eagerly in float64 numpy and, while a
-Tape is active, appends a node to the innermost tape. Gradient cotangents
-are themselves built out of the same primitives, so a backward pass that
-runs while the tape is still recording can be differentiated again
-(reverse-over-reverse). That is the mechanism the meta-update relies on to
-push gradients through a gradient step.
+Tape is active, appends to every active tape a node holding one VJP
+function per input (None where the input gets no gradient). Gradient
+cotangents are themselves built out of the same primitives, so a backward
+pass that runs while the tape is still recording can be differentiated
+again (reverse-over-reverse). That is the mechanism the meta-update relies
+on to push gradients through a gradient step. A sweep builds only the
+cotangents on paths from its sources; a first-order sweep should run after
+its tape closes, so that nothing records its ops.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ class Node:
         self.op = op
         self.inputs = inputs
         self.output = output
-        self.vjp = vjp  # fn(cotangent Tensor) -> tuple of cotangents (None = no grad)
+        self.vjp = vjp  # per input: fn(cotangent) -> its cotangent, or None
 
 
 _TAPE_STACK: list["Tape"] = []
@@ -113,8 +116,13 @@ class Tape:
                  seed: Tensor | np.ndarray | None = None) -> list[Tensor]:
         """Cotangents of target w.r.t. sources, seeded with `seed` (default ones).
 
+        Only paths from the sources are swept: a node's VJP for an input
+        runs only when that input is a source or depends on one, and each
+        such cotangent is built and summed exactly as in a full sweep.
         Sources with no path to target get explicit zero tensors. `sign`
-        nodes contribute nothing (piecewise-constant convention).
+        nodes contribute nothing (piecewise-constant convention). A
+        first-order sweep should be taken after the tape closes, so that
+        its ops are not recorded.
         """
         produced = any(n.output is target for n in self.nodes)
         if not produced:
@@ -126,13 +134,23 @@ class Tape:
             if seed.shape != target.shape:
                 raise ShapeError(
                     f"seed shape {seed.shape} does not match target {target.shape}")
-        cot: dict[int, Tensor] = {id(target): seed}
         # Snapshot: cotangent ops recorded below must not be traversed now.
-        for node in reversed(list(self.nodes)):
+        nodes = list(self.nodes)
+        live = {id(s) for s in sources}
+        for node in nodes:
+            if not live.isdisjoint(map(id, node.inputs)):
+                live.add(id(node.output))
+        # Only live inputs receive cotangents, so nodes with a dead output
+        # (the target's aside) are skipped below.
+        cot: dict[int, Tensor] = {id(target): seed}
+        for node in reversed(nodes):
             g = cot.get(id(node.output))
             if g is None:
                 continue
-            grads = node.vjp(g)
+            # All VJPs run before any accumulation, as in a full sweep, so
+            # the recorded op order (and a later sweep's sums) is unchanged.
+            grads = [None if vjp is None or id(inp) not in live else vjp(g)
+                     for inp, vjp in zip(node.inputs, node.vjp)]
             for inp, gi in zip(node.inputs, grads):
                 if gi is None:
                     continue
@@ -142,7 +160,7 @@ class Tape:
 
 
 def _record(op: str, inputs: tuple[Tensor, ...], out_value: np.ndarray,
-            vjp: Callable) -> Tensor:
+            vjp: tuple[Callable | None, ...]) -> Tensor:
     out = Tensor(out_value)
     if _TAPE_STACK:
         # Record on every active tape so an outer tape can differentiate
@@ -179,7 +197,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: {a.shape} vs {b.shape}") from e
     sa, sb = a.shape, b.shape
     return _record("add", (a, b), val,
-                   lambda g: (_sum_to_shape(g, sa), _sum_to_shape(g, sb)))
+                   (lambda g: _sum_to_shape(g, sa),
+                    lambda g: _sum_to_shape(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -190,7 +209,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"sub: {a.shape} vs {b.shape}") from e
     sa, sb = a.shape, b.shape
     return _record("sub", (a, b), val,
-                   lambda g: (_sum_to_shape(g, sa), _sum_to_shape(neg(g), sb)))
+                   (lambda g: _sum_to_shape(g, sa),
+                    lambda g: _sum_to_shape(neg(g), sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -201,8 +221,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}") from e
     sa, sb = a.shape, b.shape
     return _record("mul", (a, b), val,
-                   lambda g: (_sum_to_shape(mul(g, b), sa),
-                              _sum_to_shape(mul(g, a), sb)))
+                   (lambda g: _sum_to_shape(mul(g, b), sa),
+                    lambda g: _sum_to_shape(mul(g, a), sb)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -213,15 +233,14 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"div: {a.shape} vs {b.shape}") from e
     sa, sb = a.shape, b.shape
     out = _record("div", (a, b), val,
-                  lambda g: (_sum_to_shape(div(g, b), sa),
-                             _sum_to_shape(neg(div(mul(g, out), b)), sb)))
+                  (lambda g: _sum_to_shape(div(g, b), sa),
+                   lambda g: _sum_to_shape(neg(div(mul(g, out), b)), sb)))
     return out
 
 
 def neg(a: Tensor) -> Tensor:
     a = _wrap(a)
-    return _record("neg", (a,), -a.value,
-                   lambda g: (neg(g),))
+    return _record("neg", (a,), -a.value, (neg,))
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +251,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
     return _record("matmul", (a, b), a.value @ b.value,
-                   lambda g: (matmul(g, transpose(b)), matmul(transpose(a), g)))
+                   (lambda g: matmul(g, transpose(b)),
+                    lambda g: matmul(transpose(a), g)))
 
 
 def transpose(a: Tensor) -> Tensor:
     a = _wrap(a)
     if a.ndim != 2:
         raise ShapeError(f"transpose: expected 2-D, got {a.shape}")
-    return _record("transpose", (a,), a.value.T.copy(),
-                   lambda g: (transpose(g),))
+    return _record("transpose", (a,), a.value.T.copy(), (transpose,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -251,7 +270,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"reshape: {a.shape} -> {shape}") from e
     return _record("reshape", (a,), val,
-                   lambda g: (reshape(g, orig),))
+                   (lambda g: reshape(g, orig),))
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -264,7 +283,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         raise ShapeError(f"gather_rows: index out of range for {a.shape}")
     n_rows = a.shape[0]
     return _record("gather", (a,), a.value[idx],
-                   lambda g: (scatter_rows(g, idx, n_rows),))
+                   (lambda g: scatter_rows(g, idx, n_rows),))
 
 
 def scatter_rows(a: Tensor, idx, n_rows: int) -> Tensor:
@@ -273,7 +292,7 @@ def scatter_rows(a: Tensor, idx, n_rows: int) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     out = np.zeros((n_rows, a.value.shape[1]))
     np.add.at(out, idx, a.value)
-    return _record("scatter", (a,), out, lambda g: (gather_rows(g, idx),))
+    return _record("scatter", (a,), out, (lambda g: gather_rows(g, idx),))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +301,7 @@ def scatter_rows(a: Tensor, idx, n_rows: int) -> Tensor:
 def tanh(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = _record("tanh", (a,), np.tanh(a.value),
-                  lambda g: (mul(g, sub(Tensor(1.0), mul(out, out))),))
+                  (lambda g: mul(g, sub(Tensor(1.0), mul(out, out))),))
     return out
 
 
@@ -291,7 +310,7 @@ def relu(a: Tensor) -> Tensor:
     # The mask (a > 0) equals (out > 0); it is built only when a backward
     # pass needs it, so untaped forwards do not pay for it.
     out = _record("relu", (a,), np.maximum(a.value, 0.0),
-                  lambda g: (mul(g, Tensor((out.value > 0)
+                  (lambda g: mul(g, Tensor((out.value > 0)
                                            .astype(np.float64))),))
     return out
 
@@ -299,21 +318,20 @@ def relu(a: Tensor) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = _record("exp", (a,), np.exp(a.value),
-                  lambda g: (mul(g, out),))
+                  (lambda g: mul(g, out),))
     return out
 
 
 def log(a: Tensor) -> Tensor:
     a = _wrap(a)
     return _record("log", (a,), np.log(a.value),
-                   lambda g: (div(g, a),))
+                   (lambda g: div(g, a),))
 
 
 def sign(a: Tensor) -> Tensor:
     """Elementwise sign with sign(0)=0. Zero gradient by convention."""
     a = _wrap(a)
-    return _record("sign", (a,), np.sign(a.value),
-                   lambda g: (None,))
+    return _record("sign", (a,), np.sign(a.value), (None,))
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +352,10 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             gg = reshape(g, tuple(kept))
         else:
             gg = g
-        return (broadcast_to(gg, in_shape),)
+        return broadcast_to(gg, in_shape)
 
     return _record("sum", (a,), np.sum(a.value, axis=axis, keepdims=keepdims),
-                   vjp)
+                   (vjp,))
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -356,7 +374,7 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"broadcast_to: {a.shape} -> {shape}") from e
     return _record("broadcast", (a,), val,
-                   lambda g: (_sum_to_shape(g, orig),))
+                   (lambda g: _sum_to_shape(g, orig),))
 
 
 def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -373,11 +391,11 @@ def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
         lse_k = out if keepdims else _expand_axis(out, axis, a.ndim)
         g_k = g if keepdims else _expand_axis(g, axis, a.ndim)
         soft = exp(sub(a, broadcast_to(lse_k, a.shape)))
-        return (mul(broadcast_to(g_k, a.shape), soft),)
+        return mul(broadcast_to(g_k, a.shape), soft)
 
     if not keepdims:
         val = np.squeeze(val, axis=axis)
-    out = _record("logsumexp", (a,), val, vjp)
+    out = _record("logsumexp", (a,), val, (vjp,))
     return out
 
 

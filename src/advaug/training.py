@@ -89,8 +89,13 @@ class TrainerConfig:
             raise ValueError("batch sizes must be positive")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.feat_dim < 1 or any(width < 1 for width in self.hidden):
-            raise ValueError("feat_dim and hidden widths must be >= 1")
+        if self.weight_decay < 0:
+            raise ValueError(
+                f"weight_decay must be >= 0, got {self.weight_decay}")
+        if (self.feat_dim < 1 or self.perturb_hidden < 1
+                or any(width < 1 for width in self.hidden)):
+            raise ValueError(
+                "feat_dim, hidden and perturb_hidden widths must be >= 1")
         self.loss_config()  # alpha and beta range check
 
     def loss_config(self) -> LossConfig:
@@ -256,8 +261,8 @@ def warmup_step(state: MetaState, batch_idx: np.ndarray) -> None:
         h = extract_features(state.params, x)
         z = logits(state.params, h)
         loss = augmented_ce_loss(z, y)
-        _check_finite_loss(state, loss, "warm-up")
-        grads = tape.gradient(loss, state.params.all_tensors())
+    _check_finite_loss(state, loss, "warm-up")
+    grads = tape.gradient(loss, state.params.all_tensors())
     state.sgd.step(grads, learning_rate(state.config, state.t))
     state.last_train_loss = float(loss.value)
 
@@ -303,6 +308,7 @@ def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
             state, x, y, characteristics, grad_h)
         _check_finite_loss(state, loss, "train")
         phi = state.params.all_tensors()
+        # Taken on the tape: the hypergradient differentiates through it.
         grads = tape.gradient(loss, phi)
         pseudo = [ad.sub(p, ad.mul(lr, g))
                   for p, g in zip(phi, grads, strict=True)]
@@ -321,8 +327,8 @@ def final_step(state: MetaState, batch_idx: np.ndarray,
     y = state.dataset.labels[batch_idx]
     with Tape() as tape:
         loss, _, _ = _surrogate_loss(state, x, y, characteristics, grad_h)
-        _check_finite_loss(state, loss, "train")
-        grads = tape.gradient(loss, state.params.all_tensors())
+    _check_finite_loss(state, loss, "train")
+    grads = tape.gradient(loss, state.params.all_tensors())
     state.sgd.step(grads, learning_rate(state.config, state.t))
     state.last_train_loss = float(loss.value)
 

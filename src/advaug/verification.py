@@ -117,7 +117,7 @@ def gradient_suite(instances: int = 10, seed: int = 0) -> dict:
         with Tape() as tape:
             loss, tensors = _pipeline_loss(params, x, labels, delta, sigmas,
                                            priors, cfg)
-            grads = tape.gradient(loss, tensors)
+        grads = tape.gradient(loss, tensors)
         for k, value in enumerate(params):
             def f(v, k=k):
                 trial = [p.copy() for p in params]

@@ -1,5 +1,7 @@
 """Engine tests: frozen analytic values, finite-difference oracles, tape rules."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -108,10 +110,15 @@ class TestBackward:
         with Tape() as tape:
             x = Tensor([1.0, 2.0])
             z = Tensor([5.0])
+            u = Tensor([[3.0, 4.0, 5.0]])
+            ad.mul(u, u)  # on the tape, but no path to y
             y = ad.tsum(x)
-            gx, gz = tape.gradient(y, [x, z])
+            gx, gz, gu = tape.gradient(y, [x, z, u])
+            (only_u,) = tape.gradient(y, [u])
         assert np.array_equal(gx.value, [1.0, 1.0])
         assert np.array_equal(gz.value, [0.0])
+        assert np.array_equal(gu.value, np.zeros((1, 3)))
+        assert np.array_equal(only_u.value, np.zeros((1, 3)))
 
     def test_seed_shape_mismatch_rejected(self):
         with Tape() as tape:
@@ -292,6 +299,50 @@ class TestSecondOrder:
 
         fd = fd_gradient(scalar, [theta0.copy()], 0)
         assert rel_err(analytic, fd) < 1e-3
+
+
+class TestPruning:
+    """A sweep builds only the cotangents that reach its sources."""
+
+    def test_no_cotangent_built_for_non_source_input(self):
+        rng = np.random.default_rng(4)
+        with Tape() as outer:
+            x = Tensor(rng.normal(size=(3, 4)))
+            w = Tensor(rng.normal(size=(4, 2)))
+            loss = ad.tsum(ad.matmul(x, w))
+            forward = len(outer.nodes)
+            (gw,) = outer.gradient(loss, [w])
+        ops = Counter(node.op for node in outer.nodes[forward:])
+        # One matmul for w's cotangent, none for x's.
+        assert ops["matmul"] == 1
+        assert ops["transpose"] == 1
+        assert np.array_equal(gw.value, x.value.T @ np.ones((3, 2)))
+
+    def test_second_order_through_pruned_sweep(self):
+        # d/dw <grad_w L, v> with L = sum(tanh(x w)); the first sweep skips
+        # the cotangent of the constant input x.
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(3, 4))
+        v = rng.normal(size=(4, 2))
+
+        def grad_w(w_val):
+            with Tape() as tape:
+                w = Tensor(w_val)
+                loss = ad.tsum(ad.tanh(ad.matmul(Tensor(x), w)))
+            return tape.gradient(loss, [w])[0].value
+
+        w0 = rng.normal(size=(4, 2)) * 0.5
+        with Tape() as tape:
+            w = Tensor(w0)
+            loss = ad.tsum(ad.tanh(ad.matmul(Tensor(x), w)))
+            (g,) = tape.gradient(loss, [w])
+            (hvp,) = tape.gradient(ad.tsum(ad.mul(g, Tensor(v))), [w])
+
+        def scalar(arrs):
+            return float(np.sum(grad_w(arrs[0]) * v))
+
+        fd = fd_gradient(scalar, [w0.copy()], 0)
+        assert rel_err(hvp.value, fd) < 1e-6
 
 
 class TestReplay:

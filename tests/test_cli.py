@@ -83,6 +83,23 @@ class TestRun:
         assert "momentum" in err
         assert not (tmp_path / "o").exists()
 
+    def test_negative_weight_decay_exits_2(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, TINY + "weight_decay = -1\n")
+        assert main(["run", "--config", cfg,
+                     "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "weight_decay" in err
+
+    def test_negative_perturb_hidden_exits_2(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, TINY.replace(
+            "feat_dim = 8\n", "feat_dim = 8\nperturb_hidden = -3\n"))
+        assert main(["run", "--config", cfg,
+                     "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "perturb_hidden" in err
+
     def test_divergence_exits_3(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, TINY.replace("t1 = 5", "t1 = 5\neta1 = 100000"))
         assert main(["run", "--config", cfg, "--output", str(tmp_path / "o")]) == 3
