@@ -286,6 +286,54 @@ def gather_rows(a: Tensor, idx) -> Tensor:
                    (lambda g: scatter_rows(g, idx, n_rows),))
 
 
+_QUAD_SLOTS = ("a", "u", "v", "s")
+
+
+def quad_form(slot: str, **given) -> Tensor:
+    """Gradient w.r.t. `slot` of the form
+
+        T(a, u, v, s) = 1/2 sum_k sum_j a_kj (u_j - u_k)^T s_k (v_j - v_k),
+
+    with a (C, C), u and v (C, H), s (C, H, H), given the other three
+    inputs by name. T is linear in each input, so <g, dT/dslot> is T with
+    g in `slot`, and the VJP for any input is this op with the cotangent
+    in `slot`: it is differentiable to any order with no further code.
+    """
+    names = tuple(n for n in _QUAD_SLOTS if n != slot)
+    if slot not in _QUAD_SLOTS or set(given) != set(names):
+        raise ShapeError(f"quad_form: slot {slot!r} needs inputs {names}, "
+                         f"got {sorted(given)}")
+    t = {n: _wrap(given[n]) for n in names}
+    ref = t["u"] if "u" in t else t["v"]
+    if ref.ndim != 2:
+        raise ShapeError(f"quad_form: expected 2-D u/v, got {ref.shape}")
+    c, h = ref.shape
+    expected = {"a": (c, c), "u": (c, h), "v": (c, h), "s": (c, h, h)}
+    for n in names:
+        if t[n].shape != expected[n]:
+            raise ShapeError(
+                f"quad_form: {n} {t[n].shape}, expected {expected[n]}")
+    a, u, v, s = (t[n].value if n in t else None for n in _QUAD_SLOTS)
+    # du[k, j] = u_j - u_k, and dv likewise
+    du = None if u is None else u[None, :, :] - u[:, None, :]
+    dv = None if v is None else v[None, :, :] - v[:, None, :]
+    if slot == "a":
+        out = 0.5 * np.sum((du @ s) * dv, axis=-1)
+    elif slot == "s":
+        out = 0.5 * (du * a[..., None]).transpose(0, 2, 1) @ dv
+    else:
+        terms = 0.5 * a[..., None] * (dv @ s.transpose(0, 2, 1) if slot == "u"
+                                      else du @ s)
+        out = terms.sum(axis=0) - terms.sum(axis=1)
+
+    def vjp(name):
+        rest = {n: t[n] for n in names if n != name}
+        return lambda g: quad_form(name, **{slot: g}, **rest)
+
+    return _record("quad_form", tuple(t[n] for n in names), out,
+                   tuple(vjp(n) for n in names))
+
+
 def scatter_rows(a: Tensor, idx, n_rows: int) -> Tensor:
     """Adjoint of gather_rows: sum rows of `a` into an n_rows-tall zero matrix."""
     a = _wrap(a)

@@ -5,9 +5,13 @@ and averaging CE over draws, the expected loss is upper-bounded in closed
 form: each logit j gains a quadratic term alpha * rho_j, where
 rho_j = 0.5 (w_j - w_y) Sigma_y (w_j - w_y)^T, and the final loss adds a
 prior-based logit adjustment beta * log pi_j in place of 1/pi weighting.
+The rho of every (label, class) pair comes from one tape op,
+`autodiff.quad_form`, over the stacked (C, H, H) class covariances; its
+VJPs are the same op, so the meta-update differentiates it twice without
+a per-class chain of primitives.
 
-Stop-gradient placement: delta and the Sigma matrices enter as whatever
-tensors the caller provides (constants for classifier updates, leaves for
+Stop-gradient placement: delta and the covariance stack enter as whatever
+tensors the caller provides (constants for classifier updates, one leaf for
 the covariance meta-update); the head weights inside the quadratic terms
 are differentiated by default, with a detach toggle.
 """
@@ -65,36 +69,20 @@ def compute_delta(grad_h: np.ndarray, eps) -> np.ndarray | Tensor:
     return eps[:, None] * sgn
 
 
-def quadratic_row(w, sigma, c: int) -> Tensor:
-    """rho_j = 0.5 (w_j - w_c) Sigma (w_j - w_c)^T for every class j."""
-    w = w if isinstance(w, Tensor) else Tensor(w)
-    sigma = sigma if isinstance(sigma, Tensor) else Tensor(sigma)
-    diff = ad.sub(w, ad.gather_rows(w, np.array([c])))
-    quad = ad.tsum(ad.mul(ad.matmul(diff, sigma), diff), axis=1)
-    return ad.mul(Tensor(0.5), quad)
-
-
-def quadratic_terms(w, sigmas, labels: np.ndarray,
+def quadratic_terms(w, sigma, labels: np.ndarray,
                     detach_w: bool = False) -> Tensor:
-    """n x C matrix of rho values, sigma chosen per sample label.
+    """n x C matrix of rho[i, j] = 0.5 (w_j - w_y) Sigma_y (w_j - w_y)^T.
 
-    Rows sharing a label reuse one per-class computation; the label mask
-    assembles the batch matrix. rho[i, labels[i]] is exactly zero.
+    y = labels[i]; `sigma` stacks the class covariances, (C, H, H) for w of
+    shape (C, H). One fused op builds the C x C table over (label, class)
+    pairs and the labels pick its rows, so rho[i, labels[i]] is exactly zero
+    and the Sigma of a class absent from `labels` gets an exactly zero
+    cotangent.
     """
-    labels = np.asarray(labels, dtype=np.intp)
-    n = labels.size
-    num_classes = w.shape[0]
-    w_eff = Tensor(w.value.copy()) if (detach_w and isinstance(w, Tensor)) else w
-    total = None
-    for c in np.unique(labels):
-        row = quadratic_row(w_eff, sigmas[c], int(c))
-        mask = np.zeros((n, 1))
-        mask[labels == c] = 1.0
-        spread = ad.broadcast_to(ad.reshape(row, (1, num_classes)),
-                                 (n, num_classes))
-        term = ad.mul(Tensor(mask), spread)
-        total = term if total is None else ad.add(total, term)
-    return total
+    w = w if isinstance(w, Tensor) else Tensor(w)
+    w_eff = Tensor(w.value.copy()) if detach_w else w
+    table = ad.quad_form("a", u=w_eff, v=w_eff, s=sigma)
+    return ad.gather_rows(table, labels)
 
 
 def base_logits(w, b, h, delta) -> Tensor:

@@ -73,8 +73,9 @@ class ClassStats:
         sigma = self.scatter[c] / self.counts[c]
         return np.diag(sigma) if self.diagonal else sigma
 
-    def covariances(self) -> list[np.ndarray]:
-        return [self.covariance(c) for c in range(self.num_classes)]
+    def covariances(self) -> np.ndarray:
+        """Every Sigma_c, stacked as (num_classes, dim, dim)."""
+        return np.stack([self.covariance(c) for c in range(self.num_classes)])
 
     def set_covariance(self, c: int, sigma: np.ndarray) -> None:
         """Overwrite Sigma_c, keeping counts so later pooling continues.

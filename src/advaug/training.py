@@ -7,12 +7,12 @@ Each meta iteration runs four stages:
    and gradient signs shared by the two classifier steps below.
 2. ``lookahead_meta_loss``: on one tape, the surrogate loss (perturbation
    scale a differentiable function of the perturbation net, class
-   covariances as leaf tensors), the plain-SGD lookahead parameters
-   phi' = phi - lr * grad_phi, and cross-entropy on the balanced meta
-   batch evaluated at phi'.
+   covariances stacked in one leaf tensor), the plain-SGD lookahead
+   parameters phi' = phi - lr * grad_phi, and cross-entropy on the balanced
+   meta batch evaluated at phi'.
 3. One hypergradient sweep of the meta loss into the perturbation net and
-   the covariance leaves; the net takes an Adam step, each observed
-   class covariance an SGD step plus PSD projection that persists into
+   the covariance leaf; the net takes an Adam step, the covariance of each
+   class in the batch an SGD step plus PSD projection that persists into
    the running class statistics.
 4. ``final_step``: the real classifier update (momentum SGD + weight decay)
    under the surrogate loss rebuilt with the refreshed perturbation net and
@@ -173,7 +173,7 @@ class Lookahead(NamedTuple):
     tape: Tape
     meta_loss: Tensor
     eps: Tensor | None
-    sigma_leaves: list[Tensor]
+    sigma: Tensor  # (C, H, H) leaf of the stacked class covariances
     pseudo_params: list[Tensor]
 
 
@@ -269,10 +269,10 @@ def warmup_step(state: MetaState, batch_idx: np.ndarray) -> None:
 
 def _surrogate_loss(state: MetaState, x: np.ndarray, y: np.ndarray,
                     characteristics: np.ndarray, grad_h: np.ndarray,
-                    ) -> tuple[Tensor, Tensor | None, list[Tensor]]:
+                    ) -> tuple[Tensor, Tensor | None, Tensor]:
     """Build the adjusted surrogate loss on the active tape.
 
-    Returns (loss, eps tensor or None, covariance leaf tensors).
+    Returns (loss, eps tensor or None, stacked covariance leaf).
     """
     cfg = state.config
     eps = None
@@ -280,14 +280,13 @@ def _surrogate_loss(state: MetaState, x: np.ndarray, y: np.ndarray,
     if not cfg.freeze_eps:
         eps = eps_forward(state.perturb, characteristics)
         delta = compute_delta(grad_h, eps)
-    sigma_leaves = [Tensor(state.stats.covariance(c))
-                    for c in range(state.dataset.num_classes)]
+    sigma = Tensor(state.stats.covariances())
     h = extract_features(state.params, x)
-    rho = quadratic_terms(state.params.head_w, sigma_leaves, y,
+    rho = quadratic_terms(state.params.head_w, sigma, y,
                           detach_w=cfg.detach_rho)
     z = adjusted_logits(state.params.head_w, state.params.head_b, h, delta,
                         rho, state.priors, cfg.loss_config())
-    return augmented_ce_loss(z, y), eps, sigma_leaves
+    return augmented_ce_loss(z, y), eps, sigma
 
 
 def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
@@ -297,14 +296,14 @@ def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
 
     The lookahead phi' = phi - lr * grad_phi(surrogate loss) keeps its
     dependence on the perturbation net (through eps) and on the covariance
-    leaves, so one gradient of the meta loss gives both hypergradients.
+    leaf, so one gradient of the meta loss gives both hypergradients.
     Reads the state without changing it.
     """
     x = state.dataset.features[batch_idx]
     y = state.dataset.labels[batch_idx]
     lr = Tensor(learning_rate(state.config, state.t))
     with Tape() as tape:
-        loss, eps, sigma_leaves = _surrogate_loss(
+        loss, eps, sigma = _surrogate_loss(
             state, x, y, characteristics, grad_h)
         _check_finite_loss(state, loss, "train")
         phi = state.params.all_tensors()
@@ -317,7 +316,7 @@ def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
         meta_loss = augmented_ce_loss(logits(ahead, h),
                                       state.metadata.labels[meta_idx])
     _check_finite_loss(state, meta_loss, "meta")
-    return Lookahead(tape, meta_loss, eps, sigma_leaves, pseudo)
+    return Lookahead(tape, meta_loss, eps, sigma, pseudo)
 
 
 def final_step(state: MetaState, batch_idx: np.ndarray,
@@ -341,8 +340,8 @@ def meta_iteration(state: MetaState, batch_idx: np.ndarray,
                                 grad_h)
     # Frozen perturbations are zero: the net has no path to the meta loss.
     omega = [] if ahead.eps is None else state.perturb.all_tensors()
-    grads = ahead.tape.gradient(ahead.meta_loss, omega + ahead.sigma_leaves)
-    omega_grads, sigma_grads = grads[:len(omega)], grads[len(omega):]
+    *omega_grads, sigma_grad = ahead.tape.gradient(ahead.meta_loss,
+                                                   omega + [ahead.sigma])
     if omega:
         if all(np.all(np.isfinite(g.value)) for g in omega_grads):
             state.adam.step(omega_grads)
@@ -350,16 +349,17 @@ def meta_iteration(state: MetaState, batch_idx: np.ndarray,
             state.events.append(
                 f"iteration {state.t}: non-finite perturbation-net "
                 "hypergradient, update skipped")
-    for c, (leaf, g) in enumerate(zip(ahead.sigma_leaves, sigma_grads,
-                                      strict=True)):
-        if state.stats.counts[c] == 0:
-            continue  # no sample yet: no estimate, and a zero hypergradient
-        if not np.all(np.isfinite(g.value)):
+    # No rho row reads the covariance of a class absent from the batch, so
+    # its hypergradient is exactly zero and it keeps its value; a class in
+    # the batch has samples, hence an estimate to step.
+    for c in np.unique(state.dataset.labels[batch_idx]):
+        g = sigma_grad.value[c]
+        if not np.all(np.isfinite(g)):
             state.events.append(
                 f"iteration {state.t}: non-finite covariance hypergradient "
                 f"for class {c}, update skipped")
             continue
-        candidate = leaf.value - state.config.eta2 * g.value
+        candidate = ahead.sigma.value[c] - state.config.eta2 * g
         try:
             projected = project_psd(candidate)
         except (ValueError, np.linalg.LinAlgError) as exc:
@@ -429,10 +429,8 @@ def _regularizer_row(state: MetaState, eps_all: np.ndarray) -> dict:
     x = state.dataset.features[batch_idx]
     y = state.dataset.labels[batch_idx]
     delta = eps_all[batch_idx][:, None] * np.sign(grad_h)
-    sigma_leaves = [Tensor(state.stats.covariance(c))
-                    for c in range(state.dataset.num_classes)]
     w = state.params.head_w
-    rho = quadratic_terms(w, sigma_leaves, y)
+    rho = quadratic_terms(w, state.stats.covariances(), y)
     z = adjusted_logits(w, state.params.head_b,
                         extract_features(state.params, x), Tensor(delta),
                         rho, state.priors, state.config.loss_config())

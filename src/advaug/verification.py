@@ -35,12 +35,12 @@ def jensen_suite(instances: int = 200, draws: int = 4000,
     worst = np.inf
     for k in range(instances):
         inst = random_bound_instance(rng)
-        c = inst["w"].shape[0]
         y = inst["y"]
-        sigmas = [None] * c
-        sigmas[y] = Tensor(inst["sigma"])
+        # Only the label's covariance enters rho; the other classes' are zero.
+        sigma = np.zeros(inst["w"].shape[:1] + inst["sigma"].shape)
+        sigma[y] = inst["sigma"]
         labels = np.array([y])
-        rho = loss_mod.quadratic_terms(Tensor(inst["w"]), sigmas, labels)
+        rho = loss_mod.quadratic_terms(Tensor(inst["w"]), sigma, labels)
         closed = loss_mod.surrogate_per_sample(
             Tensor(inst["w"]), Tensor(inst["b"]), Tensor(inst["h"][None, :]),
             Tensor(inst["delta"][None, :]), rho, labels,
@@ -91,6 +91,7 @@ def _random_pipeline(rng):
     for _ in range(c):
         a = rng.normal(size=(feat, feat))
         sigmas.append(a @ a.T / feat)
+    sigmas = np.stack(sigmas)
     priors = rng.uniform(0.1, 1.0, size=c)
     priors /= priors.sum()
     params = [w1, b1, rng.normal(size=(c, feat)), rng.normal(size=c)]
@@ -101,8 +102,7 @@ def _random_pipeline(rng):
 def _pipeline_loss(values, x, labels, delta, sigmas, priors, cfg):
     params = ClassifierParams.from_tensors([Tensor(v) for v in values])
     h = extract_features(params, x)
-    rho = loss_mod.quadratic_terms(params.head_w,
-                                   [Tensor(s) for s in sigmas], labels)
+    rho = loss_mod.quadratic_terms(params.head_w, sigmas, labels)
     z = adjusted_logits(params.head_w, params.head_b, h, Tensor(delta), rho,
                         priors, cfg)
     return augmented_ce_loss(z, labels), params.all_tensors()
@@ -164,7 +164,7 @@ def hypergradient_suite(seed: int = 0) -> dict:
 
     ahead = meta_value()
     omega = state.perturb.all_tensors()
-    hyper = ahead.tape.gradient(ahead.meta_loss, omega + ahead.sigma_leaves)
+    hyper = ahead.tape.gradient(ahead.meta_loss, omega + [ahead.sigma])
     step = 1e-5
     worst_omega = worst_sigma = 0.0
 
@@ -184,7 +184,7 @@ def hypergradient_suite(seed: int = 0) -> dict:
         worst_omega = max(worst_omega,
                           np.abs(analytic.value - fd).max() / scale)
 
-    for c, analytic in enumerate(hyper[len(omega):]):
+    for c, analytic in enumerate(hyper[-1].value):
         base = state.stats.covariance(c)
         fd = np.zeros_like(base)
         for i in range(base.shape[0]):
@@ -198,8 +198,7 @@ def hypergradient_suite(seed: int = 0) -> dict:
                 fd[i, j] = (float(up.value) - float(dn.value)) / (2 * step)
         state.stats.set_covariance(c, base)
         scale = max(np.abs(fd).max(), 1e-12)
-        worst_sigma = max(worst_sigma,
-                          np.abs(analytic.value - fd).max() / scale)
+        worst_sigma = max(worst_sigma, np.abs(analytic - fd).max() / scale)
 
     kink = float(np.abs(f @ state.perturb.w1.value
                         + state.perturb.b1.value).min())

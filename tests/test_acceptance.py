@@ -93,8 +93,8 @@ def test_criterion_01_reduction_identity():
         labels = rng.integers(0, c, size=n)
         priors = rng.uniform(0.1, 1.0, size=c)
         priors /= priors.sum()
-        sigmas = [Tensor(a @ a.T / width)
-                  for a in rng.normal(size=(c, width, width))]
+        sigmas = np.stack([a @ a.T / width
+                           for a in rng.normal(size=(c, width, width))])
         rho = quadratic_terms(Tensor(w), sigmas, labels)
         zeros = Tensor(np.zeros((n, width)))
 

@@ -7,6 +7,7 @@ import pytest
 
 from advaug import autodiff as ad
 from advaug.autodiff import Tape, Tensor
+from advaug.loss import quadratic_terms
 
 
 def fd_gradient(f, arrays, which, step=1e-5):
@@ -243,6 +244,17 @@ class TestPrimitiveGradients:
         check_primitive_grad(
             lambda a: ad.softmax_cross_entropy(a, labels), [self.u(3, 4)])
 
+    def test_quad_form_every_slot(self):
+        # s is not symmetric, so a transpose slip in a VJP shows.
+        inputs = {"a": self.u(4, 4), "u": self.u(4, 3), "v": self.u(4, 3),
+                  "s": self.u(4, 3, 3)}
+        for slot in inputs:
+            names = [n for n in inputs if n != slot]
+            check_primitive_grad(
+                lambda *ts, slot=slot, names=names: ad.quad_form(
+                    slot, **dict(zip(names, ts))),
+                [inputs[n] for n in names])
+
 
 class TestSecondOrder:
     def test_cube_second_derivative(self):
@@ -343,6 +355,68 @@ class TestPruning:
 
         fd = fd_gradient(scalar, [w0.copy()], 0)
         assert rel_err(hvp.value, fd) < 1e-6
+
+
+class TestQuadForm:
+    """The fused quadratic-form op behind loss.quadratic_terms."""
+
+    rng = np.random.default_rng(12)
+    labels = np.array([0, 2, 2, 1, 0])  # class 3 absent
+
+    def case(self):
+        c, width = 4, 3
+        w = self.rng.normal(size=(c, width))
+        sigma = self.rng.normal(size=(c, width, width))
+        weights = self.rng.normal(size=(self.labels.size, c))
+        probe = self.rng.normal(size=(c, width))
+        return w, sigma, weights, probe
+
+    def loss(self, w, sigma, weights):
+        rho = quadratic_terms(w, sigma, self.labels)
+        return ad.tsum(ad.tanh(ad.mul(rho, Tensor(weights))))
+
+    def probe_grad(self, w_val, sigma_val, weights, probe):
+        """<grad_W L, probe> and its gradients w.r.t. W and Sigma."""
+        with Tape() as tape:
+            w, sigma = Tensor(w_val), Tensor(sigma_val)
+            (gw,) = tape.gradient(self.loss(w, sigma, weights), [w])
+            inner = ad.tsum(ad.mul(gw, Tensor(probe)))
+            dw, dsigma = tape.gradient(inner, [w, sigma])
+        return float(inner.value), dw.value, dsigma.value
+
+    def test_second_order_matches_finite_differences(self):
+        w, sigma, weights, probe = self.case()
+        _, dw, dsigma = self.probe_grad(w, sigma, weights, probe)
+
+        def scalar(arrs):
+            return self.probe_grad(arrs[0], arrs[1], weights, probe)[0]
+
+        fd_w, fd_sigma = (fd_gradient(scalar, [w.copy(), sigma.copy()], i)
+                          for i in (0, 1))
+        assert rel_err(dw, fd_w) < 1e-6
+        assert rel_err(dsigma, fd_sigma) < 1e-6
+
+    def test_absent_class_gets_exactly_zero_sigma_cotangent(self):
+        # Through an inner sweep too, as the Sigma hypergradient is taken.
+        _, _, dsigma = self.probe_grad(*self.case())
+        assert np.abs(dsigma[:3]).max(axis=(1, 2)).min() > 0
+        assert np.array_equal(dsigma[3], np.zeros((3, 3)))
+
+    def test_node_count_does_not_grow_with_classes(self):
+        counts = []
+        for c in (1, 5):
+            with Tape() as tape:
+                quadratic_terms(Tensor(self.rng.normal(size=(c, 3))),
+                                Tensor(np.stack([np.eye(3)] * c)),
+                                np.arange(c))
+            counts.append(len(tape.nodes))
+        assert counts[0] == counts[1]
+
+    def test_sigma_shape_checked(self):
+        w = Tensor(self.rng.normal(size=(4, 3)))
+        for shape in [(3, 3), (3, 3, 3), (4, 3, 2), (4, 9)]:
+            with pytest.raises(ad.ShapeError):
+                quadratic_terms(w, np.zeros(shape), self.labels)
 
 
 class TestReplay:

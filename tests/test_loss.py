@@ -6,8 +6,8 @@ import pytest
 from advaug import autodiff as ad
 from advaug.autodiff import Tape, Tensor
 from advaug.loss import (LossConfig, adjusted_logits, augmented_ce_loss,
-                         base_logits, compute_delta, quadratic_row,
-                         quadratic_terms, regularizer_terms,
+                         base_logits, compute_delta, quadratic_terms,
+                         regularizer_terms,
                          surrogate_per_sample)
 from advaug.oracles import fd_gradient
 from advaug.stats import project_psd
@@ -66,13 +66,13 @@ class TestQuadraticTerms:
         rng = np.random.default_rng(2)
         w = rng.normal(size=(4, 3))
         sigma = project_psd(rng.normal(size=(3, 3)))
-        row = quadratic_row(w, sigma, 2)
-        assert row.value[2] == 0.0
+        rho = quadratic_terms(w, np.stack([sigma] * 4), np.array([2]))
+        assert rho.value[0, 2] == 0.0
 
     def test_identity_sigma_unit_diff(self):
         w = np.array([[0.0, 0.0], [1.0, 1.0]])
-        row = quadratic_row(w, np.eye(2), 0)
-        assert row.value[1] == pytest.approx(1.0)
+        rho = quadratic_terms(w, np.stack([np.eye(2)] * 2), np.array([0]))
+        assert rho.value[0, 1] == pytest.approx(1.0)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(3)
@@ -81,7 +81,7 @@ class TestQuadraticTerms:
         sigmas = [project_psd(rng.normal(size=(width, width)))
                   for _ in range(c)]
         labels = rng.integers(0, c, size=n)
-        rho = quadratic_terms(Tensor(w), [Tensor(s) for s in sigmas], labels)
+        rho = quadratic_terms(Tensor(w), np.stack(sigmas), labels)
         for i in range(n):
             for j in range(c):
                 dw = w[j] - w[labels[i]]
@@ -93,7 +93,8 @@ class TestQuadraticTerms:
         for _ in range(200):
             w = rng.normal(size=(3, 4))
             a = rng.normal(size=(4, 4))
-            rho = quadratic_row(w, a @ a.T, int(rng.integers(0, 3)))
+            rho = quadratic_terms(w, np.stack([a @ a.T] * 3),
+                                  np.array([int(rng.integers(0, 3))]))
             assert np.min(rho.value) >= -1e-12
 
     def test_detach_toggle_blocks_w_gradient(self):
@@ -104,7 +105,7 @@ class TestQuadraticTerms:
         for detach, expect_zero in [(True, True), (False, False)]:
             with Tape() as tape:
                 w = Tensor(w_val)
-                rho = quadratic_terms(w, [Tensor(sigma)] * 3, labels,
+                rho = quadratic_terms(w, np.stack([sigma] * 3), labels,
                                       detach_w=detach)
                 (g,) = tape.gradient(ad.tsum(rho), [w])
             assert (np.max(np.abs(g.value)) == 0.0) == expect_zero
@@ -114,12 +115,12 @@ class TestQuadraticTerms:
         w = Tensor(rng.normal(size=(3, 2)))
         labels = np.array([1, 1, 0])
         with Tape() as tape:
-            sigmas = [Tensor(np.eye(2)) for _ in range(3)]
-            rho = quadratic_terms(w, sigmas, labels)
-            grads = tape.gradient(ad.tsum(rho), sigmas)
-        assert np.max(np.abs(grads[0].value)) > 0
-        assert np.max(np.abs(grads[1].value)) > 0
-        assert np.max(np.abs(grads[2].value)) == 0.0  # class 2 absent
+            sigma = Tensor(np.stack([np.eye(2)] * 3))
+            rho = quadratic_terms(w, sigma, labels)
+            (grad,) = tape.gradient(ad.tsum(rho), [sigma])
+        assert np.max(np.abs(grad.value[0])) > 0
+        assert np.max(np.abs(grad.value[1])) > 0
+        assert np.max(np.abs(grad.value[2])) == 0.0  # class 2 absent
 
 
 class TestAdjustedLogits:
@@ -138,7 +139,7 @@ class TestAdjustedLogits:
     def test_reduction_to_plain_logits(self):
         w, b, h, labels, sigmas, g, priors = self.setup_case()
         delta = compute_delta(g, np.zeros(len(labels)))
-        rho = quadratic_terms(Tensor(w), [Tensor(s) for s in sigmas], labels)
+        rho = quadratic_terms(Tensor(w), np.stack(sigmas), labels)
         z = adjusted_logits(Tensor(w), Tensor(b), Tensor(h),
                             Tensor(delta), rho, priors,
                             LossConfig(alpha=0.0, beta=0.0))
@@ -159,7 +160,7 @@ class TestAdjustedLogits:
         w, b, h, labels, sigmas, g, priors = self.setup_case(seed=8)
         config = LossConfig(alpha=0.7, beta=0.9)
         delta = compute_delta(g, np.linspace(-0.8, 0.8, len(labels)))
-        rho = quadratic_terms(Tensor(w), [Tensor(s) for s in sigmas], labels)
+        rho = quadratic_terms(Tensor(w), np.stack(sigmas), labels)
         z = adjusted_logits(Tensor(w), Tensor(b), Tensor(h),
                             Tensor(delta), rho, priors, config)
         for i in range(len(labels)):
@@ -194,8 +195,7 @@ class TestAugmentedCeLoss:
         h = rng.normal(size=(6, 4))
         labels = rng.integers(0, 5, size=6)
         priors = np.full(5, 0.2)
-        sigmas = [Tensor(np.eye(4))] * 5
-        rho = quadratic_terms(Tensor(w), sigmas, labels)
+        rho = quadratic_terms(Tensor(w), np.stack([np.eye(4)] * 5), labels)
         z = adjusted_logits(Tensor(w), Tensor(b), Tensor(h),
                             Tensor(np.zeros((6, 4))), rho, priors,
                             LossConfig(alpha=0.0, beta=0.0))
@@ -231,8 +231,7 @@ class TestAugmentedCeLoss:
 
         def forward():
             h = extract_features(params, x)
-            rho = quadratic_terms(params.head_w,
-                                  [Tensor(s) for s in sig_vals], labels)
+            rho = quadratic_terms(params.head_w, np.stack(sig_vals), labels)
             z = adjusted_logits(params.head_w, params.head_b, h,
                                 Tensor(delta), rho, priors, config)
             return augmented_ce_loss(z, labels)
@@ -265,7 +264,7 @@ class TestWeightedSurrogateBound:
         a = rng.normal(size=(width, width))
         sigma = a @ a.T / width
         delta = 0.5 * np.sign(rng.normal(size=(1, width)))
-        sigmas = [None, Tensor(sigma), None]
+        sigmas = np.stack([np.zeros_like(sigma), sigma, np.zeros_like(sigma)])
         rho = quadratic_terms(Tensor(w), sigmas, labels)
         closed = surrogate_per_sample(Tensor(w), Tensor(b), Tensor(h),
                                       Tensor(delta), rho, labels,
@@ -287,8 +286,7 @@ class TestRegularizerTerms:
         q /= q.sum(1, keepdims=True)
         sigmas = [project_psd(rng.normal(size=(width, width)))
                   for _ in range(c)]
-        rho = quadratic_terms(Tensor(w), [Tensor(s) for s in sigmas],
-                              labels).value
+        rho = quadratic_terms(Tensor(w), np.stack(sigmas), labels).value
         delta = 0.3 * np.sign(rng.normal(size=(n, width)))
         priors = np.array([0.4, 0.3, 0.2, 0.1])
         return q, rho, w, delta, priors, labels
@@ -310,8 +308,8 @@ class TestRegularizerTerms:
             w = rng.normal(size=(c, width))
             labels = rng.integers(0, c, size=4)
             a = rng.normal(size=(width, width))
-            sigmas = [Tensor(a @ a.T)] * c
-            rho = quadratic_terms(Tensor(w), sigmas, labels).value
+            rho = quadratic_terms(Tensor(w), np.stack([a @ a.T] * c),
+                                  labels).value
             q = rng.dirichlet(np.ones(c), size=4)
             report = regularizer_terms(q, rho, w, np.zeros((4, width)),
                                        np.full(c, 1 / 3), labels)

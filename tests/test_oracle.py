@@ -115,12 +115,11 @@ class TestJensenBound:
         violations = 0
         for k in range(1000):
             inst = random_bound_instance(rng)
-            c = inst["w"].shape[0]
             y = inst["y"]
-            sigmas = [None] * c
-            sigmas[y] = Tensor(inst["sigma"])
+            sigma = np.zeros(inst["w"].shape[:1] + inst["sigma"].shape)
+            sigma[y] = inst["sigma"]
             labels = np.array([y])
-            rho = quadratic_terms(Tensor(inst["w"]), sigmas, labels)
+            rho = quadratic_terms(Tensor(inst["w"]), sigma, labels)
             closed = surrogate_per_sample(
                 Tensor(inst["w"]), Tensor(inst["b"]),
                 Tensor(inst["h"][None, :]), Tensor(inst["delta"][None, :]),

@@ -10,7 +10,8 @@ from advaug.autodiff import Tape, Tensor
 from advaug.classifier import extract_features, logits
 from advaug.data import BlobGeometry, Dataset, MetaDataset, make_balanced, make_longtail
 from advaug.loss import augmented_ce_loss
-from advaug.stats import class_priors
+from advaug import training
+from advaug.stats import class_priors, project_psd
 from advaug.training import (
     Adam,
     MetaState,
@@ -235,9 +236,8 @@ class TestHypergradients:
     def test_alpha_zero_gives_exactly_zero_sigma_gradient(self):
         state = tiny_setup(alpha=0.0, seed=5)
         ahead = observe_and_look_ahead(state)
-        grads = ahead.tape.gradient(ahead.meta_loss, ahead.sigma_leaves)
-        for g in grads:
-            np.testing.assert_array_equal(g.value, np.zeros_like(g.value))
+        (grad,) = ahead.tape.gradient(ahead.meta_loss, [ahead.sigma])
+        np.testing.assert_array_equal(grad.value, np.zeros_like(grad.value))
 
 
 class TestMetaUpdates:
@@ -264,10 +264,10 @@ class TestMetaUpdates:
     def test_sigma_step_direction_and_projection(self):
         state = tiny_setup(alpha=0.6, seed=9)
         ahead = observe_and_look_ahead(copy.deepcopy(state))
-        grads = ahead.tape.gradient(ahead.meta_loss, ahead.sigma_leaves)
+        (grad,) = ahead.tape.gradient(ahead.meta_loss, [ahead.sigma])
         expected = []
         for c in range(2):
-            cand = ahead.sigma_leaves[c].value - state.config.eta2 * grads[c].value
+            cand = ahead.sigma.value[c] - state.config.eta2 * grad.value[c]
             cand = 0.5 * (cand + cand.T)
             vals, vecs = np.linalg.eigh(cand)
             proj = (vecs * np.maximum(vals, 0.0)) @ vecs.T
@@ -298,6 +298,29 @@ class TestMetaUpdates:
         meta_iteration(state, np.array([5]), np.arange(3))
         assert state.stats.counts[2] == 1
         np.testing.assert_array_equal(state.stats.means[2], ds.features[5])
+
+    def test_class_absent_from_batch_keeps_its_covariance(self, monkeypatch):
+        # No rho row of a batch without class 2 reads Sigma_2, so its
+        # hypergradient is zero: it takes no step and no PSD projection.
+        rng = np.random.default_rng(1)
+        ds = Dataset(features=rng.normal(size=(6, 2)),
+                     labels=np.array([0, 1, 2, 0, 1, 2]),
+                     class_counts=np.array([2, 2, 2]))
+        md = MetaDataset(features=rng.normal(size=(3, 2)),
+                         labels=np.array([0, 1, 2]), per_class=1)
+        cfg = TrainerConfig(t1=0, t2=10, alpha=0.6, batch_train=6,
+                            batch_meta=3, hidden=(), feat_dim=2,
+                            perturb_hidden=4, decay_points=(), seed=0)
+        state = init_state(cfg, ds, md)
+        state.t = 1
+        meta_iteration(state, np.arange(6), np.arange(3))
+        before = state.stats.covariance(2)
+        projected = []
+        monkeypatch.setattr(training, "project_psd",
+                            lambda s: projected.append(s) or project_psd(s))
+        meta_iteration(state, np.array([0, 1, 3, 4]), np.arange(3))
+        assert len(projected) == 2
+        np.testing.assert_array_equal(state.stats.covariance(2), before)
 
 
 class TestFinalStep:
