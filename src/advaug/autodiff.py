@@ -5,8 +5,9 @@ Tape is active, appends to every active tape a node holding one VJP
 function per input (None where the input gets no gradient). Gradient
 cotangents are themselves built out of the same primitives, so a backward
 pass that runs while the tape is still recording can be differentiated
-again (reverse-over-reverse). That is the mechanism the meta-update relies
-on to push gradients through a gradient step. A sweep builds only the
+again (reverse-over-reverse), which makes the tape the reference for the
+closed-form lookahead hypergradient of `kernels`; training itself does not
+record on it. A sweep builds only the
 cotangents on paths from its sources; a first-order sweep should run after
 its tape closes, so that nothing records its ops.
 """
@@ -17,6 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .kernels import quad
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible; names the offending op."""
@@ -295,9 +297,10 @@ def quad_form(slot: str, **given) -> Tensor:
         T(a, u, v, s) = 1/2 sum_k sum_j a_kj (u_j - u_k)^T s_k (v_j - v_k),
 
     with a (C, C), u and v (C, H), s (C, H, H), given the other three
-    inputs by name. T is linear in each input, so <g, dT/dslot> is T with
-    g in `slot`, and the VJP for any input is this op with the cotangent
-    in `slot`: it is differentiable to any order with no further code.
+    inputs by name; the value is `kernels.quad`. T is linear in each input,
+    so <g, dT/dslot> is T with g in `slot`, and the VJP for any input is
+    this op with the cotangent in `slot`: it is differentiable to any order
+    with no further code.
     """
     names = tuple(n for n in _QUAD_SLOTS if n != slot)
     if slot not in _QUAD_SLOTS or set(given) != set(names):
@@ -313,18 +316,7 @@ def quad_form(slot: str, **given) -> Tensor:
         if t[n].shape != expected[n]:
             raise ShapeError(
                 f"quad_form: {n} {t[n].shape}, expected {expected[n]}")
-    a, u, v, s = (t[n].value if n in t else None for n in _QUAD_SLOTS)
-    # du[k, j] = u_j - u_k, and dv likewise
-    du = None if u is None else u[None, :, :] - u[:, None, :]
-    dv = None if v is None else v[None, :, :] - v[:, None, :]
-    if slot == "a":
-        out = 0.5 * np.sum((du @ s) * dv, axis=-1)
-    elif slot == "s":
-        out = 0.5 * (du * a[..., None]).transpose(0, 2, 1) @ dv
-    else:
-        terms = 0.5 * a[..., None] * (dv @ s.transpose(0, 2, 1) if slot == "u"
-                                      else du @ s)
-        out = terms.sum(axis=0) - terms.sum(axis=1)
+    out = quad(slot, **{n: t[n].value for n in names})
 
     def vjp(name):
         rest = {n: t[n] for n in names if n != name}
@@ -463,8 +455,3 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     onehot[np.arange(labels.size), labels] = 1.0
     picked = tsum(mul(logits, Tensor(onehot)), axis=1)
     return sub(logsumexp(logits, axis=1), picked)
-
-
-def softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    lse = logsumexp(logits, axis=axis, keepdims=True)
-    return exp(sub(logits, broadcast_to(lse, logits.shape)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import softmax_lse
+from .kernels import softmax_lse
 from .stats import ClassStats
 
 CHARACTERISTIC_NAMES = (

@@ -1,12 +1,13 @@
-"""MLP feature extractor plus linear head, expressed over the tape engine.
+"""MLP feature extractor plus linear head: parameters and taped extractor.
 
 The extractor maps inputs to features h (the representation the augmented
 loss perturbs); the head maps h to logits. Parameters live in leaf Tensors
-whose values optimizers update in place between tapes.
+whose values optimizers update in place.
 
-`extract_features` is the one feature extractor: on a tape it records the
-forward, off a tape it only computes it. `detached_forward` runs it untaped
-and adds the logits, for batch observation, diagnostics and evaluation.
+Training steps run the numpy kernels of `kernels` on the parameter values.
+`extract_features` is the taped extractor of the reference loss builders;
+off a tape it only computes. `detached_forward` runs it untaped and adds
+the logits, for batch observation, diagnostics and evaluation.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .kernels import softmax_lse
 
 
 @dataclass
@@ -90,31 +92,16 @@ def extract_features(params: ClassifierParams, x) -> Tensor:
     return h
 
 
-def logits(params: ClassifierParams, h: Tensor) -> Tensor:
-    """z = h W^T + b per row."""
-    return ad.add(ad.matmul(h, ad.transpose(params.head_w)), params.head_b)
-
-
 def detached_forward(params: ClassifierParams,
                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Untaped features and logits (h, z) for observation and evaluation.
 
-    The logits stay h @ W.T + b rather than the tape's `logits`, which
-    multiplies by a copied W.T: under single-threaded BLAS the two products
-    differ in the last bits at two classes (200 of 200 random trials at the
-    subpopulation shapes, 0 of 200 at five classes), and the recorded runs
-    depend on these bits.
+    The logits are h @ W.T + b, the product the kernels use too; the tape's
+    `loss.base_logits` multiplies by a copied W.T, and under single-threaded
+    BLAS the two differ in the last bits at two classes.
     """
     h = extract_features(params, x).value
     return h, h @ params.head_w.value.T + params.head_b.value
-
-
-def softmax_lse(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row softmax q and log-sum-exp of untaped logits, from one exp pass."""
-    top = z.max(axis=1, keepdims=True)
-    e = np.exp(z - top)
-    total = e.sum(axis=1, keepdims=True)
-    return e / total, np.log(total[:, 0]) + top[:, 0]
 
 
 def ce_grad_wrt_features(params: ClassifierParams, z: np.ndarray,

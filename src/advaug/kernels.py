@@ -1,0 +1,214 @@
+"""Closed-form numpy kernels for the fixed model, used by every training step.
+
+The model is fixed: a ReLU MLP extractor, a linear head, the two-layer tanh
+perturbation net and the closed-form surrogate loss of `loss`. The kernels
+compute its values and first derivatives directly, and the one-step
+lookahead hypergradient by forward-over-reverse: with
+phi' = phi - lr * grad_phi L_train and v = grad L_meta(phi'),
+
+    d L_meta / d(omega, Sigma) = -lr * d s / d(omega, Sigma),
+    s = <grad_phi L_train, v> = sum_i (q_i - e_(y_i)) . zdot_i / n,
+
+where zdot is the JVP of the adjusted logits along v (Pearlmutter's R-op).
+Only delta(omega) and Sigma are live in s, so first derivatives suffice.
+The taped builders of `loss` stay the reference these kernels are checked
+against.
+
+Classifier parameters are passed as the flat list of arrays
+[w_1, b_1, ..., w_k, b_k, W, b] (the order of `ClassifierParams`); an
+empty extractor is the identity map.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+# tanh saturates to exactly 1.0 in float64; this keeps |eps| strictly < 1
+RANGE_SCALE = 1.0 - 1e-9
+
+
+def softmax_lse(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row softmax q and log-sum-exp of logits z, from one exp pass."""
+    top = z.max(axis=1, keepdims=True)
+    e = np.exp(z - top)
+    total = e.sum(axis=1, keepdims=True)
+    return e / total, np.log(total[:, 0]) + top[:, 0]
+
+
+def quad(slot: str, a=None, u=None, v=None, s=None) -> np.ndarray:
+    """Gradient w.r.t. `slot` of the form
+
+        T(a, u, v, s) = 1/2 sum_k sum_j a_kj (u_j - u_k)^T s_k (v_j - v_k),
+
+    with a (C, C), u and v (C, H), s (C, H, H), given the other three. T is
+    linear in each input, so slot "a" gives the (label, class) table of the
+    ISDA quadratic terms when u = v = W and s stacks the class covariances.
+    """
+    # du[k, j] = u_j - u_k, and dv likewise
+    du = None if u is None else u[None, :, :] - u[:, None, :]
+    dv = None if v is None else v[None, :, :] - v[:, None, :]
+    if slot == "a":
+        return 0.5 * np.sum((du @ s) * dv, axis=-1)
+    if slot == "s":
+        return 0.5 * (du * a[..., None]).transpose(0, 2, 1) @ dv
+    terms = 0.5 * a[..., None] * (dv @ s.transpose(0, 2, 1) if slot == "u"
+                                  else du @ s)
+    return terms.sum(axis=0) - terms.sum(axis=1)
+
+
+def _scatter(rows: np.ndarray, labels: np.ndarray, count: int) -> np.ndarray:
+    """Sum the rows of `rows` by label into a (count, width) table."""
+    out = np.zeros((count, rows.shape[1]))
+    np.add.at(out, labels, rows)
+    return out
+
+
+def extractor_layers(phi: list[np.ndarray]
+                     ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (w, b) pairs of the extractor in the flat parameter list phi."""
+    return list(zip(phi[:-2:2], phi[1:-2:2]))
+
+
+def mlp_forward(layers, x: np.ndarray) -> list[np.ndarray]:
+    """Activations [x, a_1, ..., a_k] of the ReLU extractor; the last is h."""
+    acts = [x]
+    for w, b in layers:
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    return acts
+
+
+def mlp_backward(layers, acts, grad_h: np.ndarray) -> list[np.ndarray]:
+    """[dw_1, db_1, ..., dw_k, db_k] of <grad_h, h>."""
+    grads: list[np.ndarray] = []
+    g = grad_h
+    for depth in range(len(layers), 0, -1):
+        g = g * (acts[depth] > 0)
+        grads[:0] = [acts[depth - 1].T @ g, g.sum(axis=0)]
+        if depth > 1:
+            g = g @ layers[depth - 1][0].T
+    return grads
+
+
+def mlp_jvp(layers, acts, tangent: list[np.ndarray]) -> np.ndarray | None:
+    """Tangent of h along the extractor parameter direction `tangent`.
+
+    None for the identity extractor, whose features have no parameters.
+    """
+    h_dot = None
+    for depth, (w, _) in enumerate(layers):
+        pre = acts[depth] @ tangent[2 * depth] + tangent[2 * depth + 1]
+        if h_dot is not None:
+            pre += h_dot @ w
+        h_dot = pre * (acts[depth + 1] > 0)
+    return h_dot
+
+
+class PerturbPass(NamedTuple):
+    """Forward of the perturbation net: eps and what its backward reads."""
+
+    eps: np.ndarray  # n
+    f: np.ndarray  # n x 15 characteristics
+    hidden: np.ndarray  # n x H1 relu outputs
+    t: np.ndarray  # n x 1 tanh outputs
+
+
+def eps_forward(omega: list[np.ndarray], f: np.ndarray) -> PerturbPass:
+    """eps = RANGE_SCALE * tanh(relu(f w1 + b1) w2 + b2), per row of f."""
+    w1, b1, w2, b2 = omega
+    hidden = np.maximum(f @ w1 + b1, 0.0)
+    t = np.tanh(hidden @ w2 + b2)
+    return PerturbPass((RANGE_SCALE * t)[:, 0], f, hidden, t)
+
+
+def eps_backward(omega: list[np.ndarray], fwd: PerturbPass,
+                 grad_eps: np.ndarray) -> list[np.ndarray]:
+    """[dw1, db1, dw2, db2] of <grad_eps, eps>."""
+    g = (RANGE_SCALE * grad_eps)[:, None] * (1.0 - fwd.t * fwd.t)
+    g_hidden = (g @ omega[2].T) * (fwd.hidden > 0)
+    return [fwd.f.T @ g_hidden, g_hidden.sum(axis=0),
+            fwd.hidden.T @ g, g.sum(axis=0)]
+
+
+class ClassifierPass(NamedTuple):
+    """Forward and gradient of a mean cross-entropy of the classifier."""
+
+    value: float
+    grads: list[np.ndarray]  # d value / d phi, in phi's order
+    acts: list[np.ndarray]  # extractor activations; acts[-1] = h
+    feats: np.ndarray  # h + delta, the head's input
+    q: np.ndarray  # softmax of the logits
+    g: np.ndarray  # d value / d logits = (q - onehot(y)) / n
+
+
+def cross_entropy(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
+                  delta: np.ndarray | None = None,
+                  offset: np.ndarray | None = None) -> ClassifierPass:
+    """Mean CE of the logits (h + delta) W^T + b + offset against y."""
+    layers, (w, b) = extractor_layers(phi), phi[-2:]
+    acts = mlp_forward(layers, x)
+    feats = acts[-1] if delta is None else acts[-1] + delta
+    z = feats @ w.T + b
+    if offset is not None:
+        z = z + offset
+    n = y.size
+    rows = np.arange(n)
+    q, lse = softmax_lse(z)
+    value = float(np.sum(lse - z[rows, y]) / n)
+    g = q.copy()
+    g[rows, y] -= 1.0
+    g /= n
+    grads = mlp_backward(layers, acts, g @ w) + [g.T @ feats, g.sum(axis=0)]
+    return ClassifierPass(value, grads, acts, feats, q, g)
+
+
+def surrogate(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
+              delta: np.ndarray | None, sigma: np.ndarray,
+              shift: np.ndarray, alpha: float,
+              detach_rho: bool = False) -> ClassifierPass:
+    """The surrogate loss: CE of (h + delta) W^T + b + alpha rho + shift.
+
+    rho[i, j] = 1/2 (w_j - w_y) Sigma_y (w_j - w_y)^T for y = y[i], with
+    `sigma` the (C, H, H) covariance stack; `shift` is beta * log(priors).
+    With `detach_rho` the head gets no gradient through rho.
+    """
+    w = phi[-2]
+    rho = quad("a", u=w, v=w, s=sigma)[y]
+    out = cross_entropy(phi, x, y, delta, alpha * rho + shift)
+    if not detach_rho:
+        a = alpha * _scatter(out.g, y, w.shape[0])
+        out.grads[-2] += quad("u", a=a, v=w, s=sigma) + quad("v", a=a, u=w,
+                                                             s=sigma)
+    return out
+
+
+def hypergradient(phi: list[np.ndarray], y: np.ndarray, train: ClassifierPass,
+                  v: list[np.ndarray], sigma: np.ndarray, alpha: float,
+                  detach_rho: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """ds/d(delta) and ds/d(Sigma) for s = <grad_phi L_train, v>.
+
+    `train` is the `surrogate` pass of L_train at phi. The lookahead
+    hypergradient is -lr times these; eps reaches s through delta only.
+    """
+    layers, w = extractor_layers(phi), phi[-2]
+    w_dot, b_dot = v[-2:]
+    z_dot = train.feats @ w_dot.T + b_dot
+    h_dot = mlp_jvp(layers, train.acts, v[:-2])
+    if h_dot is not None:
+        z_dot += h_dot @ w.T
+    if not detach_rho:
+        rho_dot = (quad("a", u=w_dot, v=w, s=sigma)
+                   + quad("a", u=w, v=w_dot, s=sigma))
+        z_dot += alpha * rho_dot[y]
+    # s = sum_i g_i . zdot_i: its partials in zdot and in the logits
+    d_zdot = train.g
+    q = train.q
+    d_z = q * (z_dot - np.sum(q * z_dot, axis=1, keepdims=True)) / y.size
+    d_delta = d_z @ w + d_zdot @ w_dot
+    count = w.shape[0]
+    d_sigma = quad("s", a=alpha * _scatter(d_z, y, count), u=w, v=w)
+    if not detach_rho:
+        a = alpha * _scatter(d_zdot, y, count)
+        d_sigma += quad("s", a=a, u=w_dot, v=w) + quad("s", a=a, u=w, v=w_dot)
+    return d_delta, d_sigma

@@ -7,13 +7,16 @@ rho_j = 0.5 (w_j - w_y) Sigma_y (w_j - w_y)^T, and the final loss adds a
 prior-based logit adjustment beta * log pi_j in place of 1/pi weighting.
 The rho of every (label, class) pair comes from one tape op,
 `autodiff.quad_form`, over the stacked (C, H, H) class covariances; its
-VJPs are the same op, so the meta-update differentiates it twice without
-a per-class chain of primitives.
+VJPs are the same op, so it differentiates to any order.
+
+These taped builders are the reference: training runs the numpy kernels of
+`kernels`, which the tests and the verify suites check against them, and
+the per-epoch diagnostics evaluate them untaped.
 
 Stop-gradient placement: delta and the covariance stack enter as whatever
-tensors the caller provides (constants for classifier updates, one leaf for
-the covariance meta-update); the head weights inside the quadratic terms
-are differentiated by default, with a detach toggle.
+tensors the caller provides (constants, or leaves to differentiate); the
+head weights inside the quadratic terms are differentiated by default,
+with a detach toggle.
 """
 
 from __future__ import annotations

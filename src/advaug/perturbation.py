@@ -9,9 +9,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .characteristics import NUM_CHARACTERISTICS
-
-# tanh saturates to exactly 1.0 in float64; this keeps |eps| strictly < 1
-_RANGE_SCALE = 1.0 - 1e-9
+from .kernels import RANGE_SCALE
 
 
 @dataclass
@@ -50,7 +48,7 @@ def eps_forward(params: PerturbNetParams, characteristics) -> Tensor:
             f"expected n x {NUM_CHARACTERISTICS} characteristics, got {f.shape}")
     hidden = ad.relu(ad.add(ad.matmul(f, params.w1), params.b1))
     pre = ad.add(ad.matmul(hidden, params.w2), params.b2)
-    return ad.mul(Tensor(_RANGE_SCALE), ad.tanh(pre))
+    return ad.mul(Tensor(RANGE_SCALE), ad.tanh(pre))
 
 
 def save_checkpoint(params: PerturbNetParams, path) -> None:

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .data import (BlobGeometry, Dataset, MetaDataset, inject_label_noise,
-                   load_csv, make_balanced, make_longtail, make_subpop_shift,
-                   split_meta)
+from .data import (BlobGeometry, DataError, Dataset, MetaDataset,
+                   inject_label_noise, load_csv, make_balanced, make_longtail,
+                   make_subpop_shift, split_meta)
 
 
 @dataclass
@@ -90,11 +90,22 @@ def _build_subpop(cfg: RunConfig) -> ScenarioData:
 
 
 def _build_custom(cfg: RunConfig) -> ScenarioData:
+    """The three CSVs, checked to fit together before any training."""
     d = cfg.data
     train = load_csv(d["train_csv"])
     meta_src = load_csv(d["meta_csv"])
+    test = load_csv(d["test_csv"])
+    empty = np.flatnonzero(train.class_counts == 0)
+    if empty.size:
+        raise DataError(f"train csv has no rows of class {int(empty[0])}")
+    for name, part in (("meta", meta_src), ("test", test)):
+        if part.dim != train.dim:
+            raise DataError(f"{name} csv has {part.dim} features, "
+                            f"train csv has {train.dim}")
+        if part.num_classes > train.num_classes:
+            raise DataError(f"{name} csv has label {part.num_classes - 1}, "
+                            f"train csv classes are 0..{train.num_classes - 1}")
     counts = np.bincount(meta_src.labels, minlength=meta_src.num_classes)
     meta = MetaDataset(meta_src.features, meta_src.labels,
                        per_class=int(counts.min()))
-    test = load_csv(d["test_csv"])
     return ScenarioData(train, meta, test)

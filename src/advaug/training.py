@@ -1,24 +1,26 @@
-"""Bilevel meta-training loop.
+"""Bilevel meta-training loop, run on the closed-form numpy kernels.
 
 Each meta iteration runs four stages:
 
 1. Observe the batch: a detached forward updates the running class
    statistics and the per-sample history, and yields the characteristics
    and gradient signs shared by the two classifier steps below.
-2. ``lookahead_meta_loss``: on one tape, the surrogate loss (perturbation
-   scale a differentiable function of the perturbation net, class
-   covariances stacked in one leaf tensor), the plain-SGD lookahead
-   parameters phi' = phi - lr * grad_phi, and cross-entropy on the balanced
-   meta batch evaluated at phi'.
-3. One hypergradient sweep of the meta loss into the perturbation net and
-   the covariance leaf; the net takes an Adam step, the covariance of each
-   class in the batch an SGD step plus PSD projection that persists into
-   the running class statistics.
+2. ``lookahead_meta_loss``: the surrogate loss and its gradient (the
+   perturbation scale from the perturbation net, the class covariances
+   stacked as (C, H, H)), the plain-SGD lookahead parameters
+   phi' = phi - lr * grad_phi, cross-entropy on the balanced meta batch at
+   phi' with its gradient v, and the hypergradient of that meta loss in the
+   perturbation net and the covariance stack, taken forward-over-reverse
+   (see `kernels`).
+3. The net takes an Adam step, the covariance of each class in the batch
+   an SGD step plus PSD projection that persists into the running class
+   statistics.
 4. ``final_step``: the real classifier update (momentum SGD + weight decay)
-   under the surrogate loss rebuilt with the refreshed perturbation net and
-   covariances.
+   under the surrogate loss recomputed with the refreshed perturbation net
+   and covariances.
 
-Iterations up to the warm-up horizon use plain cross-entropy instead.
+Iterations up to the warm-up horizon use plain cross-entropy instead. The
+per-epoch diagnostics still run the taped builders of `loss` untaped.
 """
 
 from __future__ import annotations
@@ -29,15 +31,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from . import kernels
+from .autodiff import Tensor
 from .characteristics import (BatchView, History, extract, update_history)
 from .classifier import (ClassifierParams, ce_grad_wrt_features,
-                         detached_forward, extract_features, init_classifier,
-                         logits, softmax_lse)
+                         detached_forward, extract_features, init_classifier)
 from .data import Dataset, MetaDataset
-from .loss import (LossConfig, adjusted_logits, augmented_ce_loss,
-                   compute_delta, quadratic_terms, regularizer_terms)
+from .kernels import softmax_lse
+from .loss import (LossConfig, adjusted_logits, compute_delta,
+                   quadratic_terms, regularizer_terms)
 from .metrics import MetricsLog, evaluate
 from .perturbation import PerturbNetParams, eps_forward, init_perturb_net
 from .stats import ClassStats, class_priors, project_psd, update_covariance
@@ -112,10 +114,10 @@ class MomentumSgd:
         self.weight_decay = weight_decay
         self.velocity = [np.zeros_like(p.value) for p in params]
 
-    def step(self, grads: list[Tensor], lr: float) -> None:
+    def step(self, grads: list[np.ndarray], lr: float) -> None:
         for p, g, v in zip(self.params, grads, self.velocity, strict=True):
             v *= self.momentum
-            v += g.value + self.weight_decay * p.value
+            v += g + self.weight_decay * p.value
             p.value -= lr * v
 
 
@@ -131,7 +133,7 @@ class Adam:
         self.v = [np.zeros_like(p.value) for p in params]
         self.t = 0
 
-    def step(self, grads: list[Tensor]) -> None:
+    def step(self, grads: list[np.ndarray]) -> None:
         self.t += 1
         b1, b2 = self.betas
         c1 = 1.0 - b1 ** self.t
@@ -139,9 +141,9 @@ class Adam:
         for p, g, m, v in zip(self.params, grads, self.m, self.v,
                               strict=True):
             m *= b1
-            m += (1.0 - b1) * g.value
+            m += (1.0 - b1) * g
             v *= b2
-            v += (1.0 - b2) * np.square(g.value)
+            v += (1.0 - b2) * np.square(g)
             p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
@@ -168,13 +170,13 @@ class MetaState:
 
 
 class Lookahead(NamedTuple):
-    """One recorded lookahead: the tape and what the meta update reads."""
+    """One lookahead and the hypergradients the meta update reads."""
 
-    tape: Tape
-    meta_loss: Tensor
-    eps: Tensor | None
-    sigma: Tensor  # (C, H, H) leaf of the stacked class covariances
-    pseudo_params: list[Tensor]
+    meta_loss: float
+    pseudo_params: list[np.ndarray]
+    omega_grads: list[np.ndarray] | None  # None when eps is frozen
+    sigma_grad: np.ndarray  # (C, H, H), zero for classes not in the batch
+    sigma: np.ndarray  # (C, H, H) stacked class covariances
 
 
 def init_state(config: TrainerConfig, dataset: Dataset,
@@ -245,106 +247,99 @@ def _observe_batch(state: MetaState, batch_idx: np.ndarray
     return batch.normalized, view.grad_h
 
 
-def _check_finite_loss(state: MetaState, loss: Tensor, stage: str) -> None:
-    if not np.isfinite(loss.value):
+def _check_finite_loss(state: MetaState, loss: float, stage: str) -> None:
+    if not np.isfinite(loss):
         raise NumericalAbort(
-            f"non-finite {stage} loss at iteration {state.t}: "
-            f"{float(loss.value)}")
+            f"non-finite {stage} loss at iteration {state.t}: {loss}")
+
+
+def _values(params: ClassifierParams | PerturbNetParams) -> list[np.ndarray]:
+    """The parameter arrays the kernels read, in `all_tensors` order."""
+    return [t.value for t in params.all_tensors()]
 
 
 def warmup_step(state: MetaState, batch_idx: np.ndarray) -> None:
     """One plain cross-entropy step (also used for the CE baseline)."""
     _observe_batch(state, batch_idx)
-    x = state.dataset.features[batch_idx]
-    y = state.dataset.labels[batch_idx]
-    with Tape() as tape:
-        h = extract_features(state.params, x)
-        z = logits(state.params, h)
-        loss = augmented_ce_loss(z, y)
-    _check_finite_loss(state, loss, "warm-up")
-    grads = tape.gradient(loss, state.params.all_tensors())
-    state.sgd.step(grads, learning_rate(state.config, state.t))
-    state.last_train_loss = float(loss.value)
+    train = kernels.cross_entropy(_values(state.params),
+                                  state.dataset.features[batch_idx],
+                                  state.dataset.labels[batch_idx])
+    _check_finite_loss(state, train.value, "warm-up")
+    state.sgd.step(train.grads, learning_rate(state.config, state.t))
+    state.last_train_loss = train.value
 
 
-def _surrogate_loss(state: MetaState, x: np.ndarray, y: np.ndarray,
-                    characteristics: np.ndarray, grad_h: np.ndarray,
-                    ) -> tuple[Tensor, Tensor | None, Tensor]:
-    """Build the adjusted surrogate loss on the active tape.
+def _surrogate(state: MetaState, batch_idx: np.ndarray,
+               characteristics: np.ndarray, grad_h: np.ndarray
+               ) -> tuple[kernels.ClassifierPass, kernels.PerturbPass | None,
+                          np.ndarray]:
+    """The surrogate loss pass on the batch under the current state.
 
-    Returns (loss, eps tensor or None, stacked covariance leaf).
+    Returns (pass, perturbation-net pass or None, covariance stack).
     """
     cfg = state.config
-    eps = None
-    delta = None
+    net = delta = None
     if not cfg.freeze_eps:
-        eps = eps_forward(state.perturb, characteristics)
-        delta = compute_delta(grad_h, eps)
-    sigma = Tensor(state.stats.covariances())
-    h = extract_features(state.params, x)
-    rho = quadratic_terms(state.params.head_w, sigma, y,
-                          detach_w=cfg.detach_rho)
-    z = adjusted_logits(state.params.head_w, state.params.head_b, h, delta,
-                        rho, state.priors, cfg.loss_config())
-    return augmented_ce_loss(z, y), eps, sigma
+        net = kernels.eps_forward(
+            _values(state.perturb), characteristics)
+        delta = compute_delta(grad_h, net.eps)
+    sigma = state.stats.covariances()
+    train = kernels.surrogate(
+        _values(state.params), state.dataset.features[batch_idx],
+        state.dataset.labels[batch_idx], delta, sigma,
+        cfg.beta * np.log(state.priors), cfg.alpha, cfg.detach_rho)
+    _check_finite_loss(state, train.value, "train")
+    return train, net, sigma
 
 
 def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
                         meta_idx: np.ndarray, characteristics: np.ndarray,
                         grad_h: np.ndarray) -> Lookahead:
-    """Meta cross-entropy at the lookahead parameters, on one tape.
+    """Meta cross-entropy at the lookahead parameters, and its hypergradients.
 
-    The lookahead phi' = phi - lr * grad_phi(surrogate loss) keeps its
-    dependence on the perturbation net (through eps) and on the covariance
-    leaf, so one gradient of the meta loss gives both hypergradients.
-    Reads the state without changing it.
+    The lookahead is phi' = phi - lr * grad_phi(surrogate loss). The
+    hypergradients of the meta loss in the perturbation net and in the
+    covariance stack come from one forward-over-reverse product (see
+    `kernels`). Reads the state without changing it.
     """
-    x = state.dataset.features[batch_idx]
-    y = state.dataset.labels[batch_idx]
-    lr = Tensor(learning_rate(state.config, state.t))
-    with Tape() as tape:
-        loss, eps, sigma = _surrogate_loss(
-            state, x, y, characteristics, grad_h)
-        _check_finite_loss(state, loss, "train")
-        phi = state.params.all_tensors()
-        # Taken on the tape: the hypergradient differentiates through it.
-        grads = tape.gradient(loss, phi)
-        pseudo = [ad.sub(p, ad.mul(lr, g))
-                  for p, g in zip(phi, grads, strict=True)]
-        ahead = ClassifierParams.from_tensors(pseudo)
-        h = extract_features(ahead, state.metadata.features[meta_idx])
-        meta_loss = augmented_ce_loss(logits(ahead, h),
-                                      state.metadata.labels[meta_idx])
-    _check_finite_loss(state, meta_loss, "meta")
-    return Lookahead(tape, meta_loss, eps, sigma, pseudo)
+    cfg = state.config
+    lr = learning_rate(cfg, state.t)
+    train, net, sigma = _surrogate(state, batch_idx, characteristics, grad_h)
+    phi = _values(state.params)
+    pseudo = [p - lr * g for p, g in zip(phi, train.grads, strict=True)]
+    meta = kernels.cross_entropy(pseudo, state.metadata.features[meta_idx],
+                                 state.metadata.labels[meta_idx])
+    _check_finite_loss(state, meta.value, "meta")
+    d_delta, d_sigma = kernels.hypergradient(
+        phi, state.dataset.labels[batch_idx], train, meta.grads, sigma,
+        cfg.alpha, cfg.detach_rho)
+    omega_grads = None
+    if net is not None:
+        # delta_i = eps_i * sign(g_i), the sign factor constant
+        d_eps = np.sum(d_delta * np.sign(grad_h), axis=1)
+        omega_grads = kernels.eps_backward(
+            _values(state.perturb), net, -lr * d_eps)
+    return Lookahead(meta.value, pseudo, omega_grads, -lr * d_sigma, sigma)
 
 
 def final_step(state: MetaState, batch_idx: np.ndarray,
                characteristics: np.ndarray, grad_h: np.ndarray) -> None:
     """Real classifier update with refreshed perturbations/covariances."""
-    x = state.dataset.features[batch_idx]
-    y = state.dataset.labels[batch_idx]
-    with Tape() as tape:
-        loss, _, _ = _surrogate_loss(state, x, y, characteristics, grad_h)
-    _check_finite_loss(state, loss, "train")
-    grads = tape.gradient(loss, state.params.all_tensors())
-    state.sgd.step(grads, learning_rate(state.config, state.t))
-    state.last_train_loss = float(loss.value)
+    train, _, _ = _surrogate(state, batch_idx, characteristics, grad_h)
+    state.sgd.step(train.grads, learning_rate(state.config, state.t))
+    state.last_train_loss = train.value
 
 
 def meta_iteration(state: MetaState, batch_idx: np.ndarray,
                    meta_idx: np.ndarray) -> None:
-    """Observe, look ahead, update omega and Sigma from one sweep, step."""
+    """Observe, look ahead, update omega and Sigma, step the classifier."""
     characteristics, grad_h = _observe_batch(state, batch_idx)
     ahead = lookahead_meta_loss(state, batch_idx, meta_idx, characteristics,
                                 grad_h)
     # Frozen perturbations are zero: the net has no path to the meta loss.
-    omega = [] if ahead.eps is None else state.perturb.all_tensors()
-    *omega_grads, sigma_grad = ahead.tape.gradient(ahead.meta_loss,
-                                                   omega + [ahead.sigma])
-    if omega:
-        if all(np.all(np.isfinite(g.value)) for g in omega_grads):
-            state.adam.step(omega_grads)
+    if ahead.omega_grads is not None:
+        if all(np.all(np.isfinite(g)) for g in ahead.omega_grads):
+            state.adam.step(ahead.omega_grads)
         else:
             state.events.append(
                 f"iteration {state.t}: non-finite perturbation-net "
@@ -353,13 +348,13 @@ def meta_iteration(state: MetaState, batch_idx: np.ndarray,
     # its hypergradient is exactly zero and it keeps its value; a class in
     # the batch has samples, hence an estimate to step.
     for c in np.unique(state.dataset.labels[batch_idx]):
-        g = sigma_grad.value[c]
+        g = ahead.sigma_grad[c]
         if not np.all(np.isfinite(g)):
             state.events.append(
                 f"iteration {state.t}: non-finite covariance hypergradient "
                 f"for class {c}, update skipped")
             continue
-        candidate = ahead.sigma.value[c] - state.config.eta2 * g
+        candidate = ahead.sigma[c] - state.config.eta2 * g
         try:
             projected = project_psd(candidate)
         except (ValueError, np.linalg.LinAlgError) as exc:

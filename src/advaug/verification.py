@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from . import loss as loss_mod
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .classifier import ClassifierParams, extract_features
 from .data import Dataset, MetaDataset
 from .loss import LossConfig, adjusted_logits, augmented_ce_loss
@@ -109,15 +110,14 @@ def _pipeline_loss(values, x, labels, delta, sigmas, priors, cfg):
 
 
 def gradient_suite(instances: int = 10, seed: int = 0) -> dict:
-    """Tape gradients of the surrogate loss vs central finite differences."""
+    """Kernel gradients of the surrogate loss vs central finite differences
+    of the taped loss value."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
         x, labels, delta, sigmas, priors, params, cfg = _random_pipeline(rng)
-        with Tape() as tape:
-            loss, tensors = _pipeline_loss(params, x, labels, delta, sigmas,
-                                           priors, cfg)
-        grads = tape.gradient(loss, tensors)
+        grads = kernels.surrogate(params, x, labels, delta, sigmas,
+                                  cfg.beta * np.log(priors), cfg.alpha).grads
         for k, value in enumerate(params):
             def f(v, k=k):
                 trial = [p.copy() for p in params]
@@ -127,21 +127,27 @@ def gradient_suite(instances: int = 10, seed: int = 0) -> dict:
                 return float(out.value)
             fd = fd_gradient(f, value.ravel().copy()).reshape(value.shape)
             scale = max(np.abs(fd).max(), 1e-12)
-            worst = max(worst, np.abs(grads[k].value - fd).max() / scale)
+            worst = max(worst, np.abs(grads[k] - fd).max() / scale)
     return {"name": "gradient", "passed": worst < 1e-4, "worst": worst,
             "detail": f"max rel err {worst:.3e} over {instances} instances"}
 
 
-def _tiny_state(seed: int):
+def _tiny_state(seed: int, **overrides):
+    """Two classes, two inputs, four train and four meta rows.
+
+    `overrides` are TrainerConfig fields; by default the extractor is the
+    identity and the covariances are full.
+    """
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(4, 2))
     y = np.array([0, 1, 0, 1])
     ds = Dataset(features=x, labels=y, class_counts=np.array([2, 2]))
     md = MetaDataset(features=rng.normal(size=(4, 2)),
                      labels=np.array([0, 0, 1, 1]), per_class=2)
-    cfg = TrainerConfig(t1=0, t2=10, alpha=0.6, beta=1.0, batch_train=4,
-                        batch_meta=4, hidden=(), feat_dim=2,
-                        perturb_hidden=4, decay_points=(), seed=seed)
+    fields = dict(t1=0, t2=10, alpha=0.6, beta=1.0, batch_train=4,
+                  batch_meta=4, hidden=(), feat_dim=2, perturb_hidden=4,
+                  decay_points=(), seed=seed)
+    cfg = TrainerConfig(**(fields | overrides))
     state = init_state(cfg, ds, md)
     state.t = 1
     state.perturb.load_values([rng.normal(scale=0.3, size=t.value.shape)
@@ -150,13 +156,28 @@ def _tiny_state(seed: int):
     return state, obs
 
 
-def hypergradient_suite(seed: int = 0) -> dict:
-    """Meta-gradients through the lookahead step vs finite differences.
+def _kink_margin(layers, x: np.ndarray) -> float:
+    """Smallest |relu input| of a ReLU stack over the rows of x."""
+    margin, a = np.inf, x
+    for w, b in layers:
+        pre = a @ w + b
+        margin = min(margin, float(np.abs(pre).min()))
+        a = np.maximum(pre, 0.0)
+    return margin
 
-    The record's `kink_margin` is the smallest |input| of the perturbation
-    net's relu; finite differences are only meaningful when it is not tiny.
+
+def hypergradient_suite(seed: int = 0, **overrides) -> dict:
+    """Kernel meta-gradients through the lookahead step vs finite
+    differences of the lookahead meta loss.
+
+    `overrides` are TrainerConfig fields of the instance. In diagonal mode
+    only the diagonal of each covariance is a free parameter, so only it is
+    checked. The record's `kink_margin` is the smallest |input| of the
+    relus whose inputs move with omega and Sigma: the perturbation net's,
+    and the extractor's on the meta batch at phi'. Finite differences are
+    only meaningful when it is not tiny.
     """
-    state, (f, grad_h) = _tiny_state(seed)
+    state, (f, grad_h) = _tiny_state(seed, **overrides)
     batch = np.arange(4)
 
     def meta_value():
@@ -164,11 +185,10 @@ def hypergradient_suite(seed: int = 0) -> dict:
 
     ahead = meta_value()
     omega = state.perturb.all_tensors()
-    hyper = ahead.tape.gradient(ahead.meta_loss, omega + [ahead.sigma])
     step = 1e-5
     worst_omega = worst_sigma = 0.0
 
-    for tensor, analytic in zip(omega, hyper):
+    for tensor, analytic in zip(omega, ahead.omega_grads):
         fd = np.zeros_like(tensor.value)
         it = np.nditer(tensor.value, flags=["multi_index"])
         for _ in it:
@@ -179,29 +199,34 @@ def hypergradient_suite(seed: int = 0) -> dict:
             tensor.value[idx] = orig - step
             dn = meta_value().meta_loss
             tensor.value[idx] = orig
-            fd[idx] = (float(up.value) - float(dn.value)) / (2 * step)
+            fd[idx] = (up - dn) / (2 * step)
         scale = max(np.abs(fd).max(), 1e-12)
-        worst_omega = max(worst_omega,
-                          np.abs(analytic.value - fd).max() / scale)
+        worst_omega = max(worst_omega, np.abs(analytic - fd).max() / scale)
 
-    for c, analytic in enumerate(hyper[-1].value):
+    for c, analytic in enumerate(ahead.sigma_grad):
         base = state.stats.covariance(c)
+        dim = base.shape[0]
+        entries = ([(i, i) for i in range(dim)] if state.stats.diagonal
+                   else np.ndindex(dim, dim))
         fd = np.zeros_like(base)
-        for i in range(base.shape[0]):
-            for j in range(base.shape[1]):
-                bump = np.zeros_like(base)
-                bump[i, j] = step
-                state.stats.set_covariance(c, base + bump)
-                up = meta_value().meta_loss
-                state.stats.set_covariance(c, base - bump)
-                dn = meta_value().meta_loss
-                fd[i, j] = (float(up.value) - float(dn.value)) / (2 * step)
+        for i, j in entries:
+            bump = np.zeros_like(base)
+            bump[i, j] = step
+            state.stats.set_covariance(c, base + bump)
+            up = meta_value().meta_loss
+            state.stats.set_covariance(c, base - bump)
+            dn = meta_value().meta_loss
+            fd[i, j] = (up - dn) / (2 * step)
         state.stats.set_covariance(c, base)
+        if state.stats.diagonal:
+            analytic, fd = np.diag(analytic), np.diag(fd)
         scale = max(np.abs(fd).max(), 1e-12)
         worst_sigma = max(worst_sigma, np.abs(analytic - fd).max() / scale)
 
-    kink = float(np.abs(f @ state.perturb.w1.value
-                        + state.perturb.b1.value).min())
+    kink = min(
+        _kink_margin([(omega[0].value, omega[1].value)], f),
+        _kink_margin(kernels.extractor_layers(ahead.pseudo_params),
+                     state.metadata.features[batch]))
     worst = max(worst_omega, worst_sigma)
     return {"name": "hypergradient", "passed": worst < 1e-3, "worst": worst,
             "worst_omega": worst_omega, "worst_sigma": worst_sigma,

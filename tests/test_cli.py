@@ -106,6 +106,59 @@ class TestRun:
         assert "numerical abort" in capsys.readouterr().err
 
 
+def write_table(path, labels, width, seed=0):
+    rng = np.random.default_rng(seed)
+    lines = [",".join([f"f{j}" for j in range(width)] + ["label"])]
+    for label in labels:
+        lines.append(",".join([repr(float(v)) for v in rng.normal(size=width)]
+                              + [str(label)]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+class TestCustomCsv:
+    """Custom CSVs that do not fit together are refused before training."""
+
+    def run_custom(self, tmp_path, capsys, train=(0, 1, 2) * 8, meta=(0, 1, 2),
+                   test=(0, 1, 2) * 3, meta_width=3, test_width=3):
+        text = ("[run]\nscenario = custom-csv\n[data]\n"
+                f"train_csv = {write_table(tmp_path / 'tr.csv', train, 3)}\n"
+                f"meta_csv = {write_table(tmp_path / 'me.csv', meta, meta_width)}\n"
+                f"test_csv = {write_table(tmp_path / 'te.csv', test, test_width)}\n"
+                "[model]\nhidden = 4\nfeat_dim = 3\n"
+                "[training]\nt1 = 2\nt2 = 6\nbatch_train = 8\n"
+                "batch_meta = 3\n")
+        code = main(["run", "--config", write_ini(tmp_path, text),
+                     "--output", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    def test_matching_csvs_run(self, tmp_path, capsys):
+        code, _ = self.run_custom(tmp_path, capsys)
+        assert code == 0
+
+    def test_meta_label_missing_from_train_exits_2(self, tmp_path, capsys):
+        code, err = self.run_custom(tmp_path, capsys, meta=(0, 1, 2, 3))
+        assert code == 2
+        assert "config error" in err and "meta csv has label 3" in err
+
+    def test_meta_width_mismatch_exits_2(self, tmp_path, capsys):
+        code, err = self.run_custom(tmp_path, capsys, meta_width=4)
+        assert code == 2
+        assert "config error" in err and "meta csv has 4 features" in err
+
+    def test_empty_train_class_exits_2(self, tmp_path, capsys):
+        code, err = self.run_custom(tmp_path, capsys, train=(0, 2) * 8,
+                                    meta=(0, 2), test=(0, 2))
+        assert code == 2
+        assert "config error" in err and "no rows of class 1" in err
+
+    def test_test_width_mismatch_exits_2(self, tmp_path, capsys):
+        code, err = self.run_custom(tmp_path, capsys, test_width=2)
+        assert code == 2
+        assert "config error" in err and "test csv has 2 features" in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestAblationColumns:
     def run_and_read(self, tmp_path, extra):
         cfg = write_ini(tmp_path, TINY + extra)

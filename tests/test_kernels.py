@@ -1,0 +1,225 @@
+"""Numpy kernels against the taped reference builders and finite differences."""
+
+import numpy as np
+import pytest
+
+from advaug import autodiff as ad
+from advaug import kernels
+from advaug.autodiff import Tape, Tensor
+from advaug.classifier import ClassifierParams, extract_features
+from advaug.data import Dataset, MetaDataset
+from advaug.loss import (LossConfig, adjusted_logits, augmented_ce_loss,
+                         base_logits, compute_delta, quadratic_terms)
+from advaug.perturbation import PerturbNetParams, eps_forward
+from advaug.training import (TrainerConfig, _observe_batch, init_state,
+                             learning_rate, lookahead_meta_loss)
+
+TOL = 1e-10
+
+
+def rel_err(ours, ref) -> float:
+    ours, ref = np.asarray(ours), np.asarray(ref)
+    return float(np.abs(ours - ref).max() / max(np.abs(ref).max(), 1e-300))
+
+
+def random_instance(seed, hidden=(5,), delta=True, diagonal=False,
+                    labels=None):
+    """Random classifier, batch, perturbation and covariance stack."""
+    rng = np.random.default_rng(seed)
+    n, in_dim, feat, classes = 7, 4, 3, 4
+    dims = [in_dim, *hidden, feat] if hidden else []
+    if not hidden:
+        in_dim = feat
+    phi = []
+    for d_in, d_out in zip(dims[:-1], dims[1:]):
+        phi += [rng.normal(size=(d_in, d_out)), rng.normal(size=d_out)]
+    phi += [rng.normal(size=(classes, feat)), rng.normal(size=classes)]
+    x = rng.normal(size=(n, in_dim))
+    y = (rng.integers(0, classes, size=n) if labels is None
+         else np.asarray(labels, dtype=np.intp))
+    a = rng.normal(size=(classes, feat, feat))
+    sigma = a @ a.transpose(0, 2, 1) / feat
+    if diagonal:
+        sigma = sigma * np.eye(feat)
+    d = (rng.uniform(-0.9, 0.9, size=(n, 1))
+         * np.sign(rng.normal(size=(n, feat)))) if delta else None
+    priors = rng.uniform(0.1, 1.0, size=classes)
+    return phi, x, y, d, sigma, priors / priors.sum()
+
+
+def taped_surrogate(phi, x, y, delta, sigma, priors, alpha, beta,
+                    detach_rho):
+    params = ClassifierParams.from_tensors([Tensor(p) for p in phi])
+    with Tape() as tape:
+        h = extract_features(params, x)
+        rho = quadratic_terms(params.head_w, Tensor(sigma), y,
+                              detach_w=detach_rho)
+        z = adjusted_logits(params.head_w, params.head_b, h,
+                            None if delta is None else Tensor(delta), rho,
+                            priors, LossConfig(alpha=alpha, beta=beta))
+        loss = augmented_ce_loss(z, y)
+    grads = tape.gradient(loss, params.all_tensors())
+    return float(loss.value), [g.value for g in grads]
+
+
+SURROGATE_CASES = {
+    "default": {},
+    "alpha_zero": {"alpha": 0.0},
+    "detach_rho": {"detach_rho": True},
+    "no_delta": {"delta": False},
+    "diagonal_sigma": {"diagonal": True},
+    "identity_extractor": {"hidden": ()},
+    "absent_class": {"labels": [0, 1, 0, 2, 1, 0, 2]},
+}
+
+
+@pytest.mark.parametrize("case", SURROGATE_CASES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_surrogate_matches_taped_builders(case, seed):
+    opts = dict(SURROGATE_CASES[case])
+    alpha = opts.pop("alpha", 0.7)
+    detach_rho = opts.pop("detach_rho", False)
+    phi, x, y, delta, sigma, priors = random_instance(seed, **opts)
+    ours = kernels.surrogate(phi, x, y, delta, sigma, 0.8 * np.log(priors),
+                             alpha, detach_rho)
+    value, grads = taped_surrogate(phi, x, y, delta, sigma, priors, alpha,
+                                   0.8, detach_rho)
+    assert rel_err(ours.value, value) < TOL
+    assert len(ours.grads) == len(grads)
+    for g_ours, g_ref in zip(ours.grads, grads):
+        assert rel_err(g_ours, g_ref) < TOL
+
+
+def test_plain_cross_entropy_matches_tape():
+    phi, x, y, *_ = random_instance(3, hidden=(5, 4))
+    ours = kernels.cross_entropy(phi, x, y)
+    params = ClassifierParams.from_tensors([Tensor(p) for p in phi])
+    with Tape() as tape:
+        z = base_logits(params.head_w, params.head_b,
+                        extract_features(params, x), None)
+        loss = augmented_ce_loss(z, y)
+    grads = tape.gradient(loss, params.all_tensors())
+    assert rel_err(ours.value, float(loss.value)) < TOL
+    for g_ours, g_ref in zip(ours.grads, grads):
+        assert rel_err(g_ours, g_ref.value) < TOL
+
+
+def test_mlp_jvp_matches_finite_differences():
+    phi, x, *_ = random_instance(4, hidden=(6, 5))
+    layers = kernels.extractor_layers(phi)
+    rng = np.random.default_rng(4)
+    tangent = [rng.normal(size=w.shape) for w in phi[:-2]]
+    h_dot = kernels.mlp_jvp(layers, kernels.mlp_forward(layers, x), tangent)
+    step = 1e-6
+
+    def h_at(t):
+        moved = [p + t * d for p, d in zip(phi[:-2], tangent)] + phi[-2:]
+        return kernels.mlp_forward(kernels.extractor_layers(moved), x)[-1]
+
+    fd = (h_at(step) - h_at(-step)) / (2 * step)
+    assert rel_err(h_dot, fd) < 1e-6
+    assert kernels.mlp_jvp([], [x], []) is None
+
+
+def test_eps_kernels_match_taped_net():
+    rng = np.random.default_rng(5)
+    omega = [rng.normal(scale=0.3, size=s) for s in [(15, 6), 6, (6, 1), 1]]
+    f = rng.normal(size=(8, 15))
+    grad_eps = rng.normal(size=8)
+    ours = kernels.eps_forward(omega, f)
+    tensors = [Tensor(w) for w in omega]
+    with Tape() as tape:
+        eps = eps_forward(PerturbNetParams(*tensors), f)
+        out = ad.tsum(ad.mul(eps, Tensor(grad_eps[:, None])))
+    grads = tape.gradient(out, tensors)
+    assert ours.eps.tobytes() == eps.value[:, 0].tobytes()
+    for g_ours, g_ref in zip(kernels.eps_backward(omega, ours, grad_eps),
+                             grads):
+        assert rel_err(g_ours, g_ref.value) < TOL
+
+
+# ---------------------------------------------------------------------------
+# the lookahead hypergradient against reverse-over-reverse on the tape
+
+def lookahead_state(seed, **overrides):
+    """Three classes, six train and six meta rows, all classes observed."""
+    rng = np.random.default_rng(seed)
+    y = np.array([0, 1, 2, 0, 1, 2])
+    ds = Dataset(features=rng.normal(size=(6, 3)), labels=y,
+                 class_counts=np.array([2, 2, 2]))
+    md = MetaDataset(features=rng.normal(size=(6, 3)), labels=y.copy(),
+                     per_class=2)
+    fields = dict(t1=0, t2=10, alpha=0.6, beta=0.7, batch_train=6,
+                  batch_meta=6, hidden=(4,), feat_dim=3, perturb_hidden=5,
+                  decay_points=(), seed=seed)
+    state = init_state(TrainerConfig(**(fields | overrides)), ds, md)
+    state.t = 1
+    state.perturb.load_values([rng.normal(scale=0.3, size=t.value.shape)
+                               for t in state.perturb.all_tensors()])
+    _observe_batch(state, np.arange(6))
+    return state
+
+
+def taped_lookahead(state, batch_idx, meta_idx, f, grad_h):
+    """The lookahead on one tape, differentiated reverse-over-reverse."""
+    cfg = state.config
+    x = state.dataset.features[batch_idx]
+    y = state.dataset.labels[batch_idx]
+    omega = state.perturb.all_tensors()
+    sigma = Tensor(state.stats.covariances())
+    lr = Tensor(learning_rate(cfg, state.t))
+    with Tape() as tape:
+        delta = None
+        if not cfg.freeze_eps:
+            delta = compute_delta(grad_h, eps_forward(state.perturb, f))
+        rho = quadratic_terms(state.params.head_w, sigma, y,
+                              detach_w=cfg.detach_rho)
+        z = adjusted_logits(state.params.head_w, state.params.head_b,
+                            extract_features(state.params, x), delta, rho,
+                            state.priors, cfg.loss_config())
+        loss = augmented_ce_loss(z, y)
+        phi = state.params.all_tensors()
+        grads = tape.gradient(loss, phi)
+        ahead = ClassifierParams.from_tensors(
+            [ad.sub(p, ad.mul(lr, g)) for p, g in zip(phi, grads)])
+        h = extract_features(ahead, state.metadata.features[meta_idx])
+        meta = augmented_ce_loss(
+            base_logits(ahead.head_w, ahead.head_b, h, None),
+            state.metadata.labels[meta_idx])
+    sources = ([] if cfg.freeze_eps else omega) + [sigma]
+    *omega_grads, sigma_grad = tape.gradient(meta, sources)
+    return float(meta.value), [g.value for g in omega_grads], sigma_grad.value
+
+
+LOOKAHEAD_CASES = {
+    "default": {},
+    "detach_rho": {"detach_rho": True},
+    "diagonal_sigma": {"diagonal_sigma": True},
+    "freeze_eps": {"freeze_eps": True},
+    "alpha_zero": {"alpha": 0.0},
+    "two_hidden_layers": {"hidden": (4, 5)},
+    "identity_extractor": {"hidden": ()},
+}
+
+
+@pytest.mark.parametrize("case", LOOKAHEAD_CASES)
+def test_hypergradient_matches_reverse_over_reverse(case):
+    state = lookahead_state(1, **LOOKAHEAD_CASES[case])
+    batch = np.array([0, 1, 3, 4])  # class 2 is absent
+    meta_idx = np.arange(6)
+    f, grad_h = _observe_batch(state, batch)
+    ours = lookahead_meta_loss(state, batch, meta_idx, f, grad_h)
+    value, omega_grads, sigma_grad = taped_lookahead(state, batch, meta_idx,
+                                                     f, grad_h)
+    assert rel_err(ours.meta_loss, value) < TOL
+    if state.config.freeze_eps:
+        assert ours.omega_grads is None
+    else:
+        for g_ours, g_ref in zip(ours.omega_grads, omega_grads, strict=True):
+            assert rel_err(g_ours, g_ref) < TOL
+    if state.config.alpha == 0.0:
+        np.testing.assert_array_equal(ours.sigma_grad, 0.0)
+    else:
+        assert rel_err(ours.sigma_grad, sigma_grad) < TOL
+    # No rho row of the batch reads Sigma_2: its row is exactly zero.
+    np.testing.assert_array_equal(ours.sigma_grad[2], 0.0)

@@ -5,12 +5,9 @@ import copy
 import numpy as np
 import pytest
 
-import advaug.autodiff as ad
-from advaug.autodiff import Tape, Tensor
-from advaug.classifier import extract_features, logits
+from advaug.autodiff import Tensor
 from advaug.data import BlobGeometry, Dataset, MetaDataset, make_balanced, make_longtail
-from advaug.loss import augmented_ce_loss
-from advaug import training
+from advaug import kernels, training
 from advaug.stats import class_priors, project_psd
 from advaug.training import (
     Adam,
@@ -96,13 +93,13 @@ class TestOptimizers:
     def test_momentum_sgd_two_steps(self):
         p = Tensor(np.array([1.0, -2.0]))
         opt = MomentumSgd([p], momentum=0.5, weight_decay=0.1)
-        g1 = Tensor(np.array([0.2, 0.4]))
-        v1 = g1.value + 0.1 * np.array([1.0, -2.0])
+        g1 = np.array([0.2, 0.4])
+        v1 = g1 + 0.1 * np.array([1.0, -2.0])
         expect1 = np.array([1.0, -2.0]) - 0.1 * v1
         opt.step([g1], lr=0.1)
         np.testing.assert_allclose(p.value, expect1, rtol=0, atol=1e-15)
-        g2 = Tensor(np.array([-0.3, 0.1]))
-        v2 = 0.5 * v1 + g2.value + 0.1 * expect1
+        g2 = np.array([-0.3, 0.1])
+        v2 = 0.5 * v1 + g2 + 0.1 * expect1
         expect2 = expect1 - 0.1 * v2
         opt.step([g2], lr=0.1)
         np.testing.assert_allclose(p.value, expect2, rtol=0, atol=1e-15)
@@ -111,15 +108,14 @@ class TestOptimizers:
         # With bias correction the first Adam step is lr * g/(|g| + eps')
         p = Tensor(np.array([0.0, 0.0, 0.0]))
         opt = Adam([p], lr=1e-2)
-        g = Tensor(np.array([0.5, -3.0, 0.0]))
-        opt.step([g])
+        opt.step([np.array([0.5, -3.0, 0.0])])
         np.testing.assert_allclose(p.value[:2], [-1e-2, 1e-2], rtol=1e-6)
         assert p.value[2] == 0.0
 
     def test_adam_zero_lr_freezes(self):
         p = Tensor(np.array([1.0, 2.0]))
         opt = Adam([p], lr=0.0)
-        opt.step([Tensor(np.array([5.0, -1.0]))])
+        opt.step([np.array([5.0, -1.0])])
         np.testing.assert_array_equal(p.value, [1.0, 2.0])
 
 
@@ -163,7 +159,7 @@ class TestLookahead:
         ahead = observe_and_look_ahead(state)
         for pseudo, p in zip(ahead.pseudo_params,
                              state.params.all_tensors()):
-            np.testing.assert_array_equal(pseudo.value, p.value)
+            np.testing.assert_array_equal(pseudo, p.value)
 
     def test_matches_scripted_symbolic_gradient(self):
         state = tiny_setup(alpha=0.7, beta=1.0, eta1=0.05)
@@ -206,14 +202,14 @@ class TestLookahead:
 
         expect_w = w - cfg.eta1 * dw
         expect_b = b - cfg.eta1 * db
-        np.testing.assert_allclose(ahead.pseudo_params[0].value, expect_w,
+        np.testing.assert_allclose(ahead.pseudo_params[0], expect_w,
                                    rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(ahead.pseudo_params[1].value, expect_b,
+        np.testing.assert_allclose(ahead.pseudo_params[1], expect_b,
                                    rtol=1e-10, atol=1e-12)
 
     def test_frozen_eps_builds_no_perturbation(self):
         state = tiny_setup(freeze_eps=True)
-        assert observe_and_look_ahead(state).eps is None
+        assert observe_and_look_ahead(state).omega_grads is None
 
 
 class TestHypergradients:
@@ -233,11 +229,20 @@ class TestHypergradients:
         record = self.fd_record()
         assert record["worst_sigma"] < 1e-3, record["detail"]
 
+    @pytest.mark.parametrize("overrides", [
+        {}, {"detach_rho": True}, {"diagonal_sigma": True}],
+        ids=["defaults", "detach_rho", "diagonal_sigma"])
+    def test_hidden_layer_hypergradient_matches_fd(self, overrides):
+        # A ReLU layer in the extractor: the JVP through it reaches s.
+        record = hypergradient_suite(seed=2, hidden=(4,), **overrides)
+        assert record["kink_margin"] > 1e-3
+        assert record["worst_omega"] < 1e-3, record["detail"]
+        assert record["worst_sigma"] < 1e-3, record["detail"]
+
     def test_alpha_zero_gives_exactly_zero_sigma_gradient(self):
         state = tiny_setup(alpha=0.0, seed=5)
-        ahead = observe_and_look_ahead(state)
-        (grad,) = ahead.tape.gradient(ahead.meta_loss, [ahead.sigma])
-        np.testing.assert_array_equal(grad.value, np.zeros_like(grad.value))
+        grad = observe_and_look_ahead(state).sigma_grad
+        np.testing.assert_array_equal(grad, np.zeros_like(grad))
 
 
 class TestMetaUpdates:
@@ -264,10 +269,10 @@ class TestMetaUpdates:
     def test_sigma_step_direction_and_projection(self):
         state = tiny_setup(alpha=0.6, seed=9)
         ahead = observe_and_look_ahead(copy.deepcopy(state))
-        (grad,) = ahead.tape.gradient(ahead.meta_loss, [ahead.sigma])
         expected = []
         for c in range(2):
-            cand = ahead.sigma.value[c] - state.config.eta2 * grad.value[c]
+            cand = (ahead.sigma[c]
+                    - state.config.eta2 * ahead.sigma_grad[c])
             cand = 0.5 * (cand + cand.T)
             vals, vecs = np.linalg.eigh(cand)
             proj = (vecs * np.maximum(vals, 0.0)) @ vecs.T
@@ -334,7 +339,7 @@ class TestFinalStep:
                                     grad_h)
         final_step(state, np.arange(4), f, grad_h)
         for pseudo, p in zip(ahead.pseudo_params, state.params.all_tensors()):
-            np.testing.assert_array_equal(pseudo.value, p.value)
+            np.testing.assert_array_equal(pseudo, p.value)
 
     def test_uses_refreshed_omega(self):
         # After a meta update the final step must differ from the lookahead.
@@ -344,7 +349,7 @@ class TestFinalStep:
         state.sgd = MomentumSgd(state.params.all_tensors(), 0.0, 0.0)
         ahead = observe_and_look_ahead(copy.deepcopy(state))
         meta_iteration(state, np.arange(4), np.arange(4))
-        diffs = [np.abs(pseudo.value - p.value).max()
+        diffs = [np.abs(pseudo - p.value).max()
                  for pseudo, p in zip(ahead.pseudo_params,
                                       state.params.all_tensors())]
         assert max(diffs) > 0
@@ -357,16 +362,11 @@ def reference_la_trajectory(cfg, ds, md):
     for t in range(1, cfg.t2 + 1):
         state.t = t
         idx = sample_train_batch(state)
-        x = ds.features[idx]
-        y = ds.labels[idx]
-        with Tape() as tape:
-            h = extract_features(state.params, x)
-            z = logits(state.params, h)
-            if t > cfg.t1:
-                z = ad.add(z, Tensor(cfg.beta * log_pi))
-            loss = augmented_ce_loss(z, y)
-            grads = tape.gradient(loss, state.params.all_tensors())
-        state.sgd.step(grads, learning_rate(cfg, t))
+        phi = [p.value for p in state.params.all_tensors()]
+        offset = cfg.beta * log_pi if t > cfg.t1 else None
+        ce = kernels.cross_entropy(phi, ds.features[idx], ds.labels[idx],
+                                   offset=offset)
+        state.sgd.step(ce.grads, learning_rate(cfg, t))
     return state.params
 
 
