@@ -1,13 +1,9 @@
-"""MLP feature extractor plus linear head: parameters and taped extractor.
+"""MLP feature extractor plus linear head: parameters and checkpoints.
 
 The extractor maps inputs to features h (the representation the augmented
-loss perturbs); the head maps h to logits. Parameters live in leaf Tensors
-whose values optimizers update in place.
-
-Training steps run the numpy kernels of `kernels` on the parameter values.
-`extract_features` is the taped extractor of the reference loss builders;
-off a tape it only computes. `detached_forward` runs it untaped and adds
-the logits, for batch observation, diagnostics and evaluation.
+loss perturbs); the head maps h to logits. Parameters are float64 arrays
+that the optimizers update in place. `kernels.forward` runs the model for
+every caller; the taped reference forward is `loss.extract_features`.
 """
 
 from __future__ import annotations
@@ -16,9 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .kernels import softmax_lse
+
+
+def load_arrays(targets: list[np.ndarray], values) -> None:
+    """Write `values` into `targets` in place: the optimizers hold the same
+    arrays. Any shape mismatch, which the write would broadcast, is refused
+    before anything is written."""
+    values = [np.asarray(v, dtype=np.float64) for v in values]
+    shapes = [v.shape for v in values]
+    if shapes != [t.shape for t in targets]:
+        raise ValueError(f"parameter shapes differ: got {shapes}")
+    for target, value in zip(targets, values):
+        target[...] = value
 
 
 @dataclass
@@ -29,9 +35,9 @@ class ClassifierParams:
     requires feat_dim == in_dim.
     """
 
-    extractor: list[tuple[Tensor, Tensor]]
-    head_w: Tensor  # C x H
-    head_b: Tensor  # C
+    extractor: list[tuple[np.ndarray, np.ndarray]]
+    head_w: np.ndarray  # C x H
+    head_b: np.ndarray  # C
 
     @property
     def feat_dim(self) -> int:
@@ -41,7 +47,8 @@ class ClassifierParams:
     def num_classes(self) -> int:
         return self.head_w.shape[0]
 
-    def all_tensors(self) -> list[Tensor]:
+    def arrays(self) -> list[np.ndarray]:
+        """[w_1, b_1, ..., w_k, b_k, W, b], the kernels' flat order."""
         out = []
         for w, b in self.extractor:
             out.extend([w, b])
@@ -49,17 +56,13 @@ class ClassifierParams:
         return out
 
     @classmethod
-    def from_tensors(cls, tensors: list[Tensor]) -> ClassifierParams:
-        """Inverse of all_tensors: (w, b) pairs, then head W and b."""
-        return cls(list(zip(tensors[:-2:2], tensors[1:-2:2])),
-                   tensors[-2], tensors[-1])
-
-    def copy_values(self) -> list[np.ndarray]:
-        return [t.value.copy() for t in self.all_tensors()]
+    def from_arrays(cls, arrays: list[np.ndarray]) -> ClassifierParams:
+        """Inverse of arrays: (w, b) pairs, then head W and b."""
+        return cls(list(zip(arrays[:-2:2], arrays[1:-2:2])),
+                   arrays[-2], arrays[-1])
 
     def load_values(self, values) -> None:
-        for t, v in zip(self.all_tensors(), values):
-            t.value = np.asarray(v, dtype=np.float64).copy()
+        load_arrays(self.arrays(), values)
 
 
 def init_classifier(in_dim: int, num_classes: int, hidden=(64, 64),
@@ -72,36 +75,10 @@ def init_classifier(in_dim: int, num_classes: int, hidden=(64, 64),
         dims = []  # identity extractor
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         w = rng.normal(scale=np.sqrt(2.0 / d_in), size=(d_in, d_out))
-        layers.append((Tensor(w), Tensor(np.zeros(d_out))))
+        layers.append((w, np.zeros(d_out)))
     head_w = rng.normal(scale=np.sqrt(1.0 / feat_dim),
                         size=(num_classes, feat_dim))
-    return ClassifierParams(layers, Tensor(head_w),
-                            Tensor(np.zeros(num_classes)))
-
-
-def extract_features(params: ClassifierParams, x) -> Tensor:
-    """h = ReLU MLP over rows of x; identity when the extractor is empty."""
-    h = x if isinstance(x, Tensor) else Tensor(x)
-    if h.ndim != 2:
-        raise ad.ShapeError(f"extract_features: expected 2-D input, got {h.shape}")
-    if not params.extractor and h.shape[1] != params.feat_dim:
-        raise ad.ShapeError(
-            f"identity extractor needs width {params.feat_dim}, got {h.shape[1]}")
-    for w, b in params.extractor:
-        h = ad.relu(ad.add(ad.matmul(h, w), b))
-    return h
-
-
-def detached_forward(params: ClassifierParams,
-                     x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Untaped features and logits (h, z) for observation and evaluation.
-
-    The logits are h @ W.T + b, the product the kernels use too; the tape's
-    `loss.base_logits` multiplies by a copied W.T, and under single-threaded
-    BLAS the two differ in the last bits at two classes.
-    """
-    h = extract_features(params, x).value
-    return h, h @ params.head_w.value.T + params.head_b.value
+    return ClassifierParams(layers, head_w, np.zeros(num_classes))
 
 
 def ce_grad_wrt_features(params: ClassifierParams, z: np.ndarray,
@@ -110,12 +87,12 @@ def ce_grad_wrt_features(params: ClassifierParams, z: np.ndarray,
     labels = np.asarray(labels, dtype=np.intp)
     q, _ = softmax_lse(z)
     q[np.arange(labels.size), labels] -= 1.0
-    return q @ params.head_w.value
+    return q @ params.head_w
 
 
 def save_checkpoint(params: ClassifierParams, path) -> None:
     """Exact float64 dump; round-trips bit-identically via load_checkpoint."""
-    arrays = {f"p{i}": v for i, v in enumerate(params.copy_values())}
+    arrays = {f"p{i}": v for i, v in enumerate(params.arrays())}
     arrays["layout"] = np.array([len(params.extractor)])
     np.savez(path, **arrays)
 
@@ -124,4 +101,4 @@ def load_checkpoint(path) -> ClassifierParams:
     with np.load(path) as blob:
         depth = int(blob["layout"][0])
         values = [blob[f"p{i}"] for i in range(2 * depth + 2)]
-    return ClassifierParams.from_tensors([Tensor(v) for v in values])
+    return ClassifierParams.from_arrays(values)

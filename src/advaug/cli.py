@@ -99,8 +99,10 @@ def _execute_run(cfg: RunConfig, out_dir: Path) -> tuple[int, dict | None]:
         "worst_class_recall": summary["worst_class_recall"],
         "worst_group_accuracy": None if math.isnan(wg) else wg,
         "test_loss": summary["test_loss"],
-        "per_class_recall": [log.rows[-1][f"recall_{c}"]
-                             for c in range(log.num_classes)],
+        # null for a class the test set lacks, so the file stays strict JSON
+        "per_class_recall": [None if math.isnan(r) else r for r in
+                             (log.rows[-1][f"recall_{c}"]
+                              for c in range(log.num_classes))],
         "events": log.events,
     }
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:

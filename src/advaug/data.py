@@ -73,7 +73,6 @@ class MetaDataset:
 
     features: np.ndarray
     labels: np.ndarray
-    per_class: int
 
 
 def _counts(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -211,7 +210,7 @@ def split_meta(dataset: Dataset, per_class: int,
         chosen.append(rng.choice(pool, size=per_class, replace=False))
     chosen = np.concatenate(chosen)
     meta = MetaDataset(dataset.features[chosen].copy(),
-                       dataset.labels[chosen].copy(), per_class)
+                       dataset.labels[chosen].copy())
     keep = np.ones(dataset.n, dtype=bool)
     keep[chosen] = False
     remainder = Dataset(

@@ -1,22 +1,24 @@
-"""Closed-form numpy kernels for the fixed model, used by every training step.
+"""Closed-form numpy kernels for the fixed model, run by every caller.
 
 The model is fixed: a ReLU MLP extractor, a linear head, the two-layer tanh
-perturbation net and the closed-form surrogate loss of `loss`. The kernels
-compute its values and first derivatives directly, and the one-step
-lookahead hypergradient by forward-over-reverse: with
-phi' = phi - lr * grad_phi L_train and v = grad L_meta(phi'),
+perturbation net and the closed-form surrogate loss of `loss`. `forward`
+computes its logits for the training steps, the batch observation, the
+per-epoch diagnostics and evaluation; the other kernels compute its values
+and first derivatives directly, and the one-step lookahead hypergradient by
+forward-over-reverse: with phi' = phi - lr * grad_phi L_train and
+v = grad L_meta(phi'),
 
     d L_meta / d(omega, Sigma) = -lr * d s / d(omega, Sigma),
     s = <grad_phi L_train, v> = sum_i (q_i - e_(y_i)) . zdot_i / n,
 
 where zdot is the JVP of the adjusted logits along v (Pearlmutter's R-op).
 Only delta(omega) and Sigma are live in s, so first derivatives suffice.
-The taped builders of `loss` stay the reference these kernels are checked
+The taped builders of `loss` are the reference these kernels are checked
 against.
 
 Classifier parameters are passed as the flat list of arrays
-[w_1, b_1, ..., w_k, b_k, W, b] (the order of `ClassifierParams`); an
-empty extractor is the identity map.
+[w_1, b_1, ..., w_k, b_k, W, b] (`ClassifierParams.arrays`); an empty
+extractor is the identity map.
 """
 
 from __future__ import annotations
@@ -142,16 +144,29 @@ class ClassifierPass(NamedTuple):
     g: np.ndarray  # d value / d logits = (q - onehot(y)) / n
 
 
-def cross_entropy(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
-                  delta: np.ndarray | None = None,
-                  offset: np.ndarray | None = None) -> ClassifierPass:
-    """Mean CE of the logits (h + delta) W^T + b + offset against y."""
-    layers, (w, b) = extractor_layers(phi), phi[-2:]
-    acts = mlp_forward(layers, x)
+def forward(phi: list[np.ndarray], x: np.ndarray,
+            delta: np.ndarray | None = None,
+            offset: np.ndarray | None = None
+            ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The classifier on the rows of x: (acts, feats, z).
+
+    acts are the extractor activations (acts[-1] = h), feats = h + delta is
+    the head's input and z = feats W^T + b + offset the logits.
+    """
+    w, b = phi[-2:]
+    acts = mlp_forward(extractor_layers(phi), x)
     feats = acts[-1] if delta is None else acts[-1] + delta
     z = feats @ w.T + b
     if offset is not None:
         z = z + offset
+    return acts, feats, z
+
+
+def cross_entropy(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
+                  delta: np.ndarray | None = None,
+                  offset: np.ndarray | None = None) -> ClassifierPass:
+    """Mean CE of the logits (h + delta) W^T + b + offset against y."""
+    acts, feats, z = forward(phi, x, delta, offset)
     n = y.size
     rows = np.arange(n)
     q, lse = softmax_lse(z)
@@ -159,7 +174,8 @@ def cross_entropy(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
     g = q.copy()
     g[rows, y] -= 1.0
     g /= n
-    grads = mlp_backward(layers, acts, g @ w) + [g.T @ feats, g.sum(axis=0)]
+    grads = (mlp_backward(extractor_layers(phi), acts, g @ phi[-2])
+             + [g.T @ feats, g.sum(axis=0)])
     return ClassifierPass(value, grads, acts, feats, q, g)
 
 

@@ -1,4 +1,4 @@
-"""Surrogate loss for implicit Gaussian feature augmentation.
+"""The taped reference of the model, and the surrogate's loss helpers.
 
 Instead of drawing augmented features h~ ~ N(h + delta, alpha * Sigma_y)
 and averaging CE over draws, the expected loss is upper-bounded in closed
@@ -9,9 +9,12 @@ The rho of every (label, class) pair comes from one tape op,
 `autodiff.quad_form`, over the stacked (C, H, H) class covariances; its
 VJPs are the same op, so it differentiates to any order.
 
-These taped builders are the reference: training runs the numpy kernels of
-`kernels`, which the tests and the verify suites check against them, and
-the per-epoch diagnostics evaluate them untaped.
+The taped builders here (the extractor, the perturbation net, the adjusted
+logits and the loss) are the reference: the model runs on the numpy
+kernels of `kernels`, which the tests and the verify suites check against
+them. They take flat Tensor lists in the kernels' parameter order. The
+trainer uses only `LossConfig`, `compute_delta` and `regularizer_terms`,
+on arrays.
 
 Stop-gradient placement: delta and the covariance stack enter as whatever
 tensors the caller provides (constants, or leaves to differentiate); the
@@ -27,6 +30,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .characteristics import NUM_CHARACTERISTICS
+from .kernels import RANGE_SCALE, extractor_layers
 
 
 @dataclass
@@ -47,6 +52,36 @@ class RegularizerReport:
     robustness: float  # sum_i sum_{j != y} q_ij (w_j - w_y) . delta_i
     fairness: float  # sum_i sum_{j != y} q_ij log(pi_j / pi_y)
     per_sample: np.ndarray  # n x 3 breakdown in the same order
+
+
+def extract_features(phi: list[Tensor], x) -> Tensor:
+    """h = ReLU MLP over rows of x; identity when the extractor is empty.
+
+    phi is the flat list [w_1, b_1, ..., w_k, b_k, W, b].
+    """
+    h = x if isinstance(x, Tensor) else Tensor(x)
+    if h.ndim != 2:
+        raise ad.ShapeError(f"extract_features: expected 2-D input, got {h.shape}")
+    if len(phi) == 2 and h.shape[1] != phi[-2].shape[1]:
+        raise ad.ShapeError(
+            f"identity extractor needs width {phi[-2].shape[1]}, "
+            f"got {h.shape[1]}")
+    for w, b in extractor_layers(phi):
+        h = ad.relu(ad.add(ad.matmul(h, w), b))
+    return h
+
+
+def eps_forward(omega: list[Tensor], characteristics) -> Tensor:
+    """eps = scaled tanh(MLP(f)) of the net [w1, b1, w2, b2], one column."""
+    f = (characteristics if isinstance(characteristics, Tensor)
+         else Tensor(characteristics))
+    if f.ndim != 2 or f.shape[1] != NUM_CHARACTERISTICS:
+        raise ad.ShapeError(
+            f"expected n x {NUM_CHARACTERISTICS} characteristics, got {f.shape}")
+    w1, b1, w2, b2 = omega
+    hidden = ad.relu(ad.add(ad.matmul(f, w1), b1))
+    pre = ad.add(ad.matmul(hidden, w2), b2)
+    return ad.mul(Tensor(RANGE_SCALE), ad.tanh(pre))
 
 
 def compute_delta(grad_h: np.ndarray, eps) -> np.ndarray | Tensor:
@@ -111,15 +146,6 @@ def adjusted_logits(w, b, h, delta, rho, priors: np.ndarray,
 def augmented_ce_loss(z_tilde: Tensor, labels: np.ndarray) -> Tensor:
     """Mean over the batch of -log softmax(Z~)[y], via log-sum-exp."""
     return ad.mean(ad.softmax_cross_entropy(z_tilde, labels))
-
-
-def surrogate_per_sample(w, b, h, delta, rho, labels: np.ndarray,
-                         alpha: float) -> Tensor:
-    """Per-sample closed-form bound log sum_j exp(Z_j - Z_y), no prior term."""
-    z = base_logits(w, b, h, delta)
-    if rho is not None:
-        z = ad.add(z, ad.mul(Tensor(alpha), rho))
-    return ad.softmax_cross_entropy(z, labels)
 
 
 def regularizer_terms(q: np.ndarray, rho: np.ndarray, w: np.ndarray,

@@ -16,14 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import ClassifierParams, detached_forward
+from .classifier import ClassifierParams
+from .kernels import forward
 
 
 def evaluate(params: ClassifierParams, features: np.ndarray,
              labels: np.ndarray,
              group_ids: np.ndarray | None = None) -> dict:
-    """Detached evaluation: loss, accuracy, per-class recall, worst group."""
-    _, z = detached_forward(params, features)
+    """Evaluation: loss, accuracy, per-class recall, worst group."""
+    _, _, z = forward(params.arrays(), features)
     labels = np.asarray(labels)
     # Its own log-softmax: softmax_lse adds the max back after the log,
     # which would move the last bits of the logged test loss.

@@ -48,8 +48,7 @@ def _build_longtail(cfg: RunConfig) -> ScenarioData:
                           d["imbalance_ratio"], d["dim"], geom)
     meta_src = make_balanced(keys[1], d["num_classes"], d["meta_per_class"],
                              d["dim"], geom)
-    meta = MetaDataset(meta_src.features, meta_src.labels,
-                       d["meta_per_class"])
+    meta = MetaDataset(meta_src.features, meta_src.labels)
     test = make_balanced(keys[2], d["num_classes"], d["test_per_class"],
                          d["dim"], geom)
     return ScenarioData(train, meta, test)
@@ -84,8 +83,7 @@ def _build_subpop(cfg: RunConfig) -> ScenarioData:
         keys[1], d["core_sep"], d["spurious_sep"], uniform, uniform,
         n_train=d["meta_size"], n_test=8,
         core_dim=d["core_dim"], spurious_dim=d["spurious_dim"])
-    meta = MetaDataset(meta_src.features, meta_src.labels,
-                       per_class=d["meta_size"] // 2)
+    meta = MetaDataset(meta_src.features, meta_src.labels)
     return ScenarioData(train, meta, test)
 
 
@@ -105,7 +103,5 @@ def _build_custom(cfg: RunConfig) -> ScenarioData:
         if part.num_classes > train.num_classes:
             raise DataError(f"{name} csv has label {part.num_classes - 1}, "
                             f"train csv classes are 0..{train.num_classes - 1}")
-    counts = np.bincount(meta_src.labels, minlength=meta_src.num_classes)
-    meta = MetaDataset(meta_src.features, meta_src.labels,
-                       per_class=int(counts.min()))
+    meta = MetaDataset(meta_src.features, meta_src.labels)
     return ScenarioData(train, meta, test)

@@ -2,7 +2,7 @@
 
 Each meta iteration runs four stages:
 
-1. Observe the batch: a detached forward updates the running class
+1. Observe the batch: the kernel forward updates the running class
    statistics and the per-sample history, and yields the characteristics
    and gradient signs shared by the two classifier steps below.
 2. ``lookahead_meta_loss``: the surrogate loss and its gradient (the
@@ -20,7 +20,8 @@ Each meta iteration runs four stages:
    and covariances.
 
 Iterations up to the warm-up horizon use plain cross-entropy instead. The
-per-epoch diagnostics still run the taped builders of `loss` untaped.
+per-epoch diagnostics and evaluation run the same kernel forward; no stage
+records a tape op.
 """
 
 from __future__ import annotations
@@ -32,16 +33,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .autodiff import Tensor
 from .characteristics import (BatchView, History, extract, update_history)
 from .classifier import (ClassifierParams, ce_grad_wrt_features,
-                         detached_forward, extract_features, init_classifier)
+                         init_classifier)
 from .data import Dataset, MetaDataset
 from .kernels import softmax_lse
-from .loss import (LossConfig, adjusted_logits, compute_delta,
-                   quadratic_terms, regularizer_terms)
+from .loss import LossConfig, compute_delta, regularizer_terms
 from .metrics import MetricsLog, evaluate
-from .perturbation import PerturbNetParams, eps_forward, init_perturb_net
+from .perturbation import PerturbNetParams, init_perturb_net
 from .stats import ClassStats, class_priors, project_psd, update_covariance
 
 
@@ -98,39 +97,36 @@ class TrainerConfig:
                 or any(width < 1 for width in self.hidden)):
             raise ValueError(
                 "feat_dim, hidden and perturb_hidden widths must be >= 1")
-        self.loss_config()  # alpha and beta range check
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(alpha=self.alpha, beta=self.beta)
+        LossConfig(alpha=self.alpha, beta=self.beta)  # range check
 
 
 class MomentumSgd:
     """SGD with classical momentum and decoupled-from-loss weight decay."""
 
-    def __init__(self, params: list[Tensor], momentum: float,
+    def __init__(self, params: list[np.ndarray], momentum: float,
                  weight_decay: float):
         self.params = params
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = [np.zeros_like(p.value) for p in params]
+        self.velocity = [np.zeros_like(p) for p in params]
 
     def step(self, grads: list[np.ndarray], lr: float) -> None:
         for p, g, v in zip(self.params, grads, self.velocity, strict=True):
             v *= self.momentum
-            v += g + self.weight_decay * p.value
-            p.value -= lr * v
+            v += g + self.weight_decay * p
+            p -= lr * v
 
 
 class Adam:
-    def __init__(self, params: list[Tensor], lr: float,
+    def __init__(self, params: list[np.ndarray], lr: float,
                  betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.betas = betas
         self.eps = eps
-        self.m = [np.zeros_like(p.value) for p in params]
-        self.v = [np.zeros_like(p.value) for p in params]
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
         self.t = 0
 
     def step(self, grads: list[np.ndarray]) -> None:
@@ -144,7 +140,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * np.square(g)
-            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 @dataclass
@@ -193,9 +189,8 @@ def init_state(config: TrainerConfig, dataset: Dataset,
                        diagonal=config.diagonal_sigma)
     history = History(capacity=dataset.n)
     priors = class_priors(dataset.class_counts)
-    sgd = MomentumSgd(params.all_tensors(), config.momentum,
-                      config.weight_decay)
-    adam = Adam(perturb.all_tensors(), lr=config.eta2)
+    sgd = MomentumSgd(params.arrays(), config.momentum, config.weight_decay)
+    adam = Adam(perturb.arrays(), lr=config.eta2)
     return MetaState(
         config=config, params=params, perturb=perturb, stats=stats,
         history=history, priors=priors, dataset=dataset, metadata=metadata,
@@ -224,9 +219,10 @@ def sample_meta_batch(state: MetaState) -> np.ndarray:
 
 
 def _batch_view(state: MetaState, ids: np.ndarray) -> BatchView:
-    """Detached forward of the training rows `ids` under the current state."""
+    """Kernel forward of the training rows `ids` under the current state."""
     y = state.dataset.labels[ids]
-    h, z = detached_forward(state.params, state.dataset.features[ids])
+    _, h, z = kernels.forward(state.params.arrays(),
+                              state.dataset.features[ids])
     return BatchView(ids=ids, h=h, logits=z, labels=y,
                      grad_h=ce_grad_wrt_features(state.params, z, y),
                      progress=state.t / state.config.t2)
@@ -234,7 +230,7 @@ def _batch_view(state: MetaState, ids: np.ndarray) -> BatchView:
 
 def _observe_batch(state: MetaState, batch_idx: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Update running stats/EMAs from the detached batch forward.
+    """Update running stats/EMAs from the batch forward.
 
     Returns the normalized characteristics matrix used by the perturbation
     net for this iteration and the per-sample CE gradients w.r.t. features.
@@ -253,15 +249,10 @@ def _check_finite_loss(state: MetaState, loss: float, stage: str) -> None:
             f"non-finite {stage} loss at iteration {state.t}: {loss}")
 
 
-def _values(params: ClassifierParams | PerturbNetParams) -> list[np.ndarray]:
-    """The parameter arrays the kernels read, in `all_tensors` order."""
-    return [t.value for t in params.all_tensors()]
-
-
 def warmup_step(state: MetaState, batch_idx: np.ndarray) -> None:
     """One plain cross-entropy step (also used for the CE baseline)."""
     _observe_batch(state, batch_idx)
-    train = kernels.cross_entropy(_values(state.params),
+    train = kernels.cross_entropy(state.params.arrays(),
                                   state.dataset.features[batch_idx],
                                   state.dataset.labels[batch_idx])
     _check_finite_loss(state, train.value, "warm-up")
@@ -280,12 +271,11 @@ def _surrogate(state: MetaState, batch_idx: np.ndarray,
     cfg = state.config
     net = delta = None
     if not cfg.freeze_eps:
-        net = kernels.eps_forward(
-            _values(state.perturb), characteristics)
+        net = kernels.eps_forward(state.perturb.arrays(), characteristics)
         delta = compute_delta(grad_h, net.eps)
     sigma = state.stats.covariances()
     train = kernels.surrogate(
-        _values(state.params), state.dataset.features[batch_idx],
+        state.params.arrays(), state.dataset.features[batch_idx],
         state.dataset.labels[batch_idx], delta, sigma,
         cfg.beta * np.log(state.priors), cfg.alpha, cfg.detach_rho)
     _check_finite_loss(state, train.value, "train")
@@ -305,7 +295,7 @@ def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
     cfg = state.config
     lr = learning_rate(cfg, state.t)
     train, net, sigma = _surrogate(state, batch_idx, characteristics, grad_h)
-    phi = _values(state.params)
+    phi = state.params.arrays()
     pseudo = [p - lr * g for p, g in zip(phi, train.grads, strict=True)]
     meta = kernels.cross_entropy(pseudo, state.metadata.features[meta_idx],
                                  state.metadata.labels[meta_idx])
@@ -318,7 +308,7 @@ def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
         # delta_i = eps_i * sign(g_i), the sign factor constant
         d_eps = np.sum(d_delta * np.sign(grad_h), axis=1)
         omega_grads = kernels.eps_backward(
-            _values(state.perturb), net, -lr * d_eps)
+            state.perturb.arrays(), net, -lr * d_eps)
     return Lookahead(meta.value, pseudo, omega_grads, -lr * d_sigma, sigma)
 
 
@@ -369,13 +359,13 @@ def meta_iteration(state: MetaState, batch_idx: np.ndarray,
 def full_train_eps(state: MetaState) -> np.ndarray:
     """Perturbation scale for every training sample under current state.
 
-    Detached (no tape, no EMA update); used for per-epoch diagnostics.
+    No EMA update; used for per-epoch diagnostics.
     """
     if state.config.freeze_eps:
         return np.zeros(state.dataset.n)
     view = _batch_view(state, np.arange(state.dataset.n))
     batch = extract(view, state.history, state.stats)
-    return eps_forward(state.perturb, batch.normalized).value[:, 0]
+    return kernels.eps_forward(state.perturb.arrays(), batch.normalized).eps
 
 
 def _epoch_row(state: MetaState, epoch: int, phase: str,
@@ -416,25 +406,25 @@ def _epoch_row(state: MetaState, epoch: int, phase: str,
 
 
 def _regularizer_row(state: MetaState, eps_all: np.ndarray) -> dict:
-    """Detached diagnostic decomposition on the most recent batch."""
+    """Diagnostic decomposition of the surrogate on the most recent batch."""
     if state.last_batch is None:
         return {"gen_term": math.nan, "rob_term": math.nan,
                 "fair_term": math.nan}
+    cfg = state.config
     batch_idx, grad_h = state.last_batch
-    x = state.dataset.features[batch_idx]
     y = state.dataset.labels[batch_idx]
     delta = eps_all[batch_idx][:, None] * np.sign(grad_h)
     w = state.params.head_w
-    rho = quadratic_terms(w, state.stats.covariances(), y)
-    z = adjusted_logits(w, state.params.head_b,
-                        extract_features(state.params, x), Tensor(delta),
-                        rho, state.priors, state.config.loss_config())
-    q, _ = softmax_lse(z.value)
-    report = regularizer_terms(q, rho.value, w.value, delta, state.priors, y)
+    rho = kernels.quad("a", u=w, v=w, s=state.stats.covariances())[y]
+    _, _, z = kernels.forward(state.params.arrays(),
+                              state.dataset.features[batch_idx], delta,
+                              cfg.alpha * rho + cfg.beta * np.log(state.priors))
+    q, _ = softmax_lse(z)
+    report = regularizer_terms(q, rho, w, delta, state.priors, y)
     # Scale by the loss coefficients so ablation toggles zero the columns.
-    return {"gen_term": state.config.alpha * report.generalization,
+    return {"gen_term": cfg.alpha * report.generalization,
             "rob_term": report.robustness,
-            "fair_term": state.config.beta * report.fairness}
+            "fair_term": cfg.beta * report.fairness}
 
 
 def train(config: TrainerConfig, dataset: Dataset, metadata: MetaDataset,

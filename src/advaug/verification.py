@@ -14,11 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from . import loss as loss_mod
 from .autodiff import Tensor
-from .classifier import ClassifierParams, extract_features
 from .data import Dataset, MetaDataset
-from .loss import LossConfig, adjusted_logits, augmented_ce_loss
+from .loss import (LossConfig, adjusted_logits, augmented_ce_loss,
+                   extract_features, quadratic_terms)
 from .oracles import fd_gradient, mc_expected_ce, mgf_check, random_bound_instance
 from .stats import ClassStats, update_covariance
 from .training import (TrainerConfig, _observe_batch, init_state,
@@ -29,7 +28,9 @@ def jensen_suite(instances: int = 200, draws: int = 4000,
                  seed: int = 0) -> dict:
     """Closed-form surrogate must dominate the sampled expectation.
 
-    Instance k draws its Monte Carlo samples from seed + 1000 + k.
+    The closed form is the training kernel `kernels.surrogate` on one
+    sample, without the prior term. Instance k draws its Monte Carlo
+    samples from seed + 1000 + k.
     """
     rng = np.random.default_rng(seed)
     held = 0
@@ -40,12 +41,10 @@ def jensen_suite(instances: int = 200, draws: int = 4000,
         # Only the label's covariance enters rho; the other classes' are zero.
         sigma = np.zeros(inst["w"].shape[:1] + inst["sigma"].shape)
         sigma[y] = inst["sigma"]
-        labels = np.array([y])
-        rho = loss_mod.quadratic_terms(Tensor(inst["w"]), sigma, labels)
-        closed = loss_mod.surrogate_per_sample(
-            Tensor(inst["w"]), Tensor(inst["b"]), Tensor(inst["h"][None, :]),
-            Tensor(inst["delta"][None, :]), rho, labels,
-            inst["alpha"]).value[0]
+        closed = kernels.surrogate(
+            [inst["w"], inst["b"]], inst["h"][None], np.array([y]),
+            inst["delta"][None], sigma, np.zeros(len(inst["b"])),
+            inst["alpha"]).value
         mc, se = mc_expected_ce(inst["w"], inst["b"], inst["h"],
                                 inst["delta"], inst["sigma"], inst["alpha"],
                                 y, count=draws, seed=seed + 1000 + k)
@@ -100,13 +99,13 @@ def _random_pipeline(rng):
     return x, labels, delta, sigmas, priors, params, cfg
 
 
-def _pipeline_loss(values, x, labels, delta, sigmas, priors, cfg):
-    params = ClassifierParams.from_tensors([Tensor(v) for v in values])
-    h = extract_features(params, x)
-    rho = loss_mod.quadratic_terms(params.head_w, sigmas, labels)
-    z = adjusted_logits(params.head_w, params.head_b, h, Tensor(delta), rho,
-                        priors, cfg)
-    return augmented_ce_loss(z, labels), params.all_tensors()
+def _pipeline_loss(values, x, labels, delta, sigmas, priors, cfg) -> float:
+    """The taped surrogate loss at the flat parameter arrays `values`."""
+    phi = [Tensor(v) for v in values]
+    rho = quadratic_terms(phi[-2], sigmas, labels)
+    z = adjusted_logits(phi[-2], phi[-1], extract_features(phi, x),
+                        Tensor(delta), rho, priors, cfg)
+    return float(augmented_ce_loss(z, labels).value)
 
 
 def gradient_suite(instances: int = 10, seed: int = 0) -> dict:
@@ -122,9 +121,8 @@ def gradient_suite(instances: int = 10, seed: int = 0) -> dict:
             def f(v, k=k):
                 trial = [p.copy() for p in params]
                 trial[k] = v.reshape(params[k].shape)
-                out, _ = _pipeline_loss(trial, x, labels, delta, sigmas,
-                                        priors, cfg)
-                return float(out.value)
+                return _pipeline_loss(trial, x, labels, delta, sigmas,
+                                      priors, cfg)
             fd = fd_gradient(f, value.ravel().copy()).reshape(value.shape)
             scale = max(np.abs(fd).max(), 1e-12)
             worst = max(worst, np.abs(grads[k] - fd).max() / scale)
@@ -143,15 +141,15 @@ def _tiny_state(seed: int, **overrides):
     y = np.array([0, 1, 0, 1])
     ds = Dataset(features=x, labels=y, class_counts=np.array([2, 2]))
     md = MetaDataset(features=rng.normal(size=(4, 2)),
-                     labels=np.array([0, 0, 1, 1]), per_class=2)
+                     labels=np.array([0, 0, 1, 1]))
     fields = dict(t1=0, t2=10, alpha=0.6, beta=1.0, batch_train=4,
                   batch_meta=4, hidden=(), feat_dim=2, perturb_hidden=4,
                   decay_points=(), seed=seed)
     cfg = TrainerConfig(**(fields | overrides))
     state = init_state(cfg, ds, md)
     state.t = 1
-    state.perturb.load_values([rng.normal(scale=0.3, size=t.value.shape)
-                               for t in state.perturb.all_tensors()])
+    state.perturb.load_values([rng.normal(scale=0.3, size=a.shape)
+                               for a in state.perturb.arrays()])
     obs = _observe_batch(state, np.arange(4))
     return state, obs
 
@@ -184,21 +182,21 @@ def hypergradient_suite(seed: int = 0, **overrides) -> dict:
         return lookahead_meta_loss(state, batch, batch, f, grad_h)
 
     ahead = meta_value()
-    omega = state.perturb.all_tensors()
+    omega = state.perturb.arrays()
     step = 1e-5
     worst_omega = worst_sigma = 0.0
 
-    for tensor, analytic in zip(omega, ahead.omega_grads):
-        fd = np.zeros_like(tensor.value)
-        it = np.nditer(tensor.value, flags=["multi_index"])
+    for array, analytic in zip(omega, ahead.omega_grads):
+        fd = np.zeros_like(array)
+        it = np.nditer(array, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
-            orig = tensor.value[idx]
-            tensor.value[idx] = orig + step
+            orig = array[idx]
+            array[idx] = orig + step
             up = meta_value().meta_loss
-            tensor.value[idx] = orig - step
+            array[idx] = orig - step
             dn = meta_value().meta_loss
-            tensor.value[idx] = orig
+            array[idx] = orig
             fd[idx] = (up - dn) / (2 * step)
         scale = max(np.abs(fd).max(), 1e-12)
         worst_omega = max(worst_omega, np.abs(analytic - fd).max() / scale)
@@ -224,7 +222,7 @@ def hypergradient_suite(seed: int = 0, **overrides) -> dict:
         worst_sigma = max(worst_sigma, np.abs(analytic - fd).max() / scale)
 
     kink = min(
-        _kink_margin([(omega[0].value, omega[1].value)], f),
+        _kink_margin([(omega[0], omega[1])], f),
         _kink_margin(kernels.extractor_layers(ahead.pseudo_params),
                      state.metadata.features[batch]))
     worst = max(worst_omega, worst_sigma)

@@ -1,20 +1,39 @@
-"""Feature extractor, linear head, detached CE gradient, checkpoints."""
+"""Feature extractor, linear head, detached CE gradient, parameters,
+checkpoints.
+
+The extractor tests run the taped reference `loss.extract_features` on
+Tensor leaves that share the parameter arrays.
+"""
 
 import numpy as np
 import pytest
 
 from advaug import autodiff as ad
+from advaug import kernels
 from advaug.autodiff import Tape, Tensor
-from advaug.classifier import (ce_grad_wrt_features, detached_forward,
-                               extract_features, init_classifier,
+from advaug.classifier import (ce_grad_wrt_features, init_classifier,
                                load_checkpoint, save_checkpoint)
 from advaug.kernels import softmax_lse
 from advaug.loss import base_logits
+from advaug.loss import extract_features as taped_features
+
+
+def leaves(params):
+    """Tensor leaves over the parameter arrays, in the kernels' order."""
+    return [Tensor(a) for a in params.arrays()]
+
+
+def extract_features(params, x):
+    return taped_features(leaves(params), x)
 
 
 def logits(params, h):
     """The taped head z = h W^T + b, without a perturbation."""
     return base_logits(params.head_w, params.head_b, h, None)
+
+
+def kernel_logits(params, h):
+    return kernels.forward(params.arrays(), h)[2]
 
 
 class TestExtractFeatures:
@@ -29,8 +48,8 @@ class TestExtractFeatures:
         params = init_classifier(in_dim=3, num_classes=2, hidden=(8,),
                                  feat_dim=4, seed=1)
         for w, b in params.extractor:
-            w.value[:] = 0.0
-        params.extractor[-1][1].value[:] = np.array([1.0, -1.0, 0.5, 2.0])
+            w[:] = 0.0
+        params.extractor[-1][1][:] = np.array([1.0, -1.0, 0.5, 2.0])
         h = extract_features(params, np.random.default_rng(1).normal(size=(6, 3)))
         assert np.allclose(h.value, np.maximum([1.0, -1.0, 0.5, 2.0], 0.0))
         assert np.ptp(h.value, axis=0).max() == 0.0
@@ -42,13 +61,13 @@ class TestExtractFeatures:
         x = rng.normal(size=(4, 3))
         # keep preactivations clear of relu kinks for the FD sweep
         s = rng.normal(size=(4, 4))
-        tensors = params.all_tensors()
+        tensors = leaves(params)
 
         def scalar():
-            return float(np.sum(extract_features(params, x).value * s))
+            return float(np.sum(taped_features(tensors, x).value * s))
 
         with Tape() as tape:
-            out = ad.tsum(ad.mul(extract_features(params, x), Tensor(s)))
+            out = ad.tsum(ad.mul(taped_features(tensors, x), Tensor(s)))
             grads = tape.gradient(out, tensors)
 
         step = 1e-6
@@ -70,14 +89,14 @@ class TestExtractFeatures:
         with pytest.raises(ad.ShapeError):
             extract_features(params, np.ones((2, 5)))
 
-    def test_detached_forward_matches_taped_forward(self):
+    def test_kernel_forward_matches_taped_forward(self):
         params = init_classifier(in_dim=3, num_classes=4, hidden=(8,),
                                  feat_dim=5, seed=4)
         x = np.random.default_rng(4).normal(size=(6, 3))
         with Tape():
             h = extract_features(params, x)
             z = logits(params, h)
-        h_np, z_np = detached_forward(params, x)
+        _, h_np, z_np = kernels.forward(params.arrays(), x)
         assert h_np.tobytes() == h.value.tobytes()
         assert np.allclose(z_np, z.value, rtol=0.0, atol=1e-12)
 
@@ -85,14 +104,14 @@ class TestExtractFeatures:
 class TestLogits:
     def test_zero_features_give_bias(self):
         params = init_classifier(in_dim=4, num_classes=3, hidden=(), feat_dim=4)
-        params.head_b.value[:] = np.array([0.1, -0.2, 0.3])
+        params.head_b[:] = np.array([0.1, -0.2, 0.3])
         z = logits(params, Tensor(np.zeros((2, 4))))
         assert np.allclose(z.value, [[0.1, -0.2, 0.3]] * 2)
 
     def test_identity_head_passes_basis_vector(self):
         params = init_classifier(in_dim=3, num_classes=3, hidden=(), feat_dim=3)
-        params.head_w.value = np.eye(3)
-        params.head_b.value[:] = 0.0
+        params.head_w[...] = np.eye(3)
+        params.head_b[:] = 0.0
         z = logits(params, Tensor(np.array([[0.0, 1.0, 0.0]])))
         assert np.allclose(z.value, [[0.0, 1.0, 0.0]])
 
@@ -101,7 +120,7 @@ class TestLogits:
         params = init_classifier(in_dim=6, num_classes=4, hidden=(), feat_dim=6)
         h = rng.normal(size=(7, 6))
         z = logits(params, Tensor(h))
-        expect = h @ params.head_w.value.T + params.head_b.value
+        expect = h @ params.head_w.T + params.head_b
         assert np.allclose(z.value, expect, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
@@ -113,17 +132,17 @@ class TestLogits:
 class TestCeGradWrtFeatures:
     def test_zero_at_perfect_prediction(self):
         params = init_classifier(in_dim=2, num_classes=2, hidden=(), feat_dim=2)
-        params.head_w.value = np.array([[50.0, 0.0], [-50.0, 0.0]])
-        params.head_b.value[:] = 0.0
+        params.head_w[...] = np.array([[50.0, 0.0], [-50.0, 0.0]])
+        params.head_b[:] = 0.0
         h = np.array([[10.0, 0.0]])  # q is onehot(0) to machine precision
-        g = ce_grad_wrt_features(params, detached_forward(params, h)[1],
+        g = ce_grad_wrt_features(params, kernel_logits(params, h),
                                  np.array([0]))
         assert np.max(np.abs(g)) < 1e-12
 
     def test_hand_evaluated_binary_case(self):
         params = init_classifier(in_dim=1, num_classes=2, hidden=(), feat_dim=1)
-        params.head_w.value = np.array([[1.0], [-1.0]])
-        params.head_b.value[:] = 0.0
+        params.head_w[...] = np.array([[1.0], [-1.0]])
+        params.head_b[:] = 0.0
         g = ce_grad_wrt_features(params, np.array([[0.0, 0.0]]),
                                  np.array([0]))
         assert g[0, 0] == pytest.approx(-1.0)
@@ -133,10 +152,10 @@ class TestCeGradWrtFeatures:
         params = init_classifier(in_dim=6, num_classes=4, hidden=(), feat_dim=6)
         h = rng.normal(size=(3, 6))
         y = np.array([1, 3, 0])
-        g = ce_grad_wrt_features(params, detached_forward(params, h)[1], y)
+        g = ce_grad_wrt_features(params, kernel_logits(params, h), y)
 
         def ce(hv):
-            z = hv @ params.head_w.value.T + params.head_b.value
+            z = hv @ params.head_w.T + params.head_b
             lse = np.log(np.exp(z - z.max(1, keepdims=True)).sum(1)) \
                 + z.max(1)
             return float(np.sum(lse - z[np.arange(3), y]))
@@ -155,6 +174,30 @@ class TestCeGradWrtFeatures:
                 assert abs(g[i, j] - fd) / denom < 1e-6
 
 
+class TestLoadValues:
+    def test_writes_into_the_held_arrays(self):
+        params = init_classifier(in_dim=3, num_classes=2, hidden=(4,),
+                                 feat_dim=3, seed=7)
+        held = params.arrays()
+        params.load_values([np.full(a.shape, float(k))
+                            for k, a in enumerate(held)])
+        for k, (a, b) in enumerate(zip(held, params.arrays(), strict=True)):
+            assert a is b
+            np.testing.assert_array_equal(a, float(k))
+
+    def test_wrong_shape_rejected_and_nothing_written(self):
+        params = init_classifier(in_dim=3, num_classes=2, hidden=(4,),
+                                 feat_dim=3, seed=8)
+        before = [a.copy() for a in params.arrays()]
+        scalar_bias = [np.zeros(a.shape) for a in before[:-1]] + [0.0]
+        with pytest.raises(ValueError):
+            params.load_values(scalar_bias)
+        with pytest.raises(ValueError):
+            params.load_values(before[:-1])
+        for a, b in zip(before, params.arrays(), strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestCheckpoint:
     def test_exact_round_trip(self, tmp_path):
         params = init_classifier(in_dim=5, num_classes=3, hidden=(8, 8),
@@ -162,6 +205,6 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.npz"
         save_checkpoint(params, path)
         back = load_checkpoint(path)
-        for a, b in zip(params.all_tensors(), back.all_tensors()):
-            assert a.value.tobytes() == b.value.tobytes()
+        for a, b in zip(params.arrays(), back.arrays(), strict=True):
+            assert a.tobytes() == b.tobytes()
             assert a.shape == b.shape

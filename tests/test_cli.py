@@ -5,8 +5,7 @@ import json
 import numpy as np
 import pytest
 
-import advaug.autodiff
-import advaug.loss
+import advaug.kernels
 from advaug.cli import ALPHA_GRID, main
 from advaug.data import load_csv
 from advaug.metrics import MetricsLog
@@ -136,6 +135,19 @@ class TestCustomCsv:
         code, _ = self.run_custom(tmp_path, capsys)
         assert code == 0
 
+    def test_test_csv_lacking_a_class_writes_strict_json(self, tmp_path,
+                                                         capsys):
+        code, _ = self.run_custom(tmp_path, capsys, test=(0, 1) * 3)
+        assert code == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text(),
+                             parse_constant=refuse)
+        assert summary["per_class_recall"][2] is None
+        assert all(0.0 <= r <= 1.0 for r in summary["per_class_recall"][:2])
+
     def test_meta_label_missing_from_train_exits_2(self, tmp_path, capsys):
         code, err = self.run_custom(tmp_path, capsys, meta=(0, 1, 2, 3))
         assert code == 2
@@ -241,16 +253,16 @@ class TestVerify:
         assert "FAIL" not in out
 
     def test_detects_planted_sign_error(self, capsys, monkeypatch):
-        # Flipping the covariance term's sign must break the bound check:
-        # the closed form would dip below the Monte-Carlo estimate.
-        real = advaug.loss.quadratic_terms
-
-        def flipped(w, sigmas, labels, **kwargs):
-            return advaug.autodiff.mul(-1.0, real(w, sigmas, labels, **kwargs))
-
-        monkeypatch.setattr(advaug.loss, "quadratic_terms", flipped)
+        # Flipping the covariance term's sign in the training kernel must
+        # break the bound check: the closed form would dip below the
+        # Monte-Carlo estimate.
+        real = advaug.kernels.quad
+        monkeypatch.setattr(advaug.kernels, "quad",
+                            lambda *args, **kwargs: -real(*args, **kwargs))
         assert main(["verify", "--seed", "0"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        jensen = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("jensen")]
+        assert len(jensen) == 1 and "FAIL" in jensen[0]
 
 
 class TestGenData:

@@ -6,11 +6,10 @@ import pytest
 from advaug import autodiff as ad
 from advaug import kernels
 from advaug.autodiff import Tape, Tensor
-from advaug.classifier import ClassifierParams, extract_features
 from advaug.data import Dataset, MetaDataset
 from advaug.loss import (LossConfig, adjusted_logits, augmented_ce_loss,
-                         base_logits, compute_delta, quadratic_terms)
-from advaug.perturbation import PerturbNetParams, eps_forward
+                         base_logits, compute_delta, eps_forward,
+                         extract_features, quadratic_terms)
 from advaug.training import (TrainerConfig, _observe_batch, init_state,
                              learning_rate, lookahead_meta_loss)
 
@@ -49,16 +48,16 @@ def random_instance(seed, hidden=(5,), delta=True, diagonal=False,
 
 def taped_surrogate(phi, x, y, delta, sigma, priors, alpha, beta,
                     detach_rho):
-    params = ClassifierParams.from_tensors([Tensor(p) for p in phi])
+    leaves = [Tensor(p) for p in phi]
     with Tape() as tape:
-        h = extract_features(params, x)
-        rho = quadratic_terms(params.head_w, Tensor(sigma), y,
+        h = extract_features(leaves, x)
+        rho = quadratic_terms(leaves[-2], Tensor(sigma), y,
                               detach_w=detach_rho)
-        z = adjusted_logits(params.head_w, params.head_b, h,
+        z = adjusted_logits(leaves[-2], leaves[-1], h,
                             None if delta is None else Tensor(delta), rho,
                             priors, LossConfig(alpha=alpha, beta=beta))
         loss = augmented_ce_loss(z, y)
-    grads = tape.gradient(loss, params.all_tensors())
+    grads = tape.gradient(loss, leaves)
     return float(loss.value), [g.value for g in grads]
 
 
@@ -93,12 +92,12 @@ def test_surrogate_matches_taped_builders(case, seed):
 def test_plain_cross_entropy_matches_tape():
     phi, x, y, *_ = random_instance(3, hidden=(5, 4))
     ours = kernels.cross_entropy(phi, x, y)
-    params = ClassifierParams.from_tensors([Tensor(p) for p in phi])
+    leaves = [Tensor(p) for p in phi]
     with Tape() as tape:
-        z = base_logits(params.head_w, params.head_b,
-                        extract_features(params, x), None)
+        z = base_logits(leaves[-2], leaves[-1], extract_features(leaves, x),
+                        None)
         loss = augmented_ce_loss(z, y)
-    grads = tape.gradient(loss, params.all_tensors())
+    grads = tape.gradient(loss, leaves)
     assert rel_err(ours.value, float(loss.value)) < TOL
     for g_ours, g_ref in zip(ours.grads, grads):
         assert rel_err(g_ours, g_ref.value) < TOL
@@ -129,7 +128,7 @@ def test_eps_kernels_match_taped_net():
     ours = kernels.eps_forward(omega, f)
     tensors = [Tensor(w) for w in omega]
     with Tape() as tape:
-        eps = eps_forward(PerturbNetParams(*tensors), f)
+        eps = eps_forward(tensors, f)
         out = ad.tsum(ad.mul(eps, Tensor(grad_eps[:, None])))
     grads = tape.gradient(out, tensors)
     assert ours.eps.tobytes() == eps.value[:, 0].tobytes()
@@ -147,15 +146,14 @@ def lookahead_state(seed, **overrides):
     y = np.array([0, 1, 2, 0, 1, 2])
     ds = Dataset(features=rng.normal(size=(6, 3)), labels=y,
                  class_counts=np.array([2, 2, 2]))
-    md = MetaDataset(features=rng.normal(size=(6, 3)), labels=y.copy(),
-                     per_class=2)
+    md = MetaDataset(features=rng.normal(size=(6, 3)), labels=y.copy())
     fields = dict(t1=0, t2=10, alpha=0.6, beta=0.7, batch_train=6,
                   batch_meta=6, hidden=(4,), feat_dim=3, perturb_hidden=5,
                   decay_points=(), seed=seed)
     state = init_state(TrainerConfig(**(fields | overrides)), ds, md)
     state.t = 1
-    state.perturb.load_values([rng.normal(scale=0.3, size=t.value.shape)
-                               for t in state.perturb.all_tensors()])
+    state.perturb.load_values([rng.normal(scale=0.3, size=a.shape)
+                               for a in state.perturb.arrays()])
     _observe_batch(state, np.arange(6))
     return state
 
@@ -165,27 +163,24 @@ def taped_lookahead(state, batch_idx, meta_idx, f, grad_h):
     cfg = state.config
     x = state.dataset.features[batch_idx]
     y = state.dataset.labels[batch_idx]
-    omega = state.perturb.all_tensors()
+    omega = [Tensor(a) for a in state.perturb.arrays()]
+    phi = [Tensor(a) for a in state.params.arrays()]
     sigma = Tensor(state.stats.covariances())
     lr = Tensor(learning_rate(cfg, state.t))
     with Tape() as tape:
         delta = None
         if not cfg.freeze_eps:
-            delta = compute_delta(grad_h, eps_forward(state.perturb, f))
-        rho = quadratic_terms(state.params.head_w, sigma, y,
-                              detach_w=cfg.detach_rho)
-        z = adjusted_logits(state.params.head_w, state.params.head_b,
-                            extract_features(state.params, x), delta, rho,
-                            state.priors, cfg.loss_config())
+            delta = compute_delta(grad_h, eps_forward(omega, f))
+        rho = quadratic_terms(phi[-2], sigma, y, detach_w=cfg.detach_rho)
+        z = adjusted_logits(phi[-2], phi[-1], extract_features(phi, x),
+                            delta, rho, state.priors,
+                            LossConfig(alpha=cfg.alpha, beta=cfg.beta))
         loss = augmented_ce_loss(z, y)
-        phi = state.params.all_tensors()
         grads = tape.gradient(loss, phi)
-        ahead = ClassifierParams.from_tensors(
-            [ad.sub(p, ad.mul(lr, g)) for p, g in zip(phi, grads)])
+        ahead = [ad.sub(p, ad.mul(lr, g)) for p, g in zip(phi, grads)]
         h = extract_features(ahead, state.metadata.features[meta_idx])
-        meta = augmented_ce_loss(
-            base_logits(ahead.head_w, ahead.head_b, h, None),
-            state.metadata.labels[meta_idx])
+        meta = augmented_ce_loss(base_logits(ahead[-2], ahead[-1], h, None),
+                                 state.metadata.labels[meta_idx])
     sources = ([] if cfg.freeze_eps else omega) + [sigma]
     *omega_grads, sigma_grad = tape.gradient(meta, sources)
     return float(meta.value), [g.value for g in omega_grads], sigma_grad.value

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from advaug import autodiff as ad
+from advaug import kernels
 from advaug.autodiff import Tape, Tensor
 from advaug.loss import (LossConfig, adjusted_logits, augmented_ce_loss,
-                         base_logits, compute_delta, quadratic_terms,
-                         regularizer_terms,
-                         surrogate_per_sample)
+                         base_logits, compute_delta, extract_features,
+                         quadratic_terms, regularizer_terms)
 from advaug.oracles import fd_gradient
 from advaug.stats import project_psd
 
@@ -217,7 +217,7 @@ class TestAugmentedCeLoss:
         assert loss.value == pytest.approx(la, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
-        from advaug.classifier import extract_features, init_classifier
+        from advaug.classifier import init_classifier
         rng = np.random.default_rng(11)
         params = init_classifier(in_dim=4, num_classes=3, hidden=(6,),
                                  feat_dim=5, seed=11)
@@ -227,12 +227,12 @@ class TestAugmentedCeLoss:
         config = LossConfig(alpha=0.6, beta=1.0)
         sig_vals = [project_psd(rng.normal(size=(5, 5))) for _ in range(3)]
         delta = 0.4 * np.sign(rng.normal(size=(5, 5)))
-        tensors = params.all_tensors()
+        tensors = [Tensor(a) for a in params.arrays()]
 
         def forward():
-            h = extract_features(params, x)
-            rho = quadratic_terms(params.head_w, np.stack(sig_vals), labels)
-            z = adjusted_logits(params.head_w, params.head_b, h,
+            h = extract_features(tensors, x)
+            rho = quadratic_terms(tensors[-2], np.stack(sig_vals), labels)
+            z = adjusted_logits(tensors[-2], tensors[-1], h,
                                 Tensor(delta), rho, priors, config)
             return augmented_ce_loss(z, labels)
 
@@ -265,10 +265,8 @@ class TestWeightedSurrogateBound:
         sigma = a @ a.T / width
         delta = 0.5 * np.sign(rng.normal(size=(1, width)))
         sigmas = np.stack([np.zeros_like(sigma), sigma, np.zeros_like(sigma)])
-        rho = quadratic_terms(Tensor(w), sigmas, labels)
-        closed = surrogate_per_sample(Tensor(w), Tensor(b), Tensor(h),
-                                      Tensor(delta), rho, labels,
-                                      alpha=0.8).value[0]
+        closed = kernels.surrogate([w, b], h, labels, delta, sigmas,
+                                   np.zeros(c), alpha=0.8).value
         mc, se = mc_expected_ce(w, b, h[0], delta[0], sigma, 0.8, 1,
                                 count=20000, seed=99)
         assert closed + 1e-12 >= mc - 3 * se

@@ -13,8 +13,7 @@ from advaug.metrics import (MetricsLog, compare_runs, evaluate, log_columns,
 def known_params():
     # Identity extractor, head that copies the two inputs as logits.
     params = init_classifier(2, 2, hidden=(), feat_dim=2, seed=0)
-    params.head_w.value = np.eye(2)
-    params.head_b.value = np.zeros(2)
+    params.load_values([np.eye(2), np.zeros(2)])
     return params
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from advaug import autodiff as ad
+from advaug import kernels
 from advaug.autodiff import Tape, Tensor
-from advaug.loss import quadratic_terms, surrogate_per_sample
 from advaug.oracles import (draws_per_sample, explicit_augment, fd_gradient,
                             finite_loss_convergence, mc_expected_ce,
                             mgf_check, random_bound_instance)
@@ -108,7 +108,10 @@ class TestMgfCheck:
 
 
 class TestJensenBound:
-    """The derivation's central inequality, swept over random instances."""
+    """The derivation's central inequality, swept over random instances.
+
+    The closed form is the training kernel on one sample, no prior term.
+    """
 
     def test_closed_form_dominates_mc_minus_three_se(self):
         rng = np.random.default_rng(2024)
@@ -118,12 +121,10 @@ class TestJensenBound:
             y = inst["y"]
             sigma = np.zeros(inst["w"].shape[:1] + inst["sigma"].shape)
             sigma[y] = inst["sigma"]
-            labels = np.array([y])
-            rho = quadratic_terms(Tensor(inst["w"]), sigma, labels)
-            closed = surrogate_per_sample(
-                Tensor(inst["w"]), Tensor(inst["b"]),
-                Tensor(inst["h"][None, :]), Tensor(inst["delta"][None, :]),
-                rho, labels, inst["alpha"]).value[0]
+            closed = kernels.surrogate(
+                [inst["w"], inst["b"]], inst["h"][None], np.array([y]),
+                inst["delta"][None], sigma, np.zeros(len(inst["b"])),
+                inst["alpha"]).value
             mc, se = mc_expected_ce(
                 inst["w"], inst["b"], inst["h"], inst["delta"], inst["sigma"],
                 inst["alpha"], y, count=2000, seed=k)

@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from advaug.autodiff import Tensor
+import advaug.autodiff
 from advaug.data import BlobGeometry, Dataset, MetaDataset, make_balanced, make_longtail
 from advaug import kernels, training
 from advaug.stats import class_priors, project_psd
@@ -39,7 +39,7 @@ def tiny_setup(alpha=0.5, beta=1.0, eta1=0.05, eta2=1e-3, freeze_eps=False,
     ds = Dataset(features=x, labels=y, class_counts=np.array([2, 2]))
     mx = rng.normal(size=(4, 2))
     my = np.array([0, 0, 1, 1])
-    md = MetaDataset(features=mx, labels=my, per_class=2)
+    md = MetaDataset(features=mx, labels=my)
     cfg = TrainerConfig(t1=0, t2=10, eta1=eta1, eta2=eta2, alpha=alpha,
                         beta=beta, batch_train=4, batch_meta=4, hidden=(),
                         feat_dim=2, perturb_hidden=4, freeze_eps=freeze_eps,
@@ -48,8 +48,8 @@ def tiny_setup(alpha=0.5, beta=1.0, eta1=0.05, eta2=1e-3, freeze_eps=False,
     state.t = 1
     if randomize_omega:
         state.perturb.load_values(
-            [rng.normal(scale=0.3, size=t.value.shape)
-             for t in state.perturb.all_tensors()])
+            [rng.normal(scale=0.3, size=a.shape)
+             for a in state.perturb.arrays()])
     return state
 
 
@@ -91,40 +91,40 @@ class TestConfig:
 
 class TestOptimizers:
     def test_momentum_sgd_two_steps(self):
-        p = Tensor(np.array([1.0, -2.0]))
+        p = np.array([1.0, -2.0])
         opt = MomentumSgd([p], momentum=0.5, weight_decay=0.1)
         g1 = np.array([0.2, 0.4])
         v1 = g1 + 0.1 * np.array([1.0, -2.0])
         expect1 = np.array([1.0, -2.0]) - 0.1 * v1
         opt.step([g1], lr=0.1)
-        np.testing.assert_allclose(p.value, expect1, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(p, expect1, rtol=0, atol=1e-15)
         g2 = np.array([-0.3, 0.1])
         v2 = 0.5 * v1 + g2 + 0.1 * expect1
         expect2 = expect1 - 0.1 * v2
         opt.step([g2], lr=0.1)
-        np.testing.assert_allclose(p.value, expect2, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(p, expect2, rtol=0, atol=1e-15)
 
     def test_adam_first_step_is_signed_lr(self):
         # With bias correction the first Adam step is lr * g/(|g| + eps')
-        p = Tensor(np.array([0.0, 0.0, 0.0]))
+        p = np.array([0.0, 0.0, 0.0])
         opt = Adam([p], lr=1e-2)
         opt.step([np.array([0.5, -3.0, 0.0])])
-        np.testing.assert_allclose(p.value[:2], [-1e-2, 1e-2], rtol=1e-6)
-        assert p.value[2] == 0.0
+        np.testing.assert_allclose(p[:2], [-1e-2, 1e-2], rtol=1e-6)
+        assert p[2] == 0.0
 
     def test_adam_zero_lr_freezes(self):
-        p = Tensor(np.array([1.0, 2.0]))
+        p = np.array([1.0, 2.0])
         opt = Adam([p], lr=0.0)
         opt.step([np.array([5.0, -1.0])])
-        np.testing.assert_array_equal(p.value, [1.0, 2.0])
+        np.testing.assert_array_equal(p, [1.0, 2.0])
 
 
 class TestWarmup:
     def test_hand_computed_first_step(self):
         state = tiny_setup(randomize_omega=False)
         cfg = state.config
-        w0 = state.params.head_w.value.copy()
-        b0 = state.params.head_b.value.copy()
+        w0 = state.params.head_w.copy()
+        b0 = state.params.head_b.copy()
         x = state.dataset.features
         y = state.dataset.labels
 
@@ -140,15 +140,15 @@ class TestWarmup:
         warmup_step(state, np.arange(4))
         lr = cfg.eta1
         np.testing.assert_allclose(
-            state.params.head_w.value,
+            state.params.head_w,
             w0 - lr * (dw + cfg.weight_decay * w0), rtol=0, atol=1e-14)
         np.testing.assert_allclose(
-            state.params.head_b.value,
+            state.params.head_b,
             b0 - lr * (db + cfg.weight_decay * b0), rtol=0, atol=1e-14)
 
     def test_nonfinite_loss_aborts(self):
         state = tiny_setup()
-        state.params.head_b.value[:] = np.inf
+        state.params.head_b[:] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericalAbort):
             warmup_step(state, np.arange(4))
 
@@ -157,9 +157,8 @@ class TestLookahead:
     def test_zero_eta1_keeps_params(self):
         state = tiny_setup(eta1=0.0)
         ahead = observe_and_look_ahead(state)
-        for pseudo, p in zip(ahead.pseudo_params,
-                             state.params.all_tensors()):
-            np.testing.assert_array_equal(pseudo, p.value)
+        for pseudo, p in zip(ahead.pseudo_params, state.params.arrays()):
+            np.testing.assert_array_equal(pseudo, p)
 
     def test_matches_scripted_symbolic_gradient(self):
         state = tiny_setup(alpha=0.7, beta=1.0, eta1=0.05)
@@ -173,12 +172,12 @@ class TestLookahead:
                                     grad_h)
 
         # Independent scripted computation with explicit loops.
-        ov = [t.value for t in state.perturb.all_tensors()]
+        ov = state.perturb.arrays()
         pre = f @ ov[0] + ov[1]
         eps = RANGE * np.tanh(np.maximum(pre, 0.0) @ ov[2] + ov[3])
         delta = eps * np.sign(grad_h)
-        w = state.params.head_w.value
-        b = state.params.head_b.value
+        w = state.params.head_w
+        b = state.params.head_b
         sigmas = [state.stats.covariance(c) for c in range(2)]
         n, C = 4, 2
         rho = np.zeros((n, C))
@@ -248,19 +247,19 @@ class TestHypergradients:
 class TestMetaUpdates:
     def test_zero_eta2_keeps_omega(self):
         state = tiny_setup(eta2=0.0)
-        before = state.perturb.copy_values()
+        before = [a.copy() for a in state.perturb.arrays()]
         meta_iteration(state, np.arange(4), np.arange(4))
-        for b, t in zip(before, state.perturb.all_tensors()):
-            np.testing.assert_array_equal(b, t.value)
+        for b, a in zip(before, state.perturb.arrays()):
+            np.testing.assert_array_equal(b, a)
 
     def test_meta_updates_move_parameters(self):
         state = tiny_setup(alpha=0.6, seed=7)
-        omega_before = state.perturb.copy_values()
+        omega_before = [a.copy() for a in state.perturb.arrays()]
         observed = copy.deepcopy(state)
         _observe_batch(observed, np.arange(4))
         meta_iteration(state, np.arange(4), np.arange(4))
-        assert any(not np.array_equal(b, t.value) for b, t in
-                   zip(omega_before, state.perturb.all_tensors()))
+        assert any(not np.array_equal(b, a) for b, a in
+                   zip(omega_before, state.perturb.arrays()))
         moved = [not np.allclose(observed.stats.covariance(c),
                                  state.stats.covariance(c), atol=1e-16)
                  for c in range(2)]
@@ -290,7 +289,7 @@ class TestMetaUpdates:
                      labels=np.array([0, 1, 0, 1, 0, 2]),
                      class_counts=np.array([3, 2, 1]))
         md = MetaDataset(features=rng.normal(size=(3, 2)),
-                         labels=np.array([0, 1, 2]), per_class=1)
+                         labels=np.array([0, 1, 2]))
         cfg = TrainerConfig(t1=0, t2=10, alpha=0.6, batch_train=4,
                             batch_meta=3, hidden=(), feat_dim=2,
                             perturb_hidden=4, decay_points=(), seed=0)
@@ -312,7 +311,7 @@ class TestMetaUpdates:
                      labels=np.array([0, 1, 2, 0, 1, 2]),
                      class_counts=np.array([2, 2, 2]))
         md = MetaDataset(features=rng.normal(size=(3, 2)),
-                         labels=np.array([0, 1, 2]), per_class=1)
+                         labels=np.array([0, 1, 2]))
         cfg = TrainerConfig(t1=0, t2=10, alpha=0.6, batch_train=6,
                             batch_meta=3, hidden=(), feat_dim=2,
                             perturb_hidden=4, decay_points=(), seed=0)
@@ -333,25 +332,25 @@ class TestFinalStep:
         state = tiny_setup()
         state.config.momentum = 0.0
         state.config.weight_decay = 0.0
-        state.sgd = MomentumSgd(state.params.all_tensors(), 0.0, 0.0)
+        state.sgd = MomentumSgd(state.params.arrays(), 0.0, 0.0)
         f, grad_h = _observe_batch(state, np.arange(4))
         ahead = lookahead_meta_loss(state, np.arange(4), np.arange(4), f,
                                     grad_h)
         final_step(state, np.arange(4), f, grad_h)
-        for pseudo, p in zip(ahead.pseudo_params, state.params.all_tensors()):
-            np.testing.assert_array_equal(pseudo, p.value)
+        for pseudo, p in zip(ahead.pseudo_params, state.params.arrays()):
+            np.testing.assert_array_equal(pseudo, p)
 
     def test_uses_refreshed_omega(self):
         # After a meta update the final step must differ from the lookahead.
         state = tiny_setup(alpha=0.6, seed=13)
         state.config.momentum = 0.0
         state.config.weight_decay = 0.0
-        state.sgd = MomentumSgd(state.params.all_tensors(), 0.0, 0.0)
+        state.sgd = MomentumSgd(state.params.arrays(), 0.0, 0.0)
         ahead = observe_and_look_ahead(copy.deepcopy(state))
         meta_iteration(state, np.arange(4), np.arange(4))
-        diffs = [np.abs(pseudo - p.value).max()
+        diffs = [np.abs(pseudo - p).max()
                  for pseudo, p in zip(ahead.pseudo_params,
-                                      state.params.all_tensors())]
+                                      state.params.arrays())]
         assert max(diffs) > 0
 
 
@@ -362,7 +361,7 @@ def reference_la_trajectory(cfg, ds, md):
     for t in range(1, cfg.t2 + 1):
         state.t = t
         idx = sample_train_batch(state)
-        phi = [p.value for p in state.params.all_tensors()]
+        phi = state.params.arrays()
         offset = cfg.beta * log_pi if t > cfg.t1 else None
         ce = kernels.cross_entropy(phi, ds.features[idx], ds.labels[idx],
                                    offset=offset)
@@ -377,8 +376,7 @@ class TestTrajectories:
                            imbalance_ratio=5, dim=3, geometry=geom)
         meta = make_balanced(seed=7, num_classes=3, per_class=4, dim=3,
                              geometry=geom)
-        md = MetaDataset(features=meta.features, labels=meta.labels,
-                         per_class=4)
+        md = MetaDataset(features=meta.features, labels=meta.labels)
         return ds, md
 
     def test_frozen_eps_alpha_zero_matches_logit_adjusted_sgd(self):
@@ -389,9 +387,8 @@ class TestTrajectories:
                             seed=11)
         state, _ = train(cfg, ds, md)
         ref = reference_la_trajectory(cfg, ds, md)
-        for ours, theirs in zip(state.params.all_tensors(),
-                                ref.all_tensors()):
-            np.testing.assert_array_equal(ours.value, theirs.value)
+        for ours, theirs in zip(state.params.arrays(), ref.arrays()):
+            np.testing.assert_array_equal(ours, theirs)
 
     def test_degenerate_horizon_is_pure_warmup(self):
         ds, md = self.make_problem()
@@ -415,9 +412,8 @@ class TestTrajectories:
         state1, log1 = train(cfg, ds, md, eval_data=test)
         state2, log2 = train(cfg, ds, md, eval_data=test)
         assert log1.rows == log2.rows
-        for a, b in zip(state1.params.all_tensors(),
-                        state2.params.all_tensors()):
-            np.testing.assert_array_equal(a.value, b.value)
+        for a, b in zip(state1.params.arrays(), state2.params.arrays()):
+            np.testing.assert_array_equal(a, b)
 
     def test_metrics_rows_have_expected_shape(self):
         ds, md = self.make_problem()
@@ -437,12 +433,29 @@ class TestTrajectories:
         assert iters == sorted(iters)
         assert iters[-1] == cfg.t2
 
+    def test_training_records_no_tape_op(self, monkeypatch):
+        # Warm-up, meta iterations, epoch rows and evaluation all run on
+        # the kernels: recording any tape op fails the run.
+        def refuse(op, *args):
+            raise AssertionError(f"tape op {op!r} recorded in training")
+
+        monkeypatch.setattr(advaug.autodiff, "_record", refuse)
+        ds, md = self.make_problem()
+        test = make_balanced(seed=22, num_classes=3, per_class=10, dim=3,
+                             geometry=BlobGeometry())
+        cfg = TrainerConfig(t1=3, t2=8, batch_train=16, batch_meta=4,
+                            hidden=(8,), feat_dim=4, perturb_hidden=6,
+                            seed=6)
+        _, log = train(cfg, ds, md, eval_data=test)
+        assert {row["phase"] for row in log.rows} == {"warmup", "meta"}
+        assert all(np.isfinite(row["test_accuracy"]) for row in log.rows)
+
     def test_full_iteration_changes_all_parameter_groups(self):
         state = tiny_setup(alpha=0.6, seed=17)
-        phi_before = state.params.copy_values()
+        phi_before = [a.copy() for a in state.params.arrays()]
         meta_iteration(state, np.arange(4), np.arange(4))
-        assert any(not np.array_equal(b, t.value) for b, t in
-                   zip(phi_before, state.params.all_tensors()))
+        assert any(not np.array_equal(b, a) for b, a in
+                   zip(phi_before, state.params.arrays()))
 
 
 class TestStateInit:
@@ -452,10 +465,31 @@ class TestStateInit:
                      labels=np.array([0, 1, 0, 1]),
                      class_counts=np.array([2, 2]))
         md = MetaDataset(features=rng.normal(size=(4, 2)),
-                         labels=np.array([0, 0, 1, 1]), per_class=2)
+                         labels=np.array([0, 0, 1, 1]))
         cfg = TrainerConfig(t1=0, t2=4, hidden=(), feat_dim=3)
         with pytest.raises(ValueError):
             init_state(cfg, ds, md)
+
+    def test_optimizers_step_the_arrays_the_params_hold(self):
+        state = tiny_setup(alpha=0.6, seed=7)
+        rng = np.random.default_rng(7)
+        state.params.load_values([rng.normal(size=a.shape)
+                                  for a in state.params.arrays()])
+        clone = copy.deepcopy(state)
+        for st in (state, clone):
+            for held, own in zip(st.sgd.params + st.adam.params,
+                                 st.params.arrays() + st.perturb.arrays(),
+                                 strict=True):
+                assert held is own
+        before = [a.copy() for a in
+                  state.params.arrays() + state.perturb.arrays()]
+        meta_iteration(clone, np.arange(4), np.arange(4))
+        for b, a in zip(before,
+                        state.params.arrays() + state.perturb.arrays()):
+            assert b.tobytes() == a.tobytes()
+        for old, new in ((before[:2], clone.params.arrays()),
+                         (before[2:], clone.perturb.arrays())):
+            assert any(not np.array_equal(b, a) for b, a in zip(old, new))
 
     def test_state_is_deepcopyable(self):
         state = tiny_setup()
@@ -463,5 +497,5 @@ class TestStateInit:
         observe_and_look_ahead(clone)
         # original untouched by the clone's stats update
         assert isinstance(state, MetaState)
-        np.testing.assert_array_equal(state.params.head_w.value,
-                                      clone.params.head_w.value)
+        np.testing.assert_array_equal(state.params.head_w,
+                                      clone.params.head_w)
