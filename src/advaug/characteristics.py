@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import softmax_lse
 from .stats import ClassStats
 
 CHARACTERISTIC_NAMES = (
@@ -45,6 +44,8 @@ class BatchView:
     ids: np.ndarray  # indices into the history tables
     h: np.ndarray  # n x H features
     logits: np.ndarray  # n x C plain logits
+    q: np.ndarray  # n x C softmax of the logits
+    lse: np.ndarray  # n log-sum-exp of the logits
     labels: np.ndarray
     grad_h: np.ndarray  # n x H detached CE gradient
     progress: float  # t / T2 in [0, 1]
@@ -87,10 +88,9 @@ def extract(view: BatchView, history: History,
     """
     n = view.ids.size
     labels = np.asarray(view.labels, dtype=np.intp)
-    z = view.logits
+    z, q = view.logits, view.q
     rows = np.arange(n)
-    q, lse = softmax_lse(z)
-    loss = lse - z[rows, labels]
+    loss = view.lse - z[rows, labels]
     masked = z.copy()
     masked[rows, labels] = -np.inf
     margin = z[rows, labels] - masked.max(axis=1)
@@ -103,21 +103,17 @@ def extract(view: BatchView, history: History,
     zscore = (loss - loss.mean()) / (loss.std() + 1e-12)
     grad_norm = np.linalg.norm(view.grad_h, axis=1)
     prior = stats.priors[labels]
-    mean_dist = np.empty(n)
-    for c in np.unique(labels):
-        sel = labels == c
-        spread = np.sqrt(np.trace(stats.covariance(int(c))) + 1e-12)
-        mean_dist[sel] = np.linalg.norm(
-            view.h[sel] - stats.means[c], axis=1) / spread
-    rank = np.empty(n)
-    for c in np.unique(labels):
-        sel = np.flatnonzero(labels == c)
-        if sel.size == 1:
-            rank[sel] = 0.5
-        else:
-            order = np.argsort(np.argsort(loss[sel], kind="stable"),
-                               kind="stable")
-            rank[sel] = order / (sel.size - 1)
+    spread = np.sqrt(stats.traces() + 1e-12)
+    mean_dist = (np.linalg.norm(view.h - stats.means[labels], axis=1)
+                 / spread[labels])
+    # Rank of each loss within its class: a stable sort by (label, loss)
+    # breaks ties by position, and a singleton class ranks 0.5.
+    class_size = np.bincount(labels)
+    position = np.empty(n, dtype=np.intp)
+    position[np.lexsort((loss, labels))] = rows
+    within = position - (np.cumsum(class_size) - class_size)[labels]
+    size = class_size[labels]
+    rank = np.where(size == 1, 0.5, within / np.maximum(size - 1, 1))
     raw = np.stack([
         loss, loss_ema, zscore, margin, margin_ema, entropy,
         q[rows, labels], correct, correct_ema, grad_norm, prior,

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import softmax_lse
-
 
 def load_arrays(targets: list[np.ndarray], values) -> None:
     """Write `values` into `targets` in place: the optimizers hold the same
@@ -81,13 +79,14 @@ def init_classifier(in_dim: int, num_classes: int, hidden=(64, 64),
     return ClassifierParams(layers, head_w, np.zeros(num_classes))
 
 
-def ce_grad_wrt_features(params: ClassifierParams, z: np.ndarray,
+def ce_grad_wrt_features(params: ClassifierParams, q: np.ndarray,
                          labels: np.ndarray) -> np.ndarray:
-    """Detached per-sample d(CE)/dh = (q - onehot(y)) W from logits z."""
+    """Detached per-sample d(CE)/dh = (q - onehot(y)) W, from the softmax q
+    of the logits."""
     labels = np.asarray(labels, dtype=np.intp)
-    q, _ = softmax_lse(z)
-    q[np.arange(labels.size), labels] -= 1.0
-    return q @ params.head_w
+    g = q.copy()
+    g[np.arange(labels.size), labels] -= 1.0
+    return g @ params.head_w
 
 
 def save_checkpoint(params: ClassifierParams, path) -> None:

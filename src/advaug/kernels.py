@@ -39,7 +39,8 @@ def softmax_lse(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e / total, np.log(total[:, 0]) + top[:, 0]
 
 
-def quad(slot: str, a=None, u=None, v=None, s=None) -> np.ndarray:
+def quad(slot: str, a=None, u=None, v=None, s=None,
+         diagonal: bool = False) -> np.ndarray:
     """Gradient w.r.t. `slot` of the form
 
         T(a, u, v, s) = 1/2 sum_k sum_j a_kj (u_j - u_k)^T s_k (v_j - v_k),
@@ -47,16 +48,29 @@ def quad(slot: str, a=None, u=None, v=None, s=None) -> np.ndarray:
     with a (C, C), u and v (C, H), s (C, H, H), given the other three. T is
     linear in each input, so slot "a" gives the (label, class) table of the
     ISDA quadratic terms when u = v = W and s stacks the class covariances.
+
+    Diagonal covariances are given as their diagonals, s (C, H); slot "s",
+    where no s is given, returns the (C, H) gradient in those diagonals when
+    `diagonal` is set.
     """
     # du[k, j] = u_j - u_k, and dv likewise
     du = None if u is None else u[None, :, :] - u[:, None, :]
     dv = None if v is None else v[None, :, :] - v[:, None, :]
-    if slot == "a":
-        return 0.5 * np.sum((du @ s) * dv, axis=-1)
     if slot == "s":
+        if diagonal:
+            return 0.5 * np.sum((du * a[..., None]) * dv, axis=1)
         return 0.5 * (du * a[..., None]).transpose(0, 2, 1) @ dv
-    terms = 0.5 * a[..., None] * (dv @ s.transpose(0, 2, 1) if slot == "u"
-                                  else du @ s)
+
+    def times_s(d, transposed=False):
+        """Each row d[k, j] times s_k (or s_k^T)."""
+        if s.ndim == 2:
+            return d * s[:, None, :]
+        return d @ (s.transpose(0, 2, 1) if transposed else s)
+
+    if slot == "a":
+        return 0.5 * np.sum(times_s(du) * dv, axis=-1)
+    terms = 0.5 * a[..., None] * (times_s(dv, transposed=True) if slot == "u"
+                                  else times_s(du))
     return terms.sum(axis=0) - terms.sum(axis=1)
 
 
@@ -146,15 +160,19 @@ class ClassifierPass(NamedTuple):
 
 def forward(phi: list[np.ndarray], x: np.ndarray,
             delta: np.ndarray | None = None,
-            offset: np.ndarray | None = None
+            offset: np.ndarray | None = None,
+            acts: list[np.ndarray] | None = None
             ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """The classifier on the rows of x: (acts, feats, z).
 
     acts are the extractor activations (acts[-1] = h), feats = h + delta is
-    the head's input and z = feats W^T + b + offset the logits.
+    the head's input and z = feats W^T + b + offset the logits. A caller
+    that holds the activations of x at phi passes them as `acts`, and the
+    extractor does not run again.
     """
     w, b = phi[-2:]
-    acts = mlp_forward(extractor_layers(phi), x)
+    if acts is None:
+        acts = mlp_forward(extractor_layers(phi), x)
     feats = acts[-1] if delta is None else acts[-1] + delta
     z = feats @ w.T + b
     if offset is not None:
@@ -164,9 +182,13 @@ def forward(phi: list[np.ndarray], x: np.ndarray,
 
 def cross_entropy(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
                   delta: np.ndarray | None = None,
-                  offset: np.ndarray | None = None) -> ClassifierPass:
-    """Mean CE of the logits (h + delta) W^T + b + offset against y."""
-    acts, feats, z = forward(phi, x, delta, offset)
+                  offset: np.ndarray | None = None,
+                  acts: list[np.ndarray] | None = None) -> ClassifierPass:
+    """Mean CE of the logits (h + delta) W^T + b + offset against y.
+
+    `acts` are as in `forward`.
+    """
+    acts, feats, z = forward(phi, x, delta, offset, acts)
     n = y.size
     rows = np.arange(n)
     q, lse = softmax_lse(z)
@@ -182,16 +204,18 @@ def cross_entropy(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
 def surrogate(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
               delta: np.ndarray | None, sigma: np.ndarray,
               shift: np.ndarray, alpha: float,
-              detach_rho: bool = False) -> ClassifierPass:
+              detach_rho: bool = False,
+              acts: list[np.ndarray] | None = None) -> ClassifierPass:
     """The surrogate loss: CE of (h + delta) W^T + b + alpha rho + shift.
 
     rho[i, j] = 1/2 (w_j - w_y) Sigma_y (w_j - w_y)^T for y = y[i], with
-    `sigma` the (C, H, H) covariance stack; `shift` is beta * log(priors).
-    With `detach_rho` the head gets no gradient through rho.
+    `sigma` the covariance stack, (C, H, H) or the (C, H) diagonals;
+    `shift` is beta * log(priors). With `detach_rho` the head gets no
+    gradient through rho. `acts` are as in `forward`.
     """
     w = phi[-2]
     rho = quad("a", u=w, v=w, s=sigma)[y]
-    out = cross_entropy(phi, x, y, delta, alpha * rho + shift)
+    out = cross_entropy(phi, x, y, delta, alpha * rho + shift, acts)
     if not detach_rho:
         a = alpha * _scatter(out.g, y, w.shape[0])
         out.grads[-2] += quad("u", a=a, v=w, s=sigma) + quad("v", a=a, u=w,
@@ -206,6 +230,8 @@ def hypergradient(phi: list[np.ndarray], y: np.ndarray, train: ClassifierPass,
 
     `train` is the `surrogate` pass of L_train at phi. The lookahead
     hypergradient is -lr times these; eps reaches s through delta only.
+    ds/d(Sigma) has the shape of `sigma`: diagonal covariances get the
+    gradient in their diagonals.
     """
     layers, w = extractor_layers(phi), phi[-2]
     w_dot, b_dot = v[-2:]
@@ -222,9 +248,11 @@ def hypergradient(phi: list[np.ndarray], y: np.ndarray, train: ClassifierPass,
     q = train.q
     d_z = q * (z_dot - np.sum(q * z_dot, axis=1, keepdims=True)) / y.size
     d_delta = d_z @ w + d_zdot @ w_dot
-    count = w.shape[0]
-    d_sigma = quad("s", a=alpha * _scatter(d_z, y, count), u=w, v=w)
+    count, diagonal = w.shape[0], sigma.ndim == 2
+    d_sigma = quad("s", a=alpha * _scatter(d_z, y, count), u=w, v=w,
+                   diagonal=diagonal)
     if not detach_rho:
         a = alpha * _scatter(d_zdot, y, count)
-        d_sigma += quad("s", a=a, u=w_dot, v=w) + quad("s", a=a, u=w, v=w_dot)
+        d_sigma += (quad("s", a=a, u=w_dot, v=w, diagonal=diagonal)
+                    + quad("s", a=a, u=w, v=w_dot, diagonal=diagonal))
     return d_delta, d_sigma

@@ -38,13 +38,32 @@ def cholesky_with_jitter(sigma: np.ndarray, jitter: float = 1e-10) -> np.ndarray
     return np.linalg.cholesky(sigma + jitter * np.eye(dim))
 
 
+def _per_class(values: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """One value per class, shaped to broadcast against the class stack
+    `like`."""
+    return values.reshape(values.shape + (1,) * (like.ndim - 1))
+
+
+def project_diagonal(variances: np.ndarray) -> np.ndarray:
+    """Nearest PSD diagonal matrix, given and returned as its diagonal.
+
+    Clamping each variance at zero is the exact projection, so no
+    eigendecomposition runs. A non-finite entry is refused as by
+    `project_psd`: clamping an overflow to -inf would hide it as a zero.
+    """
+    if not np.all(np.isfinite(variances)):
+        raise ValueError("project_diagonal: non-finite input")
+    return np.maximum(variances, 0.0)
+
+
 @dataclass
 class ClassStats:
     """Running per-class feature statistics.
 
     Internally stores counts, means and centered scatter matrices M_c;
     Sigma_c = M_c / n_c (population normalization, zero for unseen classes).
-    In diagonal mode only per-feature variances are kept.
+    In diagonal mode only per-feature variances are kept, and every Sigma_c
+    is given and taken as its (H,) diagonal.
     """
 
     num_classes: int
@@ -66,16 +85,18 @@ class ClassStats:
         else:
             self.priors = np.asarray(self.priors, dtype=np.float64)
 
-    def covariance(self, c: int) -> np.ndarray:
-        """Dense Sigma_c (diagonal mode is expanded on demand)."""
-        if self.counts[c] == 0:
-            return np.zeros((self.dim, self.dim))
-        sigma = self.scatter[c] / self.counts[c]
-        return np.diag(sigma) if self.diagonal else sigma
-
     def covariances(self) -> np.ndarray:
-        """Every Sigma_c, stacked as (num_classes, dim, dim)."""
-        return np.stack([self.covariance(c) for c in range(self.num_classes)])
+        """Every Sigma_c: (num_classes, dim) variances in diagonal mode,
+        else (num_classes, dim, dim)."""
+        n = _per_class(self.counts, self.scatter)
+        return np.divide(self.scatter, n, out=np.zeros_like(self.scatter),
+                         where=n > 0)
+
+    def traces(self) -> np.ndarray:
+        """tr Sigma_c of every class."""
+        sigma = self.covariances()
+        return (sigma.sum(axis=1) if self.diagonal
+                else np.trace(sigma, axis1=1, axis2=2))
 
     def set_covariance(self, c: int, sigma: np.ndarray) -> None:
         """Overwrite Sigma_c, keeping counts so later pooling continues.
@@ -85,36 +106,47 @@ class ClassStats:
         n = self.counts[c]
         if n == 0:
             raise ValueError(f"set_covariance: class {c} has no samples")
-        self.scatter[c] = (np.diag(sigma) * n if self.diagonal else sigma * n)
+        self.scatter[c] = sigma * n
 
 
 def update_covariance(stats: ClassStats, features: np.ndarray,
                       labels: np.ndarray) -> ClassStats:
-    """Merge one batch into the running moments (in place; returns stats)."""
+    """Merge one batch into the running moments (in place; returns stats).
+
+    np.add.at sums each class's rows in row order, the order of a per-class
+    mean(axis=0), so the moments do not depend on how the classes are
+    grouped. Only the full-covariance scatter takes one product per class.
+    """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
+    labels = np.asarray(labels, dtype=np.intp)
     if features.shape[1] != stats.dim:
         raise ValueError(
             f"update_covariance: feature width {features.shape[1]} != {stats.dim}")
-    for c in np.unique(labels):
-        batch = features[labels == c]
-        m = float(batch.shape[0])
-        mu_b = batch.mean(axis=0)
-        centered = batch - mu_b
-        if stats.diagonal:
-            scat_b = np.sum(centered * centered, axis=0)
-        else:
-            scat_b = centered.T @ centered
-        n = stats.counts[c]
-        if n == 0:
-            stats.means[c] = mu_b
-            stats.scatter[c] = scat_b
-        else:
-            delta = mu_b - stats.means[c]
-            total = n + m
-            stats.means[c] += delta * (m / total)
-            cross = (delta * delta if stats.diagonal
-                     else np.outer(delta, delta))
-            stats.scatter[c] += scat_b + cross * (n * m / total)
-        stats.counts[c] = n + m
+    batch_counts = np.bincount(labels, minlength=stats.num_classes)
+    seen = np.flatnonzero(batch_counts)
+    m = batch_counts[seen].astype(np.float64)
+    sums = np.zeros((stats.num_classes, stats.dim))
+    np.add.at(sums, labels, features)
+    mu_b = sums / np.maximum(batch_counts, 1)[:, None]
+    centered = features - mu_b[labels]
+    scat_b = np.zeros_like(stats.scatter)
+    if stats.diagonal:
+        np.add.at(scat_b, labels, centered * centered)
+    else:
+        for c in seen:
+            rows = centered[labels == c]
+            scat_b[c] = rows.T @ rows
+    mu_b, scat_b = mu_b[seen], scat_b[seen]
+    n = stats.counts[seen]
+    fresh = n == 0
+    total = n + m
+    delta = mu_b - stats.means[seen]
+    means = stats.means[seen] + delta * (m / total)[:, None]
+    stats.means[seen] = np.where(fresh[:, None], mu_b, means)
+    cross = (delta * delta if stats.diagonal
+             else delta[:, :, None] * delta[:, None, :])
+    scatter = (stats.scatter[seen]
+               + (scat_b + cross * _per_class(n * m / total, scat_b)))
+    stats.scatter[seen] = np.where(_per_class(fresh, scat_b), scat_b, scatter)
+    stats.counts[seen] = total
     return stats

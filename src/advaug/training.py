@@ -3,18 +3,21 @@
 Each meta iteration runs four stages:
 
 1. Observe the batch: the kernel forward updates the running class
-   statistics and the per-sample history, and yields the characteristics
-   and gradient signs shared by the two classifier steps below.
+   statistics and the per-sample history, and yields the characteristics,
+   the gradient signs and the extractor activations shared by the two
+   classifier steps below; the classifier does not change before the final
+   step, so neither runs the extractor again.
 2. ``lookahead_meta_loss``: the surrogate loss and its gradient (the
    perturbation scale from the perturbation net, the class covariances
-   stacked as (C, H, H)), the plain-SGD lookahead parameters
-   phi' = phi - lr * grad_phi, cross-entropy on the balanced meta batch at
-   phi' with its gradient v, and the hypergradient of that meta loss in the
-   perturbation net and the covariance stack, taken forward-over-reverse
-   (see `kernels`).
+   stacked as (C, H, H), or their (C, H) diagonals in diagonal mode), the
+   plain-SGD lookahead parameters phi' = phi - lr * grad_phi, cross-entropy
+   on the balanced meta batch at phi' with its gradient v, and the
+   hypergradient of that meta loss in the perturbation net and the
+   covariance stack, taken forward-over-reverse (see `kernels`).
 3. The net takes an Adam step, the covariance of each class in the batch
    an SGD step plus PSD projection that persists into the running class
-   statistics.
+   statistics. A diagonal covariance is projected by clamping its variances
+   at zero, without an eigendecomposition.
 4. ``final_step``: the real classifier update (momentum SGD + weight decay)
    under the surrogate loss recomputed with the refreshed perturbation net
    and covariances.
@@ -41,7 +44,8 @@ from .kernels import softmax_lse
 from .loss import LossConfig, compute_delta, regularizer_terms
 from .metrics import MetricsLog, evaluate
 from .perturbation import PerturbNetParams, init_perturb_net
-from .stats import ClassStats, class_priors, project_psd, update_covariance
+from .stats import (ClassStats, class_priors, project_diagonal, project_psd,
+                    update_covariance)
 
 
 class NumericalAbort(RuntimeError):
@@ -171,8 +175,17 @@ class Lookahead(NamedTuple):
     meta_loss: float
     pseudo_params: list[np.ndarray]
     omega_grads: list[np.ndarray] | None  # None when eps is frozen
-    sigma_grad: np.ndarray  # (C, H, H), zero for classes not in the batch
-    sigma: np.ndarray  # (C, H, H) stacked class covariances
+    sigma_grad: np.ndarray  # shaped as sigma; zero for classes not in batch
+    sigma: np.ndarray  # the class covariances, (C, H, H) or (C, H) diagonals
+
+
+class Observation(NamedTuple):
+    """What the batch observation hands to the classifier steps of its
+    iteration, which run at the same classifier parameters."""
+
+    characteristics: np.ndarray  # n x 15, normalized
+    grad_h: np.ndarray  # n x H detached CE gradient w.r.t. the features
+    acts: list[np.ndarray]  # extractor activations; acts[0] = x, acts[-1] = h
 
 
 def init_state(config: TrainerConfig, dataset: Dataset,
@@ -218,29 +231,36 @@ def sample_meta_batch(state: MetaState) -> np.ndarray:
     return state.meta_rng.choice(n_meta, size=size, replace=False)
 
 
-def _batch_view(state: MetaState, ids: np.ndarray) -> BatchView:
-    """Kernel forward of the training rows `ids` under the current state."""
+def _batch_view(state: MetaState, ids: np.ndarray
+                ) -> tuple[BatchView, list[np.ndarray]]:
+    """Kernel forward of the training rows `ids` under the current state.
+
+    Returns the view and the extractor activations; the softmax is taken
+    once, for both the view and the detached feature gradient.
+    """
     y = state.dataset.labels[ids]
-    _, h, z = kernels.forward(state.params.arrays(),
-                              state.dataset.features[ids])
-    return BatchView(ids=ids, h=h, logits=z, labels=y,
-                     grad_h=ce_grad_wrt_features(state.params, z, y),
+    acts, h, z = kernels.forward(state.params.arrays(),
+                                 state.dataset.features[ids])
+    q, lse = softmax_lse(z)
+    view = BatchView(ids=ids, h=h, logits=z, q=q, lse=lse, labels=y,
+                     grad_h=ce_grad_wrt_features(state.params, q, y),
                      progress=state.t / state.config.t2)
+    return view, acts
 
 
-def _observe_batch(state: MetaState, batch_idx: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def _observe_batch(state: MetaState, batch_idx: np.ndarray) -> Observation:
     """Update running stats/EMAs from the batch forward.
 
-    Returns the normalized characteristics matrix used by the perturbation
-    net for this iteration and the per-sample CE gradients w.r.t. features.
+    Returns the normalized characteristics used by the perturbation net for
+    this iteration, the per-sample CE gradients w.r.t. features and the
+    extractor activations, valid until the classifier steps.
     """
-    view = _batch_view(state, batch_idx)
+    view, acts = _batch_view(state, batch_idx)
     update_covariance(state.stats, view.h, view.labels)
     batch = extract(view, state.history, state.stats)
     update_history(state.history, batch_idx, batch.raw)
     state.last_batch = (batch_idx, view.grad_h)
-    return batch.normalized, view.grad_h
+    return Observation(batch.normalized, view.grad_h, acts)
 
 
 def _check_finite_loss(state: MetaState, loss: float, stage: str) -> None:
@@ -251,40 +271,38 @@ def _check_finite_loss(state: MetaState, loss: float, stage: str) -> None:
 
 def warmup_step(state: MetaState, batch_idx: np.ndarray) -> None:
     """One plain cross-entropy step (also used for the CE baseline)."""
-    _observe_batch(state, batch_idx)
-    train = kernels.cross_entropy(state.params.arrays(),
-                                  state.dataset.features[batch_idx],
-                                  state.dataset.labels[batch_idx])
+    obs = _observe_batch(state, batch_idx)
+    train = kernels.cross_entropy(state.params.arrays(), obs.acts[0],
+                                  state.dataset.labels[batch_idx],
+                                  acts=obs.acts)
     _check_finite_loss(state, train.value, "warm-up")
     state.sgd.step(train.grads, learning_rate(state.config, state.t))
     state.last_train_loss = train.value
 
 
-def _surrogate(state: MetaState, batch_idx: np.ndarray,
-               characteristics: np.ndarray, grad_h: np.ndarray
+def _surrogate(state: MetaState, batch_idx: np.ndarray, obs: Observation
                ) -> tuple[kernels.ClassifierPass, kernels.PerturbPass | None,
                           np.ndarray]:
-    """The surrogate loss pass on the batch under the current state.
+    """The surrogate loss pass on the observed batch under the current state.
 
     Returns (pass, perturbation-net pass or None, covariance stack).
     """
     cfg = state.config
     net = delta = None
     if not cfg.freeze_eps:
-        net = kernels.eps_forward(state.perturb.arrays(), characteristics)
-        delta = compute_delta(grad_h, net.eps)
+        net = kernels.eps_forward(state.perturb.arrays(), obs.characteristics)
+        delta = compute_delta(obs.grad_h, net.eps)
     sigma = state.stats.covariances()
     train = kernels.surrogate(
-        state.params.arrays(), state.dataset.features[batch_idx],
-        state.dataset.labels[batch_idx], delta, sigma,
-        cfg.beta * np.log(state.priors), cfg.alpha, cfg.detach_rho)
+        state.params.arrays(), obs.acts[0], state.dataset.labels[batch_idx],
+        delta, sigma, cfg.beta * np.log(state.priors), cfg.alpha,
+        cfg.detach_rho, acts=obs.acts)
     _check_finite_loss(state, train.value, "train")
     return train, net, sigma
 
 
 def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
-                        meta_idx: np.ndarray, characteristics: np.ndarray,
-                        grad_h: np.ndarray) -> Lookahead:
+                        meta_idx: np.ndarray, obs: Observation) -> Lookahead:
     """Meta cross-entropy at the lookahead parameters, and its hypergradients.
 
     The lookahead is phi' = phi - lr * grad_phi(surrogate loss). The
@@ -294,7 +312,7 @@ def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
     """
     cfg = state.config
     lr = learning_rate(cfg, state.t)
-    train, net, sigma = _surrogate(state, batch_idx, characteristics, grad_h)
+    train, net, sigma = _surrogate(state, batch_idx, obs)
     phi = state.params.arrays()
     pseudo = [p - lr * g for p, g in zip(phi, train.grads, strict=True)]
     meta = kernels.cross_entropy(pseudo, state.metadata.features[meta_idx],
@@ -306,16 +324,16 @@ def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
     omega_grads = None
     if net is not None:
         # delta_i = eps_i * sign(g_i), the sign factor constant
-        d_eps = np.sum(d_delta * np.sign(grad_h), axis=1)
+        d_eps = np.sum(d_delta * np.sign(obs.grad_h), axis=1)
         omega_grads = kernels.eps_backward(
             state.perturb.arrays(), net, -lr * d_eps)
     return Lookahead(meta.value, pseudo, omega_grads, -lr * d_sigma, sigma)
 
 
 def final_step(state: MetaState, batch_idx: np.ndarray,
-               characteristics: np.ndarray, grad_h: np.ndarray) -> None:
+               obs: Observation) -> None:
     """Real classifier update with refreshed perturbations/covariances."""
-    train, _, _ = _surrogate(state, batch_idx, characteristics, grad_h)
+    train, _, _ = _surrogate(state, batch_idx, obs)
     state.sgd.step(train.grads, learning_rate(state.config, state.t))
     state.last_train_loss = train.value
 
@@ -323,9 +341,8 @@ def final_step(state: MetaState, batch_idx: np.ndarray,
 def meta_iteration(state: MetaState, batch_idx: np.ndarray,
                    meta_idx: np.ndarray) -> None:
     """Observe, look ahead, update omega and Sigma, step the classifier."""
-    characteristics, grad_h = _observe_batch(state, batch_idx)
-    ahead = lookahead_meta_loss(state, batch_idx, meta_idx, characteristics,
-                                grad_h)
+    obs = _observe_batch(state, batch_idx)
+    ahead = lookahead_meta_loss(state, batch_idx, meta_idx, obs)
     # Frozen perturbations are zero: the net has no path to the meta loss.
     if ahead.omega_grads is not None:
         if all(np.all(np.isfinite(g)) for g in ahead.omega_grads):
@@ -337,6 +354,7 @@ def meta_iteration(state: MetaState, batch_idx: np.ndarray,
     # No rho row reads the covariance of a class absent from the batch, so
     # its hypergradient is exactly zero and it keeps its value; a class in
     # the batch has samples, hence an estimate to step.
+    project = project_diagonal if state.stats.diagonal else project_psd
     for c in np.unique(state.dataset.labels[batch_idx]):
         g = ahead.sigma_grad[c]
         if not np.all(np.isfinite(g)):
@@ -346,14 +364,14 @@ def meta_iteration(state: MetaState, batch_idx: np.ndarray,
             continue
         candidate = ahead.sigma[c] - state.config.eta2 * g
         try:
-            projected = project_psd(candidate)
+            projected = project(candidate)
         except (ValueError, np.linalg.LinAlgError) as exc:
             state.events.append(
                 f"iteration {state.t}: covariance projection failed for "
                 f"class {c} ({exc}), keeping previous value")
             continue
         state.stats.set_covariance(c, projected)
-    final_step(state, batch_idx, characteristics, grad_h)
+    final_step(state, batch_idx, obs)
 
 
 def full_train_eps(state: MetaState) -> np.ndarray:
@@ -363,7 +381,7 @@ def full_train_eps(state: MetaState) -> np.ndarray:
     """
     if state.config.freeze_eps:
         return np.zeros(state.dataset.n)
-    view = _batch_view(state, np.arange(state.dataset.n))
+    view, _ = _batch_view(state, np.arange(state.dataset.n))
     batch = extract(view, state.history, state.stats)
     return kernels.eps_forward(state.perturb.arrays(), batch.normalized).eps
 

@@ -150,8 +150,7 @@ def _tiny_state(seed: int, **overrides):
     state.t = 1
     state.perturb.load_values([rng.normal(scale=0.3, size=a.shape)
                                for a in state.perturb.arrays()])
-    obs = _observe_batch(state, np.arange(4))
-    return state, obs
+    return state, _observe_batch(state, np.arange(4))
 
 
 def _kink_margin(layers, x: np.ndarray) -> float:
@@ -169,17 +168,17 @@ def hypergradient_suite(seed: int = 0, **overrides) -> dict:
     differences of the lookahead meta loss.
 
     `overrides` are TrainerConfig fields of the instance. In diagonal mode
-    only the diagonal of each covariance is a free parameter, so only it is
-    checked. The record's `kink_margin` is the smallest |input| of the
+    each covariance is its (H,) diagonal, whose entries are bumped
+    directly. The record's `kink_margin` is the smallest |input| of the
     relus whose inputs move with omega and Sigma: the perturbation net's,
     and the extractor's on the meta batch at phi'. Finite differences are
     only meaningful when it is not tiny.
     """
-    state, (f, grad_h) = _tiny_state(seed, **overrides)
+    state, obs = _tiny_state(seed, **overrides)
     batch = np.arange(4)
 
     def meta_value():
-        return lookahead_meta_loss(state, batch, batch, f, grad_h)
+        return lookahead_meta_loss(state, batch, batch, obs)
 
     ahead = meta_value()
     omega = state.perturb.arrays()
@@ -202,27 +201,22 @@ def hypergradient_suite(seed: int = 0, **overrides) -> dict:
         worst_omega = max(worst_omega, np.abs(analytic - fd).max() / scale)
 
     for c, analytic in enumerate(ahead.sigma_grad):
-        base = state.stats.covariance(c)
-        dim = base.shape[0]
-        entries = ([(i, i) for i in range(dim)] if state.stats.diagonal
-                   else np.ndindex(dim, dim))
+        base = state.stats.covariances()[c]
         fd = np.zeros_like(base)
-        for i, j in entries:
+        for idx in np.ndindex(base.shape):
             bump = np.zeros_like(base)
-            bump[i, j] = step
+            bump[idx] = step
             state.stats.set_covariance(c, base + bump)
             up = meta_value().meta_loss
             state.stats.set_covariance(c, base - bump)
             dn = meta_value().meta_loss
-            fd[i, j] = (up - dn) / (2 * step)
+            fd[idx] = (up - dn) / (2 * step)
         state.stats.set_covariance(c, base)
-        if state.stats.diagonal:
-            analytic, fd = np.diag(analytic), np.diag(fd)
         scale = max(np.abs(fd).max(), 1e-12)
         worst_sigma = max(worst_sigma, np.abs(analytic - fd).max() / scale)
 
     kink = min(
-        _kink_margin([(omega[0], omega[1])], f),
+        _kink_margin([(omega[0], omega[1])], obs.characteristics),
         _kink_margin(kernels.extractor_layers(ahead.pseudo_params),
                      state.metadata.features[batch]))
     worst = max(worst_omega, worst_sigma)
@@ -252,9 +246,8 @@ def covariance_suite(partitions: int = 5, seed: int = 0) -> dict:
         pooled = ClassStats(c, dim)
         for chunk in np.split(order, cuts):
             update_covariance(pooled, x[chunk], y[chunk])
-        for cls in range(c):
-            worst = max(worst, np.abs(pooled.covariance(cls)
-                                      - full.covariance(cls)).max())
+        worst = max(worst, np.abs(pooled.covariances()
+                                  - full.covariances()).max())
     return {"name": "covariance-pooling", "passed": worst < 1e-10,
             "worst": worst,
             "detail": f"max pooled-vs-full deviation {worst:.3e}"}

@@ -6,7 +6,15 @@ import pytest
 from advaug.characteristics import (CHARACTERISTIC_NAMES, BatchView, History,
                                     NUM_CHARACTERISTICS, extract,
                                     update_history)
+from advaug.kernels import softmax_lse
 from advaug.stats import ClassStats, update_covariance
+
+
+def view_of(h, logits, labels, grad, progress):
+    """The batch view of these rows, with the softmax of the logits."""
+    q, lse = softmax_lse(logits)
+    return BatchView(ids=np.arange(len(labels)), h=h, logits=logits, q=q,
+                     lse=lse, labels=labels, grad_h=grad, progress=progress)
 
 
 def make_view(seed=0, n=6, c=3, width=4, progress=0.4):
@@ -15,7 +23,7 @@ def make_view(seed=0, n=6, c=3, width=4, progress=0.4):
     logits = rng.normal(size=(n, c))
     labels = rng.integers(0, c, size=n)
     grad = rng.normal(size=(n, width))
-    return BatchView(np.arange(n), h, logits, labels, grad, progress)
+    return view_of(h, logits, labels, grad, progress)
 
 
 def make_stats(view, c=3):
@@ -23,6 +31,81 @@ def make_stats(view, c=3):
                        priors=np.full(c, 1.0 / c))
     update_covariance(stats, view.h, view.labels)
     return stats
+
+
+def per_class_extract(view, history, stats):
+    """extract with per-class loops and dense covariances: the reference for
+    the vectorized extract."""
+    n = view.ids.size
+    labels = np.asarray(view.labels, dtype=np.intp)
+    z = view.logits
+    rows = np.arange(n)
+    q, lse = softmax_lse(z)
+    loss = lse - z[rows, labels]
+    masked = z.copy()
+    masked[rows, labels] = -np.inf
+    margin = z[rows, labels] - masked.max(axis=1)
+    entropy = -np.sum(q * np.log(np.maximum(q, 1e-300)), axis=1)
+    correct = (z.argmax(axis=1) == labels).astype(np.float64)
+    seen = history.seen[view.ids]
+    loss_ema = np.where(seen, history.loss_ema[view.ids], loss)
+    margin_ema = np.where(seen, history.margin_ema[view.ids], margin)
+    correct_ema = np.where(seen, history.correct_ema[view.ids], correct)
+    zscore = (loss - loss.mean()) / (loss.std() + 1e-12)
+    grad_norm = np.linalg.norm(view.grad_h, axis=1)
+    prior = stats.priors[labels]
+    mean_dist = np.empty(n)
+    for c in np.unique(labels):
+        sel = labels == c
+        sigma = stats.covariances()[c]
+        dense = np.diag(sigma) if stats.diagonal else sigma
+        spread = np.sqrt(np.trace(dense) + 1e-12)
+        mean_dist[sel] = np.linalg.norm(
+            view.h[sel] - stats.means[c], axis=1) / spread
+    rank = np.empty(n)
+    for c in np.unique(labels):
+        sel = np.flatnonzero(labels == c)
+        if sel.size == 1:
+            rank[sel] = 0.5
+        else:
+            order = np.argsort(np.argsort(loss[sel], kind="stable"),
+                               kind="stable")
+            rank[sel] = order / (sel.size - 1)
+    raw = np.stack([
+        loss, loss_ema, zscore, margin, margin_ema, entropy,
+        q[rows, labels], correct, correct_ema, grad_norm, prior,
+        np.log(prior), mean_dist, np.full(n, view.progress), rank,
+    ], axis=1)
+    return raw, history.normalize(raw)
+
+
+@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+def test_extract_matches_per_class_reference_bit_for_bit(diagonal):
+    # Class 0 holds two pairs of tied losses (identical logit rows), class 1
+    # is a singleton, class 2 has one distinct loss among ties, class 3 is
+    # absent from the batch and class 4 was never observed at all.
+    rng = np.random.default_rng(8)
+    labels = np.array([0, 2, 0, 0, 1, 2, 0, 2, 0])
+    logits = rng.normal(size=(9, 5))
+    logits[3] = logits[0]
+    logits[8] = logits[2]
+    logits[7] = logits[1]
+    h = rng.normal(size=(9, 4))
+    view = view_of(h, logits, labels, rng.normal(size=(9, 4)), 0.3)
+    stats = ClassStats(5, 4, diagonal=diagonal, priors=np.full(5, 0.2))
+    update_covariance(stats, rng.normal(size=(6, 4)),
+                      np.array([0, 1, 2, 3, 3, 0]))
+    update_covariance(stats, h, labels)
+    history = History(9)
+    update_history(history, np.array([0, 4, 5]),
+                   rng.normal(size=(3, NUM_CHARACTERISTICS)))
+    batch = extract(view, history, stats)
+    raw, normalized = per_class_extract(view, history, stats)
+    assert batch.raw.tobytes() == raw.tobytes()
+    assert batch.normalized.tobytes() == normalized.tobytes()
+    rank = batch.raw[:, CHARACTERISTIC_NAMES.index("class_loss_rank")]
+    assert rank[4] == 0.5
+    assert rank[0] != rank[3] and rank[2] != rank[8]  # ties by position
 
 
 class TestExtract:
@@ -48,8 +131,8 @@ class TestExtract:
 
     def test_perfectly_classified_limits(self):
         view = make_view(seed=2, n=2, c=3)
-        view.logits = np.array([[40.0, 0.0, 0.0], [0.0, 40.0, 0.0]])
-        view.labels = np.array([0, 1])
+        view = view_of(view.h, np.array([[40.0, 0.0, 0.0], [0.0, 40.0, 0.0]]),
+                       np.array([0, 1]), view.grad_h, view.progress)
         batch = extract(view, History(10), make_stats(view))
         names = list(CHARACTERISTIC_NAMES)
         assert np.all(batch.raw[:, names.index("loss")] < 1e-12)
@@ -76,7 +159,7 @@ class TestExtract:
             margin = z[i, y] - max(z[i, j] for j in range(4) if j != y)
             entropy = -sum(qq * np.log(qq) for qq in q)
             mu = stats.means[y]
-            spread = np.sqrt(np.trace(stats.covariance(int(y))) + 1e-12)
+            spread = np.sqrt(np.trace(stats.covariances()[y]) + 1e-12)
             expect = {
                 "loss": loss,
                 "margin": margin,
@@ -128,7 +211,8 @@ class TestExtract:
         stats = make_stats(view)
         batch = extract(view, history, stats)
         update_history(history, view.ids, batch.raw)
-        view.logits = view.logits * 1000.0  # force outliers
+        view = view_of(view.h, view.logits * 1000.0,  # force outliers
+                       view.labels, view.grad_h, view.progress)
         again = extract(view, history, stats)
         assert np.max(np.abs(again.normalized)) <= 5.0
 

@@ -135,15 +135,16 @@ class TestCeGradWrtFeatures:
         params.head_w[...] = np.array([[50.0, 0.0], [-50.0, 0.0]])
         params.head_b[:] = 0.0
         h = np.array([[10.0, 0.0]])  # q is onehot(0) to machine precision
-        g = ce_grad_wrt_features(params, kernel_logits(params, h),
-                                 np.array([0]))
+        q, _ = softmax_lse(kernel_logits(params, h))
+        g = ce_grad_wrt_features(params, q, np.array([0]))
         assert np.max(np.abs(g)) < 1e-12
 
     def test_hand_evaluated_binary_case(self):
         params = init_classifier(in_dim=1, num_classes=2, hidden=(), feat_dim=1)
         params.head_w[...] = np.array([[1.0], [-1.0]])
         params.head_b[:] = 0.0
-        g = ce_grad_wrt_features(params, np.array([[0.0, 0.0]]),
+        # equal logits: q = (1/2, 1/2)
+        g = ce_grad_wrt_features(params, np.array([[0.5, 0.5]]),
                                  np.array([0]))
         assert g[0, 0] == pytest.approx(-1.0)
 
@@ -152,7 +153,8 @@ class TestCeGradWrtFeatures:
         params = init_classifier(in_dim=6, num_classes=4, hidden=(), feat_dim=6)
         h = rng.normal(size=(3, 6))
         y = np.array([1, 3, 0])
-        g = ce_grad_wrt_features(params, kernel_logits(params, h), y)
+        g = ce_grad_wrt_features(params,
+                                 softmax_lse(kernel_logits(params, h))[0], y)
 
         def ce(hv):
             z = hv @ params.head_w.T + params.head_b

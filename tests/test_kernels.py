@@ -79,7 +79,10 @@ def test_surrogate_matches_taped_builders(case, seed):
     alpha = opts.pop("alpha", 0.7)
     detach_rho = opts.pop("detach_rho", False)
     phi, x, y, delta, sigma, priors = random_instance(seed, **opts)
-    ours = kernels.surrogate(phi, x, y, delta, sigma, 0.8 * np.log(priors),
+    # diagonal covariances reach the kernel as their (C, H) diagonals
+    stack = (np.diagonal(sigma, axis1=1, axis2=2).copy()
+             if opts.get("diagonal") else sigma)
+    ours = kernels.surrogate(phi, x, y, delta, stack, 0.8 * np.log(priors),
                              alpha, detach_rho)
     value, grads = taped_surrogate(phi, x, y, delta, sigma, priors, alpha,
                                    0.8, detach_rho)
@@ -87,6 +90,23 @@ def test_surrogate_matches_taped_builders(case, seed):
     assert len(ours.grads) == len(grads)
     for g_ours, g_ref in zip(ours.grads, grads):
         assert rel_err(g_ours, g_ref) < TOL
+
+
+def test_quad_diagonal_branch_matches_dense_form():
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(4, 4))
+    u, v = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    s = rng.uniform(0.1, 2.0, size=(4, 3))
+    stack = np.stack([np.diag(r) for r in s])
+    for slot, given in (("a", dict(u=u, v=v)), ("u", dict(a=a, v=v)),
+                        ("v", dict(a=a, u=u))):
+        np.testing.assert_allclose(kernels.quad(slot, s=s, **given),
+                                   kernels.quad(slot, s=stack, **given),
+                                   rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(
+        kernels.quad("s", a=a, u=u, v=v, diagonal=True),
+        np.diagonal(kernels.quad("s", a=a, u=u, v=v), axis1=1, axis2=2),
+        rtol=1e-13, atol=1e-15)
 
 
 def test_plain_cross_entropy_matches_tape():
@@ -158,14 +178,22 @@ def lookahead_state(seed, **overrides):
     return state
 
 
+def dense(sigma):
+    """A covariance stack as (C, H, H), expanding (C, H) diagonals."""
+    return sigma if sigma.ndim == 3 else np.stack([np.diag(r) for r in sigma])
+
+
 def taped_lookahead(state, batch_idx, meta_idx, f, grad_h):
-    """The lookahead on one tape, differentiated reverse-over-reverse."""
+    """The lookahead on one tape, differentiated reverse-over-reverse.
+
+    The covariance gradient is dense, (C, H, H), in either mode.
+    """
     cfg = state.config
     x = state.dataset.features[batch_idx]
     y = state.dataset.labels[batch_idx]
     omega = [Tensor(a) for a in state.perturb.arrays()]
     phi = [Tensor(a) for a in state.params.arrays()]
-    sigma = Tensor(state.stats.covariances())
+    sigma = Tensor(dense(state.stats.covariances()))
     lr = Tensor(learning_rate(cfg, state.t))
     with Tape() as tape:
         delta = None
@@ -202,10 +230,12 @@ def test_hypergradient_matches_reverse_over_reverse(case):
     state = lookahead_state(1, **LOOKAHEAD_CASES[case])
     batch = np.array([0, 1, 3, 4])  # class 2 is absent
     meta_idx = np.arange(6)
-    f, grad_h = _observe_batch(state, batch)
-    ours = lookahead_meta_loss(state, batch, meta_idx, f, grad_h)
-    value, omega_grads, sigma_grad = taped_lookahead(state, batch, meta_idx,
-                                                     f, grad_h)
+    obs = _observe_batch(state, batch)
+    ours = lookahead_meta_loss(state, batch, meta_idx, obs)
+    value, omega_grads, sigma_grad = taped_lookahead(
+        state, batch, meta_idx, obs.characteristics, obs.grad_h)
+    if state.stats.diagonal:
+        sigma_grad = np.diagonal(sigma_grad, axis1=1, axis2=2)
     assert rel_err(ours.meta_loss, value) < TOL
     if state.config.freeze_eps:
         assert ours.omega_grads is None

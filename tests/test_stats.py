@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from advaug.stats import (ClassStats, cholesky_with_jitter, class_priors,
-                          project_psd, update_covariance)
+                          project_diagonal, project_psd, update_covariance)
 
 
 def population_cov(x):
@@ -13,13 +13,40 @@ def population_cov(x):
     return d.T @ d / x.shape[0]
 
 
+def per_class_update(stats, features, labels):
+    """The moment merge one class at a time: the reference for the
+    vectorized update_covariance."""
+    for c in np.unique(labels):
+        batch = features[labels == c]
+        m = float(batch.shape[0])
+        mu_b = batch.mean(axis=0)
+        centered = batch - mu_b
+        if stats.diagonal:
+            scat_b = np.sum(centered * centered, axis=0)
+        else:
+            scat_b = centered.T @ centered
+        n = stats.counts[c]
+        if n == 0:
+            stats.means[c] = mu_b
+            stats.scatter[c] = scat_b
+        else:
+            delta = mu_b - stats.means[c]
+            total = n + m
+            stats.means[c] += delta * (m / total)
+            cross = (delta * delta if stats.diagonal
+                     else np.outer(delta, delta))
+            stats.scatter[c] += scat_b + cross * (n * m / total)
+        stats.counts[c] = n + m
+
+
 class TestUpdateCovariance:
     def test_single_batch_single_class_matches_sample_covariance(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(40, 6))
         stats = update_covariance(ClassStats(2, 6), x, np.zeros(40, dtype=int))
-        assert np.allclose(stats.covariance(0), population_cov(x), atol=1e-12)
-        assert np.array_equal(stats.covariance(1), np.zeros((6, 6)))
+        assert np.allclose(stats.covariances()[0], population_cov(x),
+                           atol=1e-12)
+        assert np.array_equal(stats.covariances()[1], np.zeros((6, 6)))
 
     def test_sequential_batches_equal_concatenated_batch(self):
         rng = np.random.default_rng(1)
@@ -30,7 +57,8 @@ class TestUpdateCovariance:
             update_covariance(seq, x[lo:hi], y[lo:hi])
         full = update_covariance(ClassStats(3, 5), x, y)
         for c in range(3):
-            assert np.max(np.abs(seq.covariance(c) - full.covariance(c))) < 1e-10
+            assert np.max(np.abs(seq.covariances()[c]
+                                 - full.covariances()[c])) < 1e-10
             assert np.allclose(seq.means[c], full.means[c], atol=1e-12)
 
     def test_pooling_invariant_under_random_partitioning(self):
@@ -42,13 +70,13 @@ class TestUpdateCovariance:
         for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, 200]):
             update_covariance(stats, x[lo:hi], y[lo:hi])
         for c in range(2):
-            assert np.max(np.abs(stats.covariance(c)
+            assert np.max(np.abs(stats.covariances()[c]
                                  - population_cov(x[y == c]))) < 1e-10
 
     def test_constant_features_give_zero_covariance(self):
         x = np.full((25, 3), 7.0)
         stats = update_covariance(ClassStats(1, 3), x, np.zeros(25, dtype=int))
-        assert np.allclose(stats.covariance(0), 0.0, atol=1e-12)
+        assert np.allclose(stats.covariances()[0], 0.0, atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -65,8 +93,8 @@ class TestUpdateCovariance:
             update_covariance(dense, x[lo:hi], y[lo:hi])
             update_covariance(diag, x[lo:hi], y[lo:hi])
         for c in range(2):
-            expect = np.diag(np.diag(dense.covariance(c)))
-            assert np.max(np.abs(diag.covariance(c) - expect)) < 1e-10
+            expect = np.diag(dense.covariances()[c])
+            assert np.max(np.abs(diag.covariances()[c] - expect)) < 1e-10
 
     def test_set_covariance_round_trips(self):
         rng = np.random.default_rng(4)
@@ -74,13 +102,31 @@ class TestUpdateCovariance:
                                   np.zeros(10, dtype=int))
         target = project_psd(rng.normal(size=(3, 3)))
         stats.set_covariance(0, target)
-        assert np.allclose(stats.covariance(0), target, atol=1e-12)
+        assert np.allclose(stats.covariances()[0], target, atol=1e-12)
 
     def test_set_covariance_of_unseen_class_rejected(self):
         stats = ClassStats(2, 3)
         with pytest.raises(ValueError):
             stats.set_covariance(1, np.eye(3))
         assert stats.counts[1] == 0
+
+
+@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+def test_update_matches_per_class_reference_bit_for_bit(diagonal):
+    # Batch 1 leaves classes 2 and 3 absent. Batch 2 has a singleton class
+    # (1), a class seen for the first time (2) beside seen classes, and
+    # class 3 still absent.
+    rng = np.random.default_rng(11)
+    ours, ref = (ClassStats(4, 5, diagonal=diagonal) for _ in range(2))
+    for labels in ([0, 1, 0, 1, 1, 0, 0], [2, 0, 0, 2, 1, 0, 2, 2, 0]):
+        labels = np.array(labels)
+        x = rng.normal(size=(labels.size, 5)) * rng.uniform(0.1, 50.0, 5)
+        update_covariance(ours, x, labels)
+        per_class_update(ref, x, labels)
+        for name in ("counts", "means", "scatter"):
+            assert (getattr(ours, name).tobytes()
+                    == getattr(ref, name).tobytes()), name
+    assert ours.counts.tolist() == [8, 4, 4, 0]
 
 
 class TestClassPriors:
@@ -144,3 +190,19 @@ class TestProjectPsd:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             project_psd(bad)
+
+
+class TestProjectDiagonal:
+    def test_matches_dense_projection_of_the_diagonal_matrix(self):
+        variances = np.array([0.7, -0.2, 0.0, 3.5, -1e-12])
+        out = project_diagonal(variances)
+        assert out.tolist() == [0.7, 0.0, 0.0, 3.5, 0.0]
+        np.testing.assert_allclose(np.diag(out),
+                                   project_psd(np.diag(variances)),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_rejected(self, bad):
+        # -inf would clamp to a plausible zero and hide the overflow
+        with pytest.raises(ValueError):
+            project_diagonal(np.array([0.5, bad]))

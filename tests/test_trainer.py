@@ -31,7 +31,7 @@ RANGE = 1.0 - 1e-9  # perturbation net output scale
 
 
 def tiny_setup(alpha=0.5, beta=1.0, eta1=0.05, eta2=1e-3, freeze_eps=False,
-               seed=0, randomize_omega=True):
+               seed=0, randomize_omega=True, diagonal_sigma=False):
     """2-class, 2-feature, identity-extractor instance with 4+4 points."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(4, 2))
@@ -43,7 +43,8 @@ def tiny_setup(alpha=0.5, beta=1.0, eta1=0.05, eta2=1e-3, freeze_eps=False,
     cfg = TrainerConfig(t1=0, t2=10, eta1=eta1, eta2=eta2, alpha=alpha,
                         beta=beta, batch_train=4, batch_meta=4, hidden=(),
                         feat_dim=2, perturb_hidden=4, freeze_eps=freeze_eps,
-                        decay_points=(), seed=seed)
+                        diagonal_sigma=diagonal_sigma, decay_points=(),
+                        seed=seed)
     state = init_state(cfg, ds, md)
     state.t = 1
     if randomize_omega:
@@ -53,10 +54,25 @@ def tiny_setup(alpha=0.5, beta=1.0, eta1=0.05, eta2=1e-3, freeze_eps=False,
     return state
 
 
+def set_sigma_step(monkeypatch, sigma, grad):
+    """Make the lookahead of a meta iteration hand its Sigma step `sigma`
+    and `grad`, and no perturbation-net gradient. The covariances the
+    lookahead saw are appended to the returned list."""
+    seen = []
+
+    def lookahead(state, batch_idx, meta_idx, obs):
+        seen.append(state.stats.covariances())
+        start = seen[-1] if sigma is None else sigma
+        return training.Lookahead(0.0, state.params.arrays(), None,
+                                  grad(start), start)
+
+    monkeypatch.setattr(training, "lookahead_meta_loss", lookahead)
+    return seen
+
+
 def observe_and_look_ahead(state, idx=np.arange(4)):
     """The first two stages of a meta iteration, on one shared batch."""
-    characteristics, grad_h = _observe_batch(state, idx)
-    return lookahead_meta_loss(state, idx, idx, characteristics, grad_h)
+    return lookahead_meta_loss(state, idx, idx, _observe_batch(state, idx))
 
 
 class TestConfig:
@@ -167,9 +183,9 @@ class TestLookahead:
         y = state.dataset.labels
         priors = state.priors
 
-        f, grad_h = _observe_batch(state, np.arange(4))
-        ahead = lookahead_meta_loss(state, np.arange(4), np.arange(4), f,
-                                    grad_h)
+        obs = _observe_batch(state, np.arange(4))
+        ahead = lookahead_meta_loss(state, np.arange(4), np.arange(4), obs)
+        f, grad_h = obs.characteristics, obs.grad_h
 
         # Independent scripted computation with explicit loops.
         ov = state.perturb.arrays()
@@ -178,7 +194,7 @@ class TestLookahead:
         delta = eps * np.sign(grad_h)
         w = state.params.head_w
         b = state.params.head_b
-        sigmas = [state.stats.covariance(c) for c in range(2)]
+        sigmas = state.stats.covariances()
         n, C = 4, 2
         rho = np.zeros((n, C))
         for i in range(n):
@@ -260,8 +276,8 @@ class TestMetaUpdates:
         meta_iteration(state, np.arange(4), np.arange(4))
         assert any(not np.array_equal(b, a) for b, a in
                    zip(omega_before, state.perturb.arrays()))
-        moved = [not np.allclose(observed.stats.covariance(c),
-                                 state.stats.covariance(c), atol=1e-16)
+        moved = [not np.allclose(observed.stats.covariances()[c],
+                                 state.stats.covariances()[c], atol=1e-16)
                  for c in range(2)]
         assert any(moved)
 
@@ -278,7 +294,8 @@ class TestMetaUpdates:
             expected.append(0.5 * (proj + proj.T))
         meta_iteration(state, np.arange(4), np.arange(4))
         for c in range(2):
-            np.testing.assert_allclose(state.stats.covariance(c), expected[c],
+            np.testing.assert_allclose(state.stats.covariances()[c],
+                                       expected[c],
                                        rtol=1e-12, atol=1e-14)
 
     def test_unseen_class_gains_no_phantom_sample(self):
@@ -318,13 +335,63 @@ class TestMetaUpdates:
         state = init_state(cfg, ds, md)
         state.t = 1
         meta_iteration(state, np.arange(6), np.arange(3))
-        before = state.stats.covariance(2)
+        before = state.stats.covariances()[2]
         projected = []
         monkeypatch.setattr(training, "project_psd",
                             lambda s: projected.append(s) or project_psd(s))
         meta_iteration(state, np.array([0, 1, 3, 4]), np.arange(3))
         assert len(projected) == 2
-        np.testing.assert_array_equal(state.stats.covariance(2), before)
+        np.testing.assert_array_equal(state.stats.covariances()[2], before)
+
+
+    def test_diagonal_step_equals_dense_projected_step(self, monkeypatch):
+        # On a diagonal hypergradient the dense step (eigh projection) and
+        # the diagonal step (clamp at zero) must agree, clamping included.
+        variances = np.array([[0.4, 0.7], [0.9, 0.25]])
+        grad = np.array([[2e3, -1e3], [5e2, 1.5e3]])  # eta2 = 1e-3: two clamp
+        stepped = {}
+        for diagonal in (False, True):
+            state = tiny_setup(alpha=0.6, seed=9, diagonal_sigma=diagonal)
+            expand = (lambda r: r) if diagonal else np.diag
+            set_sigma_step(monkeypatch,
+                           np.stack([expand(r) for r in variances]),
+                           lambda s: np.stack([expand(r) for r in grad]))
+            meta_iteration(state, np.arange(4), np.arange(4))
+            stepped[diagonal] = state.stats.covariances()
+        dense = stepped[False]
+        np.testing.assert_allclose(
+            stepped[True], np.diagonal(dense, axis1=1, axis2=2),
+            rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(dense, [np.diag(np.diag(d)) for d in dense],
+                                   rtol=0, atol=1e-15)
+        assert stepped[True].tolist() == [[0.0, 1.7], [0.4, 0.0]]
+
+    @pytest.mark.parametrize("diagonal", [False, True],
+                             ids=["full", "diagonal"])
+    def test_overflowing_candidate_is_reported_and_skipped(self, monkeypatch,
+                                                           diagonal):
+        # A finite hypergradient whose step overflows: the candidate holds
+        # -inf, which a clamp at zero would hide. The class keeps its
+        # covariance and the event names it; class 1 still steps.
+        state = tiny_setup(alpha=0.6, seed=9, eta2=2.0,
+                           diagonal_sigma=diagonal)
+
+        def grad(sigma):
+            g = np.zeros_like(sigma)
+            g[0] = np.finfo(np.float64).max
+            g[1] = 1e-3
+            return g
+
+        seen = set_sigma_step(monkeypatch, None, grad)
+        with np.errstate(over="ignore"):
+            meta_iteration(state, np.arange(4), np.arange(4))
+        after = state.stats.covariances()
+        assert after[0].tobytes() == seen[0][0].tobytes()
+        assert not np.array_equal(after[1], seen[0][1])
+        assert len(state.events) == 1
+        assert state.events[0].startswith(
+            "iteration 1: covariance projection failed for class 0 (")
+        assert state.events[0].endswith("keeping previous value")
 
 
 class TestFinalStep:
@@ -333,10 +400,9 @@ class TestFinalStep:
         state.config.momentum = 0.0
         state.config.weight_decay = 0.0
         state.sgd = MomentumSgd(state.params.arrays(), 0.0, 0.0)
-        f, grad_h = _observe_batch(state, np.arange(4))
-        ahead = lookahead_meta_loss(state, np.arange(4), np.arange(4), f,
-                                    grad_h)
-        final_step(state, np.arange(4), f, grad_h)
+        obs = _observe_batch(state, np.arange(4))
+        ahead = lookahead_meta_loss(state, np.arange(4), np.arange(4), obs)
+        final_step(state, np.arange(4), obs)
         for pseudo, p in zip(ahead.pseudo_params, state.params.arrays()):
             np.testing.assert_array_equal(pseudo, p)
 
@@ -449,6 +515,20 @@ class TestTrajectories:
         _, log = train(cfg, ds, md, eval_data=test)
         assert {row["phase"] for row in log.rows} == {"warmup", "meta"}
         assert all(np.isfinite(row["test_accuracy"]) for row in log.rows)
+
+    def test_diagonal_training_runs_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called in diagonal mode")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        ds, md = self.make_problem()
+        cfg = TrainerConfig(t1=3, t2=8, batch_train=16, batch_meta=4,
+                            hidden=(8,), feat_dim=4, perturb_hidden=6,
+                            diagonal_sigma=True, seed=6)
+        state, log = train(cfg, ds, md)
+        assert {row["phase"] for row in log.rows} == {"warmup", "meta"}
+        assert state.stats.covariances().shape == (3, 4)
+        assert not log.events
 
     def test_full_iteration_changes_all_parameter_groups(self):
         state = tiny_setup(alpha=0.6, seed=17)
