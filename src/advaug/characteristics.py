@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .stats import ClassStats
 
 CHARACTERISTIC_NAMES = (
@@ -84,28 +85,15 @@ def extract(view: BatchView, history: History,
     """The 15 raw scalars per sample, plus their normalized variants.
 
     EMA-based entries fall back to the instantaneous value for samples the
-    history has never seen.
+    history has never seen. Only the loss z-score and the within-class loss
+    rank read the whole set; the other columns and the normalization run in
+    blocks of `kernels.BLOCK_ROWS` rows.
     """
     n = view.ids.size
     labels = np.asarray(view.labels, dtype=np.intp)
-    z, q = view.logits, view.q
     rows = np.arange(n)
-    loss = view.lse - z[rows, labels]
-    masked = z.copy()
-    masked[rows, labels] = -np.inf
-    margin = z[rows, labels] - masked.max(axis=1)
-    entropy = -np.sum(q * np.log(np.maximum(q, 1e-300)), axis=1)
-    correct = (z.argmax(axis=1) == labels).astype(np.float64)
-    seen = history.seen[view.ids]
-    loss_ema = np.where(seen, history.loss_ema[view.ids], loss)
-    margin_ema = np.where(seen, history.margin_ema[view.ids], margin)
-    correct_ema = np.where(seen, history.correct_ema[view.ids], correct)
+    loss = view.lse - view.logits[rows, labels]
     zscore = (loss - loss.mean()) / (loss.std() + 1e-12)
-    grad_norm = np.linalg.norm(view.grad_h, axis=1)
-    prior = stats.priors[labels]
-    spread = np.sqrt(stats.traces() + 1e-12)
-    mean_dist = (np.linalg.norm(view.h - stats.means[labels], axis=1)
-                 / spread[labels])
     # Rank of each loss within its class: a stable sort by (label, loss)
     # breaks ties by position, and a singleton class ranks 0.5.
     class_size = np.bincount(labels)
@@ -114,12 +102,33 @@ def extract(view: BatchView, history: History,
     within = position - (np.cumsum(class_size) - class_size)[labels]
     size = class_size[labels]
     rank = np.where(size == 1, 0.5, within / np.maximum(size - 1, 1))
-    raw = np.stack([
-        loss, loss_ema, zscore, margin, margin_ema, entropy,
-        q[rows, labels], correct, correct_ema, grad_norm, prior,
-        np.log(prior), mean_dist, np.full(n, view.progress), rank,
-    ], axis=1)
-    return CharacteristicsBatch(raw, history.normalize(raw))
+    spread = np.sqrt(stats.traces() + 1e-12)
+
+    def block(r):
+        z, q, ids, y = view.logits[r], view.q[r], view.ids[r], labels[r]
+        idx = np.arange(ids.size)
+        masked = z.copy()
+        masked[idx, y] = -np.inf
+        margin = z[idx, y] - masked.max(axis=1)
+        entropy = -np.sum(q * np.log(np.maximum(q, 1e-300)), axis=1)
+        correct = (z.argmax(axis=1) == y).astype(np.float64)
+        seen = history.seen[ids]
+        loss_ema = np.where(seen, history.loss_ema[ids], loss[r])
+        margin_ema = np.where(seen, history.margin_ema[ids], margin)
+        correct_ema = np.where(seen, history.correct_ema[ids], correct)
+        grad_norm = np.linalg.norm(view.grad_h[r], axis=1)
+        prior = stats.priors[y]
+        mean_dist = (np.linalg.norm(view.h[r] - stats.means[y], axis=1)
+                     / spread[y])
+        raw = np.stack([
+            loss[r], loss_ema, zscore[r], margin, margin_ema, entropy,
+            q[idx, y], correct, correct_ema, grad_norm, prior,
+            np.log(prior), mean_dist, np.full(ids.size, view.progress),
+            rank[r],
+        ], axis=1)
+        return raw, history.normalize(raw)
+
+    return CharacteristicsBatch(*kernels.by_row_blocks(block, n))
 
 
 def update_history(history: History, ids: np.ndarray,

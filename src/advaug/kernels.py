@@ -30,13 +30,50 @@ import numpy as np
 # tanh saturates to exactly 1.0 in float64; this keeps |eps| strictly < 1
 RANGE_SCALE = 1.0 - 1e-9
 
+# Rows per block of a pass over the whole training set (the per-epoch
+# diagnostics). Whole-set temporaries are mapped fresh and trimmed again on
+# every pass; those of one block are reused from the heap. Chosen by
+# measurement (CHANGES.md). A multiple of the BLAS kernels' row unrolling,
+# so every row of a blocked product rounds as in the whole-set product.
+BLOCK_ROWS = 768
+
+
+def by_row_blocks(fn, n: int, size: int | None = None):
+    """fn(rows) on consecutive row slices of range(n), `size` rows each
+    (default BLOCK_ROWS), stacked.
+
+    fn returns an array, or a tuple of arrays, with one row per row of the
+    slice; so does this, with n rows. Rows that fit one block are returned
+    as fn gives them, without a copy. A last block of one row joins the one
+    before it: the product of a single row takes another BLAS path, which
+    rounds differently.
+    """
+    size = size or BLOCK_ROWS
+    if n <= size + 1:
+        return fn(slice(0, n))
+    edges = list(range(0, n, size)) + [n]
+    if n - edges[-2] == 1:
+        del edges[-2]
+    # fn on no rows gives the shapes and types of the outputs
+    empty = fn(slice(0, 0))
+    tupled = isinstance(empty, tuple)
+    outs = [np.empty((n, *a.shape[1:]), a.dtype)
+            for a in (empty if tupled else (empty,))]
+    for start, stop in zip(edges, edges[1:]):
+        result = fn(slice(start, stop))
+        for out, a in zip(outs, result if tupled else (result,)):
+            out[start:stop] = a
+    return tuple(outs) if tupled else outs[0]
+
 
 def softmax_lse(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row softmax q and log-sum-exp of logits z, from one exp pass."""
     top = z.max(axis=1, keepdims=True)
-    e = np.exp(z - top)
-    total = e.sum(axis=1, keepdims=True)
-    return e / total, np.log(total[:, 0]) + top[:, 0]
+    q = z - top
+    np.exp(q, out=q)
+    total = q.sum(axis=1, keepdims=True)
+    q /= total
+    return q, np.log(total[:, 0]) + top[:, 0]
 
 
 def quad(slot: str, a=None, u=None, v=None, s=None,
@@ -88,10 +125,17 @@ def extractor_layers(phi: list[np.ndarray]
 
 
 def mlp_forward(layers, x: np.ndarray) -> list[np.ndarray]:
-    """Activations [x, a_1, ..., a_k] of the ReLU extractor; the last is h."""
+    """Activations [x, a_1, ..., a_k] of the ReLU extractor; the last is h.
+
+    Bias and ReLU run in place on each layer's fresh product, so x and the
+    parameters are only read.
+    """
     acts = [x]
     for w, b in layers:
-        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+        a = acts[-1] @ w
+        a += b
+        np.maximum(a, 0.0, out=a)
+        acts.append(a)
     return acts
 
 
@@ -131,10 +175,17 @@ class PerturbPass(NamedTuple):
 
 
 def eps_forward(omega: list[np.ndarray], f: np.ndarray) -> PerturbPass:
-    """eps = RANGE_SCALE * tanh(relu(f w1 + b1) w2 + b2), per row of f."""
+    """eps = RANGE_SCALE * tanh(relu(f w1 + b1) w2 + b2), per row of f.
+
+    Like `mlp_forward`, each layer works in place on its fresh product.
+    """
     w1, b1, w2, b2 = omega
-    hidden = np.maximum(f @ w1 + b1, 0.0)
-    t = np.tanh(hidden @ w2 + b2)
+    hidden = f @ w1
+    hidden += b1
+    np.maximum(hidden, 0.0, out=hidden)
+    t = hidden @ w2
+    t += b2
+    np.tanh(t, out=t)
     return PerturbPass((RANGE_SCALE * t)[:, 0], f, hidden, t)
 
 
@@ -174,9 +225,10 @@ def forward(phi: list[np.ndarray], x: np.ndarray,
     if acts is None:
         acts = mlp_forward(extractor_layers(phi), x)
     feats = acts[-1] if delta is None else acts[-1] + delta
-    z = feats @ w.T + b
+    z = feats @ w.T
+    z += b
     if offset is not None:
-        z = z + offset
+        z += offset
     return acts, feats, z
 
 

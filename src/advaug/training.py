@@ -23,8 +23,9 @@ Each meta iteration runs four stages:
    and covariances.
 
 Iterations up to the warm-up horizon use plain cross-entropy instead. The
-per-epoch diagnostics and evaluation run the same kernel forward; no stage
-records a tape op.
+per-epoch diagnostics and evaluation run the same kernel forward, the
+diagnostics over the whole training set in row blocks; no stage records a
+tape op.
 """
 
 from __future__ import annotations
@@ -231,21 +232,31 @@ def sample_meta_batch(state: MetaState) -> np.ndarray:
     return state.meta_rng.choice(n_meta, size=size, replace=False)
 
 
-def _batch_view(state: MetaState, ids: np.ndarray
-                ) -> tuple[BatchView, list[np.ndarray]]:
+def _batch_view(state: MetaState, ids: np.ndarray, keep_acts: bool = False
+                ) -> tuple[BatchView, list[np.ndarray] | None]:
     """Kernel forward of the training rows `ids` under the current state.
 
-    Returns the view and the extractor activations; the softmax is taken
-    once, for both the view and the detached feature gradient.
+    The rows run in blocks of `kernels.BLOCK_ROWS`, so a full-set pass
+    holds the activations of one block at a time. The softmax is taken
+    once, for both the view and the detached feature gradient. With
+    `keep_acts` the rows run as one block, whose extractor activations are
+    returned for the classifier steps that reuse them; otherwise None is.
     """
     y = state.dataset.labels[ids]
-    acts, h, z = kernels.forward(state.params.arrays(),
-                                 state.dataset.features[ids])
-    q, lse = softmax_lse(z)
+    phi = state.params.arrays()
+    acts = None
+
+    def block(rows):
+        nonlocal acts
+        acts, h, z = kernels.forward(phi, state.dataset.features[ids[rows]])
+        q, lse = softmax_lse(z)
+        return h, z, q, lse, ce_grad_wrt_features(state.params, q, y[rows])
+
+    h, z, q, lse, grad_h = kernels.by_row_blocks(
+        block, ids.size, ids.size if keep_acts else None)
     view = BatchView(ids=ids, h=h, logits=z, q=q, lse=lse, labels=y,
-                     grad_h=ce_grad_wrt_features(state.params, q, y),
-                     progress=state.t / state.config.t2)
-    return view, acts
+                     grad_h=grad_h, progress=state.t / state.config.t2)
+    return view, acts if keep_acts else None
 
 
 def _observe_batch(state: MetaState, batch_idx: np.ndarray) -> Observation:
@@ -255,7 +266,7 @@ def _observe_batch(state: MetaState, batch_idx: np.ndarray) -> Observation:
     this iteration, the per-sample CE gradients w.r.t. features and the
     extractor activations, valid until the classifier steps.
     """
-    view, acts = _batch_view(state, batch_idx)
+    view, acts = _batch_view(state, batch_idx, keep_acts=True)
     update_covariance(state.stats, view.h, view.labels)
     batch = extract(view, state.history, state.stats)
     update_history(state.history, batch_idx, batch.raw)
@@ -382,13 +393,14 @@ def full_train_eps(state: MetaState) -> np.ndarray:
     if state.config.freeze_eps:
         return np.zeros(state.dataset.n)
     view, _ = _batch_view(state, np.arange(state.dataset.n))
-    batch = extract(view, state.history, state.stats)
-    return kernels.eps_forward(state.perturb.arrays(), batch.normalized).eps
+    f = extract(view, state.history, state.stats).normalized
+    omega = state.perturb.arrays()
+    return kernels.by_row_blocks(
+        lambda rows: kernels.eps_forward(omega, f[rows]).eps, state.dataset.n)
 
 
 def _epoch_row(state: MetaState, epoch: int, phase: str,
                eval_data: Dataset | None) -> dict:
-    cfg = state.config
     num_classes = state.dataset.num_classes
     row = {"epoch": epoch, "iteration": state.t, "phase": phase,
            "train_loss": state.last_train_loss,
@@ -409,9 +421,10 @@ def _epoch_row(state: MetaState, epoch: int, phase: str,
     eps = full_train_eps(state)
     labels = state.dataset.labels
     for c in range(num_classes):
-        mask = labels == c
-        row[f"mean_eps_{c}"] = float(eps[mask].mean()) if mask.any() else math.nan
-        row[f"adv_ratio_{c}"] = float((eps[mask] > 0).mean()) if mask.any() else math.nan
+        eps_c = eps[labels == c]
+        row[f"mean_eps_{c}"] = float(eps_c.mean()) if eps_c.size else math.nan
+        row[f"adv_ratio_{c}"] = (float((eps_c > 0).mean()) if eps_c.size
+                                 else math.nan)
     if state.dataset.noise_mask is not None:
         noisy = state.dataset.noise_mask
         if noisy.any():

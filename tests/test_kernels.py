@@ -10,8 +10,8 @@ from advaug.data import Dataset, MetaDataset
 from advaug.loss import (LossConfig, adjusted_logits, augmented_ce_loss,
                          base_logits, compute_delta, eps_forward,
                          extract_features, quadratic_terms)
-from advaug.training import (TrainerConfig, _observe_batch, init_state,
-                             learning_rate, lookahead_meta_loss)
+from advaug.training import (TrainerConfig, _observe_batch, final_step,
+                             init_state, learning_rate, lookahead_meta_loss)
 
 TOL = 1e-10
 
@@ -157,6 +157,40 @@ def test_eps_kernels_match_taped_net():
         assert rel_err(g_ours, g_ref.value) < TOL
 
 
+def test_forward_kernels_only_read_their_inputs():
+    phi, x, *_ = random_instance(6, hidden=(5, 4))
+    layers = kernels.extractor_layers(phi)
+    rng = np.random.default_rng(6)
+    omega = [rng.normal(scale=0.3, size=s) for s in [(15, 6), 6, (6, 1), 1]]
+    f = rng.normal(size=(7, 15))
+    inputs = [x, f, *phi, *omega]
+    before = [a.copy() for a in inputs]
+    acts = kernels.mlp_forward(layers, x)
+    kernels.eps_forward(omega, f)
+    assert acts[0] is x
+    for a, b in zip(inputs, before, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 6, 7, 12, 13])
+def test_by_row_blocks_cover_the_rows_without_a_one_row_block(n):
+    x = np.arange(3.0 * n).reshape(n, 3)
+    blocks = []
+
+    def fn(rows):
+        blocks.append(rows)
+        return 2 * x[rows], x[rows, 0]
+
+    twice, first = kernels.by_row_blocks(fn, n, 6)
+    assert np.array_equal(twice, 2 * x) and np.array_equal(first, x[:, 0])
+    blocks = [r for r in blocks if r.stop > r.start]
+    assert [i for r in blocks for i in range(n)[r]] == list(range(n))
+    sizes = [r.stop - r.start for r in blocks]
+    assert all(size <= 7 for size in sizes)
+    assert n <= 1 or min(sizes) > 1
+    assert np.array_equal(kernels.by_row_blocks(lambda r: x[r], n, 6), x)
+
+
 # ---------------------------------------------------------------------------
 # the lookahead hypergradient against reverse-over-reverse on the tape
 
@@ -248,3 +282,20 @@ def test_hypergradient_matches_reverse_over_reverse(case):
         assert rel_err(ours.sigma_grad, sigma_grad) < TOL
     # No rho row of the batch reads Sigma_2: its row is exactly zero.
     np.testing.assert_array_equal(ours.sigma_grad[2], 0.0)
+
+
+@pytest.mark.parametrize("case", ["default", "two_hidden_layers",
+                                  "identity_extractor", "freeze_eps"])
+def test_classifier_steps_leave_the_observed_activations_unchanged(case):
+    # The final step reuses the activations the lookahead read: an in-place
+    # op on one of them would corrupt that step silently.
+    state = lookahead_state(2, **LOOKAHEAD_CASES[case])
+    batch = np.array([0, 1, 2, 4])
+    obs = _observe_batch(state, batch)
+    before = [a.copy() for a in obs.acts]
+    lookahead_meta_loss(state, batch, np.arange(6), obs)
+    for a, b in zip(obs.acts, before, strict=True):
+        assert a.tobytes() == b.tobytes()
+    final_step(state, batch, obs)
+    for a, b in zip(obs.acts, before, strict=True):
+        assert a.tobytes() == b.tobytes()

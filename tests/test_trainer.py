@@ -1,13 +1,19 @@
 """Meta-trainer tests: step contracts, hypergradient oracles, trajectories."""
 
 import copy
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import advaug.autodiff
+from advaug.characteristics import BatchView, extract
+from advaug.classifier import ce_grad_wrt_features
+from advaug.config import parse_config, trainer_config
 from advaug.data import BlobGeometry, Dataset, MetaDataset, make_balanced, make_longtail
 from advaug import kernels, training
+from advaug.scenarios import build_scenario
 from advaug.stats import class_priors, project_psd
 from advaug.training import (
     Adam,
@@ -17,6 +23,7 @@ from advaug.training import (
     TrainerConfig,
     _observe_batch,
     final_step,
+    full_train_eps,
     init_state,
     learning_rate,
     lookahead_meta_loss,
@@ -579,3 +586,111 @@ class TestStateInit:
         assert isinstance(state, MetaState)
         np.testing.assert_array_equal(state.params.head_w,
                                       clone.params.head_w)
+
+
+# ---------------------------------------------------------------------------
+# the per-epoch pass over the whole training set, run in row blocks
+
+BLOCK = kernels.BLOCK_ROWS
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def full_set_state(diagonal_sigma=True, freeze_eps=False):
+    """Three classes on 2 * BLOCK + 1 rows, after two warm-up and two meta
+    iterations, with a random perturbation net."""
+    rng = np.random.default_rng(5)
+    n = 2 * BLOCK + 1
+    y = rng.integers(0, 3, size=n)
+    ds = Dataset(features=rng.normal(size=(n, 4)) + y[:, None], labels=y,
+                 class_counts=np.bincount(y, minlength=3))
+    md = MetaDataset(features=rng.normal(size=(6, 4)),
+                     labels=np.array([0, 1, 2, 0, 1, 2]))
+    cfg = TrainerConfig(t1=2, t2=10, batch_train=32, batch_meta=6,
+                        hidden=(8,), feat_dim=5, perturb_hidden=6,
+                        diagonal_sigma=diagonal_sigma, freeze_eps=freeze_eps,
+                        seed=5)
+    state = init_state(cfg, ds, md)
+    state.perturb.load_values([rng.normal(scale=0.3, size=a.shape)
+                               for a in state.perturb.arrays()])
+    for t in range(1, 5):
+        state.t = t
+        batch = sample_train_batch(state)
+        if t <= cfg.t1:
+            warmup_step(state, batch)
+        else:
+            meta_iteration(state, batch, training.sample_meta_batch(state))
+    return state
+
+
+def first_rows(state, n):
+    """The state with its training set cut to the first n rows."""
+    ds = state.dataset
+    y = ds.labels[:n]
+    state.dataset = Dataset(features=ds.features[:n], labels=y,
+                            class_counts=np.bincount(y, minlength=3))
+    return state
+
+
+def whole_set_eps(state, monkeypatch):
+    """full_train_eps in one pass over all n rows: the kernel forward, the
+    softmax, the detached feature gradient, extract and the net, each on
+    the whole set."""
+    n = state.dataset.n
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "BLOCK_ROWS", n)
+        _, h, z = kernels.forward(state.params.arrays(),
+                                  state.dataset.features)
+        q, lse = kernels.softmax_lse(z)
+        y = state.dataset.labels
+        view = BatchView(ids=np.arange(n), h=h, logits=z, q=q, lse=lse,
+                         labels=y,
+                         grad_h=ce_grad_wrt_features(state.params, q, y),
+                         progress=state.t / state.config.t2)
+        f = extract(view, state.history, state.stats).normalized
+        return kernels.eps_forward(state.perturb.arrays(), f).eps
+
+
+class TestFullTrainEps:
+    @pytest.mark.parametrize("diagonal_sigma", [True, False])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   2 * BLOCK + 1])
+    def test_blocks_equal_one_pass_bit_for_bit(self, n, diagonal_sigma,
+                                               monkeypatch):
+        state = first_rows(full_set_state(diagonal_sigma), n)
+        eps = full_train_eps(state)
+        ref = whole_set_eps(state, monkeypatch)
+        assert eps.shape == (n,)
+        assert eps.tobytes() == ref.tobytes()
+        if n > 1:
+            assert np.all(eps != 0.0)
+
+    def test_frozen_eps_is_zero(self):
+        state = full_set_state(freeze_eps=True)
+        eps = full_train_eps(state)
+        assert eps.shape == (state.dataset.n,)
+        np.testing.assert_array_equal(eps, 0.0)
+
+    def test_leaves_the_state_unchanged(self):
+        state = full_set_state()
+        before = copy.deepcopy(state)
+        full_train_eps(state)
+        for a, b in ((state.history.loss_ema, before.history.loss_ema),
+                     (state.history.norm_mean, before.history.norm_mean),
+                     (state.stats.means, before.stats.means)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_peak_memory_on_the_longtail_preset(self):
+        cfg = parse_config(str(CONFIG_DIR / "longtail.ini"))
+        data = build_scenario(cfg)
+        state = init_state(trainer_config(cfg), data.train, data.meta)
+        for t in range(1, 6):
+            state.t = t
+            warmup_step(state, sample_train_batch(state))
+        tracemalloc.start()
+        try:
+            full_train_eps(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 7.46 MB when the pass ran on the whole set at once
+        assert peak <= 3e6
