@@ -36,6 +36,7 @@ CHARACTERISTIC_NAMES = (
 
 NUM_CHARACTERISTICS = len(CHARACTERISTIC_NAMES)
 _LOSS, _MARGIN, _CORRECT = 0, 3, 7  # raw columns mirrored into the EMAs
+EMA_DECAY = 0.9  # of the per-sample EMAs and the normalization statistics
 
 
 @dataclass
@@ -61,9 +62,8 @@ class CharacteristicsBatch:
 class History:
     """Per-sample EMA trajectories plus feature-normalization EMAs."""
 
-    def __init__(self, capacity: int, decay: float = 0.9):
+    def __init__(self, capacity: int):
         self.capacity = capacity
-        self.decay = decay
         self.seen = np.zeros(capacity, dtype=bool)
         self.loss_ema = np.zeros(capacity)
         self.margin_ema = np.zeros(capacity)
@@ -133,11 +133,11 @@ def extract(view: BatchView, history: History,
 
 def update_history(history: History, ids: np.ndarray,
                    raw: np.ndarray) -> History:
-    """Fold one extracted batch into the EMAs (decay 0.9, init-to-first)."""
+    """Fold one extracted batch into the EMAs (EMA_DECAY, init-to-first)."""
     ids = np.asarray(ids, dtype=np.intp)
     if ids.size and (ids.min() < 0 or ids.max() >= history.capacity):
         raise KeyError(f"sample id out of range 0..{history.capacity - 1}")
-    d = history.decay
+    d = EMA_DECAY
     for table, col in [(history.loss_ema, _LOSS),
                        (history.margin_ema, _MARGIN),
                        (history.correct_ema, _CORRECT)]:

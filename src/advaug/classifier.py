@@ -1,41 +1,76 @@
 """MLP feature extractor plus linear head: parameters and checkpoints.
 
 The extractor maps inputs to features h (the representation the augmented
-loss perturbs); the head maps h to logits. Parameters are float64 arrays
-that the optimizers update in place. `kernels.forward` runs the model for
+loss perturbs); the head maps h to logits. Each model's parameters live in
+one contiguous float64 vector that its optimizer steps in place, seen by the
+kernels as arrays that are views of it. `kernels.forward` runs the model for
 every caller; the taped reference forward is `loss.extract_features`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 
-def load_arrays(targets: list[np.ndarray], values) -> None:
-    """Write `values` into `targets` in place: the optimizers hold the same
-    arrays. Any shape mismatch, which the write would broadcast, is refused
-    before anything is written."""
-    values = [np.asarray(v, dtype=np.float64) for v in values]
-    shapes = [v.shape for v in values]
-    if shapes != [t.shape for t in targets]:
-        raise ValueError(f"parameter shapes differ: got {shapes}")
-    for target, value in zip(targets, values):
-        target[...] = value
+def flatten(arrays) -> np.ndarray:
+    """The arrays' entries, one after another, in one new float64 vector."""
+    return np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
 
 
-@dataclass
-class ClassifierParams:
-    """Extractor layer (weight, bias) pairs and the final head (W, b).
+class FlatParams:
+    """One model's parameters: a contiguous float64 `vector`, and views of it
+    shaped as the model's arrays, in the kernels' order."""
 
-    An empty extractor is the identity map (features = inputs), which
+    def __init__(self, arrays):
+        self.__setstate__((flatten(arrays), [np.shape(a) for a in arrays]))
+
+    # copy.deepcopy and pickle copy the vector alone and rebuild the views
+    # on the copy: a copied view would no longer share the vector's memory.
+    def __getstate__(self):
+        return self.vector, self.shapes
+
+    def __setstate__(self, state) -> None:
+        self.vector, self.shapes = state
+        self._views = self.views(self.vector)
+
+    def views(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Consecutive parts of `vector`, of this model's size, shaped as
+        this model's arrays."""
+        ends = np.cumsum([math.prod(s) for s in self.shapes])[:-1]
+        return [part.reshape(s)
+                for part, s in zip(np.split(vector, ends), self.shapes)]
+
+    def arrays(self) -> list[np.ndarray]:
+        """The views of `vector`, in the kernels' order."""
+        return self._views
+
+    def load_values(self, values) -> None:
+        """Write `values`, shaped as `arrays()`, into the vector. Any shape
+        mismatch, which the write would broadcast, is refused before
+        anything is written."""
+        shapes = [np.shape(v) for v in values]
+        if shapes != self.shapes:
+            raise ValueError(f"parameter shapes differ: got {shapes}")
+        self.vector[...] = flatten(values)
+
+
+class ClassifierParams(FlatParams):
+    """[w_1, b_1, ..., w_k, b_k, W, b]: extractor layer (weight, bias) pairs,
+    then the head W (C x H) and b (C).
+
+    No extractor layers is the identity map (features = inputs), which
     requires feat_dim == in_dim.
     """
 
-    extractor: list[tuple[np.ndarray, np.ndarray]]
-    head_w: np.ndarray  # C x H
-    head_b: np.ndarray  # C
+    @property
+    def head_w(self) -> np.ndarray:
+        return self._views[-2]
+
+    @property
+    def head_b(self) -> np.ndarray:
+        return self._views[-1]
 
     @property
     def feat_dim(self) -> int:
@@ -45,38 +80,21 @@ class ClassifierParams:
     def num_classes(self) -> int:
         return self.head_w.shape[0]
 
-    def arrays(self) -> list[np.ndarray]:
-        """[w_1, b_1, ..., w_k, b_k, W, b], the kernels' flat order."""
-        out = []
-        for w, b in self.extractor:
-            out.extend([w, b])
-        out.extend([self.head_w, self.head_b])
-        return out
-
-    @classmethod
-    def from_arrays(cls, arrays: list[np.ndarray]) -> ClassifierParams:
-        """Inverse of arrays: (w, b) pairs, then head W and b."""
-        return cls(list(zip(arrays[:-2:2], arrays[1:-2:2])),
-                   arrays[-2], arrays[-1])
-
-    def load_values(self, values) -> None:
-        load_arrays(self.arrays(), values)
-
 
 def init_classifier(in_dim: int, num_classes: int, hidden=(64, 64),
                     feat_dim: int = 16, seed: int = 0) -> ClassifierParams:
     """He-initialized MLP; hidden=() with feat_dim==in_dim is identity."""
     rng = np.random.default_rng(seed)
-    layers = []
+    arrays = []
     dims = [in_dim, *hidden, feat_dim]
     if hidden == () and feat_dim == in_dim:
         dims = []  # identity extractor
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         w = rng.normal(scale=np.sqrt(2.0 / d_in), size=(d_in, d_out))
-        layers.append((w, np.zeros(d_out)))
+        arrays.extend([w, np.zeros(d_out)])
     head_w = rng.normal(scale=np.sqrt(1.0 / feat_dim),
                         size=(num_classes, feat_dim))
-    return ClassifierParams(layers, head_w, np.zeros(num_classes))
+    return ClassifierParams([*arrays, head_w, np.zeros(num_classes)])
 
 
 def ce_grad_wrt_features(params: ClassifierParams, q: np.ndarray,
@@ -89,15 +107,16 @@ def ce_grad_wrt_features(params: ClassifierParams, q: np.ndarray,
     return g @ params.head_w
 
 
-def save_checkpoint(params: ClassifierParams, path) -> None:
-    """Exact float64 dump; round-trips bit-identically via load_checkpoint."""
-    arrays = {f"p{i}": v for i, v in enumerate(params.arrays())}
-    arrays["layout"] = np.array([len(params.extractor)])
-    np.savez(path, **arrays)
+def save_checkpoint(params: FlatParams, path) -> None:
+    """Exact float64 dump of the arrays as p0, p1, ...; round-trips
+    bit-identically via load_checkpoint."""
+    np.savez(path, **{f"p{i}": a for i, a in enumerate(params.arrays())})
 
 
-def load_checkpoint(path) -> ClassifierParams:
+def load_checkpoint(path, kind: type[FlatParams] = ClassifierParams
+                    ) -> FlatParams:
+    """The `kind` parameters saved at `path`. The array count comes from the
+    keys; the `layout` key of older classifier files is ignored."""
     with np.load(path) as blob:
-        depth = int(blob["layout"][0])
-        values = [blob[f"p{i}"] for i in range(2 * depth + 2)]
-    return ClassifierParams.from_arrays(values)
+        count = len(blob.files) - ("layout" in blob.files)
+        return kind([blob[f"p{i}"] for i in range(count)])

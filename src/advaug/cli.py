@@ -27,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classifier as classifier_mod
-from . import perturbation as perturbation_mod
+from .classifier import save_checkpoint
 from .config import ConfigError, RunConfig, parse_config, trainer_config, write_resolved
 from .data import DataError, Dataset, save_csv
 from .metrics import compare_runs, run_summary
@@ -81,10 +80,8 @@ def _execute_run(cfg: RunConfig, out_dir: Path) -> tuple[int, dict | None]:
 
     log.write_csv(str(out_dir / "metrics.csv"))
     write_resolved(cfg, str(out_dir / "resolved_config.ini"))
-    classifier_mod.save_checkpoint(state.params,
-                                   str(out_dir / "classifier.npz"))
-    perturbation_mod.save_checkpoint(state.perturb,
-                                     str(out_dir / "perturb_net.npz"))
+    save_checkpoint(state.params, str(out_dir / "classifier.npz"))
+    save_checkpoint(state.perturb, str(out_dir / "perturb_net.npz"))
     summary = run_summary(log)
     wg = summary["worst_group_accuracy"]
     full = {

@@ -266,6 +266,8 @@ def load_csv(path) -> Dataset:
             raise DataError(f"row {r}: non-numeric cell") from e
         if labels[-1] < 0:
             raise DataError(f"row {r}: negative label")
+    if not labels:
+        raise DataError(f"{path} has no rows")
     labels = np.asarray(labels, dtype=np.intp)
     return Dataset(np.asarray(feats), labels,
                    _counts(labels, int(labels.max()) + 1),

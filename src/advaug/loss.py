@@ -51,7 +51,6 @@ class RegularizerReport:
     generalization: float  # sum_i sum_{j != y} q_ij rho_ij
     robustness: float  # sum_i sum_{j != y} q_ij (w_j - w_y) . delta_i
     fairness: float  # sum_i sum_{j != y} q_ij log(pi_j / pi_y)
-    per_sample: np.ndarray  # n x 3 breakdown in the same order
 
 
 def extract_features(phi: list[Tensor], x) -> Tensor:
@@ -163,6 +162,5 @@ def regularizer_terms(q: np.ndarray, rho: np.ndarray, w: np.ndarray,
     rob = np.sum(qo * np.einsum("ijh,ih->ij", diff, delta), axis=1)
     log_ratio = np.log(priors)[None, :] - np.log(priors[labels])[:, None]
     fair = np.sum(qo * log_ratio, axis=1)
-    per_sample = np.stack([gen, rob, fair], axis=1)
     return RegularizerReport(float(gen.sum()), float(rob.sum()),
-                             float(fair.sum()), per_sample)
+                             float(fair.sum()))

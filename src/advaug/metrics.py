@@ -90,11 +90,6 @@ class MetricsLog:
                 f"unknown {sorted(extra)}")
         self.rows.append({k: row[k] for k in cols})
 
-    def column(self, name: str) -> list:
-        if name not in self.columns:
-            raise KeyError(name)
-        return [row[name] for row in self.rows]
-
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

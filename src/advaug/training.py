@@ -38,7 +38,7 @@ import numpy as np
 
 from . import kernels
 from .characteristics import (BatchView, History, extract, update_history)
-from .classifier import (ClassifierParams, ce_grad_wrt_features,
+from .classifier import (ClassifierParams, ce_grad_wrt_features, flatten,
                          init_classifier)
 from .data import Dataset, MetaDataset
 from .kernels import softmax_lse
@@ -108,44 +108,42 @@ class TrainerConfig:
 class MomentumSgd:
     """SGD with classical momentum and decoupled-from-loss weight decay."""
 
-    def __init__(self, params: list[np.ndarray], momentum: float,
+    def __init__(self, params: np.ndarray, momentum: float,
                  weight_decay: float):
         self.params = params
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = [np.zeros_like(p) for p in params]
+        self.velocity = np.zeros_like(params)
 
-    def step(self, grads: list[np.ndarray], lr: float) -> None:
-        for p, g, v in zip(self.params, grads, self.velocity, strict=True):
-            v *= self.momentum
-            v += g + self.weight_decay * p
-            p -= lr * v
+    def step(self, grad: np.ndarray, lr: float) -> None:
+        self.velocity *= self.momentum
+        self.velocity += grad + self.weight_decay * self.params
+        self.params -= lr * self.velocity
 
 
 class Adam:
-    def __init__(self, params: list[np.ndarray], lr: float,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8):
+    """Adam on the parameter vector, in place."""
+
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: np.ndarray, lr: float):
         self.params = params
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
-    def step(self, grads: list[np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = self.BETA1, self.BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v,
-                              strict=True):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * np.square(g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        self.m *= b1
+        self.m += (1.0 - b1) * grad
+        self.v *= b2
+        self.v += (1.0 - b2) * np.square(grad)
+        self.params -= (self.lr * (self.m / c1)
+                        / (np.sqrt(self.v / c2) + self.EPS))
 
 
 @dataclass
@@ -203,8 +201,8 @@ def init_state(config: TrainerConfig, dataset: Dataset,
                        diagonal=config.diagonal_sigma)
     history = History(capacity=dataset.n)
     priors = class_priors(dataset.class_counts)
-    sgd = MomentumSgd(params.arrays(), config.momentum, config.weight_decay)
-    adam = Adam(perturb.arrays(), lr=config.eta2)
+    sgd = MomentumSgd(params.vector, config.momentum, config.weight_decay)
+    adam = Adam(perturb.vector, lr=config.eta2)
     return MetaState(
         config=config, params=params, perturb=perturb, stats=stats,
         history=history, priors=priors, dataset=dataset, metadata=metadata,
@@ -287,7 +285,7 @@ def warmup_step(state: MetaState, batch_idx: np.ndarray) -> None:
                                   state.dataset.labels[batch_idx],
                                   acts=obs.acts)
     _check_finite_loss(state, train.value, "warm-up")
-    state.sgd.step(train.grads, learning_rate(state.config, state.t))
+    state.sgd.step(flatten(train.grads), learning_rate(state.config, state.t))
     state.last_train_loss = train.value
 
 
@@ -325,7 +323,8 @@ def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
     lr = learning_rate(cfg, state.t)
     train, net, sigma = _surrogate(state, batch_idx, obs)
     phi = state.params.arrays()
-    pseudo = [p - lr * g for p, g in zip(phi, train.grads, strict=True)]
+    pseudo = state.params.views(state.params.vector
+                                - lr * flatten(train.grads))
     meta = kernels.cross_entropy(pseudo, state.metadata.features[meta_idx],
                                  state.metadata.labels[meta_idx])
     _check_finite_loss(state, meta.value, "meta")
@@ -345,7 +344,7 @@ def final_step(state: MetaState, batch_idx: np.ndarray,
                obs: Observation) -> None:
     """Real classifier update with refreshed perturbations/covariances."""
     train, _, _ = _surrogate(state, batch_idx, obs)
-    state.sgd.step(train.grads, learning_rate(state.config, state.t))
+    state.sgd.step(flatten(train.grads), learning_rate(state.config, state.t))
     state.last_train_loss = train.value
 
 
@@ -356,8 +355,9 @@ def meta_iteration(state: MetaState, batch_idx: np.ndarray,
     ahead = lookahead_meta_loss(state, batch_idx, meta_idx, obs)
     # Frozen perturbations are zero: the net has no path to the meta loss.
     if ahead.omega_grads is not None:
-        if all(np.all(np.isfinite(g)) for g in ahead.omega_grads):
-            state.adam.step(ahead.omega_grads)
+        omega_grad = flatten(ahead.omega_grads)
+        if np.all(np.isfinite(omega_grad)):
+            state.adam.step(omega_grad)
         else:
             state.events.append(
                 f"iteration {state.t}: non-finite perturbation-net "

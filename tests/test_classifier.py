@@ -11,8 +11,9 @@ import pytest
 from advaug import autodiff as ad
 from advaug import kernels
 from advaug.autodiff import Tape, Tensor
-from advaug.classifier import (ce_grad_wrt_features, init_classifier,
-                               load_checkpoint, save_checkpoint)
+from advaug.classifier import (ClassifierParams, ce_grad_wrt_features,
+                               init_classifier, load_checkpoint,
+                               save_checkpoint)
 from advaug.kernels import softmax_lse
 from advaug.loss import base_logits
 from advaug.loss import extract_features as taped_features
@@ -47,9 +48,9 @@ class TestExtractFeatures:
     def test_zero_weights_give_constant_bias_pattern(self):
         params = init_classifier(in_dim=3, num_classes=2, hidden=(8,),
                                  feat_dim=4, seed=1)
-        for w, b in params.extractor:
+        for w in params.arrays()[:-2:2]:
             w[:] = 0.0
-        params.extractor[-1][1][:] = np.array([1.0, -1.0, 0.5, 2.0])
+        params.arrays()[-3][:] = np.array([1.0, -1.0, 0.5, 2.0])
         h = extract_features(params, np.random.default_rng(1).normal(size=(6, 3)))
         assert np.allclose(h.value, np.maximum([1.0, -1.0, 0.5, 2.0], 0.0))
         assert np.ptp(h.value, axis=0).max() == 0.0
@@ -210,3 +211,24 @@ class TestCheckpoint:
         for a, b in zip(params.arrays(), back.arrays(), strict=True):
             assert a.tobytes() == b.tobytes()
             assert a.shape == b.shape
+
+    def test_identity_extractor_round_trip(self, tmp_path):
+        params = init_classifier(in_dim=4, num_classes=3, hidden=(),
+                                 feat_dim=4, seed=9)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(params, path)
+        back = load_checkpoint(path)
+        assert type(back) is ClassifierParams
+        assert back.shapes == [(3, 4), (3,)]
+        assert back.vector.tobytes() == params.vector.tobytes()
+
+    def test_loads_files_with_a_layout_key(self, tmp_path):
+        # Earlier versions also wrote the extractor depth as `layout`.
+        params = init_classifier(in_dim=5, num_classes=3, hidden=(6,),
+                                 feat_dim=4, seed=10)
+        path = tmp_path / "old.npz"
+        np.savez(path, layout=np.array([2]),
+                 **{f"p{i}": a for i, a in enumerate(params.arrays())})
+        back = load_checkpoint(path)
+        assert back.shapes == params.shapes
+        assert back.vector.tobytes() == params.vector.tobytes()

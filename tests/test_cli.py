@@ -164,6 +164,12 @@ class TestCustomCsv:
         assert code == 2
         assert "config error" in err and "no rows of class 1" in err
 
+    def test_header_only_meta_csv_exits_2(self, tmp_path, capsys):
+        code, err = self.run_custom(tmp_path, capsys, meta=())
+        assert code == 2
+        assert "config error" in err and "me.csv has no rows" in err
+        assert not (tmp_path / "o").exists()
+
     def test_test_width_mismatch_exits_2(self, tmp_path, capsys):
         code, err = self.run_custom(tmp_path, capsys, test_width=2)
         assert code == 2

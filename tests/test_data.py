@@ -254,3 +254,9 @@ class TestCsv:
         path.write_text("x,y,label\n1.0,2.0,0\n")
         with pytest.raises(DataError, match="header"):
             load_csv(path)
+
+    def test_header_only_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "header_only.csv"
+        path.write_text("f0,f1,label\n")
+        with pytest.raises(DataError, match="header_only.csv has no rows"):
+            load_csv(path)

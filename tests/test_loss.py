@@ -328,4 +328,3 @@ class TestRegularizerTerms:
         assert report.generalization == pytest.approx(gen, rel=1e-12)
         assert report.robustness == pytest.approx(rob, rel=1e-12)
         assert report.fairness == pytest.approx(fair, rel=1e-10)
-        assert report.per_sample.shape == (6, 3)

@@ -96,14 +96,6 @@ class TestMetricsLog:
         MetricsLog.read_csv(str(p1)).write_csv(str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_column_accessor(self):
-        log = MetricsLog(2)
-        log.append(sample_row(2, epoch=1, acc=0.25))
-        log.append(sample_row(2, epoch=2, acc=0.75))
-        assert log.column("test_accuracy") == [0.25, 0.75]
-        with pytest.raises(KeyError):
-            log.column("nope")
-
 
 class TestCompareRuns:
     def test_paired_deltas_and_aggregates(self):

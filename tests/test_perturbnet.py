@@ -11,10 +11,10 @@ from advaug import autodiff as ad
 from advaug import kernels
 from advaug.autodiff import Tape, Tensor
 from advaug.characteristics import NUM_CHARACTERISTICS
+from advaug.classifier import load_checkpoint, save_checkpoint
 from advaug.loss import eps_forward as taped_eps
 from advaug.oracles import fd_gradient
-from advaug.perturbation import (init_perturb_net, load_checkpoint,
-                                 save_checkpoint)
+from advaug.perturbation import PerturbNetParams, init_perturb_net
 
 
 def eps_forward(params, f):
@@ -31,19 +31,21 @@ class TestEpsForward:
 
     def test_saturated_preactivation_stays_strictly_inside_range(self):
         params = init_perturb_net(hidden=4, seed=1)
-        params.w2[:] = 0.0
-        params.b2[:] = 1e6
+        _, _, w2, b2 = params.arrays()
+        w2[:] = 0.0
+        b2[:] = 1e6
         eps = eps_forward(params, np.zeros((3, NUM_CHARACTERISTICS)))
         assert np.all(eps < 1.0)
         assert np.all(eps > 0.99)
-        params.b2[:] = -1e6
+        b2[:] = -1e6
         eps = eps_forward(params, np.zeros((3, NUM_CHARACTERISTICS)))
         assert np.all(eps > -1.0)
 
     def test_strict_range_on_extreme_inputs(self):
         rng = np.random.default_rng(2)
         params = init_perturb_net(hidden=16, seed=2)
-        params.w2[...] = rng.normal(scale=50.0, size=params.w2.shape)
+        w2 = params.arrays()[2]
+        w2[...] = rng.normal(scale=50.0, size=w2.shape)
         f = rng.normal(scale=100.0, size=(20, NUM_CHARACTERISTICS))
         eps = eps_forward(params, f)
         assert np.all(np.abs(eps) < 1.0)
@@ -51,8 +53,9 @@ class TestEpsForward:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         params = init_perturb_net(hidden=8, seed=3)
-        params.w2[...] = rng.normal(scale=0.3, size=params.w2.shape)
-        params.b2[...] = rng.normal(size=1)
+        _, _, w2, b2 = params.arrays()
+        w2[...] = rng.normal(scale=0.3, size=w2.shape)
+        b2[...] = rng.normal(size=1)
         f = rng.normal(size=(5, NUM_CHARACTERISTICS))
         s = rng.normal(size=(5, 1))
         tensors = [Tensor(a) for a in params.arrays()]
@@ -88,10 +91,11 @@ class TestEpsForward:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params = init_perturb_net(hidden=12, seed=5)
-        params.w2 += 0.25
+        params.arrays()[2] += 0.25
         path = tmp_path / "omega.npz"
         save_checkpoint(params, path)
-        back = load_checkpoint(path)
+        back = load_checkpoint(path, PerturbNetParams)
+        assert type(back) is PerturbNetParams
         for a, b in zip(params.arrays(), back.arrays(), strict=True):
             assert a.tobytes() == b.tobytes()
 

@@ -9,7 +9,7 @@ import pytest
 
 import advaug.autodiff
 from advaug.characteristics import BatchView, extract
-from advaug.classifier import ce_grad_wrt_features
+from advaug.classifier import ce_grad_wrt_features, flatten
 from advaug.config import parse_config, trainer_config
 from advaug.data import BlobGeometry, Dataset, MetaDataset, make_balanced, make_longtail
 from advaug import kernels, training
@@ -115,30 +115,30 @@ class TestConfig:
 class TestOptimizers:
     def test_momentum_sgd_two_steps(self):
         p = np.array([1.0, -2.0])
-        opt = MomentumSgd([p], momentum=0.5, weight_decay=0.1)
+        opt = MomentumSgd(p, momentum=0.5, weight_decay=0.1)
         g1 = np.array([0.2, 0.4])
         v1 = g1 + 0.1 * np.array([1.0, -2.0])
         expect1 = np.array([1.0, -2.0]) - 0.1 * v1
-        opt.step([g1], lr=0.1)
+        opt.step(g1, lr=0.1)
         np.testing.assert_allclose(p, expect1, rtol=0, atol=1e-15)
         g2 = np.array([-0.3, 0.1])
         v2 = 0.5 * v1 + g2 + 0.1 * expect1
         expect2 = expect1 - 0.1 * v2
-        opt.step([g2], lr=0.1)
+        opt.step(g2, lr=0.1)
         np.testing.assert_allclose(p, expect2, rtol=0, atol=1e-15)
 
     def test_adam_first_step_is_signed_lr(self):
         # With bias correction the first Adam step is lr * g/(|g| + eps')
         p = np.array([0.0, 0.0, 0.0])
-        opt = Adam([p], lr=1e-2)
-        opt.step([np.array([0.5, -3.0, 0.0])])
+        opt = Adam(p, lr=1e-2)
+        opt.step(np.array([0.5, -3.0, 0.0]))
         np.testing.assert_allclose(p[:2], [-1e-2, 1e-2], rtol=1e-6)
         assert p[2] == 0.0
 
     def test_adam_zero_lr_freezes(self):
         p = np.array([1.0, 2.0])
-        opt = Adam([p], lr=0.0)
-        opt.step([np.array([5.0, -1.0])])
+        opt = Adam(p, lr=0.0)
+        opt.step(np.array([5.0, -1.0]))
         np.testing.assert_array_equal(p, [1.0, 2.0])
 
 
@@ -406,7 +406,7 @@ class TestFinalStep:
         state = tiny_setup()
         state.config.momentum = 0.0
         state.config.weight_decay = 0.0
-        state.sgd = MomentumSgd(state.params.arrays(), 0.0, 0.0)
+        state.sgd = MomentumSgd(state.params.vector, 0.0, 0.0)
         obs = _observe_batch(state, np.arange(4))
         ahead = lookahead_meta_loss(state, np.arange(4), np.arange(4), obs)
         final_step(state, np.arange(4), obs)
@@ -418,7 +418,7 @@ class TestFinalStep:
         state = tiny_setup(alpha=0.6, seed=13)
         state.config.momentum = 0.0
         state.config.weight_decay = 0.0
-        state.sgd = MomentumSgd(state.params.arrays(), 0.0, 0.0)
+        state.sgd = MomentumSgd(state.params.vector, 0.0, 0.0)
         ahead = observe_and_look_ahead(copy.deepcopy(state))
         meta_iteration(state, np.arange(4), np.arange(4))
         diffs = [np.abs(pseudo - p).max()
@@ -438,7 +438,7 @@ def reference_la_trajectory(cfg, ds, md):
         offset = cfg.beta * log_pi if t > cfg.t1 else None
         ce = kernels.cross_entropy(phi, ds.features[idx], ds.labels[idx],
                                    offset=offset)
-        state.sgd.step(ce.grads, learning_rate(cfg, t))
+        state.sgd.step(flatten(ce.grads), learning_rate(cfg, t))
     return state.params
 
 
@@ -564,19 +564,18 @@ class TestStateInit:
                                   for a in state.params.arrays()])
         clone = copy.deepcopy(state)
         for st in (state, clone):
-            for held, own in zip(st.sgd.params + st.adam.params,
-                                 st.params.arrays() + st.perturb.arrays(),
-                                 strict=True):
-                assert held is own
-        before = [a.copy() for a in
-                  state.params.arrays() + state.perturb.arrays()]
+            for opt, model in ((st.sgd, st.params), (st.adam, st.perturb)):
+                assert opt.params is model.vector
+                for view in model.arrays():
+                    assert np.shares_memory(view, model.vector)
+        assert not np.shares_memory(clone.params.vector, state.params.vector)
+        before = [state.params.vector.copy(), state.perturb.vector.copy()]
         meta_iteration(clone, np.arange(4), np.arange(4))
-        for b, a in zip(before,
-                        state.params.arrays() + state.perturb.arrays()):
-            assert b.tobytes() == a.tobytes()
-        for old, new in ((before[:2], clone.params.arrays()),
-                         (before[2:], clone.perturb.arrays())):
-            assert any(not np.array_equal(b, a) for b, a in zip(old, new))
+        for b, model in zip(before, (state.params, state.perturb)):
+            assert b.tobytes() == model.vector.tobytes()
+        for b, model in zip(before, (clone.params, clone.perturb)):
+            assert not np.array_equal(b, model.vector)
+            assert flatten(model.arrays()).tobytes() == model.vector.tobytes()
 
     def test_state_is_deepcopyable(self):
         state = tiny_setup()
