@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .kernels import quad
+from .kernels import differences, quad
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible; names the offending op."""
@@ -316,7 +316,11 @@ def quad_form(slot: str, **given) -> Tensor:
         if t[n].shape != expected[n]:
             raise ShapeError(
                 f"quad_form: {n} {t[n].shape}, expected {expected[n]}")
-    out = quad(slot, **{n: t[n].value for n in names})
+    values = {n: t[n].value for n in names}
+    for n in ("u", "v"):
+        if n in values:
+            values["d" + n] = differences(values.pop(n))
+    out = quad(slot, **values)
 
     def vjp(name):
         rest = {n: t[n] for n in names if n != name}

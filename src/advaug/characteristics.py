@@ -35,7 +35,9 @@ CHARACTERISTIC_NAMES = (
 )
 
 NUM_CHARACTERISTICS = len(CHARACTERISTIC_NAMES)
-_LOSS, _MARGIN, _CORRECT = 0, 3, 7  # raw columns mirrored into the EMAs
+# The raw columns (loss, margin, correct) whose per-sample EMAs are the
+# columns of `History.ema`, in this order.
+EMA_SOURCES = [0, 3, 7]
 EMA_DECAY = 0.9  # of the per-sample EMAs and the normalization statistics
 
 
@@ -60,14 +62,16 @@ class CharacteristicsBatch:
 
 
 class History:
-    """Per-sample EMA trajectories plus feature-normalization EMAs."""
+    """Per-sample EMA trajectories plus feature-normalization EMAs.
+
+    `ema` holds one row per sample: the EMAs of its loss, margin and
+    correctness (the raw columns EMA_SOURCES).
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.seen = np.zeros(capacity, dtype=bool)
-        self.loss_ema = np.zeros(capacity)
-        self.margin_ema = np.zeros(capacity)
-        self.correct_ema = np.zeros(capacity)
+        self.ema = np.zeros((capacity, len(EMA_SOURCES)))
         self.norm_count = 0
         self.norm_mean = np.zeros(NUM_CHARACTERISTICS)
         self.norm_sq = np.ones(NUM_CHARACTERISTICS)
@@ -109,13 +113,14 @@ def extract(view: BatchView, history: History,
         idx = np.arange(ids.size)
         masked = z.copy()
         masked[idx, y] = -np.inf
-        margin = z[idx, y] - masked.max(axis=1)
+        margin = z[idx, y] - kernels.row_max(masked)
         entropy = -np.sum(q * np.log(np.maximum(q, 1e-300)), axis=1)
         correct = (z.argmax(axis=1) == y).astype(np.float64)
         seen = history.seen[ids]
-        loss_ema = np.where(seen, history.loss_ema[ids], loss[r])
-        margin_ema = np.where(seen, history.margin_ema[ids], margin)
-        correct_ema = np.where(seen, history.correct_ema[ids], correct)
+        ema = history.ema[ids]
+        loss_ema = np.where(seen, ema[:, 0], loss[r])
+        margin_ema = np.where(seen, ema[:, 1], margin)
+        correct_ema = np.where(seen, ema[:, 2], correct)
         grad_norm = np.linalg.norm(view.grad_h[r], axis=1)
         prior = stats.priors[y]
         mean_dist = (np.linalg.norm(view.h[r] - stats.means[y], axis=1)
@@ -138,19 +143,17 @@ def update_history(history: History, ids: np.ndarray,
     if ids.size and (ids.min() < 0 or ids.max() >= history.capacity):
         raise KeyError(f"sample id out of range 0..{history.capacity - 1}")
     d = EMA_DECAY
-    for table, col in [(history.loss_ema, _LOSS),
-                       (history.margin_ema, _MARGIN),
-                       (history.correct_ema, _CORRECT)]:
-        old = table[ids]
-        fresh = ~history.seen[ids]
-        value = raw[:, col]
-        table[ids] = np.where(fresh, value, d * old + (1 - d) * value)
+    value = raw[:, EMA_SOURCES]
+    history.ema[ids] = np.where(~history.seen[ids, None], value,
+                                d * history.ema[ids] + (1 - d) * value)
     history.seen[ids] = True
+    # the bits of raw.mean(axis=0), without its checks and casts
+    mean = np.add.reduce(raw, axis=0) / raw.shape[0]
+    mean_sq = np.add.reduce(raw ** 2, axis=0) / raw.shape[0]
     if history.norm_count == 0:
-        history.norm_mean = raw.mean(axis=0)
-        history.norm_sq = (raw ** 2).mean(axis=0)
+        history.norm_mean, history.norm_sq = mean, mean_sq
     else:
-        history.norm_mean = d * history.norm_mean + (1 - d) * raw.mean(axis=0)
-        history.norm_sq = d * history.norm_sq + (1 - d) * (raw ** 2).mean(axis=0)
+        history.norm_mean = d * history.norm_mean + (1 - d) * mean
+        history.norm_sq = d * history.norm_sq + (1 - d) * mean_sq
     history.norm_count += 1
     return history

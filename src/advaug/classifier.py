@@ -9,6 +9,7 @@ every caller; the taped reference forward is `loss.extract_features`.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 
 def flatten(arrays) -> np.ndarray:
     """The arrays' entries, one after another, in one new float64 vector."""
-    return np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+    return np.concatenate(arrays, axis=None, dtype=np.float64)
 
 
 class FlatParams:
@@ -33,14 +34,15 @@ class FlatParams:
 
     def __setstate__(self, state) -> None:
         self.vector, self.shapes = state
+        ends = list(itertools.accumulate(math.prod(s) for s in self.shapes))
+        self._parts = [(slice(start, end), shape) for start, end, shape
+                       in zip([0] + ends, ends, self.shapes)]
         self._views = self.views(self.vector)
 
     def views(self, vector: np.ndarray) -> list[np.ndarray]:
         """Consecutive parts of `vector`, of this model's size, shaped as
         this model's arrays."""
-        ends = np.cumsum([math.prod(s) for s in self.shapes])[:-1]
-        return [part.reshape(s)
-                for part, s in zip(np.split(vector, ends), self.shapes)]
+        return [vector[part].reshape(shape) for part, shape in self._parts]
 
     def arrays(self) -> list[np.ndarray]:
         """The views of `vector`, in the kernels' order."""

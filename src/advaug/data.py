@@ -244,7 +244,7 @@ def load_csv(path) -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
-        raise DataError("empty csv")
+        raise DataError(f"{path} is empty")
     header = rows[0]
     has_group = header[-1] == "group"
     n_feat = len(header) - 1 - int(has_group)

@@ -13,8 +13,9 @@ The taped builders here (the extractor, the perturbation net, the adjusted
 logits and the loss) are the reference: the model runs on the numpy
 kernels of `kernels`, which the tests and the verify suites check against
 them. They take flat Tensor lists in the kernels' parameter order. The
-trainer uses only `LossConfig`, `compute_delta` and `regularizer_terms`,
-on arrays.
+trainer uses only `LossConfig` and `regularizer_terms`, on arrays; it forms
+delta as `compute_delta` does, from the gradient signs its batch
+observation keeps.
 
 Stop-gradient placement: delta and the covariance stack enter as whatever
 tensors the caller provides (constants, or leaves to differentiate); the

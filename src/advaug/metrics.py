@@ -17,24 +17,33 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import ClassifierParams
-from .kernels import forward
+from .kernels import by_row_blocks, forward, row_max
 
 
 def evaluate(params: ClassifierParams, features: np.ndarray,
              labels: np.ndarray,
              group_ids: np.ndarray | None = None) -> dict:
-    """Evaluation: loss, accuracy, per-class recall, worst group."""
-    _, _, z = forward(params.arrays(), features)
+    """Evaluation: loss, accuracy, per-class recall, worst group.
+
+    The rows run in blocks of `kernels.BLOCK_ROWS`; the loss is one mean of
+    the per-row log-probabilities of the labels.
+    """
+    phi = params.arrays()
     labels = np.asarray(labels)
-    # Its own log-softmax: softmax_lse adds the max back after the log,
-    # which would move the last bits of the logged test loss.
-    shifted = z - z.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    n = z.shape[0]
-    loss = float(-logp[np.arange(n), labels].mean())
-    pred = z.argmax(axis=1)
+
+    def block(rows):
+        _, _, z = forward(phi, features[rows])
+        # Its own log-softmax: softmax_lse adds the max back after the log,
+        # which would move the last bits of the logged test loss.
+        shifted = z - row_max(z)[:, None]
+        label = shifted[np.arange(z.shape[0]), labels[rows]]
+        np.exp(shifted, out=shifted)
+        return label - np.log(shifted.sum(axis=1)), z.argmax(axis=1)
+
+    label_logp, pred = by_row_blocks(block, labels.size)
+    loss = float(-label_logp.mean())
+    num_classes = params.num_classes
     correct = pred == labels
-    num_classes = z.shape[1]
     recall = np.full(num_classes, np.nan)
     for c in range(num_classes):
         mask = labels == c

@@ -98,15 +98,18 @@ class ClassStats:
         return (sigma.sum(axis=1) if self.diagonal
                 else np.trace(sigma, axis1=1, axis2=2))
 
-    def set_covariance(self, c: int, sigma: np.ndarray) -> None:
-        """Overwrite Sigma_c, keeping counts so later pooling continues.
+    def set_covariance(self, c, sigma: np.ndarray) -> None:
+        """Overwrite Sigma_c, keeping counts so later pooling continues; c
+        may be an index array, and sigma then the stack of their Sigma_c.
 
         A class with no observed sample has no estimate to overwrite.
         """
+        c = np.asarray(c)
         n = self.counts[c]
-        if n == 0:
-            raise ValueError(f"set_covariance: class {c} has no samples")
-        self.scatter[c] = sigma * n
+        if np.any(n == 0):
+            raise ValueError(
+                f"set_covariance: class {c[n == 0]} has no samples")
+        self.scatter[c] = sigma * _per_class(n, self.scatter)
 
 
 def update_covariance(stats: ClassStats, features: np.ndarray,

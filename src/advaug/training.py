@@ -14,10 +14,13 @@ Each meta iteration runs four stages:
    on the balanced meta batch at phi' with its gradient v, and the
    hypergradient of that meta loss in the perturbation net and the
    covariance stack, taken forward-over-reverse (see `kernels`).
-3. The net takes an Adam step, the covariance of each class in the batch
-   an SGD step plus PSD projection that persists into the running class
-   statistics. A diagonal covariance is projected by clamping its variances
-   at zero, without an eigendecomposition.
+3. The net takes an Adam step, and the covariances of the classes in the
+   batch take one SGD step as a stack, plus a PSD projection that persists
+   into the running class statistics. A class whose hypergradient or
+   stepped covariance is not finite keeps its covariance, and an event
+   names it. Diagonal covariances are projected in one call, by clamping
+   their variances at zero, without an eigendecomposition; a full
+   covariance is projected matrix by matrix.
 4. ``final_step``: the real classifier update (momentum SGD + weight decay)
    under the surrogate loss recomputed with the refreshed perturbation net
    and covariances.
@@ -42,7 +45,7 @@ from .classifier import (ClassifierParams, ce_grad_wrt_features, flatten,
                          init_classifier)
 from .data import Dataset, MetaDataset
 from .kernels import softmax_lse
-from .loss import LossConfig, compute_delta, regularizer_terms
+from .loss import LossConfig, regularizer_terms
 from .metrics import MetricsLog, evaluate
 from .perturbation import PerturbNetParams, init_perturb_net
 from .stats import (ClassStats, class_priors, project_diagonal, project_psd,
@@ -156,6 +159,7 @@ class MetaState:
     stats: ClassStats
     history: History
     priors: np.ndarray
+    shift: np.ndarray  # beta * log(priors), the surrogate's logit offset
     dataset: Dataset
     metadata: MetaDataset
     sgd: MomentumSgd
@@ -185,6 +189,9 @@ class Observation(NamedTuple):
     characteristics: np.ndarray  # n x 15, normalized
     grad_h: np.ndarray  # n x H detached CE gradient w.r.t. the features
     acts: list[np.ndarray]  # extractor activations; acts[0] = x, acts[-1] = h
+    # Meta path only (None in a warm-up step):
+    sign: np.ndarray | None  # sign(grad_h): delta_i = eps_i * sign_i
+    dw: np.ndarray | None  # head differences W_j - W_k, see kernels
 
 
 def init_state(config: TrainerConfig, dataset: Dataset,
@@ -205,7 +212,9 @@ def init_state(config: TrainerConfig, dataset: Dataset,
     adam = Adam(perturb.vector, lr=config.eta2)
     return MetaState(
         config=config, params=params, perturb=perturb, stats=stats,
-        history=history, priors=priors, dataset=dataset, metadata=metadata,
+        history=history, priors=priors,
+        shift=config.beta * np.log(priors), dataset=dataset,
+        metadata=metadata,
         sgd=sgd, adam=adam,
         batch_rng=np.random.default_rng(np.random.SeedSequence(keys[2])),
         meta_rng=np.random.default_rng(np.random.SeedSequence(keys[3])))
@@ -257,19 +266,27 @@ def _batch_view(state: MetaState, ids: np.ndarray, keep_acts: bool = False
     return view, acts if keep_acts else None
 
 
-def _observe_batch(state: MetaState, batch_idx: np.ndarray) -> Observation:
+def _observe_batch(state: MetaState, batch_idx: np.ndarray,
+                   meta: bool = True) -> Observation:
     """Update running stats/EMAs from the batch forward.
 
     Returns the normalized characteristics used by the perturbation net for
     this iteration, the per-sample CE gradients w.r.t. features and the
-    extractor activations, valid until the classifier steps.
+    extractor activations, valid until the classifier steps. For a meta
+    iteration (`meta`) it also returns the gradients' signs and the
+    differences of the head W, which the iteration's surrogate and
+    hypergradient kernels share; a warm-up step reads neither.
     """
     view, acts = _batch_view(state, batch_idx, keep_acts=True)
     update_covariance(state.stats, view.h, view.labels)
     batch = extract(view, state.history, state.stats)
     update_history(state.history, batch_idx, batch.raw)
     state.last_batch = (batch_idx, view.grad_h)
-    return Observation(batch.normalized, view.grad_h, acts)
+    if not meta:
+        return Observation(batch.normalized, view.grad_h, acts, None, None)
+    return Observation(batch.normalized, view.grad_h, acts,
+                       np.sign(view.grad_h),
+                       kernels.differences(state.params.head_w))
 
 
 def _check_finite_loss(state: MetaState, loss: float, stage: str) -> None:
@@ -280,7 +297,7 @@ def _check_finite_loss(state: MetaState, loss: float, stage: str) -> None:
 
 def warmup_step(state: MetaState, batch_idx: np.ndarray) -> None:
     """One plain cross-entropy step (also used for the CE baseline)."""
-    obs = _observe_batch(state, batch_idx)
+    obs = _observe_batch(state, batch_idx, meta=False)
     train = kernels.cross_entropy(state.params.arrays(), obs.acts[0],
                                   state.dataset.labels[batch_idx],
                                   acts=obs.acts)
@@ -300,12 +317,12 @@ def _surrogate(state: MetaState, batch_idx: np.ndarray, obs: Observation
     net = delta = None
     if not cfg.freeze_eps:
         net = kernels.eps_forward(state.perturb.arrays(), obs.characteristics)
-        delta = compute_delta(obs.grad_h, net.eps)
+        delta = net.eps[:, None] * obs.sign
     sigma = state.stats.covariances()
     train = kernels.surrogate(
         state.params.arrays(), obs.acts[0], state.dataset.labels[batch_idx],
-        delta, sigma, cfg.beta * np.log(state.priors), cfg.alpha,
-        cfg.detach_rho, acts=obs.acts)
+        delta, sigma, state.shift, cfg.alpha, cfg.detach_rho, acts=obs.acts,
+        dw=obs.dw)
     _check_finite_loss(state, train.value, "train")
     return train, net, sigma
 
@@ -330,11 +347,11 @@ def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
     _check_finite_loss(state, meta.value, "meta")
     d_delta, d_sigma = kernels.hypergradient(
         phi, state.dataset.labels[batch_idx], train, meta.grads, sigma,
-        cfg.alpha, cfg.detach_rho)
+        cfg.alpha, cfg.detach_rho, obs.dw)
     omega_grads = None
     if net is not None:
         # delta_i = eps_i * sign(g_i), the sign factor constant
-        d_eps = np.sum(d_delta * np.sign(obs.grad_h), axis=1)
+        d_eps = np.sum(d_delta * obs.sign, axis=1)
         omega_grads = kernels.eps_backward(
             state.perturb.arrays(), net, -lr * d_eps)
     return Lookahead(meta.value, pseudo, omega_grads, -lr * d_sigma, sigma)
@@ -362,27 +379,58 @@ def meta_iteration(state: MetaState, batch_idx: np.ndarray,
             state.events.append(
                 f"iteration {state.t}: non-finite perturbation-net "
                 "hypergradient, update skipped")
-    # No rho row reads the covariance of a class absent from the batch, so
-    # its hypergradient is exactly zero and it keeps its value; a class in
-    # the batch has samples, hence an estimate to step.
-    project = project_diagonal if state.stats.diagonal else project_psd
-    for c in np.unique(state.dataset.labels[batch_idx]):
-        g = ahead.sigma_grad[c]
-        if not np.all(np.isfinite(g)):
-            state.events.append(
-                f"iteration {state.t}: non-finite covariance hypergradient "
-                f"for class {c}, update skipped")
-            continue
-        candidate = ahead.sigma[c] - state.config.eta2 * g
-        try:
-            projected = project(candidate)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            state.events.append(
-                f"iteration {state.t}: covariance projection failed for "
-                f"class {c} ({exc}), keeping previous value")
-            continue
-        state.stats.set_covariance(c, projected)
+    _step_covariances(state, batch_idx, ahead)
     final_step(state, batch_idx, obs)
+
+
+def _step_covariances(state: MetaState, batch_idx: np.ndarray,
+                      ahead: Lookahead) -> None:
+    """The Sigma step of the classes in the batch, as one stack.
+
+    No rho row reads the covariance of a class absent from the batch, so
+    its hypergradient is exactly zero and it keeps its value; a class in
+    the batch has samples, hence an estimate to step. A class whose
+    hypergradient or candidate is not finite keeps its covariance, and an
+    event names it, in ascending class order.
+    """
+    stats = state.stats
+    project = project_diagonal if stats.diagonal else project_psd
+    present = np.flatnonzero(np.bincount(state.dataset.labels[batch_idx],
+                                         minlength=stats.num_classes))
+    grad = ahead.sigma_grad[present]
+    candidate = ahead.sigma[present] - state.config.eta2 * grad
+    per_class = tuple(range(1, grad.ndim))
+    grad_ok = np.isfinite(grad).all(axis=per_class)
+    ok = grad_ok & np.isfinite(candidate).all(axis=per_class)
+    refusals = {}  # position in `present` -> why its projection failed
+
+    def attempt(i):
+        try:
+            return project(candidate[i])
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            refusals[i] = exc
+            return None
+
+    for i in np.flatnonzero(grad_ok & ~ok):
+        attempt(i)  # refused, with the projection's own message
+    if stats.diagonal:
+        projected = project_diagonal(candidate[ok])
+    else:
+        projected = np.empty_like(candidate)
+        for i in np.flatnonzero(ok):
+            result = attempt(i)
+            if result is not None:
+                projected[i] = result
+        ok[list(refusals)] = False
+        projected = projected[ok]
+    for i in np.flatnonzero(~ok):
+        state.events.append(
+            f"iteration {state.t}: covariance projection failed for class "
+            f"{present[i]} ({refusals[i]}), keeping previous value"
+            if i in refusals else
+            f"iteration {state.t}: non-finite covariance hypergradient for "
+            f"class {present[i]}, update skipped")
+    stats.set_covariance(present[ok], projected)
 
 
 def full_train_eps(state: MetaState) -> np.ndarray:
@@ -446,10 +494,11 @@ def _regularizer_row(state: MetaState, eps_all: np.ndarray) -> dict:
     y = state.dataset.labels[batch_idx]
     delta = eps_all[batch_idx][:, None] * np.sign(grad_h)
     w = state.params.head_w
-    rho = kernels.quad("a", u=w, v=w, s=state.stats.covariances())[y]
+    dw = kernels.differences(w)
+    rho = kernels.quad("a", du=dw, dv=dw, s=state.stats.covariances())[y]
     _, _, z = kernels.forward(state.params.arrays(),
                               state.dataset.features[batch_idx], delta,
-                              cfg.alpha * rho + cfg.beta * np.log(state.priors))
+                              cfg.alpha * rho + state.shift)
     q, _ = softmax_lse(z)
     report = regularizer_terms(q, rho, w, delta, state.priors, y)
     # Scale by the loss coefficients so ablation toggles zero the columns.

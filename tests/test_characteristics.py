@@ -48,9 +48,9 @@ def per_class_extract(view, history, stats):
     entropy = -np.sum(q * np.log(np.maximum(q, 1e-300)), axis=1)
     correct = (z.argmax(axis=1) == labels).astype(np.float64)
     seen = history.seen[view.ids]
-    loss_ema = np.where(seen, history.loss_ema[view.ids], loss)
-    margin_ema = np.where(seen, history.margin_ema[view.ids], margin)
-    correct_ema = np.where(seen, history.correct_ema[view.ids], correct)
+    loss_ema = np.where(seen, history.ema[view.ids, 0], loss)
+    margin_ema = np.where(seen, history.ema[view.ids, 1], margin)
+    correct_ema = np.where(seen, history.ema[view.ids, 2], correct)
     zscore = (loss - loss.mean()) / (loss.std() + 1e-12)
     grad_norm = np.linalg.norm(view.grad_h, axis=1)
     prior = stats.priors[labels]
@@ -195,14 +195,14 @@ class TestExtract:
         view = make_view(seed=4)
         history = History(10)
         stats = make_stats(view)
-        before = (history.loss_ema.copy(), history.norm_mean.copy(),
+        before = (history.ema.copy(), history.norm_mean.copy(),
                   history.norm_count)
         a = extract(view, history, stats)
         b = extract(view, history, stats)
         assert a.raw.tobytes() == b.raw.tobytes()
         assert a.normalized.tobytes() == b.normalized.tobytes()
         assert history.norm_count == before[2]
-        assert np.array_equal(history.loss_ema, before[0])
+        assert np.array_equal(history.ema, before[0])
         assert np.array_equal(history.norm_mean, before[1])
 
     def test_normalized_clipped_to_five(self):
@@ -235,18 +235,18 @@ class TestUpdateHistory:
         raw = np.zeros((1, NUM_CHARACTERISTICS))
         raw[0, 0] = 1.0  # loss column
         update_history(history, np.array([0]), raw)
-        assert history.loss_ema[0] == 1.0
+        assert history.ema[0, 0] == 1.0
         raw[0, 0] = 0.0
         update_history(history, np.array([0]), raw)
-        assert history.loss_ema[0] == pytest.approx(0.9)
+        assert history.ema[0, 0] == pytest.approx(0.9)
 
     def test_constant_stream_converges_to_constant(self):
         history = History(2)
         raw = np.full((1, NUM_CHARACTERISTICS), 3.25)
         for _ in range(50):
             update_history(history, np.array([1]), raw)
-        assert history.loss_ema[1] == pytest.approx(3.25)
-        assert history.margin_ema[1] == pytest.approx(3.25)
+        assert history.ema[1, 0] == pytest.approx(3.25)
+        assert history.ema[1, 1] == pytest.approx(3.25)
 
     def test_random_stream_matches_recurrence(self):
         rng = np.random.default_rng(7)
@@ -257,7 +257,20 @@ class TestUpdateHistory:
             update_history(history, np.array([0]), raw)
             value = raw[0, 0]
             expect = value if expect is None else 0.9 * expect + 0.1 * value
-            assert history.loss_ema[0] == pytest.approx(expect, rel=1e-12)
+            assert history.ema[0, 0] == pytest.approx(expect, rel=1e-12)
+
+    def test_normalization_means_have_the_bits_of_mean(self):
+        rng = np.random.default_rng(8)
+        history = History(40)
+        raws = [rng.normal(size=(37, NUM_CHARACTERISTICS)) for _ in range(2)]
+        update_history(history, np.arange(37), raws[0])
+        assert history.norm_mean.tobytes() == raws[0].mean(axis=0).tobytes()
+        assert (history.norm_sq.tobytes()
+                == (raws[0] ** 2).mean(axis=0).tobytes())
+        update_history(history, np.arange(37), raws[1])
+        expect = (0.9 * raws[0].mean(axis=0)
+                  + (1 - 0.9) * raws[1].mean(axis=0))
+        assert history.norm_mean.tobytes() == expect.tobytes()
 
     def test_unknown_sample_id_rejected(self):
         history = History(4)

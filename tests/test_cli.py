@@ -119,7 +119,8 @@ class TestCustomCsv:
     """Custom CSVs that do not fit together are refused before training."""
 
     def run_custom(self, tmp_path, capsys, train=(0, 1, 2) * 8, meta=(0, 1, 2),
-                   test=(0, 1, 2) * 3, meta_width=3, test_width=3):
+                   test=(0, 1, 2) * 3, meta_width=3, test_width=3,
+                   empty=None):
         text = ("[run]\nscenario = custom-csv\n[data]\n"
                 f"train_csv = {write_table(tmp_path / 'tr.csv', train, 3)}\n"
                 f"meta_csv = {write_table(tmp_path / 'me.csv', meta, meta_width)}\n"
@@ -127,6 +128,8 @@ class TestCustomCsv:
                 "[model]\nhidden = 4\nfeat_dim = 3\n"
                 "[training]\nt1 = 2\nt2 = 6\nbatch_train = 8\n"
                 "batch_meta = 3\n")
+        if empty is not None:
+            (tmp_path / empty).write_bytes(b"")
         code = main(["run", "--config", write_ini(tmp_path, text),
                      "--output", str(tmp_path / "o")])
         return code, capsys.readouterr().err
@@ -168,6 +171,12 @@ class TestCustomCsv:
         code, err = self.run_custom(tmp_path, capsys, meta=())
         assert code == 2
         assert "config error" in err and "me.csv has no rows" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_byte_test_csv_exits_2(self, tmp_path, capsys):
+        code, err = self.run_custom(tmp_path, capsys, empty="te.csv")
+        assert code == 2
+        assert "config error" in err and "te.csv is empty" in err
         assert not (tmp_path / "o").exists()
 
     def test_test_width_mismatch_exits_2(self, tmp_path, capsys):

@@ -255,6 +255,12 @@ class TestCsv:
         with pytest.raises(DataError, match="header"):
             load_csv(path)
 
+    def test_zero_byte_file_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_bytes(b"")
+        with pytest.raises(DataError, match="zero.csv is empty"):
+            load_csv(path)
+
     def test_header_only_rejected_naming_the_file(self, tmp_path):
         path = tmp_path / "header_only.csv"
         path.write_text("f0,f1,label\n")

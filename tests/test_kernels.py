@@ -98,15 +98,49 @@ def test_quad_diagonal_branch_matches_dense_form():
     u, v = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
     s = rng.uniform(0.1, 2.0, size=(4, 3))
     stack = np.stack([np.diag(r) for r in s])
-    for slot, given in (("a", dict(u=u, v=v)), ("u", dict(a=a, v=v)),
-                        ("v", dict(a=a, u=u))):
+    du, dv = kernels.differences(u), kernels.differences(v)
+    for slot, given in (("a", dict(du=du, dv=dv)), ("u", dict(a=a, dv=dv)),
+                        ("v", dict(a=a, du=du))):
         np.testing.assert_allclose(kernels.quad(slot, s=s, **given),
                                    kernels.quad(slot, s=stack, **given),
                                    rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(
-        kernels.quad("s", a=a, u=u, v=v, diagonal=True),
-        np.diagonal(kernels.quad("s", a=a, u=u, v=v), axis1=1, axis2=2),
+        kernels.quad("s", a=a, du=du, dv=dv, diagonal=True),
+        np.diagonal(kernels.quad("s", a=a, du=du, dv=dv), axis1=1, axis2=2),
         rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("detach_rho", [False, True],
+                         ids=["rho", "detach_rho"])
+@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+def test_given_head_differences_keep_every_bit(diagonal, detach_rho):
+    phi, x, y, delta, sigma, priors = random_instance(4, diagonal=diagonal)
+    if diagonal:
+        sigma = np.diagonal(sigma, axis1=1, axis2=2).copy()
+    shift, alpha = 0.8 * np.log(priors), 0.7
+    rng = np.random.default_rng(5)
+    v = [rng.normal(size=p.shape) for p in phi]
+    outputs = []
+    for dw in (None, kernels.differences(phi[-2])):
+        train = kernels.surrogate(phi, x, y, delta, sigma, shift, alpha,
+                                  detach_rho, dw=dw)
+        d_delta, d_sigma = kernels.hypergradient(phi, y, train, v, sigma,
+                                                 alpha, detach_rho, dw=dw)
+        outputs.append([np.float64(train.value), *train.grads, train.q,
+                        train.g, d_delta, d_sigma])
+    for ours, ref in zip(*outputs):
+        assert ours.tobytes() == ref.tobytes()
+    if not detach_rho:
+        # the head gradient sums the u and v forms, whichever way it is built
+        dw = kernels.differences(phi[-2])
+        rho = kernels.quad("a", du=dw, dv=dw, s=sigma)[y]
+        ce = kernels.cross_entropy(phi, x, y, delta, alpha * rho + shift)
+        a = np.zeros((4, 4))
+        np.add.at(a, y, ce.g)
+        a *= alpha
+        head = ce.grads[-2] + (kernels.quad("u", a=a, dv=dw, s=sigma)
+                               + kernels.quad("v", a=a, du=dw, s=sigma))
+        assert outputs[0][-6].tobytes() == head.tobytes()
 
 
 def test_plain_cross_entropy_matches_tape():

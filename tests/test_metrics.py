@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from advaug import kernels
 from advaug.classifier import init_classifier
 from advaug.metrics import (MetricsLog, compare_runs, evaluate, log_columns,
                             run_summary)
@@ -18,6 +19,22 @@ def known_params():
 
 
 class TestEvaluate:
+    def test_blocks_equal_the_whole_set_formula_bit_for_bit(self):
+        n = 2 * kernels.BLOCK_ROWS + 1
+        rng = np.random.default_rng(3)
+        params = init_classifier(4, 3, hidden=(8,), feat_dim=5, seed=2)
+        x = rng.normal(size=(n, 4))
+        y = rng.integers(0, 3, size=n)
+        out = evaluate(params, x, y)
+        _, _, z = kernels.forward(params.arrays(), x)
+        shifted = z - z.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        correct = z.argmax(axis=1) == y
+        assert out["loss"] == float(-logp[np.arange(n), y].mean())
+        assert out["accuracy"] == float(correct.mean())
+        assert out["per_class_recall"].tolist() == [
+            float(correct[y == c].mean()) for c in range(3)]
+
     def test_accuracy_and_recall_exact(self):
         params = known_params()
         x = np.array([[2.0, 0.0], [0.0, 2.0], [2.0, 0.0], [2.0, 0.0]])

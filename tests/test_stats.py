@@ -1,5 +1,7 @@
 """Covariance pooling, priors, and PSD projection tests."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,25 @@ class TestUpdateCovariance:
         with pytest.raises(ValueError):
             stats.set_covariance(1, np.eye(3))
         assert stats.counts[1] == 0
+
+    @pytest.mark.parametrize("diagonal", [False, True],
+                             ids=["full", "diagonal"])
+    def test_set_covariance_of_a_stack_equals_one_by_one(self, diagonal):
+        rng = np.random.default_rng(5)
+        labels = np.array([0, 2, 0, 2, 2, 0, 2])
+        stats = update_covariance(ClassStats(3, 2, diagonal=diagonal),
+                                  rng.normal(size=(7, 2)), labels)
+        shape = (2,) if diagonal else (2, 2)
+        targets = rng.uniform(0.1, 1.0, size=(2, *shape))
+        one_by_one = copy.deepcopy(stats)
+        for c, target in zip([0, 2], targets):
+            one_by_one.set_covariance(c, target)
+        stats.set_covariance(np.array([0, 2]), targets)
+        assert stats.scatter.tobytes() == one_by_one.scatter.tobytes()
+        before = stats.scatter.copy()
+        with pytest.raises(ValueError, match=r"class \[1\] has no samples"):
+            stats.set_covariance(np.array([0, 1]), targets)
+        assert stats.scatter.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])

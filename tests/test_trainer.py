@@ -400,6 +400,76 @@ class TestMetaUpdates:
             "iteration 1: covariance projection failed for class 0 (")
         assert state.events[0].endswith("keeping previous value")
 
+    @pytest.mark.parametrize("diagonal", [False, True],
+                             ids=["full", "diagonal"])
+    def test_failed_classes_keep_their_covariance_in_class_order(
+            self, monkeypatch, diagonal):
+        # One batch, three classes: class 0 gets a non-finite
+        # hypergradient, class 1 a finite one whose candidate overflows,
+        # class 2 an ordinary one with a variance driven below zero.
+        rng = np.random.default_rng(4)
+        ds = Dataset(features=rng.normal(size=(6, 2)),
+                     labels=np.array([2, 1, 0, 2, 1, 0]),
+                     class_counts=np.array([2, 2, 2]))
+        md = MetaDataset(features=rng.normal(size=(3, 2)),
+                         labels=np.array([0, 1, 2]))
+        cfg = TrainerConfig(t1=0, t2=10, eta2=2.0, alpha=0.6, batch_train=6,
+                            batch_meta=3, hidden=(), feat_dim=2,
+                            perturb_hidden=4, decay_points=(),
+                            diagonal_sigma=diagonal, seed=0)
+        state = init_state(cfg, ds, md)
+        state.t = 1
+        ordinary = np.array([1e3, -0.25])
+        if not diagonal:
+            ordinary = np.array([[1e3, 0.1], [0.1, -0.25]])
+
+        def grad(sigma):
+            g = np.zeros_like(sigma)
+            g[0] = np.nan
+            g[1] = np.finfo(np.float64).max
+            g[2] = ordinary
+            return g
+
+        seen = set_sigma_step(monkeypatch, None, grad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            meta_iteration(state, np.arange(6), np.arange(3))
+        project = "project_diagonal" if diagonal else "project_psd"
+        assert state.events == [
+            "iteration 1: non-finite covariance hypergradient for class 0, "
+            "update skipped",
+            f"iteration 1: covariance projection failed for class 1 "
+            f"({project}: non-finite input), keeping previous value",
+        ]
+        after, start = state.stats.covariances(), seen[0]
+        assert after[0].tobytes() == start[0].tobytes()
+        assert after[1].tobytes() == start[1].tobytes()
+        candidate = start[2] - 2.0 * ordinary
+        clamped = (np.maximum(candidate, 0.0) if diagonal
+                   else project_psd(candidate))
+        assert (clamped == 0.0).any() if diagonal else (
+            np.linalg.eigvalsh(candidate).min() < 0.0)
+        # Sigma_c is stored as n_c Sigma_c; n_c = 2 scales exactly.
+        assert after[2].tobytes() == clamped.tobytes()
+        np.testing.assert_array_equal(state.stats.counts, [2, 2, 2])
+
+
+class TestIterationInvariants:
+    def test_head_differences_built_twice_per_meta_iteration(self,
+                                                             monkeypatch):
+        # Once for W in the observation, once for the meta gradient's W in
+        # the hypergradient; the warm-up step builds none.
+        built = []
+        differences = kernels.differences
+        monkeypatch.setattr(kernels, "differences",
+                            lambda u: built.append(u) or differences(u))
+        state = tiny_setup(alpha=0.6, seed=7)
+        warmup_step(state, np.arange(4))
+        assert built == []
+        meta_iteration(state, np.arange(4), np.arange(4))
+        assert len(built) == 2
+        meta_iteration(state, np.arange(4), np.arange(4))
+        assert len(built) == 4
+
 
 class TestFinalStep:
     def test_equals_pseudo_direction_without_momentum_and_decay(self):
@@ -673,7 +743,7 @@ class TestFullTrainEps:
         state = full_set_state()
         before = copy.deepcopy(state)
         full_train_eps(state)
-        for a, b in ((state.history.loss_ema, before.history.loss_ema),
+        for a, b in ((state.history.ema, before.history.ema),
                      (state.history.norm_mean, before.history.norm_mean),
                      (state.stats.means, before.stats.means)):
             assert a.tobytes() == b.tobytes()
