@@ -71,10 +71,6 @@ class ClassifierParams(FlatParams):
         return self._views[-2]
 
     @property
-    def head_b(self) -> np.ndarray:
-        return self._views[-1]
-
-    @property
     def feat_dim(self) -> int:
         return self.head_w.shape[1]
 

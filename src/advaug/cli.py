@@ -9,9 +9,10 @@ Verbs:
   verify    run the analytical self-check suites
   gen-data  materialize a scenario's train/meta/test splits as CSV
 
-Exit codes: 0 success, 1 verification failure, 2 invalid configuration or
-inputs, 3 numerical abort during training.  Relative output directories are
-resolved under $ADVAUG_OUTPUT_ROOT (default: current directory).
+Exit codes: 0 success, 1 verification failure (`verify` only), 2 invalid
+configuration or inputs, 3 numerical abort during training.  Relative
+output directories are resolved under $ADVAUG_OUTPUT_ROOT (default:
+current directory).
 """
 
 from __future__ import annotations
@@ -58,15 +59,6 @@ def _execute_run(cfg: RunConfig, out_dir: Path) -> tuple[int, dict | None]:
         data = build_scenario(cfg)
     except (DataError, OSError, ValueError) as exc:
         return _fail(f"config error: {exc}", 2), None
-
-    if cfg.oracle_suite:
-        records = run_all(seed=cfg.seed)
-        failed = [r for r in records if not r["passed"]]
-        for rec in failed:
-            print(f"verification failed: {rec['name']}: {rec['detail']}",
-                  file=sys.stderr)
-        if failed:
-            return 1, None
 
     out_dir.mkdir(parents=True, exist_ok=True)
     try:

@@ -50,7 +50,6 @@ _RUN_SCHEMA = {
     "scenario": (str, _REQUIRED),
     "seed": (int, 0),
     "output_dir": (str, ""),
-    "oracle_suite": (_cast_bool, False),
 }
 
 _BLOB_KEYS = {
@@ -114,7 +113,6 @@ _TRAINING_SCHEMA = {
     "momentum": (float, 0.9),
     "weight_decay": (float, 5e-4),
     "freeze_eps": (_cast_bool, False),
-    "detach_rho": (_cast_bool, False),
     "diagonal_sigma": (_cast_bool, False),
 }
 
@@ -126,7 +124,6 @@ class RunConfig:
     scenario: str
     seed: int
     output_dir: str
-    oracle_suite: bool
     data: dict = field(default_factory=dict)
     model: dict = field(default_factory=dict)
     loss: dict = field(default_factory=dict)
@@ -188,8 +185,7 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"unknown sections: {sorted(sections)}")
 
     cfg = RunConfig(scenario=scenario, seed=run["seed"],
-                    output_dir=run["output_dir"],
-                    oracle_suite=run["oracle_suite"], **resolved)
+                    output_dir=run["output_dir"], **resolved)
     _validate(cfg)
     if cfg.training["t1"] == -1:
         cfg.training["t1"] = int(round(0.3 * cfg.training["t2"]))
@@ -242,7 +238,6 @@ def write_resolved(cfg: RunConfig, path: str) -> None:
         "scenario": cfg.scenario,
         "seed": str(cfg.seed),
         "output_dir": cfg.output_dir,
-        "oracle_suite": _format_value(cfg.oracle_suite),
     }
     for name in ("data", "model", "loss", "training"):
         parser[name] = {k: _format_value(v)

@@ -269,15 +269,14 @@ def cross_entropy(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
 def surrogate(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
               delta: np.ndarray | None, sigma: np.ndarray,
               shift: np.ndarray, alpha: float,
-              detach_rho: bool = False,
               acts: list[np.ndarray] | None = None,
               dw: np.ndarray | None = None) -> ClassifierPass:
     """The surrogate loss: CE of (h + delta) W^T + b + alpha rho + shift.
 
     rho[i, j] = 1/2 (w_j - w_y) Sigma_y (w_j - w_y)^T for y = y[i], with
     `sigma` the covariance stack, (C, H, H) or the (C, H) diagonals;
-    `shift` is beta * log(priors). With `detach_rho` the head gets no
-    gradient through rho. `acts` are as in `forward`; `dw` are the head's
+    `shift` is beta * log(priors). The head's gradient includes its path
+    through rho. `acts` are as in `forward`; `dw` are the head's
     `differences`, built here when not given.
     """
     w = phi[-2]
@@ -285,21 +284,19 @@ def surrogate(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
         dw = differences(w)
     rho = quad("a", du=dw, dv=dw, s=sigma)[y]
     out = cross_entropy(phi, x, y, delta, alpha * rho + shift, acts)
-    if not detach_rho:
-        a = alpha * _scatter(out.g, y, w.shape[0])
-        if sigma.ndim == 2:
-            # the u and v forms multiply the same operands: equal bits
-            g = quad("u", a=a, dv=dw, s=sigma)
-            out.grads[-2] += g + g
-        else:
-            out.grads[-2] += (quad("u", a=a, dv=dw, s=sigma)
-                              + quad("v", a=a, du=dw, s=sigma))
+    a = alpha * _scatter(out.g, y, w.shape[0])
+    if sigma.ndim == 2:
+        # the u and v forms multiply the same operands: equal bits
+        g = quad("u", a=a, dv=dw, s=sigma)
+        out.grads[-2] += g + g
+    else:
+        out.grads[-2] += (quad("u", a=a, dv=dw, s=sigma)
+                          + quad("v", a=a, du=dw, s=sigma))
     return out
 
 
 def hypergradient(phi: list[np.ndarray], y: np.ndarray, train: ClassifierPass,
                   v: list[np.ndarray], sigma: np.ndarray, alpha: float,
-                  detach_rho: bool = False,
                   dw: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """ds/d(delta) and ds/d(Sigma) for s = <grad_phi L_train, v>.
@@ -317,11 +314,10 @@ def hypergradient(phi: list[np.ndarray], y: np.ndarray, train: ClassifierPass,
     h_dot = mlp_jvp(layers, train.acts, v[:-2])
     if h_dot is not None:
         z_dot += h_dot @ w.T
-    if not detach_rho:
-        dw_dot = differences(w_dot)
-        rho_dot = (quad("a", du=dw_dot, dv=dw, s=sigma)
-                   + quad("a", du=dw, dv=dw_dot, s=sigma))
-        z_dot += alpha * rho_dot[y]
+    dw_dot = differences(w_dot)
+    rho_dot = (quad("a", du=dw_dot, dv=dw, s=sigma)
+               + quad("a", du=dw, dv=dw_dot, s=sigma))
+    z_dot += alpha * rho_dot[y]
     # s = sum_i g_i . zdot_i: its partials in zdot and in the logits
     d_zdot = train.g
     q = train.q
@@ -330,8 +326,7 @@ def hypergradient(phi: list[np.ndarray], y: np.ndarray, train: ClassifierPass,
     count, diagonal = w.shape[0], sigma.ndim == 2
     d_sigma = quad("s", a=alpha * _scatter(d_z, y, count), du=dw, dv=dw,
                    diagonal=diagonal)
-    if not detach_rho:
-        a = alpha * _scatter(d_zdot, y, count)
-        d_sigma += (quad("s", a=a, du=dw_dot, dv=dw, diagonal=diagonal)
-                    + quad("s", a=a, du=dw, dv=dw_dot, diagonal=diagonal))
+    a = alpha * _scatter(d_zdot, y, count)
+    d_sigma += (quad("s", a=a, du=dw_dot, dv=dw, diagonal=diagonal)
+                + quad("s", a=a, du=dw, dv=dw_dot, diagonal=diagonal))
     return d_delta, d_sigma

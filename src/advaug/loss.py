@@ -19,8 +19,7 @@ observation keeps.
 
 Stop-gradient placement: delta and the covariance stack enter as whatever
 tensors the caller provides (constants, or leaves to differentiate); the
-head weights inside the quadratic terms are differentiated by default,
-with a detach toggle.
+head weights inside the quadratic terms are always differentiated.
 """
 
 from __future__ import annotations
@@ -107,8 +106,7 @@ def compute_delta(grad_h: np.ndarray, eps) -> np.ndarray | Tensor:
     return eps[:, None] * sgn
 
 
-def quadratic_terms(w, sigma, labels: np.ndarray,
-                    detach_w: bool = False) -> Tensor:
+def quadratic_terms(w, sigma, labels: np.ndarray) -> Tensor:
     """n x C matrix of rho[i, j] = 0.5 (w_j - w_y) Sigma_y (w_j - w_y)^T.
 
     y = labels[i]; `sigma` stacks the class covariances, (C, H, H) for w of
@@ -118,8 +116,7 @@ def quadratic_terms(w, sigma, labels: np.ndarray,
     cotangent.
     """
     w = w if isinstance(w, Tensor) else Tensor(w)
-    w_eff = Tensor(w.value.copy()) if detach_w else w
-    table = ad.quad_form("a", u=w_eff, v=w_eff, s=sigma)
+    table = ad.quad_form("a", u=w, v=w, s=sigma)
     return ad.gather_rows(table, labels)
 
 

@@ -75,13 +75,10 @@ class TrainerConfig:
     beta: float = 1.0
     momentum: float = 0.9
     weight_decay: float = 5e-4
-    decay_points: tuple[float, ...] = (0.8, 0.9)
-    decay_factor: float = 0.01
     hidden: tuple[int, ...] = (64, 64)
     feat_dim: int = 16
     perturb_hidden: int = 100
     freeze_eps: bool = False
-    detach_rho: bool = False
     diagonal_sigma: bool = False
     seed: int = 0
 
@@ -220,11 +217,17 @@ def init_state(config: TrainerConfig, dataset: Dataset,
         meta_rng=np.random.default_rng(np.random.SeedSequence(keys[3])))
 
 
+# The classifier's learning rate is eta1, times DECAY_FACTOR from each
+# fraction of t2 in DECAY_POINTS on.
+DECAY_POINTS = (0.8, 0.9)
+DECAY_FACTOR = 0.01
+
+
 def learning_rate(config: TrainerConfig, t: int) -> float:
     lr = config.eta1
-    for frac in config.decay_points:
+    for frac in DECAY_POINTS:
         if t >= int(round(frac * config.t2)):
-            lr *= config.decay_factor
+            lr *= DECAY_FACTOR
     return lr
 
 
@@ -321,8 +324,7 @@ def _surrogate(state: MetaState, batch_idx: np.ndarray, obs: Observation
     sigma = state.stats.covariances()
     train = kernels.surrogate(
         state.params.arrays(), obs.acts[0], state.dataset.labels[batch_idx],
-        delta, sigma, state.shift, cfg.alpha, cfg.detach_rho, acts=obs.acts,
-        dw=obs.dw)
+        delta, sigma, state.shift, cfg.alpha, acts=obs.acts, dw=obs.dw)
     _check_finite_loss(state, train.value, "train")
     return train, net, sigma
 
@@ -347,7 +349,7 @@ def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
     _check_finite_loss(state, meta.value, "meta")
     d_delta, d_sigma = kernels.hypergradient(
         phi, state.dataset.labels[batch_idx], train, meta.grads, sigma,
-        cfg.alpha, cfg.detach_rho, obs.dw)
+        cfg.alpha, obs.dw)
     omega_grads = None
     if net is not None:
         # delta_i = eps_i * sign(g_i), the sign factor constant

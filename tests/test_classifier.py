@@ -30,7 +30,7 @@ def extract_features(params, x):
 
 def logits(params, h):
     """The taped head z = h W^T + b, without a perturbation."""
-    return base_logits(params.head_w, params.head_b, h, None)
+    return base_logits(params.head_w, params.arrays()[-1], h, None)
 
 
 def kernel_logits(params, h):
@@ -105,14 +105,14 @@ class TestExtractFeatures:
 class TestLogits:
     def test_zero_features_give_bias(self):
         params = init_classifier(in_dim=4, num_classes=3, hidden=(), feat_dim=4)
-        params.head_b[:] = np.array([0.1, -0.2, 0.3])
+        params.arrays()[-1][:] = np.array([0.1, -0.2, 0.3])
         z = logits(params, Tensor(np.zeros((2, 4))))
         assert np.allclose(z.value, [[0.1, -0.2, 0.3]] * 2)
 
     def test_identity_head_passes_basis_vector(self):
         params = init_classifier(in_dim=3, num_classes=3, hidden=(), feat_dim=3)
         params.head_w[...] = np.eye(3)
-        params.head_b[:] = 0.0
+        params.arrays()[-1][:] = 0.0
         z = logits(params, Tensor(np.array([[0.0, 1.0, 0.0]])))
         assert np.allclose(z.value, [[0.0, 1.0, 0.0]])
 
@@ -121,7 +121,7 @@ class TestLogits:
         params = init_classifier(in_dim=6, num_classes=4, hidden=(), feat_dim=6)
         h = rng.normal(size=(7, 6))
         z = logits(params, Tensor(h))
-        expect = h @ params.head_w.T + params.head_b
+        expect = h @ params.head_w.T + params.arrays()[-1]
         assert np.allclose(z.value, expect, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
@@ -134,7 +134,7 @@ class TestCeGradWrtFeatures:
     def test_zero_at_perfect_prediction(self):
         params = init_classifier(in_dim=2, num_classes=2, hidden=(), feat_dim=2)
         params.head_w[...] = np.array([[50.0, 0.0], [-50.0, 0.0]])
-        params.head_b[:] = 0.0
+        params.arrays()[-1][:] = 0.0
         h = np.array([[10.0, 0.0]])  # q is onehot(0) to machine precision
         q, _ = softmax_lse(kernel_logits(params, h))
         g = ce_grad_wrt_features(params, q, np.array([0]))
@@ -143,7 +143,7 @@ class TestCeGradWrtFeatures:
     def test_hand_evaluated_binary_case(self):
         params = init_classifier(in_dim=1, num_classes=2, hidden=(), feat_dim=1)
         params.head_w[...] = np.array([[1.0], [-1.0]])
-        params.head_b[:] = 0.0
+        params.arrays()[-1][:] = 0.0
         # equal logits: q = (1/2, 1/2)
         g = ce_grad_wrt_features(params, np.array([[0.5, 0.5]]),
                                  np.array([0]))
@@ -158,7 +158,7 @@ class TestCeGradWrtFeatures:
                                  softmax_lse(kernel_logits(params, h))[0], y)
 
         def ce(hv):
-            z = hv @ params.head_w.T + params.head_b
+            z = hv @ params.head_w.T + params.arrays()[-1]
             lse = np.log(np.exp(z - z.max(1, keepdims=True)).sum(1)) \
                 + z.max(1)
             return float(np.sum(lse - z[np.arange(3), y]))

@@ -1,11 +1,13 @@
 """Config parsing, validation, and resolved-file round trips."""
 
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from advaug.config import (ConfigError, parse_config, trainer_config,
                            write_resolved)
+from advaug.training import TrainerConfig
 
 
 def write_ini(tmp_path, text, name="run.ini"):
@@ -52,9 +54,16 @@ class TestParsing:
             parse_config(write_ini(tmp_path, "[run]\nscenario = cifar\n"))
 
     def test_unknown_key_rejected(self, tmp_path):
-        text = MINIMAL + "[training]\nlearning_rate = 0.1\n"
-        with pytest.raises(ConfigError, match="unknown keys.*learning_rate"):
-            parse_config(write_ini(tmp_path, text))
+        # detach_rho and oracle_suite were keys once: they must not be
+        # accepted and ignored
+        for n, (section, key) in enumerate([("training", "learning_rate"),
+                                            ("run", "oracle_suite"),
+                                            ("training", "detach_rho")]):
+            text = (MINIMAL + f"{key} = false\n" if section == "run"
+                    else MINIMAL + f"[{section}]\n{key} = false\n")
+            with pytest.raises(ConfigError,
+                               match=rf"\[{section}\] unknown keys.*{key}"):
+                parse_config(write_ini(tmp_path, text, f"{n}.ini"))
 
     def test_unknown_section_rejected(self, tmp_path):
         text = MINIMAL + "[optimizer]\nmomentum = 0.9\n"
@@ -67,11 +76,11 @@ class TestParsing:
             parse_config(write_ini(tmp_path, text))
 
     def test_bool_cast(self, tmp_path):
-        text = "[run]\nscenario = longtail\noracle_suite = yes\n"
+        text = MINIMAL + "[training]\nfreeze_eps = yes\n"
         cfg = parse_config(write_ini(tmp_path, text))
-        assert cfg.oracle_suite is True
-        bad = "[run]\nscenario = longtail\noracle_suite = maybe\n"
-        with pytest.raises(ConfigError, match="oracle_suite"):
+        assert cfg.training["freeze_eps"] is True
+        bad = MINIMAL + "[training]\nfreeze_eps = maybe\n"
+        with pytest.raises(ConfigError, match="freeze_eps"):
             parse_config(write_ini(tmp_path, bad, "b.ini"))
 
     def test_hidden_cast(self, tmp_path):
@@ -169,13 +178,17 @@ class TestResolvedRoundTrip:
 
 class TestTrainerConfig:
     def test_field_mapping(self, tmp_path):
-        text = (MINIMAL + "[training]\ndetach_rho = true\nfreeze_eps = true\n"
+        text = (MINIMAL + "[training]\nfreeze_eps = true\n"
                 "[model]\nhidden = 16,8\nfeat_dim = 4\n")
         cfg = parse_config(write_ini(tmp_path, text))
         cfg.seed = 9
         tc = trainer_config(cfg)
-        assert tc.detach_rho is True
         assert tc.freeze_eps is True
         assert tc.hidden == (16, 8)
         assert tc.feat_dim == 4
         assert tc.seed == 9
+
+    def test_every_field_but_the_seed_is_a_key(self, tmp_path):
+        cfg = parse_config(write_ini(tmp_path, MINIMAL))
+        keys = set(cfg.model) | set(cfg.loss) | set(cfg.training)
+        assert {f.name for f in fields(TrainerConfig)} - {"seed"} == keys

@@ -46,13 +46,11 @@ def random_instance(seed, hidden=(5,), delta=True, diagonal=False,
     return phi, x, y, d, sigma, priors / priors.sum()
 
 
-def taped_surrogate(phi, x, y, delta, sigma, priors, alpha, beta,
-                    detach_rho):
+def taped_surrogate(phi, x, y, delta, sigma, priors, alpha, beta):
     leaves = [Tensor(p) for p in phi]
     with Tape() as tape:
         h = extract_features(leaves, x)
-        rho = quadratic_terms(leaves[-2], Tensor(sigma), y,
-                              detach_w=detach_rho)
+        rho = quadratic_terms(leaves[-2], Tensor(sigma), y)
         z = adjusted_logits(leaves[-2], leaves[-1], h,
                             None if delta is None else Tensor(delta), rho,
                             priors, LossConfig(alpha=alpha, beta=beta))
@@ -64,7 +62,6 @@ def taped_surrogate(phi, x, y, delta, sigma, priors, alpha, beta,
 SURROGATE_CASES = {
     "default": {},
     "alpha_zero": {"alpha": 0.0},
-    "detach_rho": {"detach_rho": True},
     "no_delta": {"delta": False},
     "diagonal_sigma": {"diagonal": True},
     "identity_extractor": {"hidden": ()},
@@ -77,15 +74,14 @@ SURROGATE_CASES = {
 def test_surrogate_matches_taped_builders(case, seed):
     opts = dict(SURROGATE_CASES[case])
     alpha = opts.pop("alpha", 0.7)
-    detach_rho = opts.pop("detach_rho", False)
     phi, x, y, delta, sigma, priors = random_instance(seed, **opts)
     # diagonal covariances reach the kernel as their (C, H) diagonals
     stack = (np.diagonal(sigma, axis1=1, axis2=2).copy()
              if opts.get("diagonal") else sigma)
     ours = kernels.surrogate(phi, x, y, delta, stack, 0.8 * np.log(priors),
-                             alpha, detach_rho)
+                             alpha)
     value, grads = taped_surrogate(phi, x, y, delta, sigma, priors, alpha,
-                                   0.8, detach_rho)
+                                   0.8)
     assert rel_err(ours.value, value) < TOL
     assert len(ours.grads) == len(grads)
     for g_ours, g_ref in zip(ours.grads, grads):
@@ -110,10 +106,8 @@ def test_quad_diagonal_branch_matches_dense_form():
         rtol=1e-13, atol=1e-15)
 
 
-@pytest.mark.parametrize("detach_rho", [False, True],
-                         ids=["rho", "detach_rho"])
 @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
-def test_given_head_differences_keep_every_bit(diagonal, detach_rho):
+def test_given_head_differences_keep_every_bit(diagonal):
     phi, x, y, delta, sigma, priors = random_instance(4, diagonal=diagonal)
     if diagonal:
         sigma = np.diagonal(sigma, axis1=1, axis2=2).copy()
@@ -122,25 +116,23 @@ def test_given_head_differences_keep_every_bit(diagonal, detach_rho):
     v = [rng.normal(size=p.shape) for p in phi]
     outputs = []
     for dw in (None, kernels.differences(phi[-2])):
-        train = kernels.surrogate(phi, x, y, delta, sigma, shift, alpha,
-                                  detach_rho, dw=dw)
+        train = kernels.surrogate(phi, x, y, delta, sigma, shift, alpha, dw=dw)
         d_delta, d_sigma = kernels.hypergradient(phi, y, train, v, sigma,
-                                                 alpha, detach_rho, dw=dw)
+                                                 alpha, dw=dw)
         outputs.append([np.float64(train.value), *train.grads, train.q,
                         train.g, d_delta, d_sigma])
     for ours, ref in zip(*outputs):
         assert ours.tobytes() == ref.tobytes()
-    if not detach_rho:
-        # the head gradient sums the u and v forms, whichever way it is built
-        dw = kernels.differences(phi[-2])
-        rho = kernels.quad("a", du=dw, dv=dw, s=sigma)[y]
-        ce = kernels.cross_entropy(phi, x, y, delta, alpha * rho + shift)
-        a = np.zeros((4, 4))
-        np.add.at(a, y, ce.g)
-        a *= alpha
-        head = ce.grads[-2] + (kernels.quad("u", a=a, dv=dw, s=sigma)
-                               + kernels.quad("v", a=a, du=dw, s=sigma))
-        assert outputs[0][-6].tobytes() == head.tobytes()
+    # the head gradient sums the u and v forms, whichever way it is built
+    dw = kernels.differences(phi[-2])
+    rho = kernels.quad("a", du=dw, dv=dw, s=sigma)[y]
+    ce = kernels.cross_entropy(phi, x, y, delta, alpha * rho + shift)
+    a = np.zeros((4, 4))
+    np.add.at(a, y, ce.g)
+    a *= alpha
+    head = ce.grads[-2] + (kernels.quad("u", a=a, dv=dw, s=sigma)
+                           + kernels.quad("v", a=a, du=dw, s=sigma))
+    assert outputs[0][-6].tobytes() == head.tobytes()
 
 
 def test_plain_cross_entropy_matches_tape():
@@ -237,7 +229,7 @@ def lookahead_state(seed, **overrides):
     md = MetaDataset(features=rng.normal(size=(6, 3)), labels=y.copy())
     fields = dict(t1=0, t2=10, alpha=0.6, beta=0.7, batch_train=6,
                   batch_meta=6, hidden=(4,), feat_dim=3, perturb_hidden=5,
-                  decay_points=(), seed=seed)
+                  seed=seed)
     state = init_state(TrainerConfig(**(fields | overrides)), ds, md)
     state.t = 1
     state.perturb.load_values([rng.normal(scale=0.3, size=a.shape)
@@ -267,7 +259,7 @@ def taped_lookahead(state, batch_idx, meta_idx, f, grad_h):
         delta = None
         if not cfg.freeze_eps:
             delta = compute_delta(grad_h, eps_forward(omega, f))
-        rho = quadratic_terms(phi[-2], sigma, y, detach_w=cfg.detach_rho)
+        rho = quadratic_terms(phi[-2], sigma, y)
         z = adjusted_logits(phi[-2], phi[-1], extract_features(phi, x),
                             delta, rho, state.priors,
                             LossConfig(alpha=cfg.alpha, beta=cfg.beta))
@@ -284,7 +276,6 @@ def taped_lookahead(state, batch_idx, meta_idx, f, grad_h):
 
 LOOKAHEAD_CASES = {
     "default": {},
-    "detach_rho": {"detach_rho": True},
     "diagonal_sigma": {"diagonal_sigma": True},
     "freeze_eps": {"freeze_eps": True},
     "alpha_zero": {"alpha": 0.0},

@@ -50,8 +50,7 @@ def tiny_setup(alpha=0.5, beta=1.0, eta1=0.05, eta2=1e-3, freeze_eps=False,
     cfg = TrainerConfig(t1=0, t2=10, eta1=eta1, eta2=eta2, alpha=alpha,
                         beta=beta, batch_train=4, batch_meta=4, hidden=(),
                         feat_dim=2, perturb_hidden=4, freeze_eps=freeze_eps,
-                        diagonal_sigma=diagonal_sigma, decay_points=(),
-                        seed=seed)
+                        diagonal_sigma=diagonal_sigma, seed=seed)
     state = init_state(cfg, ds, md)
     state.t = 1
     if randomize_omega:
@@ -147,7 +146,7 @@ class TestWarmup:
         state = tiny_setup(randomize_omega=False)
         cfg = state.config
         w0 = state.params.head_w.copy()
-        b0 = state.params.head_b.copy()
+        b0 = state.params.arrays()[-1].copy()
         x = state.dataset.features
         y = state.dataset.labels
 
@@ -166,12 +165,12 @@ class TestWarmup:
             state.params.head_w,
             w0 - lr * (dw + cfg.weight_decay * w0), rtol=0, atol=1e-14)
         np.testing.assert_allclose(
-            state.params.head_b,
+            state.params.arrays()[-1],
             b0 - lr * (db + cfg.weight_decay * b0), rtol=0, atol=1e-14)
 
     def test_nonfinite_loss_aborts(self):
         state = tiny_setup()
-        state.params.head_b[:] = np.inf
+        state.params.arrays()[-1][:] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericalAbort):
             warmup_step(state, np.arange(4))
 
@@ -200,7 +199,7 @@ class TestLookahead:
         eps = RANGE * np.tanh(np.maximum(pre, 0.0) @ ov[2] + ov[3])
         delta = eps * np.sign(grad_h)
         w = state.params.head_w
-        b = state.params.head_b
+        b = state.params.arrays()[-1]
         sigmas = state.stats.covariances()
         n, C = 4, 2
         rho = np.zeros((n, C))
@@ -252,8 +251,7 @@ class TestHypergradients:
         assert record["worst_sigma"] < 1e-3, record["detail"]
 
     @pytest.mark.parametrize("overrides", [
-        {}, {"detach_rho": True}, {"diagonal_sigma": True}],
-        ids=["defaults", "detach_rho", "diagonal_sigma"])
+        {}, {"diagonal_sigma": True}], ids=["defaults", "diagonal_sigma"])
     def test_hidden_layer_hypergradient_matches_fd(self, overrides):
         # A ReLU layer in the extractor: the JVP through it reaches s.
         record = hypergradient_suite(seed=2, hidden=(4,), **overrides)
@@ -316,7 +314,7 @@ class TestMetaUpdates:
                          labels=np.array([0, 1, 2]))
         cfg = TrainerConfig(t1=0, t2=10, alpha=0.6, batch_train=4,
                             batch_meta=3, hidden=(), feat_dim=2,
-                            perturb_hidden=4, decay_points=(), seed=0)
+                            perturb_hidden=4, seed=0)
         state = init_state(cfg, ds, md)
         state.t = 1
         meta_iteration(state, np.arange(4), np.arange(3))
@@ -338,7 +336,7 @@ class TestMetaUpdates:
                          labels=np.array([0, 1, 2]))
         cfg = TrainerConfig(t1=0, t2=10, alpha=0.6, batch_train=6,
                             batch_meta=3, hidden=(), feat_dim=2,
-                            perturb_hidden=4, decay_points=(), seed=0)
+                            perturb_hidden=4, seed=0)
         state = init_state(cfg, ds, md)
         state.t = 1
         meta_iteration(state, np.arange(6), np.arange(3))
@@ -415,8 +413,7 @@ class TestMetaUpdates:
                          labels=np.array([0, 1, 2]))
         cfg = TrainerConfig(t1=0, t2=10, eta2=2.0, alpha=0.6, batch_train=6,
                             batch_meta=3, hidden=(), feat_dim=2,
-                            perturb_hidden=4, decay_points=(),
-                            diagonal_sigma=diagonal, seed=0)
+                            perturb_hidden=4, diagonal_sigma=diagonal, seed=0)
         state = init_state(cfg, ds, md)
         state.t = 1
         ordinary = np.array([1e3, -0.25])
