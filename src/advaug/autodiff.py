@@ -2,19 +2,20 @@
 
 Every primitive computes its value eagerly in float64 numpy and, while a
 Tape is active, appends to every active tape a node holding one VJP
-function per input (None where the input gets no gradient). Gradient
-cotangents are themselves built out of the same primitives, so a backward
-pass that runs while the tape is still recording can be differentiated
-again (reverse-over-reverse), which makes the tape the reference for the
-closed-form lookahead hypergradient of `kernels`; training itself does not
-record on it. A sweep builds only the
-cotangents on paths from its sources; a first-order sweep should run after
-its tape closes, so that nothing records its ops.
+function per input. Gradient cotangents are themselves built out of the
+same primitives, so a backward pass that runs while the tape is still
+recording can be differentiated again (reverse-over-reverse), which makes
+the tape the reference for the closed-form lookahead hypergradient of
+`kernels`; training itself does not record on it. The module holds only
+the ops that the taped builders of `loss`, the reference lookahead of the
+tests and the VJPs of those ops use. A sweep builds only the cotangents on
+paths from its sources; a first-order sweep should run after its tape
+closes, so that nothing records its ops.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,36 +44,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.value.shape})"
 
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -87,7 +58,7 @@ class Node:
         self.op = op
         self.inputs = inputs
         self.output = output
-        self.vjp = vjp  # per input: fn(cotangent) -> its cotangent, or None
+        self.vjp = vjp  # per input: fn(cotangent) -> its cotangent
 
 
 _TAPE_STACK: list["Tape"] = []
@@ -114,28 +85,20 @@ class Tape:
         assert popped is self
         return False
 
-    def gradient(self, target: Tensor, sources: Sequence[Tensor],
-                 seed: Tensor | np.ndarray | None = None) -> list[Tensor]:
-        """Cotangents of target w.r.t. sources, seeded with `seed` (default ones).
+    def gradient(self, target: Tensor, sources: Sequence[Tensor]
+                 ) -> list[Tensor]:
+        """Cotangents of target w.r.t. sources, seeded with ones.
 
         Only paths from the sources are swept: a node's VJP for an input
         runs only when that input is a source or depends on one, and each
         such cotangent is built and summed exactly as in a full sweep.
-        Sources with no path to target get explicit zero tensors. `sign`
-        nodes contribute nothing (piecewise-constant convention). A
+        Sources with no path to target get explicit zero tensors. A
         first-order sweep should be taken after the tape closes, so that
         its ops are not recorded.
         """
         produced = any(n.output is target for n in self.nodes)
         if not produced:
             raise ShapeError("gradient target was not produced on this tape")
-        if seed is None:
-            seed = Tensor(np.ones_like(target.value))
-        else:
-            seed = _wrap(seed)
-            if seed.shape != target.shape:
-                raise ShapeError(
-                    f"seed shape {seed.shape} does not match target {target.shape}")
         # Snapshot: cotangent ops recorded below must not be traversed now.
         nodes = list(self.nodes)
         live = {id(s) for s in sources}
@@ -144,14 +107,15 @@ class Tape:
                 live.add(id(node.output))
         # Only live inputs receive cotangents, so nodes with a dead output
         # (the target's aside) are skipped below.
-        cot: dict[int, Tensor] = {id(target): seed}
+        cot: dict[int, Tensor] = {
+            id(target): Tensor(np.ones_like(target.value))}
         for node in reversed(nodes):
             g = cot.get(id(node.output))
             if g is None:
                 continue
             # All VJPs run before any accumulation, as in a full sweep, so
             # the recorded op order (and a later sweep's sums) is unchanged.
-            grads = [None if vjp is None or id(inp) not in live else vjp(g)
+            grads = [vjp(g) if id(inp) in live else None
                      for inp, vjp in zip(node.inputs, node.vjp)]
             for inp, gi in zip(node.inputs, grads):
                 if gi is None:
@@ -162,7 +126,7 @@ class Tape:
 
 
 def _record(op: str, inputs: tuple[Tensor, ...], out_value: np.ndarray,
-            vjp: tuple[Callable | None, ...]) -> Tensor:
+            vjp: tuple[Callable, ...]) -> Tensor:
     out = Tensor(out_value)
     if _TAPE_STACK:
         # Record on every active tape so an outer tape can differentiate
@@ -225,19 +189,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record("mul", (a, b), val,
                    (lambda g: _sum_to_shape(mul(g, b), sa),
                     lambda g: _sum_to_shape(mul(g, a), sb)))
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    try:
-        val = a.value / b.value
-    except ValueError as e:
-        raise ShapeError(f"div: {a.shape} vs {b.shape}") from e
-    sa, sb = a.shape, b.shape
-    out = _record("div", (a, b), val,
-                  (lambda g: _sum_to_shape(div(g, b), sa),
-                   lambda g: _sum_to_shape(neg(div(mul(g, out), b)), sb)))
-    return out
 
 
 def neg(a: Tensor) -> Tensor:
@@ -364,18 +315,6 @@ def exp(a: Tensor) -> Tensor:
     out = _record("exp", (a,), np.exp(a.value),
                   (lambda g: mul(g, out),))
     return out
-
-
-def log(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    return _record("log", (a,), np.log(a.value),
-                   (lambda g: div(g, a),))
-
-
-def sign(a: Tensor) -> Tensor:
-    """Elementwise sign with sign(0)=0. Zero gradient by convention."""
-    a = _wrap(a)
-    return _record("sign", (a,), np.sign(a.value), (None,))
 
 
 # ---------------------------------------------------------------------------

@@ -297,18 +297,16 @@ def surrogate(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
 
 def hypergradient(phi: list[np.ndarray], y: np.ndarray, train: ClassifierPass,
                   v: list[np.ndarray], sigma: np.ndarray, alpha: float,
-                  dw: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ds/d(delta) and ds/d(Sigma) for s = <grad_phi L_train, v>.
 
     `train` is the `surrogate` pass of L_train at phi. The lookahead
     hypergradient is -lr times these; eps reaches s through delta only.
     ds/d(Sigma) has the shape of `sigma`: diagonal covariances get the
-    gradient in their diagonals. `dw` is as in `surrogate`.
+    gradient in their diagonals. `dw` are the head's `differences`, the
+    ones `train` was built with.
     """
     layers, w = extractor_layers(phi), phi[-2]
-    if dw is None:
-        dw = differences(w)
     w_dot, b_dot = v[-2:]
     z_dot = train.feats @ w_dot.T + b_dot
     h_dot = mlp_jvp(layers, train.acts, v[:-2])

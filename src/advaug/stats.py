@@ -22,14 +22,19 @@ def class_priors(counts) -> np.ndarray:
 
 
 def project_psd(sigma: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix in Frobenius norm: symmetrize, clamp eigenvalues."""
+    """Nearest PSD matrix in Frobenius norm: symmetrize, clamp eigenvalues.
+
+    `sigma` may be a (..., H, H) stack, projected in one batched
+    eigendecomposition; each matrix gets the bits it gets alone.
+    """
     sigma = np.asarray(sigma, dtype=np.float64)
     if not np.all(np.isfinite(sigma)):
         raise ValueError("project_psd: non-finite input")
-    sym = 0.5 * (sigma + sigma.T)
+    sym = 0.5 * (sigma + np.swapaxes(sigma, -1, -2))
     eigvals, eigvecs = np.linalg.eigh(sym)
-    clamped = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
-    return 0.5 * (clamped + clamped.T)
+    clamped = ((eigvecs * np.maximum(eigvals, 0.0)[..., None, :])
+               @ np.swapaxes(eigvecs, -1, -2))
+    return 0.5 * (clamped + np.swapaxes(clamped, -1, -2))
 
 
 def cholesky_with_jitter(sigma: np.ndarray, jitter: float = 1e-10) -> np.ndarray:

@@ -15,12 +15,12 @@ Each meta iteration runs four stages:
    hypergradient of that meta loss in the perturbation net and the
    covariance stack, taken forward-over-reverse (see `kernels`).
 3. The net takes an Adam step, and the covariances of the classes in the
-   batch take one SGD step as a stack, plus a PSD projection that persists
-   into the running class statistics. A class whose hypergradient or
+   batch take one SGD step as a stack, plus a PSD projection of the stack
+   in one call that persists into the running class statistics: one
+   batched eigendecomposition for full covariances, a clamp of the
+   variances at zero for diagonal ones. A class whose hypergradient or
    stepped covariance is not finite keeps its covariance, and an event
-   names it. Diagonal covariances are projected in one call, by clamping
-   their variances at zero, without an eigendecomposition; a full
-   covariance is projected matrix by matrix.
+   names it.
 4. ``final_step``: the real classifier update (momentum SGD + weight decay)
    under the surrogate loss recomputed with the refreshed perturbation net
    and covariances.
@@ -393,10 +393,13 @@ def _step_covariances(state: MetaState, batch_idx: np.ndarray,
     its hypergradient is exactly zero and it keeps its value; a class in
     the batch has samples, hence an estimate to step. A class whose
     hypergradient or candidate is not finite keeps its covariance, and an
-    event names it, in ascending class order.
+    event names it, in ascending class order. The finite candidates are
+    projected in one call, so an eigendecomposition that fails keeps the
+    covariance of every class in the step.
     """
     stats = state.stats
-    project = project_diagonal if stats.diagonal else project_psd
+    project, name = ((project_diagonal, "project_diagonal") if stats.diagonal
+                     else (project_psd, "project_psd"))
     present = np.flatnonzero(np.bincount(state.dataset.labels[batch_idx],
                                          minlength=stats.num_classes))
     grad = ahead.sigma_grad[present]
@@ -404,35 +407,21 @@ def _step_covariances(state: MetaState, batch_idx: np.ndarray,
     per_class = tuple(range(1, grad.ndim))
     grad_ok = np.isfinite(grad).all(axis=per_class)
     ok = grad_ok & np.isfinite(candidate).all(axis=per_class)
-    refusals = {}  # position in `present` -> why its projection failed
-
-    def attempt(i):
-        try:
-            return project(candidate[i])
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            refusals[i] = exc
-            return None
-
-    for i in np.flatnonzero(grad_ok & ~ok):
-        attempt(i)  # refused, with the projection's own message
-    if stats.diagonal:
-        projected = project_diagonal(candidate[ok])
+    reasons = [None if fine else f"{name}: non-finite input" for fine in ok]
+    try:
+        projected = project(candidate[ok])
+    except np.linalg.LinAlgError as exc:
+        reasons = [exc if why is None else why for why in reasons]
     else:
-        projected = np.empty_like(candidate)
-        for i in np.flatnonzero(ok):
-            result = attempt(i)
-            if result is not None:
-                projected[i] = result
-        ok[list(refusals)] = False
-        projected = projected[ok]
-    for i in np.flatnonzero(~ok):
+        stats.set_covariance(present[ok], projected)
+    for c, why, finite_grad in zip(present, reasons, grad_ok):
+        if why is None:
+            continue
         state.events.append(
             f"iteration {state.t}: covariance projection failed for class "
-            f"{present[i]} ({refusals[i]}), keeping previous value"
-            if i in refusals else
+            f"{c} ({why}), keeping previous value" if finite_grad else
             f"iteration {state.t}: non-finite covariance hypergradient for "
-            f"class {present[i]}, update skipped")
-    stats.set_covariance(present[ok], projected)
+            f"class {c}, update skipped")
 
 
 def full_train_eps(state: MetaState) -> np.ndarray:

@@ -172,7 +172,8 @@ def hypergradient_suite(seed: int = 0, **overrides) -> dict:
     directly. The record's `kink_margin` is the smallest |input| of the
     relus whose inputs move with omega and Sigma: the perturbation net's,
     and the extractor's on the meta batch at phi'. Finite differences are
-    only meaningful when it is not tiny.
+    only meaningful when it is not tiny. With frozen perturbations
+    (`freeze_eps`) no net reaches the meta loss, and `worst_omega` is 0.
     """
     state, obs = _tiny_state(seed, **overrides)
     batch = np.arange(4)
@@ -187,7 +188,7 @@ def hypergradient_suite(seed: int = 0, **overrides) -> dict:
         return np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1e-12)
 
     worst_omega = worst_sigma = 0.0
-    for array, analytic in zip(omega, ahead.omega_grads):
+    for array, analytic in zip(omega, ahead.omega_grads or ()):
         # fd_gradient bumps this view of the net's vector in place
         fd = fd_gradient(lambda _: meta_value().meta_loss, array)
         worst_omega = max(worst_omega, rel_err(analytic, fd))

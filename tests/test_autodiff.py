@@ -97,16 +97,6 @@ class TestBackward:
             (g,) = tape.gradient(loss, [logits])
         assert np.allclose(g.value, [[-0.75, 0.25, 0.25, 0.25]], atol=1e-12)
 
-    def test_sign_zero_value_and_zero_gradient(self):
-        with Tape() as tape:
-            x = Tensor([-2.0, 0.0, 5.0])
-            s = ad.sign(x)
-            y = ad.tsum(ad.mul(s, x))
-            (g,) = tape.gradient(y, [x])
-        assert np.array_equal(s.value, [-1.0, 0.0, 1.0])
-        # only the mul contributes; the sign factor is piecewise constant
-        assert np.array_equal(g.value, s.value)
-
     def test_unreached_source_gets_zeros(self):
         with Tape() as tape:
             x = Tensor([1.0, 2.0])
@@ -120,13 +110,6 @@ class TestBackward:
         assert np.array_equal(gz.value, [0.0])
         assert np.array_equal(gu.value, np.zeros((1, 3)))
         assert np.array_equal(only_u.value, np.zeros((1, 3)))
-
-    def test_seed_shape_mismatch_rejected(self):
-        with Tape() as tape:
-            x = Tensor([1.0, 2.0])
-            y = ad.mul(x, x)
-            with pytest.raises(ad.ShapeError):
-                tape.gradient(y, [x], seed=np.ones((3,)))
 
     def test_three_layer_net_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -160,8 +143,8 @@ class TestPrimitiveGradients:
 
     rng = np.random.default_rng(11)
 
-    def u(self, *shape, lo=-2.0, hi=2.0):
-        return self.rng.uniform(lo, hi, size=shape)
+    def u(self, *shape):
+        return self.rng.uniform(-2.0, 2.0, size=shape)
 
     def test_add(self):
         check_primitive_grad(ad.add, [self.u(3, 4), self.u(3, 4)])
@@ -177,10 +160,6 @@ class TestPrimitiveGradients:
 
     def test_mul_broadcast_scalar(self):
         check_primitive_grad(ad.mul, [self.u(3, 2), self.u()])
-
-    def test_div(self):
-        denom = self.u(4) + np.where(self.u(4) > 0, 3.0, -3.0)
-        check_primitive_grad(ad.div, [self.u(4), denom])
 
     def test_neg(self):
         check_primitive_grad(ad.neg, [self.u(6)])
@@ -207,9 +186,6 @@ class TestPrimitiveGradients:
 
     def test_exp(self):
         check_primitive_grad(ad.exp, [self.u(5)])
-
-    def test_log_positive_inputs(self):
-        check_primitive_grad(ad.log, [self.u(5, lo=0.5, hi=2.0)])
 
     def test_sum_all(self):
         check_primitive_grad(ad.tsum, [self.u(3, 4)])

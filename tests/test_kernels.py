@@ -117,8 +117,8 @@ def test_given_head_differences_keep_every_bit(diagonal):
     outputs = []
     for dw in (None, kernels.differences(phi[-2])):
         train = kernels.surrogate(phi, x, y, delta, sigma, shift, alpha, dw=dw)
-        d_delta, d_sigma = kernels.hypergradient(phi, y, train, v, sigma,
-                                                 alpha, dw=dw)
+        d_delta, d_sigma = kernels.hypergradient(
+            phi, y, train, v, sigma, alpha, kernels.differences(phi[-2]))
         outputs.append([np.float64(train.value), *train.grads, train.q,
                         train.g, d_delta, d_sigma])
     for ours, ref in zip(*outputs):

@@ -199,9 +199,10 @@ class TestProjectPsd:
             assert np.linalg.norm(cand - sym) >= base - 1e-9
 
     def test_output_is_symmetric_and_choleskyable(self):
-        rng = np.random.default_rng(7)
-        for k in range(10):
-            out = project_psd(rng.normal(size=(8, 8)))
+        stack = np.random.default_rng(7).normal(size=(10, 8, 8))
+        for a, out in zip(stack, project_psd(stack)):
+            # a stack is projected matrix by matrix, bit for bit
+            assert out.tobytes() == project_psd(a).tobytes()
             assert np.max(np.abs(out - out.T)) < 1e-12
             assert np.min(np.linalg.eigvalsh(out)) >= -1e-10
             cholesky_with_jitter(out)  # must not raise

@@ -251,7 +251,8 @@ class TestHypergradients:
         assert record["worst_sigma"] < 1e-3, record["detail"]
 
     @pytest.mark.parametrize("overrides", [
-        {}, {"diagonal_sigma": True}], ids=["defaults", "diagonal_sigma"])
+        {}, {"diagonal_sigma": True}, {"freeze_eps": True}],
+        ids=["defaults", "diagonal_sigma", "freeze_eps"])
     def test_hidden_layer_hypergradient_matches_fd(self, overrides):
         # A ReLU layer in the extractor: the JVP through it reaches s.
         record = hypergradient_suite(seed=2, hidden=(4,), **overrides)
@@ -345,7 +346,8 @@ class TestMetaUpdates:
         monkeypatch.setattr(training, "project_psd",
                             lambda s: projected.append(s) or project_psd(s))
         meta_iteration(state, np.array([0, 1, 3, 4]), np.arange(3))
-        assert len(projected) == 2
+        # one call on the stack of the two present classes
+        assert [s.shape for s in projected] == [(2, 2, 2)]
         np.testing.assert_array_equal(state.stats.covariances()[2], before)
 
 
@@ -448,6 +450,36 @@ class TestMetaUpdates:
         # Sigma_c is stored as n_c Sigma_c; n_c = 2 scales exactly.
         assert after[2].tobytes() == clamped.tobytes()
         np.testing.assert_array_equal(state.stats.counts, [2, 2, 2])
+
+    def test_failed_eigendecomposition_keeps_every_class(self, monkeypatch):
+        # The stack is projected in one eigh: when it fails on class 1's
+        # matrix, class 0 keeps its covariance too, every class gets its
+        # own event, and the final step still runs.
+        state = tiny_setup(alpha=0.6, seed=9)
+
+        def grad(sigma):
+            g = np.full_like(sigma, 1e-3)
+            g[1, 0, 0] = -1e6  # eta2 = 1e-3: class 1's Sigma_00 grows by 1e3
+            return g
+
+        seen = set_sigma_step(monkeypatch, None, grad)
+        eigh = np.linalg.eigh
+
+        def failing_eigh(a):
+            if np.any(a[..., 0, 0] > 100.0):
+                raise np.linalg.LinAlgError("eigh did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        before = state.params.vector.copy()
+        meta_iteration(state, np.arange(4), np.arange(4))
+        after = state.stats.covariances()
+        assert [a.tobytes() for a in after] == [s.tobytes() for s in seen[0]]
+        assert state.events == [
+            f"iteration 1: covariance projection failed for class {c} "
+            "(eigh did not converge), keeping previous value" for c in (0, 1)]
+        np.testing.assert_array_equal(state.stats.counts, [2, 2])
+        assert not np.array_equal(state.params.vector, before)
 
 
 class TestIterationInvariants:
