@@ -86,54 +86,74 @@ class History:
 
 def extract(view: BatchView, history: History,
             stats: ClassStats) -> CharacteristicsBatch:
-    """The 15 raw scalars per sample, plus their normalized variants.
+    """The 15 raw scalars per sample, plus their normalized variants."""
+    raw = np.empty((view.ids.size, NUM_CHARACTERISTICS))
+    fill_rows(view, history, stats, raw)
+    fill_set_columns(raw, view.labels)
+    return CharacteristicsBatch(raw, history.normalize(raw))
+
+
+def fill_rows(view: BatchView, history: History, stats: ClassStats,
+              out: np.ndarray) -> None:
+    """Write the raw characteristics of the view's rows into `out`, one
+    row each, but for the loss z-score and the within-class loss rank,
+    which read the loss of every row of the set (`fill_set_columns`).
 
     EMA-based entries fall back to the instantaneous value for samples the
-    history has never seen. Only the loss z-score and the within-class loss
-    rank read the whole set; the other columns and the normalization run in
-    blocks of `kernels.BLOCK_ROWS` rows.
+    history has never seen.
     """
-    n = view.ids.size
-    labels = np.asarray(view.labels, dtype=np.intp)
-    rows = np.arange(n)
-    loss = view.lse - view.logits[rows, labels]
-    zscore = (loss - loss.mean()) / (loss.std() + 1e-12)
-    # Rank of each loss within its class: a stable sort by (label, loss)
-    # breaks ties by position, and a singleton class ranks 0.5.
+    z, q, ids = view.logits, view.q, view.ids
+    y = np.asarray(view.labels, dtype=np.intp)
+    idx = np.arange(ids.size)
+    loss = view.lse - z[idx, y]
+    masked = z.copy()
+    masked[idx, y] = -np.inf
+    margin = z[idx, y] - kernels.row_max(masked)
+    correct = (z.argmax(axis=1) == y).astype(np.float64)
+    seen = history.seen[ids]
+    ema = history.ema[ids]
+    prior = stats.priors[y]
+    spread = np.sqrt(stats.traces() + 1e-12)
+    columns = (
+        loss,
+        np.where(seen, ema[:, 0], loss),
+        None,  # loss_zscore
+        margin,
+        np.where(seen, ema[:, 1], margin),
+        -np.sum(q * np.log(np.maximum(q, 1e-300)), axis=1),
+        q[idx, y],
+        correct,
+        np.where(seen, ema[:, 2], correct),
+        np.linalg.norm(view.grad_h, axis=1),
+        prior,
+        np.log(prior),
+        np.linalg.norm(view.h - stats.means[y], axis=1) / spread[y],
+        view.progress,
+        None,  # class_loss_rank
+    )
+    for k, column in enumerate(columns):
+        if column is not None:
+            out[:, k] = column
+
+
+def fill_set_columns(raw: np.ndarray, labels: np.ndarray) -> None:
+    """The loss z-score and the within-class loss rank of every row of the
+    set, written into `raw` from its finished loss column.
+
+    Ranks come from a stable sort by (label, loss), which breaks ties by
+    position; a singleton class ranks 0.5.
+    """
+    labels = np.asarray(labels, dtype=np.intp)
+    loss = raw[:, 0].copy()
+    n = loss.size
+    raw[:, 2] = (loss - loss.mean()) / (loss.std() + 1e-12)  # loss_zscore
     class_size = np.bincount(labels)
     position = np.empty(n, dtype=np.intp)
-    position[np.lexsort((loss, labels))] = rows
+    position[np.lexsort((loss, labels))] = np.arange(n)
     within = position - (np.cumsum(class_size) - class_size)[labels]
     size = class_size[labels]
-    rank = np.where(size == 1, 0.5, within / np.maximum(size - 1, 1))
-    spread = np.sqrt(stats.traces() + 1e-12)
-
-    def block(r):
-        z, q, ids, y = view.logits[r], view.q[r], view.ids[r], labels[r]
-        idx = np.arange(ids.size)
-        masked = z.copy()
-        masked[idx, y] = -np.inf
-        margin = z[idx, y] - kernels.row_max(masked)
-        entropy = -np.sum(q * np.log(np.maximum(q, 1e-300)), axis=1)
-        correct = (z.argmax(axis=1) == y).astype(np.float64)
-        seen = history.seen[ids]
-        ema = history.ema[ids]
-        loss_ema = np.where(seen, ema[:, 0], loss[r])
-        margin_ema = np.where(seen, ema[:, 1], margin)
-        correct_ema = np.where(seen, ema[:, 2], correct)
-        grad_norm = np.linalg.norm(view.grad_h[r], axis=1)
-        prior = stats.priors[y]
-        mean_dist = (np.linalg.norm(view.h[r] - stats.means[y], axis=1)
-                     / spread[y])
-        raw = np.stack([
-            loss[r], loss_ema, zscore[r], margin, margin_ema, entropy,
-            q[idx, y], correct, correct_ema, grad_norm, prior,
-            np.log(prior), mean_dist, np.full(ids.size, view.progress),
-            rank[r],
-        ], axis=1)
-        return raw, history.normalize(raw)
-
-    return CharacteristicsBatch(*kernels.by_row_blocks(block, n))
+    raw[:, 14] = np.where(size == 1, 0.5,  # class_loss_rank
+                          within / np.maximum(size - 1, 1))
 
 
 def update_history(history: History, ids: np.ndarray,

@@ -10,9 +10,10 @@ Verbs:
   gen-data  materialize a scenario's train/meta/test splits as CSV
 
 Exit codes: 0 success, 1 verification failure (`verify` only), 2 invalid
-configuration or inputs, 3 numerical abort during training.  Relative
-output directories are resolved under $ADVAUG_OUTPUT_ROOT (default:
-current directory).
+configuration or inputs, 3 numerical abort during training (its run
+directory still gets the epoch rows logged before the abort and a summary
+that names it).  Relative output directories are resolved under
+$ADVAUG_OUTPUT_ROOT (default: current directory).
 """
 
 from __future__ import annotations
@@ -53,14 +54,25 @@ def _resolve_output(configured: str, override: str | None) -> Path:
     return raw
 
 
+def _json_float(value: float) -> float | None:
+    """null for nan, so the summary stays strict JSON."""
+    return None if math.isnan(value) else value
+
+
 def _execute_run(cfg: RunConfig, out_dir: Path) -> tuple[int, dict | None]:
-    """Train one configuration and write its artifacts."""
+    """Train one configuration and write its artifacts.
+
+    A numerical abort still writes the epoch rows logged before it and a
+    summary of them, whose `aborted` field names the stage, the iteration
+    and the loss; it writes no checkpoints.
+    """
     try:
         data = build_scenario(cfg)
     except (DataError, OSError, ValueError) as exc:
         return _fail(f"config error: {exc}", 2), None
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    abort = None
     try:
         # Divergence is reported once via the exit code; the overflow
         # warnings numpy emits on the way down would only add noise.
@@ -68,14 +80,18 @@ def _execute_run(cfg: RunConfig, out_dir: Path) -> tuple[int, dict | None]:
             state, log = train(trainer_config(cfg), data.train, data.meta,
                                eval_data=data.test)
     except NumericalAbort as exc:
-        return _fail(f"numerical abort: {exc}", 3), None
+        abort, log = exc, exc.log
 
     log.write_csv(str(out_dir / "metrics.csv"))
     write_resolved(cfg, str(out_dir / "resolved_config.ini"))
-    save_checkpoint(state.params, str(out_dir / "classifier.npz"))
-    save_checkpoint(state.perturb, str(out_dir / "perturb_net.npz"))
-    summary = run_summary(log)
-    wg = summary["worst_group_accuracy"]
+    if abort is None:
+        save_checkpoint(state.params, str(out_dir / "classifier.npz"))
+        save_checkpoint(state.perturb, str(out_dir / "perturb_net.npz"))
+    nan = math.nan
+    summary = (run_summary(log) if log.rows else
+               {"accuracy": nan, "worst_class_recall": nan,
+                "worst_group_accuracy": nan, "test_loss": nan, "epochs": 0})
+    last = log.rows[-1] if log.rows else {}
     full = {
         "scenario": cfg.scenario,
         "seed": cfg.seed,
@@ -84,19 +100,22 @@ def _execute_run(cfg: RunConfig, out_dir: Path) -> tuple[int, dict | None]:
         "t1": cfg.training["t1"],
         "t2": cfg.training["t2"],
         "epochs": int(summary["epochs"]),
-        "accuracy": summary["accuracy"],
-        "worst_class_recall": summary["worst_class_recall"],
-        "worst_group_accuracy": None if math.isnan(wg) else wg,
-        "test_loss": summary["test_loss"],
-        # null for a class the test set lacks, so the file stays strict JSON
-        "per_class_recall": [None if math.isnan(r) else r for r in
-                             (log.rows[-1][f"recall_{c}"]
-                              for c in range(log.num_classes))],
+        "per_class_recall": [_json_float(last.get(f"recall_{c}", nan))
+                             for c in range(log.num_classes)],
         "events": log.events,
     }
+    for key in ("accuracy", "worst_class_recall", "worst_group_accuracy",
+                "test_loss"):
+        full[key] = _json_float(summary[key])
+    if abort is not None:
+        full["aborted"] = {"stage": abort.stage,
+                           "iteration": abort.iteration,
+                           "value": str(abort.value)}
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(full, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    if abort is not None:
+        return _fail(f"numerical abort: {abort}", 3), None
     return 0, full
 
 
@@ -156,6 +175,8 @@ def _load_summaries(dirs) -> dict[int, dict]:
         path = Path(d) / "summary.json"
         with open(path, encoding="utf-8") as fh:
             summary = json.load(fh)
+        if "aborted" in summary:
+            raise ValueError(f"{d} holds an aborted run")
         seed = summary["seed"]
         if seed in out:
             raise ValueError(f"duplicate seed {seed} in {d}")

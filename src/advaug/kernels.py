@@ -39,31 +39,39 @@ RANGE_SCALE = 1.0 - 1e-9
 BLOCK_ROWS = 768
 
 
-def by_row_blocks(fn, n: int, size: int | None = None):
-    """fn(rows) on consecutive row slices of range(n), `size` rows each
-    (default BLOCK_ROWS), stacked.
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive row slices covering range(n), BLOCK_ROWS rows each.
+
+    A last block of one row joins the one before it: the product of a
+    single row takes another BLAS path, which rounds differently.
+    """
+    if n <= BLOCK_ROWS + 1:
+        return [slice(0, n)]
+    edges = list(range(0, n, BLOCK_ROWS)) + [n]
+    if n - edges[-2] == 1:
+        del edges[-2]
+    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
+
+
+def by_row_blocks(fn, n: int):
+    """fn(rows) on the `row_blocks(n)` of range(n), stacked.
 
     fn returns an array, or a tuple of arrays, with one row per row of the
     slice; so does this, with n rows. Rows that fit one block are returned
-    as fn gives them, without a copy. A last block of one row joins the one
-    before it: the product of a single row takes another BLAS path, which
-    rounds differently.
+    as fn gives them, without a copy.
     """
-    size = size or BLOCK_ROWS
-    if n <= size + 1:
-        return fn(slice(0, n))
-    edges = list(range(0, n, size)) + [n]
-    if n - edges[-2] == 1:
-        del edges[-2]
+    blocks = row_blocks(n)
+    if len(blocks) == 1:
+        return fn(blocks[0])
     # fn on no rows gives the shapes and types of the outputs
     empty = fn(slice(0, 0))
     tupled = isinstance(empty, tuple)
     outs = [np.empty((n, *a.shape[1:]), a.dtype)
             for a in (empty if tupled else (empty,))]
-    for start, stop in zip(edges, edges[1:]):
-        result = fn(slice(start, stop))
+    for rows in blocks:
+        result = fn(rows)
         for out, a in zip(outs, result if tupled else (result,)):
-            out[start:stop] = a
+            out[rows] = a
     return tuple(outs) if tupled else outs[0]
 
 

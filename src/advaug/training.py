@@ -27,8 +27,8 @@ Each meta iteration runs four stages:
 
 Iterations up to the warm-up horizon use plain cross-entropy instead. The
 per-epoch diagnostics and evaluation run the same kernel forward, the
-diagnostics over the whole training set in row blocks; no stage records a
-tape op.
+diagnostics over the whole training set in row blocks, each of which writes
+its rows of one characteristics table; no stage records a tape op.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .characteristics import (BatchView, History, extract, update_history)
+from .characteristics import (NUM_CHARACTERISTICS, BatchView, History,
+                              extract, fill_rows, fill_set_columns,
+                              update_history)
 from .classifier import (ClassifierParams, ce_grad_wrt_features, flatten,
                          init_classifier)
 from .data import Dataset, MetaDataset
@@ -53,7 +55,17 @@ from .stats import (ClassStats, class_priors, project_diagonal, project_psd,
 
 
 class NumericalAbort(RuntimeError):
-    """Raised when a training loss becomes non-finite."""
+    """Raised when a training loss becomes non-finite.
+
+    Names the stage, the iteration and the loss; `train` attaches the log
+    of the epochs finished before it as `log`.
+    """
+
+    def __init__(self, stage: str, iteration: int, value: float):
+        super().__init__(
+            f"non-finite {stage} loss at iteration {iteration}: {value}")
+        self.stage, self.iteration, self.value = stage, iteration, value
+        self.log: MetricsLog | None = None
 
 
 @dataclass
@@ -242,31 +254,23 @@ def sample_meta_batch(state: MetaState) -> np.ndarray:
     return state.meta_rng.choice(n_meta, size=size, replace=False)
 
 
-def _batch_view(state: MetaState, ids: np.ndarray, keep_acts: bool = False
-                ) -> tuple[BatchView, list[np.ndarray] | None]:
-    """Kernel forward of the training rows `ids` under the current state.
+def _batch_view(state: MetaState, ids: np.ndarray
+                ) -> tuple[BatchView, list[np.ndarray]]:
+    """Kernel forward of the training rows `ids` under the current state,
+    as one block: the view, and the extractor activations, which the
+    classifier steps of a batch observation reuse.
 
-    The rows run in blocks of `kernels.BLOCK_ROWS`, so a full-set pass
-    holds the activations of one block at a time. The softmax is taken
-    once, for both the view and the detached feature gradient. With
-    `keep_acts` the rows run as one block, whose extractor activations are
-    returned for the classifier steps that reuse them; otherwise None is.
+    The softmax is taken once, for both the view and the detached feature
+    gradient.
     """
     y = state.dataset.labels[ids]
-    phi = state.params.arrays()
-    acts = None
-
-    def block(rows):
-        nonlocal acts
-        acts, h, z = kernels.forward(phi, state.dataset.features[ids[rows]])
-        q, lse = softmax_lse(z)
-        return h, z, q, lse, ce_grad_wrt_features(state.params, q, y[rows])
-
-    h, z, q, lse, grad_h = kernels.by_row_blocks(
-        block, ids.size, ids.size if keep_acts else None)
+    acts, h, z = kernels.forward(state.params.arrays(),
+                                 state.dataset.features[ids])
+    q, lse = softmax_lse(z)
     view = BatchView(ids=ids, h=h, logits=z, q=q, lse=lse, labels=y,
-                     grad_h=grad_h, progress=state.t / state.config.t2)
-    return view, acts if keep_acts else None
+                     grad_h=ce_grad_wrt_features(state.params, q, y),
+                     progress=state.t / state.config.t2)
+    return view, acts
 
 
 def _observe_batch(state: MetaState, batch_idx: np.ndarray,
@@ -280,7 +284,7 @@ def _observe_batch(state: MetaState, batch_idx: np.ndarray,
     differences of the head W, which the iteration's surrogate and
     hypergradient kernels share; a warm-up step reads neither.
     """
-    view, acts = _batch_view(state, batch_idx, keep_acts=True)
+    view, acts = _batch_view(state, batch_idx)
     update_covariance(state.stats, view.h, view.labels)
     batch = extract(view, state.history, state.stats)
     update_history(state.history, batch_idx, batch.raw)
@@ -294,8 +298,7 @@ def _observe_batch(state: MetaState, batch_idx: np.ndarray,
 
 def _check_finite_loss(state: MetaState, loss: float, stage: str) -> None:
     if not np.isfinite(loss):
-        raise NumericalAbort(
-            f"non-finite {stage} loss at iteration {state.t}: {loss}")
+        raise NumericalAbort(stage, state.t, loss)
 
 
 def warmup_step(state: MetaState, batch_idx: np.ndarray) -> None:
@@ -424,18 +427,38 @@ def _step_covariances(state: MetaState, batch_idx: np.ndarray,
             f"class {c}, update skipped")
 
 
+def full_train_characteristics(state: MetaState) -> np.ndarray:
+    """The (n, 15) raw characteristics of every training sample under the
+    current state; no EMA update.
+
+    Each block of `kernels.row_blocks` rows runs the kernel forward and
+    writes its rows of the table; the loss z-score and the within-class
+    loss rank are then filled from the finished loss column.
+    """
+    n = state.dataset.n
+    raw = np.empty((n, NUM_CHARACTERISTICS))
+    for rows in kernels.row_blocks(n):
+        # the block's activations are freed before its columns are written
+        view = _batch_view(state, np.arange(rows.start, rows.stop))[0]
+        fill_rows(view, state.history, state.stats, raw[rows])
+    fill_set_columns(raw, state.dataset.labels)
+    return raw
+
+
 def full_train_eps(state: MetaState) -> np.ndarray:
     """Perturbation scale for every training sample under current state.
 
-    No EMA update; used for per-epoch diagnostics.
+    No EMA update; used for per-epoch diagnostics. The characteristics are
+    normalized and run through the net in row blocks.
     """
     if state.config.freeze_eps:
         return np.zeros(state.dataset.n)
-    view, _ = _batch_view(state, np.arange(state.dataset.n))
-    f = extract(view, state.history, state.stats).normalized
+    raw = full_train_characteristics(state)
     omega = state.perturb.arrays()
     return kernels.by_row_blocks(
-        lambda rows: kernels.eps_forward(omega, f[rows]).eps, state.dataset.n)
+        lambda rows: kernels.eps_forward(
+            omega, state.history.normalize(raw[rows])).eps,
+        state.dataset.n)
 
 
 def _epoch_row(state: MetaState, epoch: int, phase: str,
@@ -500,23 +523,31 @@ def _regularizer_row(state: MetaState, eps_all: np.ndarray) -> dict:
 
 def train(config: TrainerConfig, dataset: Dataset, metadata: MetaDataset,
           eval_data: Dataset | None = None) -> tuple[MetaState, MetricsLog]:
-    """Run the full schedule: warm-up then meta iterations, logged per epoch."""
+    """Run the full schedule: warm-up then meta iterations, logged per epoch.
+
+    A NumericalAbort carries the log of the epochs finished before it.
+    """
     state = init_state(config, dataset, metadata)
     log = MetricsLog(dataset.num_classes)
     iters_per_epoch = max(1, round(dataset.n / config.batch_train))
     epoch = 0
-    for t in range(1, config.t2 + 1):
-        state.t = t
-        batch_idx = sample_train_batch(state)
-        if t <= config.t1:
-            warmup_step(state, batch_idx)
-            phase = "warmup"
-        else:
-            meta_idx = sample_meta_batch(state)
-            meta_iteration(state, batch_idx, meta_idx)
-            phase = "meta"
-        if t % iters_per_epoch == 0 or t == config.t2:
-            epoch += 1
-            log.append(_epoch_row(state, epoch, phase, eval_data))
-    log.events.extend(state.events)
+    try:
+        for t in range(1, config.t2 + 1):
+            state.t = t
+            batch_idx = sample_train_batch(state)
+            if t <= config.t1:
+                warmup_step(state, batch_idx)
+                phase = "warmup"
+            else:
+                meta_idx = sample_meta_batch(state)
+                meta_iteration(state, batch_idx, meta_idx)
+                phase = "meta"
+            if t % iters_per_epoch == 0 or t == config.t2:
+                epoch += 1
+                log.append(_epoch_row(state, epoch, phase, eval_data))
+    except NumericalAbort as exc:
+        exc.log = log
+        raise
+    finally:
+        log.events.extend(state.events)
     return state, log

@@ -50,6 +50,7 @@ class TestRun:
         assert summary["worst_group_accuracy"] is None
         assert 0.0 <= summary["accuracy"] <= 1.0
         assert len(summary["per_class_recall"]) == 5
+        assert "aborted" not in summary
         assert "run complete" in capsys.readouterr().out
         log = MetricsLog.read_csv(str(out / "metrics.csv"))
         assert log.rows[-1]["iteration"] == 40
@@ -100,9 +101,34 @@ class TestRun:
         assert "perturb_hidden" in err
 
     def test_divergence_exits_3(self, tmp_path, capsys):
+        """The rows logged before the abort and a summary naming it are
+        written; no checkpoints are."""
         cfg = write_ini(tmp_path, TINY.replace("t1 = 5", "t1 = 5\neta1 = 100000"))
-        assert main(["run", "--config", cfg, "--output", str(tmp_path / "o")]) == 3
-        assert "numerical abort" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical abort: non-finite train loss at iteration 6" in err
+        log = MetricsLog.read_csv(str(out / "metrics.csv"))
+        assert [row["iteration"] for row in log.rows] == [3]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["aborted"] == {"stage": "train", "iteration": 6,
+                                      "value": "nan"}
+        assert summary["epochs"] == 1
+        assert summary["accuracy"] == log.rows[-1]["test_accuracy"]
+        assert not (out / "classifier.npz").exists()
+        assert not (out / "perturb_net.npz").exists()
+
+    def test_divergence_before_the_first_epoch_row(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, TINY.replace("t1 = 5", "t1 = 5\neta1 = 1e300"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 3
+        assert MetricsLog.read_csv(str(out / "metrics.csv")).rows == []
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["aborted"] == {"stage": "warm-up", "iteration": 2,
+                                      "value": "nan"}
+        assert summary["epochs"] == 0
+        assert summary["accuracy"] is None
+        assert summary["per_class_recall"] == [None] * 5
 
 
 def write_table(path, labels, width, seed=0):
@@ -231,11 +257,11 @@ class TestSweep:
 
 
 class TestCompare:
-    def fake_run(self, tmp_path, name, seed, acc, wcr, wg=None):
+    def fake_run(self, tmp_path, name, seed, acc, wcr, wg=None, **extra):
         d = tmp_path / name
         d.mkdir(parents=True)
         payload = {"seed": seed, "accuracy": acc, "worst_class_recall": wcr,
-                   "worst_group_accuracy": wg, "test_loss": 1.0}
+                   "worst_group_accuracy": wg, "test_loss": 1.0, **extra}
         (d / "summary.json").write_text(json.dumps(payload))
         return str(d)
 
@@ -258,6 +284,13 @@ class TestCompare:
         c1 = self.fake_run(tmp_path, "c1", 1, 0.7, 0.4)
         assert main(["compare", "--baseline", b0, "--candidate", c1]) == 2
         assert "seed sets differ" in capsys.readouterr().err
+
+    def test_aborted_run_exits_2(self, tmp_path, capsys):
+        b0 = self.fake_run(tmp_path, "b0", 0, 0.5, 0.1)
+        c0 = self.fake_run(tmp_path, "c0", 0, 0.2, 0.0, aborted={
+            "stage": "train", "iteration": 6, "value": "nan"})
+        assert main(["compare", "--baseline", b0, "--candidate", c0]) == 2
+        assert "c0 holds an aborted run" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -199,7 +199,8 @@ def test_forward_kernels_only_read_their_inputs():
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 6, 7, 12, 13])
-def test_by_row_blocks_cover_the_rows_without_a_one_row_block(n):
+def test_by_row_blocks_cover_the_rows_without_a_one_row_block(n, monkeypatch):
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", 6)
     x = np.arange(3.0 * n).reshape(n, 3)
     blocks = []
 
@@ -207,14 +208,14 @@ def test_by_row_blocks_cover_the_rows_without_a_one_row_block(n):
         blocks.append(rows)
         return 2 * x[rows], x[rows, 0]
 
-    twice, first = kernels.by_row_blocks(fn, n, 6)
+    twice, first = kernels.by_row_blocks(fn, n)
     assert np.array_equal(twice, 2 * x) and np.array_equal(first, x[:, 0])
     blocks = [r for r in blocks if r.stop > r.start]
     assert [i for r in blocks for i in range(n)[r]] == list(range(n))
     sizes = [r.stop - r.start for r in blocks]
     assert all(size <= 7 for size in sizes)
     assert n <= 1 or min(sizes) > 1
-    assert np.array_equal(kernels.by_row_blocks(lambda r: x[r], n, 6), x)
+    assert np.array_equal(kernels.by_row_blocks(lambda r: x[r], n), x)
 
 
 # ---------------------------------------------------------------------------
