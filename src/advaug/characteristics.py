@@ -38,6 +38,7 @@ NUM_CHARACTERISTICS = len(CHARACTERISTIC_NAMES)
 # The raw columns (loss, margin, correct) whose per-sample EMAs are the
 # columns of `History.ema`, in this order.
 EMA_SOURCES = [0, 3, 7]
+EMA_COLUMNS = [1, 4, 8]  # loss_ema, margin_ema, correct_ema
 EMA_DECAY = 0.9  # of the per-sample EMAs and the normalization statistics
 
 
@@ -55,17 +56,13 @@ class BatchView:
     progress: float  # t / T2 in [0, 1]
 
 
-@dataclass
-class CharacteristicsBatch:
-    raw: np.ndarray  # n x 15
-    normalized: np.ndarray  # n x 15, z-scored and clipped to [-5, 5]
-
-
 class History:
     """Per-sample EMA trajectories plus feature-normalization EMAs.
 
     `ema` holds one row per sample: the EMAs of its loss, margin and
-    correctness (the raw columns EMA_SOURCES).
+    correctness (the raw columns EMA_SOURCES). `norm_scale` is
+    sqrt(max(norm_sq - norm_mean**2, 0) + 1e-12) as of the last
+    `update_history`; before the first, `normalize` only clips.
     """
 
     def __init__(self, capacity: int):
@@ -75,22 +72,28 @@ class History:
         self.norm_count = 0
         self.norm_mean = np.zeros(NUM_CHARACTERISTICS)
         self.norm_sq = np.ones(NUM_CHARACTERISTICS)
+        self.norm_scale = np.ones(NUM_CHARACTERISTICS)
 
     def normalize(self, raw: np.ndarray) -> np.ndarray:
-        if self.norm_count == 0:
-            return np.clip(raw, -5.0, 5.0)
-        var = np.maximum(self.norm_sq - self.norm_mean ** 2, 0.0)
-        return np.clip((raw - self.norm_mean) / np.sqrt(var + 1e-12),
-                       -5.0, 5.0)
+        """The z-scores of raw characteristics, clipped to [-5, 5]."""
+        out = raw - self.norm_mean
+        out /= self.norm_scale
+        return out.clip(-5.0, 5.0, out=out)
 
 
 def extract(view: BatchView, history: History,
-            stats: ClassStats) -> CharacteristicsBatch:
-    """The 15 raw scalars per sample, plus their normalized variants."""
+            stats: ClassStats) -> np.ndarray:
+    """The (n, 15) raw characteristics of one batch."""
     raw = np.empty((view.ids.size, NUM_CHARACTERISTICS))
     fill_rows(view, history, stats, raw)
     fill_set_columns(raw, view.labels)
-    return CharacteristicsBatch(raw, history.normalize(raw))
+    return raw
+
+
+def _row_norms(squares: np.ndarray, out: np.ndarray) -> None:
+    """sqrt of the row sums of `squares` into `out`: the ops (and bits) of
+    np.linalg.norm(x, axis=1) on the real x whose squares these are."""
+    np.sqrt(np.add.reduce(squares, axis=1), out=out)
 
 
 def fill_rows(view: BatchView, history: History, stats: ClassStats,
@@ -104,36 +107,30 @@ def fill_rows(view: BatchView, history: History, stats: ClassStats,
     """
     z, q, ids = view.logits, view.q, view.ids
     y = np.asarray(view.labels, dtype=np.intp)
-    idx = np.arange(ids.size)
-    loss = view.lse - z[idx, y]
+    label_entry = np.arange(0, z.size, z.shape[1]) + y  # flat (i, y_i)
+    z_label = z.take(label_entry)
+    np.subtract(view.lse, z_label, out=out[:, 0])  # loss
     masked = z.copy()
-    masked[idx, y] = -np.inf
-    margin = z[idx, y] - kernels.row_max(masked)
-    correct = (z.argmax(axis=1) == y).astype(np.float64)
-    seen = history.seen[ids]
-    ema = history.ema[ids]
-    prior = stats.priors[y]
+    masked.flat[label_entry] = -np.inf
+    np.subtract(z_label, kernels.row_max(masked), out=out[:, 3])  # margin
+    out[:, 7] = z.argmax(axis=1) == y  # correct
+    out[:, EMA_COLUMNS] = np.where(history.seen.take(ids)[:, None],
+                                   history.ema.take(ids, axis=0),
+                                   out[:, EMA_SOURCES])
+    plogq = np.maximum(q, 1e-300)
+    np.log(plogq, out=plogq)
+    plogq *= q
+    np.negative(np.add.reduce(plogq, axis=1), out=out[:, 5])  # entropy
+    out[:, 6] = q.take(label_entry)  # true_class_prob
+    _row_norms(np.square(view.grad_h), out[:, 9])  # grad_norm
+    prior = stats.priors.take(y)
+    out[:, 10] = prior
+    np.log(prior, out=out[:, 11])
+    offset = view.h - stats.means.take(y, axis=0)
+    _row_norms(np.square(offset, out=offset), out[:, 12])
     spread = np.sqrt(stats.traces() + 1e-12)
-    columns = (
-        loss,
-        np.where(seen, ema[:, 0], loss),
-        None,  # loss_zscore
-        margin,
-        np.where(seen, ema[:, 1], margin),
-        -np.sum(q * np.log(np.maximum(q, 1e-300)), axis=1),
-        q[idx, y],
-        correct,
-        np.where(seen, ema[:, 2], correct),
-        np.linalg.norm(view.grad_h, axis=1),
-        prior,
-        np.log(prior),
-        np.linalg.norm(view.h - stats.means[y], axis=1) / spread[y],
-        view.progress,
-        None,  # class_loss_rank
-    )
-    for k, column in enumerate(columns):
-        if column is not None:
-            out[:, k] = column
+    out[:, 12] /= spread.take(y)  # class_mean_distance
+    out[:, 13] = view.progress
 
 
 def fill_set_columns(raw: np.ndarray, labels: np.ndarray) -> None:
@@ -146,12 +143,15 @@ def fill_set_columns(raw: np.ndarray, labels: np.ndarray) -> None:
     labels = np.asarray(labels, dtype=np.intp)
     loss = raw[:, 0].copy()
     n = loss.size
-    raw[:, 2] = (loss - loss.mean()) / (loss.std() + 1e-12)  # loss_zscore
+    # loss.mean() and loss.std() in the ops of numpy's own _mean and _var
+    centered = loss - np.add.reduce(loss) / n
+    std = np.sqrt(np.add.reduce(centered * centered) / n)
+    np.divide(centered, std + 1e-12, out=raw[:, 2])  # loss_zscore
     class_size = np.bincount(labels)
     position = np.empty(n, dtype=np.intp)
     position[np.lexsort((loss, labels))] = np.arange(n)
-    within = position - (np.cumsum(class_size) - class_size)[labels]
-    size = class_size[labels]
+    within = position - (np.cumsum(class_size) - class_size).take(labels)
+    size = class_size.take(labels)
     raw[:, 14] = np.where(size == 1, 0.5,  # class_loss_rank
                           within / np.maximum(size - 1, 1))
 
@@ -160,20 +160,25 @@ def update_history(history: History, ids: np.ndarray,
                    raw: np.ndarray) -> History:
     """Fold one extracted batch into the EMAs (EMA_DECAY, init-to-first)."""
     ids = np.asarray(ids, dtype=np.intp)
-    if ids.size and (ids.min() < 0 or ids.max() >= history.capacity):
+    # one reduction: a negative id reads as a huge unsigned one
+    if ids.size and ids.view(np.uintp).max() >= history.capacity:
         raise KeyError(f"sample id out of range 0..{history.capacity - 1}")
     d = EMA_DECAY
     value = raw[:, EMA_SOURCES]
-    history.ema[ids] = np.where(~history.seen[ids, None], value,
-                                d * history.ema[ids] + (1 - d) * value)
+    ema = history.ema.take(ids, axis=0)
+    ema *= d
+    ema += (1 - d) * value
+    history.ema[ids] = np.where(history.seen.take(ids)[:, None], ema, value)
     history.seen[ids] = True
     # the bits of raw.mean(axis=0), without its checks and casts
     mean = np.add.reduce(raw, axis=0) / raw.shape[0]
-    mean_sq = np.add.reduce(raw ** 2, axis=0) / raw.shape[0]
+    mean_sq = np.add.reduce(np.square(raw), axis=0) / raw.shape[0]
     if history.norm_count == 0:
         history.norm_mean, history.norm_sq = mean, mean_sq
     else:
         history.norm_mean = d * history.norm_mean + (1 - d) * mean
         history.norm_sq = d * history.norm_sq + (1 - d) * mean_sq
     history.norm_count += 1
+    var = np.maximum(history.norm_sq - np.square(history.norm_mean), 0.0)
+    history.norm_scale = np.sqrt(var + 1e-12)
     return history

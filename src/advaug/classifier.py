@@ -101,7 +101,7 @@ def ce_grad_wrt_features(params: ClassifierParams, q: np.ndarray,
     of the logits."""
     labels = np.asarray(labels, dtype=np.intp)
     g = q.copy()
-    g[np.arange(labels.size), labels] -= 1.0
+    g.ravel()[np.arange(0, g.size, g.shape[1]) + labels] -= 1.0  # (i, y_i)
     return g @ params.head_w
 
 

@@ -94,7 +94,7 @@ class ClassStats:
         """Every Sigma_c: (num_classes, dim) variances in diagonal mode,
         else (num_classes, dim, dim)."""
         n = _per_class(self.counts, self.scatter)
-        return np.divide(self.scatter, n, out=np.zeros_like(self.scatter),
+        return np.divide(self.scatter, n, out=np.zeros(self.scatter.shape),
                          where=n > 0)
 
     def traces(self) -> np.ndarray:
@@ -132,29 +132,32 @@ def update_covariance(stats: ClassStats, features: np.ndarray,
             f"update_covariance: feature width {features.shape[1]} != {stats.dim}")
     batch_counts = np.bincount(labels, minlength=stats.num_classes)
     seen = np.flatnonzero(batch_counts)
-    m = batch_counts[seen].astype(np.float64)
     sums = np.zeros((stats.num_classes, stats.dim))
     np.add.at(sums, labels, features)
     mu_b = sums / np.maximum(batch_counts, 1)[:, None]
-    centered = features - mu_b[labels]
-    scat_b = np.zeros_like(stats.scatter)
+    centered = features - mu_b.take(labels, axis=0)
+    scat_b = np.zeros(stats.scatter.shape)
     if stats.diagonal:
-        np.add.at(scat_b, labels, centered * centered)
+        np.add.at(scat_b, labels, np.square(centered, out=centered))
     else:
         for c in seen:
             rows = centered[labels == c]
             scat_b[c] = rows.T @ rows
-    mu_b, scat_b = mu_b[seen], scat_b[seen]
-    n = stats.counts[seen]
+    mu_b, scat_b = mu_b.take(seen, axis=0), scat_b.take(seen, axis=0)
+    m = batch_counts.take(seen).astype(np.float64)
+    n = stats.counts.take(seen)
     fresh = n == 0
     total = n + m
-    delta = mu_b - stats.means[seen]
-    means = stats.means[seen] + delta * (m / total)[:, None]
+    means = stats.means.take(seen, axis=0)
+    delta = mu_b - means
+    means += delta * (m / total)[:, None]
     stats.means[seen] = np.where(fresh[:, None], mu_b, means)
-    cross = (delta * delta if stats.diagonal
+    cross = (np.square(delta, out=delta) if stats.diagonal
              else delta[:, :, None] * delta[:, None, :])
-    scatter = (stats.scatter[seen]
-               + (scat_b + cross * _per_class(n * m / total, scat_b)))
+    cross *= _per_class(n * m / total, scat_b)
+    cross += scat_b
+    scatter = stats.scatter.take(seen, axis=0)
+    scatter += cross
     stats.scatter[seen] = np.where(_per_class(fresh, scat_b), scat_b, scatter)
     stats.counts[seen] = total
     return stats

@@ -3,10 +3,11 @@
 Each meta iteration runs four stages:
 
 1. Observe the batch: the kernel forward updates the running class
-   statistics and the per-sample history, and yields the characteristics,
-   the gradient signs and the extractor activations shared by the two
-   classifier steps below; the classifier does not change before the final
-   step, so neither runs the extractor again.
+   statistics and the per-sample history, and yields the characteristics
+   (normalized by the history from before the batch), the gradient signs
+   and the extractor activations shared by the two classifier steps below;
+   the classifier does not change before the final step, so neither runs
+   the extractor again.
 2. ``lookahead_meta_loss``: the surrogate loss and its gradient (the
    perturbation scale from the perturbation net, the class covariances
    stacked as (C, H, H), or their (C, H) diagonals in diagonal mode), the
@@ -25,7 +26,9 @@ Each meta iteration runs four stages:
    under the surrogate loss recomputed with the refreshed perturbation net
    and covariances.
 
-Iterations up to the warm-up horizon use plain cross-entropy instead. The
+Iterations up to the warm-up horizon use plain cross-entropy instead; their
+observation updates the statistics and the history but normalizes no
+characteristics, since nothing in a warm-up step reads them. The
 per-epoch diagnostics and evaluation run the same kernel forward, the
 diagnostics over the whole training set in row blocks, each of which writes
 its rows of one characteristics table; no stage records a tape op.
@@ -195,10 +198,10 @@ class Observation(NamedTuple):
     """What the batch observation hands to the classifier steps of its
     iteration, which run at the same classifier parameters."""
 
-    characteristics: np.ndarray  # n x 15, normalized
     grad_h: np.ndarray  # n x H detached CE gradient w.r.t. the features
     acts: list[np.ndarray]  # extractor activations; acts[0] = x, acts[-1] = h
     # Meta path only (None in a warm-up step):
+    characteristics: np.ndarray | None  # n x 15, normalized
     sign: np.ndarray | None  # sign(grad_h): delta_i = eps_i * sign_i
     dw: np.ndarray | None  # head differences W_j - W_k, see kernels
 
@@ -265,7 +268,7 @@ def _batch_view(state: MetaState, ids: np.ndarray
     """
     y = state.dataset.labels[ids]
     acts, h, z = kernels.forward(state.params.arrays(),
-                                 state.dataset.features[ids])
+                                 state.dataset.features.take(ids, axis=0))
     q, lse = softmax_lse(z)
     view = BatchView(ids=ids, h=h, logits=z, q=q, lse=lse, labels=y,
                      grad_h=ce_grad_wrt_features(state.params, q, y),
@@ -277,21 +280,23 @@ def _observe_batch(state: MetaState, batch_idx: np.ndarray,
                    meta: bool = True) -> Observation:
     """Update running stats/EMAs from the batch forward.
 
-    Returns the normalized characteristics used by the perturbation net for
-    this iteration, the per-sample CE gradients w.r.t. features and the
-    extractor activations, valid until the classifier steps. For a meta
-    iteration (`meta`) it also returns the gradients' signs and the
-    differences of the head W, which the iteration's surrogate and
-    hypergradient kernels share; a warm-up step reads neither.
+    Returns the per-sample CE gradients w.r.t. features and the extractor
+    activations, valid until the classifier steps. For a meta iteration
+    (`meta`) it also returns the normalized characteristics the
+    perturbation net reads, the gradients' signs and the differences of
+    the head W, which the iteration's surrogate and hypergradient kernels
+    share; a warm-up step reads none of them, so none is built.
     """
     view, acts = _batch_view(state, batch_idx)
     update_covariance(state.stats, view.h, view.labels)
-    batch = extract(view, state.history, state.stats)
-    update_history(state.history, batch_idx, batch.raw)
+    raw = extract(view, state.history, state.stats)
+    # normalized by the statistics from before this batch
+    characteristics = state.history.normalize(raw) if meta else None
+    update_history(state.history, batch_idx, raw)
     state.last_batch = (batch_idx, view.grad_h)
     if not meta:
-        return Observation(batch.normalized, view.grad_h, acts, None, None)
-    return Observation(batch.normalized, view.grad_h, acts,
+        return Observation(view.grad_h, acts, None, None, None)
+    return Observation(view.grad_h, acts, characteristics,
                        np.sign(view.grad_h),
                        kernels.differences(state.params.head_w))
 
@@ -455,10 +460,11 @@ def full_train_eps(state: MetaState) -> np.ndarray:
         return np.zeros(state.dataset.n)
     raw = full_train_characteristics(state)
     omega = state.perturb.arrays()
-    return kernels.by_row_blocks(
-        lambda rows: kernels.eps_forward(
-            omega, state.history.normalize(raw[rows])).eps,
-        state.dataset.n)
+    eps = np.empty(state.dataset.n)
+    for rows in kernels.row_blocks(state.dataset.n):
+        eps[rows] = kernels.eps_forward(
+            omega, state.history.normalize(raw[rows])).eps
+    return eps
 
 
 def _epoch_row(state: MetaState, epoch: int, phase: str,

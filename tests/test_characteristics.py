@@ -101,11 +101,48 @@ def test_extract_matches_per_class_reference_bit_for_bit(diagonal):
                    rng.normal(size=(3, NUM_CHARACTERISTICS)))
     batch = extract(view, history, stats)
     raw, normalized = per_class_extract(view, history, stats)
-    assert batch.raw.tobytes() == raw.tobytes()
-    assert batch.normalized.tobytes() == normalized.tobytes()
-    rank = batch.raw[:, CHARACTERISTIC_NAMES.index("class_loss_rank")]
+    assert batch.tobytes() == raw.tobytes()
+    assert history.normalize(batch).tobytes() == normalized.tobytes()
+    rank = batch[:, CHARACTERISTIC_NAMES.index("class_loss_rank")]
     assert rank[4] == 0.5
     assert rank[0] != rank[3] and rank[2] != rank[8]  # ties by position
+
+
+@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+def test_extract_matches_reference_bit_for_bit_at_the_presets_shape(diagonal):
+    # 16-wide rows, as in the presets, and 80 of them: numpy sums 8 or more
+    # elements pairwise, so a row norm or a loss moment summed in another
+    # order shows here, unlike in the 4-wide case above. The logits of rows
+    # 0 and 1 are so far apart that their softmax underflows to exact zeros
+    # (the 1e-300 floor of the entropy); samples 70-79 were never seen.
+    rng = np.random.default_rng(16)
+    n, width = 80, 16
+    labels = rng.integers(0, 4, size=n)  # class 4 is absent from the batch
+    logits = 3.0 * rng.normal(size=(n, 5))
+    logits[0] = [900.0, -40.0, 0.0, 3.0, -900.0]
+    logits[1] = [-800.0, 20.0, 0.0, -5.0, 1.0]
+    h = 1.0 + 2.0 * rng.normal(size=(n, width))
+    view = view_of(h, logits, labels, rng.normal(size=(n, width)), 0.55)
+    assert np.count_nonzero(view.q[:2] == 0.0) >= 4
+    stats = ClassStats(5, width, diagonal=diagonal,
+                       priors=rng.dirichlet(np.ones(5)))
+    update_covariance(stats, rng.normal(size=(40, width)),
+                      rng.integers(0, 5, size=40))
+    update_covariance(stats, h, labels)
+    history = History(n + 5)
+    for _ in range(3):
+        ids = rng.permutation(70)[:50]
+        update_history(history, ids,
+                       rng.normal(size=(50, NUM_CHARACTERISTICS)))
+    assert not history.seen[70:n].any()
+    batch = extract(view, history, stats)
+    raw, normalized = per_class_extract(view, history, stats)
+    assert batch.tobytes() == raw.tobytes()
+    assert history.normalize(batch).tobytes() == normalized.tobytes()
+    names = list(CHARACTERISTIC_NAMES)
+    for column in ("loss", "margin", "correct"):
+        assert np.array_equal(batch[70:, names.index(column + "_ema")],
+                              batch[70:, names.index(column)])
 
 
 class TestExtract:
@@ -114,20 +151,19 @@ class TestExtract:
         assert len(set(CHARACTERISTIC_NAMES)) == 15
         view = make_view()
         batch = extract(view, History(10), make_stats(view))
-        assert batch.raw.shape == (6, 15)
-        assert batch.normalized.shape == (6, 15)
-        assert np.all(np.isfinite(batch.raw))
+        assert batch.shape == (6, 15)
+        assert np.all(np.isfinite(batch))
 
     def test_fresh_history_ema_equals_instantaneous(self):
         view = make_view(seed=1)
         batch = extract(view, History(10), make_stats(view))
         names = list(CHARACTERISTIC_NAMES)
-        assert np.array_equal(batch.raw[:, names.index("loss_ema")],
-                              batch.raw[:, names.index("loss")])
-        assert np.array_equal(batch.raw[:, names.index("margin_ema")],
-                              batch.raw[:, names.index("margin")])
-        assert np.array_equal(batch.raw[:, names.index("correct_ema")],
-                              batch.raw[:, names.index("correct")])
+        assert np.array_equal(batch[:, names.index("loss_ema")],
+                              batch[:, names.index("loss")])
+        assert np.array_equal(batch[:, names.index("margin_ema")],
+                              batch[:, names.index("margin")])
+        assert np.array_equal(batch[:, names.index("correct_ema")],
+                              batch[:, names.index("correct")])
 
     def test_perfectly_classified_limits(self):
         view = make_view(seed=2, n=2, c=3)
@@ -135,11 +171,11 @@ class TestExtract:
                        np.array([0, 1]), view.grad_h, view.progress)
         batch = extract(view, History(10), make_stats(view))
         names = list(CHARACTERISTIC_NAMES)
-        assert np.all(batch.raw[:, names.index("loss")] < 1e-12)
-        assert np.all(batch.raw[:, names.index("margin")] == 40.0)
-        assert np.all(batch.raw[:, names.index("entropy")] < 1e-12)
-        assert np.all(batch.raw[:, names.index("true_class_prob")] > 1 - 1e-12)
-        assert np.all(batch.raw[:, names.index("correct")] == 1.0)
+        assert np.all(batch[:, names.index("loss")] < 1e-12)
+        assert np.all(batch[:, names.index("margin")] == 40.0)
+        assert np.all(batch[:, names.index("entropy")] < 1e-12)
+        assert np.all(batch[:, names.index("true_class_prob")] > 1 - 1e-12)
+        assert np.all(batch[:, names.index("correct")] == 1.0)
 
     def test_matches_per_feature_scalar_oracle(self):
         view = make_view(seed=3, n=5, c=4, width=3, progress=0.7)
@@ -174,17 +210,17 @@ class TestExtract:
                 "progress": 0.7,
             }
             for name, value in expect.items():
-                assert batch.raw[i, names.index(name)] == pytest.approx(
+                assert batch[i, names.index(name)] == pytest.approx(
                     value, rel=1e-10, abs=1e-12), name
         losses = np.array(losses)
         zsc = (losses - losses.mean()) / (losses.std() + 1e-12)
-        assert np.allclose(batch.raw[:, names.index("loss_zscore")], zsc)
+        assert np.allclose(batch[:, names.index("loss_zscore")], zsc)
         # rank percentile: per class, ascending loss in [0, 1]
         for c in range(4):
             sel = np.flatnonzero(view.labels == c)
             if sel.size == 0:
                 continue
-            col = batch.raw[sel, names.index("class_loss_rank")]
+            col = batch[sel, names.index("class_loss_rank")]
             if sel.size == 1:
                 assert col[0] == 0.5
             else:
@@ -199,8 +235,7 @@ class TestExtract:
                   history.norm_count)
         a = extract(view, history, stats)
         b = extract(view, history, stats)
-        assert a.raw.tobytes() == b.raw.tobytes()
-        assert a.normalized.tobytes() == b.normalized.tobytes()
+        assert a.tobytes() == b.tobytes()
         assert history.norm_count == before[2]
         assert np.array_equal(history.ema, before[0])
         assert np.array_equal(history.norm_mean, before[1])
@@ -210,23 +245,28 @@ class TestExtract:
         history = History(10)
         stats = make_stats(view)
         batch = extract(view, history, stats)
-        update_history(history, view.ids, batch.raw)
+        update_history(history, view.ids, batch)
         view = view_of(view.h, view.logits * 1000.0,  # force outliers
                        view.labels, view.grad_h, view.progress)
-        again = extract(view, history, stats)
-        assert np.max(np.abs(again.normalized)) <= 5.0
+        again = history.normalize(extract(view, history, stats))
+        assert np.max(np.abs(again)) <= 5.0
 
     def test_normalization_formula(self):
+        # normalize divides by the scale cached at the last update_history:
+        # after each update it must give the bits of the formula on the
+        # current EMAs, so a stale or differently rounded scale fails.
         view = make_view(seed=6)
         history = History(10)
         stats = make_stats(view)
-        batch = extract(view, history, stats)
-        update_history(history, view.ids, batch.raw)
-        out = extract(view, history, stats)
-        var = np.maximum(history.norm_sq - history.norm_mean ** 2, 0.0)
-        expect = np.clip((out.raw - history.norm_mean)
-                         / np.sqrt(var + 1e-12), -5, 5)
-        assert np.allclose(out.normalized, expect)
+        raw = extract(view, history, stats)
+        assert history.normalize(raw).tobytes() == np.clip(raw, -5, 5).tobytes()
+        for step in range(3):
+            update_history(history, view.ids,
+                           extract(make_view(seed=10 + step), history, stats))
+            var = np.maximum(history.norm_sq - history.norm_mean ** 2, 0.0)
+            expect = np.clip((raw - history.norm_mean)
+                             / np.sqrt(var + 1e-12), -5, 5)
+            assert history.normalize(raw).tobytes() == expect.tobytes()
 
 
 class TestUpdateHistory:

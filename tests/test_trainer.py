@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import advaug.autodiff
-from advaug.characteristics import BatchView, extract
+from advaug.characteristics import BatchView, History, extract
 from advaug.classifier import ce_grad_wrt_features, flatten
 from advaug.config import parse_config, trainer_config
 from advaug.data import BlobGeometry, Dataset, MetaDataset, make_balanced, make_longtail
@@ -605,6 +605,54 @@ class TestTrajectories:
         assert iters == sorted(iters)
         assert iters[-1] == cfg.t2
 
+    def test_normalize_runs_once_per_meta_iteration_and_epoch_block(
+            self, monkeypatch):
+        # A warm-up step reads no characteristics, so it normalizes none; a
+        # meta iteration normalizes its batch once, and an epoch row each
+        # row block of the training set once.
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", 8)
+        stage, calls = ["train"], []
+        normalize = History.normalize
+
+        def counting(self, raw):
+            calls.append((stage[-1], raw.shape[0]))
+            return normalize(self, raw)
+
+        def staged(name):
+            run = getattr(training, name)
+
+            def wrapper(*args):
+                stage.append(name)
+                try:
+                    return run(*args)
+                finally:
+                    stage.pop()
+            return wrapper
+
+        monkeypatch.setattr(History, "normalize", counting)
+        for name in ("warmup_step", "meta_iteration", "_epoch_row"):
+            monkeypatch.setattr(training, name, staged(name))
+        ds, md = self.make_problem()
+        cfg = TrainerConfig(t1=6, t2=14, batch_train=8, batch_meta=4,
+                            hidden=(8,), feat_dim=4, perturb_hidden=6,
+                            seed=9)
+        state, log = train(cfg, ds, md)
+        blocks = [b.stop - b.start for b in kernels.row_blocks(ds.n)]
+        assert len(blocks) > 1
+        assert {row["phase"] for row in log.rows} == {"warmup", "meta"}
+        assert (sum(stage == "meta_iteration" for stage, _ in calls)
+                == cfg.t2 - cfg.t1)
+        assert ([rows for stage, rows in calls if stage == "_epoch_row"]
+                == blocks * len(log.rows))
+        assert {stage for stage, _ in calls} == {"meta_iteration",
+                                                 "_epoch_row"}
+        # the cached scale travels with a copy of the state
+        raw = training.full_train_characteristics(state)
+        clone = copy.deepcopy(state)
+        assert not np.all(clone.history.norm_scale == 1.0)
+        assert (clone.history.normalize(raw).tobytes()
+                == state.history.normalize(raw).tobytes())
+
     def test_training_records_no_tape_op(self, monkeypatch):
         # Warm-up, meta iterations, epoch rows and evaluation all run on
         # the kernels: recording any tape op fails the run.
@@ -740,7 +788,7 @@ def whole_set_eps(state):
     view = BatchView(ids=np.arange(n), h=h, logits=z, q=q, lse=lse,
                      labels=y, grad_h=ce_grad_wrt_features(state.params, q, y),
                      progress=state.t / state.config.t2)
-    f = extract(view, state.history, state.stats).normalized
+    f = state.history.normalize(extract(view, state.history, state.stats))
     return kernels.eps_forward(state.perturb.arrays(), f).eps
 
 
