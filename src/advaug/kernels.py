@@ -53,28 +53,6 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
 
 
-def by_row_blocks(fn, n: int):
-    """fn(rows) on the `row_blocks(n)` of range(n), stacked.
-
-    fn returns an array, or a tuple of arrays, with one row per row of the
-    slice; so does this, with n rows. Rows that fit one block are returned
-    as fn gives them, without a copy.
-    """
-    blocks = row_blocks(n)
-    if len(blocks) == 1:
-        return fn(blocks[0])
-    # fn on no rows gives the shapes and types of the outputs
-    empty = fn(slice(0, 0))
-    tupled = isinstance(empty, tuple)
-    outs = [np.empty((n, *a.shape[1:]), a.dtype)
-            for a in (empty if tupled else (empty,))]
-    for rows in blocks:
-        result = fn(rows)
-        for out, a in zip(outs, result if tupled else (result,)):
-            out[rows] = a
-    return tuple(outs) if tupled else outs[0]
-
-
 def row_max(z: np.ndarray) -> np.ndarray:
     """z.max(axis=1) of an (n, C) table of few columns, as the elementwise
     maxima of its columns: the same values, at a tenth of the cost of a

@@ -13,9 +13,9 @@ The taped builders here (the extractor, the perturbation net, the adjusted
 logits and the loss) are the reference: the model runs on the numpy
 kernels of `kernels`, which the tests and the verify suites check against
 them. They take flat Tensor lists in the kernels' parameter order. The
-trainer uses only `LossConfig` and `regularizer_terms`, on arrays; it forms
-delta as `compute_delta` does, from the gradient signs its batch
-observation keeps.
+trainer uses nothing in this module; it forms delta as `compute_delta`
+does, from the gradient signs its batch observation keeps.
+`verification.gradient_suite` and the tests read it.
 
 Stop-gradient placement: delta and the covariance stack enter as whatever
 tensors the caller provides (constants, or leaves to differentiate); the
@@ -24,33 +24,12 @@ head weights inside the quadratic terms are always differentiated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .characteristics import NUM_CHARACTERISTICS
 from .kernels import RANGE_SCALE, extractor_layers
-
-
-@dataclass
-class LossConfig:
-    alpha: float = 0.5  # covariance-term scale
-    beta: float = 1.0  # logit-adjustment scale
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
-
-
-@dataclass
-class RegularizerReport:
-    """First-order decomposition diagnostics of the surrogate loss."""
-
-    generalization: float  # sum_i sum_{j != y} q_ij rho_ij
-    robustness: float  # sum_i sum_{j != y} q_ij (w_j - w_y) . delta_i
-    fairness: float  # sum_i sum_{j != y} q_ij log(pi_j / pi_y)
 
 
 def extract_features(phi: list[Tensor], x) -> Tensor:
@@ -129,36 +108,18 @@ def base_logits(w, b, h, delta) -> Tensor:
 
 
 def adjusted_logits(w, b, h, delta, rho, priors: np.ndarray,
-                    config: LossConfig) -> Tensor:
+                    alpha: float, beta: float) -> Tensor:
     """Z~ = (h+delta) W^T + b + alpha*rho + beta*log(pi), rows n x C."""
     priors = np.asarray(priors, dtype=np.float64)
     if np.any(priors <= 0):
         raise ValueError("priors must be strictly positive")
     z = base_logits(w, b, h, delta)
     if rho is not None:
-        z = ad.add(z, ad.mul(Tensor(config.alpha), rho))
-    return ad.add(z, Tensor(config.beta * np.log(priors)))
+        z = ad.add(z, ad.mul(Tensor(alpha), rho))
+    return ad.add(z, Tensor(beta * np.log(priors)))
 
 
 def augmented_ce_loss(z_tilde: Tensor, labels: np.ndarray) -> Tensor:
     """Mean over the batch of -log softmax(Z~)[y], via log-sum-exp."""
     return ad.mean(ad.softmax_cross_entropy(z_tilde, labels))
 
-
-def regularizer_terms(q: np.ndarray, rho: np.ndarray, w: np.ndarray,
-                      delta: np.ndarray, priors: np.ndarray,
-                      labels: np.ndarray) -> RegularizerReport:
-    """Diagnostic split of the surrogate into its three wrong-class sums."""
-    q = np.asarray(q, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    n, num_classes = q.shape
-    off = np.ones_like(q)
-    off[np.arange(n), labels] = 0.0
-    qo = q * off
-    gen = np.sum(qo * rho, axis=1)
-    diff = w[None, :, :] - w[labels][:, None, :]  # n x C x H: w_j - w_y
-    rob = np.sum(qo * np.einsum("ijh,ih->ij", diff, delta), axis=1)
-    log_ratio = np.log(priors)[None, :] - np.log(priors[labels])[:, None]
-    fair = np.sum(qo * log_ratio, axis=1)
-    return RegularizerReport(float(gen.sum()), float(rob.sum()),
-                             float(fair.sum()))

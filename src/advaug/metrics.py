@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import ClassifierParams
-from .kernels import by_row_blocks, forward, row_max
+from .kernels import forward, row_blocks, row_max
 
 
 def evaluate(params: ClassifierParams, features: np.ndarray,
@@ -30,17 +30,17 @@ def evaluate(params: ClassifierParams, features: np.ndarray,
     """
     phi = params.arrays()
     labels = np.asarray(labels)
-
-    def block(rows):
+    label_logp = np.empty(labels.size)
+    pred = np.empty(labels.size, dtype=np.intp)
+    for rows in row_blocks(labels.size):
         _, _, z = forward(phi, features[rows])
         # Its own log-softmax: softmax_lse adds the max back after the log,
         # which would move the last bits of the logged test loss.
         shifted = z - row_max(z)[:, None]
         label = shifted[np.arange(z.shape[0]), labels[rows]]
         np.exp(shifted, out=shifted)
-        return label - np.log(shifted.sum(axis=1)), z.argmax(axis=1)
-
-    label_logp, pred = by_row_blocks(block, labels.size)
+        label_logp[rows] = label - np.log(shifted.sum(axis=1))
+        pred[rows] = z.argmax(axis=1)
     loss = float(-label_logp.mean())
     num_classes = params.num_classes
     correct = pred == labels

@@ -92,10 +92,14 @@ class ClassStats:
 
     def covariances(self) -> np.ndarray:
         """Every Sigma_c: (num_classes, dim) variances in diagonal mode,
-        else (num_classes, dim, dim)."""
-        n = _per_class(self.counts, self.scatter)
-        return np.divide(self.scatter, n, out=np.zeros(self.scatter.shape),
-                         where=n > 0)
+        else (num_classes, dim, dim).
+
+        The scatter of an unseen class stays +0.0 (`update_covariance` and
+        `set_covariance` write only seen classes), so dividing it by one
+        gives its zero Sigma_c.
+        """
+        return self.scatter / _per_class(np.maximum(self.counts, 1.0),
+                                         self.scatter)
 
     def traces(self) -> np.ndarray:
         """tr Sigma_c of every class."""

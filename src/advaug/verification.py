@@ -16,8 +16,8 @@ import numpy as np
 from . import kernels
 from .autodiff import Tensor
 from .data import Dataset, MetaDataset
-from .loss import (LossConfig, adjusted_logits, augmented_ce_loss,
-                   extract_features, quadratic_terms)
+from .loss import (adjusted_logits, augmented_ce_loss, extract_features,
+                   quadratic_terms)
 from .oracles import fd_gradient, mc_expected_ce, mgf_check, random_bound_instance
 from .stats import ClassStats, update_covariance
 from .training import (TrainerConfig, _observe_batch, init_state,
@@ -95,16 +95,17 @@ def _random_pipeline(rng):
     priors = rng.uniform(0.1, 1.0, size=c)
     priors /= priors.sum()
     params = [w1, b1, rng.normal(size=(c, feat)), rng.normal(size=c)]
-    cfg = LossConfig(alpha=float(rng.uniform(0.1, 1.0)), beta=1.0)
-    return x, labels, delta, sigmas, priors, params, cfg
+    alpha = float(rng.uniform(0.1, 1.0))
+    return x, labels, delta, sigmas, priors, params, alpha
 
 
-def _pipeline_loss(values, x, labels, delta, sigmas, priors, cfg) -> float:
-    """The taped surrogate loss at the flat parameter arrays `values`."""
+def _pipeline_loss(values, x, labels, delta, sigmas, priors, alpha) -> float:
+    """The taped surrogate loss at the flat parameter arrays `values`, with
+    beta = 1."""
     phi = [Tensor(v) for v in values]
     rho = quadratic_terms(phi[-2], sigmas, labels)
     z = adjusted_logits(phi[-2], phi[-1], extract_features(phi, x),
-                        Tensor(delta), rho, priors, cfg)
+                        Tensor(delta), rho, priors, alpha, 1.0)
     return float(augmented_ce_loss(z, labels).value)
 
 
@@ -114,15 +115,15 @@ def gradient_suite(instances: int = 10, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
-        x, labels, delta, sigmas, priors, params, cfg = _random_pipeline(rng)
+        x, labels, delta, sigmas, priors, params, alpha = _random_pipeline(rng)
         grads = kernels.surrogate(params, x, labels, delta, sigmas,
-                                  cfg.beta * np.log(priors), cfg.alpha).grads
+                                  np.log(priors), alpha).grads
         for k, value in enumerate(params):
             def f(v, k=k):
                 trial = [p.copy() for p in params]
                 trial[k] = v.reshape(params[k].shape)
                 return _pipeline_loss(trial, x, labels, delta, sigmas,
-                                      priors, cfg)
+                                      priors, alpha)
             fd = fd_gradient(f, value.ravel().copy()).reshape(value.shape)
             scale = max(np.abs(fd).max(), 1e-12)
             worst = max(worst, np.abs(grads[k] - fd).max() / scale)

@@ -22,7 +22,7 @@ from advaug import verification
 from advaug.autodiff import Tensor
 from advaug.cli import ALPHA_GRID, main as cli_main
 from advaug.config import parse_config, trainer_config
-from advaug.loss import LossConfig, adjusted_logits, quadratic_terms
+from advaug.loss import adjusted_logits, quadratic_terms
 from advaug.metrics import run_summary
 from advaug.oracles import finite_loss_convergence, mgf_check
 from advaug.scenarios import build_scenario
@@ -99,13 +99,13 @@ def test_criterion_01_reduction_identity():
         zeros = Tensor(np.zeros((n, width)))
 
         z0 = adjusted_logits(Tensor(w), Tensor(b), Tensor(h), zeros, rho,
-                             priors, LossConfig(alpha=0.0, beta=0.0))
+                             priors, 0.0, 0.0)
         dev = np.abs(ad.softmax_cross_entropy(z0, labels).value
                      - _ce_reference(h @ w.T + b, labels)).max()
         worst_ce = max(worst_ce, float(dev))
 
         z1 = adjusted_logits(Tensor(w), Tensor(b), Tensor(h), zeros, rho,
-                             priors, LossConfig(alpha=0.0, beta=1.0))
+                             priors, 0.0, 1.0)
         la = _ce_reference(h @ w.T + b + np.log(priors)[None, :], labels)
         dev = np.abs(ad.softmax_cross_entropy(z1, labels).value - la).max()
         worst_la = max(worst_la, float(dev))

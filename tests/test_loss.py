@@ -6,11 +6,12 @@ import pytest
 from advaug import autodiff as ad
 from advaug import kernels
 from advaug.autodiff import Tape, Tensor
-from advaug.loss import (LossConfig, adjusted_logits, augmented_ce_loss,
-                         base_logits, compute_delta, extract_features,
-                         quadratic_terms, regularizer_terms)
+from advaug.data import Dataset, MetaDataset
+from advaug.loss import (adjusted_logits, augmented_ce_loss, base_logits,
+                         compute_delta, extract_features, quadratic_terms)
 from advaug.oracles import fd_gradient
-from advaug.stats import project_psd
+from advaug.stats import project_psd, update_covariance
+from advaug.training import TrainerConfig, _regularizer_row, init_state
 
 
 def np_ce(z, labels):
@@ -138,8 +139,7 @@ class TestAdjustedLogits:
         delta = compute_delta(g, np.zeros(len(labels)))
         rho = quadratic_terms(Tensor(w), np.stack(sigmas), labels)
         z = adjusted_logits(Tensor(w), Tensor(b), Tensor(h),
-                            Tensor(delta), rho, priors,
-                            LossConfig(alpha=0.0, beta=0.0))
+                            Tensor(delta), rho, priors, 0.0, 0.0)
         assert np.max(np.abs(z.value - (h @ w.T + b))) < 1e-12
 
     def test_balanced_prior_shift_preserves_ce(self):
@@ -147,7 +147,7 @@ class TestAdjustedLogits:
         priors = np.full(4, 0.25)
         z0 = base_logits(Tensor(w), Tensor(b), Tensor(h), None)
         z1 = adjusted_logits(Tensor(w), Tensor(b), Tensor(h), None, None,
-                             priors, LossConfig(alpha=0.0, beta=1.0))
+                             priors, 0.0, 1.0)
         assert np.allclose(z1.value, z0.value + np.log(0.25), atol=1e-12)
         ce0 = np_ce(z0.value, labels)
         ce1 = np_ce(z1.value, labels)
@@ -155,29 +155,29 @@ class TestAdjustedLogits:
 
     def test_matches_scalar_oracle(self):
         w, b, h, labels, sigmas, g, priors = self.setup_case(seed=8)
-        config = LossConfig(alpha=0.7, beta=0.9)
+        alpha, beta = 0.7, 0.9
         delta = compute_delta(g, np.linspace(-0.8, 0.8, len(labels)))
         rho = quadratic_terms(Tensor(w), np.stack(sigmas), labels)
         z = adjusted_logits(Tensor(w), Tensor(b), Tensor(h),
-                            Tensor(delta), rho, priors, config)
+                            Tensor(delta), rho, priors, alpha, beta)
         for i in range(len(labels)):
             for j in range(4):
                 dw = w[j] - w[labels[i]]
                 rho_ij = 0.5 * dw @ sigmas[labels[i]] @ dw
                 expect = (w[j] @ (h[i] + delta[i]) + b[j]
-                          + config.alpha * rho_ij
-                          + config.beta * np.log(priors[j]))
+                          + alpha * rho_ij + beta * np.log(priors[j]))
                 assert z.value[i, j] == pytest.approx(expect, abs=1e-10)
 
     def test_nonpositive_priors_rejected(self):
         w, b, h, labels, _, _, _ = self.setup_case()
         with pytest.raises(ValueError):
             adjusted_logits(Tensor(w), Tensor(b), Tensor(h), None, None,
-                            np.array([0.5, 0.5, 0.0, 0.0]), LossConfig())
+                            np.array([0.5, 0.5, 0.0, 0.0]), 0.5, 1.0)
 
     def test_negative_config_rejected(self):
-        with pytest.raises(ValueError):
-            LossConfig(alpha=-0.1)
+        for scale in ({"alpha": -0.1}, {"beta": -0.1}):
+            with pytest.raises(ValueError, match="alpha and beta"):
+                TrainerConfig(t1=0, t2=1, **scale)
 
 
 class TestAugmentedCeLoss:
@@ -194,8 +194,7 @@ class TestAugmentedCeLoss:
         priors = np.full(5, 0.2)
         rho = quadratic_terms(Tensor(w), np.stack([np.eye(4)] * 5), labels)
         z = adjusted_logits(Tensor(w), Tensor(b), Tensor(h),
-                            Tensor(np.zeros((6, 4))), rho, priors,
-                            LossConfig(alpha=0.0, beta=0.0))
+                            Tensor(np.zeros((6, 4))), rho, priors, 0.0, 0.0)
         loss = augmented_ce_loss(z, labels)
         assert loss.value == pytest.approx(np_ce(h @ w.T + b, labels).mean(),
                                            abs=1e-12)
@@ -207,7 +206,7 @@ class TestAugmentedCeLoss:
         labels = rng.integers(0, 4, size=8)
         priors = np.array([0.55, 0.25, 0.15, 0.05])
         z = adjusted_logits(Tensor(w), Tensor(b), Tensor(h), None, None,
-                            priors, LossConfig(alpha=0.0, beta=1.0))
+                            priors, 0.0, 1.0)
         loss = augmented_ce_loss(z, labels)
         # side-by-side logit-adjustment baseline
         la = np_ce(h @ w.T + b + np.log(priors), labels).mean()
@@ -221,7 +220,7 @@ class TestAugmentedCeLoss:
         x = rng.normal(size=(5, 4))
         labels = rng.integers(0, 3, size=5)
         priors = np.array([0.5, 0.3, 0.2])
-        config = LossConfig(alpha=0.6, beta=1.0)
+        alpha, beta = 0.6, 1.0
         sig_vals = [project_psd(rng.normal(size=(5, 5))) for _ in range(3)]
         delta = 0.4 * np.sign(rng.normal(size=(5, 5)))
         tensors = [Tensor(a) for a in params.arrays()]
@@ -230,7 +229,7 @@ class TestAugmentedCeLoss:
             h = extract_features(tensors, x)
             rho = quadratic_terms(tensors[-2], np.stack(sig_vals), labels)
             z = adjusted_logits(tensors[-2], tensors[-1], h,
-                                Tensor(delta), rho, priors, config)
+                                Tensor(delta), rho, priors, alpha, beta)
             return augmented_ce_loss(z, labels)
 
         with Tape() as tape:
@@ -270,58 +269,78 @@ class TestWeightedSurrogateBound:
 
 
 class TestRegularizerTerms:
-    def setup_case(self, seed=15):
+    """The split of the surrogate that an epoch row logs,
+    `training._regularizer_row`, on the state's last batch."""
+
+    def make_state(self, seed, counts=(4, 3, 2, 1), alpha=0.7, beta=0.9):
+        """Identity extractor, random head and PSD class covariances; the
+        last batch is six of the rows with random gradient signs."""
         rng = np.random.default_rng(seed)
-        n, c, width = 6, 4, 3
-        w = rng.normal(size=(c, width))
-        h = rng.normal(size=(n, width))
-        labels = rng.integers(0, c, size=n)
-        z = h @ w.T
-        q = np.exp(z - z.max(1, keepdims=True))
-        q /= q.sum(1, keepdims=True)
-        sigmas = [project_psd(rng.normal(size=(width, width)))
-                  for _ in range(c)]
-        rho = quadratic_terms(Tensor(w), np.stack(sigmas), labels).value
-        delta = 0.3 * np.sign(rng.normal(size=(n, width)))
-        priors = np.array([0.4, 0.3, 0.2, 0.1])
-        return q, rho, w, delta, priors, labels
+        c, width = len(counts), 3
+        labels = np.repeat(np.arange(c), counts)
+        ds = Dataset(features=rng.normal(size=(labels.size, width)),
+                     labels=labels, class_counts=np.array(counts))
+        md = MetaDataset(features=ds.features, labels=labels)
+        cfg = TrainerConfig(t1=0, t2=1, alpha=alpha, beta=beta, hidden=(),
+                            feat_dim=width, seed=seed)
+        state = init_state(cfg, ds, md)
+        state.params.load_values([rng.normal(size=(c, width)),
+                                  rng.normal(size=c)])
+        update_covariance(state.stats, ds.features, labels)
+        a = rng.normal(size=(c, width, width))
+        state.stats.set_covariance(np.arange(c),
+                                   a @ a.transpose(0, 2, 1) / width)
+        state.last_batch = (rng.choice(labels.size, size=6, replace=False),
+                            rng.normal(size=(6, width)))
+        return state
 
     def test_zero_delta_zero_robustness(self):
-        q, rho, w, _, priors, labels = self.setup_case()
-        report = regularizer_terms(q, rho, w, np.zeros((6, 3)), priors, labels)
-        assert report.robustness == 0.0
+        state = self.make_state(15)
+        row = _regularizer_row(state, np.zeros(state.dataset.n))
+        assert row["rob_term"] == 0.0
 
     def test_balanced_priors_zero_fairness(self):
-        q, rho, w, delta, _, labels = self.setup_case()
-        report = regularizer_terms(q, rho, w, delta, np.full(4, 0.25), labels)
-        assert report.fairness == pytest.approx(0.0, abs=1e-12)
+        state = self.make_state(15, counts=(3, 3, 3, 3))
+        eps = np.random.default_rng(15).uniform(-0.9, 0.9, state.dataset.n)
+        row = _regularizer_row(state, eps)
+        assert row["fair_term"] == pytest.approx(0.0, abs=1e-12)
 
     def test_psd_sigma_nonnegative_generalization(self):
         rng = np.random.default_rng(16)
+        state = self.make_state(16, counts=(2, 2, 2))
+        c, width = state.params.head_w.shape
         for _ in range(1000):
-            c, width = 3, 3
-            w = rng.normal(size=(c, width))
-            labels = rng.integers(0, c, size=4)
+            state.params.head_w[...] = rng.normal(size=(c, width))
             a = rng.normal(size=(width, width))
-            rho = quadratic_terms(Tensor(w), np.stack([a @ a.T] * c),
-                                  labels).value
-            q = rng.dirichlet(np.ones(c), size=4)
-            report = regularizer_terms(q, rho, w, np.zeros((4, width)),
-                                       np.full(c, 1 / 3), labels)
-            assert report.generalization >= -1e-12
+            state.stats.set_covariance(np.arange(c), np.stack([a @ a.T] * c))
+            eps = rng.uniform(-0.9, 0.9, state.dataset.n)
+            assert _regularizer_row(state, eps)["gen_term"] >= -1e-12
 
     def test_matches_scalar_oracle(self):
-        q, rho, w, delta, priors, labels = self.setup_case(seed=17)
-        report = regularizer_terms(q, rho, w, delta, priors, labels)
+        state = self.make_state(17)
+        eps = np.random.default_rng(17).uniform(-0.9, 0.9, state.dataset.n)
+        row = _regularizer_row(state, eps)
+        alpha, beta = state.config.alpha, state.config.beta
+        w, b = state.params.arrays()
+        sigmas, priors = state.stats.covariances(), state.priors
+        batch_idx, grad_h = state.last_batch
         gen = rob = fair = 0.0
-        for i in range(q.shape[0]):
-            y = labels[i]
-            for j in range(q.shape[1]):
+        for i, k in enumerate(batch_idx):
+            y = state.dataset.labels[k]
+            delta = eps[k] * np.sign(grad_h[i])
+            rho = [0.5 * (w[j] - w[y]) @ sigmas[y] @ (w[j] - w[y])
+                   for j in range(len(b))]
+            z = np.array([w[j] @ (state.dataset.features[k] + delta) + b[j]
+                          + alpha * rho[j] + beta * np.log(priors[j])
+                          for j in range(len(b))])
+            q = np.exp(z - z.max())
+            q /= q.sum()
+            for j in range(len(b)):
                 if j == y:
                     continue
-                gen += q[i, j] * rho[i, j]
-                rob += q[i, j] * (w[j] - w[y]) @ delta[i]
-                fair += q[i, j] * np.log(priors[j] / priors[y])
-        assert report.generalization == pytest.approx(gen, rel=1e-12)
-        assert report.robustness == pytest.approx(rob, rel=1e-12)
-        assert report.fairness == pytest.approx(fair, rel=1e-10)
+                gen += q[j] * rho[j]
+                rob += q[j] * (w[j] - w[y]) @ delta
+                fair += q[j] * np.log(priors[j] / priors[y])
+        assert row["gen_term"] == pytest.approx(alpha * gen, rel=1e-12)
+        assert row["rob_term"] == pytest.approx(rob, rel=1e-12)
+        assert row["fair_term"] == pytest.approx(beta * fair, rel=1e-10)

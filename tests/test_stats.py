@@ -150,6 +150,28 @@ def test_update_matches_per_class_reference_bit_for_bit(diagonal):
     assert ours.counts.tolist() == [8, 4, 4, 0]
 
 
+@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+def test_unseen_class_scatter_stays_positive_zero(diagonal):
+    # covariances() divides every scatter by max(count, 1): that is the
+    # masked divide, which writes +0.0 for unseen classes, only while the
+    # scatter of a class no batch contained is all +0.0.
+    rng = np.random.default_rng(12)
+    stats = ClassStats(4, 3, diagonal=diagonal)
+    for _ in range(5):
+        labels = rng.choice([0, 1, 3], size=9)
+        x = rng.normal(size=(9, 3)) * rng.uniform(0.1, 50.0, 3)
+        update_covariance(stats, x, labels)
+        seen = np.flatnonzero(stats.counts)
+        stats.set_covariance(seen, rng.normal(size=stats.scatter[seen].shape))
+    assert stats.counts[2] == 0
+    assert not stats.scatter[2].any()
+    assert not np.signbit(stats.scatter[2]).any()
+    n = stats.counts.reshape((4,) + (1,) * (stats.scatter.ndim - 1))
+    masked = np.divide(stats.scatter, n, out=np.zeros(stats.scatter.shape),
+                       where=n > 0)
+    assert stats.covariances().tobytes() == masked.tobytes()
+
+
 class TestClassPriors:
     def test_balanced_two_class(self):
         assert np.allclose(class_priors([50, 50]), [0.5, 0.5])

@@ -1,6 +1,9 @@
 """Meta-trainer tests: step contracts, hypergradient oracles, trajectories."""
 
 import copy
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -853,3 +856,15 @@ class TestFullTrainEps:
         # 7.46 MB when the pass ran on the whole set at once, 2.56 MB
         # when the blocks built a whole-set view before the table
         assert peak <= 1.6e6
+
+
+def test_training_imports_no_tape_module():
+    # The trainer runs on the kernels alone: importing it in a fresh
+    # interpreter loads neither the tape nor its taped builders.
+    src = str(Path(training.__file__).resolve().parents[1])
+    code = ("import sys, advaug.training; print(sorted("
+            "{'advaug.loss', 'advaug.autodiff'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
