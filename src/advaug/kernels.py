@@ -19,6 +19,13 @@ against.
 Classifier parameters are passed as the flat list of arrays
 [w_1, b_1, ..., w_k, b_k, W, b] (`ClassifierParams.arrays`); an empty
 extractor is the identity map.
+
+The kernels keep the bits of their plain numpy forms at fewer numpy calls:
+label sums go through `sum_by_label`, one bincount in np.add.at's order;
+reductions call np.add.reduce, which np.sum and ndarray.sum reach through
+Python wrappers; the ReLU masks of activations that several kernels reuse
+are built once by `relu_masks`; a surrogate pass carries the class sums
+of its logit gradient, which the hypergradient reads again.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ def softmax_lse(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     top = row_max(z)[:, None]
     q = z - top
     np.exp(q, out=q)
-    total = q.sum(axis=1, keepdims=True)
+    total = np.add.reduce(q, axis=1, keepdims=True)
     q /= total
     return q, np.log(total[:, 0]) + top[:, 0]
 
@@ -94,7 +101,7 @@ def quad(slot: str, a=None, du=None, dv=None, s=None,
     """
     if slot == "s":
         if diagonal:
-            return 0.5 * np.sum((du * a[..., None]) * dv, axis=1)
+            return 0.5 * np.add.reduce((du * a[..., None]) * dv, axis=1)
         return 0.5 * (du * a[..., None]).transpose(0, 2, 1) @ dv
 
     def times_s(d, transposed=False):
@@ -104,17 +111,27 @@ def quad(slot: str, a=None, du=None, dv=None, s=None,
         return d @ (s.transpose(0, 2, 1) if transposed else s)
 
     if slot == "a":
-        return 0.5 * np.sum(times_s(du) * dv, axis=-1)
+        return 0.5 * np.add.reduce(times_s(du) * dv, axis=-1)
     terms = 0.5 * a[..., None] * (times_s(dv, transposed=True) if slot == "u"
                                   else times_s(du))
-    return terms.sum(axis=0) - terms.sum(axis=1)
+    return np.add.reduce(terms, axis=0) - np.add.reduce(terms, axis=1)
 
 
-def _scatter(rows: np.ndarray, labels: np.ndarray, count: int) -> np.ndarray:
-    """Sum the rows of `rows` by label into a (count, width) table."""
-    out = np.zeros((count, rows.shape[1]))
-    np.add.at(out, labels, rows)
-    return out
+def sum_by_label(rows: np.ndarray, labels: np.ndarray, count: int
+                 ) -> np.ndarray:
+    """Sum the rows of `rows` by label into a (count, width) table.
+
+    One bincount over the flat (label, column) bins adds the rows of each
+    bin in row order, starting from +0.0: the order, hence the bits, of
+    np.add.at on a zero table. A label outside range(count) raises
+    ValueError.
+    """
+    width = rows.shape[1]
+    out = np.bincount((labels[:, None] * width + np.arange(width)).ravel(),
+                      weights=rows.ravel(), minlength=count * width)
+    if out.size != count * width:
+        raise ValueError(f"sum_by_label: a label is >= {count}")
+    return out.reshape(count, width)
 
 
 def extractor_layers(phi: list[np.ndarray]
@@ -138,29 +155,40 @@ def mlp_forward(layers, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def mlp_backward(layers, acts, grad_h: np.ndarray) -> list[np.ndarray]:
-    """[dw_1, db_1, ..., dw_k, db_k] of <grad_h, h>."""
+def relu_masks(acts: list[np.ndarray]) -> list[np.ndarray]:
+    """The ReLU masks of the extractor layers acts[1:], as float64 ones and
+    zeros: a product with them has the bits of one with the bool mask, at
+    less cost, so a caller that reuses activations builds them once."""
+    return [(a > 0).astype(np.float64) for a in acts[1:]]
+
+
+def mlp_backward(layers, acts, masks: list[np.ndarray],
+                 grad_h: np.ndarray) -> list[np.ndarray]:
+    """[dw_1, db_1, ..., dw_k, db_k] of <grad_h, h>; `masks` are the
+    `relu_masks` of acts."""
     grads: list[np.ndarray] = []
     g = grad_h
     for depth in range(len(layers), 0, -1):
-        g = g * (acts[depth] > 0)
-        grads[:0] = [acts[depth - 1].T @ g, g.sum(axis=0)]
+        g = g * masks[depth - 1]
+        grads[:0] = [acts[depth - 1].T @ g, np.add.reduce(g, axis=0)]
         if depth > 1:
             g = g @ layers[depth - 1][0].T
     return grads
 
 
-def mlp_jvp(layers, acts, tangent: list[np.ndarray]) -> np.ndarray | None:
+def mlp_jvp(layers, acts, masks: list[np.ndarray],
+            tangent: list[np.ndarray]) -> np.ndarray | None:
     """Tangent of h along the extractor parameter direction `tangent`.
 
     None for the identity extractor, whose features have no parameters.
+    `masks` are as in `mlp_backward`.
     """
     h_dot = None
     for depth, (w, _) in enumerate(layers):
         pre = acts[depth] @ tangent[2 * depth] + tangent[2 * depth + 1]
         if h_dot is not None:
             pre += h_dot @ w
-        h_dot = pre * (acts[depth + 1] > 0)
+        h_dot = pre * masks[depth]
     return h_dot
 
 
@@ -192,9 +220,12 @@ def eps_backward(omega: list[np.ndarray], fwd: PerturbPass,
                  grad_eps: np.ndarray) -> list[np.ndarray]:
     """[dw1, db1, dw2, db2] of <grad_eps, eps>."""
     g = (RANGE_SCALE * grad_eps)[:, None] * (1.0 - fwd.t * fwd.t)
-    g_hidden = (g @ omega[2].T) * (fwd.hidden > 0)
-    return [fwd.f.T @ g_hidden, g_hidden.sum(axis=0),
-            fwd.hidden.T @ g, g.sum(axis=0)]
+    # the outer product with the one output weight column, broadcast: each
+    # entry is the one product a K = 1 matmul forms, at half its cost
+    g_hidden = g * omega[2].T
+    g_hidden *= fwd.hidden > 0
+    return [fwd.f.T @ g_hidden, np.add.reduce(g_hidden, axis=0),
+            fwd.hidden.T @ g, np.add.reduce(g, axis=0)]
 
 
 class ClassifierPass(NamedTuple):
@@ -203,9 +234,13 @@ class ClassifierPass(NamedTuple):
     value: float
     grads: list[np.ndarray]  # d value / d phi, in phi's order
     acts: list[np.ndarray]  # extractor activations; acts[-1] = h
+    masks: list[np.ndarray]  # relu_masks(acts)
     feats: np.ndarray  # h + delta, the head's input
     q: np.ndarray  # softmax of the logits
     g: np.ndarray  # d value / d logits = (q - onehot(y)) / n
+    # surrogate passes: alpha times the class sums of g, the weights of the
+    # quadratic form's head gradient, which the hypergradient reuses
+    a: np.ndarray | None = None
 
 
 def forward(phi: list[np.ndarray], x: np.ndarray,
@@ -234,43 +269,49 @@ def forward(phi: list[np.ndarray], x: np.ndarray,
 def cross_entropy(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
                   delta: np.ndarray | None = None,
                   offset: np.ndarray | None = None,
-                  acts: list[np.ndarray] | None = None) -> ClassifierPass:
+                  acts: list[np.ndarray] | None = None,
+                  masks: list[np.ndarray] | None = None) -> ClassifierPass:
     """Mean CE of the logits (h + delta) W^T + b + offset against y.
 
-    `acts` are as in `forward`.
+    `acts` are as in `forward`, `masks` their `relu_masks`, built here when
+    not given.
     """
     acts, feats, z = forward(phi, x, delta, offset, acts)
+    if masks is None:
+        masks = relu_masks(acts)
     n = y.size
-    rows = np.arange(n)
+    label = np.arange(0, z.size, z.shape[1]) + y  # flat index of z[i, y_i]
     q, lse = softmax_lse(z)
-    value = float(np.sum(lse - z[rows, y]) / n)
+    value = float(np.add.reduce(lse - z.take(label)) / n)
     g = q.copy()
-    g[rows, y] -= 1.0
+    g.ravel()[label] -= 1.0
     g /= n
-    grads = (mlp_backward(extractor_layers(phi), acts, g @ phi[-2])
-             + [g.T @ feats, g.sum(axis=0)])
-    return ClassifierPass(value, grads, acts, feats, q, g)
+    grads = (mlp_backward(extractor_layers(phi), acts, masks, g @ phi[-2])
+             + [g.T @ feats, np.add.reduce(g, axis=0)])
+    return ClassifierPass(value, grads, acts, masks, feats, q, g)
 
 
 def surrogate(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
               delta: np.ndarray | None, sigma: np.ndarray,
               shift: np.ndarray, alpha: float,
               acts: list[np.ndarray] | None = None,
-              dw: np.ndarray | None = None) -> ClassifierPass:
+              dw: np.ndarray | None = None,
+              masks: list[np.ndarray] | None = None) -> ClassifierPass:
     """The surrogate loss: CE of (h + delta) W^T + b + alpha rho + shift.
 
     rho[i, j] = 1/2 (w_j - w_y) Sigma_y (w_j - w_y)^T for y = y[i], with
     `sigma` the covariance stack, (C, H, H) or the (C, H) diagonals;
     `shift` is beta * log(priors). The head's gradient includes its path
-    through rho. `acts` are as in `forward`; `dw` are the head's
-    `differences`, built here when not given.
+    through rho, whose weights the pass carries as `a`. `acts` and `masks`
+    are as in `cross_entropy`; `dw` are the head's `differences`, built
+    here when not given.
     """
     w = phi[-2]
     if dw is None:
         dw = differences(w)
     rho = quad("a", du=dw, dv=dw, s=sigma)[y]
-    out = cross_entropy(phi, x, y, delta, alpha * rho + shift, acts)
-    a = alpha * _scatter(out.g, y, w.shape[0])
+    out = cross_entropy(phi, x, y, delta, alpha * rho + shift, acts, masks)
+    a = alpha * sum_by_label(out.g, y, w.shape[0])
     if sigma.ndim == 2:
         # the u and v forms multiply the same operands: equal bits
         g = quad("u", a=a, dv=dw, s=sigma)
@@ -278,7 +319,7 @@ def surrogate(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
     else:
         out.grads[-2] += (quad("u", a=a, dv=dw, s=sigma)
                           + quad("v", a=a, du=dw, s=sigma))
-    return out
+    return out._replace(a=a)
 
 
 def hypergradient(phi: list[np.ndarray], y: np.ndarray, train: ClassifierPass,
@@ -295,7 +336,7 @@ def hypergradient(phi: list[np.ndarray], y: np.ndarray, train: ClassifierPass,
     layers, w = extractor_layers(phi), phi[-2]
     w_dot, b_dot = v[-2:]
     z_dot = train.feats @ w_dot.T + b_dot
-    h_dot = mlp_jvp(layers, train.acts, v[:-2])
+    h_dot = mlp_jvp(layers, train.acts, train.masks, v[:-2])
     if h_dot is not None:
         z_dot += h_dot @ w.T
     dw_dot = differences(w_dot)
@@ -305,12 +346,13 @@ def hypergradient(phi: list[np.ndarray], y: np.ndarray, train: ClassifierPass,
     # s = sum_i g_i . zdot_i: its partials in zdot and in the logits
     d_zdot = train.g
     q = train.q
-    d_z = q * (z_dot - np.sum(q * z_dot, axis=1, keepdims=True)) / y.size
+    d_z = (q * (z_dot - np.add.reduce(q * z_dot, axis=1, keepdims=True))
+           / y.size)
     d_delta = d_z @ w + d_zdot @ w_dot
-    count, diagonal = w.shape[0], sigma.ndim == 2
-    d_sigma = quad("s", a=alpha * _scatter(d_z, y, count), du=dw, dv=dw,
-                   diagonal=diagonal)
-    a = alpha * _scatter(d_zdot, y, count)
-    d_sigma += (quad("s", a=a, du=dw_dot, dv=dw, diagonal=diagonal)
-                + quad("s", a=a, du=dw, dv=dw_dot, diagonal=diagonal))
+    diagonal = sigma.ndim == 2
+    d_sigma = quad("s", a=alpha * sum_by_label(d_z, y, w.shape[0]), du=dw,
+                   dv=dw, diagonal=diagonal)
+    # the surrogate pass summed d_zdot = train.g by class: train.a
+    d_sigma += (quad("s", a=train.a, du=dw_dot, dv=dw, diagonal=diagonal)
+                + quad("s", a=train.a, du=dw, dv=dw_dot, diagonal=diagonal))
     return d_delta, d_sigma

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import sum_by_label
+
 
 def class_priors(counts) -> np.ndarray:
     """Proportions n_c / N. Every class must have been observed."""
@@ -56,7 +58,7 @@ def project_diagonal(variances: np.ndarray) -> np.ndarray:
     eigendecomposition runs. A non-finite entry is refused as by
     `project_psd`: clamping an overflow to -inf would hide it as a zero.
     """
-    if not np.all(np.isfinite(variances)):
+    if not np.isfinite(variances).all():
         raise ValueError("project_diagonal: non-finite input")
     return np.maximum(variances, 0.0)
 
@@ -104,7 +106,7 @@ class ClassStats:
     def traces(self) -> np.ndarray:
         """tr Sigma_c of every class."""
         sigma = self.covariances()
-        return (sigma.sum(axis=1) if self.diagonal
+        return (np.add.reduce(sigma, axis=1) if self.diagonal
                 else np.trace(sigma, axis1=1, axis2=2))
 
     def set_covariance(self, c, sigma: np.ndarray) -> None:
@@ -115,7 +117,7 @@ class ClassStats:
         """
         c = np.asarray(c)
         n = self.counts[c]
-        if np.any(n == 0):
+        if (n == 0).any():
             raise ValueError(
                 f"set_covariance: class {c[n == 0]} has no samples")
         self.scatter[c] = sigma * _per_class(n, self.scatter)
@@ -125,9 +127,10 @@ def update_covariance(stats: ClassStats, features: np.ndarray,
                       labels: np.ndarray) -> ClassStats:
     """Merge one batch into the running moments (in place; returns stats).
 
-    np.add.at sums each class's rows in row order, the order of a per-class
-    mean(axis=0), so the moments do not depend on how the classes are
-    grouped. Only the full-covariance scatter takes one product per class.
+    `kernels.sum_by_label` sums each class's rows in row order, the order
+    of a per-class mean(axis=0), so the moments do not depend on how the
+    classes are grouped. Only the full-covariance scatter takes one product
+    per class.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
@@ -135,15 +138,15 @@ def update_covariance(stats: ClassStats, features: np.ndarray,
         raise ValueError(
             f"update_covariance: feature width {features.shape[1]} != {stats.dim}")
     batch_counts = np.bincount(labels, minlength=stats.num_classes)
-    seen = np.flatnonzero(batch_counts)
-    sums = np.zeros((stats.num_classes, stats.dim))
-    np.add.at(sums, labels, features)
-    mu_b = sums / np.maximum(batch_counts, 1)[:, None]
+    seen = batch_counts.nonzero()[0]
+    mu_b = (sum_by_label(features, labels, stats.num_classes)
+            / np.maximum(batch_counts, 1)[:, None])
     centered = features - mu_b.take(labels, axis=0)
-    scat_b = np.zeros(stats.scatter.shape)
     if stats.diagonal:
-        np.add.at(scat_b, labels, np.square(centered, out=centered))
+        scat_b = sum_by_label(np.square(centered, out=centered), labels,
+                              stats.num_classes)
     else:
+        scat_b = np.zeros(stats.scatter.shape)
         for c in seen:
             rows = centered[labels == c]
             scat_b[c] = rows.T @ rows

@@ -121,7 +121,12 @@ class TrainerConfig:
 
 
 class MomentumSgd:
-    """SGD with classical momentum and decoupled-from-loss weight decay."""
+    """SGD with classical momentum and decoupled-from-loss weight decay.
+
+    Steps in place through one scratch vector, in the operation order of
+    velocity = momentum * velocity + (grad + weight_decay * params),
+    params -= lr * velocity.
+    """
 
     def __init__(self, params: np.ndarray, momentum: float,
                  weight_decay: float):
@@ -129,15 +134,24 @@ class MomentumSgd:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.velocity = np.zeros_like(params)
+        self._scratch = np.empty_like(params)
 
     def step(self, grad: np.ndarray, lr: float) -> None:
+        scratch = self._scratch
         self.velocity *= self.momentum
-        self.velocity += grad + self.weight_decay * self.params
-        self.params -= lr * self.velocity
+        np.multiply(self.params, self.weight_decay, out=scratch)
+        scratch += grad
+        self.velocity += scratch
+        np.multiply(self.velocity, lr, out=scratch)
+        self.params -= scratch
 
 
 class Adam:
-    """Adam on the parameter vector, in place."""
+    """Adam on the parameter vector, in place.
+
+    Steps through two scratch vectors, in the operation order of
+    params -= lr * (m / c1) / (sqrt(v / c2) + EPS).
+    """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -147,18 +161,28 @@ class Adam:
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self.t = 0
+        self._scratch = (np.empty_like(params), np.empty_like(params))
 
     def step(self, grad: np.ndarray) -> None:
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
+        step, scale = self._scratch
         self.m *= b1
-        self.m += (1.0 - b1) * grad
+        np.multiply(grad, 1.0 - b1, out=step)
+        self.m += step
         self.v *= b2
-        self.v += (1.0 - b2) * np.square(grad)
-        self.params -= (self.lr * (self.m / c1)
-                        / (np.sqrt(self.v / c2) + self.EPS))
+        np.square(grad, out=scale)
+        scale *= 1.0 - b2
+        self.v += scale
+        np.divide(self.m, c1, out=step)
+        step *= self.lr
+        np.divide(self.v, c2, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += self.EPS
+        step /= scale
+        self.params -= step
 
 
 @dataclass
@@ -204,6 +228,7 @@ class Observation(NamedTuple):
     characteristics: np.ndarray | None  # n x 15, normalized
     sign: np.ndarray | None  # sign(grad_h): delta_i = eps_i * sign_i
     dw: np.ndarray | None  # head differences W_j - W_k, see kernels
+    masks: list[np.ndarray] | None  # kernels.relu_masks(acts)
 
 
 def init_state(config: TrainerConfig, dataset: Dataset,
@@ -283,9 +308,10 @@ def _observe_batch(state: MetaState, batch_idx: np.ndarray,
     Returns the per-sample CE gradients w.r.t. features and the extractor
     activations, valid until the classifier steps. For a meta iteration
     (`meta`) it also returns the normalized characteristics the
-    perturbation net reads, the gradients' signs and the differences of
-    the head W, which the iteration's surrogate and hypergradient kernels
-    share; a warm-up step reads none of them, so none is built.
+    perturbation net reads, the gradients' signs, and the differences of
+    the head W and the ReLU masks of the activations, which the
+    iteration's surrogate and hypergradient kernels share; a warm-up step
+    reads none of them, so none is built.
     """
     view, acts = _batch_view(state, batch_idx)
     update_covariance(state.stats, view.h, view.labels)
@@ -295,10 +321,11 @@ def _observe_batch(state: MetaState, batch_idx: np.ndarray,
     update_history(state.history, batch_idx, raw)
     state.last_batch = (batch_idx, view.grad_h)
     if not meta:
-        return Observation(view.grad_h, acts, None, None, None)
+        return Observation(view.grad_h, acts, None, None, None, None)
     return Observation(view.grad_h, acts, characteristics,
                        np.sign(view.grad_h),
-                       kernels.differences(state.params.head_w))
+                       kernels.differences(state.params.head_w),
+                       kernels.relu_masks(acts))
 
 
 def _check_finite_loss(state: MetaState, loss: float, stage: str) -> None:
@@ -332,7 +359,8 @@ def _surrogate(state: MetaState, batch_idx: np.ndarray, obs: Observation
     sigma = state.stats.covariances()
     train = kernels.surrogate(
         state.params.arrays(), obs.acts[0], state.dataset.labels[batch_idx],
-        delta, sigma, state.shift, cfg.alpha, acts=obs.acts, dw=obs.dw)
+        delta, sigma, state.shift, cfg.alpha, acts=obs.acts, dw=obs.dw,
+        masks=obs.masks)
     _check_finite_loss(state, train.value, "train")
     return train, net, sigma
 
@@ -361,7 +389,7 @@ def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
     omega_grads = None
     if net is not None:
         # delta_i = eps_i * sign(g_i), the sign factor constant
-        d_eps = np.sum(d_delta * obs.sign, axis=1)
+        d_eps = np.add.reduce(d_delta * obs.sign, axis=1)
         omega_grads = kernels.eps_backward(
             state.perturb.arrays(), net, -lr * d_eps)
     return Lookahead(meta.value, pseudo, omega_grads, -lr * d_sigma, sigma)
@@ -383,7 +411,7 @@ def meta_iteration(state: MetaState, batch_idx: np.ndarray,
     # Frozen perturbations are zero: the net has no path to the meta loss.
     if ahead.omega_grads is not None:
         omega_grad = flatten(ahead.omega_grads)
-        if np.all(np.isfinite(omega_grad)):
+        if np.isfinite(omega_grad).all():
             state.adam.step(omega_grad)
         else:
             state.events.append(
@@ -408,20 +436,24 @@ def _step_covariances(state: MetaState, batch_idx: np.ndarray,
     stats = state.stats
     project, name = ((project_diagonal, "project_diagonal") if stats.diagonal
                      else (project_psd, "project_psd"))
-    present = np.flatnonzero(np.bincount(state.dataset.labels[batch_idx],
-                                         minlength=stats.num_classes))
+    present = np.bincount(state.dataset.labels[batch_idx],
+                          minlength=stats.num_classes).nonzero()[0]
     grad = ahead.sigma_grad[present]
     candidate = ahead.sigma[present] - state.config.eta2 * grad
     per_class = tuple(range(1, grad.ndim))
     grad_ok = np.isfinite(grad).all(axis=per_class)
     ok = grad_ok & np.isfinite(candidate).all(axis=per_class)
-    reasons = [None if fine else f"{name}: non-finite input" for fine in ok]
+    failure = None
     try:
         projected = project(candidate[ok])
     except np.linalg.LinAlgError as exc:
-        reasons = [exc if why is None else why for why in reasons]
+        failure = exc
     else:
         stats.set_covariance(present[ok], projected)
+    if failure is None and ok.all():
+        return
+    reasons = [failure if fine else f"{name}: non-finite input"
+               for fine in ok]
     for c, why, finite_grad in zip(present, reasons, grad_ok):
         if why is None:
             continue

@@ -135,6 +135,91 @@ def test_given_head_differences_keep_every_bit(diagonal):
     assert outputs[0][-6].tobytes() == head.tobytes()
 
 
+def add_at_sums(rows, labels, count):
+    """The class sums as np.add.at builds them: a zero table, row order."""
+    out = np.zeros((count, rows.shape[1]))
+    np.add.at(out, labels, rows)
+    return out
+
+
+@pytest.mark.parametrize("width", [5, 16], ids=["C", "H"])
+@pytest.mark.parametrize("n", [1, 64, 769])
+def test_sum_by_label_matches_add_at_bit_for_bit(n, width):
+    rng = np.random.default_rng(10 * n + width)
+    count = 5
+    # magnitudes over 16 decades, so another summation order moves bits
+    rows = (rng.normal(size=(n, width))
+            * 10.0 ** rng.integers(-8, 9, size=(n, width)))
+    # class 0 is absent and class 1 a singleton
+    labels = rng.integers(2, count, size=n)
+    labels[n // 2] = 1
+    rows[n // 2, 0] = -0.0
+    rows[-1, 1] = np.inf
+    rows[0, 2] = -np.inf
+    rows[0, 3] = np.nan
+    rows[n // 3, -1] = 0.0
+    ours = kernels.sum_by_label(rows, labels, count)
+    assert ours.shape == (count, width)
+    assert ours.tobytes() == add_at_sums(rows, labels, count).tobytes()
+    assert np.signbit(ours[0]).sum() == 0  # an absent class sums to +0.0
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 9])
+def test_sum_by_label_refuses_a_label_out_of_range(bad):
+    # np.bincount would widen the table for a label >= count
+    with pytest.raises(ValueError):
+        kernels.sum_by_label(np.ones((3, 4)), np.array([0, bad, 1]), 5)
+
+
+def hypergradient_reference(phi, y, train, v, sigma, alpha, dw):
+    """kernels.hypergradient with both class-sum tables rebuilt by
+    np.add.at from the pass's g and d_z, and bool ReLU masks."""
+    layers, w = kernels.extractor_layers(phi), phi[-2]
+    w_dot, b_dot = v[-2:]
+    z_dot = train.feats @ w_dot.T + b_dot
+    h_dot = None
+    for depth, (w_l, _) in enumerate(layers):
+        pre = train.acts[depth] @ v[2 * depth] + v[2 * depth + 1]
+        if h_dot is not None:
+            pre += h_dot @ w_l
+        h_dot = pre * (train.acts[depth + 1] > 0)
+    if h_dot is not None:
+        z_dot += h_dot @ w.T
+    dw_dot = kernels.differences(w_dot)
+    rho_dot = (kernels.quad("a", du=dw_dot, dv=dw, s=sigma)
+               + kernels.quad("a", du=dw, dv=dw_dot, s=sigma))
+    z_dot += alpha * rho_dot[y]
+    q = train.q
+    d_z = q * (z_dot - np.sum(q * z_dot, axis=1, keepdims=True)) / y.size
+    d_delta = d_z @ w + train.g @ w_dot
+    count, diagonal = w.shape[0], sigma.ndim == 2
+    d_sigma = kernels.quad("s", a=alpha * add_at_sums(d_z, y, count), du=dw,
+                           dv=dw, diagonal=diagonal)
+    a = alpha * add_at_sums(train.g, y, count)
+    d_sigma += (kernels.quad("s", a=a, du=dw_dot, dv=dw, diagonal=diagonal)
+                + kernels.quad("s", a=a, du=dw, dv=dw_dot,
+                               diagonal=diagonal))
+    return d_delta, d_sigma
+
+
+@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+def test_hypergradient_with_carried_class_sums_matches_add_at(diagonal):
+    phi, x, y, delta, sigma, priors = random_instance(
+        8, hidden=(6, 5), diagonal=diagonal, labels=[2, 0, 2, 2, 1, 0, 2])
+    if diagonal:
+        sigma = np.diagonal(sigma, axis1=1, axis2=2).copy()
+    shift, alpha = 0.5 * np.log(priors), 0.7
+    rng = np.random.default_rng(9)
+    v = [rng.normal(size=p.shape) for p in phi]
+    dw = kernels.differences(phi[-2])
+    train = kernels.surrogate(phi, x, y, delta, sigma, shift, alpha, dw=dw)
+    ours = kernels.hypergradient(phi, y, train, v, sigma, alpha, dw)
+    ref = hypergradient_reference(phi, y, train, v, sigma, alpha, dw)
+    assert ref[1].shape == sigma.shape
+    for got, want in zip(ours, ref, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_plain_cross_entropy_matches_tape():
     phi, x, y, *_ = random_instance(3, hidden=(5, 4))
     ours = kernels.cross_entropy(phi, x, y)
@@ -154,7 +239,8 @@ def test_mlp_jvp_matches_finite_differences():
     layers = kernels.extractor_layers(phi)
     rng = np.random.default_rng(4)
     tangent = [rng.normal(size=w.shape) for w in phi[:-2]]
-    h_dot = kernels.mlp_jvp(layers, kernels.mlp_forward(layers, x), tangent)
+    acts = kernels.mlp_forward(layers, x)
+    h_dot = kernels.mlp_jvp(layers, acts, kernels.relu_masks(acts), tangent)
     step = 1e-6
 
     def h_at(t):
@@ -163,7 +249,7 @@ def test_mlp_jvp_matches_finite_differences():
 
     fd = (h_at(step) - h_at(-step)) / (2 * step)
     assert rel_err(h_dot, fd) < 1e-6
-    assert kernels.mlp_jvp([], [x], []) is None
+    assert kernels.mlp_jvp([], [x], [], []) is None
 
 
 def test_eps_kernels_match_taped_net():

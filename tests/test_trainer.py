@@ -137,6 +137,40 @@ class TestOptimizers:
         np.testing.assert_allclose(p[:2], [-1e-2, 1e-2], rtol=1e-6)
         assert p[2] == 0.0
 
+    def test_steps_keep_the_bits_of_the_plain_expressions(self):
+        rng = np.random.default_rng(12)
+        size = 30
+        start = rng.normal(size=size)
+        sgd = MomentumSgd(start.copy(), momentum=0.9, weight_decay=5e-4)
+        adam = Adam(start.copy(), lr=1e-3)
+        p_ref, velocity = start.copy(), np.zeros(size)
+        q_ref, m, v = start.copy(), np.zeros(size), np.zeros(size)
+        for t in range(1, 51):
+            grad = (rng.normal(size=size)
+                    * 10.0 ** rng.integers(-6, 7, size=size))
+            grad[rng.random(size) < 0.2] = 0.0
+            if t % 7 == 0:
+                grad[:4] = [1e150, -1e150, 0.0, -0.0]
+            if t == 25:
+                grad[:] = 0.0
+            lr = 0.05 if t < 40 else 5e-4
+            sgd.step(grad, lr)
+            adam.step(grad)
+            velocity *= 0.9
+            velocity += grad + 5e-4 * p_ref
+            p_ref -= lr * velocity
+            c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            m *= 0.9
+            m += (1.0 - 0.9) * grad
+            v *= 0.999
+            v += (1.0 - 0.999) * np.square(grad)
+            q_ref -= 1e-3 * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+            for ours, ref in [(sgd.params, p_ref), (sgd.velocity, velocity),
+                              (adam.params, q_ref), (adam.m, m),
+                              (adam.v, v)]:
+                assert ours.tobytes() == ref.tobytes()
+        assert np.abs(adam.v).max() > 1e297  # the squared 1e150 entries
+
     def test_adam_zero_lr_freezes(self):
         p = np.array([1.0, 2.0])
         opt = Adam(p, lr=0.0)
@@ -486,6 +520,35 @@ class TestMetaUpdates:
 
 
 class TestIterationInvariants:
+    def test_sigma_step_projects_once_per_iteration_on_the_longtail_preset(
+            self, monkeypatch):
+        cfg = parse_config(str(CONFIG_DIR / "longtail.ini"))
+        data = build_scenario(cfg)
+        config = trainer_config(cfg)
+        assert config.diagonal_sigma
+        state = init_state(config, data.train, data.meta)
+        for t in range(1, config.t1 + 3):
+            state.t = t
+            batch = sample_train_batch(state)
+            if t <= config.t1:
+                warmup_step(state, batch)
+            else:
+                meta_iteration(state, batch, training.sample_meta_batch(state))
+        calls = []
+
+        def counting(variances):
+            calls.append(len(variances))
+            return project(variances)
+
+        project = training.project_diagonal
+        monkeypatch.setattr(training, "project_diagonal", counting)
+        for t in range(config.t1 + 3, config.t1 + 23):
+            state.t = t
+            meta_iteration(state, sample_train_batch(state),
+                           training.sample_meta_batch(state))
+        assert len(calls) == 20 and min(calls) >= 1
+        assert state.events == []
+
     def test_head_differences_built_twice_per_meta_iteration(self,
                                                              monkeypatch):
         # Once for W in the observation, once for the meta gradient's W in
@@ -686,6 +749,30 @@ class TestTrajectories:
         assert {row["phase"] for row in log.rows} == {"warmup", "meta"}
         assert state.stats.covariances().shape == (3, 4)
         assert not log.events
+
+    @pytest.mark.parametrize("diagonal_sigma", [False, True],
+                             ids=["full", "diagonal"])
+    def test_training_runs_no_add_at(self, monkeypatch, diagonal_sigma):
+        # class sums come from np.bincount, which keeps np.add.at's bits
+        add = np.add
+
+        class NoAt:
+            def __getattr__(self, name):
+                if name == "at":
+                    raise AssertionError("np.add.at called in training")
+                return getattr(add, name)
+
+            def __call__(self, *args, **kwargs):
+                return add(*args, **kwargs)
+
+        monkeypatch.setattr(np, "add", NoAt())
+        ds, md = self.make_problem()
+        cfg = TrainerConfig(t1=3, t2=8, batch_train=16, batch_meta=4,
+                            hidden=(8,), feat_dim=4, perturb_hidden=6,
+                            diagonal_sigma=diagonal_sigma, seed=6)
+        _, log = train(cfg, ds, md)
+        assert {row["phase"] for row in log.rows} == {"warmup", "meta"}
+        assert len(log.rows) > 2
 
     def test_full_iteration_changes_all_parameter_groups(self):
         state = tiny_setup(alpha=0.6, seed=17)
