@@ -2,18 +2,18 @@
 
 Verbs:
   run       train one scenario from a config file, writing artifacts
-  sweep     run the alpha grid {0.1, 0.25, 0.5, 0.75, 1} off one base config;
-            a failing alpha stops it with that run's exit code, and the
-            summary keeps the rows that finished
+  sweep     run the alpha grid {0.1, 0.25, 0.5, 0.75, 1} off one base config
+            and its datasets, built once; a failing alpha stops it with that
+            run's exit code, and the summary keeps the rows that finished
   compare   paired-seed comparison of two sets of run directories
   verify    run the analytical self-check suites
   gen-data  materialize a scenario's train/meta/test splits as CSV
 
 Exit codes: 0 success, 1 verification failure (`verify` only), 2 invalid
-configuration or inputs, 3 numerical abort during training (its run
-directory still gets the epoch rows logged before the abort and a summary
-that names it).  Relative output directories are resolved under
-$ADVAUG_OUTPUT_ROOT (default: current directory).
+configuration or inputs, before any file is written, 3 numerical abort
+during training (its run directory still gets the epoch rows logged before
+the abort and a summary that names it).  Relative output directories are
+resolved under $ADVAUG_OUTPUT_ROOT (default: current directory).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .classifier import save_checkpoint
 from .config import ConfigError, RunConfig, parse_config, trainer_config, write_resolved
 from .data import DataError, Dataset, save_csv
 from .metrics import compare_runs, run_summary
-from .scenarios import build_scenario
+from .scenarios import ScenarioData, build_scenario
 from .training import NumericalAbort, train
 from .verification import run_all
 
@@ -59,18 +59,14 @@ def _json_float(value: float) -> float | None:
     return None if math.isnan(value) else value
 
 
-def _execute_run(cfg: RunConfig, out_dir: Path) -> tuple[int, dict | None]:
-    """Train one configuration and write its artifacts.
+def _execute_run(cfg: RunConfig, data: ScenarioData,
+                 out_dir: Path) -> tuple[int, dict | None]:
+    """Train one configuration on its datasets and write its artifacts.
 
     A numerical abort still writes the epoch rows logged before it and a
     summary of them, whose `aborted` field names the stage, the iteration
     and the loss; it writes no checkpoints.
     """
-    try:
-        data = build_scenario(cfg)
-    except (DataError, OSError, ValueError) as exc:
-        return _fail(f"config error: {exc}", 2), None
-
     out_dir.mkdir(parents=True, exist_ok=True)
     abort = None
     try:
@@ -122,10 +118,11 @@ def _execute_run(cfg: RunConfig, out_dir: Path) -> tuple[int, dict | None]:
 def cmd_run(args) -> int:
     try:
         cfg = parse_config(args.config)
-    except ConfigError as exc:
+        data = build_scenario(cfg)
+    except (ConfigError, DataError, OSError, ValueError) as exc:
         return _fail(f"config error: {exc}", 2)
     out_dir = _resolve_output(cfg.output_dir, args.output)
-    code, summary = _execute_run(cfg, out_dir)
+    code, summary = _execute_run(cfg, data, out_dir)
     if code == 0:
         print(f"run complete: {out_dir} "
               f"(accuracy {summary['accuracy']:.4f}, "
@@ -136,7 +133,8 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         cfg = parse_config(args.config)
-    except ConfigError as exc:
+        data = build_scenario(cfg)
+    except (ConfigError, DataError, OSError, ValueError) as exc:
         return _fail(f"config error: {exc}", 2)
     root = _resolve_output(f"{cfg.scenario}_alpha_sweep_seed{cfg.seed}",
                            args.output)
@@ -145,7 +143,7 @@ def cmd_sweep(args) -> int:
         member = copy.deepcopy(cfg)
         member.loss["alpha"] = alpha
         member.output_dir = str(root / f"alpha_{alpha}")
-        code, summary = _execute_run(member, root / f"alpha_{alpha}")
+        code, summary = _execute_run(member, data, root / f"alpha_{alpha}")
         if code != 0:
             print(f"sweep stopped at alpha {alpha} (exit {code}); "
                   f"{len(rows)} finished rows kept", file=sys.stderr)

@@ -1,16 +1,22 @@
 """Run configuration: flat INI files with sections mirroring the modules.
 
 Every key is typed; unknown sections or keys are rejected so config typos
-cannot silently change an experiment.  The data rules live here; the
-[model], [loss] and [training] values are checked by building the trainer's
-`TrainerConfig` from them, its fields named after the keys.  `write_resolved`
-materializes all defaults, producing a file that reproduces the run exactly.
+cannot silently change an experiment.  The [model], [loss] and [training]
+keys, casts and defaults come from the fields of the trainer's
+`TrainerConfig`, whose construction checks their values; only the schedule
+defaults are the file's own.  `_validate` holds the [data] rules that no
+generator checks; the others are checked when the datasets are built.
+`write_resolved` materializes all defaults, producing a file that
+reproduces the run exactly.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
+
+from .training import TrainerConfig
 
 SCENARIOS = ("longtail", "noise", "subpop", "custom-csv")
 
@@ -92,29 +98,28 @@ _DATA_SCHEMA = {
     },
 }
 
-_MODEL_SCHEMA = {
-    "hidden": (_cast_hidden, (64, 64)),
-    "feat_dim": (int, 16),
-    "perturb_hidden": (int, 100),
-}
+# The schedule has no trainer default; t1 = -1, and only -1, resolves to
+# 30% of t2.
+_SCHEDULE_DEFAULTS = {"t1": -1, "t2": 1500}
+_SECTIONS = {"hidden": "model", "feat_dim": "model", "perturb_hidden": "model",
+             "alpha": "loss", "beta": "loss"}  # the rest are [training]
+_CASTS = {int: int, float: float, bool: _cast_bool,
+          tuple[int, ...]: _cast_hidden}
 
-_LOSS_SCHEMA = {
-    "alpha": (float, 0.5),
-    "beta": (float, 1.0),
-}
 
-_TRAINING_SCHEMA = {
-    "t1": (int, -1),  # -1, and only -1, resolves to 30% of t2
-    "t2": (int, 1500),
-    "eta1": (float, 0.05),
-    "eta2": (float, 1e-3),
-    "batch_train": (int, 64),
-    "batch_meta": (int, 32),
-    "momentum": (float, 0.9),
-    "weight_decay": (float, 5e-4),
-    "freeze_eps": (_cast_bool, False),
-    "diagonal_sigma": (_cast_bool, False),
-}
+def _trainer_schema() -> dict[str, dict]:
+    """The [model], [loss] and [training] keys: the fields of TrainerConfig
+    but the seed, each cast by its annotation, with its default."""
+    hints = get_type_hints(TrainerConfig)
+    schema = {"model": {}, "loss": {}, "training": {}}
+    for f in fields(TrainerConfig):
+        if f.name != "seed":  # a [run] key
+            schema[_SECTIONS.get(f.name, "training")][f.name] = (
+                _CASTS[hints[f.name]], _SCHEDULE_DEFAULTS.get(f.name, f.default))
+    return schema
+
+
+_TRAINER_SCHEMA = _trainer_schema()
 
 
 @dataclass
@@ -128,16 +133,6 @@ class RunConfig:
     model: dict = field(default_factory=dict)
     loss: dict = field(default_factory=dict)
     training: dict = field(default_factory=dict)
-
-
-def _schema_for(scenario: str) -> dict[str, dict]:
-    return {
-        "run": _RUN_SCHEMA,
-        "data": _DATA_SCHEMA[scenario],
-        "model": _MODEL_SCHEMA,
-        "loss": _LOSS_SCHEMA,
-        "training": _TRAINING_SCHEMA,
-    }
 
 
 def _resolve_section(name: str, schema: dict, given: dict[str, str]) -> dict:
@@ -175,12 +170,10 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(
             f"[run] scenario must be one of {SCENARIOS}, got {scenario!r}")
 
-    schema = _schema_for(scenario)
-    run = _resolve_section("run", schema["run"], run_raw)
-    resolved = {}
-    for name in ("data", "model", "loss", "training"):
-        resolved[name] = _resolve_section(name, schema[name],
-                                          sections.pop(name, {}))
+    run = _resolve_section("run", _RUN_SCHEMA, run_raw)
+    schema = {"data": _DATA_SCHEMA[scenario], **_TRAINER_SCHEMA}
+    resolved = {name: _resolve_section(name, table, sections.pop(name, {}))
+                for name, table in schema.items()}
     if sections:
         raise ConfigError(f"unknown sections: {sorted(sections)}")
 
@@ -199,22 +192,12 @@ def parse_config(path: str) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    """The [data] rules of each scenario."""
+    """The [data] rules that no generator checks."""
     if cfg.scenario in ("longtail", "noise"):
         std = cfg.data["blob_std"]
         stds = std if isinstance(std, tuple) else (std,)
         if any(s <= 0 for s in stds):
             raise ConfigError("[data] blob_std must be positive")
-        if isinstance(std, tuple) and len(std) != cfg.data["num_classes"]:
-            raise ConfigError(
-                "[data] per-class blob_std needs one value per class")
-    if cfg.scenario == "noise":
-        kind = cfg.data["noise_kind"]
-        if kind not in ("uniform", "flip"):
-            raise ConfigError(
-                f"[data] noise_kind must be uniform or flip, got {kind!r}")
-        if not 0.0 <= cfg.data["noise_rate"] < 1.0:
-            raise ConfigError("[data] noise_rate must be in [0, 1)")
     if cfg.scenario == "subpop":
         for key in ("train_majority", "test_majority"):
             if not 0.0 < cfg.data[key] < 0.5:
@@ -246,9 +229,7 @@ def write_resolved(cfg: RunConfig, path: str) -> None:
         parser.write(fh)
 
 
-def trainer_config(cfg: RunConfig):
+def trainer_config(cfg: RunConfig) -> TrainerConfig:
     """The trainer's hyperparameter set; raises ValueError on a bad value."""
-    from .training import TrainerConfig
-
     return TrainerConfig(**cfg.model, **cfg.loss, **cfg.training,
                          seed=cfg.seed)

@@ -126,7 +126,9 @@ def sum_by_label(rows: np.ndarray, labels: np.ndarray, count: int
     np.add.at on a zero table. A label outside range(count) raises
     ValueError.
     """
-    width = rows.shape[1]
+    n, width = rows.shape
+    if not n:  # a bincount of no entries gives integer zeros
+        return np.zeros((count, width))
     out = np.bincount((labels[:, None] * width + np.arange(width)).ravel(),
                       weights=rows.ravel(), minlength=count * width)
     if out.size != count * width:

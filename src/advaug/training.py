@@ -74,9 +74,8 @@ class NumericalAbort(RuntimeError):
 class TrainerConfig:
     """Hyperparameters of one training run, checked on construction.
 
-    This is the only check on them: `config.parse_config` builds one from
-    the [model], [loss] and [training] sections, whose keys are the field
-    names.
+    This is the only check on them. `config` derives the [model], [loss]
+    and [training] keys, their casts and defaults from these fields.
     """
 
     t1: int

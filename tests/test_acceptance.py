@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import advaug.autodiff as ad
-from advaug import verification
+from advaug import kernels, verification
 from advaug.autodiff import Tensor
 from advaug.cli import ALPHA_GRID, main as cli_main
 from advaug.config import parse_config, trainer_config
@@ -82,7 +82,7 @@ def longtail_pack():
 def test_criterion_01_reduction_identity():
     t0 = time.time()
     rng = np.random.default_rng(11)
-    worst_ce = worst_la = 0.0
+    worst_ce = worst_la = worst_kernel = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 6))
         c = int(rng.integers(2, 6))
@@ -109,11 +109,19 @@ def test_criterion_01_reduction_identity():
         la = _ce_reference(h @ w.T + b + np.log(priors)[None, :], labels)
         dev = np.abs(ad.softmax_cross_entropy(z1, labels).value - la).max()
         worst_la = max(worst_la, float(dev))
+
+        # the kernel the trainer runs, at alpha = 0: mean CE and mean LA
+        for shift, ref in ((np.zeros(c), _ce_reference(h @ w.T + b, labels)),
+                           (np.log(priors), la)):
+            value = kernels.surrogate([w, b], h, labels, None, sigmas, shift,
+                                      0.0).value
+            worst_kernel = max(worst_kernel, abs(value - float(ref.mean())))
     elapsed = time.time() - t0
-    passed = worst_ce <= 1e-12 and worst_la <= 1e-12 and elapsed < 1.0
+    passed = (worst_ce <= 1e-12 and worst_la <= 1e-12
+              and worst_kernel <= 1e-12 and elapsed < 1.0)
     _verdict(1, "reduction-identity", passed,
              f"max dev CE {worst_ce:.2e}, LA {worst_la:.2e}, "
-             f"100 instances, {elapsed:.2f}s")
+             f"kernel {worst_kernel:.2e}, 100 instances, {elapsed:.2f}s")
 
 
 def test_criterion_02_jensen_upper_bound():

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+import advaug.cli
 import advaug.kernels
 from advaug.cli import ALPHA_GRID, main
 from advaug.data import load_csv
 from advaug.metrics import MetricsLog
+from advaug.scenarios import build_scenario
 
 TINY = """[run]
 scenario = longtail
@@ -254,6 +256,31 @@ class TestSweep:
         lines = (root / "sweep_summary.csv").read_text().strip().splitlines()
         assert lines == ["alpha,accuracy,worst_class_recall,test_loss"]
         assert f"alpha {ALPHA_GRID[0]}" in capsys.readouterr().err
+
+    def test_builds_the_datasets_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg)
+            return build_scenario(cfg)
+
+        monkeypatch.setattr(advaug.cli, "build_scenario", counting)
+        cfg = write_ini(tmp_path, TINY)
+        assert main(["sweep", "--config", cfg,
+                     "--output", str(tmp_path / "sweep")]) == 0
+        assert len(calls) == 1
+
+    def test_unbuildable_data_exits_2_before_any_output(self, tmp_path,
+                                                        capsys):
+        text = ("[run]\nscenario = custom-csv\n[data]\n"
+                f"train_csv = {tmp_path}/absent.csv\n"
+                f"meta_csv = {tmp_path}/absent.csv\n"
+                f"test_csv = {tmp_path}/absent.csv\n")
+        root = tmp_path / "sweep"
+        assert main(["sweep", "--config", write_ini(tmp_path, text),
+                     "--output", str(root)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not root.exists()
 
 
 class TestCompare:

@@ -1,19 +1,37 @@
 """Config parsing, validation, and resolved-file round trips."""
 
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from advaug.cli import main
 from advaug.config import (ConfigError, parse_config, trainer_config,
                            write_resolved)
+from advaug.data import DataError
+from advaug.scenarios import build_scenario
 from advaug.training import TrainerConfig
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_ini(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def assert_refused_at_build(tmp_path, text, match):
+    """The file parses, its datasets are refused with DataError, and `run`,
+    `sweep` and `gen-data` exit 2 before writing anything."""
+    path = write_ini(tmp_path, text)
+    with pytest.raises(DataError, match=match):
+        build_scenario(parse_config(path))
+    for verb in ("run", "sweep", "gen-data"):
+        out = tmp_path / verb
+        assert main([verb, "--config", path, "--output", str(out)]) == 2
+        assert not out.exists()
 
 
 MINIMAL = "[run]\nscenario = longtail\n"
@@ -107,9 +125,11 @@ class TestBlobStd:
         assert cfg.data["blob_std"] == (0.8, 0.9, 1.1, 1.3, 1.5)
 
     def test_wrong_length_rejected(self, tmp_path):
+        # checked by the generator, when the datasets are built
         text = MINIMAL + "[data]\nblob_std = 1.0,2.0\n"
-        with pytest.raises(ConfigError, match="one value per class"):
-            parse_config(write_ini(tmp_path, text))
+        assert_refused_at_build(tmp_path, text, "2 entries for 5 classes")
+        noise = "[run]\nscenario = noise\n[data]\nblob_std = 1,2,3,4,5,6\n"
+        assert_refused_at_build(tmp_path, noise, "6 entries for 5 classes")
 
     def test_non_positive_rejected(self, tmp_path):
         text = MINIMAL + "[data]\nblob_std = 0\n"
@@ -140,14 +160,16 @@ class TestValidation:
             parse_config(write_ini(tmp_path, text))
 
     def test_bad_noise_kind(self, tmp_path):
-        text = "[run]\nscenario = noise\n[data]\nnoise_kind = salt\n"
-        with pytest.raises(ConfigError, match="noise_kind"):
-            parse_config(write_ini(tmp_path, text))
+        # checked by the generator, when the datasets are built
+        for kind in ("salt", "Flip"):
+            text = f"[run]\nscenario = noise\n[data]\nnoise_kind = {kind}\n"
+            assert_refused_at_build(tmp_path, text, "unknown noise kind")
 
     def test_noise_rate_range(self, tmp_path):
-        text = "[run]\nscenario = noise\n[data]\nnoise_rate = 1.0\n"
-        with pytest.raises(ConfigError, match="noise_rate"):
-            parse_config(write_ini(tmp_path, text))
+        # checked by the generator, when the datasets are built
+        for rate in ("1.0", "-0.1", "nan"):
+            text = f"[run]\nscenario = noise\n[data]\nnoise_rate = {rate}\n"
+            assert_refused_at_build(tmp_path, text, "noise rate")
 
     def test_majority_range(self, tmp_path):
         text = "[run]\nscenario = subpop\n[data]\ntrain_majority = 0.5\n"
@@ -168,10 +190,27 @@ class TestResolvedRoundTrip:
         again = parse_config(str(out))
         assert again == cfg
 
+    def test_minimal_longtail_resolves_to_pinned_bytes(self, tmp_path):
+        # every default written out, in schema order
+        out = tmp_path / "resolved.ini"
+        write_resolved(parse_config(write_ini(tmp_path, MINIMAL)), str(out))
+        assert out.read_bytes() == (
+            b"[run]\nscenario = longtail\nseed = 0\n"
+            b"output_dir = longtail_seed0\n\n"
+            b"[data]\nnum_classes = 5\ndim = 5\nradius = 2.2\n"
+            b"blob_std = 1.0\nnuisance_std = 1.0\nmeta_per_class = 10\n"
+            b"test_per_class = 250\nn_max = 2000\n"
+            b"imbalance_ratio = 100.0\n\n"
+            b"[model]\nhidden = 64,64\nfeat_dim = 16\nperturb_hidden = 100\n\n"
+            b"[loss]\nalpha = 0.5\nbeta = 1.0\n\n"
+            b"[training]\nt1 = 450\nt2 = 1500\neta1 = 0.05\neta2 = 0.001\n"
+            b"batch_train = 64\nbatch_meta = 32\nmomentum = 0.9\n"
+            b"weight_decay = 0.0005\nfreeze_eps = false\n"
+            b"diagonal_sigma = false\n\n")
+
     def test_shipped_presets_parse(self):
-        root = Path(__file__).resolve().parent.parent / "configs"
         for name in ("longtail", "noise", "subpop"):
-            cfg = parse_config(str(root / f"{name}.ini"))
+            cfg = parse_config(str(ROOT / "configs" / f"{name}.ini"))
             assert cfg.scenario == name
             assert cfg.training["t1"] == 450
 
@@ -192,3 +231,19 @@ class TestTrainerConfig:
         cfg = parse_config(write_ini(tmp_path, MINIMAL))
         keys = set(cfg.model) | set(cfg.loss) | set(cfg.training)
         assert {f.name for f in fields(TrainerConfig)} - {"seed"} == keys
+
+    def test_readme_lists_the_trainer_keys(self, tmp_path):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Configuration", 1)[1]
+        block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+        listed, section = {}, None
+        for line in block.splitlines():
+            header = re.match(r"\[(\w+)\]", line)
+            if header:
+                section = header.group(1)
+                listed[section] = []
+            elif "=" in line:
+                listed[section].append(line.split("=", 1)[0].strip())
+        cfg = parse_config(write_ini(tmp_path, MINIMAL))
+        for name in ("model", "loss", "training"):
+            assert listed[name] == list(getattr(cfg, name)), name

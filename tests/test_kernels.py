@@ -164,6 +164,16 @@ def test_sum_by_label_matches_add_at_bit_for_bit(n, width):
     assert np.signbit(ours[0]).sum() == 0  # an absent class sums to +0.0
 
 
+@pytest.mark.parametrize("width", [5, 16], ids=["C", "H"])
+def test_sum_by_label_of_no_rows_is_a_float_zero_table(width):
+    # np.bincount of no entries returns integer counts
+    ours = kernels.sum_by_label(np.ones((0, width)),
+                                np.array([], dtype=np.intp), 5)
+    ref = add_at_sums(np.ones((0, width)), np.array([], dtype=np.intp), 5)
+    assert ours.dtype == np.float64 and ours.shape == (5, width)
+    assert ours.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("bad", [-1, 5, 9])
 def test_sum_by_label_refuses_a_label_out_of_range(bad):
     # np.bincount would widen the table for a label >= count
