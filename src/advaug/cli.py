@@ -5,12 +5,15 @@ Verbs:
   sweep     run the alpha grid {0.1, 0.25, 0.5, 0.75, 1} off one base config
             and its datasets, built once; a failing alpha stops it with that
             run's exit code, and the summary keeps the rows that finished
-  compare   paired-seed comparison of two sets of run directories
+  compare   paired-seed comparison of two sets of run directories of one
+            scenario; its JSON report is strict JSON, like summary.json
   verify    run the analytical self-check suites
   gen-data  materialize a scenario's train/meta/test splits as CSV
 
-Exit codes: 0 success, 1 verification failure (`verify` only), 2 invalid
-configuration or inputs, before any file is written, 3 numerical abort
+Each verb parses its file once; the run description it gets holds the
+validated `TrainerConfig`, which trains it.  Exit codes: 0 success,
+1 verification failure (`verify` only), 2 invalid configuration or inputs,
+non-finite numbers included, before any file is written, 3 numerical abort
 during training (its run directory still gets the epoch rows logged before
 the abort and a summary that names it).  Relative output directories are
 resolved under $ADVAUG_OUTPUT_ROOT (default: current directory).
@@ -19,18 +22,18 @@ resolved under $ADVAUG_OUTPUT_ROOT (default: current directory).
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .classifier import save_checkpoint
-from .config import ConfigError, RunConfig, parse_config, trainer_config, write_resolved
+from .config import ConfigError, RunConfig, parse_config, write_resolved
 from .data import DataError, Dataset, save_csv
 from .metrics import compare_runs, run_summary
 from .scenarios import ScenarioData, build_scenario
@@ -54,9 +57,22 @@ def _resolve_output(configured: str, override: str | None) -> Path:
     return raw
 
 
-def _json_float(value: float) -> float | None:
-    """null for nan, so the summary stays strict JSON."""
-    return None if math.isnan(value) else value
+def _strict(value):
+    """`value` with every non-finite float replaced by None (null)."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict(item) for item in value]
+    finite = not isinstance(value, float) or math.isfinite(value)
+    return value if finite else None
+
+
+def _write_json(payload: dict, path) -> None:
+    """The one JSON writer of the harness: strict JSON, null for nan."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
+        fh.write("\n")
 
 
 def _execute_run(cfg: RunConfig, data: ScenarioData,
@@ -73,7 +89,7 @@ def _execute_run(cfg: RunConfig, data: ScenarioData,
         # Divergence is reported once via the exit code; the overflow
         # warnings numpy emits on the way down would only add noise.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            state, log = train(trainer_config(cfg), data.train, data.meta,
+            state, log = train(cfg.trainer, data.train, data.meta,
                                eval_data=data.test)
     except NumericalAbort as exc:
         abort, log = exc, exc.log
@@ -91,25 +107,23 @@ def _execute_run(cfg: RunConfig, data: ScenarioData,
     full = {
         "scenario": cfg.scenario,
         "seed": cfg.seed,
-        "alpha": cfg.loss["alpha"],
-        "beta": cfg.loss["beta"],
-        "t1": cfg.training["t1"],
-        "t2": cfg.training["t2"],
+        "alpha": cfg.trainer.alpha,
+        "beta": cfg.trainer.beta,
+        "t1": cfg.trainer.t1,
+        "t2": cfg.trainer.t2,
         "epochs": int(summary["epochs"]),
-        "per_class_recall": [_json_float(last.get(f"recall_{c}", nan))
+        "per_class_recall": [last.get(f"recall_{c}", nan)
                              for c in range(log.num_classes)],
         "events": log.events,
     }
     for key in ("accuracy", "worst_class_recall", "worst_group_accuracy",
                 "test_loss"):
-        full[key] = _json_float(summary[key])
+        full[key] = summary[key]
     if abort is not None:
         full["aborted"] = {"stage": abort.stage,
                            "iteration": abort.iteration,
                            "value": str(abort.value)}
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(full, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(full, out_dir / "summary.json")
     if abort is not None:
         return _fail(f"numerical abort: {abort}", 3), None
     return 0, full
@@ -140,10 +154,10 @@ def cmd_sweep(args) -> int:
                            args.output)
     rows = []
     for alpha in ALPHA_GRID:
-        member = copy.deepcopy(cfg)
-        member.loss["alpha"] = alpha
-        member.output_dir = str(root / f"alpha_{alpha}")
-        code, summary = _execute_run(member, data, root / f"alpha_{alpha}")
+        out_dir = root / f"alpha_{alpha}"
+        member = replace(cfg, trainer=replace(cfg.trainer, alpha=alpha),
+                         output_dir=str(out_dir))
+        code, summary = _execute_run(member, data, out_dir)
         if code != 0:
             print(f"sweep stopped at alpha {alpha} (exit {code}); "
                   f"{len(rows)} finished rows kept", file=sys.stderr)
@@ -205,9 +219,7 @@ def cmd_compare(args) -> int:
         print(f"mean worst-group delta {wg['mean']:+.4f} "
               f"(std {wg['std']:.4f})")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(report, args.output)
     return 0
 
 

@@ -1,19 +1,19 @@
 """Run configuration: flat INI files with sections mirroring the modules.
 
 Every key is typed; unknown sections or keys are rejected so config typos
-cannot silently change an experiment.  The [model], [loss] and [training]
-keys, casts and defaults come from the fields of the trainer's
-`TrainerConfig`, whose construction checks their values; only the schedule
-defaults are the file's own.  `_validate` holds the [data] rules that no
-generator checks; the others are checked when the datasets are built.
-`write_resolved` materializes all defaults, producing a file that
-reproduces the run exactly.
+cannot silently change an experiment.  `config` knows only the types and
+the defaults.  The [model], [loss] and [training] keys, casts and defaults
+come from the fields of the trainer's `TrainerConfig`, which `parse_config`
+constructs once and `RunConfig` holds; its construction checks their values.
+Only the schedule defaults are the file's own.  The [data] values are
+checked by the data layer, when the datasets are built.  `write_resolved`
+materializes all defaults, producing a file that reproduces the run exactly.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 from .training import TrainerConfig
@@ -127,12 +127,14 @@ class RunConfig:
     """Fully resolved run description (all defaults materialized)."""
 
     scenario: str
-    seed: int
     output_dir: str
-    data: dict = field(default_factory=dict)
-    model: dict = field(default_factory=dict)
-    loss: dict = field(default_factory=dict)
-    training: dict = field(default_factory=dict)
+    data: dict
+    trainer: TrainerConfig
+
+    @property
+    def seed(self) -> int:
+        """The one seed of the run: the trainer's, and the data draws'."""
+        return self.trainer.seed
 
 
 def _resolve_section(name: str, schema: dict, given: dict[str, str]) -> dict:
@@ -155,7 +157,10 @@ def _resolve_section(name: str, schema: dict, given: dict[str, str]) -> dict:
 
 def parse_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
@@ -171,37 +176,22 @@ def parse_config(path: str) -> RunConfig:
             f"[run] scenario must be one of {SCENARIOS}, got {scenario!r}")
 
     run = _resolve_section("run", _RUN_SCHEMA, run_raw)
-    schema = {"data": _DATA_SCHEMA[scenario], **_TRAINER_SCHEMA}
-    resolved = {name: _resolve_section(name, table, sections.pop(name, {}))
-                for name, table in schema.items()}
+    data = _resolve_section("data", _DATA_SCHEMA[scenario],
+                            sections.pop("data", {}))
+    hyper = {}
+    for name, table in _TRAINER_SCHEMA.items():
+        hyper.update(_resolve_section(name, table, sections.pop(name, {})))
     if sections:
         raise ConfigError(f"unknown sections: {sorted(sections)}")
 
-    cfg = RunConfig(scenario=scenario, seed=run["seed"],
-                    output_dir=run["output_dir"], **resolved)
-    _validate(cfg)
-    if cfg.training["t1"] == -1:
-        cfg.training["t1"] = int(round(0.3 * cfg.training["t2"]))
+    if hyper["t1"] == -1:
+        hyper["t1"] = int(round(0.3 * hyper["t2"]))
     try:
-        trainer_config(cfg)
+        trainer = TrainerConfig(**hyper, seed=run["seed"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not cfg.output_dir:
-        cfg.output_dir = f"{cfg.scenario}_seed{cfg.seed}"
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    """The [data] rules that no generator checks."""
-    if cfg.scenario in ("longtail", "noise"):
-        std = cfg.data["blob_std"]
-        stds = std if isinstance(std, tuple) else (std,)
-        if any(s <= 0 for s in stds):
-            raise ConfigError("[data] blob_std must be positive")
-    if cfg.scenario == "subpop":
-        for key in ("train_majority", "test_majority"):
-            if not 0.0 < cfg.data[key] < 0.5:
-                raise ConfigError(f"[data] {key} must be in (0, 0.5)")
+    output_dir = run["output_dir"] or f"{scenario}_seed{trainer.seed}"
+    return RunConfig(scenario, output_dir, data, trainer)
 
 
 def _format_value(value) -> str:
@@ -222,14 +212,10 @@ def write_resolved(cfg: RunConfig, path: str) -> None:
         "seed": str(cfg.seed),
         "output_dir": cfg.output_dir,
     }
-    for name in ("data", "model", "loss", "training"):
-        parser[name] = {k: _format_value(v)
-                        for k, v in getattr(cfg, name).items()}
+    parser["data"] = {k: _format_value(v) for k, v in cfg.data.items()}
+    for name, table in _TRAINER_SCHEMA.items():
+        parser[name] = {k: _format_value(getattr(cfg.trainer, k))
+                        for k in table}
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
 
-
-def trainer_config(cfg: RunConfig) -> TrainerConfig:
-    """The trainer's hyperparameter set; raises ValueError on a bad value."""
-    return TrainerConfig(**cfg.model, **cfg.loss, **cfg.training,
-                         seed=cfg.seed)

@@ -21,12 +21,20 @@ class BlobGeometry:
     """Gaussian class blobs on a circle, plus isotropic nuisance dims.
 
     std may be a single float shared by every class or one float per
-    class (heteroscedastic blobs).
+    class (heteroscedastic blobs).  Every number must be finite and every
+    std positive; the per-class count is checked against the classes drawn.
     """
 
     radius: float = 2.0
     std: float | tuple[float, ...] = 1.0
     nuisance_std: float = 1.0
+
+    def __post_init__(self) -> None:
+        stds = np.atleast_1d(np.asarray(self.std, dtype=np.float64))
+        if not np.isfinite([self.radius, self.nuisance_std, *stds]).all():
+            raise DataError("blob radius, std and nuisance_std must be finite")
+        if (stds <= 0).any():
+            raise DataError("blob std must be positive")
 
     def class_std(self, c: int, num_classes: int) -> float:
         if np.isscalar(self.std):
@@ -85,8 +93,8 @@ def make_longtail(seed: int, num_classes: int, n_max: int,
     """Geometric class-size profile n_c = round(n_max * ratio^(-c/(C-1)))."""
     if num_classes < 2:
         raise DataError("need at least 2 classes")
-    if imbalance_ratio < 1:
-        raise DataError("imbalance_ratio must be >= 1")
+    if not 1 <= imbalance_ratio < np.inf:
+        raise DataError("imbalance_ratio must be finite and >= 1")
     if dim < 2:
         raise DataError("need dim >= 2 for the circular core geometry")
     geometry = geometry or BlobGeometry()
@@ -156,10 +164,13 @@ def make_subpop_shift(seed: int, core_sep: float, spurious_sep: float,
     frequencies follow group_balance_train; the test set uses
     group_balance_test (typically uniform).
     """
+    if not np.isfinite([core_sep, spurious_sep]).all():
+        raise DataError("core_sep and spurious_sep must be finite")
     pt = np.asarray(group_balance_train, dtype=np.float64)
     pe = np.asarray(group_balance_test, dtype=np.float64)
     for p in (pt, pe):
-        if p.shape != (4,) or not np.isclose(p.sum(), 1.0):
+        if (p.shape != (4,) or not np.isfinite(p).all()
+                or not np.isclose(p.sum(), 1.0)):
             raise DataError("group balance must be a distribution over 4 groups")
     rng = np.random.default_rng(seed)
 
@@ -240,7 +251,8 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
-    """Inverse of save_csv; malformed rows are rejected with their number."""
+    """Inverse of save_csv; malformed rows, non-finite cells included, are
+    rejected with their number."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -268,8 +280,12 @@ def load_csv(path) -> Dataset:
             raise DataError(f"row {r}: negative label")
     if not labels:
         raise DataError(f"{path} has no rows")
+    feats = np.asarray(feats)
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        raise DataError(f"row {bad[0] + 2}: non-finite cell")
     labels = np.asarray(labels, dtype=np.intp)
-    return Dataset(np.asarray(feats), labels,
+    return Dataset(feats, labels,
                    _counts(labels, int(labels.max()) + 1),
                    group_ids=np.asarray(groups, dtype=np.intp)
                    if has_group else None)

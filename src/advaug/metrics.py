@@ -156,8 +156,14 @@ def compare_runs(baseline: dict[int, dict], candidate: dict[int, dict]) -> dict:
     """Paired, per-seed comparison of two runs' final summaries.
 
     Both arguments map seed -> summary dict (as from `run_summary`).  The
-    seed sets must match exactly; deltas are candidate minus baseline.
+    seed sets must match exactly and every summary must name the same
+    scenario; deltas are candidate minus baseline.
     """
+    scenarios = {s.get("scenario")
+                 for s in (*baseline.values(), *candidate.values())}
+    if len(scenarios) > 1:
+        raise ValueError("summaries name different scenarios: "
+                         f"{sorted(scenarios, key=str)}")
     if set(baseline) != set(candidate):
         raise ValueError(
             f"seed sets differ: baseline {sorted(baseline)} vs "

@@ -37,7 +37,7 @@ its rows of one characteristics table; no stage records a tape op.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -74,8 +74,9 @@ class NumericalAbort(RuntimeError):
 class TrainerConfig:
     """Hyperparameters of one training run, checked on construction.
 
-    This is the only check on them. `config` derives the [model], [loss]
-    and [training] keys, their casts and defaults from these fields.
+    This is the only check on them; every float field must be finite.
+    `config` derives the [model], [loss] and [training] keys, their casts
+    and defaults from these fields, and its `RunConfig` holds the instance.
     """
 
     t1: int
@@ -96,6 +97,11 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # f.type is the annotation's text (postponed annotations).
+        non_finite = [f.name for f in fields(self) if f.type == "float"
+                      and not math.isfinite(getattr(self, f.name))]
+        if non_finite:
+            raise ValueError(f"{', '.join(non_finite)} must be finite")
         if self.t2 < 1:
             raise ValueError("t2 must be >= 1")
         if self.t1 < 0:

@@ -21,7 +21,7 @@ import advaug.autodiff as ad
 from advaug import kernels, verification
 from advaug.autodiff import Tensor
 from advaug.cli import ALPHA_GRID, main as cli_main
-from advaug.config import parse_config, trainer_config
+from advaug.config import parse_config
 from advaug.loss import adjusted_logits, quadratic_terms
 from advaug.metrics import run_summary
 from advaug.oracles import finite_loss_convergence, mgf_check
@@ -59,9 +59,9 @@ def _paired_runs(preset: str, seed: int):
     the same datasets with the same trainer seed.
     """
     cfg = parse_config(str(CONFIG_DIR / preset))
-    cfg.seed = seed
+    cfg = replace(cfg, trainer=replace(cfg.trainer, seed=seed))
     data = build_scenario(cfg)
-    tc = trainer_config(cfg)
+    tc = cfg.trainer
     _, full = train(tc, data.train, data.meta, eval_data=data.test)
     _, ce = train(replace(tc, t1=tc.t2), data.train, data.meta,
                   eval_data=data.test)

@@ -312,6 +312,33 @@ class TestCompare:
         assert main(["compare", "--baseline", b0, "--candidate", c1]) == 2
         assert "seed sets differ" in capsys.readouterr().err
 
+    def test_scenario_mismatch_exits_2(self, tmp_path, capsys):
+        b0 = self.fake_run(tmp_path, "b0", 0, 0.5, 0.1, scenario="longtail")
+        c0 = self.fake_run(tmp_path, "c0", 0, 0.7, 0.4, scenario="subpop")
+        report = tmp_path / "report.json"
+        assert main(["compare", "--baseline", b0, "--candidate", c0,
+                     "--output", str(report)]) == 2
+        assert "different scenarios" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_report_and_summaries_are_strict_json(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, TINY)
+        runs = [str(tmp_path / name) for name in ("b", "c")]
+        for out in runs:
+            assert main(["run", "--config", cfg, "--output", out]) == 0
+        report = tmp_path / "report.json"
+        assert main(["compare", "--baseline", runs[0], "--candidate", runs[1],
+                     "--output", str(report)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        for path in (report, *(f"{out}/summary.json" for out in runs)):
+            with open(path, encoding="utf-8") as fh:
+                json.loads(fh.read(), parse_constant=refuse)
+        parsed = json.loads(report.read_text(), parse_constant=refuse)
+        assert parsed["worst_group_delta"] == {"mean": None, "std": None}
+
     def test_aborted_run_exits_2(self, tmp_path, capsys):
         b0 = self.fake_run(tmp_path, "b0", 0, 0.5, 0.1)
         c0 = self.fake_run(tmp_path, "c0", 0, 0.2, 0.0, aborted={

@@ -1,14 +1,16 @@
 """Config parsing, validation, and resolved-file round trips."""
 
+import configparser
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
+import numpy as np
 import pytest
 
 from advaug.cli import main
-from advaug.config import (ConfigError, parse_config, trainer_config,
-                           write_resolved)
+from advaug.config import ConfigError, parse_config, write_resolved
 from advaug.data import DataError
 from advaug.scenarios import build_scenario
 from advaug.training import TrainerConfig
@@ -22,16 +24,38 @@ def write_ini(tmp_path, text, name="run.ini"):
     return str(path)
 
 
+def assert_exits_2_writing_nothing(tmp_path, path):
+    for verb in ("run", "sweep", "gen-data"):
+        out = tmp_path / verb
+        assert main([verb, "--config", path, "--output", str(out)]) == 2
+        assert not out.exists()
+
+
+def assert_refused_at_parse(tmp_path, text, match):
+    """The file is refused with ConfigError, and `run`, `sweep` and
+    `gen-data` exit 2 before writing anything."""
+    path = write_ini(tmp_path, text)
+    with pytest.raises(ConfigError, match=match):
+        parse_config(path)
+    assert_exits_2_writing_nothing(tmp_path, path)
+
+
 def assert_refused_at_build(tmp_path, text, match):
     """The file parses, its datasets are refused with DataError, and `run`,
     `sweep` and `gen-data` exit 2 before writing anything."""
     path = write_ini(tmp_path, text)
     with pytest.raises(DataError, match=match):
         build_scenario(parse_config(path))
-    for verb in ("run", "sweep", "gen-data"):
-        out = tmp_path / verb
-        assert main([verb, "--config", path, "--output", str(out)]) == 2
-        assert not out.exists()
+    assert_exits_2_writing_nothing(tmp_path, path)
+
+
+def resolved_sections(tmp_path, cfg) -> configparser.ConfigParser:
+    """The sections `write_resolved` writes for cfg."""
+    path = tmp_path / "resolved.ini"
+    write_resolved(cfg, str(path))
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(path)
+    return parser
 
 
 MINIMAL = "[run]\nscenario = longtail\n"
@@ -44,16 +68,16 @@ class TestParsing:
         assert cfg.seed == 0
         assert cfg.data["num_classes"] == 5
         assert cfg.data["imbalance_ratio"] == 100.0
-        assert cfg.model["hidden"] == (64, 64)
-        assert cfg.loss["alpha"] == 0.5
-        assert cfg.training["t2"] == 1500
+        assert cfg.trainer.hidden == (64, 64)
+        assert cfg.trainer.alpha == 0.5
+        assert cfg.trainer.t2 == 1500
 
     def test_t1_auto_resolves_to_30_percent(self, tmp_path):
         cfg = parse_config(write_ini(tmp_path, MINIMAL))
-        assert cfg.training["t1"] == 450
+        assert cfg.trainer.t1 == 450
         explicit = MINIMAL + "[training]\nt1 = 200\nt2 = 1000\n"
         cfg2 = parse_config(write_ini(tmp_path, explicit, "b.ini"))
-        assert cfg2.training["t1"] == 200
+        assert cfg2.trainer.t1 == 200
 
     def test_output_dir_default_names_scenario_and_seed(self, tmp_path):
         cfg = parse_config(write_ini(tmp_path, "[run]\nscenario = noise\nseed = 7\n"))
@@ -96,18 +120,31 @@ class TestParsing:
     def test_bool_cast(self, tmp_path):
         text = MINIMAL + "[training]\nfreeze_eps = yes\n"
         cfg = parse_config(write_ini(tmp_path, text))
-        assert cfg.training["freeze_eps"] is True
+        assert cfg.trainer.freeze_eps is True
         bad = MINIMAL + "[training]\nfreeze_eps = maybe\n"
         with pytest.raises(ConfigError, match="freeze_eps"):
             parse_config(write_ini(tmp_path, bad, "b.ini"))
 
     def test_hidden_cast(self, tmp_path):
         text = MINIMAL + "[model]\nhidden = 32\n"
-        assert parse_config(write_ini(tmp_path, text)).model["hidden"] == (32,)
+        assert parse_config(write_ini(tmp_path, text)).trainer.hidden == (32,)
         text = MINIMAL + "[model]\nhidden =\n"
-        assert parse_config(write_ini(tmp_path, text, "b.ini")).model["hidden"] == ()
+        assert parse_config(write_ini(tmp_path, text, "b.ini")).trainer.hidden == ()
         text = MINIMAL + "[model]\nhidden = 64,32\n"
-        assert parse_config(write_ini(tmp_path, text, "c.ini")).model["hidden"] == (64, 32)
+        assert parse_config(write_ini(tmp_path, text, "c.ini")).trainer.hidden == (64, 32)
+
+    def test_key_before_any_section_exits_2(self, tmp_path):
+        assert_refused_at_parse(tmp_path, "seed = 1\n" + MINIMAL,
+                                "no section headers")
+
+    def test_repeated_section_exits_2(self, tmp_path):
+        assert_refused_at_parse(tmp_path, MINIMAL + "[run]\nseed = 1\n",
+                                "section 'run' already exists")
+
+    def test_repeated_key_exits_2(self, tmp_path):
+        text = MINIMAL + "[loss]\nalpha = 0.1\nalpha = 0.2\n"
+        assert_refused_at_parse(tmp_path, text,
+                                "option 'alpha' in section 'loss' already")
 
     def test_custom_csv_requires_paths(self, tmp_path):
         with pytest.raises(ConfigError, match="missing required key 'train_csv'"):
@@ -132,9 +169,9 @@ class TestBlobStd:
         assert_refused_at_build(tmp_path, noise, "6 entries for 5 classes")
 
     def test_non_positive_rejected(self, tmp_path):
+        # checked by BlobGeometry, when the datasets are built
         text = MINIMAL + "[data]\nblob_std = 0\n"
-        with pytest.raises(ConfigError, match="must be positive"):
-            parse_config(write_ini(tmp_path, text))
+        assert_refused_at_build(tmp_path, text, "must be positive")
 
 
 class TestValidation:
@@ -172,9 +209,57 @@ class TestValidation:
             assert_refused_at_build(tmp_path, text, "noise rate")
 
     def test_majority_range(self, tmp_path):
+        # refused by the generator's group balance check, when the datasets
+        # are built
         text = "[run]\nscenario = subpop\n[data]\ntrain_majority = 0.5\n"
-        with pytest.raises(ConfigError, match="train_majority"):
-            parse_config(write_ini(tmp_path, text))
+        assert_refused_at_build(tmp_path, text, "degenerate balance")
+
+
+class TestNonFinite:
+    """A non-finite number exits 2 before any output: a hyperparameter when
+    the file is parsed (`TrainerConfig`), a [data] value when the datasets
+    are built (the data layer)."""
+
+    def test_nan_alpha_on_the_longtail_preset(self, tmp_path):
+        text = (ROOT / "configs" / "longtail.ini").read_text(encoding="utf-8")
+        text = text.replace("alpha = 0.25", "alpha = nan")
+        assert "alpha = nan" in text
+        assert_refused_at_parse(tmp_path, text, "alpha must be finite")
+
+    def test_infinite_eta1(self, tmp_path):
+        text = MINIMAL + "[training]\nt1 = 5\nt2 = 40\neta1 = inf\n"
+        assert_refused_at_parse(tmp_path, text, "eta1 must be finite")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_every_trainer_float(self, tmp_path, value):
+        hints = get_type_hints(TrainerConfig)
+        parser = resolved_sections(tmp_path,
+                                   parse_config(write_ini(tmp_path, MINIMAL)))
+        checked = []
+        for section in ("model", "loss", "training"):
+            for key in parser[section]:
+                if hints[key] is float:
+                    text = MINIMAL + f"[{section}]\n{key} = {value}\n"
+                    with pytest.raises(ConfigError,
+                                       match=f"{key} must be finite"):
+                        parse_config(write_ini(tmp_path, text))
+                    checked.append(key)
+        assert checked == ["alpha", "beta", "eta1", "eta2", "momentum",
+                           "weight_decay"]
+
+    @pytest.mark.parametrize("scenario, data, match", [
+        ("longtail", "blob_std = nan", "must be finite"),
+        ("subpop", "core_sep = nan", "must be finite"),
+        ("longtail", "radius = inf", "must be finite"),
+        ("longtail", "nuisance_std = nan", "must be finite"),
+        ("longtail", "blob_std = 1,1,nan,1,1", "must be finite"),
+        ("longtail", "imbalance_ratio = inf", "imbalance_ratio must be finite"),
+        ("noise", "radius = -inf", "must be finite"),
+        ("subpop", "spurious_sep = -inf", "must be finite"),
+        ("subpop", "test_majority = nan", "must be a distribution")])
+    def test_non_finite_data_value(self, tmp_path, scenario, data, match):
+        text = f"[run]\nscenario = {scenario}\n[data]\n{data}\n"
+        assert_refused_at_build(tmp_path, text, match)
 
 
 class TestResolvedRoundTrip:
@@ -212,7 +297,7 @@ class TestResolvedRoundTrip:
         for name in ("longtail", "noise", "subpop"):
             cfg = parse_config(str(ROOT / "configs" / f"{name}.ini"))
             assert cfg.scenario == name
-            assert cfg.training["t1"] == 450
+            assert cfg.trainer.t1 == 450
 
 
 class TestTrainerConfig:
@@ -220,16 +305,21 @@ class TestTrainerConfig:
         text = (MINIMAL + "[training]\nfreeze_eps = true\n"
                 "[model]\nhidden = 16,8\nfeat_dim = 4\n")
         cfg = parse_config(write_ini(tmp_path, text))
-        cfg.seed = 9
-        tc = trainer_config(cfg)
+        with pytest.raises(AttributeError):
+            cfg.seed = 9  # the seed is stored once, in the trainer
+        cfg = replace(cfg, trainer=replace(cfg.trainer, seed=9))
+        tc = cfg.trainer
         assert tc.freeze_eps is True
         assert tc.hidden == (16, 8)
         assert tc.feat_dim == 4
         assert tc.seed == 9
+        assert cfg.seed == 9
 
     def test_every_field_but_the_seed_is_a_key(self, tmp_path):
         cfg = parse_config(write_ini(tmp_path, MINIMAL))
-        keys = set(cfg.model) | set(cfg.loss) | set(cfg.training)
+        parser = resolved_sections(tmp_path, cfg)
+        keys = {key for name in ("model", "loss", "training")
+                for key in parser[name]}
         assert {f.name for f in fields(TrainerConfig)} - {"seed"} == keys
 
     def test_readme_lists_the_trainer_keys(self, tmp_path):
@@ -244,6 +334,82 @@ class TestTrainerConfig:
                 listed[section] = []
             elif "=" in line:
                 listed[section].append(line.split("=", 1)[0].strip())
-        cfg = parse_config(write_ini(tmp_path, MINIMAL))
+        parser = resolved_sections(tmp_path,
+                                   parse_config(write_ini(tmp_path, MINIMAL)))
         for name in ("model", "loss", "training"):
-            assert listed[name] == list(getattr(cfg, name)), name
+            assert listed[name] == list(parser[name]), name
+
+
+NON_FINITE = ("nan", "inf", "-inf")
+WORDS = ("soon", "none", "yes", "1e", "0x10")
+SECTION_NAMES = ("run", "data", "model", "loss", "training", "optimizer")
+
+
+def is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+class TestFuzz:
+    """Seeded mutations of the three presets, shortened to t2 = 20.
+
+    Every numeric value is set to nan, inf and -inf, every value to empty
+    and to a word, every section is repeated and renamed, and every section
+    but [training] is dropped (without it the schedule is the 1500-iteration
+    default); then random pairs and triples of value mutations.  No case
+    may raise or exit 1, an exit 2 writes nothing, and an exit 3 only
+    happens with finite values.
+    """
+
+    def sections(self, tmp_path, preset):
+        cfg = parse_config(str(ROOT / "configs" / f"{preset}.ini"))
+        cfg = replace(cfg, trainer=replace(cfg.trainer, t1=6, t2=20))
+        parser = resolved_sections(tmp_path, cfg)
+        return [(name, list(parser[name].items()))
+                for name in parser.sections()]
+
+    def cases(self, sections, rng):
+        values = {}  # (section index, key index) -> the values to try
+        for s, (_, keys) in enumerate(sections):
+            for k, (_, value) in enumerate(keys):
+                values[s, k] = (["", str(rng.choice(WORDS))]
+                                + list(NON_FINITE) * is_number(value))
+        for (s, k), tries in values.items():
+            for value in tries:
+                yield {(s, k): value}, sections
+        for s, (name, keys) in enumerate(sections):
+            if name != "training":
+                yield {}, sections[:s] + sections[s + 1:]
+            yield {}, sections[:s + 1] + sections[s:]
+            renamed = (str(rng.choice(SECTION_NAMES)) + "x" * (s % 2), keys)
+            yield {}, sections[:s] + [renamed] + sections[s + 1:]
+        slots = list(values)
+        for _ in range(20):
+            picks = rng.choice(len(slots), size=rng.integers(2, 4),
+                               replace=False)
+            yield ({slots[i]: str(rng.choice(values[slots[i]]))
+                    for i in picks}, sections)
+
+    @pytest.mark.parametrize("preset", ["longtail", "noise", "subpop"])
+    def test_mutated_presets_exit_0_2_or_3(self, tmp_path, capsys, preset):
+        rng = np.random.default_rng(["longtail", "noise", "subpop"]
+                                    .index(preset))
+        base = self.sections(tmp_path, preset)
+        for n, (edits, sections) in enumerate(self.cases(base, rng)):
+            text = "".join(
+                f"[{name}]\n" + "".join(
+                    f"{key} = {edits.get((s, k), value)}\n"
+                    for k, (key, value) in enumerate(keys)) + "\n"
+                for s, (name, keys) in enumerate(sections))
+            out = tmp_path / f"out{n}"
+            code = main(["run", "--config", write_ini(tmp_path, text),
+                         "--output", str(out)])
+            assert code in (0, 2, 3), text
+            if code == 2:
+                assert not out.exists(), text
+            if code == 3:
+                assert not set(edits.values()) & set(NON_FINITE), text
+        capsys.readouterr()

@@ -54,6 +54,24 @@ class TestMakeLongtail:
             expect = 3.0 * np.array([np.cos(angle), np.sin(angle)])
             assert np.allclose(center, expect, atol=0.02)
 
+    @pytest.mark.parametrize("bad", [
+        {"radius": np.nan}, {"radius": np.inf}, {"nuisance_std": -np.inf},
+        {"std": np.nan}, {"std": (1.0, np.inf, 1.0)}])
+    def test_non_finite_geometry_rejected(self, bad):
+        with pytest.raises(DataError, match="must be finite"):
+            BlobGeometry(**bad)
+
+    @pytest.mark.parametrize("std", [0.0, -1.0, (1.0, 0.0, 1.0)])
+    def test_non_positive_std_rejected(self, std):
+        with pytest.raises(DataError, match="must be positive"):
+            BlobGeometry(std=std)
+
+    @pytest.mark.parametrize("ratio", [np.nan, np.inf, 0.5])
+    def test_ratio_must_be_finite_and_at_least_one(self, ratio):
+        with pytest.raises(DataError, match="imbalance_ratio"):
+            make_longtail(0, num_classes=3, n_max=50, imbalance_ratio=ratio,
+                          dim=2)
+
 
 class TestInjectLabelNoise:
     def base(self, seed=0):
@@ -128,6 +146,12 @@ class TestMakeSubpopShift:
         with pytest.raises(DataError):
             make_subpop_shift(0, 2.0, 4.0, (0.5, 0.0, 0.0, 0.5),
                               (0.25,) * 4, n_train=100, n_test=100)
+
+    @pytest.mark.parametrize("seps", [(np.nan, 4.0), (2.0, np.inf),
+                                      (-np.inf, 4.0)])
+    def test_non_finite_separation_rejected(self, seps):
+        with pytest.raises(DataError, match="must be finite"):
+            make_subpop_shift(0, *seps, (0.25,) * 4, (0.25,) * 4)
 
     def test_zero_spurious_sep_groups_exchangeable(self):
         train, _ = make_subpop_shift(
@@ -230,6 +254,13 @@ class TestCsv:
         back = load_csv(path)
         assert back.features.tobytes() == ds.features.tobytes()
         assert np.array_equal(back.class_counts, ds.class_counts)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected_with_row_number(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n1.0,{cell},1\n")
+        with pytest.raises(DataError, match="row 3: non-finite"):
+            load_csv(path)
 
     def test_ragged_row_rejected_with_row_number(self, tmp_path):
         path = tmp_path / "bad.csv"

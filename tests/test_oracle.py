@@ -6,9 +6,9 @@ import pytest
 from advaug import autodiff as ad
 from advaug import kernels
 from advaug.autodiff import Tape, Tensor
-from advaug.oracles import (draws_per_sample, explicit_augment, fd_gradient,
-                            finite_loss_convergence, mc_expected_ce,
-                            mgf_check, random_bound_instance)
+from advaug.oracles import (_ce_rows, draws_per_sample, explicit_augment,
+                            fd_gradient, finite_loss_convergence,
+                            mc_expected_ce, mgf_check, random_bound_instance)
 
 
 class TestExplicitAugment:
@@ -60,6 +60,16 @@ class TestMcExpectedCe:
         expect = np.log(np.exp(z - z.max()).sum()) + z.max() - z[2]
         assert est == pytest.approx(expect, abs=1e-12)
         assert se == 0.0
+
+    @pytest.mark.parametrize("classes", [2, 3, 4, 5])
+    def test_losses_keep_the_bits_of_the_row_reductions(self, classes):
+        rng = np.random.default_rng(classes)
+        w, b = rng.normal(size=(classes, 6)), rng.normal(size=classes)
+        draws = rng.normal(scale=5.0, size=(20000, 6))
+        z = draws @ w.T + b
+        m = z.max(axis=1, keepdims=True)
+        expect = m[:, 0] + np.log(np.exp(z - m).sum(axis=1)) - z[:, 1]
+        assert _ce_rows(w, b, draws, 1).tobytes() == expect.tobytes()
 
     def test_single_class_loss_is_zero(self):
         est, _ = mc_expected_ce(np.ones((1, 2)), np.zeros(1), np.zeros(2),

@@ -13,7 +13,7 @@ import pytest
 import advaug.autodiff
 from advaug.characteristics import BatchView, History, extract
 from advaug.classifier import ce_grad_wrt_features, flatten
-from advaug.config import parse_config, trainer_config
+from advaug.config import parse_config
 from advaug.data import BlobGeometry, Dataset, MetaDataset, make_balanced, make_longtail
 from advaug import kernels, training
 from advaug.scenarios import build_scenario
@@ -524,7 +524,7 @@ class TestIterationInvariants:
             self, monkeypatch):
         cfg = parse_config(str(CONFIG_DIR / "longtail.ini"))
         data = build_scenario(cfg)
-        config = trainer_config(cfg)
+        config = cfg.trainer
         assert config.diagonal_sigma
         state = init_state(config, data.train, data.meta)
         for t in range(1, config.t1 + 3):
@@ -930,7 +930,7 @@ class TestFullTrainEps:
     def test_peak_memory_on_the_longtail_preset(self):
         cfg = parse_config(str(CONFIG_DIR / "longtail.ini"))
         data = build_scenario(cfg)
-        state = init_state(trainer_config(cfg), data.train, data.meta)
+        state = init_state(cfg.trainer, data.train, data.meta)
         for t in range(1, 6):
             state.t = t
             warmup_step(state, sample_train_batch(state))
