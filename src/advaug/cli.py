@@ -12,11 +12,12 @@ Verbs:
 
 Each verb parses its file once; the run description it gets holds the
 validated `TrainerConfig`, which trains it.  Exit codes: 0 success,
-1 verification failure (`verify` only), 2 invalid configuration or inputs,
-non-finite numbers included, before any file is written, 3 numerical abort
-during training (its run directory still gets the epoch rows logged before
-the abort and a summary that names it).  Relative output directories are
-resolved under $ADVAUG_OUTPUT_ROOT (default: current directory).
+1 verification failure (`verify` only), 2 invalid configuration or inputs
+(non-finite numbers, a negative `verify` seed, an output path that is or lies
+under a file) before any training, 3 numerical abort during training (its
+run directory still gets the epoch rows logged before the abort and a
+summary that names it).  Relative output directories are resolved under
+$ADVAUG_OUTPUT_ROOT (default: current directory) and made before training.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .classifier import save_checkpoint
 from .config import ConfigError, RunConfig, parse_config, write_resolved
-from .data import DataError, Dataset, save_csv
+from .data import DataError, save_csv
 from .metrics import compare_runs, run_summary
 from .scenarios import ScenarioData, build_scenario
 from .training import NumericalAbort, train
@@ -57,6 +58,13 @@ def _resolve_output(configured: str, override: str | None) -> Path:
     return raw
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _strict(value):
     """`value` with every non-finite float replaced by None (null)."""
     if isinstance(value, dict):
@@ -77,13 +85,14 @@ def _write_json(payload: dict, path) -> None:
 
 def _execute_run(cfg: RunConfig, data: ScenarioData,
                  out_dir: Path) -> tuple[int, dict | None]:
-    """Train one configuration on its datasets and write its artifacts.
+    """Train one configuration on its datasets and write its artifacts into
+    the existing directory `out_dir`.
 
+    The summary is the run's identity plus `metrics.run_summary` of its log.
     A numerical abort still writes the epoch rows logged before it and a
     summary of them, whose `aborted` field names the stage, the iteration
     and the loss; it writes no checkpoints.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     abort = None
     try:
         # Divergence is reported once via the exit code; the overflow
@@ -99,43 +108,28 @@ def _execute_run(cfg: RunConfig, data: ScenarioData,
     if abort is None:
         save_checkpoint(state.params, str(out_dir / "classifier.npz"))
         save_checkpoint(state.perturb, str(out_dir / "perturb_net.npz"))
-    nan = math.nan
-    summary = (run_summary(log) if log.rows else
-               {"accuracy": nan, "worst_class_recall": nan,
-                "worst_group_accuracy": nan, "test_loss": nan, "epochs": 0})
-    last = log.rows[-1] if log.rows else {}
-    full = {
-        "scenario": cfg.scenario,
-        "seed": cfg.seed,
-        "alpha": cfg.trainer.alpha,
-        "beta": cfg.trainer.beta,
-        "t1": cfg.trainer.t1,
-        "t2": cfg.trainer.t2,
-        "epochs": int(summary["epochs"]),
-        "per_class_recall": [last.get(f"recall_{c}", nan)
-                             for c in range(log.num_classes)],
-        "events": log.events,
-    }
-    for key in ("accuracy", "worst_class_recall", "worst_group_accuracy",
-                "test_loss"):
-        full[key] = summary[key]
+    summary = {"scenario": cfg.scenario, "seed": cfg.seed,
+               "alpha": cfg.trainer.alpha, "beta": cfg.trainer.beta,
+               "t1": cfg.trainer.t1, "t2": cfg.trainer.t2,
+               **run_summary(log)}
     if abort is not None:
-        full["aborted"] = {"stage": abort.stage,
-                           "iteration": abort.iteration,
-                           "value": str(abort.value)}
-    _write_json(full, out_dir / "summary.json")
+        summary["aborted"] = {"stage": abort.stage,
+                              "iteration": abort.iteration,
+                              "value": str(abort.value)}
+    _write_json(summary, out_dir / "summary.json")
     if abort is not None:
         return _fail(f"numerical abort: {abort}", 3), None
-    return 0, full
+    return 0, summary
 
 
 def cmd_run(args) -> int:
     try:
         cfg = parse_config(args.config)
         data = build_scenario(cfg)
+        out_dir = _resolve_output(cfg.output_dir, args.output)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, DataError, OSError, ValueError) as exc:
         return _fail(f"config error: {exc}", 2)
-    out_dir = _resolve_output(cfg.output_dir, args.output)
     code, summary = _execute_run(cfg, data, out_dir)
     if code == 0:
         print(f"run complete: {out_dir} "
@@ -148,10 +142,12 @@ def cmd_sweep(args) -> int:
     try:
         cfg = parse_config(args.config)
         data = build_scenario(cfg)
+        root = _resolve_output(f"{cfg.scenario}_alpha_sweep_seed{cfg.seed}",
+                               args.output)
+        for alpha in ALPHA_GRID:
+            (root / f"alpha_{alpha}").mkdir(parents=True, exist_ok=True)
     except (ConfigError, DataError, OSError, ValueError) as exc:
         return _fail(f"config error: {exc}", 2)
-    root = _resolve_output(f"{cfg.scenario}_alpha_sweep_seed{cfg.seed}",
-                           args.output)
     rows = []
     for alpha in ALPHA_GRID:
         out_dir = root / f"alpha_{alpha}"
@@ -164,7 +160,6 @@ def cmd_sweep(args) -> int:
             break
         rows.append((alpha, summary["accuracy"],
                      summary["worst_class_recall"], summary["test_loss"]))
-    root.mkdir(parents=True, exist_ok=True)
     with open(root / "sweep_summary.csv", "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -203,6 +198,8 @@ def cmd_compare(args) -> int:
         baseline = _load_summaries(args.baseline)
         candidate = _load_summaries(args.candidate)
         report = compare_runs(baseline, candidate)
+        if args.output:
+            _write_json(report, args.output)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"compare error: {exc}", 2)
     print("seed  accuracy_delta  worst_class_recall_delta")
@@ -218,8 +215,6 @@ def cmd_compare(args) -> int:
     if not math.isnan(wg["mean"]):
         print(f"mean worst-group delta {wg['mean']:+.4f} "
               f"(std {wg['std']:.4f})")
-    if args.output:
-        _write_json(report, args.output)
     return 0
 
 
@@ -237,16 +232,13 @@ def cmd_gen_data(args) -> int:
     try:
         cfg = parse_config(args.config)
         data = build_scenario(cfg)
+        out_dir = _resolve_output(f"{cfg.scenario}_data_seed{cfg.seed}",
+                                  args.output)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, DataError, OSError, ValueError) as exc:
         return _fail(f"config error: {exc}", 2)
-    out_dir = _resolve_output(f"{cfg.scenario}_data_seed{cfg.seed}",
-                              args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_csv(data.train, out_dir / "train.csv")
-    counts = np.bincount(data.meta.labels,
-                         minlength=data.train.num_classes)
-    save_csv(Dataset(data.meta.features, data.meta.labels, counts),
-             out_dir / "meta.csv")
+    save_csv(replace(data.meta, group_ids=None), out_dir / "meta.csv")
     save_csv(data.test, out_dir / "test.csv")
     if data.train.noise_mask is not None:
         with open(out_dir / "noise_mask.csv", "w", newline="",
@@ -283,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_verify = sub.add_parser("verify", help="run analytical self-checks")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen-data", help="write scenario CSV datasets")

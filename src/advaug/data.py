@@ -1,5 +1,6 @@
 """Synthetic biased datasets, label corruption, metadata split, CSV io.
 
+Every labeled set, the training, meta and test sets alike, is a `Dataset`.
 Generators are pure functions of (seed, config): the same arguments always
 produce bit-identical arrays.
 """
@@ -73,14 +74,6 @@ class Dataset:
     @property
     def num_classes(self) -> int:
         return len(self.class_counts)
-
-
-@dataclass
-class MetaDataset:
-    """Small, balanced, clean-labelled set driving the meta updates."""
-
-    features: np.ndarray
-    labels: np.ndarray
 
 
 def _counts(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -201,7 +194,7 @@ def make_subpop_shift(seed: int, core_sep: float, spurious_sep: float,
 
 
 def split_meta(dataset: Dataset, per_class: int,
-               seed: int) -> tuple[Dataset, MetaDataset]:
+               seed: int) -> tuple[Dataset, Dataset]:
     """Hold out a balanced, clean metadata set; return remainder + metadata.
 
     When a noise mask is present only never-corrupted samples are eligible,
@@ -220,8 +213,8 @@ def split_meta(dataset: Dataset, per_class: int,
                 f"class {c}: {pool.size} clean samples, need > {per_class}")
         chosen.append(rng.choice(pool, size=per_class, replace=False))
     chosen = np.concatenate(chosen)
-    meta = MetaDataset(dataset.features[chosen].copy(),
-                       dataset.labels[chosen].copy())
+    meta = Dataset(dataset.features[chosen], dataset.labels[chosen],
+                   np.full(dataset.num_classes, per_class))
     keep = np.ones(dataset.n, dtype=bool)
     keep[chosen] = False
     remainder = Dataset(

@@ -1,4 +1,5 @@
-"""Run metrics: evaluation helpers, the per-epoch log, and run comparison.
+"""Run metrics: evaluation helpers, the per-epoch log, the run summary
+(every figure of summary.json that comes from the log), and run comparison.
 
 The log schema is stable and documented so downstream tooling can rely on
 column names.  All per-class blocks are sized by the number of classes fixed
@@ -53,7 +54,6 @@ def evaluate(params: ClassifierParams, features: np.ndarray,
         "loss": loss,
         "accuracy": float(correct.mean()),
         "per_class_recall": recall,
-        "worst_class_recall": float(np.nanmin(recall)),
         "worst_group_accuracy": math.nan,
     }
     if group_ids is not None:
@@ -138,17 +138,20 @@ def _format_cell(value) -> str:
 
 
 def run_summary(log: MetricsLog) -> dict:
-    """Final-epoch summary used by run artifacts and by `compare`."""
-    if not log.rows:
-        raise ValueError("empty metrics log")
-    last = log.rows[-1]
-    recalls = [last[f"recall_{c}"] for c in range(log.num_classes)]
+    """The figures of summary.json that come from the log: those of its last
+    epoch row, or 0 epochs and nan figures when it has none, and its events.
+    """
+    nan = math.nan
+    last = log.rows[-1] if log.rows else {}
+    recalls = [last.get(f"recall_{c}", nan) for c in range(log.num_classes)]
     return {
-        "accuracy": last["test_accuracy"],
-        "worst_class_recall": float(np.nanmin(np.asarray(recalls))),
-        "worst_group_accuracy": last["worst_group_accuracy"],
-        "test_loss": last["test_loss"],
-        "epochs": last["epoch"],
+        "epochs": int(last.get("epoch", 0)),
+        "accuracy": last.get("test_accuracy", nan),
+        "worst_class_recall": float(np.nanmin(recalls)) if last else nan,
+        "worst_group_accuracy": last.get("worst_group_accuracy", nan),
+        "test_loss": last.get("test_loss", nan),
+        "per_class_recall": recalls,
+        "events": log.events,
     }
 
 

@@ -1,4 +1,8 @@
-"""Dataset assembly for the built-in biased-training scenarios."""
+"""Dataset assembly for the built-in biased-training scenarios.
+
+Each scenario yields three `Dataset`s: the biased training set, the small
+clean meta set that steers the perturbations, and the test set.
+"""
 
 from __future__ import annotations
 
@@ -7,15 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .data import (BlobGeometry, DataError, Dataset, MetaDataset,
-                   inject_label_noise, load_csv, make_balanced, make_longtail,
-                   make_subpop_shift, split_meta)
+from .data import (BlobGeometry, DataError, Dataset, inject_label_noise,
+                   load_csv, make_balanced, make_longtail, make_subpop_shift,
+                   split_meta)
 
 
 @dataclass
 class ScenarioData:
     train: Dataset
-    meta: MetaDataset
+    meta: Dataset
     test: Dataset
 
 
@@ -46,9 +50,8 @@ def _build_longtail(cfg: RunConfig) -> ScenarioData:
     geom = _geometry(d)
     train = make_longtail(keys[0], d["num_classes"], d["n_max"],
                           d["imbalance_ratio"], d["dim"], geom)
-    meta_src = make_balanced(keys[1], d["num_classes"], d["meta_per_class"],
-                             d["dim"], geom)
-    meta = MetaDataset(meta_src.features, meta_src.labels)
+    meta = make_balanced(keys[1], d["num_classes"], d["meta_per_class"],
+                         d["dim"], geom)
     test = make_balanced(keys[2], d["num_classes"], d["test_per_class"],
                          d["dim"], geom)
     return ScenarioData(train, meta, test)
@@ -79,11 +82,10 @@ def _build_subpop(cfg: RunConfig) -> ScenarioData:
         keys[0], d["core_sep"], d["spurious_sep"], balance_train,
         balance_test, n_train=d["n_train"], n_test=d["n_test"],
         core_dim=d["core_dim"], spurious_dim=d["spurious_dim"])
-    meta_src, _ = make_subpop_shift(
+    meta, _ = make_subpop_shift(
         keys[1], d["core_sep"], d["spurious_sep"], uniform, uniform,
         n_train=d["meta_size"], n_test=8,
         core_dim=d["core_dim"], spurious_dim=d["spurious_dim"])
-    meta = MetaDataset(meta_src.features, meta_src.labels)
     return ScenarioData(train, meta, test)
 
 
@@ -91,17 +93,16 @@ def _build_custom(cfg: RunConfig) -> ScenarioData:
     """The three CSVs, checked to fit together before any training."""
     d = cfg.data
     train = load_csv(d["train_csv"])
-    meta_src = load_csv(d["meta_csv"])
+    meta = load_csv(d["meta_csv"])
     test = load_csv(d["test_csv"])
     empty = np.flatnonzero(train.class_counts == 0)
     if empty.size:
         raise DataError(f"train csv has no rows of class {int(empty[0])}")
-    for name, part in (("meta", meta_src), ("test", test)):
+    for name, part in (("meta", meta), ("test", test)):
         if part.dim != train.dim:
             raise DataError(f"{name} csv has {part.dim} features, "
                             f"train csv has {train.dim}")
         if part.num_classes > train.num_classes:
             raise DataError(f"{name} csv has label {part.num_classes - 1}, "
                             f"train csv classes are 0..{train.num_classes - 1}")
-    meta = MetaDataset(meta_src.features, meta_src.labels)
     return ScenarioData(train, meta, test)

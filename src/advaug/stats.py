@@ -39,12 +39,6 @@ def project_psd(sigma: np.ndarray) -> np.ndarray:
     return 0.5 * (clamped + np.swapaxes(clamped, -1, -2))
 
 
-def cholesky_with_jitter(sigma: np.ndarray, jitter: float = 1e-10) -> np.ndarray:
-    """Cholesky factor of sigma + jitter*I; the PSD acceptance check."""
-    dim = sigma.shape[0]
-    return np.linalg.cholesky(sigma + jitter * np.eye(dim))
-
-
 def _per_class(values: np.ndarray, like: np.ndarray) -> np.ndarray:
     """One value per class, shaped to broadcast against the class stack
     `like`."""

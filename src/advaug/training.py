@@ -48,7 +48,7 @@ from .characteristics import (NUM_CHARACTERISTICS, BatchView, History,
                               update_history)
 from .classifier import (ClassifierParams, ce_grad_wrt_features, flatten,
                          init_classifier)
-from .data import Dataset, MetaDataset
+from .data import Dataset
 from .kernels import softmax_lse
 from .metrics import MetricsLog, evaluate
 from .perturbation import PerturbNetParams, init_perturb_net
@@ -202,7 +202,7 @@ class MetaState:
     priors: np.ndarray
     shift: np.ndarray  # beta * log(priors), the surrogate's logit offset
     dataset: Dataset
-    metadata: MetaDataset
+    metadata: Dataset
     sgd: MomentumSgd
     adam: Adam
     batch_rng: np.random.Generator
@@ -237,8 +237,8 @@ class Observation(NamedTuple):
 
 
 def init_state(config: TrainerConfig, dataset: Dataset,
-               metadata: MetaDataset) -> MetaState:
-    if metadata.features.shape[1] != dataset.dim:
+               metadata: Dataset) -> MetaState:
+    if metadata.dim != dataset.dim:
         raise ValueError("metadata dimensionality differs from train data")
     keys = [int(k) for k in
             np.random.SeedSequence(config.seed).generate_state(4)]
@@ -567,7 +567,7 @@ def _regularizer_row(state: MetaState, eps_all: np.ndarray) -> dict:
             "fair_term": cfg.beta * float(fair)}
 
 
-def train(config: TrainerConfig, dataset: Dataset, metadata: MetaDataset,
+def train(config: TrainerConfig, dataset: Dataset, metadata: Dataset,
           eval_data: Dataset | None = None) -> tuple[MetaState, MetricsLog]:
     """Run the full schedule: warm-up then meta iterations, logged per epoch.
 

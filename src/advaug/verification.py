@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .autodiff import Tensor
-from .data import Dataset, MetaDataset
+from .data import Dataset
 from .loss import (adjusted_logits, augmented_ce_loss, extract_features,
                    quadratic_terms)
 from .oracles import fd_gradient, mc_expected_ce, mgf_check, random_bound_instance
@@ -141,8 +141,8 @@ def _tiny_state(seed: int, **overrides):
     x = rng.normal(size=(4, 2))
     y = np.array([0, 1, 0, 1])
     ds = Dataset(features=x, labels=y, class_counts=np.array([2, 2]))
-    md = MetaDataset(features=rng.normal(size=(4, 2)),
-                     labels=np.array([0, 0, 1, 1]))
+    md = Dataset(features=rng.normal(size=(4, 2)),
+                 labels=np.array([0, 0, 1, 1]), class_counts=np.array([2, 2]))
     fields = dict(t1=0, t2=10, alpha=0.6, beta=1.0, batch_train=4,
                   batch_meta=4, hidden=(), feat_dim=2, perturb_hidden=4,
                   seed=seed)

@@ -394,3 +394,88 @@ class TestGenData:
         assert flags.size == train.n
         # 40% flip noise on 200 samples, minus the held-out clean metadata
         assert 0.3 < flags.mean() < 0.55
+
+    def test_subpop_meta_csv_has_no_group_column(self, tmp_path):
+        text = ("[run]\nscenario = subpop\n[data]\nn_train = 200\n"
+                "n_test = 40\nmeta_size = 20\n[training]\nt1 = 2\nt2 = 4\n")
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", write_ini(tmp_path, text),
+                     "--output", str(out)]) == 0
+        header = (out / "meta.csv").read_text().splitlines()[0]
+        assert header == "f0,f1,f2,f3,label"
+        assert load_csv(out / "train.csv").group_ids is not None
+
+
+class TestUnusableInput:
+    """An output path that is or lies under a file, or a negative `verify`
+    seed, exits 2 with a message and no traceback, before any training."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused verb trained or verified")
+
+        monkeypatch.setattr(advaug.cli, "train", refuse)
+        monkeypatch.setattr(advaug.cli, "run_all", refuse)
+
+    @pytest.fixture
+    def blocker(self, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("x")
+        return path
+
+    def refused(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    def test_run_output_is_a_file(self, tmp_path, capsys, blocker):
+        cfg = write_ini(tmp_path, TINY)
+        err = self.refused(capsys, ["run", "--config", cfg,
+                                    "--output", str(blocker)])
+        assert "File exists" in err
+        assert blocker.read_text() == "x"
+
+    def test_run_output_under_a_file(self, tmp_path, capsys, blocker):
+        cfg = write_ini(tmp_path, TINY)
+        err = self.refused(capsys, ["run", "--config", cfg,
+                                    "--output", str(blocker / "out")])
+        assert "Not a directory" in err
+
+    def test_sweep_output_is_a_file(self, tmp_path, capsys, blocker):
+        self.refused(capsys, ["sweep", "--config", write_ini(tmp_path, TINY),
+                              "--output", str(blocker)])
+
+    def test_sweep_makes_every_member_directory_first(self, tmp_path, capsys):
+        root = tmp_path / "sweep"
+        root.mkdir()
+        (root / f"alpha_{ALPHA_GRID[-1]}").write_text("x")
+        self.refused(capsys, ["sweep", "--config", write_ini(tmp_path, TINY),
+                              "--output", str(root)])
+        assert not (root / "sweep_summary.csv").exists()
+
+    def test_gen_data_output_under_a_file(self, tmp_path, capsys, blocker):
+        self.refused(capsys, ["gen-data", "--config", write_ini(tmp_path, TINY),
+                              "--output", str(blocker / "data")])
+        assert blocker.read_text() == "x"
+
+    def test_compare_output_under_a_file(self, tmp_path, capsys, blocker):
+        for name in ("b", "c"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "summary.json").write_text(json.dumps(
+                {"seed": 0, "accuracy": 0.5, "worst_class_recall": 0.5,
+                 "worst_group_accuracy": None, "test_loss": 1.0}))
+        err = self.refused(capsys, [
+            "compare", "--baseline", str(tmp_path / "b"),
+            "--candidate", str(tmp_path / "c"),
+            "--output", str(blocker / "report.json")])
+        assert "Not a directory" in err
+
+    def test_negative_verify_seed(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--seed", "-1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err
+        assert "Traceback" not in err

@@ -6,7 +6,7 @@ import pytest
 from advaug import autodiff as ad
 from advaug import kernels
 from advaug.autodiff import Tape, Tensor
-from advaug.data import Dataset, MetaDataset
+from advaug.data import Dataset
 from advaug.loss import (adjusted_logits, augmented_ce_loss, base_logits,
                          compute_delta, eps_forward, extract_features,
                          quadratic_terms)
@@ -313,7 +313,8 @@ def lookahead_state(seed, **overrides):
     y = np.array([0, 1, 2, 0, 1, 2])
     ds = Dataset(features=rng.normal(size=(6, 3)), labels=y,
                  class_counts=np.array([2, 2, 2]))
-    md = MetaDataset(features=rng.normal(size=(6, 3)), labels=y.copy())
+    md = Dataset(features=rng.normal(size=(6, 3)), labels=y.copy(),
+                 class_counts=np.array([2, 2, 2]))
     fields = dict(t1=0, t2=10, alpha=0.6, beta=0.7, batch_train=6,
                   batch_meta=6, hidden=(4,), feat_dim=3, perturb_hidden=5,
                   seed=seed)

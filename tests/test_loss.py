@@ -6,7 +6,7 @@ import pytest
 from advaug import autodiff as ad
 from advaug import kernels
 from advaug.autodiff import Tape, Tensor
-from advaug.data import Dataset, MetaDataset
+from advaug.data import Dataset
 from advaug.loss import (adjusted_logits, augmented_ce_loss, base_logits,
                          compute_delta, extract_features, quadratic_terms)
 from advaug.oracles import fd_gradient
@@ -280,10 +280,9 @@ class TestRegularizerTerms:
         labels = np.repeat(np.arange(c), counts)
         ds = Dataset(features=rng.normal(size=(labels.size, width)),
                      labels=labels, class_counts=np.array(counts))
-        md = MetaDataset(features=ds.features, labels=labels)
         cfg = TrainerConfig(t1=0, t2=1, alpha=alpha, beta=beta, hidden=(),
                             feat_dim=width, seed=seed)
-        state = init_state(cfg, ds, md)
+        state = init_state(cfg, ds, ds)
         state.params.load_values([rng.normal(size=(c, width)),
                                   rng.normal(size=c)])
         update_covariance(state.stats, ds.features, labels)

@@ -43,7 +43,6 @@ class TestEvaluate:
         assert out["accuracy"] == pytest.approx(0.75)
         assert out["per_class_recall"][0] == pytest.approx(1.0)
         assert out["per_class_recall"][1] == pytest.approx(0.5)
-        assert out["worst_class_recall"] == pytest.approx(0.5)
         assert math.isnan(out["worst_group_accuracy"])
 
     def test_loss_matches_closed_form(self):
@@ -152,12 +151,29 @@ class TestRunSummary:
     def test_uses_last_row(self):
         log = MetricsLog(2)
         log.append(sample_row(2, epoch=1, acc=0.2))
-        log.append(sample_row(2, epoch=2, acc=0.9))
+        row = sample_row(2, epoch=2, acc=0.9)
+        row["recall_1"] = 0.7
+        log.append(row)
+        log.events.append("iteration 20: an event")
         s = run_summary(log)
         assert s["accuracy"] == pytest.approx(0.9)
-        assert s["worst_class_recall"] == pytest.approx(0.9)
+        assert s["worst_class_recall"] == pytest.approx(0.7)
+        assert s["per_class_recall"] == [0.9, 0.7]
+        assert s["test_loss"] == 0.9
+        assert math.isnan(s["worst_group_accuracy"])
         assert s["epochs"] == 2
+        assert s["events"] == ["iteration 20: an event"]
 
-    def test_empty_log_rejected(self):
-        with pytest.raises(ValueError):
-            run_summary(MetricsLog(2))
+    def test_empty_log_gives_nan_figures(self):
+        """A run that aborts before its first epoch row still gets every
+        figure: 0 epochs and nan, with its events."""
+        log = MetricsLog(3)
+        log.events.append("iteration 1: an event")
+        s = run_summary(log)
+        assert s["epochs"] == 0
+        for key in ("accuracy", "worst_class_recall", "worst_group_accuracy",
+                    "test_loss"):
+            assert math.isnan(s[key]), key
+        assert len(s["per_class_recall"]) == 3
+        assert all(math.isnan(r) for r in s["per_class_recall"])
+        assert s["events"] == ["iteration 1: an event"]

@@ -1,0 +1,126 @@
+"""Seeded fuzz of the running-state invariants of `training.train`.
+
+Each random configuration has 2-5 classes of 1-40 rows, t2 <= 30, random
+widths, frozen or learned perturbations, full or diagonal covariances and
+a meta set smaller than one meta batch.  It trains three arms, full, plain
+CE (t1 = t2) and alpha = 0, and the train batches are recorded as
+`sample_train_batch` draws them.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import advaug.training
+from advaug.data import Dataset
+from advaug.training import TrainerConfig, train
+
+CONFIGS = 60
+SKIP = "non-finite perturbation-net hypergradient, update skipped"
+
+
+def random_case(rng):
+    num_classes = int(rng.integers(2, 6))
+    sizes = rng.integers(1, 41, size=num_classes)
+    labels = rng.permutation(np.repeat(np.arange(num_classes), sizes))
+    dim = int(rng.integers(2, 7))
+    data = Dataset(rng.normal(size=(labels.size, dim)) + labels[:, None],
+                   labels, sizes)
+    batch_meta = int(rng.integers(2, 17))
+    meta_labels = rng.integers(0, num_classes,
+                               size=int(rng.integers(1, batch_meta)))
+    meta = Dataset(rng.normal(size=(meta_labels.size, dim)), meta_labels,
+                   np.bincount(meta_labels, minlength=num_classes))
+    t2 = int(rng.integers(1, 31))
+    hidden = rng.integers(1, 9, size=int(rng.integers(0, 3)))
+    config = TrainerConfig(
+        t1=int(rng.integers(0, t2 + 1)), t2=t2,
+        batch_train=int(rng.integers(1, 33)), batch_meta=batch_meta,
+        hidden=tuple(int(w) for w in hidden),
+        feat_dim=int(rng.integers(1, 7)),
+        perturb_hidden=int(rng.integers(1, 9)),
+        freeze_eps=bool(rng.integers(2)),
+        diagonal_sigma=bool(rng.integers(2)),
+        seed=int(rng.integers(2**31)))
+    return config, data, meta
+
+
+def recorded_run(config, data, meta):
+    """The final state of one training run and its train batches."""
+    batches = []
+    draw = advaug.training.sample_train_batch
+
+    def recording(state):
+        batches.append(draw(state))
+        return batches[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(advaug.training, "sample_train_batch", recording)
+        state, _ = train(config, data, meta)
+    return state, batches
+
+
+@pytest.fixture(scope="module")
+def runs():
+    rng = np.random.default_rng(2024)
+    out = []
+    for _ in range(CONFIGS):
+        config, data, meta = random_case(rng)
+        arms = {name: recorded_run(replace(config, **change), data, meta)
+                for name, change in (("full", {}), ("ce", {"t1": config.t2}),
+                                     ("alpha0", {"alpha": 0.0}))}
+        out.append((config, data, arms))
+    return out
+
+
+def each_arm(runs):
+    for k, (config, data, arms) in enumerate(runs):
+        for name, (state, batches) in arms.items():
+            yield f"config {k}, {name} arm", data, state, batches
+
+
+def test_class_counts_equal_the_rows_observed(runs):
+    for where, data, state, batches in each_arm(runs):
+        observed = np.bincount(data.labels[np.concatenate(batches)],
+                               minlength=data.num_classes)
+        assert state.stats.counts.tolist() == observed.tolist(), where
+
+
+def test_scatter_of_an_unobserved_class_is_positive_zero(runs):
+    unobserved = 0
+    for where, data, state, batches in each_arm(runs):
+        observed = np.bincount(data.labels[np.concatenate(batches)],
+                               minlength=data.num_classes)
+        for c in np.flatnonzero(observed == 0):
+            scatter = state.stats.scatter[c]
+            assert (scatter == 0.0).all() and not np.signbit(scatter).any(), \
+                f"{where}, class {c}"
+            unobserved += 1
+    assert unobserved > 0, "no configuration left a class out of every batch"
+
+
+def test_adam_steps_and_skips_add_up_to_the_meta_iterations(runs):
+    for where, _, state, _ in each_arm(runs):
+        config = state.config
+        skips = sum(SKIP in event for event in state.events)
+        meta_iterations = 0 if config.freeze_eps else config.t2 - config.t1
+        assert state.adam.t + skips == meta_iterations, where
+
+
+def test_history_seen_is_the_union_of_the_batches(runs):
+    for where, data, state, batches in each_arm(runs):
+        expected = np.zeros(data.n, dtype=bool)
+        expected[np.concatenate(batches)] = True
+        assert (state.history.seen == expected).all(), where
+
+
+def test_every_arm_draws_the_same_train_batches(runs):
+    for k, (config, _, arms) in enumerate(runs):
+        full = arms["full"][1]
+        assert len(full) == config.t2, f"config {k}"
+        for name in ("ce", "alpha0"):
+            other = arms[name][1]
+            assert len(other) == len(full), f"config {k}, {name} arm"
+            assert all((a == b).all() for a, b in zip(full, other)), \
+                f"config {k}, {name} arm"

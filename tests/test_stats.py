@@ -5,8 +5,9 @@ import copy
 import numpy as np
 import pytest
 
-from advaug.stats import (ClassStats, cholesky_with_jitter, class_priors,
-                          project_diagonal, project_psd, update_covariance)
+from advaug.oracles import cholesky_with_jitter
+from advaug.stats import (ClassStats, class_priors, project_diagonal,
+                          project_psd, update_covariance)
 
 
 def population_cov(x):

@@ -14,7 +14,7 @@ import advaug.autodiff
 from advaug.characteristics import BatchView, History, extract
 from advaug.classifier import ce_grad_wrt_features, flatten
 from advaug.config import parse_config
-from advaug.data import BlobGeometry, Dataset, MetaDataset, make_balanced, make_longtail
+from advaug.data import BlobGeometry, Dataset, make_balanced, make_longtail
 from advaug import kernels, training
 from advaug.scenarios import build_scenario
 from advaug.stats import class_priors, project_psd
@@ -49,7 +49,7 @@ def tiny_setup(alpha=0.5, beta=1.0, eta1=0.05, eta2=1e-3, freeze_eps=False,
     ds = Dataset(features=x, labels=y, class_counts=np.array([2, 2]))
     mx = rng.normal(size=(4, 2))
     my = np.array([0, 0, 1, 1])
-    md = MetaDataset(features=mx, labels=my)
+    md = Dataset(features=mx, labels=my, class_counts=np.array([2, 2]))
     cfg = TrainerConfig(t1=0, t2=10, eta1=eta1, eta2=eta2, alpha=alpha,
                         beta=beta, batch_train=4, batch_meta=4, hidden=(),
                         feat_dim=2, perturb_hidden=4, freeze_eps=freeze_eps,
@@ -348,8 +348,8 @@ class TestMetaUpdates:
         ds = Dataset(features=rng.normal(size=(6, 2)),
                      labels=np.array([0, 1, 0, 1, 0, 2]),
                      class_counts=np.array([3, 2, 1]))
-        md = MetaDataset(features=rng.normal(size=(3, 2)),
-                         labels=np.array([0, 1, 2]))
+        md = Dataset(features=rng.normal(size=(3, 2)),
+                     labels=np.array([0, 1, 2]), class_counts=np.ones(3, int))
         cfg = TrainerConfig(t1=0, t2=10, alpha=0.6, batch_train=4,
                             batch_meta=3, hidden=(), feat_dim=2,
                             perturb_hidden=4, seed=0)
@@ -370,8 +370,8 @@ class TestMetaUpdates:
         ds = Dataset(features=rng.normal(size=(6, 2)),
                      labels=np.array([0, 1, 2, 0, 1, 2]),
                      class_counts=np.array([2, 2, 2]))
-        md = MetaDataset(features=rng.normal(size=(3, 2)),
-                         labels=np.array([0, 1, 2]))
+        md = Dataset(features=rng.normal(size=(3, 2)),
+                     labels=np.array([0, 1, 2]), class_counts=np.ones(3, int))
         cfg = TrainerConfig(t1=0, t2=10, alpha=0.6, batch_train=6,
                             batch_meta=3, hidden=(), feat_dim=2,
                             perturb_hidden=4, seed=0)
@@ -448,8 +448,8 @@ class TestMetaUpdates:
         ds = Dataset(features=rng.normal(size=(6, 2)),
                      labels=np.array([2, 1, 0, 2, 1, 0]),
                      class_counts=np.array([2, 2, 2]))
-        md = MetaDataset(features=rng.normal(size=(3, 2)),
-                         labels=np.array([0, 1, 2]))
+        md = Dataset(features=rng.normal(size=(3, 2)),
+                     labels=np.array([0, 1, 2]), class_counts=np.ones(3, int))
         cfg = TrainerConfig(t1=0, t2=10, eta2=2.0, alpha=0.6, batch_train=6,
                             batch_meta=3, hidden=(), feat_dim=2,
                             perturb_hidden=4, diagonal_sigma=diagonal, seed=0)
@@ -614,8 +614,7 @@ class TestTrajectories:
                            imbalance_ratio=5, dim=3, geometry=geom)
         meta = make_balanced(seed=7, num_classes=3, per_class=4, dim=3,
                              geometry=geom)
-        md = MetaDataset(features=meta.features, labels=meta.labels)
-        return ds, md
+        return ds, meta
 
     def test_frozen_eps_alpha_zero_matches_logit_adjusted_sgd(self):
         ds, md = self.make_problem()
@@ -788,8 +787,9 @@ class TestStateInit:
         ds = Dataset(features=rng.normal(size=(4, 3)),
                      labels=np.array([0, 1, 0, 1]),
                      class_counts=np.array([2, 2]))
-        md = MetaDataset(features=rng.normal(size=(4, 2)),
-                         labels=np.array([0, 0, 1, 1]))
+        md = Dataset(features=rng.normal(size=(4, 2)),
+                     labels=np.array([0, 0, 1, 1]),
+                     class_counts=np.array([2, 2]))
         cfg = TrainerConfig(t1=0, t2=4, hidden=(), feat_dim=3)
         with pytest.raises(ValueError):
             init_state(cfg, ds, md)
@@ -839,8 +839,9 @@ def full_set_state(diagonal_sigma=True, freeze_eps=False):
     y = rng.integers(0, 3, size=n)
     ds = Dataset(features=rng.normal(size=(n, 4)) + y[:, None], labels=y,
                  class_counts=np.bincount(y, minlength=3))
-    md = MetaDataset(features=rng.normal(size=(6, 4)),
-                     labels=np.array([0, 1, 2, 0, 1, 2]))
+    md = Dataset(features=rng.normal(size=(6, 4)),
+                 labels=np.array([0, 1, 2, 0, 1, 2]),
+                 class_counts=np.array([2, 2, 2]))
     cfg = TrainerConfig(t1=2, t2=10, batch_train=32, batch_meta=6,
                         hidden=(8,), feat_dim=5, perturb_hidden=6,
                         diagonal_sigma=diagonal_sigma, freeze_eps=freeze_eps,
