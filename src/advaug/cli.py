@@ -16,8 +16,10 @@ validated `TrainerConfig`, which trains it.  Exit codes: 0 success,
 (non-finite numbers, a negative `verify` seed, an output path that is or lies
 under a file) before any training, 3 numerical abort during training (its
 run directory still gets the epoch rows logged before the abort and a
-summary that names it).  Relative output directories are resolved under
-$ADVAUG_OUTPUT_ROOT (default: current directory) and made before training.
+summary that names it), 130 interrupted during training (the same, the
+summary's `interrupted` field being the iteration; a sweep stops there).
+Relative output directories are resolved under $ADVAUG_OUTPUT_ROOT
+(default: current directory) and made before training.
 """
 
 from __future__ import annotations
@@ -89,36 +91,43 @@ def _execute_run(cfg: RunConfig, data: ScenarioData,
     the existing directory `out_dir`.
 
     The summary is the run's identity plus `metrics.run_summary` of its log.
-    A numerical abort still writes the epoch rows logged before it and a
-    summary of them, whose `aborted` field names the stage, the iteration
-    and the loss; it writes no checkpoints.
+    A numerical abort or an interrupt in the training loop still writes the
+    epoch rows logged before it and a summary of them, whose `aborted` field
+    names the stage, the iteration and the loss, or whose `interrupted`
+    field is the iteration; neither writes checkpoints.
     """
-    abort = None
+    stop = None
     try:
         # Divergence is reported once via the exit code; the overflow
         # warnings numpy emits on the way down would only add noise.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             state, log = train(cfg.trainer, data.train, data.meta,
                                eval_data=data.test)
-    except NumericalAbort as exc:
-        abort, log = exc, exc.log
+    except (NumericalAbort, KeyboardInterrupt) as exc:
+        if not hasattr(exc, "log"):  # interrupted outside the loop
+            raise
+        stop, log = exc, exc.log
 
     log.write_csv(str(out_dir / "metrics.csv"))
     write_resolved(cfg, str(out_dir / "resolved_config.ini"))
-    if abort is None:
+    if stop is None:
         save_checkpoint(state.params, str(out_dir / "classifier.npz"))
         save_checkpoint(state.perturb, str(out_dir / "perturb_net.npz"))
     summary = {"scenario": cfg.scenario, "seed": cfg.seed,
                "alpha": cfg.trainer.alpha, "beta": cfg.trainer.beta,
                "t1": cfg.trainer.t1, "t2": cfg.trainer.t2,
                **run_summary(log)}
-    if abort is not None:
-        summary["aborted"] = {"stage": abort.stage,
-                              "iteration": abort.iteration,
-                              "value": str(abort.value)}
+    if isinstance(stop, KeyboardInterrupt):
+        summary["interrupted"] = stop.iteration
+        code, message = 130, f"interrupted at iteration {stop.iteration}"
+    elif stop is not None:
+        summary["aborted"] = {"stage": stop.stage,
+                              "iteration": stop.iteration,
+                              "value": str(stop.value)}
+        code, message = 3, f"numerical abort: {stop}"
     _write_json(summary, out_dir / "summary.json")
-    if abort is not None:
-        return _fail(f"numerical abort: {abort}", 3), None
+    if stop is not None:
+        return _fail(message, code), None
     return 0, summary
 
 
@@ -184,6 +193,8 @@ def _load_summaries(dirs) -> dict[int, dict]:
             summary = json.load(fh)
         if "aborted" in summary:
             raise ValueError(f"{d} holds an aborted run")
+        if "interrupted" in summary:
+            raise ValueError(f"{d} holds an interrupted run")
         seed = summary["seed"]
         if seed in out:
             raise ValueError(f"duplicate seed {seed} in {d}")

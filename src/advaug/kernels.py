@@ -275,15 +275,29 @@ def cross_entropy(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
                   masks: list[np.ndarray] | None = None) -> ClassifierPass:
     """Mean CE of the logits (h + delta) W^T + b + offset against y.
 
-    `acts` are as in `forward`, `masks` their `relu_masks`, built here when
-    not given.
+    The front of the pass: the forward and the softmax; `cross_entropy_tail`
+    takes the value and the gradient from them. A caller that holds the
+    logits of x at phi, with their softmax, calls the tail alone. `acts` are
+    as in `forward`, `masks` their `relu_masks`, built when not given.
     """
     acts, feats, z = forward(phi, x, delta, offset, acts)
+    q, lse = softmax_lse(z)
+    return cross_entropy_tail(phi, y, acts, feats, z, q, lse, masks)
+
+
+def cross_entropy_tail(phi: list[np.ndarray], y: np.ndarray,
+                       acts: list[np.ndarray], feats: np.ndarray,
+                       z: np.ndarray, q: np.ndarray, lse: np.ndarray,
+                       masks: list[np.ndarray] | None = None
+                       ) -> ClassifierPass:
+    """The value and gradient of the mean CE of logits z against y, given
+    the `forward` (acts, feats, z) that made them and their `softmax_lse`
+    (q, lse); the gradient tail of every CE and surrogate pass. Only reads
+    its inputs."""
     if masks is None:
         masks = relu_masks(acts)
     n = y.size
     label = np.arange(0, z.size, z.shape[1]) + y  # flat index of z[i, y_i]
-    q, lse = softmax_lse(z)
     value = float(np.add.reduce(lse - z.take(label)) / n)
     g = q.copy()
     g.ravel()[label] -= 1.0

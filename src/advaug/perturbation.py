@@ -18,7 +18,9 @@ class PerturbNetParams(FlatParams):
 
 
 def init_perturb_net(hidden: int = 100, seed: int = 0) -> PerturbNetParams:
-    """Layer 1 small random, layer 2 zero: training starts at eps == 0."""
+    """Layer 1 small random, layer 2 zero: training starts at eps == +0.0,
+    and `training.full_train_eps` builds no characteristics until the first
+    meta step moves layer 2."""
     rng = np.random.default_rng(seed)
     w1 = rng.normal(scale=0.1, size=(NUM_CHARACTERISTICS, hidden))
     return PerturbNetParams([w1, np.zeros(hidden), np.zeros((hidden, 1)),

@@ -28,10 +28,13 @@ Each meta iteration runs four stages:
 
 Iterations up to the warm-up horizon use plain cross-entropy instead; their
 observation updates the statistics and the history but normalizes no
-characteristics, since nothing in a warm-up step reads them. The
-per-epoch diagnostics and evaluation run the same kernel forward, the
+characteristics, since nothing in a warm-up step reads them, and its
+forward and softmax are the ones the step's loss takes its gradient from.
+The per-epoch diagnostics and evaluation run the same kernel forward, the
 diagnostics over the whole training set in row blocks, each of which writes
-its rows of one characteristics table; no stage records a tape op.
+its rows of one characteristics table; while the perturbation net still
+outputs zero (frozen, or before its first meta step) the diagnostics build
+no characteristics at all. No stage records a tape op.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class NumericalAbort(RuntimeError):
     """Raised when a training loss becomes non-finite.
 
     Names the stage, the iteration and the loss; `train` attaches the log
-    of the epochs finished before it as `log`.
+    of the epochs finished before it as `log`, as it does to an interrupt.
     """
 
     def __init__(self, stage: str, iteration: int, value: float):
@@ -227,7 +230,9 @@ class Observation(NamedTuple):
     """What the batch observation hands to the classifier steps of its
     iteration, which run at the same classifier parameters."""
 
-    grad_h: np.ndarray  # n x H detached CE gradient w.r.t. the features
+    # the batch's labels, logits, their softmax and the detached CE
+    # gradient w.r.t. the features (view.grad_h)
+    view: BatchView
     acts: list[np.ndarray]  # extractor activations; acts[0] = x, acts[-1] = h
     # Meta path only (None in a warm-up step):
     characteristics: np.ndarray | None  # n x 15, normalized
@@ -310,13 +315,13 @@ def _observe_batch(state: MetaState, batch_idx: np.ndarray,
                    meta: bool = True) -> Observation:
     """Update running stats/EMAs from the batch forward.
 
-    Returns the per-sample CE gradients w.r.t. features and the extractor
-    activations, valid until the classifier steps. For a meta iteration
-    (`meta`) it also returns the normalized characteristics the
-    perturbation net reads, the gradients' signs, and the differences of
-    the head W and the ReLU masks of the activations, which the
-    iteration's surrogate and hypergradient kernels share; a warm-up step
-    reads none of them, so none is built.
+    Returns the batch view (labels, logits, softmax and the per-sample CE
+    gradients w.r.t. features) and the extractor activations, valid until
+    the classifier steps. For a meta iteration (`meta`) it also returns the
+    normalized characteristics the perturbation net reads, the gradients'
+    signs, and the differences of the head W and the ReLU masks of the
+    activations, which the iteration's surrogate and hypergradient kernels
+    share; a warm-up step reads none of them, so none is built.
     """
     view, acts = _batch_view(state, batch_idx)
     update_covariance(state.stats, view.h, view.labels)
@@ -326,8 +331,8 @@ def _observe_batch(state: MetaState, batch_idx: np.ndarray,
     update_history(state.history, batch_idx, raw)
     state.last_batch = (batch_idx, view.grad_h)
     if not meta:
-        return Observation(view.grad_h, acts, None, None, None, None)
-    return Observation(view.grad_h, acts, characteristics,
+        return Observation(view, acts, None, None, None, None)
+    return Observation(view, acts, characteristics,
                        np.sign(view.grad_h),
                        kernels.differences(state.params.head_w),
                        kernels.relu_masks(acts))
@@ -339,11 +344,15 @@ def _check_finite_loss(state: MetaState, loss: float, stage: str) -> None:
 
 
 def warmup_step(state: MetaState, batch_idx: np.ndarray) -> None:
-    """One plain cross-entropy step (also used for the CE baseline)."""
-    obs = _observe_batch(state, batch_idx, meta=False)
-    train = kernels.cross_entropy(state.params.arrays(), obs.acts[0],
-                                  state.dataset.labels[batch_idx],
-                                  acts=obs.acts)
+    """One plain cross-entropy step (also used for the CE baseline).
+
+    The observation's forward and softmax ran at the step's parameters, so
+    the loss takes its gradient from them.
+    """
+    view, acts = _observe_batch(state, batch_idx, meta=False)[:2]
+    train = kernels.cross_entropy_tail(state.params.arrays(), view.labels,
+                                       acts, view.h, view.logits, view.q,
+                                       view.lse)
     _check_finite_loss(state, train.value, "warm-up")
     state.sgd.step(flatten(train.grads), learning_rate(state.config, state.t))
     state.last_train_loss = train.value
@@ -492,11 +501,18 @@ def full_train_eps(state: MetaState) -> np.ndarray:
 
     No EMA update; used for per-epoch diagnostics. The characteristics are
     normalized and run through the net in row blocks.
+
+    Frozen perturbations are zero, and so is the net's output while its
+    output weights and bias are zero, as `init_perturb_net` leaves them
+    until the first meta step: tanh(hidden w2 + b2) is +0.0 on every row
+    whose hidden activations are finite. Then no characteristics are built;
+    a row whose characteristics are not finite reads 0.0 here, where the net
+    would give nan.
     """
-    if state.config.freeze_eps:
+    omega = state.perturb.arrays()
+    if state.config.freeze_eps or not (omega[2].any() or omega[3].any()):
         return np.zeros(state.dataset.n)
     raw = full_train_characteristics(state)
-    omega = state.perturb.arrays()
     eps = np.empty(state.dataset.n)
     for rows in kernels.row_blocks(state.dataset.n):
         eps[rows] = kernels.eps_forward(
@@ -571,7 +587,9 @@ def train(config: TrainerConfig, dataset: Dataset, metadata: Dataset,
           eval_data: Dataset | None = None) -> tuple[MetaState, MetricsLog]:
     """Run the full schedule: warm-up then meta iterations, logged per epoch.
 
-    A NumericalAbort carries the log of the epochs finished before it.
+    A NumericalAbort or a KeyboardInterrupt in the loop carries the log of
+    the epochs finished before it as `log`; an interrupt also carries its
+    iteration as `iteration`, as an abort does.
     """
     state = init_state(config, dataset, metadata)
     log = MetricsLog(dataset.num_classes)
@@ -591,8 +609,8 @@ def train(config: TrainerConfig, dataset: Dataset, metadata: Dataset,
             if t % iters_per_epoch == 0 or t == config.t2:
                 epoch += 1
                 log.append(_epoch_row(state, epoch, phase, eval_data))
-    except NumericalAbort as exc:
-        exc.log = log
+    except (NumericalAbort, KeyboardInterrupt) as exc:
+        exc.log, exc.iteration = log, state.t
         raise
     finally:
         log.events.extend(state.events)

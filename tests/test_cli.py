@@ -7,6 +7,7 @@ import pytest
 
 import advaug.cli
 import advaug.kernels
+import advaug.training
 from advaug.cli import ALPHA_GRID, main
 from advaug.data import load_csv
 from advaug.metrics import MetricsLog
@@ -131,6 +132,79 @@ class TestRun:
         assert summary["epochs"] == 0
         assert summary["accuracy"] is None
         assert summary["per_class_recall"] == [None] * 5
+
+
+class TestInterrupt:
+    """A KeyboardInterrupt in training, raised from the k-th epoch row."""
+
+    @staticmethod
+    def interrupt_at(monkeypatch, k):
+        epoch_row = advaug.training._epoch_row
+
+        def raising(state, epoch, phase, eval_data):
+            if epoch == k:
+                raise KeyboardInterrupt
+            return epoch_row(state, epoch, phase, eval_data)
+
+        monkeypatch.setattr(advaug.training, "_epoch_row", raising)
+
+    @staticmethod
+    def main(argv):
+        """`main`, failing the test if the interrupt escapes it."""
+        try:
+            return main(argv)
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped main")
+
+    def test_run_writes_the_rows_logged_before_it(self, tmp_path, capsys,
+                                                 monkeypatch):
+        cfg = write_ini(tmp_path, TINY)
+        whole = tmp_path / "whole"
+        assert main(["run", "--config", cfg, "--output", str(whole)]) == 0
+        self.interrupt_at(monkeypatch, 3)
+        out = tmp_path / "o"
+        assert self.main(["run", "--config", cfg, "--output", str(out)]) == 130
+        rows = MetricsLog.read_csv(str(whole / "metrics.csv")).rows
+        lines = (whole / "metrics.csv").read_text().splitlines(True)
+        assert (out / "metrics.csv").read_text() == "".join(lines[:3])
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["interrupted"] == rows[2]["iteration"]
+        assert "aborted" not in summary
+        assert summary["epochs"] == 2
+        assert summary["accuracy"] == rows[1]["test_accuracy"]
+        assert ((out / "resolved_config.ini").read_bytes()
+                == (whole / "resolved_config.ini").read_bytes())
+        assert not (out / "classifier.npz").exists()
+        assert not (out / "perturb_net.npz").exists()
+        err = capsys.readouterr().err
+        assert f"interrupted at iteration {rows[2]['iteration']}" in err
+
+    def test_sweep_stops_with_130(self, tmp_path, capsys, monkeypatch):
+        self.interrupt_at(monkeypatch, 1)
+        cfg = write_ini(tmp_path, TINY)
+        root = tmp_path / "sweep"
+        assert self.main(["sweep", "--config", cfg,
+                          "--output", str(root)]) == 130
+        lines = (root / "sweep_summary.csv").read_text().strip().splitlines()
+        assert lines == ["alpha,accuracy,worst_class_recall,test_loss"]
+        summary = json.loads(
+            (root / f"alpha_{ALPHA_GRID[0]}" / "summary.json").read_text())
+        assert summary["epochs"] == 0 and summary["interrupted"] > 0
+        assert not (root / f"alpha_{ALPHA_GRID[1]}" / "summary.json").exists()
+        assert (f"alpha {ALPHA_GRID[0]} (exit 130)"
+                in capsys.readouterr().err)
+
+    def test_compare_refuses_an_interrupted_run(self, tmp_path, capsys,
+                                                monkeypatch):
+        cfg = write_ini(tmp_path, TINY)
+        whole, cut = str(tmp_path / "whole"), str(tmp_path / "cut")
+        assert main(["run", "--config", cfg, "--output", whole]) == 0
+        self.interrupt_at(monkeypatch, 2)
+        assert self.main(["run", "--config", cfg, "--output", cut]) == 130
+        capsys.readouterr()
+        assert main(["compare", "--baseline", whole,
+                     "--candidate", cut]) == 2
+        assert "cut holds an interrupted run" in capsys.readouterr().err
 
 
 def write_table(path, labels, width, seed=0):

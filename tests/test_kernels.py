@@ -379,7 +379,7 @@ def test_hypergradient_matches_reverse_over_reverse(case):
     obs = _observe_batch(state, batch)
     ours = lookahead_meta_loss(state, batch, meta_idx, obs)
     value, omega_grads, sigma_grad = taped_lookahead(
-        state, batch, meta_idx, obs.characteristics, obs.grad_h)
+        state, batch, meta_idx, obs.characteristics, obs.view.grad_h)
     if state.stats.diagonal:
         sigma_grad = np.diagonal(sigma_grad, axis1=1, axis2=2)
     assert rel_err(ours.meta_loss, value) < TOL

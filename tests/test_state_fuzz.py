@@ -4,7 +4,10 @@ Each random configuration has 2-5 classes of 1-40 rows, t2 <= 30, random
 widths, frozen or learned perturbations, full or diagonal covariances and
 a meta set smaller than one meta batch.  It trains three arms, full, plain
 CE (t1 = t2) and alpha = 0, and the train batches are recorded as
-`sample_train_batch` draws them.
+`sample_train_batch` draws them.  The last configurations have a class of
+one row, and their train and meta sets are read back through
+`data.load_csv`, as a custom-csv run reads them.  Configurations with a
+large `eta1` check the rows an aborted run logged.
 """
 
 from dataclasses import replace
@@ -13,16 +16,20 @@ import numpy as np
 import pytest
 
 import advaug.training
-from advaug.data import Dataset
-from advaug.training import TrainerConfig, train
+from advaug.data import Dataset, load_csv, save_csv
+from advaug.training import NumericalAbort, TrainerConfig, train
 
 CONFIGS = 60
+CSV_CONFIGS = 10
+ABORT_CONFIGS = 40
 SKIP = "non-finite perturbation-net hypergradient, update skipped"
 
 
-def random_case(rng):
+def random_case(rng, one_row_class=False):
     num_classes = int(rng.integers(2, 6))
     sizes = rng.integers(1, 41, size=num_classes)
+    if one_row_class:
+        sizes[rng.integers(num_classes)] = 1
     labels = rng.permutation(np.repeat(np.arange(num_classes), sizes))
     dim = int(rng.integers(2, 7))
     data = Dataset(rng.normal(size=(labels.size, dim)) + labels[:, None],
@@ -61,12 +68,22 @@ def recorded_run(config, data, meta):
     return state, batches
 
 
+def through_csv(dataset, path):
+    save_csv(dataset, path)
+    return load_csv(path)
+
+
 @pytest.fixture(scope="module")
-def runs():
+def runs(tmp_path_factory):
     rng = np.random.default_rng(2024)
     out = []
-    for _ in range(CONFIGS):
-        config, data, meta = random_case(rng)
+    for k in range(CONFIGS + CSV_CONFIGS):
+        config, data, meta = random_case(rng, one_row_class=k >= CONFIGS)
+        if k >= CONFIGS:
+            directory = tmp_path_factory.mktemp(f"config{k}")
+            data = through_csv(data, directory / "train.csv")
+            meta = through_csv(meta, directory / "meta.csv")
+            assert 1 in data.class_counts
         arms = {name: recorded_run(replace(config, **change), data, meta)
                 for name, change in (("full", {}), ("ce", {"t1": config.t2}),
                                      ("alpha0", {"alpha": 0.0}))}
@@ -124,3 +141,24 @@ def test_every_arm_draws_the_same_train_batches(runs):
             assert len(other) == len(full), f"config {k}, {name} arm"
             assert all((a == b).all() for a, b in zip(full, other)), \
                 f"config {k}, {name} arm"
+
+
+def test_an_abort_logs_the_epoch_rows_that_ended_before_it():
+    rng = np.random.default_rng(11)
+    aborted_after_a_row = aborted_before_any = 0
+    for k in range(ABORT_CONFIGS):
+        config, data, meta = random_case(rng)
+        config = replace(config, eta1=float(10.0 ** rng.integers(1, 6)))
+        try:
+            with np.errstate(all="ignore"):
+                train(config, data, meta)
+        except NumericalAbort as exc:
+            every = max(1, round(data.n / config.batch_train))
+            ended = list(range(every, exc.iteration, every))
+            rows = exc.log.rows
+            assert [row["iteration"] for row in rows] == ended, f"config {k}"
+            assert [row["epoch"] for row in rows] == \
+                list(range(1, len(ended) + 1)), f"config {k}"
+            aborted_after_a_row += bool(rows)
+            aborted_before_any += not rows
+    assert aborted_after_a_row and aborted_before_any

@@ -228,7 +228,7 @@ class TestLookahead:
 
         obs = _observe_batch(state, np.arange(4))
         ahead = lookahead_meta_loss(state, np.arange(4), np.arange(4), obs)
-        f, grad_h = obs.characteristics, obs.grad_h
+        f, grad_h = obs.characteristics, obs.view.grad_h
 
         # Independent scripted computation with explicit loops.
         ov = state.perturb.arrays()
@@ -635,9 +635,12 @@ class TestTrajectories:
         state, log = train(cfg, ds, md)
         assert all(row["phase"] == "warmup" for row in log.rows)
         assert not log.events
-        # No meta machinery ran: the perturbation net still outputs zero
-        assert all(row[f"mean_eps_{c}"] == 0.0 for row in log.rows
-                   for c in range(3))
+        # No meta machinery ran: the perturbation net still outputs +0.0
+        assert len(log.rows) > 1
+        columns = [f"{name}_{c}" for name in ("mean_eps", "adv_ratio")
+                   for c in range(3)]
+        values = np.array([[row[k] for k in columns] for row in log.rows])
+        assert (values == 0.0).all() and not np.signbit(values).any()
 
     def test_training_is_reproducible(self):
         ds, md = self.make_problem()
@@ -673,8 +676,9 @@ class TestTrajectories:
     def test_normalize_runs_once_per_meta_iteration_and_epoch_block(
             self, monkeypatch):
         # A warm-up step reads no characteristics, so it normalizes none; a
-        # meta iteration normalizes its batch once, and an epoch row each
-        # row block of the training set once.
+        # meta iteration normalizes its batch once. An epoch row of the
+        # warm-up, where the net still outputs zero, normalizes none, and
+        # one of the meta phase each row block of the training set once.
         monkeypatch.setattr(kernels, "BLOCK_ROWS", 8)
         stage, calls = ["train"], []
         normalize = History.normalize
@@ -707,8 +711,10 @@ class TestTrajectories:
         assert {row["phase"] for row in log.rows} == {"warmup", "meta"}
         assert (sum(stage == "meta_iteration" for stage, _ in calls)
                 == cfg.t2 - cfg.t1)
+        meta_rows = sum(row["phase"] == "meta" for row in log.rows)
+        assert 0 < meta_rows < len(log.rows)
         assert ([rows for stage, rows in calls if stage == "_epoch_row"]
-                == blocks * len(log.rows))
+                == blocks * meta_rows)
         assert {stage for stage, _ in calls} == {"meta_iteration",
                                                  "_epoch_row"}
         # the cached scale travels with a copy of the state
@@ -913,6 +919,21 @@ class TestFullTrainEps:
         assert rank[-1] == 0.5
         assert rank[:-1].min() == 0.0 and rank[:-1].max() == 1.0
 
+    def test_zero_output_layer_builds_no_characteristics(self, monkeypatch):
+        # With w2 and b2 zero the net outputs +0.0 on every row, so the pass
+        # returns that without building the characteristics.
+        state = full_set_state()
+        for part in state.perturb.arrays()[2:]:
+            part[...] = 0.0
+        ref = whole_set_eps(state)
+        assert (ref == 0.0).all() and not np.signbit(ref).any()
+
+        def refuse(state):
+            raise AssertionError("characteristics built")
+
+        monkeypatch.setattr(training, "full_train_characteristics", refuse)
+        assert full_train_eps(state).tobytes() == ref.tobytes()
+
     def test_frozen_eps_is_zero(self):
         state = full_set_state(freeze_eps=True)
         eps = full_train_eps(state)
@@ -935,12 +956,17 @@ class TestFullTrainEps:
         for t in range(1, 6):
             state.t = t
             warmup_step(state, sample_train_batch(state))
+        # a net that outputs zero skips the pass: give it output weights
+        rng = np.random.default_rng(0)
+        for part in state.perturb.arrays()[2:]:
+            part[...] = rng.normal(scale=0.1, size=part.shape)
         tracemalloc.start()
         try:
-            full_train_eps(state)
+            eps = full_train_eps(state)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert (eps != 0.0).all()
         # 7.46 MB when the pass ran on the whole set at once, 2.56 MB
         # when the blocks built a whole-set view before the table
         assert peak <= 1.6e6
