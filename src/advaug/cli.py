@@ -17,7 +17,9 @@ validated `TrainerConfig`, which trains it.  Exit codes: 0 success,
 under a file) before any training, 3 numerical abort during training (its
 run directory still gets the epoch rows logged before the abort and a
 summary that names it), 130 interrupted during training (the same, the
-summary's `interrupted` field being the iteration; a sweep stops there).
+summary's `interrupted` field being the iteration: 0, with a header-only
+metrics.csv, before the first; a sweep stops there); neither leaves
+checkpoints in the run directory, not even an earlier run's.
 Relative output directories are resolved under $ADVAUG_OUTPUT_ROOT
 (default: current directory) and made before training.
 """
@@ -91,10 +93,11 @@ def _execute_run(cfg: RunConfig, data: ScenarioData,
     the existing directory `out_dir`.
 
     The summary is the run's identity plus `metrics.run_summary` of its log.
-    A numerical abort or an interrupt in the training loop still writes the
-    epoch rows logged before it and a summary of them, whose `aborted` field
-    names the stage, the iteration and the loss, or whose `interrupted`
-    field is the iteration; neither writes checkpoints.
+    A numerical abort or an interrupt in training still writes the epoch
+    rows logged before it (none before the first iteration) and a summary
+    of them, whose `aborted` field names the stage, the iteration and the
+    loss, or whose `interrupted` field is the iteration; neither writes
+    checkpoints, and both remove any that an earlier run left in `out_dir`.
     """
     stop = None
     try:
@@ -104,7 +107,7 @@ def _execute_run(cfg: RunConfig, data: ScenarioData,
             state, log = train(cfg.trainer, data.train, data.meta,
                                eval_data=data.test)
     except (NumericalAbort, KeyboardInterrupt) as exc:
-        if not hasattr(exc, "log"):  # interrupted outside the loop
+        if not hasattr(exc, "log"):  # interrupted outside train
             raise
         stop, log = exc, exc.log
 
@@ -113,6 +116,9 @@ def _execute_run(cfg: RunConfig, data: ScenarioData,
     if stop is None:
         save_checkpoint(state.params, str(out_dir / "classifier.npz"))
         save_checkpoint(state.perturb, str(out_dir / "perturb_net.npz"))
+    else:  # nor keep those an earlier run left in the directory
+        for name in ("classifier.npz", "perturb_net.npz"):
+            (out_dir / name).unlink(missing_ok=True)
     summary = {"scenario": cfg.scenario, "seed": cfg.seed,
                "alpha": cfg.trainer.alpha, "beta": cfg.trainer.beta,
                "t1": cfg.trainer.t1, "t2": cfg.trainer.t2,

@@ -7,7 +7,8 @@ Each meta iteration runs four stages:
    (normalized by the history from before the batch), the gradient signs
    and the extractor activations shared by the two classifier steps below;
    the classifier does not change before the final step, so neither runs
-   the extractor again.
+   the extractor again. Only the observation indexes the training set: the
+   later stages read the batch's labels and input rows from it.
 2. ``lookahead_meta_loss``: the surrogate loss and its gradient (the
    perturbation scale from the perturbation net, the class covariances
    stacked as (C, H, H), or their (C, H) diagonals in diagonal mode), the
@@ -212,7 +213,7 @@ class MetaState:
     meta_rng: np.random.Generator
     t: int = 0
     events: list[str] = field(default_factory=list)
-    last_batch: tuple[np.ndarray, np.ndarray] | None = None
+    last_view: BatchView | None = None  # for the epoch row's _regularizer_row
     last_train_loss: float = math.nan
 
 
@@ -227,8 +228,9 @@ class Lookahead(NamedTuple):
 
 
 class Observation(NamedTuple):
-    """What the batch observation hands to the classifier steps of its
-    iteration, which run at the same classifier parameters."""
+    """What the batch observation hands to the later stages of its
+    iteration, which run at the same classifier parameters: their one
+    source of the batch (labels in `view`, input rows in `acts[0]`)."""
 
     # the batch's labels, logits, their softmax and the detached CE
     # gradient w.r.t. the features (view.grad_h)
@@ -287,9 +289,8 @@ def sample_train_batch(state: MetaState) -> np.ndarray:
 
 
 def sample_meta_batch(state: MetaState) -> np.ndarray:
-    n_meta = state.metadata.features.shape[0]
-    size = min(state.config.batch_meta, n_meta)
-    return state.meta_rng.choice(n_meta, size=size, replace=False)
+    size = min(state.config.batch_meta, state.metadata.n)
+    return state.meta_rng.choice(state.metadata.n, size=size, replace=False)
 
 
 def _batch_view(state: MetaState, ids: np.ndarray
@@ -321,7 +322,8 @@ def _observe_batch(state: MetaState, batch_idx: np.ndarray,
     normalized characteristics the perturbation net reads, the gradients'
     signs, and the differences of the head W and the ReLU masks of the
     activations, which the iteration's surrogate and hypergradient kernels
-    share; a warm-up step reads none of them, so none is built.
+    share; a warm-up step reads none of them, so none is built. The view
+    stays in `last_view` for the epoch row's regularizer split.
     """
     view, acts = _batch_view(state, batch_idx)
     update_covariance(state.stats, view.h, view.labels)
@@ -329,7 +331,7 @@ def _observe_batch(state: MetaState, batch_idx: np.ndarray,
     # normalized by the statistics from before this batch
     characteristics = state.history.normalize(raw) if meta else None
     update_history(state.history, batch_idx, raw)
-    state.last_batch = (batch_idx, view.grad_h)
+    state.last_view = view
     if not meta:
         return Observation(view, acts, None, None, None, None)
     return Observation(view, acts, characteristics,
@@ -358,9 +360,8 @@ def warmup_step(state: MetaState, batch_idx: np.ndarray) -> None:
     state.last_train_loss = train.value
 
 
-def _surrogate(state: MetaState, batch_idx: np.ndarray, obs: Observation
-               ) -> tuple[kernels.ClassifierPass, kernels.PerturbPass | None,
-                          np.ndarray]:
+def _surrogate(state: MetaState, obs: Observation) -> tuple[
+        kernels.ClassifierPass, kernels.PerturbPass | None, np.ndarray]:
     """The surrogate loss pass on the observed batch under the current state.
 
     Returns (pass, perturbation-net pass or None, covariance stack).
@@ -372,15 +373,14 @@ def _surrogate(state: MetaState, batch_idx: np.ndarray, obs: Observation
         delta = net.eps[:, None] * obs.sign
     sigma = state.stats.covariances()
     train = kernels.surrogate(
-        state.params.arrays(), obs.acts[0], state.dataset.labels[batch_idx],
-        delta, sigma, state.shift, cfg.alpha, acts=obs.acts, dw=obs.dw,
-        masks=obs.masks)
+        state.params.arrays(), obs.acts[0], obs.view.labels, delta, sigma,
+        state.shift, cfg.alpha, acts=obs.acts, dw=obs.dw, masks=obs.masks)
     _check_finite_loss(state, train.value, "train")
     return train, net, sigma
 
 
-def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
-                        meta_idx: np.ndarray, obs: Observation) -> Lookahead:
+def lookahead_meta_loss(state: MetaState, obs: Observation,
+                        meta_idx: np.ndarray) -> Lookahead:
     """Meta cross-entropy at the lookahead parameters, and its hypergradients.
 
     The lookahead is phi' = phi - lr * grad_phi(surrogate loss). The
@@ -390,7 +390,7 @@ def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
     """
     cfg = state.config
     lr = learning_rate(cfg, state.t)
-    train, net, sigma = _surrogate(state, batch_idx, obs)
+    train, net, sigma = _surrogate(state, obs)
     phi = state.params.arrays()
     pseudo = state.params.views(state.params.vector
                                 - lr * flatten(train.grads))
@@ -398,8 +398,7 @@ def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
                                  state.metadata.labels[meta_idx])
     _check_finite_loss(state, meta.value, "meta")
     d_delta, d_sigma = kernels.hypergradient(
-        phi, state.dataset.labels[batch_idx], train, meta.grads, sigma,
-        cfg.alpha, obs.dw)
+        phi, obs.view.labels, train, meta.grads, sigma, cfg.alpha, obs.dw)
     omega_grads = None
     if net is not None:
         # delta_i = eps_i * sign(g_i), the sign factor constant
@@ -409,10 +408,9 @@ def lookahead_meta_loss(state: MetaState, batch_idx: np.ndarray,
     return Lookahead(meta.value, pseudo, omega_grads, -lr * d_sigma, sigma)
 
 
-def final_step(state: MetaState, batch_idx: np.ndarray,
-               obs: Observation) -> None:
+def final_step(state: MetaState, obs: Observation) -> None:
     """Real classifier update with refreshed perturbations/covariances."""
-    train, _, _ = _surrogate(state, batch_idx, obs)
+    train, _, _ = _surrogate(state, obs)
     state.sgd.step(flatten(train.grads), learning_rate(state.config, state.t))
     state.last_train_loss = train.value
 
@@ -421,7 +419,7 @@ def meta_iteration(state: MetaState, batch_idx: np.ndarray,
                    meta_idx: np.ndarray) -> None:
     """Observe, look ahead, update omega and Sigma, step the classifier."""
     obs = _observe_batch(state, batch_idx)
-    ahead = lookahead_meta_loss(state, batch_idx, meta_idx, obs)
+    ahead = lookahead_meta_loss(state, obs, meta_idx)
     # Frozen perturbations are zero: the net has no path to the meta loss.
     if ahead.omega_grads is not None:
         omega_grad = flatten(ahead.omega_grads)
@@ -431,11 +429,11 @@ def meta_iteration(state: MetaState, batch_idx: np.ndarray,
             state.events.append(
                 f"iteration {state.t}: non-finite perturbation-net "
                 "hypergradient, update skipped")
-    _step_covariances(state, batch_idx, ahead)
-    final_step(state, batch_idx, obs)
+    _step_covariances(state, obs, ahead)
+    final_step(state, obs)
 
 
-def _step_covariances(state: MetaState, batch_idx: np.ndarray,
+def _step_covariances(state: MetaState, obs: Observation,
                       ahead: Lookahead) -> None:
     """The Sigma step of the classes in the batch, as one stack.
 
@@ -450,7 +448,7 @@ def _step_covariances(state: MetaState, batch_idx: np.ndarray,
     stats = state.stats
     project, name = ((project_diagonal, "project_diagonal") if stats.diagonal
                      else (project_psd, "project_psd"))
-    present = np.bincount(state.dataset.labels[batch_idx],
+    present = np.bincount(obs.view.labels,
                           minlength=stats.num_classes).nonzero()[0]
     grad = ahead.sigma_grad[present]
     candidate = ahead.sigma[present] - state.config.eta2 * grad
@@ -558,18 +556,18 @@ def _epoch_row(state: MetaState, epoch: int, phase: str,
 
 
 def _regularizer_row(state: MetaState, eps_all: np.ndarray) -> dict:
-    """Diagnostic decomposition of the surrogate on the most recent batch."""
-    if state.last_batch is None:
+    """Diagnostic decomposition of the surrogate on the last observed batch."""
+    view = state.last_view
+    if view is None:
         return {"gen_term": math.nan, "rob_term": math.nan,
                 "fair_term": math.nan}
     cfg = state.config
-    batch_idx, grad_h = state.last_batch
-    y = state.dataset.labels[batch_idx]
-    delta = eps_all[batch_idx][:, None] * np.sign(grad_h)
+    y = view.labels
+    delta = eps_all[view.ids][:, None] * np.sign(view.grad_h)
     dw = kernels.differences(state.params.head_w)
     rho = kernels.quad("a", du=dw, dv=dw, s=state.stats.covariances())[y]
     _, _, z = kernels.forward(state.params.arrays(),
-                              state.dataset.features[batch_idx], delta,
+                              state.dataset.features[view.ids], delta,
                               cfg.alpha * rho + state.shift)
     q, _ = softmax_lse(z)
     # The three wrong-class sums; every own-class summand is an exact zero
@@ -587,15 +585,16 @@ def train(config: TrainerConfig, dataset: Dataset, metadata: Dataset,
           eval_data: Dataset | None = None) -> tuple[MetaState, MetricsLog]:
     """Run the full schedule: warm-up then meta iterations, logged per epoch.
 
-    A NumericalAbort or a KeyboardInterrupt in the loop carries the log of
-    the epochs finished before it as `log`; an interrupt also carries its
-    iteration as `iteration`, as an abort does.
+    A NumericalAbort, or a KeyboardInterrupt from the state's set-up on,
+    carries the log of the epochs finished before it as `log`; an interrupt
+    also carries its iteration as `iteration`, as an abort does (0 before
+    the first iteration).
     """
-    state = init_state(config, dataset, metadata)
     log = MetricsLog(dataset.num_classes)
     iters_per_epoch = max(1, round(dataset.n / config.batch_train))
-    epoch = 0
+    epoch, state = 0, None
     try:
+        state = init_state(config, dataset, metadata)
         for t in range(1, config.t2 + 1):
             state.t = t
             batch_idx = sample_train_batch(state)
@@ -610,8 +609,9 @@ def train(config: TrainerConfig, dataset: Dataset, metadata: Dataset,
                 epoch += 1
                 log.append(_epoch_row(state, epoch, phase, eval_data))
     except (NumericalAbort, KeyboardInterrupt) as exc:
-        exc.log, exc.iteration = log, state.t
+        exc.log, exc.iteration = log, 0 if state is None else state.t
         raise
     finally:
-        log.events.extend(state.events)
+        if state is not None:
+            log.events.extend(state.events)
     return state, log

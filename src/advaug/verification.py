@@ -177,10 +177,10 @@ def hypergradient_suite(seed: int = 0, **overrides) -> dict:
     (`freeze_eps`) no net reaches the meta loss, and `worst_omega` is 0.
     """
     state, obs = _tiny_state(seed, **overrides)
-    batch = np.arange(4)
+    meta_idx = np.arange(4)
 
     def meta_value():
-        return lookahead_meta_loss(state, batch, batch, obs)
+        return lookahead_meta_loss(state, obs, meta_idx)
 
     ahead = meta_value()
     omega = state.perturb.arrays()
@@ -207,7 +207,7 @@ def hypergradient_suite(seed: int = 0, **overrides) -> dict:
     kink = min(
         _kink_margin([(omega[0], omega[1])], obs.characteristics),
         _kink_margin(kernels.extractor_layers(ahead.pseudo_params),
-                     state.metadata.features[batch]))
+                     state.metadata.features[meta_idx]))
     worst = max(worst_omega, worst_sigma)
     return {"name": "hypergradient", "passed": worst < 1e-3, "worst": worst,
             "worst_omega": worst_omega, "worst_sigma": worst_sigma,

@@ -121,6 +121,18 @@ class TestRun:
         assert not (out / "classifier.npz").exists()
         assert not (out / "perturb_net.npz").exists()
 
+    def test_divergence_removes_an_earlier_runs_checkpoints(self, tmp_path,
+                                                            capsys):
+        out = tmp_path / "o"
+        cfg = write_ini(tmp_path, TINY)
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+        assert (out / "classifier.npz").exists()
+        cfg = write_ini(tmp_path, TINY.replace("t1 = 5", "t1 = 5\neta1 = 1e5"))
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 3
+        assert "aborted" in json.loads((out / "summary.json").read_text())
+        assert not (out / "classifier.npz").exists()
+        assert not (out / "perturb_net.npz").exists()
+
     def test_divergence_before_the_first_epoch_row(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, TINY.replace("t1 = 5", "t1 = 5\neta1 = 1e300"))
         out = tmp_path / "o"
@@ -178,6 +190,36 @@ class TestInterrupt:
         assert not (out / "perturb_net.npz").exists()
         err = capsys.readouterr().err
         assert f"interrupted at iteration {rows[2]['iteration']}" in err
+
+    def test_run_removes_an_earlier_runs_checkpoints(self, tmp_path, capsys,
+                                                     monkeypatch):
+        cfg = write_ini(tmp_path, TINY)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 0
+        assert (out / "perturb_net.npz").exists()
+        self.interrupt_at(monkeypatch, 2)
+        assert self.main(["run", "--config", cfg, "--output", str(out)]) == 130
+        assert json.loads((out / "summary.json").read_text())["interrupted"]
+        assert not (out / "classifier.npz").exists()
+        assert not (out / "perturb_net.npz").exists()
+
+    def test_run_interrupted_before_the_first_iteration(self, tmp_path,
+                                                         capsys, monkeypatch):
+        def raising(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(advaug.training, "init_state", raising)
+        cfg = write_ini(tmp_path, TINY)
+        out = tmp_path / "o"
+        assert self.main(["run", "--config", cfg, "--output", str(out)]) == 130
+        header = ",".join(MetricsLog(5).columns) + "\n"
+        assert (out / "metrics.csv").read_text() == header
+        assert (out / "resolved_config.ini").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["interrupted"] == 0
+        assert summary["epochs"] == 0 and summary["events"] == []
+        assert not (out / "classifier.npz").exists()
+        assert "interrupted at iteration 0" in capsys.readouterr().err
 
     def test_sweep_stops_with_130(self, tmp_path, capsys, monkeypatch):
         self.interrupt_at(monkeypatch, 1)

@@ -1,5 +1,7 @@
 """Numpy kernels against the taped reference builders and finite differences."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,9 @@ from advaug.data import Dataset
 from advaug.loss import (adjusted_logits, augmented_ce_loss, base_logits,
                          compute_delta, eps_forward, extract_features,
                          quadratic_terms)
-from advaug.training import (TrainerConfig, _observe_batch, final_step,
-                             init_state, learning_rate, lookahead_meta_loss)
+from advaug.training import (TrainerConfig, _observe_batch, _step_covariances,
+                             final_step, init_state, learning_rate,
+                             lookahead_meta_loss)
 
 TOL = 1e-10
 
@@ -377,7 +380,7 @@ def test_hypergradient_matches_reverse_over_reverse(case):
     batch = np.array([0, 1, 3, 4])  # class 2 is absent
     meta_idx = np.arange(6)
     obs = _observe_batch(state, batch)
-    ours = lookahead_meta_loss(state, batch, meta_idx, obs)
+    ours = lookahead_meta_loss(state, obs, meta_idx)
     value, omega_grads, sigma_grad = taped_lookahead(
         state, batch, meta_idx, obs.characteristics, obs.view.grad_h)
     if state.stats.diagonal:
@@ -405,9 +408,37 @@ def test_classifier_steps_leave_the_observed_activations_unchanged(case):
     batch = np.array([0, 1, 2, 4])
     obs = _observe_batch(state, batch)
     before = [a.copy() for a in obs.acts]
-    lookahead_meta_loss(state, batch, np.arange(6), obs)
+    lookahead_meta_loss(state, obs, np.arange(6))
     for a, b in zip(obs.acts, before, strict=True):
         assert a.tobytes() == b.tobytes()
-    final_step(state, batch, obs)
+    final_step(state, obs)
     for a, b in zip(obs.acts, before, strict=True):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", ["default", "diagonal_sigma", "freeze_eps"])
+def test_stages_read_the_batch_only_from_the_observation(case):
+    # Labels rewritten after the observation reach none of the later stages:
+    # the lookahead, the covariance step and the final step give the bits
+    # of the untouched state.
+    state = lookahead_state(3, **LOOKAHEAD_CASES[case])
+    batch = np.array([0, 1, 3, 4])  # classes 0, 1, 0, 1
+    runs = []
+    for rewrite in (False, True):
+        copied = copy.deepcopy(state)
+        obs = _observe_batch(copied, batch)
+        if rewrite:  # the batch would read classes 2, 0, 2, 0
+            copied.dataset.labels[:] = np.roll(copied.dataset.labels, 1)
+        ahead = lookahead_meta_loss(copied, obs, np.arange(6))
+        _step_covariances(copied, obs, ahead)
+        sigma = copied.stats.covariances().copy()
+        final_step(copied, obs)
+        runs.append((ahead, sigma, copied.params.vector.copy()))
+    (ahead, sigma, phi), (twisted, twisted_sigma, twisted_phi) = runs
+    assert ahead.meta_loss == twisted.meta_loss
+    for a, b in zip(ahead.omega_grads or (), twisted.omega_grads or (),
+                    strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert ahead.sigma_grad.tobytes() == twisted.sigma_grad.tobytes()
+    assert sigma.tobytes() == twisted_sigma.tobytes()
+    assert phi.tobytes() == twisted_phi.tobytes()

@@ -6,6 +6,7 @@ import pytest
 from advaug import autodiff as ad
 from advaug import kernels
 from advaug.autodiff import Tape, Tensor
+from advaug.characteristics import BatchView
 from advaug.data import Dataset
 from advaug.loss import (adjusted_logits, augmented_ce_loss, base_logits,
                          compute_delta, extract_features, quadratic_terms)
@@ -289,8 +290,12 @@ class TestRegularizerTerms:
         a = rng.normal(size=(c, width, width))
         state.stats.set_covariance(np.arange(c),
                                    a @ a.transpose(0, 2, 1) / width)
-        state.last_batch = (rng.choice(labels.size, size=6, replace=False),
-                            rng.normal(size=(6, width)))
+        ids = rng.choice(labels.size, size=6, replace=False)
+        # _regularizer_row reads the view's ids, labels and gradient only
+        state.last_view = BatchView(
+            ids=ids, h=None, logits=None, q=None, lse=None,
+            labels=labels[ids], grad_h=rng.normal(size=(6, width)),
+            progress=0.0)
         return state
 
     def test_zero_delta_zero_robustness(self):
@@ -322,11 +327,11 @@ class TestRegularizerTerms:
         alpha, beta = state.config.alpha, state.config.beta
         w, b = state.params.arrays()
         sigmas, priors = state.stats.covariances(), state.priors
-        batch_idx, grad_h = state.last_batch
+        view = state.last_view
         gen = rob = fair = 0.0
-        for i, k in enumerate(batch_idx):
+        for i, k in enumerate(view.ids):
             y = state.dataset.labels[k]
-            delta = eps[k] * np.sign(grad_h[i])
+            delta = eps[k] * np.sign(view.grad_h[i])
             rho = [0.5 * (w[j] - w[y]) @ sigmas[y] @ (w[j] - w[y])
                    for j in range(len(b))]
             z = np.array([w[j] @ (state.dataset.features[k] + delta) + b[j]

@@ -69,7 +69,7 @@ def set_sigma_step(monkeypatch, sigma, grad):
     lookahead saw are appended to the returned list."""
     seen = []
 
-    def lookahead(state, batch_idx, meta_idx, obs):
+    def lookahead(state, obs, meta_idx):
         seen.append(state.stats.covariances())
         start = seen[-1] if sigma is None else sigma
         return training.Lookahead(0.0, state.params.arrays(), None,
@@ -81,7 +81,7 @@ def set_sigma_step(monkeypatch, sigma, grad):
 
 def observe_and_look_ahead(state, idx=np.arange(4)):
     """The first two stages of a meta iteration, on one shared batch."""
-    return lookahead_meta_loss(state, idx, idx, _observe_batch(state, idx))
+    return lookahead_meta_loss(state, _observe_batch(state, idx), idx)
 
 
 class TestConfig:
@@ -227,7 +227,7 @@ class TestLookahead:
         priors = state.priors
 
         obs = _observe_batch(state, np.arange(4))
-        ahead = lookahead_meta_loss(state, np.arange(4), np.arange(4), obs)
+        ahead = lookahead_meta_loss(state, obs, np.arange(4))
         f, grad_h = obs.characteristics, obs.view.grad_h
 
         # Independent scripted computation with explicit loops.
@@ -573,8 +573,8 @@ class TestFinalStep:
         state.config.weight_decay = 0.0
         state.sgd = MomentumSgd(state.params.vector, 0.0, 0.0)
         obs = _observe_batch(state, np.arange(4))
-        ahead = lookahead_meta_loss(state, np.arange(4), np.arange(4), obs)
-        final_step(state, np.arange(4), obs)
+        ahead = lookahead_meta_loss(state, obs, np.arange(4))
+        final_step(state, obs)
         for pseudo, p in zip(ahead.pseudo_params, state.params.arrays()):
             np.testing.assert_array_equal(pseudo, p)
 
