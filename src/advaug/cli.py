@@ -4,11 +4,13 @@ Verbs:
   run       train one scenario from a config file, writing artifacts
   sweep     run the alpha grid {0.1, 0.25, 0.5, 0.75, 1} off one base config
             and its datasets, built once; a failing alpha stops it with that
-            run's exit code, and the summary keeps the rows that finished
+            run's exit code, the summary keeps the rows that finished, and
+            the members it did not run are cleared of run artifacts
   compare   paired-seed comparison of two sets of run directories of one
             scenario; its JSON report is strict JSON, like summary.json
   verify    run the analytical self-check suites
-  gen-data  materialize a scenario's train/meta/test splits as CSV
+  gen-data  materialize a scenario's train/meta/test splits as CSV, and the
+            noise mask where labels were corrupted (else remove an old one)
 
 Each verb parses its file once; the run description it gets holds the
 validated `TrainerConfig`, which trains it.  Exit codes: 0 success,
@@ -48,6 +50,10 @@ from .verification import run_all
 OUTPUT_ROOT_ENV = "ADVAUG_OUTPUT_ROOT"
 
 ALPHA_GRID = (0.1, 0.25, 0.5, 0.75, 1.0)
+
+# What a run writes into its directory; the last two are its checkpoints.
+RUN_ARTIFACTS = ("metrics.csv", "resolved_config.ini", "summary.json",
+                 "classifier.npz", "perturb_net.npz")
 
 
 def _fail(message: str, code: int) -> int:
@@ -117,7 +123,7 @@ def _execute_run(cfg: RunConfig, data: ScenarioData,
         save_checkpoint(state.params, str(out_dir / "classifier.npz"))
         save_checkpoint(state.perturb, str(out_dir / "perturb_net.npz"))
     else:  # nor keep those an earlier run left in the directory
-        for name in ("classifier.npz", "perturb_net.npz"):
+        for name in RUN_ARTIFACTS[-2:]:
             (out_dir / name).unlink(missing_ok=True)
     summary = {"scenario": cfg.scenario, "seed": cfg.seed,
                "alpha": cfg.trainer.alpha, "beta": cfg.trainer.beta,
@@ -164,7 +170,7 @@ def cmd_sweep(args) -> int:
     except (ConfigError, DataError, OSError, ValueError) as exc:
         return _fail(f"config error: {exc}", 2)
     rows = []
-    for alpha in ALPHA_GRID:
+    for i, alpha in enumerate(ALPHA_GRID):
         out_dir = root / f"alpha_{alpha}"
         member = replace(cfg, trainer=replace(cfg.trainer, alpha=alpha),
                          output_dir=str(out_dir))
@@ -172,6 +178,9 @@ def cmd_sweep(args) -> int:
         if code != 0:
             print(f"sweep stopped at alpha {alpha} (exit {code}); "
                   f"{len(rows)} finished rows kept", file=sys.stderr)
+            for later in ALPHA_GRID[i + 1:]:  # no earlier sweep's runs stay
+                for name in RUN_ARTIFACTS:
+                    (root / f"alpha_{later}" / name).unlink(missing_ok=True)
             break
         rows.append((alpha, summary["accuracy"],
                      summary["worst_class_recall"], summary["test_loss"]))
@@ -257,9 +266,11 @@ def cmd_gen_data(args) -> int:
     save_csv(data.train, out_dir / "train.csv")
     save_csv(replace(data.meta, group_ids=None), out_dir / "meta.csv")
     save_csv(data.test, out_dir / "test.csv")
-    if data.train.noise_mask is not None:
-        with open(out_dir / "noise_mask.csv", "w", newline="",
-                  encoding="utf-8") as fh:
+    mask_path = out_dir / "noise_mask.csv"
+    if data.train.noise_mask is None:  # nor keep an earlier one
+        mask_path.unlink(missing_ok=True)
+    else:
+        with open(mask_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["noisy"])
             for flag in data.train.noise_mask:

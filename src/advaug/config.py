@@ -2,23 +2,24 @@
 
 Every key is typed; unknown sections or keys are rejected so config typos
 cannot silently change an experiment.  `config` knows only the types and
-the defaults.  The [model], [loss] and [training] keys, casts and defaults
-come from the fields of the trainer's `TrainerConfig`, which `parse_config`
-constructs once and `RunConfig` holds; its construction checks their values.
-Only the schedule defaults are the file's own.  The [data] values are
-checked by the data layer, when the datasets are built.  `write_resolved`
+the defaults, and `_schema` reads both from a dataclass's fields.  The
+[model], [loss] and [training] keys come from the trainer's
+`TrainerConfig`, which `parse_config` constructs once and `RunConfig`
+holds; its construction checks their values.  Only the schedule defaults
+are the file's own.  The [data] keys come from the scenario's class in
+`scenarios.SCENARIOS`, whose instance `RunConfig` holds; the data layer
+checks their values when the datasets are built.  `write_resolved`
 materializes all defaults, producing a file that reproduces the run exactly.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import get_type_hints
 
+from .scenarios import SCENARIOS
 from .training import TrainerConfig
-
-SCENARIOS = ("longtail", "noise", "subpop", "custom-csv")
 
 
 class ConfigError(ValueError):
@@ -58,68 +59,35 @@ _RUN_SCHEMA = {
     "output_dir": (str, ""),
 }
 
-_BLOB_KEYS = {
-    "num_classes": (int, 5),
-    "dim": (int, 5),
-    "radius": (float, 2.2),
-    "blob_std": (_cast_std, 1.0),
-    "nuisance_std": (float, 1.0),
-    "meta_per_class": (int, 10),
-    "test_per_class": (int, 250),
-}
-
-_DATA_SCHEMA = {
-    "longtail": {
-        **_BLOB_KEYS,
-        "n_max": (int, 2000),
-        "imbalance_ratio": (float, 100.0),
-    },
-    "noise": {
-        **_BLOB_KEYS,
-        "per_class": (int, 400),
-        "noise_kind": (str, "flip"),
-        "noise_rate": (float, 0.4),
-    },
-    "subpop": {
-        "core_sep": (float, 2.0),
-        "spurious_sep": (float, 4.0),
-        "train_majority": (float, 0.45),
-        "test_majority": (float, 0.25),
-        "n_train": (int, 2000),
-        "n_test": (int, 2000),
-        "core_dim": (int, 2),
-        "spurious_dim": (int, 2),
-        "meta_size": (int, 40),
-    },
-    "custom-csv": {
-        "train_csv": (str, _REQUIRED),
-        "meta_csv": (str, _REQUIRED),
-        "test_csv": (str, _REQUIRED),
-    },
-}
-
 # The schedule has no trainer default; t1 = -1, and only -1, resolves to
 # 30% of t2.
 _SCHEDULE_DEFAULTS = {"t1": -1, "t2": 1500}
 _SECTIONS = {"hidden": "model", "feat_dim": "model", "perturb_hidden": "model",
              "alpha": "loss", "beta": "loss"}  # the rest are [training]
-_CASTS = {int: int, float: float, bool: _cast_bool,
-          tuple[int, ...]: _cast_hidden}
+_CASTS = {int: int, float: float, str: str, bool: _cast_bool,
+          tuple[int, ...]: _cast_hidden, float | tuple[float, ...]: _cast_std}
+
+
+def _schema(cls) -> dict[str, tuple]:
+    """The fields of dataclass `cls`: (cast by annotation, default or _REQUIRED)."""
+    hints = get_type_hints(cls)
+    return {f.name: (_CASTS[hints[f.name]],
+                     _REQUIRED if f.default is MISSING else f.default)
+            for f in fields(cls)}
 
 
 def _trainer_schema() -> dict[str, dict]:
-    """The [model], [loss] and [training] keys: the fields of TrainerConfig
-    but the seed, each cast by its annotation, with its default."""
-    hints = get_type_hints(TrainerConfig)
+    """The [model], [loss] and [training] keys: TrainerConfig's but the seed."""
     schema = {"model": {}, "loss": {}, "training": {}}
-    for f in fields(TrainerConfig):
-        if f.name != "seed":  # a [run] key
-            schema[_SECTIONS.get(f.name, "training")][f.name] = (
-                _CASTS[hints[f.name]], _SCHEDULE_DEFAULTS.get(f.name, f.default))
+    for key, (cast, default) in _schema(TrainerConfig).items():
+        if key != "seed":  # a [run] key
+            schema[_SECTIONS.get(key, "training")][key] = (
+                cast, _SCHEDULE_DEFAULTS.get(key, default))
     return schema
 
 
 _TRAINER_SCHEMA = _trainer_schema()
+_SCENARIO_SCHEMA = {name: _schema(cls) for name, cls in SCENARIOS.items()}
 
 
 @dataclass
@@ -128,7 +96,7 @@ class RunConfig:
 
     scenario: str
     output_dir: str
-    data: dict
+    data: object  # an instance of the class SCENARIOS[scenario]
     trainer: TrainerConfig
 
     @property
@@ -172,12 +140,12 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError("missing [run] section")
     scenario = run_raw.get("scenario")
     if scenario not in SCENARIOS:
-        raise ConfigError(
-            f"[run] scenario must be one of {SCENARIOS}, got {scenario!r}")
+        raise ConfigError(f"[run] scenario must be one of "
+                          f"{tuple(SCENARIOS)}, got {scenario!r}")
 
     run = _resolve_section("run", _RUN_SCHEMA, run_raw)
-    data = _resolve_section("data", _DATA_SCHEMA[scenario],
-                            sections.pop("data", {}))
+    data = SCENARIOS[scenario](**_resolve_section(
+        "data", _SCENARIO_SCHEMA[scenario], sections.pop("data", {})))
     hyper = {}
     for name, table in _TRAINER_SCHEMA.items():
         hyper.update(_resolve_section(name, table, sections.pop(name, {})))
@@ -212,7 +180,7 @@ def write_resolved(cfg: RunConfig, path: str) -> None:
         "seed": str(cfg.seed),
         "output_dir": cfg.output_dir,
     }
-    parser["data"] = {k: _format_value(v) for k, v in cfg.data.items()}
+    parser["data"] = {k: _format_value(v) for k, v in asdict(cfg.data).items()}
     for name, table in _TRAINER_SCHEMA.items():
         parser[name] = {k: _format_value(getattr(cfg.trainer, k))
                         for k in table}

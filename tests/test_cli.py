@@ -373,6 +373,21 @@ class TestSweep:
         assert lines == ["alpha,accuracy,worst_class_recall,test_loss"]
         assert f"alpha {ALPHA_GRID[0]}" in capsys.readouterr().err
 
+    def test_stop_clears_the_members_it_did_not_run(self, tmp_path, capsys):
+        root = tmp_path / "sweep"
+        cfg = write_ini(tmp_path, TINY)
+        assert main(["sweep", "--config", cfg, "--output", str(root)]) == 0
+        cfg = write_ini(tmp_path, TINY.replace("t1 = 5", "t1 = 5\neta1 = 1e5"))
+        assert main(["sweep", "--config", cfg, "--output", str(root)]) == 3
+        stopped = root / f"alpha_{ALPHA_GRID[0]}"
+        assert "aborted" in json.loads((stopped / "summary.json").read_text())
+        for alpha in ALPHA_GRID[1:]:
+            assert list((root / f"alpha_{alpha}").iterdir()) == []
+        capsys.readouterr()
+        later = [str(root / f"alpha_{alpha}") for alpha in ALPHA_GRID[1:3]]
+        assert main(["compare", "--baseline", later[0],
+                     "--candidate", later[1]]) == 2
+
     def test_builds_the_datasets_once(self, tmp_path, monkeypatch):
         calls = []
 
@@ -510,6 +525,16 @@ class TestGenData:
         assert flags.size == train.n
         # 40% flip noise on 200 samples, minus the held-out clean metadata
         assert 0.3 < flags.mean() < 0.55
+
+    def test_removes_a_noise_mask_it_does_not_write(self, tmp_path):
+        noise = ("[run]\nscenario = noise\n[data]\nper_class = 40\n"
+                 "meta_per_class = 4\ntest_per_class = 10\n")
+        out = tmp_path / "data"
+        for text, mask in ((noise, True), (TINY, False)):
+            assert main(["gen-data", "--config", write_ini(tmp_path, text),
+                         "--output", str(out)]) == 0
+            assert (out / "noise_mask.csv").exists() == mask
+        assert load_csv(out / "train.csv").class_counts[0] == 80
 
     def test_subpop_meta_csv_has_no_group_column(self, tmp_path):
         text = ("[run]\nscenario = subpop\n[data]\nn_train = 200\n"

@@ -12,7 +12,7 @@ import pytest
 from advaug.cli import main
 from advaug.config import ConfigError, parse_config, write_resolved
 from advaug.data import DataError
-from advaug.scenarios import build_scenario
+from advaug.scenarios import SCENARIOS, build_scenario
 from advaug.training import TrainerConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,8 +66,8 @@ class TestParsing:
         cfg = parse_config(write_ini(tmp_path, MINIMAL))
         assert cfg.scenario == "longtail"
         assert cfg.seed == 0
-        assert cfg.data["num_classes"] == 5
-        assert cfg.data["imbalance_ratio"] == 100.0
+        assert cfg.data.num_classes == 5
+        assert cfg.data.imbalance_ratio == 100.0
         assert cfg.trainer.hidden == (64, 64)
         assert cfg.trainer.alpha == 0.5
         assert cfg.trainer.t2 == 1500
@@ -154,12 +154,12 @@ class TestParsing:
 class TestBlobStd:
     def test_scalar(self, tmp_path):
         text = MINIMAL + "[data]\nblob_std = 1.3\n"
-        assert parse_config(write_ini(tmp_path, text)).data["blob_std"] == 1.3
+        assert parse_config(write_ini(tmp_path, text)).data.blob_std == 1.3
 
     def test_per_class_list(self, tmp_path):
         text = MINIMAL + "[data]\nblob_std = 0.8,0.9,1.1,1.3,1.5\n"
         cfg = parse_config(write_ini(tmp_path, text))
-        assert cfg.data["blob_std"] == (0.8, 0.9, 1.1, 1.3, 1.5)
+        assert cfg.data.blob_std == (0.8, 0.9, 1.1, 1.3, 1.5)
 
     def test_wrong_length_rejected(self, tmp_path):
         # checked by the generator, when the datasets are built
@@ -275,17 +275,37 @@ class TestResolvedRoundTrip:
         again = parse_config(str(out))
         assert again == cfg
 
-    def test_minimal_longtail_resolves_to_pinned_bytes(self, tmp_path):
+    @pytest.mark.parametrize("text, head", [
+        (MINIMAL,
+         b"[run]\nscenario = longtail\nseed = 0\n"
+         b"output_dir = longtail_seed0\n\n"
+         b"[data]\nnum_classes = 5\ndim = 5\nradius = 2.2\n"
+         b"blob_std = 1.0\nnuisance_std = 1.0\nmeta_per_class = 10\n"
+         b"test_per_class = 250\nn_max = 2000\n"
+         b"imbalance_ratio = 100.0\n\n"),
+        ("[run]\nscenario = noise\n",
+         b"[run]\nscenario = noise\nseed = 0\noutput_dir = noise_seed0\n\n"
+         b"[data]\nnum_classes = 5\ndim = 5\nradius = 2.2\n"
+         b"blob_std = 1.0\nnuisance_std = 1.0\nmeta_per_class = 10\n"
+         b"test_per_class = 250\nper_class = 400\nnoise_kind = flip\n"
+         b"noise_rate = 0.4\n\n"),
+        ("[run]\nscenario = subpop\n",
+         b"[run]\nscenario = subpop\nseed = 0\noutput_dir = subpop_seed0\n\n"
+         b"[data]\ncore_sep = 2.0\nspurious_sep = 4.0\n"
+         b"train_majority = 0.45\ntest_majority = 0.25\nn_train = 2000\n"
+         b"n_test = 2000\ncore_dim = 2\nspurious_dim = 2\nmeta_size = 40\n\n"),
+        ("[run]\nscenario = custom-csv\n[data]\ntrain_csv = train.csv\n"
+         "meta_csv = meta.csv\ntest_csv = test.csv\n",
+         b"[run]\nscenario = custom-csv\nseed = 0\n"
+         b"output_dir = custom-csv_seed0\n\n"
+         b"[data]\ntrain_csv = train.csv\nmeta_csv = meta.csv\n"
+         b"test_csv = test.csv\n\n"),
+    ], ids=["longtail", "noise", "subpop", "custom-csv"])
+    def test_minimal_file_resolves_to_pinned_bytes(self, tmp_path, text, head):
         # every default written out, in schema order
         out = tmp_path / "resolved.ini"
-        write_resolved(parse_config(write_ini(tmp_path, MINIMAL)), str(out))
-        assert out.read_bytes() == (
-            b"[run]\nscenario = longtail\nseed = 0\n"
-            b"output_dir = longtail_seed0\n\n"
-            b"[data]\nnum_classes = 5\ndim = 5\nradius = 2.2\n"
-            b"blob_std = 1.0\nnuisance_std = 1.0\nmeta_per_class = 10\n"
-            b"test_per_class = 250\nn_max = 2000\n"
-            b"imbalance_ratio = 100.0\n\n"
+        write_resolved(parse_config(write_ini(tmp_path, text)), str(out))
+        assert out.read_bytes() == head + (
             b"[model]\nhidden = 64,64\nfeat_dim = 16\nperturb_hidden = 100\n\n"
             b"[loss]\nalpha = 0.5\nbeta = 1.0\n\n"
             b"[training]\nt1 = 450\nt2 = 1500\neta1 = 0.05\neta2 = 0.001\n"
@@ -316,11 +336,16 @@ class TestTrainerConfig:
         assert cfg.seed == 9
 
     def test_every_field_but_the_seed_is_a_key(self, tmp_path):
-        cfg = parse_config(write_ini(tmp_path, MINIMAL))
-        parser = resolved_sections(tmp_path, cfg)
-        keys = {key for name in ("model", "loss", "training")
-                for key in parser[name]}
-        assert {f.name for f in fields(TrainerConfig)} - {"seed"} == keys
+        # the csv paths are read when the datasets are built, not parsed
+        paths = "[data]\ntrain_csv = a\nmeta_csv = b\ntest_csv = c\n"
+        for name, cls in SCENARIOS.items():
+            text = f"[run]\nscenario = {name}\n" + paths * (name == "custom-csv")
+            parser = resolved_sections(tmp_path,
+                                       parse_config(write_ini(tmp_path, text)))
+            keys = {key for section in ("model", "loss", "training")
+                    for key in parser[section]}
+            assert {f.name for f in fields(TrainerConfig)} - {"seed"} == keys
+            assert list(parser["data"]) == [f.name for f in fields(cls)], name
 
     def test_readme_lists_the_trainer_keys(self, tmp_path):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -338,6 +363,19 @@ class TestTrainerConfig:
                                    parse_config(write_ini(tmp_path, MINIMAL)))
         for name in ("model", "loss", "training"):
             assert listed[name] == list(parser[name]), name
+
+    def test_readme_lists_the_data_keys(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("`[data]` keys per scenario", 1)[1]
+        block = block.split("\n## ", 1)[0]
+        bullets = {}
+        for bullet in block.split("\n- ")[1:]:
+            name, text = bullet.split(":", 1)
+            bullets[name.strip("`")] = set(re.findall(r"`(\w+)`", text))
+        assert list(bullets) == list(SCENARIOS)
+        for name, cls in SCENARIOS.items():
+            missing = {f.name for f in fields(cls)} - bullets[name]
+            assert not missing, (name, missing)
 
 
 NON_FINITE = ("nan", "inf", "-inf")
