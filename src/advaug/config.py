@@ -167,8 +167,6 @@ def _format_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 

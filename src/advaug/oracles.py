@@ -3,9 +3,9 @@
 Everything here recomputes quantities the closed-form loss claims to
 summarize: explicit Gaussian draws, Monte-Carlo expected CE, the scalar
 moment-generating identity, convergence of the finite-draw loss to its
-expectation, and plain central finite differences. The test suite treats
-these as ground truth, so this module imports nothing from the package it
-checks.
+expectation, and plain central finite differences. The `verification`
+suites (`advaug verify`, the gate) and the tests treat these as ground
+truth, so this module imports nothing from the package it checks.
 """
 
 from __future__ import annotations
@@ -74,8 +74,9 @@ def draws_per_sample(budget: int, priors: np.ndarray,
 
 def finite_loss_convergence(w, b, h, delta, sigmas, alpha, priors, labels,
                             budget_sequence, seed: int,
-                            limit_count: int = 200000) -> list[dict]:
-    """Gap between the finite-draw loss and its Monte-Carlo limit.
+                            limit_count: int = 200000) -> list[float]:
+    """Gap between the finite-draw loss and its Monte-Carlo limit, one per
+    budget of `budget_sequence`.
 
     The finite-draw loss pools all augmented instances and divides by the
     total draw count, so each sample carries weight proportional to
@@ -100,7 +101,7 @@ def finite_loss_convergence(w, b, h, delta, sigmas, alpha, priors, labels,
         expect[i] = np.concatenate(chunks).mean()
     weights = 1.0 / priors[labels]
     limit_value = float((weights * expect).sum() / weights.sum())
-    rows = []
+    gaps = []
     for budget in budget_sequence:
         counts = draws_per_sample(budget, priors, labels)
         total = 0.0
@@ -108,11 +109,8 @@ def finite_loss_convergence(w, b, h, delta, sigmas, alpha, priors, labels,
             draws = explicit_augment(h[i], delta[i], sigmas[labels[i]], alpha,
                                      int(counts[i]), seed * 104729 + i)
             total += _ce_rows(w, b, draws, labels[i]).sum()
-        finite_value = total / counts.sum()
-        rows.append({"budget": int(budget), "total_draws": int(counts.sum()),
-                     "finite_loss": finite_value, "limit": limit_value,
-                     "gap": abs(finite_value - limit_value)})
-    return rows
+        gaps.append(abs(total / counts.sum() - limit_value))
+    return gaps
 
 
 def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -134,21 +132,14 @@ def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     return grad
 
 
-def random_bound_instance(rng: np.random.Generator, max_classes: int = 5,
-                          max_width: int = 8) -> dict:
-    """One randomized small instance for Jensen-bound sweeps."""
-    c = int(rng.integers(2, max_classes + 1))
-    width = int(rng.integers(2, max_width + 1))
+def random_bound_instance(rng: np.random.Generator) -> tuple:
+    """One randomized sample for Jensen-bound sweeps: (w, b, h, delta,
+    sigma, alpha, y), with 2-5 classes and width 2-8."""
+    c = int(rng.integers(2, 6))
+    width = int(rng.integers(2, 9))
     a = rng.normal(size=(width, width))
-    sigma = a @ a.T / width
     g = rng.normal(size=width)
     eps = float(rng.uniform(-0.99, 0.99))
-    return {
-        "w": rng.normal(size=(c, width)),
-        "b": rng.normal(size=c),
-        "h": rng.normal(size=width),
-        "delta": eps * np.sign(g),
-        "sigma": sigma,
-        "alpha": float(rng.uniform(0.0, 1.0)),
-        "y": int(rng.integers(0, c)),
-    }
+    return (rng.normal(size=(c, width)), rng.normal(size=c),
+            rng.normal(size=width), eps * np.sign(g), a @ a.T / width,
+            float(rng.uniform(0.0, 1.0)), int(rng.integers(0, c)))

@@ -479,11 +479,19 @@ class TestCompare:
 
 
 class TestVerify:
+    def verify_fails(self, capsys, suite):
+        """`verify` exits 1, and the line of `suite` reads FAIL."""
+        assert main(["verify", "--seed", "0"]) == 1
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.split()[0] == suite]
+        assert len(lines) == 1 and "FAIL" in lines[0]
+
     def test_all_suites_pass(self, capsys):
         assert main(["verify", "--seed", "0"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 5
-        assert "FAIL" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [[name, "PASS"] for name
+            in ("reduction", "jensen", "mgf", "convergence", "gradient",
+                "hypergradient", "covariance-pooling")]
 
     def test_detects_planted_sign_error(self, capsys, monkeypatch):
         # Flipping the covariance term's sign in the training kernel must
@@ -492,10 +500,23 @@ class TestVerify:
         real = advaug.kernels.quad
         monkeypatch.setattr(advaug.kernels, "quad",
                             lambda *args, **kwargs: -real(*args, **kwargs))
-        assert main(["verify", "--seed", "0"]) == 1
-        jensen = [line for line in capsys.readouterr().out.splitlines()
-                  if line.startswith("jensen")]
-        assert len(jensen) == 1 and "FAIL" in jensen[0]
+        self.verify_fails(capsys, "jensen")
+
+    def test_detects_a_forward_that_drops_the_offset(self, capsys,
+                                                     monkeypatch):
+        # The kernel's loss at alpha = 0 is then not logit-adjusted CE.
+        real = advaug.kernels.forward
+        monkeypatch.setattr(advaug.kernels, "forward",
+                            lambda phi, x, delta=None, offset=None, acts=None:
+                            real(phi, x, delta, None, acts))
+        self.verify_fails(capsys, "reduction")
+
+    def test_detects_draw_counts_that_ignore_the_budget(self, capsys,
+                                                        monkeypatch):
+        # One draw per sample at every budget: the gaps stop shrinking.
+        monkeypatch.setattr("advaug.oracles.draws_per_sample",
+                            lambda budget, priors, labels: np.ones(4, int))
+        self.verify_fails(capsys, "convergence")
 
 
 class TestGenData:

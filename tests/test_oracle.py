@@ -1,14 +1,14 @@
-"""Oracle self-tests plus the central Jensen-bound sweep."""
+"""Oracle self-tests, plus sweeps of the Jensen and MGF suites."""
 
 import numpy as np
 import pytest
 
 from advaug import autodiff as ad
-from advaug import kernels
 from advaug.autodiff import Tape, Tensor
 from advaug.oracles import (_ce_rows, draws_per_sample, explicit_augment,
                             fd_gradient, finite_loss_convergence,
-                            mc_expected_ce, mgf_check, random_bound_instance)
+                            mc_expected_ce, mgf_check)
+from advaug.verification import jensen_suite, mgf_suite
 
 
 class TestExplicitAugment:
@@ -98,19 +98,10 @@ class TestMgfCheck:
         assert abs(mc - closed) < 4 * se
 
     def test_identity_over_parameter_box(self):
-        rng = np.random.default_rng(3)
-        count = 20000
-        for _ in range(100):
-            t = float(rng.uniform(-2, 2))
-            mu = float(rng.uniform(-2, 2))
-            s2 = float(rng.uniform(0, 4))
-            mc, closed = mgf_check(t, mu, s2, count=count, seed=int(
-                rng.integers(1 << 30)))
-            # exact estimator variance: Var(e^{tX}) is itself a pair of MGFs
-            var = np.exp(2 * t * mu + 2 * t * t * s2) \
-                - np.exp(2 * t * mu + t * t * s2)
-            se = np.sqrt(max(var, 0.0) / count)
-            assert abs(mc - closed) <= 6 * se + 1e-9
+        # 100 cells (t, mu, s2) drawn from [-2, 2) x [-2, 2) x (0, 4)
+        cells = np.random.default_rng(3).uniform([-2, -2, 0], [2, 2, 4],
+                                                 size=(100, 3))
+        assert mgf_suite(cells, count=20000, seed=3, bound=6.0)["passed"]
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
@@ -118,29 +109,11 @@ class TestMgfCheck:
 
 
 class TestJensenBound:
-    """The derivation's central inequality, swept over random instances.
-
-    The closed form is the training kernel on one sample, no prior term.
-    """
+    """The derivation's central inequality, over 1000 random instances."""
 
     def test_closed_form_dominates_mc_minus_three_se(self):
-        rng = np.random.default_rng(2024)
-        violations = 0
-        for k in range(1000):
-            inst = random_bound_instance(rng)
-            y = inst["y"]
-            sigma = np.zeros(inst["w"].shape[:1] + inst["sigma"].shape)
-            sigma[y] = inst["sigma"]
-            closed = kernels.surrogate(
-                [inst["w"], inst["b"]], inst["h"][None], np.array([y]),
-                inst["delta"][None], sigma, np.zeros(len(inst["b"])),
-                inst["alpha"]).value
-            mc, se = mc_expected_ce(
-                inst["w"], inst["b"], inst["h"], inst["delta"], inst["sigma"],
-                inst["alpha"], y, count=2000, seed=k)
-            if closed + 1e-12 < mc - 3.0 * se:
-                violations += 1
-        assert violations == 0
+        record = jensen_suite(instances=1000, draws=2000, seed=2024)
+        assert record["held"] == 1000
 
 
 class TestFiniteLossConvergence:
@@ -150,10 +123,7 @@ class TestFiniteLossConvergence:
         w, b = rng.normal(size=(c, width)), rng.normal(size=c)
         h = rng.normal(size=(n, width))
         delta = 0.3 * np.sign(rng.normal(size=(n, width)))
-        sigmas = []
-        for _ in range(c):
-            a = rng.normal(size=(width, width))
-            sigmas.append(a @ a.T / width)
+        sigmas = [a @ a.T / width for a in rng.normal(size=(c, width, width))]
         labels = np.array([0, 1, 2, 0])
         priors = np.array([0.5, 0.3, 0.2])
         return w, b, h, delta, sigmas, labels, priors
@@ -163,9 +133,9 @@ class TestFiniteLossConvergence:
         # integer 1/pi makes the rounded draw counts exact, so the
         # zero-covariance finite loss equals its limit identically
         priors = np.array([0.5, 0.25, 0.25])
-        rows = finite_loss_convergence(w, b, h, delta, sigmas, 0.0, priors,
+        gaps = finite_loss_convergence(w, b, h, delta, sigmas, 0.0, priors,
                                        labels, [1], seed=0, limit_count=1000)
-        assert rows[0]["gap"] == pytest.approx(0.0, abs=1e-12)
+        assert gaps[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_prior_weighted_draw_counts(self):
         counts = draws_per_sample(100, np.array([0.1, 1.0]),
@@ -175,13 +145,9 @@ class TestFiniteLossConvergence:
     def test_gaps_shrink_as_inverse_sqrt(self):
         w, b, h, delta, sigmas, labels, priors = self.setup_instance()
         budgets = [10, 100, 1000]
-        mean_gaps = np.zeros(3)
-        for rep in range(10):
-            rows = finite_loss_convergence(
-                w, b, h, delta, sigmas, 0.5, priors, labels, budgets,
-                seed=rep + 1, limit_count=200000)
-            mean_gaps += [r["gap"] for r in rows]
-        mean_gaps /= 10
+        mean_gaps = np.mean([finite_loss_convergence(
+            w, b, h, delta, sigmas, 0.5, priors, labels, budgets,
+            seed=rep + 1, limit_count=200000) for rep in range(10)], axis=0)
         slope = np.polyfit(np.log10(budgets), np.log10(mean_gaps), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.15)
 
