@@ -4,26 +4,26 @@ Verbs:
   run       train one scenario from a config file, writing artifacts
   sweep     run the alpha grid {0.1, 0.25, 0.5, 0.75, 1} off one base config
             and its datasets, built once; a failing alpha stops it with that
-            run's exit code, the summary keeps the rows that finished, and
-            the members it did not run are cleared of run artifacts
+            run's exit code, and the summary keeps the rows that finished
   compare   paired-seed comparison of two sets of run directories of one
             scenario; its JSON report is strict JSON, like summary.json
   verify    run the analytical self-check suites
   gen-data  materialize a scenario's train/meta/test splits as CSV, and the
-            noise mask where labels were corrupted (else remove an old one)
+            noise mask where labels were corrupted
 
 Each verb parses its file once; the run description it gets holds the
-validated `TrainerConfig`, which trains it.  Exit codes: 0 success,
-1 verification failure (`verify` only), 2 invalid configuration or inputs
-(non-finite numbers, a negative `verify` seed, an output path that is or lies
-under a file) before any training, 3 numerical abort during training (its
-run directory still gets the epoch rows logged before the abort and a
-summary that names it), 130 interrupted during training (the same, the
-summary's `interrupted` field being the iteration: 0, with a header-only
-metrics.csv, before the first; a sweep stops there); neither leaves
-checkpoints in the run directory, not even an earlier run's.
-Relative output directories are resolved under $ADVAUG_OUTPUT_ROOT
-(default: current directory) and made before training.
+validated `TrainerConfig`, which trains it.  Once its inputs and output
+directories are accepted, a verb removes every file it will write; a run
+writes summary.json last.  Exit codes: 0 success, 1 verification failure
+(`verify` only), 2 invalid configuration or inputs (non-finite numbers, a
+negative `verify` seed, an output path that is or lies under a file) before
+any training, 3 numerical abort during training (its run directory still
+gets the epoch rows logged before the abort and a summary that names it),
+130 interrupted anywhere (in training, the same, the summary's `interrupted`
+field being the iteration: 0, with a header-only metrics.csv, before the
+first; a sweep stops there); neither writes checkpoints.  Relative output
+directories are resolved under $ADVAUG_OUTPUT_ROOT (default: current
+directory) and made before training.
 """
 
 from __future__ import annotations
@@ -96,14 +96,14 @@ def _write_json(payload: dict, path) -> None:
 def _execute_run(cfg: RunConfig, data: ScenarioData,
                  out_dir: Path) -> tuple[int, dict | None]:
     """Train one configuration on its datasets and write its artifacts into
-    the existing directory `out_dir`.
+    the existing directory `out_dir`, which holds none of them.
 
     The summary is the run's identity plus `metrics.run_summary` of its log.
     A numerical abort or an interrupt in training still writes the epoch
     rows logged before it (none before the first iteration) and a summary
     of them, whose `aborted` field names the stage, the iteration and the
     loss, or whose `interrupted` field is the iteration; neither writes
-    checkpoints, and both remove any that an earlier run left in `out_dir`.
+    checkpoints.
     """
     stop = None
     try:
@@ -122,9 +122,6 @@ def _execute_run(cfg: RunConfig, data: ScenarioData,
     if stop is None:
         save_checkpoint(state.params, str(out_dir / "classifier.npz"))
         save_checkpoint(state.perturb, str(out_dir / "perturb_net.npz"))
-    else:  # nor keep those an earlier run left in the directory
-        for name in RUN_ARTIFACTS[-2:]:
-            (out_dir / name).unlink(missing_ok=True)
     summary = {"scenario": cfg.scenario, "seed": cfg.seed,
                "alpha": cfg.trainer.alpha, "beta": cfg.trainer.beta,
                "t1": cfg.trainer.t1, "t2": cfg.trainer.t2,
@@ -149,6 +146,8 @@ def cmd_run(args) -> int:
         data = build_scenario(cfg)
         out_dir = _resolve_output(cfg.output_dir, args.output)
         out_dir.mkdir(parents=True, exist_ok=True)
+        for name in RUN_ARTIFACTS:
+            (out_dir / name).unlink(missing_ok=True)
     except (ConfigError, DataError, OSError, ValueError) as exc:
         return _fail(f"config error: {exc}", 2)
     code, summary = _execute_run(cfg, data, out_dir)
@@ -167,10 +166,14 @@ def cmd_sweep(args) -> int:
                                args.output)
         for alpha in ALPHA_GRID:
             (root / f"alpha_{alpha}").mkdir(parents=True, exist_ok=True)
+        for alpha in ALPHA_GRID:
+            for name in RUN_ARTIFACTS:
+                (root / f"alpha_{alpha}" / name).unlink(missing_ok=True)
+        (root / "sweep_summary.csv").unlink(missing_ok=True)
     except (ConfigError, DataError, OSError, ValueError) as exc:
         return _fail(f"config error: {exc}", 2)
     rows = []
-    for i, alpha in enumerate(ALPHA_GRID):
+    for alpha in ALPHA_GRID:
         out_dir = root / f"alpha_{alpha}"
         member = replace(cfg, trainer=replace(cfg.trainer, alpha=alpha),
                          output_dir=str(out_dir))
@@ -178,9 +181,6 @@ def cmd_sweep(args) -> int:
         if code != 0:
             print(f"sweep stopped at alpha {alpha} (exit {code}); "
                   f"{len(rows)} finished rows kept", file=sys.stderr)
-            for later in ALPHA_GRID[i + 1:]:  # no earlier sweep's runs stay
-                for name in RUN_ARTIFACTS:
-                    (root / f"alpha_{later}" / name).unlink(missing_ok=True)
             break
         rows.append((alpha, summary["accuracy"],
                      summary["worst_class_recall"], summary["test_loss"]))
@@ -261,16 +261,16 @@ def cmd_gen_data(args) -> int:
         out_dir = _resolve_output(f"{cfg.scenario}_data_seed{cfg.seed}",
                                   args.output)
         out_dir.mkdir(parents=True, exist_ok=True)
+        for name in ("train.csv", "meta.csv", "test.csv", "noise_mask.csv"):
+            (out_dir / name).unlink(missing_ok=True)
     except (ConfigError, DataError, OSError, ValueError) as exc:
         return _fail(f"config error: {exc}", 2)
     save_csv(data.train, out_dir / "train.csv")
     save_csv(replace(data.meta, group_ids=None), out_dir / "meta.csv")
     save_csv(data.test, out_dir / "test.csv")
-    mask_path = out_dir / "noise_mask.csv"
-    if data.train.noise_mask is None:  # nor keep an earlier one
-        mask_path.unlink(missing_ok=True)
-    else:
-        with open(mask_path, "w", newline="", encoding="utf-8") as fh:
+    if data.train.noise_mask is not None:
+        with open(out_dir / "noise_mask.csv", "w", newline="",
+                  encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["noisy"])
             for flag in data.train.noise_mask:
@@ -316,7 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except KeyboardInterrupt:
+        return _fail("interrupted", 130)
 
 
 if __name__ == "__main__":

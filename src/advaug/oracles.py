@@ -32,15 +32,19 @@ def explicit_augment(h: np.ndarray, delta: np.ndarray, sigma: np.ndarray,
     return mean + rng.standard_normal((count, mean.size)) @ factor.T
 
 
-def _ce_rows(w, b, draws, y):
+def per_sample_ce(z: np.ndarray, labels) -> np.ndarray:
+    """-log softmax(z)[label] per row, by an explicit log-sum-exp."""
     # Row max and row sum column by column, in fewer numpy passes: numpy sums
     # fewer than eight entries in order, so these are the bits of
     # z.max(axis=1) and .sum(axis=1).  Written out here, not taken from
     # `kernels`, so that the oracle shares no code with what it checks.
-    z = draws @ w.T + b
     m = functools.reduce(np.maximum, z.T)
     lse = m + np.log(functools.reduce(np.add, np.exp(z - m[:, None]).T))
-    return lse - z[:, y]
+    return lse - z[np.arange(len(z)), labels]
+
+
+def _ce_rows(w, b, draws, y):
+    return per_sample_ce(draws @ w.T + b, y)
 
 
 def mc_expected_ce(w: np.ndarray, b: np.ndarray, h: np.ndarray,

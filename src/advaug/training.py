@@ -85,15 +85,15 @@ class TrainerConfig:
 
     t1: int
     t2: int
-    eta1: float = 0.05
+    eta1: float = 0.03
     eta2: float = 1e-3
     batch_train: int = 64
     batch_meta: int = 32
-    alpha: float = 0.5
-    beta: float = 1.0
+    alpha: float = 0.25
+    beta: float = 0.5
     momentum: float = 0.9
     weight_decay: float = 5e-4
-    hidden: tuple[int, ...] = (64, 64)
+    hidden: tuple[int, ...] = (32,)
     feat_dim: int = 16
     perturb_hidden: int = 100
     freeze_eps: bool = False
@@ -558,9 +558,6 @@ def _epoch_row(state: MetaState, epoch: int, phase: str,
 def _regularizer_row(state: MetaState, eps_all: np.ndarray) -> dict:
     """Diagnostic decomposition of the surrogate on the last observed batch."""
     view = state.last_view
-    if view is None:
-        return {"gen_term": math.nan, "rob_term": math.nan,
-                "fair_term": math.nan}
     cfg = state.config
     y = view.labels
     delta = eps_all[view.ids][:, None] * np.sign(view.grad_h)

@@ -58,6 +58,13 @@ class TestRun:
         log = MetricsLog.read_csv(str(out / "metrics.csv"))
         assert log.rows[-1]["iteration"] == 40
 
+    @pytest.mark.parametrize("scenario", ["longtail", "subpop"])
+    def test_the_defaults_train(self, tmp_path, capsys, scenario):
+        # every trainer default is the presets' tuned value
+        cfg = write_ini(tmp_path, f"[run]\nscenario = {scenario}\n")
+        assert main(["run", "--config", cfg,
+                     "--output", str(tmp_path / "o")]) == 0
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ADVAUG_OUTPUT_ROOT", str(tmp_path / "root"))
         cfg = write_ini(tmp_path, TINY)
@@ -247,6 +254,75 @@ class TestInterrupt:
         assert main(["compare", "--baseline", whole,
                      "--candidate", cut]) == 2
         assert "cut holds an interrupted run" in capsys.readouterr().err
+
+
+class TestInterruptedWrite:
+    """A KeyboardInterrupt in a writer, on a rerun with other settings into
+    a directory that holds a complete earlier run: exit 130, and no file of
+    the earlier run remains, since a verb removes what it will write first."""
+
+    WRITERS = {"write_csv": (MetricsLog, "write_csv"),
+               "write_resolved": (advaug.cli, "write_resolved"),
+               "save_checkpoint": (advaug.cli, "save_checkpoint"),
+               "_write_json": (advaug.cli, "_write_json")}
+
+    @staticmethod
+    def rerun_interrupted(monkeypatch, writer, argv):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(*writer, interrupt)
+        return TestInterrupt.main(argv)
+
+    @staticmethod
+    def files(root):
+        return {path: path.read_bytes() for path in root.rglob("*")
+                if path.is_file()}
+
+    @staticmethod
+    def assert_none_remains(earlier):
+        for path, data in earlier.items():
+            assert not path.exists() or path.read_bytes() != data, path
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_run(self, tmp_path, capsys, monkeypatch, writer):
+        out = tmp_path / "o"
+        argv = ["run", "--output", str(out), "--config"]
+        assert main(argv + [write_ini(tmp_path, TINY)]) == 0
+        earlier = self.files(out)
+        assert len(earlier) == 5
+        other = write_ini(tmp_path, TINY.replace("t2 = 40", "t2 = 30"))
+        assert self.rerun_interrupted(monkeypatch, self.WRITERS[writer],
+                                      argv + [other]) == 130
+        self.assert_none_remains(earlier)
+        capsys.readouterr()
+        assert main(["compare", "--baseline", str(out),
+                     "--candidate", str(out)]) == 2
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_sweep(self, tmp_path, capsys, monkeypatch, writer):
+        root = tmp_path / "sweep"
+        argv = ["sweep", "--output", str(root), "--config"]
+        assert main(argv + [write_ini(tmp_path, TINY)]) == 0
+        earlier = self.files(root)
+        assert len(earlier) == 1 + 5 * len(ALPHA_GRID)
+        other = write_ini(tmp_path, TINY.replace("t2 = 40", "t2 = 30"))
+        assert self.rerun_interrupted(monkeypatch, self.WRITERS[writer],
+                                      argv + [other]) == 130
+        self.assert_none_remains(earlier)
+
+    def test_gen_data(self, tmp_path, monkeypatch):
+        noise = ("[run]\nscenario = noise\nseed = 0\n[data]\nper_class = 40\n"
+                 "meta_per_class = 4\ntest_per_class = 10\n")
+        out = tmp_path / "data"
+        argv = ["gen-data", "--output", str(out), "--config"]
+        assert main(argv + [write_ini(tmp_path, noise)]) == 0
+        earlier = self.files(out)
+        assert len(earlier) == 4
+        other = write_ini(tmp_path, noise.replace("seed = 0", "seed = 1"))
+        assert self.rerun_interrupted(monkeypatch, (advaug.cli, "save_csv"),
+                                      argv + [other]) == 130
+        self.assert_none_remains(earlier)
 
 
 def write_table(path, labels, width, seed=0):

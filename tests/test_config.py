@@ -1,7 +1,9 @@
 """Config parsing, validation, and resolved-file round trips."""
 
 import configparser
+import importlib.util
 import re
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -68,8 +70,8 @@ class TestParsing:
         assert cfg.seed == 0
         assert cfg.data.num_classes == 5
         assert cfg.data.imbalance_ratio == 100.0
-        assert cfg.trainer.hidden == (64, 64)
-        assert cfg.trainer.alpha == 0.5
+        assert cfg.trainer.hidden == (32,)
+        assert cfg.trainer.alpha == 0.25
         assert cfg.trainer.t2 == 1500
 
     def test_t1_auto_resolves_to_30_percent(self, tmp_path):
@@ -222,8 +224,7 @@ class TestNonFinite:
 
     def test_nan_alpha_on_the_longtail_preset(self, tmp_path):
         text = (ROOT / "configs" / "longtail.ini").read_text(encoding="utf-8")
-        text = text.replace("alpha = 0.25", "alpha = nan")
-        assert "alpha = nan" in text
+        text += "\n[loss]\nalpha = nan\n"
         assert_refused_at_parse(tmp_path, text, "alpha must be finite")
 
     def test_infinite_eta1(self, tmp_path):
@@ -306,9 +307,9 @@ class TestResolvedRoundTrip:
         out = tmp_path / "resolved.ini"
         write_resolved(parse_config(write_ini(tmp_path, text)), str(out))
         assert out.read_bytes() == head + (
-            b"[model]\nhidden = 64,64\nfeat_dim = 16\nperturb_hidden = 100\n\n"
-            b"[loss]\nalpha = 0.5\nbeta = 1.0\n\n"
-            b"[training]\nt1 = 450\nt2 = 1500\neta1 = 0.05\neta2 = 0.001\n"
+            b"[model]\nhidden = 32\nfeat_dim = 16\nperturb_hidden = 100\n\n"
+            b"[loss]\nalpha = 0.25\nbeta = 0.5\n\n"
+            b"[training]\nt1 = 450\nt2 = 1500\neta1 = 0.03\neta2 = 0.001\n"
             b"batch_train = 64\nbatch_meta = 32\nmomentum = 0.9\n"
             b"weight_decay = 0.0005\nfreeze_eps = false\n"
             b"diagonal_sigma = false\n\n")
@@ -318,6 +319,36 @@ class TestResolvedRoundTrip:
             cfg = parse_config(str(ROOT / "configs" / f"{name}.ini"))
             assert cfg.scenario == name
             assert cfg.trainer.t1 == 450
+
+
+class TestBenchmarkInputs:
+    """The benchmark builds each workload's INI from its shipped preset by
+    rewriting `key = value` lines, so the presets must keep those lines."""
+
+    @pytest.fixture
+    def bench(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", ROOT / "perfbench" / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up while they are built
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_workload_is_its_preset_at_the_seed(self, tmp_path, bench,
+                                                      seed):
+        for name, workload in bench.WORKLOADS.items():
+            preset = ROOT / "configs" / f"{workload.preset}.ini"
+            text = bench.workload_ini(workload, preset.read_text(), seed)
+            cfg = parse_config(write_ini(tmp_path, text))
+            expected = parse_config(str(preset))
+            trainer = replace(expected.trainer, seed=seed)
+            if workload.plain_ce:
+                trainer = replace(trainer, t1=trainer.t2)
+            assert (cfg.scenario, cfg.data) == (expected.scenario,
+                                                expected.data), name
+            assert cfg.trainer == trainer, name
 
 
 class TestTrainerConfig:

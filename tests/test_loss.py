@@ -10,10 +10,9 @@ from advaug.characteristics import BatchView
 from advaug.data import Dataset
 from advaug.loss import (adjusted_logits, augmented_ce_loss, base_logits,
                          compute_delta, extract_features, quadratic_terms)
-from advaug.oracles import fd_gradient
+from advaug.oracles import fd_gradient, per_sample_ce
 from advaug.stats import project_psd, update_covariance
 from advaug.training import TrainerConfig, _regularizer_row, init_state
-from advaug.verification import _ce_reference
 
 
 class TestComputeDelta:
@@ -38,8 +37,8 @@ class TestComputeDelta:
             if np.min(np.abs(g)) < 1e-6:
                 continue
             delta = compute_delta(g, np.array([1e-3]))
-            before = _ce_reference(h @ w.T + b, y)[0]
-            after = _ce_reference((h + delta) @ w.T + b, y)[0]
+            before = per_sample_ce(h @ w.T + b, y)[0]
+            after = per_sample_ce((h + delta) @ w.T + b, y)[0]
             assert after >= before - 1e-12
 
     def test_eps_magnitude_validated(self):
@@ -145,8 +144,8 @@ class TestAdjustedLogits:
         z1 = adjusted_logits(Tensor(w), Tensor(b), Tensor(h), None, None,
                              priors, 0.0, 1.0)
         assert np.allclose(z1.value, z0.value + np.log(0.25), atol=1e-12)
-        ce0 = _ce_reference(z0.value, labels)
-        ce1 = _ce_reference(z1.value, labels)
+        ce0 = per_sample_ce(z0.value, labels)
+        ce1 = per_sample_ce(z1.value, labels)
         assert np.max(np.abs(ce0 - ce1)) < 1e-12
 
     def test_matches_scalar_oracle(self):
@@ -192,7 +191,7 @@ class TestAugmentedCeLoss:
         z = adjusted_logits(Tensor(w), Tensor(b), Tensor(h),
                             Tensor(np.zeros((6, 4))), rho, priors, 0.0, 0.0)
         loss = augmented_ce_loss(z, labels)
-        ce = _ce_reference(h @ w.T + b, labels).mean()
+        ce = per_sample_ce(h @ w.T + b, labels).mean()
         assert loss.value == pytest.approx(ce, abs=1e-12)
 
     def test_la_identity(self):
@@ -205,7 +204,7 @@ class TestAugmentedCeLoss:
                             priors, 0.0, 1.0)
         loss = augmented_ce_loss(z, labels)
         # side-by-side logit-adjustment baseline
-        la = _ce_reference(h @ w.T + b + np.log(priors), labels).mean()
+        la = per_sample_ce(h @ w.T + b + np.log(priors), labels).mean()
         assert loss.value == pytest.approx(la, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):

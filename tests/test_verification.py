@@ -1,4 +1,7 @@
-"""The verification suites fail on a NaN in what they check."""
+"""The verification suites fail on a NaN in what they check, and distinct
+`advaug verify` seeds draw from distinct Monte Carlo seeds."""
+
+import inspect
 
 import numpy as np
 import pytest
@@ -36,3 +39,32 @@ def test_a_nan_fails_the_suite(monkeypatch, suite):
     record = getattr(verification, f"{suite}_suite")(**kwargs)
     assert not record["passed"]
     assert np.isnan(record[key])
+
+
+def recorder(seeds, oracle, result):
+    """A cheap stand-in for `oracle` that keeps the seed it is given."""
+    signature = inspect.signature(getattr(verification, oracle))
+
+    def recording(*args, **kwargs):
+        seeds.append((oracle,
+                      signature.bind(*args, **kwargs).arguments["seed"]))
+        return result
+
+    return recording
+
+
+def test_distinct_seeds_share_no_monte_carlo_seed(monkeypatch):
+    seeds = []
+    for oracle, result in (("mgf_check", (1.0, 1.0)),
+                           ("mc_expected_ce", (0.0, 1.0)),
+                           ("finite_loss_convergence", [1.0, 0.3, 0.1])):
+        monkeypatch.setattr(verification, oracle,
+                            recorder(seeds, oracle, result))
+    drawn = []
+    for seed in (0, 1):
+        verification.run_all(seed)
+        drawn.append(set(seeds))
+        seeds.clear()
+    # jensen's 200 instances, the 27 MGF cells and 50 convergence runs
+    assert len(drawn[0]) == 200 + len(verification.MGF_CELLS) + 50
+    assert not drawn[0] & drawn[1]
