@@ -80,7 +80,7 @@ class ClassifierParams(FlatParams):
 
 
 def init_classifier(in_dim: int, num_classes: int, hidden: tuple[int, ...],
-                    feat_dim: int = 16, seed: int = 0) -> ClassifierParams:
+                    feat_dim: int, seed: int = 0) -> ClassifierParams:
     """He-initialized MLP; hidden=() with feat_dim==in_dim is identity."""
     rng = np.random.default_rng(seed)
     arrays = []

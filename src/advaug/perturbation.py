@@ -17,7 +17,7 @@ class PerturbNetParams(FlatParams):
     """[w1 (15 x H1), b1 (H1), w2 (H1 x 1), b2 (1)]."""
 
 
-def init_perturb_net(hidden: int = 100, seed: int = 0) -> PerturbNetParams:
+def init_perturb_net(hidden: int, seed: int = 0) -> PerturbNetParams:
     """Layer 1 small random, layer 2 zero: training starts at eps == +0.0,
     and `training.full_train_eps` builds no characteristics until the first
     meta step moves layer 2."""

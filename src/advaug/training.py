@@ -28,9 +28,11 @@ Each meta iteration runs four stages:
    and covariances.
 
 Iterations up to the warm-up horizon use plain cross-entropy instead; their
-observation updates the statistics and the history but normalizes no
-characteristics, since nothing in a warm-up step reads them, and its
-forward and softmax are the ones the step's loss takes its gradient from.
+observation updates the statistics, and the history only in a run that
+later meta-trains (t1 < t2), whose meta phase reads it. It normalizes no
+characteristics, since nothing in a warm-up step reads them, and a run
+with no meta iteration (t1 = t2) builds none at all. Its forward and
+softmax are the ones the step's loss takes its gradient from.
 The per-epoch diagnostics and evaluation run the same kernel forward, the
 diagnostics over the whole training set in row blocks, each of which writes
 its rows of one characteristics table; while the perturbation net still
@@ -314,7 +316,11 @@ def _batch_view(state: MetaState, ids: np.ndarray
 
 def _observe_batch(state: MetaState, batch_idx: np.ndarray,
                    meta: bool = True) -> Observation:
-    """Update running stats/EMAs from the batch forward.
+    """Update the class statistics from the batch forward, and the
+    per-sample history (EMAs and normalization statistics) in a run that
+    meta-trains (t1 < t2), since only its meta phase reads the history.
+    A run with no meta iteration (t1 = t2) builds no characteristics, and
+    its `History` stays empty.
 
     Returns the batch view (labels, logits, softmax and the per-sample CE
     gradients w.r.t. features) and the extractor activations, valid until
@@ -327,11 +333,13 @@ def _observe_batch(state: MetaState, batch_idx: np.ndarray,
     """
     view, acts = _batch_view(state, batch_idx)
     update_covariance(state.stats, view.h, view.labels)
-    raw = extract(view, state.history, state.stats)
-    # normalized by the statistics from before this batch
-    characteristics = state.history.normalize(raw) if meta else None
-    update_history(state.history, batch_idx, raw)
     state.last_view = view
+    characteristics = None
+    if state.config.t1 < state.config.t2:
+        raw = extract(view, state.history, state.stats)
+        if meta:  # normalized by the statistics from before this batch
+            characteristics = state.history.normalize(raw)
+        update_history(state.history, batch_idx, raw)
     if not meta:
         return Observation(view, acts, None, None, None, None)
     return Observation(view, acts, characteristics,

@@ -76,7 +76,7 @@ class TestEpsForward:
             assert np.max(np.abs(g.value - fd)) / denom < 1e-5
 
     def test_wrong_width_rejected(self):
-        tensors = [Tensor(a) for a in init_perturb_net().arrays()]
+        tensors = [Tensor(a) for a in init_perturb_net(hidden=100).arrays()]
         with pytest.raises(ad.ShapeError):
             taped_eps(tensors, np.zeros((2, NUM_CHARACTERISTICS + 1)))
 

@@ -642,6 +642,49 @@ class TestTrajectories:
         values = np.array([[row[k] for k in columns] for row in log.rows])
         assert (values == 0.0).all() and not np.signbit(values).any()
 
+    def test_no_meta_iteration_builds_no_characteristics(self,
+                                                         monkeypatch):
+        # Nothing in a t1 = t2 run reads the characteristics or the history.
+        def refuse(*args):
+            raise AssertionError("characteristics built")
+
+        monkeypatch.setattr(training, "extract", refuse)
+        monkeypatch.setattr(training, "update_history", refuse)
+        ds, md = self.make_problem()
+        cfg = TrainerConfig(t1=20, t2=20, batch_train=8, batch_meta=4,
+                            hidden=(8,), feat_dim=4, perturb_hidden=6,
+                            seed=2)
+        _, log = train(cfg, ds, md)
+        every = max(1, round(ds.n / cfg.batch_train))
+        ends = [t for t in range(1, cfg.t2 + 1)
+                if t % every == 0 or t == cfg.t2]
+        assert len(ends) > 2
+        assert [row["iteration"] for row in log.rows] == ends
+
+    def test_warmup_of_a_meta_run_feeds_the_history(self, monkeypatch):
+        # The meta phase reads the EMAs and the normalization statistics,
+        # so each warm-up step of a run with t1 < t2 folds its batch in.
+        ds, md = self.make_problem()
+        cfg = TrainerConfig(t1=6, t2=9, batch_train=8, batch_meta=4,
+                            hidden=(8,), feat_dim=4, perturb_hidden=6,
+                            seed=3)
+        draw, batches, after_warmup = training.sample_train_batch, [], []
+
+        def recording(state):
+            if state.t == cfg.t1 + 1:
+                after_warmup.append(copy.deepcopy(state.history))
+            batches.append(draw(state))
+            return batches[-1]
+
+        monkeypatch.setattr(training, "sample_train_batch", recording)
+        train(cfg, ds, md)
+        history, = after_warmup
+        assert history.norm_count == cfg.t1
+        expected = np.zeros(ds.n, dtype=bool)
+        expected[np.concatenate(batches[:cfg.t1])] = True
+        assert not expected.all()
+        assert (history.seen == expected).all()
+
     def test_training_is_reproducible(self):
         ds, md = self.make_problem()
         test = make_balanced(seed=20, num_classes=3, per_class=20, dim=3,
