@@ -117,8 +117,13 @@ def quad(slot: str, a=None, du=None, dv=None, s=None,
     return np.add.reduce(terms, axis=0) - np.add.reduce(terms, axis=1)
 
 
-def sum_by_label(rows: np.ndarray, labels: np.ndarray, count: int
-                 ) -> np.ndarray:
+def label_bins(labels: np.ndarray, width: int) -> np.ndarray:
+    """Flat (label, column) bins of an (n, width) table, for `sum_by_label`."""
+    return (labels[:, None] * width + np.arange(width)).ravel()
+
+
+def sum_by_label(rows: np.ndarray, labels: np.ndarray, count: int,
+                 bins: np.ndarray | None = None) -> np.ndarray:
     """Sum the rows of `rows` by label into a (count, width) table.
 
     One bincount over the flat (label, column) bins adds the rows of each
@@ -129,8 +134,8 @@ def sum_by_label(rows: np.ndarray, labels: np.ndarray, count: int
     n, width = rows.shape
     if not n:  # a bincount of no entries gives integer zeros
         return np.zeros((count, width))
-    out = np.bincount((labels[:, None] * width + np.arange(width)).ravel(),
-                      weights=rows.ravel(), minlength=count * width)
+    bins = label_bins(labels, width) if bins is None else bins
+    out = np.bincount(bins, weights=rows.ravel(), minlength=count * width)
     if out.size != count * width:
         raise ValueError(f"sum_by_label: a label is >= {count}")
     return out.reshape(count, width)

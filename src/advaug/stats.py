@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import sum_by_label
+from .kernels import label_bins, sum_by_label
 
 
 def class_priors(counts) -> np.ndarray:
@@ -90,9 +90,8 @@ class ClassStats:
         """Every Sigma_c: (num_classes, dim) variances in diagonal mode,
         else (num_classes, dim, dim).
 
-        The scatter of an unseen class stays +0.0 (`update_covariance` and
-        `set_covariance` write only seen classes), so dividing it by one
-        gives its zero Sigma_c.
+        The scatter of an unseen class stays +0.0 (see `update_covariance`),
+        so dividing it by one gives its zero Sigma_c.
         """
         return self.scatter / _per_class(np.maximum(self.counts, 1.0),
                                          self.scatter)
@@ -121,44 +120,41 @@ def update_covariance(stats: ClassStats, features: np.ndarray,
                       labels: np.ndarray) -> ClassStats:
     """Merge one batch into the running moments (in place; returns stats).
 
-    `kernels.sum_by_label` sums each class's rows in row order, the order
-    of a per-class mean(axis=0), so the moments do not depend on how the
-    classes are grouped. Only the full-covariance scatter takes one product
-    per class.
+    One merge for every class, with m its batch rows, n its count and d =
+    max(n + m, 1): means += delta * m / d, scatter += delta^2 * n * m / d
+    + scat_b (delta = mu_b - means; an outer product in full mode), counts
+    += m. Exact with no branch: an absent class (m = 0; mu_b = scat_b =
+    +0.0, as label sums start at +0.0) adds a signed zero to its finite
+    mean, never -0.0, and +0.0 to its scatter; a fresh one (n = 0; means =
+    scatter = +0.0) has weight m / m = 1.0 and takes mu_b and scat_b. Rows
+    sum in row order, as in a per-class mean(axis=0). A label outside
+    range(num_classes) raises ValueError before any moment changes.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
     if features.shape[1] != stats.dim:
         raise ValueError(
             f"update_covariance: feature width {features.shape[1]} != {stats.dim}")
-    batch_counts = np.bincount(labels, minlength=stats.num_classes)
-    seen = batch_counts.nonzero()[0]
-    mu_b = (sum_by_label(features, labels, stats.num_classes)
-            / np.maximum(batch_counts, 1)[:, None])
+    m = np.bincount(labels, minlength=stats.num_classes).astype(np.float64)
+    bins = label_bins(labels, stats.dim)
+    mu_b = (sum_by_label(features, labels, stats.num_classes, bins)
+            / np.maximum(m, 1.0)[:, None])
     centered = features - mu_b.take(labels, axis=0)
     if stats.diagonal:
         scat_b = sum_by_label(np.square(centered, out=centered), labels,
-                              stats.num_classes)
+                              stats.num_classes, bins)
     else:
         scat_b = np.zeros(stats.scatter.shape)
-        for c in seen:
+        for c in m.nonzero()[0]:
             rows = centered[labels == c]
             scat_b[c] = rows.T @ rows
-    mu_b, scat_b = mu_b.take(seen, axis=0), scat_b.take(seen, axis=0)
-    m = batch_counts.take(seen).astype(np.float64)
-    n = stats.counts.take(seen)
-    fresh = n == 0
-    total = n + m
-    means = stats.means.take(seen, axis=0)
-    delta = mu_b - means
-    means += delta * (m / total)[:, None]
-    stats.means[seen] = np.where(fresh[:, None], mu_b, means)
+    n = stats.counts
+    d = np.maximum(n + m, 1.0)
+    delta = mu_b - stats.means
+    stats.means += delta * (m / d)[:, None]
     cross = (np.square(delta, out=delta) if stats.diagonal
              else delta[:, :, None] * delta[:, None, :])
-    cross *= _per_class(n * m / total, scat_b)
-    cross += scat_b
-    scatter = stats.scatter.take(seen, axis=0)
-    scatter += cross
-    stats.scatter[seen] = np.where(_per_class(fresh, scat_b), scat_b, scatter)
-    stats.counts[seen] = total
+    cross *= _per_class(n * m / d, scat_b)
+    stats.scatter += cross + scat_b
+    stats.counts += m
     return stats

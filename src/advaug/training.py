@@ -27,12 +27,11 @@ Each meta iteration runs four stages:
    under the surrogate loss recomputed with the refreshed perturbation net
    and covariances.
 
-Iterations up to the warm-up horizon use plain cross-entropy instead; their
-observation updates the statistics, and the history only in a run that
-later meta-trains (t1 < t2), whose meta phase reads it. It normalizes no
-characteristics, since nothing in a warm-up step reads them, and a run
-with no meta iteration (t1 = t2) builds none at all. Its forward and
-softmax are the ones the step's loss takes its gradient from.
+Iterations up to the warm-up horizon use plain cross-entropy instead. Their
+observation updates the statistics, and the history only in a run that later
+meta-trains a live perturbation net (t1 < t2, eps not frozen), the history's
+one reader; any other run builds no characteristics at all. The warm-up loss
+takes its gradient from the observation's forward and softmax.
 The per-epoch diagnostics and evaluation run the same kernel forward, the
 diagnostics over the whole training set in row blocks, each of which writes
 its rows of one characteristics table; while the perturbation net still
@@ -239,7 +238,7 @@ class Observation(NamedTuple):
     view: BatchView
     acts: list[np.ndarray]  # extractor activations; acts[0] = x, acts[-1] = h
     # Meta path only (None in a warm-up step):
-    characteristics: np.ndarray | None  # n x 15, normalized
+    characteristics: np.ndarray | None  # n x 15 normalized; None if eps frozen
     sign: np.ndarray | None  # sign(grad_h): delta_i = eps_i * sign_i
     dw: np.ndarray | None  # head differences W_j - W_k, see kernels
     masks: list[np.ndarray] | None  # kernels.relu_masks(acts)
@@ -317,10 +316,9 @@ def _batch_view(state: MetaState, ids: np.ndarray
 def _observe_batch(state: MetaState, batch_idx: np.ndarray,
                    meta: bool = True) -> Observation:
     """Update the class statistics from the batch forward, and the
-    per-sample history (EMAs and normalization statistics) in a run that
-    meta-trains (t1 < t2), since only its meta phase reads the history.
-    A run with no meta iteration (t1 = t2) builds no characteristics, and
-    its `History` stays empty.
+    per-sample history (EMAs and normalization statistics) only while the
+    perturbation net, their one reader, is live (t1 < t2, eps not frozen);
+    otherwise no characteristics are built and `History` stays empty.
 
     Returns the batch view (labels, logits, softmax and the per-sample CE
     gradients w.r.t. features) and the extractor activations, valid until
@@ -335,7 +333,7 @@ def _observe_batch(state: MetaState, batch_idx: np.ndarray,
     update_covariance(state.stats, view.h, view.labels)
     state.last_view = view
     characteristics = None
-    if state.config.t1 < state.config.t2:
+    if state.config.t1 < state.config.t2 and not state.config.freeze_eps:
         raw = extract(view, state.history, state.stats)
         if meta:  # normalized by the statistics from before this batch
             characteristics = state.history.normalize(raw)

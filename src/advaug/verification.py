@@ -237,9 +237,9 @@ def hypergradient_suite(seed: int = 0, tol: float = 1e-3,
     each covariance is its (H,) diagonal, whose entries are bumped
     directly. The record's `kink_margin` is the smallest |input| of the
     relus whose inputs move with omega and Sigma: the perturbation net's,
-    and the extractor's on the meta batch at phi'. Finite differences are
-    only meaningful when it is not tiny. With frozen perturbations
-    (`freeze_eps`) no net reaches the meta loss, and `worst_omega` is 0.
+    unless it is frozen (`freeze_eps`: no net reaches the meta loss, and
+    `worst_omega` is 0), and the extractor's on the meta batch at phi'.
+    Finite differences are only meaningful when it is not tiny.
     """
     state, obs = _tiny_state(seed, **overrides)
     meta_idx = np.arange(4)
@@ -266,10 +266,11 @@ def hypergradient_suite(seed: int = 0, tol: float = 1e-3,
         state.stats.set_covariance(c, base)
         worst_sigma = np.maximum(worst_sigma, _rel_err(analytic, fd))
 
-    kink = min(
-        _kink_margin([(omega[0], omega[1])], obs.characteristics),
-        _kink_margin(kernels.extractor_layers(ahead.pseudo_params),
-                     state.metadata.features[meta_idx]))
+    kink = _kink_margin(kernels.extractor_layers(ahead.pseudo_params),
+                        state.metadata.features[meta_idx])
+    if ahead.omega_grads is not None:  # the net is live
+        kink = min(kink, _kink_margin([(omega[0], omega[1])],
+                                      obs.characteristics))
     worst = np.maximum(worst_omega, worst_sigma)
     return {"name": "hypergradient", "passed": worst < tol, "worst": worst,
             "worst_omega": worst_omega, "worst_sigma": worst_sigma,

@@ -126,18 +126,22 @@ def test_adam_steps_and_skips_add_up_to_the_meta_iterations(runs):
 
 
 def test_history_seen_is_the_union_of_the_batches(runs):
-    # Only a run that meta-trains feeds the history; one with no meta
-    # iteration (t1 = t2, the ce arm among them) leaves it empty.
-    no_meta = 0
+    # Only a run whose perturbation net is live feeds the history; one with
+    # no meta iteration (t1 = t2, the ce arm among them) or with frozen
+    # perturbations leaves it empty.
+    no_meta = frozen = 0
     for where, data, state, batches in each_arm(runs):
+        config = state.config
         expected = np.zeros(data.n, dtype=bool)
-        if state.config.t1 < state.config.t2:
+        if config.t1 < config.t2 and not config.freeze_eps:
             expected[np.concatenate(batches)] = True
         else:
             assert state.history.norm_count == 0, where
-            no_meta += 1
+            no_meta += config.t1 == config.t2
+            frozen += config.t1 < config.t2
         assert (state.history.seen == expected).all(), where
     assert no_meta > len(runs), "no t1 = t2 configuration besides ce arms"
+    assert frozen, "no frozen configuration with a meta iteration"
 
 
 def test_every_arm_draws_the_same_train_batches(runs):

@@ -173,6 +173,66 @@ def test_unseen_class_scatter_stays_positive_zero(diagonal):
     assert stats.covariances().tobytes() == masked.tobytes()
 
 
+@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+class TestMergeEdgeCases:
+    """update_covariance merges every class, present in the batch or not,
+    with the same arithmetic; each case below is exact, not approximate."""
+
+    @staticmethod
+    def seeded(diagonal):
+        # classes 0 and 1 seen, 2 and 3 never; magnitudes over four decades
+        rng = np.random.default_rng(13)
+        stats = ClassStats(4, 8, diagonal=diagonal)
+        for labels in ([0, 1, 0, 0, 1, 0], [1, 0, 1, 1, 0]):
+            x = rng.normal(size=(len(labels), 8)) * rng.uniform(0.1, 1e3, 8)
+            update_covariance(stats, x, np.array(labels))
+        return stats, rng
+
+    def test_a_seen_class_absent_from_a_batch_keeps_its_moments(
+            self, diagonal):
+        stats, rng = self.seeded(diagonal)
+        before = copy.deepcopy(stats)
+        update_covariance(stats, rng.normal(size=(4, 8)),
+                          np.array([0, 0, 0, 0]))
+        assert stats.counts[1] == before.counts[1] == 5
+        for name in ("means", "scatter"):
+            assert (getattr(stats, name)[1].tobytes()
+                    == getattr(before, name)[1].tobytes()), name
+
+    def test_a_never_seen_class_stays_at_positive_zero(self, diagonal):
+        stats, _ = self.seeded(diagonal)
+        for c in (2, 3):
+            assert stats.counts[c] == 0
+            for moment in (stats.means[c], stats.scatter[c]):
+                assert (moment == 0.0).all() and not np.signbit(moment).any()
+
+    def test_a_first_batch_sets_the_batch_moments_exactly(self, diagonal):
+        stats, rng = self.seeded(diagonal)
+        labels = np.array([2, 0, 3, 2, 2, 1, 2, 3, 2, 2, 3, 2])
+        x = rng.normal(size=(12, 8)) * rng.uniform(0.1, 1e3, 8)
+        update_covariance(stats, x, labels)
+        for c, rows in ((2, 7), (3, 3)):
+            batch = x[labels == c]
+            centered = batch - batch.mean(axis=0)
+            scatter = (np.sum(centered * centered, axis=0) if diagonal
+                       else centered.T @ centered)
+            assert stats.counts[c] == rows
+            assert stats.means[c].tobytes() == batch.mean(axis=0).tobytes()
+            assert stats.scatter[c].tobytes() == scatter.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 4, 7])
+    def test_a_label_out_of_range_is_refused_before_any_change(
+            self, diagonal, bad):
+        stats, _ = self.seeded(diagonal)
+        before = copy.deepcopy(stats)
+        # sum_by_label names a label >= C; np.bincount refuses a negative
+        with pytest.raises(ValueError, match="label is >= 4|negative"):
+            update_covariance(stats, np.ones((3, 8)), np.array([0, bad, 1]))
+        for name in ("counts", "means", "scatter"):
+            assert (getattr(stats, name).tobytes()
+                    == getattr(before, name).tobytes()), name
+
+
 class TestClassPriors:
     def test_balanced_two_class(self):
         assert np.allclose(class_priors([50, 50]), [0.5, 0.5])

@@ -642,24 +642,37 @@ class TestTrajectories:
         values = np.array([[row[k] for k in columns] for row in log.rows])
         assert (values == 0.0).all() and not np.signbit(values).any()
 
-    def test_no_meta_iteration_builds_no_characteristics(self,
-                                                         monkeypatch):
-        # Nothing in a t1 = t2 run reads the characteristics or the history.
+    def train_refusing_characteristics(self, monkeypatch, cfg):
+        """Train with `extract` and `update_history` raising; return the
+        log, after checking that it holds every epoch row."""
         def refuse(*args):
             raise AssertionError("characteristics built")
 
         monkeypatch.setattr(training, "extract", refuse)
         monkeypatch.setattr(training, "update_history", refuse)
         ds, md = self.make_problem()
-        cfg = TrainerConfig(t1=20, t2=20, batch_train=8, batch_meta=4,
-                            hidden=(8,), feat_dim=4, perturb_hidden=6,
-                            seed=2)
         _, log = train(cfg, ds, md)
         every = max(1, round(ds.n / cfg.batch_train))
         ends = [t for t in range(1, cfg.t2 + 1)
                 if t % every == 0 or t == cfg.t2]
         assert len(ends) > 2
         assert [row["iteration"] for row in log.rows] == ends
+        return log
+
+    def test_no_meta_iteration_builds_no_characteristics(self,
+                                                         monkeypatch):
+        # Nothing in a t1 = t2 run reads the characteristics or the history.
+        self.train_refusing_characteristics(monkeypatch, TrainerConfig(
+            t1=20, t2=20, batch_train=8, batch_meta=4, hidden=(8,),
+            feat_dim=4, perturb_hidden=6, seed=2))
+
+    def test_frozen_eps_builds_no_characteristics(self, monkeypatch):
+        # With frozen perturbations the surrogate skips the net and the
+        # epoch rows' eps pass returns zeros: nothing reads the history.
+        log = self.train_refusing_characteristics(monkeypatch, TrainerConfig(
+            t1=4, t2=20, freeze_eps=True, batch_train=8, batch_meta=4,
+            hidden=(8,), feat_dim=4, perturb_hidden=6, seed=2))
+        assert log.rows[-1]["phase"] == "meta"
 
     def test_warmup_of_a_meta_run_feeds_the_history(self, monkeypatch):
         # The meta phase reads the EMAs and the normalization statistics,
