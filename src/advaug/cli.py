@@ -16,14 +16,14 @@ validated `TrainerConfig`, which trains it.  Once its inputs and output
 directories are accepted, a verb removes every file it will write; a run
 writes summary.json last.  Exit codes: 0 success, 1 verification failure
 (`verify` only), 2 invalid configuration or inputs (non-finite numbers, a
-negative `verify` seed, an output path that is or lies under a file) before
-any training, 3 numerical abort during training (its run directory still
-gets the epoch rows logged before the abort and a summary that names it),
-130 interrupted anywhere (in training, the same, the summary's `interrupted`
-field being the iteration: 0, with a header-only metrics.csv, before the
-first; a sweep stops there); neither writes checkpoints.  Relative output
-directories are resolved under $ADVAUG_OUTPUT_ROOT (default: current
-directory) and made before training.
+negative run or `verify` seed, an output path that is or lies under a
+file) before any training, 3 numerical abort during training (its run
+directory still gets the epoch rows logged before the abort and a summary
+that names it), 130 interrupted anywhere (in training, the same, the
+summary's `interrupted` field being the iteration: 0, with a header-only
+metrics.csv, before the first; a sweep stops there); neither writes
+checkpoints.  Relative output directories are resolved under
+$ADVAUG_OUTPUT_ROOT (default: current directory) and made before training.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ the defaults, and `_schema` reads both from a dataclass's fields.  The
 `TrainerConfig`, which `parse_config` constructs once and `RunConfig`
 holds; its construction checks their values.  Only the schedule defaults
 are the file's own.  The [data] keys come from the scenario's class in
-`scenarios.SCENARIOS`, whose instance `RunConfig` holds; the data layer
-checks their values when the datasets are built.  `write_resolved`
+`scenarios.SCENARIOS`, whose instance `RunConfig` holds; its `build`
+checks their values when it draws the datasets.  `write_resolved`
 materializes all defaults, producing a file that reproduces the run exactly.
 """
 

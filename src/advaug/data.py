@@ -1,8 +1,8 @@
-"""Synthetic biased datasets, label corruption, metadata split, CSV io.
+"""The labeled-set type, label corruption, metadata split, CSV io.
 
-Every labeled set, the training, meta and test sets alike, is a `Dataset`.
-Generators are pure functions of (seed, config): the same arguments always
-produce bit-identical arrays.
+Every labeled set, the training, meta and test sets alike, is a `Dataset`;
+`scenarios` draws the built-in ones.  Label corruption and the metadata
+split are pure functions of (dataset, seed).
 """
 
 from __future__ import annotations
@@ -15,36 +15,6 @@ import numpy as np
 
 class DataError(ValueError):
     """Invalid dataset construction or malformed external data."""
-
-
-@dataclass
-class BlobGeometry:
-    """Gaussian class blobs on a circle, plus isotropic nuisance dims.
-
-    std may be a single float shared by every class or one float per
-    class (heteroscedastic blobs).  Every number must be finite and every
-    std positive; the per-class count is checked against the classes drawn.
-    """
-
-    radius: float = 2.0
-    std: float | tuple[float, ...] = 1.0
-    nuisance_std: float = 1.0
-
-    def __post_init__(self) -> None:
-        stds = np.atleast_1d(np.asarray(self.std, dtype=np.float64))
-        if not np.isfinite([self.radius, self.nuisance_std, *stds]).all():
-            raise DataError("blob radius, std and nuisance_std must be finite")
-        if (stds <= 0).any():
-            raise DataError("blob std must be positive")
-
-    def class_std(self, c: int, num_classes: int) -> float:
-        if np.isscalar(self.std):
-            return float(self.std)
-        if len(self.std) != num_classes:
-            raise DataError(
-                f"per-class std has {len(self.std)} entries for "
-                f"{num_classes} classes")
-        return float(self.std[c])
 
 
 @dataclass
@@ -80,45 +50,6 @@ def _counts(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return np.bincount(labels, minlength=num_classes)
 
 
-def make_longtail(seed: int, num_classes: int, n_max: int,
-                  imbalance_ratio: float, dim: int,
-                  geometry: BlobGeometry | None = None) -> Dataset:
-    """Geometric class-size profile n_c = round(n_max * ratio^(-c/(C-1)))."""
-    if num_classes < 2:
-        raise DataError("need at least 2 classes")
-    if not 1 <= imbalance_ratio < np.inf:
-        raise DataError("imbalance_ratio must be finite and >= 1")
-    if dim < 2:
-        raise DataError("need dim >= 2 for the circular core geometry")
-    geometry = geometry or BlobGeometry()
-    sizes = [int(round(n_max * imbalance_ratio ** (-c / (num_classes - 1))))
-             for c in range(num_classes)]
-    if sizes[-1] < 2:
-        raise DataError(
-            f"smallest class would have {sizes[-1]} samples; need >= 2")
-    rng = np.random.default_rng(seed)
-    feats, labels = [], []
-    for c, n_c in enumerate(sizes):
-        angle = 2.0 * np.pi * c / num_classes
-        center = geometry.radius * np.array([np.cos(angle), np.sin(angle)])
-        std_c = geometry.class_std(c, num_classes)
-        core = center + rng.normal(scale=std_c, size=(n_c, 2))
-        nuisance = rng.normal(scale=geometry.nuisance_std, size=(n_c, dim - 2))
-        feats.append(np.hstack([core, nuisance]))
-        labels.append(np.full(n_c, c, dtype=np.intp))
-    features = np.vstack(feats)
-    labels = np.concatenate(labels)
-    order = rng.permutation(labels.size)
-    return Dataset(features[order], labels[order],
-                   _counts(labels, num_classes))
-
-
-def make_balanced(seed: int, num_classes: int, per_class: int, dim: int,
-                  geometry: BlobGeometry | None = None) -> Dataset:
-    """Balanced blobs with the same geometry (test/eval sets)."""
-    return make_longtail(seed, num_classes, per_class, 1.0, dim, geometry)
-
-
 def inject_label_noise(dataset: Dataset, kind: str, rate: float,
                        seed: int) -> Dataset:
     """Corrupt labels i.i.d. Bernoulli(rate); features untouched.
@@ -142,55 +73,6 @@ def inject_label_noise(dataset: Dataset, kind: str, rate: float,
                    group_ids=None if dataset.group_ids is None
                    else dataset.group_ids.copy(),
                    noise_mask=selected)
-
-
-def make_subpop_shift(seed: int, core_sep: float, spurious_sep: float,
-                      group_balance_train, group_balance_test,
-                      n_train: int = 2000, n_test: int = 2000,
-                      core_dim: int = 2, spurious_dim: int = 2
-                      ) -> tuple[Dataset, Dataset]:
-    """Binary task with block features [core | spurious].
-
-    Core dims separate the two classes by core_sep (Mahalanobis, unit
-    noise); spurious dims separate the two attribute values by
-    spurious_sep. Groups are indexed 2*label + attribute. Train group
-    frequencies follow group_balance_train; the test set uses
-    group_balance_test (typically uniform).
-    """
-    if not np.isfinite([core_sep, spurious_sep]).all():
-        raise DataError("core_sep and spurious_sep must be finite")
-    pt = np.asarray(group_balance_train, dtype=np.float64)
-    pe = np.asarray(group_balance_test, dtype=np.float64)
-    for p in (pt, pe):
-        if (p.shape != (4,) or not np.isfinite(p).all()
-                or not np.isclose(p.sum(), 1.0)):
-            raise DataError("group balance must be a distribution over 4 groups")
-    rng = np.random.default_rng(seed)
-
-    def build(p, n, sub_rng):
-        sizes = np.floor(p * n).astype(int)
-        sizes[np.argmax(p)] += n - sizes.sum()
-        if np.any(sizes < 1):
-            raise DataError(f"degenerate balance: group sizes {sizes.tolist()}")
-        u_core = np.ones(core_dim) / np.sqrt(core_dim)
-        u_sp = np.ones(spurious_dim) / np.sqrt(spurious_dim)
-        feats, labels, groups = [], [], []
-        for g, n_g in enumerate(sizes):
-            y, a = divmod(g, 2)
-            mean = np.concatenate([(2 * y - 1) * 0.5 * core_sep * u_core,
-                                   (2 * a - 1) * 0.5 * spurious_sep * u_sp])
-            feats.append(mean + sub_rng.normal(
-                size=(n_g, core_dim + spurious_dim)))
-            labels.append(np.full(n_g, y, dtype=np.intp))
-            groups.append(np.full(n_g, g, dtype=np.intp))
-        features = np.vstack(feats)
-        labels = np.concatenate(labels)
-        groups = np.concatenate(groups)
-        order = sub_rng.permutation(labels.size)
-        return Dataset(features[order], labels[order], _counts(labels, 2),
-                       group_ids=groups[order])
-
-    return build(pt, n_train, rng), build(pe, n_test, rng)
 
 
 def split_meta(dataset: Dataset, per_class: int,

@@ -128,6 +128,8 @@ class TrainerConfig:
                 "feat_dim, hidden and perturb_hidden widths must be >= 1")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class MomentumSgd:

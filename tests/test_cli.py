@@ -110,6 +110,28 @@ class TestRun:
         assert "config error" in err
         assert "perturb_hidden" in err
 
+    def test_negative_seed_exits_2_keeping_an_earlier_run(self, tmp_path,
+                                                          capsys):
+        # Refused when the file is parsed, before any artifact is removed;
+        # a custom-csv run draws nothing from the seed before training.
+        out, gen = tmp_path / "o", tmp_path / "gen"
+        tiny = write_ini(tmp_path, TINY)
+        assert main(["run", "--config", tiny, "--output", str(out)]) == 0
+        assert main(["gen-data", "--config", tiny, "--output", str(gen)]) == 0
+        earlier = {name: (out / name).read_bytes()
+                   for name in advaug.cli.RUN_ARTIFACTS}
+        custom = ("[run]\nscenario = custom-csv\nseed = -1\n[data]\n"
+                  + "".join(f"{part}_csv = {gen / part}.csv\n"
+                            for part in ("train", "meta", "test")))
+        capsys.readouterr()
+        for text in (TINY.replace("seed = 1", "seed = -1"), custom):
+            cfg = write_ini(tmp_path, text)
+            assert main(["run", "--config", cfg, "--output", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "config error: seed must be >= 0, got -1" in err
+        assert {name: (out / name).read_bytes()
+                for name in advaug.cli.RUN_ARTIFACTS} == earlier
+
     def test_divergence_exits_3(self, tmp_path, capsys):
         """The rows logged before the abort and a summary naming it are
         written; no checkpoints are."""

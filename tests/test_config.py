@@ -164,14 +164,14 @@ class TestBlobStd:
         assert cfg.data.blob_std == (0.8, 0.9, 1.1, 1.3, 1.5)
 
     def test_wrong_length_rejected(self, tmp_path):
-        # checked by the generator, when the datasets are built
+        # checked by the scenario's draw, when the datasets are built
         text = MINIMAL + "[data]\nblob_std = 1.0,2.0\n"
         assert_refused_at_build(tmp_path, text, "2 entries for 5 classes")
         noise = "[run]\nscenario = noise\n[data]\nblob_std = 1,2,3,4,5,6\n"
         assert_refused_at_build(tmp_path, noise, "6 entries for 5 classes")
 
     def test_non_positive_rejected(self, tmp_path):
-        # checked by BlobGeometry, when the datasets are built
+        # checked by the scenario's draw, when the datasets are built
         text = MINIMAL + "[data]\nblob_std = 0\n"
         assert_refused_at_build(tmp_path, text, "must be positive")
 
@@ -199,19 +199,34 @@ class TestValidation:
             parse_config(write_ini(tmp_path, text))
 
     def test_bad_noise_kind(self, tmp_path):
-        # checked by the generator, when the datasets are built
+        # checked by inject_label_noise, when the datasets are built
         for kind in ("salt", "Flip"):
             text = f"[run]\nscenario = noise\n[data]\nnoise_kind = {kind}\n"
             assert_refused_at_build(tmp_path, text, "unknown noise kind")
 
     def test_noise_rate_range(self, tmp_path):
-        # checked by the generator, when the datasets are built
+        # checked by inject_label_noise, when the datasets are built
         for rate in ("1.0", "-0.1", "nan"):
             text = f"[run]\nscenario = noise\n[data]\nnoise_rate = {rate}\n"
             assert_refused_at_build(tmp_path, text, "noise rate")
 
+    @pytest.mark.parametrize("key, value", [
+        ("core_dim", 0), ("core_dim", -2), ("spurious_dim", 0),
+        ("spurious_dim", -1)])
+    def test_subpop_block_dims_at_least_one(self, tmp_path, key, value):
+        # checked by the scenario's draw, when the datasets are built
+        text = f"[run]\nscenario = subpop\n[data]\n{key} = {value}\n"
+        assert_refused_at_build(tmp_path, text,
+                                f"{key} must be >= 1, got {value}")
+
+    def test_negative_seed(self, tmp_path):
+        custom = ("[run]\nscenario = custom-csv\nseed = -1\n[data]\n"
+                  "train_csv = a.csv\nmeta_csv = b.csv\ntest_csv = c.csv\n")
+        for text in (MINIMAL + "seed = -1\n", custom):
+            assert_refused_at_parse(tmp_path, text, "seed must be >= 0")
+
     def test_majority_range(self, tmp_path):
-        # refused by the generator's group balance check, when the datasets
+        # refused by the scenario's group size check, when the datasets
         # are built
         text = "[run]\nscenario = subpop\n[data]\ntrain_majority = 0.5\n"
         assert_refused_at_build(tmp_path, text, "degenerate balance")
@@ -220,7 +235,7 @@ class TestValidation:
 class TestNonFinite:
     """A non-finite number exits 2 before any output: a hyperparameter when
     the file is parsed (`TrainerConfig`), a [data] value when the datasets
-    are built (the data layer)."""
+    are built (the scenario's `build`)."""
 
     def test_nan_alpha_on_the_longtail_preset(self, tmp_path):
         text = (ROOT / "configs" / "longtail.ini").read_text(encoding="utf-8")

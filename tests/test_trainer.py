@@ -14,9 +14,9 @@ import advaug.autodiff
 from advaug.characteristics import BatchView, History, extract
 from advaug.classifier import ce_grad_wrt_features, flatten
 from advaug.config import parse_config
-from advaug.data import BlobGeometry, Dataset, make_balanced, make_longtail
+from advaug.data import Dataset
 from advaug import kernels, training
-from advaug.scenarios import build_scenario
+from advaug.scenarios import Longtail, build_scenario
 from advaug.stats import class_priors, project_psd
 from advaug.training import (
     Adam,
@@ -609,12 +609,8 @@ def reference_la_trajectory(cfg, ds, md):
 
 class TestTrajectories:
     def make_problem(self):
-        geom = BlobGeometry()
-        ds = make_longtail(seed=3, num_classes=3, n_max=30,
-                           imbalance_ratio=5, dim=3, geometry=geom)
-        meta = make_balanced(seed=7, num_classes=3, per_class=4, dim=3,
-                             geometry=geom)
-        return ds, meta
+        blobs = Longtail(num_classes=3, dim=3, radius=2.0)
+        return blobs.draw(3, n_max=30, ratio=5), blobs.draw(7, n_max=4)
 
     def test_frozen_eps_alpha_zero_matches_logit_adjusted_sgd(self):
         ds, md = self.make_problem()
@@ -700,8 +696,7 @@ class TestTrajectories:
 
     def test_training_is_reproducible(self):
         ds, md = self.make_problem()
-        test = make_balanced(seed=20, num_classes=3, per_class=20, dim=3,
-                             geometry=BlobGeometry())
+        test = Longtail(num_classes=3, dim=3, radius=2.0).draw(20, 20)
         cfg = TrainerConfig(t1=3, t2=9, batch_train=8, batch_meta=4,
                             hidden=(8,), feat_dim=4, perturb_hidden=6,
                             seed=4)
@@ -713,8 +708,7 @@ class TestTrajectories:
 
     def test_metrics_rows_have_expected_shape(self):
         ds, md = self.make_problem()
-        test = make_balanced(seed=21, num_classes=3, per_class=10, dim=3,
-                             geometry=BlobGeometry())
+        test = Longtail(num_classes=3, dim=3, radius=2.0).draw(21, 10)
         cfg = TrainerConfig(t1=2, t2=8, batch_train=16, batch_meta=4,
                             hidden=(8,), feat_dim=4, perturb_hidden=6,
                             seed=6)
@@ -788,8 +782,7 @@ class TestTrajectories:
 
         monkeypatch.setattr(advaug.autodiff, "_record", refuse)
         ds, md = self.make_problem()
-        test = make_balanced(seed=22, num_classes=3, per_class=10, dim=3,
-                             geometry=BlobGeometry())
+        test = Longtail(num_classes=3, dim=3, radius=2.0).draw(22, 10)
         cfg = TrainerConfig(t1=3, t2=8, batch_train=16, batch_meta=4,
                             hidden=(8,), feat_dim=4, perturb_hidden=6,
                             seed=6)
