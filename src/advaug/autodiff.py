@@ -248,7 +248,8 @@ def quad_form(slot: str, **given) -> Tensor:
         T(a, u, v, s) = 1/2 sum_k sum_j a_kj (u_j - u_k)^T s_k (v_j - v_k),
 
     with a (C, C), u and v (C, H), s (C, H, H), given the other three
-    inputs by name; the value is `kernels.quad`. T is linear in each input,
+    inputs by name; the value is `kernels.quad`, and for slot "s", which no
+    kernel takes, its dense form here. T is linear in each input,
     so <g, dT/dslot> is T with g in `slot`, and the VJP for any input is
     this op with the cotangent in `slot`: it is differentiable to any order
     with no further code.
@@ -271,7 +272,11 @@ def quad_form(slot: str, **given) -> Tensor:
     for n in ("u", "v"):
         if n in values:
             values["d" + n] = differences(values.pop(n))
-    out = quad(slot, **values)
+    if slot == "s":
+        du, dv = values["du"], values["dv"]
+        out = 0.5 * (du * values["a"][..., None]).transpose(0, 2, 1) @ dv
+    else:
+        out = quad(slot, **values)
 
     def vjp(name):
         rest = {n: t[n] for n in names if n != name}

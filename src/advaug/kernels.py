@@ -8,11 +8,12 @@ and first derivatives directly, and the one-step lookahead hypergradient by
 forward-over-reverse: with phi' = phi - lr * grad_phi L_train and
 v = grad L_meta(phi'),
 
-    d L_meta / d(omega, Sigma) = -lr * d s / d(omega, Sigma),
+    d L_meta / d omega = -lr * d s / d omega,
     s = <grad_phi L_train, v> = sum_i (q_i - e_(y_i)) . zdot_i / n,
 
 where zdot is the JVP of the adjusted logits along v (Pearlmutter's R-op).
-Only delta(omega) and Sigma are live in s, so first derivatives suffice.
+Only delta(omega) is live in s, so first derivatives suffice; the class
+covariances are online estimates (`stats`), not meta-learned.
 The taped builders of `loss` are the reference these kernels are checked
 against.
 
@@ -24,8 +25,7 @@ The kernels keep the bits of their plain numpy forms at fewer numpy calls:
 label sums go through `sum_by_label`, one bincount in np.add.at's order;
 reductions call np.add.reduce, which np.sum and ndarray.sum reach through
 Python wrappers; the ReLU masks of activations that several kernels reuse
-are built once by `relu_masks`; a surrogate pass carries the class sums
-of its logit gradient, which the hypergradient reads again.
+are built once by `relu_masks`.
 """
 
 from __future__ import annotations
@@ -83,27 +83,18 @@ def differences(u: np.ndarray) -> np.ndarray:
     return u[None, :, :] - u[:, None, :]
 
 
-def quad(slot: str, a=None, du=None, dv=None, s=None,
-         diagonal: bool = False) -> np.ndarray:
-    """Gradient w.r.t. `slot` of the form
+def quad(slot: str, a=None, du=None, dv=None, s=None) -> np.ndarray:
+    """Gradient w.r.t. `slot` ("a", "u" or "v") of the form
 
         T(a, u, v, s) = 1/2 sum_k sum_j a_kj (u_j - u_k)^T s_k (v_j - v_k),
 
-    with a (C, C), u and v (C, H), s (C, H, H), given the other three; u
+    with a (C, C), u and v (C, H), s (C, H, H), given the other inputs; u
     and v are given as their `differences`, du and dv, which a caller
     builds once for all its forms on the same operand. T is linear in each
     input, so slot "a" gives the (label, class) table of the ISDA quadratic
-    terms when u = v = W and s stacks the class covariances.
-
-    Diagonal covariances are given as their diagonals, s (C, H); slot "s",
-    where no s is given, returns the (C, H) gradient in those diagonals when
-    `diagonal` is set.
+    terms when u = v = W and s stacks the class covariances. Diagonal
+    covariances are given as their diagonals, s (C, H).
     """
-    if slot == "s":
-        if diagonal:
-            return 0.5 * np.add.reduce((du * a[..., None]) * dv, axis=1)
-        return 0.5 * (du * a[..., None]).transpose(0, 2, 1) @ dv
-
     def times_s(d, transposed=False):
         """Each row d[k, j] times s_k (or s_k^T)."""
         if s.ndim == 2:
@@ -245,9 +236,6 @@ class ClassifierPass(NamedTuple):
     feats: np.ndarray  # h + delta, the head's input
     q: np.ndarray  # softmax of the logits
     g: np.ndarray  # d value / d logits = (q - onehot(y)) / n
-    # surrogate passes: alpha times the class sums of g, the weights of the
-    # quadratic form's head gradient, which the hypergradient reuses
-    a: np.ndarray | None = None
 
 
 def forward(phi: list[np.ndarray], x: np.ndarray,
@@ -323,7 +311,8 @@ def surrogate(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
     rho[i, j] = 1/2 (w_j - w_y) Sigma_y (w_j - w_y)^T for y = y[i], with
     `sigma` the covariance stack, (C, H, H) or the (C, H) diagonals;
     `shift` is beta * log(priors). The head's gradient includes its path
-    through rho, whose weights the pass carries as `a`. `acts` and `masks`
+    through rho, weighted by alpha times the class sums of the logit
+    gradient. `acts` and `masks`
     are as in `cross_entropy`; `dw` are the head's `differences`, built
     here when not given.
     """
@@ -340,18 +329,17 @@ def surrogate(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
     else:
         out.grads[-2] += (quad("u", a=a, dv=dw, s=sigma)
                           + quad("v", a=a, du=dw, s=sigma))
-    return out._replace(a=a)
+    return out
 
 
 def hypergradient(phi: list[np.ndarray], y: np.ndarray, train: ClassifierPass,
                   v: list[np.ndarray], sigma: np.ndarray, alpha: float,
-                  dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ds/d(delta) and ds/d(Sigma) for s = <grad_phi L_train, v>.
+                  dw: np.ndarray) -> np.ndarray:
+    """ds/d(delta) for s = <grad_phi L_train, v>.
 
-    `train` is the `surrogate` pass of L_train at phi. The lookahead
-    hypergradient is -lr times these; eps reaches s through delta only.
-    ds/d(Sigma) has the shape of `sigma`: diagonal covariances get the
-    gradient in their diagonals. `dw` are the head's `differences`, the
+    `train` is the `surrogate` pass of L_train at phi, with the covariance
+    stack `sigma`. The lookahead hypergradient is -lr times this; eps
+    reaches s through delta only. `dw` are the head's `differences`, the
     ones `train` was built with.
     """
     layers, w = extractor_layers(phi), phi[-2]
@@ -365,15 +353,7 @@ def hypergradient(phi: list[np.ndarray], y: np.ndarray, train: ClassifierPass,
                + quad("a", du=dw, dv=dw_dot, s=sigma))
     z_dot += alpha * rho_dot[y]
     # s = sum_i g_i . zdot_i: its partials in zdot and in the logits
-    d_zdot = train.g
     q = train.q
     d_z = (q * (z_dot - np.add.reduce(q * z_dot, axis=1, keepdims=True))
            / y.size)
-    d_delta = d_z @ w + d_zdot @ w_dot
-    diagonal = sigma.ndim == 2
-    d_sigma = quad("s", a=alpha * sum_by_label(d_z, y, w.shape[0]), du=dw,
-                   dv=dw, diagonal=diagonal)
-    # the surrogate pass summed d_zdot = train.g by class: train.a
-    d_sigma += (quad("s", a=train.a, du=dw_dot, dv=dw, diagonal=diagonal)
-                + quad("s", a=train.a, du=dw, dv=dw_dot, diagonal=diagonal))
-    return d_delta, d_sigma
+    return d_z @ w + train.g @ w_dot

@@ -3,7 +3,9 @@
 Covariances are pooled exactly across mini-batches (two-sample moment
 merging), so after any sequence of updates each Sigma_c equals the
 population covariance of every feature vector seen for class c, regardless
-of how the stream was batched.
+of how the stream was batched. `update_covariance` is the one writer of the
+moments: the covariances are online class estimates, as in ISDA, and
+nothing else steps them.
 """
 
 from __future__ import annotations
@@ -23,38 +25,10 @@ def class_priors(counts) -> np.ndarray:
     return counts / counts.sum()
 
 
-def project_psd(sigma: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix in Frobenius norm: symmetrize, clamp eigenvalues.
-
-    `sigma` may be a (..., H, H) stack, projected in one batched
-    eigendecomposition; each matrix gets the bits it gets alone.
-    """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if not np.all(np.isfinite(sigma)):
-        raise ValueError("project_psd: non-finite input")
-    sym = 0.5 * (sigma + np.swapaxes(sigma, -1, -2))
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    clamped = ((eigvecs * np.maximum(eigvals, 0.0)[..., None, :])
-               @ np.swapaxes(eigvecs, -1, -2))
-    return 0.5 * (clamped + np.swapaxes(clamped, -1, -2))
-
-
 def _per_class(values: np.ndarray, like: np.ndarray) -> np.ndarray:
     """One value per class, shaped to broadcast against the class stack
     `like`."""
     return values.reshape(values.shape + (1,) * (like.ndim - 1))
-
-
-def project_diagonal(variances: np.ndarray) -> np.ndarray:
-    """Nearest PSD diagonal matrix, given and returned as its diagonal.
-
-    Clamping each variance at zero is the exact projection, so no
-    eigendecomposition runs. A non-finite entry is refused as by
-    `project_psd`: clamping an overflow to -inf would hide it as a zero.
-    """
-    if not np.isfinite(variances).all():
-        raise ValueError("project_diagonal: non-finite input")
-    return np.maximum(variances, 0.0)
 
 
 @dataclass
@@ -64,7 +38,7 @@ class ClassStats:
     Internally stores counts, means and centered scatter matrices M_c;
     Sigma_c = M_c / n_c (population normalization, zero for unseen classes).
     In diagonal mode only per-feature variances are kept, and every Sigma_c
-    is given and taken as its (H,) diagonal.
+    is returned as its (H,) diagonal.
     """
 
     num_classes: int
@@ -101,19 +75,6 @@ class ClassStats:
         sigma = self.covariances()
         return (np.add.reduce(sigma, axis=1) if self.diagonal
                 else np.trace(sigma, axis1=1, axis2=2))
-
-    def set_covariance(self, c, sigma: np.ndarray) -> None:
-        """Overwrite Sigma_c, keeping counts so later pooling continues; c
-        may be an index array, and sigma then the stack of their Sigma_c.
-
-        A class with no observed sample has no estimate to overwrite.
-        """
-        c = np.asarray(c)
-        n = self.counts[c]
-        if (n == 0).any():
-            raise ValueError(
-                f"set_covariance: class {c[n == 0]} has no samples")
-        self.scatter[c] = sigma * _per_class(n, self.scatter)
 
 
 def update_covariance(stats: ClassStats, features: np.ndarray,

@@ -14,18 +14,15 @@ Each meta iteration runs four stages:
    stacked as (C, H, H), or their (C, H) diagonals in diagonal mode), the
    plain-SGD lookahead parameters phi' = phi - lr * grad_phi, cross-entropy
    on the balanced meta batch at phi' with its gradient v, and the
-   hypergradient of that meta loss in the perturbation net and the
-   covariance stack, taken forward-over-reverse (see `kernels`).
-3. The net takes an Adam step, and the covariances of the classes in the
-   batch take one SGD step as a stack, plus a PSD projection of the stack
-   in one call that persists into the running class statistics: one
-   batched eigendecomposition for full covariances, a clamp of the
-   variances at zero for diagonal ones. A class whose hypergradient or
-   stepped covariance is not finite keeps its covariance, and an event
-   names it.
+   hypergradient of that meta loss in the perturbation net, taken
+   forward-over-reverse (see `kernels`).
+3. The net takes an Adam step; a non-finite hypergradient skips it, and an
+   event says so.
 4. ``final_step``: the real classifier update (momentum SGD + weight decay)
-   under the surrogate loss recomputed with the refreshed perturbation net
-   and covariances.
+   under the surrogate loss recomputed with the refreshed perturbation net.
+
+The class covariances are online estimates: the observation's
+`update_covariance` is their one writer, and no stage steps them.
 
 Iterations up to the warm-up horizon use plain cross-entropy instead. Their
 observation updates the statistics, and the history only in a run that later
@@ -57,8 +54,7 @@ from .data import Dataset
 from .kernels import softmax_lse
 from .metrics import MetricsLog, evaluate
 from .perturbation import PerturbNetParams, init_perturb_net
-from .stats import (ClassStats, class_priors, project_diagonal, project_psd,
-                    update_covariance)
+from .stats import ClassStats, class_priors, update_covariance
 
 
 class NumericalAbort(RuntimeError):
@@ -221,13 +217,11 @@ class MetaState:
 
 
 class Lookahead(NamedTuple):
-    """One lookahead and the hypergradients the meta update reads."""
+    """One lookahead and the hypergradient the meta update reads."""
 
     meta_loss: float
     pseudo_params: list[np.ndarray]
     omega_grads: list[np.ndarray] | None  # None when eps is frozen
-    sigma_grad: np.ndarray  # shaped as sigma; zero for classes not in batch
-    sigma: np.ndarray  # the class covariances, (C, H, H) or (C, H) diagonals
 
 
 class Observation(NamedTuple):
@@ -389,12 +383,12 @@ def _surrogate(state: MetaState, obs: Observation) -> tuple[
 
 def lookahead_meta_loss(state: MetaState, obs: Observation,
                         meta_idx: np.ndarray) -> Lookahead:
-    """Meta cross-entropy at the lookahead parameters, and its hypergradients.
+    """Meta cross-entropy at the lookahead parameters, and its hypergradient.
 
     The lookahead is phi' = phi - lr * grad_phi(surrogate loss). The
-    hypergradients of the meta loss in the perturbation net and in the
-    covariance stack come from one forward-over-reverse product (see
-    `kernels`). Reads the state without changing it.
+    hypergradient of the meta loss in the perturbation net comes from one
+    forward-over-reverse product (see `kernels`); frozen perturbations have
+    none. Reads the state without changing it.
     """
     cfg = state.config
     lr = learning_rate(cfg, state.t)
@@ -405,19 +399,19 @@ def lookahead_meta_loss(state: MetaState, obs: Observation,
     meta = kernels.cross_entropy(pseudo, state.metadata.features[meta_idx],
                                  state.metadata.labels[meta_idx])
     _check_finite_loss(state, meta.value, "meta")
-    d_delta, d_sigma = kernels.hypergradient(
-        phi, obs.view.labels, train, meta.grads, sigma, cfg.alpha, obs.dw)
     omega_grads = None
     if net is not None:
+        d_delta = kernels.hypergradient(
+            phi, obs.view.labels, train, meta.grads, sigma, cfg.alpha, obs.dw)
         # delta_i = eps_i * sign(g_i), the sign factor constant
         d_eps = np.add.reduce(d_delta * obs.sign, axis=1)
         omega_grads = kernels.eps_backward(
             state.perturb.arrays(), net, -lr * d_eps)
-    return Lookahead(meta.value, pseudo, omega_grads, -lr * d_sigma, sigma)
+    return Lookahead(meta.value, pseudo, omega_grads)
 
 
 def final_step(state: MetaState, obs: Observation) -> None:
-    """Real classifier update with refreshed perturbations/covariances."""
+    """Real classifier update with the refreshed perturbation net."""
     train, _, _ = _surrogate(state, obs)
     state.sgd.step(flatten(train.grads), learning_rate(state.config, state.t))
     state.last_train_loss = train.value
@@ -425,7 +419,7 @@ def final_step(state: MetaState, obs: Observation) -> None:
 
 def meta_iteration(state: MetaState, batch_idx: np.ndarray,
                    meta_idx: np.ndarray) -> None:
-    """Observe, look ahead, update omega and Sigma, step the classifier."""
+    """Observe, look ahead, update omega, step the classifier."""
     obs = _observe_batch(state, batch_idx)
     ahead = lookahead_meta_loss(state, obs, meta_idx)
     # Frozen perturbations are zero: the net has no path to the meta loss.
@@ -437,51 +431,7 @@ def meta_iteration(state: MetaState, batch_idx: np.ndarray,
             state.events.append(
                 f"iteration {state.t}: non-finite perturbation-net "
                 "hypergradient, update skipped")
-    _step_covariances(state, obs, ahead)
     final_step(state, obs)
-
-
-def _step_covariances(state: MetaState, obs: Observation,
-                      ahead: Lookahead) -> None:
-    """The Sigma step of the classes in the batch, as one stack.
-
-    No rho row reads the covariance of a class absent from the batch, so
-    its hypergradient is exactly zero and it keeps its value; a class in
-    the batch has samples, hence an estimate to step. A class whose
-    hypergradient or candidate is not finite keeps its covariance, and an
-    event names it, in ascending class order. The finite candidates are
-    projected in one call, so an eigendecomposition that fails keeps the
-    covariance of every class in the step.
-    """
-    stats = state.stats
-    project, name = ((project_diagonal, "project_diagonal") if stats.diagonal
-                     else (project_psd, "project_psd"))
-    present = np.bincount(obs.view.labels,
-                          minlength=stats.num_classes).nonzero()[0]
-    grad = ahead.sigma_grad[present]
-    candidate = ahead.sigma[present] - state.config.eta2 * grad
-    per_class = tuple(range(1, grad.ndim))
-    grad_ok = np.isfinite(grad).all(axis=per_class)
-    ok = grad_ok & np.isfinite(candidate).all(axis=per_class)
-    failure = None
-    try:
-        projected = project(candidate[ok])
-    except np.linalg.LinAlgError as exc:
-        failure = exc
-    else:
-        stats.set_covariance(present[ok], projected)
-    if failure is None and ok.all():
-        return
-    reasons = [failure if fine else f"{name}: non-finite input"
-               for fine in ok]
-    for c, why, finite_grad in zip(present, reasons, grad_ok):
-        if why is None:
-            continue
-        state.events.append(
-            f"iteration {state.t}: covariance projection failed for class "
-            f"{c} ({why}), keeping previous value" if finite_grad else
-            f"iteration {state.t}: non-finite covariance hypergradient for "
-            f"class {c}, update skipped")
 
 
 def full_train_characteristics(state: MetaState) -> np.ndarray:

@@ -230,16 +230,15 @@ def _kink_margin(layers, x: np.ndarray) -> float:
 
 def hypergradient_suite(seed: int = 0, tol: float = 1e-3,
                         **overrides) -> dict:
-    """Kernel meta-gradients through the lookahead step vs finite
-    differences of the lookahead meta loss.
+    """Kernel meta-gradients in the perturbation net through the lookahead
+    step vs finite differences of the lookahead meta loss.
 
-    `overrides` are TrainerConfig fields of the instance. In diagonal mode
-    each covariance is its (H,) diagonal, whose entries are bumped
-    directly. The record's `kink_margin` is the smallest |input| of the
-    relus whose inputs move with omega and Sigma: the perturbation net's,
-    unless it is frozen (`freeze_eps`: no net reaches the meta loss, and
-    `worst_omega` is 0), and the extractor's on the meta batch at phi'.
-    Finite differences are only meaningful when it is not tiny.
+    `overrides` are TrainerConfig fields of the instance. The record's
+    `kink_margin` is the smallest |input| of the relus whose inputs move
+    with omega: the perturbation net's, unless it is frozen (`freeze_eps`:
+    no net reaches the meta loss, and `worst` is 0), and the extractor's on
+    the meta batch at phi'. Finite differences are only meaningful when it
+    is not tiny.
     """
     state, obs = _tiny_state(seed, **overrides)
     meta_idx = np.arange(4)
@@ -250,30 +249,18 @@ def hypergradient_suite(seed: int = 0, tol: float = 1e-3,
     ahead = meta_value()
     omega = state.perturb.arrays()
 
-    worst_omega = worst_sigma = 0.0
+    worst = 0.0
     for array, analytic in zip(omega, ahead.omega_grads or ()):
         # fd_gradient bumps this view of the net's vector in place
         fd = fd_gradient(lambda _: meta_value().meta_loss, array)
-        worst_omega = np.maximum(worst_omega, _rel_err(analytic, fd))
-    for c, analytic in enumerate(ahead.sigma_grad):
-        base = state.stats.covariances()[c]
-
-        def at(sigma):
-            state.stats.set_covariance(c, sigma)
-            return meta_value().meta_loss
-
-        fd = fd_gradient(at, base.copy())
-        state.stats.set_covariance(c, base)
-        worst_sigma = np.maximum(worst_sigma, _rel_err(analytic, fd))
+        worst = np.maximum(worst, _rel_err(analytic, fd))
 
     kink = _kink_margin(kernels.extractor_layers(ahead.pseudo_params),
                         state.metadata.features[meta_idx])
     if ahead.omega_grads is not None:  # the net is live
         kink = min(kink, _kink_margin([(omega[0], omega[1])],
                                       obs.characteristics))
-    worst = np.maximum(worst_omega, worst_sigma)
     return {"name": "hypergradient", "passed": worst < tol, "worst": worst,
-            "worst_omega": worst_omega, "worst_sigma": worst_sigma,
             "kink_margin": kink,
             "detail": f"max rel err {worst:.3e}, relu margin {kink:.1e}"}
 

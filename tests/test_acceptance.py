@@ -129,7 +129,7 @@ def test_criterion_06_hypergradient_correctness():
     elapsed = time.time() - t0
     _verdict(6, "hypergradient-correctness",
              record["passed"] and elapsed < 60.0,
-             f"max rel err {record['worst']:.2e} across omega and sigma, "
+             f"max rel err {record['worst']:.2e} across omega, "
              f"{elapsed:.1f}s")
 
 

@@ -12,9 +12,8 @@ from advaug.data import Dataset
 from advaug.loss import (adjusted_logits, augmented_ce_loss, base_logits,
                          compute_delta, eps_forward, extract_features,
                          quadratic_terms)
-from advaug.training import (TrainerConfig, _observe_batch, _step_covariances,
-                             final_step, init_state, learning_rate,
-                             lookahead_meta_loss)
+from advaug.training import (TrainerConfig, _observe_batch, final_step,
+                             init_state, learning_rate, lookahead_meta_loss)
 
 TOL = 1e-10
 
@@ -103,10 +102,6 @@ def test_quad_diagonal_branch_matches_dense_form():
         np.testing.assert_allclose(kernels.quad(slot, s=s, **given),
                                    kernels.quad(slot, s=stack, **given),
                                    rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(
-        kernels.quad("s", a=a, du=du, dv=dv, diagonal=True),
-        np.diagonal(kernels.quad("s", a=a, du=du, dv=dv), axis1=1, axis2=2),
-        rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
@@ -120,10 +115,10 @@ def test_given_head_differences_keep_every_bit(diagonal):
     outputs = []
     for dw in (None, kernels.differences(phi[-2])):
         train = kernels.surrogate(phi, x, y, delta, sigma, shift, alpha, dw=dw)
-        d_delta, d_sigma = kernels.hypergradient(
+        d_delta = kernels.hypergradient(
             phi, y, train, v, sigma, alpha, kernels.differences(phi[-2]))
         outputs.append([np.float64(train.value), *train.grads, train.q,
-                        train.g, d_delta, d_sigma])
+                        train.g, d_delta])
     for ours, ref in zip(*outputs):
         assert ours.tobytes() == ref.tobytes()
     # the head gradient sums the u and v forms, whichever way it is built
@@ -135,7 +130,7 @@ def test_given_head_differences_keep_every_bit(diagonal):
     a *= alpha
     head = ce.grads[-2] + (kernels.quad("u", a=a, dv=dw, s=sigma)
                            + kernels.quad("v", a=a, du=dw, s=sigma))
-    assert outputs[0][-6].tobytes() == head.tobytes()
+    assert outputs[0][-5].tobytes() == head.tobytes()
 
 
 def add_at_sums(rows, labels, count):
@@ -185,8 +180,8 @@ def test_sum_by_label_refuses_a_label_out_of_range(bad):
 
 
 def hypergradient_reference(phi, y, train, v, sigma, alpha, dw):
-    """kernels.hypergradient with both class-sum tables rebuilt by
-    np.add.at from the pass's g and d_z, and bool ReLU masks."""
+    """kernels.hypergradient in plain numpy forms: bool ReLU masks, np.sum
+    and no reuse of the pass's masks."""
     layers, w = kernels.extractor_layers(phi), phi[-2]
     w_dot, b_dot = v[-2:]
     z_dot = train.feats @ w_dot.T + b_dot
@@ -204,19 +199,11 @@ def hypergradient_reference(phi, y, train, v, sigma, alpha, dw):
     z_dot += alpha * rho_dot[y]
     q = train.q
     d_z = q * (z_dot - np.sum(q * z_dot, axis=1, keepdims=True)) / y.size
-    d_delta = d_z @ w + train.g @ w_dot
-    count, diagonal = w.shape[0], sigma.ndim == 2
-    d_sigma = kernels.quad("s", a=alpha * add_at_sums(d_z, y, count), du=dw,
-                           dv=dw, diagonal=diagonal)
-    a = alpha * add_at_sums(train.g, y, count)
-    d_sigma += (kernels.quad("s", a=a, du=dw_dot, dv=dw, diagonal=diagonal)
-                + kernels.quad("s", a=a, du=dw, dv=dw_dot,
-                               diagonal=diagonal))
-    return d_delta, d_sigma
+    return d_z @ w + train.g @ w_dot
 
 
 @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
-def test_hypergradient_with_carried_class_sums_matches_add_at(diagonal):
+def test_hypergradient_matches_plain_numpy_reference_bit_for_bit(diagonal):
     phi, x, y, delta, sigma, priors = random_instance(
         8, hidden=(6, 5), diagonal=diagonal, labels=[2, 0, 2, 2, 1, 0, 2])
     if diagonal:
@@ -228,9 +215,8 @@ def test_hypergradient_with_carried_class_sums_matches_add_at(diagonal):
     train = kernels.surrogate(phi, x, y, delta, sigma, shift, alpha, dw=dw)
     ours = kernels.hypergradient(phi, y, train, v, sigma, alpha, dw)
     ref = hypergradient_reference(phi, y, train, v, sigma, alpha, dw)
-    assert ref[1].shape == sigma.shape
-    for got, want in zip(ours, ref, strict=True):
-        assert got.tobytes() == want.tobytes()
+    assert ours.shape == x.shape[:1] + phi[-2].shape[1:]
+    assert ours.tobytes() == ref.tobytes()
 
 
 def test_plain_cross_entropy_matches_tape():
@@ -335,10 +321,8 @@ def dense(sigma):
 
 
 def taped_lookahead(state, batch_idx, meta_idx, f, grad_h):
-    """The lookahead on one tape, differentiated reverse-over-reverse.
-
-    The covariance gradient is dense, (C, H, H), in either mode.
-    """
+    """The lookahead on one tape, differentiated reverse-over-reverse in
+    the perturbation net (no gradient when eps is frozen)."""
     cfg = state.config
     x = state.dataset.features[batch_idx]
     y = state.dataset.labels[batch_idx]
@@ -359,9 +343,8 @@ def taped_lookahead(state, batch_idx, meta_idx, f, grad_h):
         h = extract_features(ahead, state.metadata.features[meta_idx])
         meta = augmented_ce_loss(base_logits(ahead[-2], ahead[-1], h, None),
                                  state.metadata.labels[meta_idx])
-    sources = ([] if cfg.freeze_eps else omega) + [sigma]
-    *omega_grads, sigma_grad = tape.gradient(meta, sources)
-    return float(meta.value), [g.value for g in omega_grads], sigma_grad.value
+    omega_grads = [] if cfg.freeze_eps else tape.gradient(meta, omega)
+    return float(meta.value), [g.value for g in omega_grads]
 
 
 LOOKAHEAD_CASES = {
@@ -381,22 +364,14 @@ def test_hypergradient_matches_reverse_over_reverse(case):
     meta_idx = np.arange(6)
     obs = _observe_batch(state, batch)
     ours = lookahead_meta_loss(state, obs, meta_idx)
-    value, omega_grads, sigma_grad = taped_lookahead(
+    value, omega_grads = taped_lookahead(
         state, batch, meta_idx, obs.characteristics, obs.view.grad_h)
-    if state.stats.diagonal:
-        sigma_grad = np.diagonal(sigma_grad, axis1=1, axis2=2)
     assert rel_err(ours.meta_loss, value) < TOL
     if state.config.freeze_eps:
         assert ours.omega_grads is None
     else:
         for g_ours, g_ref in zip(ours.omega_grads, omega_grads, strict=True):
             assert rel_err(g_ours, g_ref) < TOL
-    if state.config.alpha == 0.0:
-        np.testing.assert_array_equal(ours.sigma_grad, 0.0)
-    else:
-        assert rel_err(ours.sigma_grad, sigma_grad) < TOL
-    # No rho row of the batch reads Sigma_2: its row is exactly zero.
-    np.testing.assert_array_equal(ours.sigma_grad[2], 0.0)
 
 
 @pytest.mark.parametrize("case", ["default", "two_hidden_layers",
@@ -419,8 +394,7 @@ def test_classifier_steps_leave_the_observed_activations_unchanged(case):
 @pytest.mark.parametrize("case", ["default", "diagonal_sigma", "freeze_eps"])
 def test_stages_read_the_batch_only_from_the_observation(case):
     # Labels rewritten after the observation reach none of the later stages:
-    # the lookahead, the covariance step and the final step give the bits
-    # of the untouched state.
+    # the lookahead and the final step give the bits of the untouched state.
     state = lookahead_state(3, **LOOKAHEAD_CASES[case])
     batch = np.array([0, 1, 3, 4])  # classes 0, 1, 0, 1
     runs = []
@@ -430,15 +404,11 @@ def test_stages_read_the_batch_only_from_the_observation(case):
         if rewrite:  # the batch would read classes 2, 0, 2, 0
             copied.dataset.labels[:] = np.roll(copied.dataset.labels, 1)
         ahead = lookahead_meta_loss(copied, obs, np.arange(6))
-        _step_covariances(copied, obs, ahead)
-        sigma = copied.stats.covariances().copy()
         final_step(copied, obs)
-        runs.append((ahead, sigma, copied.params.vector.copy()))
-    (ahead, sigma, phi), (twisted, twisted_sigma, twisted_phi) = runs
+        runs.append((ahead, copied.params.vector.copy()))
+    (ahead, phi), (twisted, twisted_phi) = runs
     assert ahead.meta_loss == twisted.meta_loss
     for a, b in zip(ahead.omega_grads or (), twisted.omega_grads or (),
                     strict=True):
         assert a.tobytes() == b.tobytes()
-    assert ahead.sigma_grad.tobytes() == twisted.sigma_grad.tobytes()
-    assert sigma.tobytes() == twisted_sigma.tobytes()
     assert phi.tobytes() == twisted_phi.tobytes()

@@ -11,7 +11,7 @@ from advaug.data import Dataset
 from advaug.loss import (adjusted_logits, augmented_ce_loss, base_logits,
                          compute_delta, extract_features, quadratic_terms)
 from advaug.oracles import fd_gradient, per_sample_ce
-from advaug.stats import project_psd, update_covariance
+from advaug.stats import update_covariance
 from advaug.training import TrainerConfig, _regularizer_row, init_state
 
 
@@ -61,7 +61,8 @@ class TestQuadraticTerms:
     def test_own_class_entry_is_zero(self):
         rng = np.random.default_rng(2)
         w = rng.normal(size=(4, 3))
-        sigma = project_psd(rng.normal(size=(3, 3)))
+        a = rng.normal(size=(3, 3))
+        sigma = a @ a.T / 3
         rho = quadratic_terms(w, np.stack([sigma] * 4), np.array([2]))
         assert rho.value[0, 2] == 0.0
 
@@ -74,8 +75,8 @@ class TestQuadraticTerms:
         rng = np.random.default_rng(3)
         n, c, width = 6, 4, 5
         w = rng.normal(size=(c, width))
-        sigmas = [project_psd(rng.normal(size=(width, width)))
-                  for _ in range(c)]
+        sigmas = [a @ a.T / width
+                  for a in rng.normal(size=(c, width, width))]
         labels = rng.integers(0, c, size=n)
         rho = quadratic_terms(Tensor(w), np.stack(sigmas), labels)
         for i in range(n):
@@ -122,8 +123,8 @@ class TestAdjustedLogits:
         w, b = rng.normal(size=(c, width)), rng.normal(size=c)
         h = rng.normal(size=(n, width))
         labels = rng.integers(0, c, size=n)
-        sigmas = [project_psd(rng.normal(size=(width, width)))
-                  for _ in range(c)]
+        sigmas = [a @ a.T / width
+                  for a in rng.normal(size=(c, width, width))]
         g = rng.normal(size=(n, width))
         priors = class_counts = rng.integers(10, 50, size=c).astype(float)
         priors = class_counts / class_counts.sum()
@@ -216,7 +217,7 @@ class TestAugmentedCeLoss:
         labels = rng.integers(0, 3, size=5)
         priors = np.array([0.5, 0.3, 0.2])
         alpha, beta = 0.6, 1.0
-        sig_vals = [project_psd(rng.normal(size=(5, 5))) for _ in range(3)]
+        sig_vals = [a @ a.T / 5 for a in rng.normal(size=(3, 5, 5))]
         delta = 0.4 * np.sign(rng.normal(size=(5, 5)))
         tensors = [Tensor(a) for a in params.arrays()]
 
@@ -282,8 +283,7 @@ class TestRegularizerTerms:
                                   rng.normal(size=c)])
         update_covariance(state.stats, ds.features, labels)
         a = rng.normal(size=(c, width, width))
-        state.stats.set_covariance(np.arange(c),
-                                   a @ a.transpose(0, 2, 1) / width)
+        state.stats.scatter[...] = a @ a.transpose(0, 2, 1) / width
         ids = rng.choice(labels.size, size=6, replace=False)
         # _regularizer_row reads the view's ids, labels and gradient only
         state.last_view = BatchView(
@@ -310,7 +310,7 @@ class TestRegularizerTerms:
         for _ in range(1000):
             state.params.head_w[...] = rng.normal(size=(c, width))
             a = rng.normal(size=(width, width))
-            state.stats.set_covariance(np.arange(c), np.stack([a @ a.T] * c))
+            state.stats.scatter[...] = a @ a.T / width
             eps = rng.uniform(-0.9, 0.9, state.dataset.n)
             assert _regularizer_row(state, eps)["gen_term"] >= -1e-12
 

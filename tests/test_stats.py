@@ -1,13 +1,11 @@
-"""Covariance pooling, priors, and PSD projection tests."""
+"""Covariance pooling and priors tests."""
 
 import copy
 
 import numpy as np
 import pytest
 
-from advaug.oracles import cholesky_with_jitter
-from advaug.stats import (ClassStats, class_priors, project_diagonal,
-                          project_psd, update_covariance)
+from advaug.stats import ClassStats, class_priors, update_covariance
 
 
 def population_cov(x):
@@ -99,39 +97,6 @@ class TestUpdateCovariance:
             expect = np.diag(dense.covariances()[c])
             assert np.max(np.abs(diag.covariances()[c] - expect)) < 1e-10
 
-    def test_set_covariance_round_trips(self):
-        rng = np.random.default_rng(4)
-        stats = update_covariance(ClassStats(1, 3), rng.normal(size=(10, 3)),
-                                  np.zeros(10, dtype=int))
-        target = project_psd(rng.normal(size=(3, 3)))
-        stats.set_covariance(0, target)
-        assert np.allclose(stats.covariances()[0], target, atol=1e-12)
-
-    def test_set_covariance_of_unseen_class_rejected(self):
-        stats = ClassStats(2, 3)
-        with pytest.raises(ValueError):
-            stats.set_covariance(1, np.eye(3))
-        assert stats.counts[1] == 0
-
-    @pytest.mark.parametrize("diagonal", [False, True],
-                             ids=["full", "diagonal"])
-    def test_set_covariance_of_a_stack_equals_one_by_one(self, diagonal):
-        rng = np.random.default_rng(5)
-        labels = np.array([0, 2, 0, 2, 2, 0, 2])
-        stats = update_covariance(ClassStats(3, 2, diagonal=diagonal),
-                                  rng.normal(size=(7, 2)), labels)
-        shape = (2,) if diagonal else (2, 2)
-        targets = rng.uniform(0.1, 1.0, size=(2, *shape))
-        one_by_one = copy.deepcopy(stats)
-        for c, target in zip([0, 2], targets):
-            one_by_one.set_covariance(c, target)
-        stats.set_covariance(np.array([0, 2]), targets)
-        assert stats.scatter.tobytes() == one_by_one.scatter.tobytes()
-        before = stats.scatter.copy()
-        with pytest.raises(ValueError, match=r"class \[1\] has no samples"):
-            stats.set_covariance(np.array([0, 1]), targets)
-        assert stats.scatter.tobytes() == before.tobytes()
-
 
 @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
 def test_update_matches_per_class_reference_bit_for_bit(diagonal):
@@ -163,7 +128,10 @@ def test_unseen_class_scatter_stays_positive_zero(diagonal):
         x = rng.normal(size=(9, 3)) * rng.uniform(0.1, 50.0, 3)
         update_covariance(stats, x, labels)
         seen = np.flatnonzero(stats.counts)
-        stats.set_covariance(seen, rng.normal(size=stats.scatter[seen].shape))
+        a = rng.normal(size=(seen.size, 3, 3))
+        psd = a @ a.transpose(0, 2, 1) / 3
+        stats.scatter[seen] = (np.diagonal(psd, axis1=1, axis2=2)
+                               if diagonal else psd)
     assert stats.counts[2] == 0
     assert not stats.scatter[2].any()
     assert not np.signbit(stats.scatter[2]).any()
@@ -252,62 +220,3 @@ class TestClassPriors:
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
             class_priors([10, 0, 5])
-
-
-class TestProjectPsd:
-    def test_psd_input_unchanged(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(6, 6))
-        psd = a @ a.T
-        assert np.max(np.abs(project_psd(psd) - psd)) < 1e-10
-
-    def test_negative_eigenvalue_clamped(self):
-        out = project_psd(np.diag([1.0, -0.2]))
-        assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_nearest_psd_in_frobenius_norm(self):
-        rng = np.random.default_rng(6)
-        a = rng.normal(size=(5, 5))
-        sym = 0.5 * (a + a.T)
-        out = project_psd(sym)
-        # oracle: independent eigen-clamp reconstruction
-        w, v = np.linalg.eigh(sym)
-        oracle = v @ np.diag(np.clip(w, 0.0, None)) @ v.T
-        assert np.max(np.abs(out - oracle)) < 1e-10
-        # no sampled PSD candidate lies closer
-        base = np.linalg.norm(out - sym)
-        for k in range(20):
-            b = rng.normal(size=(5, 5))
-            cand = b @ b.T * 0.3
-            assert np.linalg.norm(cand - sym) >= base - 1e-9
-
-    def test_output_is_symmetric_and_choleskyable(self):
-        stack = np.random.default_rng(7).normal(size=(10, 8, 8))
-        for a, out in zip(stack, project_psd(stack)):
-            # a stack is projected matrix by matrix, bit for bit
-            assert out.tobytes() == project_psd(a).tobytes()
-            assert np.max(np.abs(out - out.T)) < 1e-12
-            assert np.min(np.linalg.eigvalsh(out)) >= -1e-10
-            cholesky_with_jitter(out)  # must not raise
-
-    def test_non_finite_input_rejected(self):
-        bad = np.eye(3)
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            project_psd(bad)
-
-
-class TestProjectDiagonal:
-    def test_matches_dense_projection_of_the_diagonal_matrix(self):
-        variances = np.array([0.7, -0.2, 0.0, 3.5, -1e-12])
-        out = project_diagonal(variances)
-        assert out.tolist() == [0.7, 0.0, 0.0, 3.5, 0.0]
-        np.testing.assert_allclose(np.diag(out),
-                                   project_psd(np.diag(variances)),
-                                   rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_non_finite_input_rejected(self, bad):
-        # -inf would clamp to a plausible zero and hide the overflow
-        with pytest.raises(ValueError):
-            project_diagonal(np.array([0.5, bad]))

@@ -17,7 +17,7 @@ from advaug.config import parse_config
 from advaug.data import Dataset
 from advaug import kernels, training
 from advaug.scenarios import Longtail, build_scenario
-from advaug.stats import class_priors, project_psd
+from advaug.stats import class_priors
 from advaug.training import (
     Adam,
     MetaState,
@@ -61,22 +61,6 @@ def tiny_setup(alpha=0.5, beta=1.0, eta1=0.05, eta2=1e-3, freeze_eps=False,
             [rng.normal(scale=0.3, size=a.shape)
              for a in state.perturb.arrays()])
     return state
-
-
-def set_sigma_step(monkeypatch, sigma, grad):
-    """Make the lookahead of a meta iteration hand its Sigma step `sigma`
-    and `grad`, and no perturbation-net gradient. The covariances the
-    lookahead saw are appended to the returned list."""
-    seen = []
-
-    def lookahead(state, obs, meta_idx):
-        seen.append(state.stats.covariances())
-        start = seen[-1] if sigma is None else sigma
-        return training.Lookahead(0.0, state.params.arrays(), None,
-                                  grad(start), start)
-
-    monkeypatch.setattr(training, "lookahead_meta_loss", lookahead)
-    return seen
 
 
 def observe_and_look_ahead(state, idx=np.arange(4)):
@@ -281,11 +265,7 @@ class TestHypergradients:
 
     def test_omega_hypergradient_matches_fd(self):
         record = self.fd_record()
-        assert record["worst_omega"] < 1e-3, record["detail"]
-
-    def test_sigma_hypergradient_matches_fd(self):
-        record = self.fd_record()
-        assert record["worst_sigma"] < 1e-3, record["detail"]
+        assert record["worst"] < 1e-3, record["detail"]
 
     @pytest.mark.parametrize("overrides", [
         {}, {"diagonal_sigma": True}, {"freeze_eps": True}],
@@ -294,13 +274,7 @@ class TestHypergradients:
         # A ReLU layer in the extractor: the JVP through it reaches s.
         record = hypergradient_suite(seed=2, hidden=(4,), **overrides)
         assert record["kink_margin"] > 1e-3
-        assert record["worst_omega"] < 1e-3, record["detail"]
-        assert record["worst_sigma"] < 1e-3, record["detail"]
-
-    def test_alpha_zero_gives_exactly_zero_sigma_gradient(self):
-        state = tiny_setup(alpha=0.0, seed=5)
-        grad = observe_and_look_ahead(state).sigma_grad
-        np.testing.assert_array_equal(grad, np.zeros_like(grad))
+        assert record["worst"] < 1e-3, record["detail"]
 
 
 class TestMetaUpdates:
@@ -312,6 +286,8 @@ class TestMetaUpdates:
             np.testing.assert_array_equal(b, a)
 
     def test_meta_updates_move_parameters(self):
+        # The net takes its step; the class moments are the observation's,
+        # which no later stage of the iteration writes.
         state = tiny_setup(alpha=0.6, seed=7)
         omega_before = [a.copy() for a in state.perturb.arrays()]
         observed = copy.deepcopy(state)
@@ -319,31 +295,13 @@ class TestMetaUpdates:
         meta_iteration(state, np.arange(4), np.arange(4))
         assert any(not np.array_equal(b, a) for b, a in
                    zip(omega_before, state.perturb.arrays()))
-        moved = [not np.allclose(observed.stats.covariances()[c],
-                                 state.stats.covariances()[c], atol=1e-16)
-                 for c in range(2)]
-        assert any(moved)
-
-    def test_sigma_step_direction_and_projection(self):
-        state = tiny_setup(alpha=0.6, seed=9)
-        ahead = observe_and_look_ahead(copy.deepcopy(state))
-        expected = []
-        for c in range(2):
-            cand = (ahead.sigma[c]
-                    - state.config.eta2 * ahead.sigma_grad[c])
-            cand = 0.5 * (cand + cand.T)
-            vals, vecs = np.linalg.eigh(cand)
-            proj = (vecs * np.maximum(vals, 0.0)) @ vecs.T
-            expected.append(0.5 * (proj + proj.T))
-        meta_iteration(state, np.arange(4), np.arange(4))
-        for c in range(2):
-            np.testing.assert_allclose(state.stats.covariances()[c],
-                                       expected[c],
-                                       rtol=1e-12, atol=1e-14)
+        for name in ("counts", "means", "scatter"):
+            assert (getattr(state.stats, name).tobytes()
+                    == getattr(observed.stats, name).tobytes()), name
 
     def test_unseen_class_gains_no_phantom_sample(self):
-        # Class 2 is absent from the first batch of a run with t1 = 0: its
-        # covariance has no estimate and the meta update must leave it so.
+        # Class 2 is absent from the first batch of a run with t1 = 0: it
+        # has no estimate, and the meta iteration must leave it so.
         rng = np.random.default_rng(0)
         ds = Dataset(features=rng.normal(size=(6, 2)),
                      labels=np.array([0, 1, 0, 1, 0, 2]),
@@ -355,17 +313,20 @@ class TestMetaUpdates:
                             perturb_hidden=4, seed=0)
         state = init_state(cfg, ds, md)
         state.t = 1
+        before = copy.deepcopy(state.stats)
         meta_iteration(state, np.arange(4), np.arange(3))
         np.testing.assert_array_equal(state.stats.counts, [2, 2, 0])
-        np.testing.assert_array_equal(state.stats.means[2], [0.0, 0.0])
+        for name in ("counts", "means", "scatter"):
+            assert (getattr(state.stats, name)[2].tobytes()
+                    == getattr(before, name)[2].tobytes()), name
         # The class's first real batch then sets its moments exactly.
         meta_iteration(state, np.array([5]), np.arange(3))
         assert state.stats.counts[2] == 1
         np.testing.assert_array_equal(state.stats.means[2], ds.features[5])
 
-    def test_class_absent_from_batch_keeps_its_covariance(self, monkeypatch):
-        # No rho row of a batch without class 2 reads Sigma_2, so its
-        # hypergradient is zero: it takes no step and no PSD projection.
+    def test_class_absent_from_batch_keeps_its_covariance(self):
+        # The observation merges +0.0 into a class with no row in the
+        # batch, and no later stage of the iteration writes its moments.
         rng = np.random.default_rng(1)
         ds = Dataset(features=rng.normal(size=(6, 2)),
                      labels=np.array([0, 1, 2, 0, 1, 2]),
@@ -378,177 +339,15 @@ class TestMetaUpdates:
         state = init_state(cfg, ds, md)
         state.t = 1
         meta_iteration(state, np.arange(6), np.arange(3))
-        before = state.stats.covariances()[2]
-        projected = []
-        monkeypatch.setattr(training, "project_psd",
-                            lambda s: projected.append(s) or project_psd(s))
+        before = copy.deepcopy(state.stats)
         meta_iteration(state, np.array([0, 1, 3, 4]), np.arange(3))
-        # one call on the stack of the two present classes
-        assert [s.shape for s in projected] == [(2, 2, 2)]
-        np.testing.assert_array_equal(state.stats.covariances()[2], before)
-
-
-    def test_diagonal_step_equals_dense_projected_step(self, monkeypatch):
-        # On a diagonal hypergradient the dense step (eigh projection) and
-        # the diagonal step (clamp at zero) must agree, clamping included.
-        variances = np.array([[0.4, 0.7], [0.9, 0.25]])
-        grad = np.array([[2e3, -1e3], [5e2, 1.5e3]])  # eta2 = 1e-3: two clamp
-        stepped = {}
-        for diagonal in (False, True):
-            state = tiny_setup(alpha=0.6, seed=9, diagonal_sigma=diagonal)
-            expand = (lambda r: r) if diagonal else np.diag
-            set_sigma_step(monkeypatch,
-                           np.stack([expand(r) for r in variances]),
-                           lambda s: np.stack([expand(r) for r in grad]))
-            meta_iteration(state, np.arange(4), np.arange(4))
-            stepped[diagonal] = state.stats.covariances()
-        dense = stepped[False]
-        np.testing.assert_allclose(
-            stepped[True], np.diagonal(dense, axis1=1, axis2=2),
-            rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(dense, [np.diag(np.diag(d)) for d in dense],
-                                   rtol=0, atol=1e-15)
-        assert stepped[True].tolist() == [[0.0, 1.7], [0.4, 0.0]]
-
-    @pytest.mark.parametrize("diagonal", [False, True],
-                             ids=["full", "diagonal"])
-    def test_overflowing_candidate_is_reported_and_skipped(self, monkeypatch,
-                                                           diagonal):
-        # A finite hypergradient whose step overflows: the candidate holds
-        # -inf, which a clamp at zero would hide. The class keeps its
-        # covariance and the event names it; class 1 still steps.
-        state = tiny_setup(alpha=0.6, seed=9, eta2=2.0,
-                           diagonal_sigma=diagonal)
-
-        def grad(sigma):
-            g = np.zeros_like(sigma)
-            g[0] = np.finfo(np.float64).max
-            g[1] = 1e-3
-            return g
-
-        seen = set_sigma_step(monkeypatch, None, grad)
-        with np.errstate(over="ignore"):
-            meta_iteration(state, np.arange(4), np.arange(4))
-        after = state.stats.covariances()
-        assert after[0].tobytes() == seen[0][0].tobytes()
-        assert not np.array_equal(after[1], seen[0][1])
-        assert len(state.events) == 1
-        assert state.events[0].startswith(
-            "iteration 1: covariance projection failed for class 0 (")
-        assert state.events[0].endswith("keeping previous value")
-
-    @pytest.mark.parametrize("diagonal", [False, True],
-                             ids=["full", "diagonal"])
-    def test_failed_classes_keep_their_covariance_in_class_order(
-            self, monkeypatch, diagonal):
-        # One batch, three classes: class 0 gets a non-finite
-        # hypergradient, class 1 a finite one whose candidate overflows,
-        # class 2 an ordinary one with a variance driven below zero.
-        rng = np.random.default_rng(4)
-        ds = Dataset(features=rng.normal(size=(6, 2)),
-                     labels=np.array([2, 1, 0, 2, 1, 0]),
-                     class_counts=np.array([2, 2, 2]))
-        md = Dataset(features=rng.normal(size=(3, 2)),
-                     labels=np.array([0, 1, 2]), class_counts=np.ones(3, int))
-        cfg = TrainerConfig(t1=0, t2=10, eta2=2.0, alpha=0.6, batch_train=6,
-                            batch_meta=3, hidden=(), feat_dim=2,
-                            perturb_hidden=4, diagonal_sigma=diagonal, seed=0)
-        state = init_state(cfg, ds, md)
-        state.t = 1
-        ordinary = np.array([1e3, -0.25])
-        if not diagonal:
-            ordinary = np.array([[1e3, 0.1], [0.1, -0.25]])
-
-        def grad(sigma):
-            g = np.zeros_like(sigma)
-            g[0] = np.nan
-            g[1] = np.finfo(np.float64).max
-            g[2] = ordinary
-            return g
-
-        seen = set_sigma_step(monkeypatch, None, grad)
-        with np.errstate(over="ignore", invalid="ignore"):
-            meta_iteration(state, np.arange(6), np.arange(3))
-        project = "project_diagonal" if diagonal else "project_psd"
-        assert state.events == [
-            "iteration 1: non-finite covariance hypergradient for class 0, "
-            "update skipped",
-            f"iteration 1: covariance projection failed for class 1 "
-            f"({project}: non-finite input), keeping previous value",
-        ]
-        after, start = state.stats.covariances(), seen[0]
-        assert after[0].tobytes() == start[0].tobytes()
-        assert after[1].tobytes() == start[1].tobytes()
-        candidate = start[2] - 2.0 * ordinary
-        clamped = (np.maximum(candidate, 0.0) if diagonal
-                   else project_psd(candidate))
-        assert (clamped == 0.0).any() if diagonal else (
-            np.linalg.eigvalsh(candidate).min() < 0.0)
-        # Sigma_c is stored as n_c Sigma_c; n_c = 2 scales exactly.
-        assert after[2].tobytes() == clamped.tobytes()
-        np.testing.assert_array_equal(state.stats.counts, [2, 2, 2])
-
-    def test_failed_eigendecomposition_keeps_every_class(self, monkeypatch):
-        # The stack is projected in one eigh: when it fails on class 1's
-        # matrix, class 0 keeps its covariance too, every class gets its
-        # own event, and the final step still runs.
-        state = tiny_setup(alpha=0.6, seed=9)
-
-        def grad(sigma):
-            g = np.full_like(sigma, 1e-3)
-            g[1, 0, 0] = -1e6  # eta2 = 1e-3: class 1's Sigma_00 grows by 1e3
-            return g
-
-        seen = set_sigma_step(monkeypatch, None, grad)
-        eigh = np.linalg.eigh
-
-        def failing_eigh(a):
-            if np.any(a[..., 0, 0] > 100.0):
-                raise np.linalg.LinAlgError("eigh did not converge")
-            return eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-        before = state.params.vector.copy()
-        meta_iteration(state, np.arange(4), np.arange(4))
-        after = state.stats.covariances()
-        assert [a.tobytes() for a in after] == [s.tobytes() for s in seen[0]]
-        assert state.events == [
-            f"iteration 1: covariance projection failed for class {c} "
-            "(eigh did not converge), keeping previous value" for c in (0, 1)]
-        np.testing.assert_array_equal(state.stats.counts, [2, 2])
-        assert not np.array_equal(state.params.vector, before)
+        np.testing.assert_array_equal(state.stats.counts, [4, 4, 2])
+        for name in ("counts", "means", "scatter"):
+            assert (getattr(state.stats, name)[2].tobytes()
+                    == getattr(before, name)[2].tobytes()), name
 
 
 class TestIterationInvariants:
-    def test_sigma_step_projects_once_per_iteration_on_the_longtail_preset(
-            self, monkeypatch):
-        cfg = parse_config(str(CONFIG_DIR / "longtail.ini"))
-        data = build_scenario(cfg)
-        config = cfg.trainer
-        assert config.diagonal_sigma
-        state = init_state(config, data.train, data.meta)
-        for t in range(1, config.t1 + 3):
-            state.t = t
-            batch = sample_train_batch(state)
-            if t <= config.t1:
-                warmup_step(state, batch)
-            else:
-                meta_iteration(state, batch, training.sample_meta_batch(state))
-        calls = []
-
-        def counting(variances):
-            calls.append(len(variances))
-            return project(variances)
-
-        project = training.project_diagonal
-        monkeypatch.setattr(training, "project_diagonal", counting)
-        for t in range(config.t1 + 3, config.t1 + 23):
-            state.t = t
-            meta_iteration(state, sample_train_batch(state),
-                           training.sample_meta_batch(state))
-        assert len(calls) == 20 and min(calls) >= 1
-        assert state.events == []
-
     def test_head_differences_built_twice_per_meta_iteration(self,
                                                              monkeypatch):
         # Once for W in the observation, once for the meta gradient's W in
@@ -790,19 +589,54 @@ class TestTrajectories:
         assert {row["phase"] for row in log.rows} == {"warmup", "meta"}
         assert all(np.isfinite(row["test_accuracy"]) for row in log.rows)
 
-    def test_diagonal_training_runs_no_eigendecomposition(self, monkeypatch):
+    @pytest.mark.parametrize("diagonal_sigma", [False, True],
+                             ids=["full", "diagonal"])
+    def test_training_runs_no_eigendecomposition(self, monkeypatch,
+                                                 diagonal_sigma):
         def refuse(*args, **kwargs):
-            raise AssertionError("eigh called in diagonal mode")
+            raise AssertionError("eigh called in training")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         ds, md = self.make_problem()
         cfg = TrainerConfig(t1=3, t2=8, batch_train=16, batch_meta=4,
                             hidden=(8,), feat_dim=4, perturb_hidden=6,
-                            diagonal_sigma=True, seed=6)
+                            diagonal_sigma=diagonal_sigma, seed=6)
         state, log = train(cfg, ds, md)
         assert {row["phase"] for row in log.rows} == {"warmup", "meta"}
-        assert state.stats.covariances().shape == (3, 4)
+        shape = (3, 4) if diagonal_sigma else (3, 4, 4)
+        assert state.stats.covariances().shape == shape
         assert not log.events
+
+    @pytest.mark.parametrize("diagonal_sigma", [False, True],
+                             ids=["full", "diagonal"])
+    def test_covariances_are_the_pooled_estimate_of_the_observed_rows(
+            self, monkeypatch, diagonal_sigma):
+        # update_covariance is the one writer of the class moments: after a
+        # run with meta iterations each Sigma_c is the population covariance
+        # of every feature row the observations fed in for class c.
+        fed = []
+        update = training.update_covariance
+
+        def recording(stats, features, labels):
+            fed.append((features.copy(), labels.copy()))
+            return update(stats, features, labels)
+
+        monkeypatch.setattr(training, "update_covariance", recording)
+        ds, md = self.make_problem()
+        cfg = TrainerConfig(t1=3, t2=12, batch_train=16, batch_meta=4,
+                            hidden=(8,), feat_dim=4, perturb_hidden=6,
+                            diagonal_sigma=diagonal_sigma, seed=6)
+        state, log = train(cfg, ds, md)
+        assert {row["phase"] for row in log.rows} == {"warmup", "meta"}
+        assert len(fed) == cfg.t2
+        h = np.concatenate([features for features, _ in fed])
+        y = np.concatenate([labels for _, labels in fed])
+        sigma = state.stats.covariances()
+        for c in range(ds.num_classes):
+            ref = np.cov(h[y == c], rowvar=False, bias=True)
+            if diagonal_sigma:
+                ref = np.diag(ref)
+            np.testing.assert_allclose(sigma[c], ref, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("diagonal_sigma", [False, True],
                              ids=["full", "diagonal"])

@@ -25,7 +25,7 @@ PLANTS = {
                     "_ce_rows", lambda rows: rows * np.nan, "slope"),
     "gradient": ({"instances": 1}, kernels, "surrogate", nan_pass, "worst"),
     "hypergradient": ({}, kernels, "hypergradient",
-                      lambda pair: (pair[0], pair[1] * np.nan), "worst"),
+                      lambda d_delta: d_delta * np.nan, "worst"),
     "covariance": ({"partitions": 2}, ClassStats, "covariances",
                    lambda sigma: sigma * np.nan, "worst"),
 }
