@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .stats import ClassStats
+from .stats import ClassStats, traces
 
 CHARACTERISTIC_NAMES = (
     "loss",
@@ -36,9 +36,10 @@ CHARACTERISTIC_NAMES = (
 
 NUM_CHARACTERISTICS = len(CHARACTERISTIC_NAMES)
 # The raw columns (loss, margin, correct) whose per-sample EMAs are the
-# columns of `History.ema`, in this order.
-EMA_SOURCES = [0, 3, 7]
-EMA_COLUMNS = [1, 4, 8]  # loss_ema, margin_ema, correct_ema
+# columns of `History.ema`, in this order, and the columns of those EMAs
+# (loss_ema, margin_ema, correct_ema).
+EMA_SOURCES = np.array([0, 3, 7], dtype=np.intp)
+EMA_COLUMNS = np.array([1, 4, 8], dtype=np.intp)
 EMA_DECAY = 0.9  # of the per-sample EMAs and the normalization statistics
 
 
@@ -52,6 +53,7 @@ class BatchView:
     q: np.ndarray  # n x C softmax of the logits
     lse: np.ndarray  # n log-sum-exp of the logits
     labels: np.ndarray
+    label_index: np.ndarray  # flat (i, labels[i]) of the n x C tables
     grad_h: np.ndarray  # n x H detached CE gradient
     progress: float  # t / T2 in [0, 1]
 
@@ -81,11 +83,14 @@ class History:
         return out.clip(-5.0, 5.0, out=out)
 
 
-def extract(view: BatchView, history: History,
-            stats: ClassStats) -> np.ndarray:
-    """The (n, 15) raw characteristics of one batch."""
+def extract(view: BatchView, history: History, stats: ClassStats,
+            sigma: np.ndarray | None = None) -> np.ndarray:
+    """The (n, 15) raw characteristics of one batch; `sigma` is the
+    covariance stack of `stats` (`ClassStats.covariances`), built when not
+    given."""
     raw = np.empty((view.ids.size, NUM_CHARACTERISTICS))
-    fill_rows(view, history, stats, raw)
+    fill_rows(view, history, stats, raw,
+              stats.covariances() if sigma is None else sigma)
     fill_set_columns(raw, view.labels)
     return raw
 
@@ -97,21 +102,22 @@ def _row_norms(squares: np.ndarray, out: np.ndarray) -> None:
 
 
 def fill_rows(view: BatchView, history: History, stats: ClassStats,
-              out: np.ndarray) -> None:
+              out: np.ndarray, sigma: np.ndarray) -> None:
     """Write the raw characteristics of the view's rows into `out`, one
     row each, but for the loss z-score and the within-class loss rank,
     which read the loss of every row of the set (`fill_set_columns`).
+    `sigma` is the covariance stack of `stats`, whose traces give the class
+    spreads.
 
     EMA-based entries fall back to the instantaneous value for samples the
     history has never seen.
     """
-    z, q, ids = view.logits, view.q, view.ids
+    z, q, ids, label = view.logits, view.q, view.ids, view.label_index
     y = np.asarray(view.labels, dtype=np.intp)
-    label_entry = np.arange(0, z.size, z.shape[1]) + y  # flat (i, y_i)
-    z_label = z.take(label_entry)
+    z_label = z.take(label)
     np.subtract(view.lse, z_label, out=out[:, 0])  # loss
     masked = z.copy()
-    masked.flat[label_entry] = -np.inf
+    masked.flat[label] = -np.inf
     np.subtract(z_label, kernels.row_max(masked), out=out[:, 3])  # margin
     out[:, 7] = z.argmax(axis=1) == y  # correct
     out[:, EMA_COLUMNS] = np.where(history.seen.take(ids)[:, None],
@@ -121,14 +127,14 @@ def fill_rows(view: BatchView, history: History, stats: ClassStats,
     np.log(plogq, out=plogq)
     plogq *= q
     np.negative(np.add.reduce(plogq, axis=1), out=out[:, 5])  # entropy
-    out[:, 6] = q.take(label_entry)  # true_class_prob
+    out[:, 6] = q.take(label)  # true_class_prob
     _row_norms(np.square(view.grad_h), out[:, 9])  # grad_norm
     prior = stats.priors.take(y)
     out[:, 10] = prior
     np.log(prior, out=out[:, 11])
     offset = view.h - stats.means.take(y, axis=0)
     _row_norms(np.square(offset, out=offset), out[:, 12])
-    spread = np.sqrt(stats.traces() + 1e-12)
+    spread = np.sqrt(traces(sigma) + 1e-12)
     out[:, 12] /= spread.take(y)  # class_mean_distance
     out[:, 13] = view.progress
 

@@ -25,7 +25,9 @@ The kernels keep the bits of their plain numpy forms at fewer numpy calls:
 label sums go through `sum_by_label`, one bincount in np.add.at's order;
 reductions call np.add.reduce, which np.sum and ndarray.sum reach through
 Python wrappers; the ReLU masks of activations that several kernels reuse
-are built once by `relu_masks`.
+are built once by `relu_masks`, and a caller that runs several passes at
+the same W, covariances and labels builds the other operands they share
+once too (see `surrogate`).
 """
 
 from __future__ import annotations
@@ -106,6 +108,11 @@ def quad(slot: str, a=None, du=None, dv=None, s=None) -> np.ndarray:
     terms = 0.5 * a[..., None] * (times_s(dv, transposed=True) if slot == "u"
                                   else times_s(du))
     return np.add.reduce(terms, axis=0) - np.add.reduce(terms, axis=1)
+
+
+def label_index(labels: np.ndarray, width: int) -> np.ndarray:
+    """Flat index of each row's label entry in an (n, width) table."""
+    return np.arange(0, labels.size * width, width) + labels
 
 
 def label_bins(labels: np.ndarray, width: int) -> np.ndarray:
@@ -281,16 +288,18 @@ def cross_entropy(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
 def cross_entropy_tail(phi: list[np.ndarray], y: np.ndarray,
                        acts: list[np.ndarray], feats: np.ndarray,
                        z: np.ndarray, q: np.ndarray, lse: np.ndarray,
-                       masks: list[np.ndarray] | None = None
-                       ) -> ClassifierPass:
+                       masks: list[np.ndarray] | None = None,
+                       label: np.ndarray | None = None) -> ClassifierPass:
     """The value and gradient of the mean CE of logits z against y, given
     the `forward` (acts, feats, z) that made them and their `softmax_lse`
-    (q, lse); the gradient tail of every CE and surrogate pass. Only reads
-    its inputs."""
+    (q, lse); the gradient tail of every CE and surrogate pass. `masks` are
+    as in `cross_entropy`, `label` the `label_index` of y in z, each built
+    when not given. Only reads its inputs."""
     if masks is None:
         masks = relu_masks(acts)
+    if label is None:
+        label = label_index(y, z.shape[1])
     n = y.size
-    label = np.arange(0, z.size, z.shape[1]) + y  # flat index of z[i, y_i]
     value = float(np.add.reduce(lse - z.take(label)) / n)
     g = q.copy()
     g.ravel()[label] -= 1.0
@@ -300,28 +309,43 @@ def cross_entropy_tail(phi: list[np.ndarray], y: np.ndarray,
     return ClassifierPass(value, grads, acts, masks, feats, q, g)
 
 
+def logit_offset(y: np.ndarray, dw: np.ndarray, sigma: np.ndarray,
+                 shift: np.ndarray, alpha: float) -> np.ndarray:
+    """The surrogate's (n, C) logit offset alpha rho + shift of the labels
+    y, given the head's `differences` dw and the covariance stack."""
+    return alpha * quad("a", du=dw, dv=dw, s=sigma)[y] + shift
+
+
 def surrogate(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
               delta: np.ndarray | None, sigma: np.ndarray,
               shift: np.ndarray, alpha: float,
               acts: list[np.ndarray] | None = None,
               dw: np.ndarray | None = None,
-              masks: list[np.ndarray] | None = None) -> ClassifierPass:
+              masks: list[np.ndarray] | None = None,
+              offset: np.ndarray | None = None,
+              label: np.ndarray | None = None,
+              bins: np.ndarray | None = None) -> ClassifierPass:
     """The surrogate loss: CE of (h + delta) W^T + b + alpha rho + shift.
 
     rho[i, j] = 1/2 (w_j - w_y) Sigma_y (w_j - w_y)^T for y = y[i], with
     `sigma` the covariance stack, (C, H, H) or the (C, H) diagonals;
     `shift` is beta * log(priors). The head's gradient includes its path
     through rho, weighted by alpha times the class sums of the logit
-    gradient. `acts` and `masks`
-    are as in `cross_entropy`; `dw` are the head's `differences`, built
-    here when not given.
+    gradient. `acts` and `masks` are as in `cross_entropy`. A caller that
+    runs several passes at the same W, Sigma and y passes what they share,
+    and each is built here when not given: `dw`, the head's `differences`;
+    `offset`, the `logit_offset`; `label`, the `label_index` of y at width
+    C; and `bins`, its `label_bins`.
     """
     w = phi[-2]
     if dw is None:
         dw = differences(w)
-    rho = quad("a", du=dw, dv=dw, s=sigma)[y]
-    out = cross_entropy(phi, x, y, delta, alpha * rho + shift, acts, masks)
-    a = alpha * sum_by_label(out.g, y, w.shape[0])
+    if offset is None:
+        offset = logit_offset(y, dw, sigma, shift, alpha)
+    acts, feats, z = forward(phi, x, delta, offset, acts)
+    out = cross_entropy_tail(phi, y, acts, feats, z, *softmax_lse(z), masks,
+                             label)
+    a = alpha * sum_by_label(out.g, y, w.shape[0], bins)
     if sigma.ndim == 2:
         # the u and v forms multiply the same operands: equal bits
         g = quad("u", a=a, dv=dw, s=sigma)

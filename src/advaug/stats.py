@@ -70,11 +70,11 @@ class ClassStats:
         return self.scatter / _per_class(np.maximum(self.counts, 1.0),
                                          self.scatter)
 
-    def traces(self) -> np.ndarray:
-        """tr Sigma_c of every class."""
-        sigma = self.covariances()
-        return (np.add.reduce(sigma, axis=1) if self.diagonal
-                else np.trace(sigma, axis1=1, axis2=2))
+
+def traces(sigma: np.ndarray) -> np.ndarray:
+    """tr Sigma_c of every class of a `ClassStats.covariances()` stack."""
+    return (np.add.reduce(sigma, axis=1) if sigma.ndim == 2
+            else np.trace(sigma, axis1=1, axis2=2))
 
 
 def update_covariance(stats: ClassStats, features: np.ndarray,

@@ -4,22 +4,31 @@ Each meta iteration runs four stages:
 
 1. Observe the batch: the kernel forward updates the running class
    statistics and the per-sample history, and yields the characteristics
-   (normalized by the history from before the batch), the gradient signs
-   and the extractor activations shared by the two classifier steps below;
-   the classifier does not change before the final step, so neither runs
-   the extractor again. Only the observation indexes the training set: the
-   later stages read the batch's labels and input rows from it.
+   (normalized by the history from before the batch) and the gradient
+   signs. The classifier, the class covariances and the labels stay fixed
+   until the final step, so the observation also builds once what the later
+   stages share: the extractor activations and their ReLU masks, the
+   covariance stack (which the characteristics' class spreads read too),
+   the head differences, the surrogate's logit offset alpha rho + shift,
+   the flat (row, label) index of the batch's (n, C) tables (read by the
+   detached feature gradient, the characteristics and every CE tail) and
+   the labels' width-C bins for the surrogate's class sums. Only the
+   observation indexes the training set: the later stages read the batch's
+   labels and input rows from it.
 2. ``lookahead_meta_loss``: the surrogate loss and its gradient (the
-   perturbation scale from the perturbation net, the class covariances
-   stacked as (C, H, H), or their (C, H) diagonals in diagonal mode), the
-   plain-SGD lookahead parameters phi' = phi - lr * grad_phi, cross-entropy
-   on the balanced meta batch at phi' with its gradient v, and the
-   hypergradient of that meta loss in the perturbation net, taken
-   forward-over-reverse (see `kernels`).
+   perturbation scale from the perturbation net), the plain-SGD lookahead
+   parameters phi' = phi - lr * grad_phi, cross-entropy on the balanced
+   meta batch at phi' with its gradient v, and the hypergradient of that
+   meta loss in the perturbation net, taken forward-over-reverse (see
+   `kernels`).
 3. The net takes an Adam step; a non-finite hypergradient skips it, and an
    event says so.
 4. ``final_step``: the real classifier update (momentum SGD + weight decay)
    under the surrogate loss recomputed with the refreshed perturbation net.
+
+A frozen-eps iteration (``freeze_eps``) runs stages 1 and 4 only, one
+surrogate pass: the net has no path to the meta loss and nothing reads the
+lookahead, so no meta loss is computed and only the train loss is checked.
 
 The class covariances are online estimates: the observation's
 `update_covariance` is their one writer, and no stage steps them.
@@ -226,18 +235,23 @@ class Lookahead(NamedTuple):
 
 class Observation(NamedTuple):
     """What the batch observation hands to the later stages of its
-    iteration, which run at the same classifier parameters: their one
-    source of the batch (labels in `view`, input rows in `acts[0]`)."""
+    iteration, which run at the same classifier parameters and covariances:
+    their one source of the batch (labels in `view`, input rows in
+    `acts[0]`) and of what their kernels share."""
 
-    # the batch's labels, logits, their softmax and the detached CE
-    # gradient w.r.t. the features (view.grad_h)
+    # the batch's labels and their flat index, logits, their softmax and
+    # the detached CE gradient w.r.t. the features (view.grad_h)
     view: BatchView
     acts: list[np.ndarray]  # extractor activations; acts[0] = x, acts[-1] = h
     # Meta path only (None in a warm-up step):
-    characteristics: np.ndarray | None  # n x 15 normalized; None if eps frozen
-    sign: np.ndarray | None  # sign(grad_h): delta_i = eps_i * sign_i
-    dw: np.ndarray | None  # head differences W_j - W_k, see kernels
-    masks: list[np.ndarray] | None  # kernels.relu_masks(acts)
+    # the next two are None if eps is frozen: nothing reads them
+    characteristics: np.ndarray | None = None  # n x 15 normalized
+    sign: np.ndarray | None = None  # sign(grad_h): delta_i = eps_i * sign_i
+    dw: np.ndarray | None = None  # head differences W_j - W_k, see kernels
+    masks: list[np.ndarray] | None = None  # kernels.relu_masks(acts)
+    sigma: np.ndarray | None = None  # stats.covariances() after the batch
+    offset: np.ndarray | None = None  # kernels.logit_offset of the labels
+    bins: np.ndarray | None = None  # kernels.label_bins of the labels, width C
 
 
 def init_state(config: TrainerConfig, dataset: Dataset,
@@ -303,8 +317,10 @@ def _batch_view(state: MetaState, ids: np.ndarray
     acts, h, z = kernels.forward(state.params.arrays(),
                                  state.dataset.features.take(ids, axis=0))
     q, lse = softmax_lse(z)
+    label = kernels.label_index(y, z.shape[1])
     view = BatchView(ids=ids, h=h, logits=z, q=q, lse=lse, labels=y,
-                     grad_h=ce_grad_wrt_features(state.params, q, y),
+                     label_index=label,
+                     grad_h=ce_grad_wrt_features(state.params, q, y, label),
                      progress=state.t / state.config.t2)
     return view, acts
 
@@ -316,34 +332,40 @@ def _observe_batch(state: MetaState, batch_idx: np.ndarray,
     perturbation net, their one reader, is live (t1 < t2, eps not frozen);
     otherwise no characteristics are built and `History` stays empty.
 
-    Returns the batch view (labels, logits, softmax and the per-sample CE
-    gradients w.r.t. features) and the extractor activations, valid until
-    the classifier steps. For a meta iteration (`meta`) it also returns the
-    normalized characteristics the perturbation net reads, the gradients'
-    signs, and the differences of the head W and the ReLU masks of the
-    activations, which the iteration's surrogate and hypergradient kernels
-    share; a warm-up step reads none of them, so none is built. The view
-    stays in `last_view` for the epoch row's regularizer split.
+    Returns the batch view (labels and their flat index, logits, softmax
+    and the per-sample CE gradients w.r.t. features) and the extractor
+    activations, valid until the classifier steps. For a meta iteration
+    (`meta`) it also returns the normalized characteristics the perturbation
+    net reads, the gradients' signs, and the operands the iteration's
+    surrogate passes and hypergradient share (see the module docstring); a
+    warm-up step reads none of them, so none is built. The view stays in
+    `last_view` for the epoch row's regularizer split.
     """
+    cfg = state.config
     view, acts = _batch_view(state, batch_idx)
     update_covariance(state.stats, view.h, view.labels)
     state.last_view = view
-    characteristics = None
-    if state.config.t1 < state.config.t2 and not state.config.freeze_eps:
-        raw = extract(view, state.history, state.stats)
+    live = cfg.t1 < cfg.t2 and not cfg.freeze_eps
+    sigma = state.stats.covariances() if meta or live else None
+    characteristics = sign = None
+    if live:
+        raw = extract(view, state.history, state.stats, sigma)
         if meta:  # normalized by the statistics from before this batch
             characteristics = state.history.normalize(raw)
+            sign = np.sign(view.grad_h)
         update_history(state.history, batch_idx, raw)
     if not meta:
-        return Observation(view, acts, None, None, None, None)
-    return Observation(view, acts, characteristics,
-                       np.sign(view.grad_h),
-                       kernels.differences(state.params.head_w),
-                       kernels.relu_masks(acts))
+        return Observation(view, acts)
+    y = view.labels
+    dw = kernels.differences(state.params.head_w)
+    return Observation(
+        view, acts, characteristics, sign, dw, kernels.relu_masks(acts),
+        sigma, kernels.logit_offset(y, dw, sigma, state.shift, cfg.alpha),
+        kernels.label_bins(y, dw.shape[0]))
 
 
 def _check_finite_loss(state: MetaState, loss: float, stage: str) -> None:
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NumericalAbort(stage, state.t, loss)
 
 
@@ -356,29 +378,31 @@ def warmup_step(state: MetaState, batch_idx: np.ndarray) -> None:
     view, acts = _observe_batch(state, batch_idx, meta=False)[:2]
     train = kernels.cross_entropy_tail(state.params.arrays(), view.labels,
                                        acts, view.h, view.logits, view.q,
-                                       view.lse)
+                                       view.lse, label=view.label_index)
     _check_finite_loss(state, train.value, "warm-up")
     state.sgd.step(flatten(train.grads), learning_rate(state.config, state.t))
     state.last_train_loss = train.value
 
 
 def _surrogate(state: MetaState, obs: Observation) -> tuple[
-        kernels.ClassifierPass, kernels.PerturbPass | None, np.ndarray]:
-    """The surrogate loss pass on the observed batch under the current state.
+        kernels.ClassifierPass, kernels.PerturbPass | None]:
+    """The surrogate loss pass on the observed batch under the current state,
+    on the operands the observation built once.
 
-    Returns (pass, perturbation-net pass or None, covariance stack).
+    Returns (pass, perturbation-net pass or None).
     """
     cfg = state.config
     net = delta = None
     if not cfg.freeze_eps:
         net = kernels.eps_forward(state.perturb.arrays(), obs.characteristics)
         delta = net.eps[:, None] * obs.sign
-    sigma = state.stats.covariances()
+    view = obs.view
     train = kernels.surrogate(
-        state.params.arrays(), obs.acts[0], obs.view.labels, delta, sigma,
-        state.shift, cfg.alpha, acts=obs.acts, dw=obs.dw, masks=obs.masks)
+        state.params.arrays(), obs.acts[0], view.labels, delta, obs.sigma,
+        state.shift, cfg.alpha, acts=obs.acts, dw=obs.dw, masks=obs.masks,
+        offset=obs.offset, label=view.label_index, bins=obs.bins)
     _check_finite_loss(state, train.value, "train")
-    return train, net, sigma
+    return train, net
 
 
 def lookahead_meta_loss(state: MetaState, obs: Observation,
@@ -392,17 +416,19 @@ def lookahead_meta_loss(state: MetaState, obs: Observation,
     """
     cfg = state.config
     lr = learning_rate(cfg, state.t)
-    train, net, sigma = _surrogate(state, obs)
+    train, net = _surrogate(state, obs)
     phi = state.params.arrays()
     pseudo = state.params.views(state.params.vector
                                 - lr * flatten(train.grads))
-    meta = kernels.cross_entropy(pseudo, state.metadata.features[meta_idx],
-                                 state.metadata.labels[meta_idx])
+    md = state.metadata
+    meta = kernels.cross_entropy(pseudo, md.features.take(meta_idx, axis=0),
+                                 md.labels.take(meta_idx))
     _check_finite_loss(state, meta.value, "meta")
     omega_grads = None
     if net is not None:
         d_delta = kernels.hypergradient(
-            phi, obs.view.labels, train, meta.grads, sigma, cfg.alpha, obs.dw)
+            phi, obs.view.labels, train, meta.grads, obs.sigma, cfg.alpha,
+            obs.dw)
         # delta_i = eps_i * sign(g_i), the sign factor constant
         d_eps = np.add.reduce(d_delta * obs.sign, axis=1)
         omega_grads = kernels.eps_backward(
@@ -412,18 +438,22 @@ def lookahead_meta_loss(state: MetaState, obs: Observation,
 
 def final_step(state: MetaState, obs: Observation) -> None:
     """Real classifier update with the refreshed perturbation net."""
-    train, _, _ = _surrogate(state, obs)
+    train, _ = _surrogate(state, obs)
     state.sgd.step(flatten(train.grads), learning_rate(state.config, state.t))
     state.last_train_loss = train.value
 
 
 def meta_iteration(state: MetaState, batch_idx: np.ndarray,
                    meta_idx: np.ndarray) -> None:
-    """Observe, look ahead, update omega, step the classifier."""
+    """Observe, look ahead, update omega, step the classifier.
+
+    Frozen perturbations are zero: the net has no path to the meta loss,
+    so the iteration runs no lookahead, and its one surrogate pass is the
+    final step's.
+    """
     obs = _observe_batch(state, batch_idx)
-    ahead = lookahead_meta_loss(state, obs, meta_idx)
-    # Frozen perturbations are zero: the net has no path to the meta loss.
-    if ahead.omega_grads is not None:
+    if not state.config.freeze_eps:
+        ahead = lookahead_meta_loss(state, obs, meta_idx)
         omega_grad = flatten(ahead.omega_grads)
         if np.isfinite(omega_grad).all():
             state.adam.step(omega_grad)
@@ -444,10 +474,11 @@ def full_train_characteristics(state: MetaState) -> np.ndarray:
     """
     n = state.dataset.n
     raw = np.empty((n, NUM_CHARACTERISTICS))
+    sigma = state.stats.covariances()
     for rows in kernels.row_blocks(n):
         # the block's activations are freed before its columns are written
         view = _batch_view(state, np.arange(rows.start, rows.stop))[0]
-        fill_rows(view, state.history, state.stats, raw[rows])
+        fill_rows(view, state.history, state.stats, raw[rows], sigma)
     fill_set_columns(raw, state.dataset.labels)
     return raw
 

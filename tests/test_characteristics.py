@@ -6,7 +6,7 @@ import pytest
 from advaug.characteristics import (CHARACTERISTIC_NAMES, BatchView, History,
                                     NUM_CHARACTERISTICS, extract,
                                     update_history)
-from advaug.kernels import softmax_lse
+from advaug.kernels import label_index, softmax_lse
 from advaug.stats import ClassStats, update_covariance
 
 
@@ -14,7 +14,9 @@ def view_of(h, logits, labels, grad, progress):
     """The batch view of these rows, with the softmax of the logits."""
     q, lse = softmax_lse(logits)
     return BatchView(ids=np.arange(len(labels)), h=h, logits=logits, q=q,
-                     lse=lse, labels=labels, grad_h=grad, progress=progress)
+                     lse=lse, labels=labels,
+                     label_index=label_index(labels, logits.shape[1]),
+                     grad_h=grad, progress=progress)
 
 
 def make_view(seed=0, n=6, c=3, width=4, progress=0.4):

@@ -133,6 +133,42 @@ def test_given_head_differences_keep_every_bit(diagonal):
     assert outputs[0][-5].tobytes() == head.tobytes()
 
 
+def pass_arrays(out):
+    """Every output of a classifier pass, as arrays."""
+    return [np.float64(out.value), *out.grads, *out.masks, out.feats, out.q,
+            out.g]
+
+
+@pytest.mark.parametrize("case", ["default", "diagonal_sigma",
+                                  "identity_extractor", "absent_class"])
+def test_shared_operands_keep_every_bit(case):
+    # A meta iteration's observation builds the head differences, the logit
+    # offset, the flat label index and the label bins once for its passes:
+    # given them, the surrogate and the CE tail give the bits of their own
+    # builds.
+    opts = dict(SURROGATE_CASES[case])
+    phi, x, y, delta, sigma, priors = random_instance(7, **opts)
+    if opts.get("diagonal"):
+        sigma = np.diagonal(sigma, axis1=1, axis2=2).copy()
+    shift, alpha, width = 0.8 * np.log(priors), 0.7, phi[-1].size
+    dw = kernels.differences(phi[-2])
+    label = kernels.label_index(y, width)
+    shared = dict(dw=dw, offset=kernels.logit_offset(y, dw, sigma, shift,
+                                                     alpha),
+                  label=label, bins=kernels.label_bins(y, width))
+    passes = [kernels.surrogate(phi, x, y, delta, sigma, shift, alpha,
+                                **given) for given in ({}, shared)]
+    acts, feats, z = kernels.forward(phi, x, delta)
+    q, lse = kernels.softmax_lse(z)
+    passes += [kernels.cross_entropy_tail(phi, y, acts, feats, z, q, lse,
+                                          label=given)
+               for given in (None, label)]
+    for own, given in (passes[:2], passes[2:]):
+        for ours, ref in zip(pass_arrays(given), pass_arrays(own),
+                             strict=True):
+            assert ours.tobytes() == ref.tobytes()
+
+
 def add_at_sums(rows, labels, count):
     """The class sums as np.add.at builds them: a zero table, row order."""
     out = np.zeros((count, rows.shape[1]))

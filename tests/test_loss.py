@@ -288,7 +288,8 @@ class TestRegularizerTerms:
         # _regularizer_row reads the view's ids, labels and gradient only
         state.last_view = BatchView(
             ids=ids, h=None, logits=None, q=None, lse=None,
-            labels=labels[ids], grad_h=rng.normal(size=(6, width)),
+            labels=labels[ids], label_index=None,
+            grad_h=rng.normal(size=(6, width)),
             progress=0.0)
         return state
 

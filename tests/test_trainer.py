@@ -364,6 +364,21 @@ class TestIterationInvariants:
         meta_iteration(state, np.arange(4), np.arange(4))
         assert len(built) == 4
 
+    def test_frozen_meta_iteration_runs_no_lookahead(self, monkeypatch):
+        # Nothing reads a frozen lookahead, and the final step recomputes
+        # its surrogate pass: the iteration is the observation and that step.
+        def refuse(*args):
+            raise AssertionError("lookahead run with frozen perturbations")
+
+        state = tiny_setup(freeze_eps=True)
+        expected = copy.deepcopy(state)
+        final_step(expected, _observe_batch(expected, np.arange(4)))
+        monkeypatch.setattr(training, "lookahead_meta_loss", refuse)
+        meta_iteration(state, np.arange(4), np.arange(4))
+        assert (state.params.vector.tobytes()
+                == expected.params.vector.tobytes())
+        assert state.last_train_loss == expected.last_train_loss
+
 
 class TestFinalStep:
     def test_equals_pseudo_direction_without_momentum_and_decay(self):
@@ -766,7 +781,8 @@ def whole_set_eps(state):
     q, lse = kernels.softmax_lse(z)
     y = state.dataset.labels
     view = BatchView(ids=np.arange(n), h=h, logits=z, q=q, lse=lse,
-                     labels=y, grad_h=ce_grad_wrt_features(state.params, q, y),
+                     labels=y, label_index=kernels.label_index(y, z.shape[1]),
+                     grad_h=ce_grad_wrt_features(state.params, q, y),
                      progress=state.t / state.config.t2)
     f = state.history.normalize(extract(view, state.history, state.stats))
     return kernels.eps_forward(state.perturb.arrays(), f).eps
