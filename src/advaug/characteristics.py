@@ -139,20 +139,31 @@ def fill_rows(view: BatchView, history: History, stats: ClassStats,
     out[:, 13] = view.progress
 
 
-def fill_set_columns(raw: np.ndarray, labels: np.ndarray) -> None:
+def fill_set_columns(raw: np.ndarray, labels: np.ndarray,
+                     class_rows: list[np.ndarray] | None = None) -> None:
     """The loss z-score and the within-class loss rank of every row of the
     set, written into `raw` from its finished loss column.
 
-    Ranks come from a stable sort by (label, loss), which breaks ties by
-    position; a singleton class ranks 0.5.
+    A row's rank is its place among its class's losses in ascending order,
+    ties broken by position and NaN last, over the class size less one; a
+    singleton class ranks 0.5. Given `class_rows`, the rows of each class
+    in ascending order (`Dataset.class_rows`), each class's losses are
+    sorted on their own, by a stable sort only when they are not strictly
+    increasing once sorted (a tie or a NaN); without it, one stable sort of
+    all rows by (label, loss) ranks them, which costs a batch less than
+    partitioning it would.
     """
-    labels = np.asarray(labels, dtype=np.intp)
     loss = raw[:, 0].copy()
     n = loss.size
     # loss.mean() and loss.std() in the ops of numpy's own _mean and _var
     centered = loss - np.add.reduce(loss) / n
     std = np.sqrt(np.add.reduce(centered * centered) / n)
     np.divide(centered, std + 1e-12, out=raw[:, 2])  # loss_zscore
+    if class_rows is not None:
+        for rows in class_rows:
+            _rank_class(loss, rows, raw)
+        return
+    labels = np.asarray(labels, dtype=np.intp)
     class_size = np.bincount(labels)
     position = np.empty(n, dtype=np.intp)
     position[np.lexsort((loss, labels))] = np.arange(n)
@@ -160,6 +171,23 @@ def fill_set_columns(raw: np.ndarray, labels: np.ndarray) -> None:
     size = class_size.take(labels)
     raw[:, 14] = np.where(size == 1, 0.5,  # class_loss_rank
                           within / np.maximum(size - 1, 1))
+
+
+def _rank_class(loss: np.ndarray, rows: np.ndarray, raw: np.ndarray) -> None:
+    """The class_loss_rank of one class's rows (ascending) into `raw`."""
+    size = rows.size
+    if size < 2:
+        raw[rows, 14] = 0.5
+        return
+    class_loss = loss.take(rows)
+    order = class_loss.argsort()
+    ordered = class_loss.take(order)
+    # Distinct losses have one ascending order, which every sort finds.
+    if not (ordered[1:] > ordered[:-1]).all():
+        order = class_loss.argsort(kind="stable")
+    position = np.empty(size, dtype=np.intp)
+    position[order] = np.arange(size)
+    raw[rows, 14] = position / (size - 1)
 
 
 def update_history(history: History, ids: np.ndarray,

@@ -8,7 +8,7 @@ split are pure functions of (dataset, seed).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,13 +17,34 @@ class DataError(ValueError):
     """Invalid dataset construction or malformed external data."""
 
 
+def _partition(keys: np.ndarray, count: int) -> list[np.ndarray]:
+    """The rows of each key in range(count), each in ascending order."""
+    order = np.argsort(keys, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(keys, minlength=count))[:-1])
+
+
 @dataclass
 class Dataset:
+    """A labeled set and its row partitions.
+
+    The partitions are built once, on construction, from the label, group
+    and noise arrays, which are not modified afterwards: `class_rows` holds
+    the rows of each class, `group_rows` those of each group id in
+    ascending order of id (None without `group_ids`), and `noisy_rows` and
+    `clean_rows` those in and out of `noise_mask` (None without it), each
+    in ascending order. A gather of them has the bits of the boolean mask
+    of the same rows.
+    """
+
     features: np.ndarray  # N x D
     labels: np.ndarray  # N, ints in [0, C)
     class_counts: np.ndarray  # C
     group_ids: np.ndarray | None = None
     noise_mask: np.ndarray | None = None
+    class_rows: list[np.ndarray] = field(init=False, repr=False)
+    group_rows: list[np.ndarray] | None = field(init=False, repr=False)
+    noisy_rows: np.ndarray | None = field(init=False, repr=False)
+    clean_rows: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.features.shape[0]
@@ -32,6 +53,14 @@ class Dataset:
             raise DataError("labels out of range")
         if int(self.class_counts.sum()) != n:
             raise DataError("class counts do not sum to N")
+        self.class_rows = _partition(self.labels, c)
+        self.group_rows = self.noisy_rows = self.clean_rows = None
+        if self.group_ids is not None:
+            ids, group = np.unique(self.group_ids, return_inverse=True)
+            self.group_rows = _partition(group, ids.size)
+        if self.noise_mask is not None:
+            self.noisy_rows = np.flatnonzero(self.noise_mask)
+            self.clean_rows = np.flatnonzero(~self.noise_mask)
 
     @property
     def n(self) -> int:

@@ -18,49 +18,46 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import ClassifierParams
-from .kernels import forward, row_blocks, row_max
+from .data import Dataset
+from .kernels import forward, label_index, row_blocks, row_max
 
 
-def evaluate(params: ClassifierParams, features: np.ndarray,
-             labels: np.ndarray,
-             group_ids: np.ndarray | None = None) -> dict:
-    """Evaluation: loss, accuracy, per-class recall, worst group.
+def evaluate(params: ClassifierParams, data: Dataset) -> dict:
+    """Evaluation on `data`: loss, accuracy, per-class recall (nan for a
+    class with no rows), worst group.
 
     The rows run in blocks of `kernels.BLOCK_ROWS`; the loss is one mean of
-    the per-row log-probabilities of the labels.
+    the per-row log-probabilities of the labels. The recalls and group
+    accuracies gather the rows of the set's partitions.
     """
     phi = params.arrays()
-    labels = np.asarray(labels)
+    labels = data.labels
     label_logp = np.empty(labels.size)
     pred = np.empty(labels.size, dtype=np.intp)
     for rows in row_blocks(labels.size):
-        _, _, z = forward(phi, features[rows])
+        _, _, z = forward(phi, data.features[rows])
         # Its own log-softmax: softmax_lse adds the max back after the log,
         # which would move the last bits of the logged test loss.
         shifted = z - row_max(z)[:, None]
-        label = shifted[np.arange(z.shape[0]), labels[rows]]
+        label = shifted.take(label_index(labels[rows], z.shape[1]))
         np.exp(shifted, out=shifted)
-        label_logp[rows] = label - np.log(shifted.sum(axis=1))
+        label_logp[rows] = label - np.log(np.add.reduce(shifted, axis=1))
         pred[rows] = z.argmax(axis=1)
     loss = float(-label_logp.mean())
-    num_classes = params.num_classes
     correct = pred == labels
-    recall = np.full(num_classes, np.nan)
-    for c in range(num_classes):
-        mask = labels == c
-        if mask.any():
-            recall[c] = float(correct[mask].mean())
+    recall = np.full(params.num_classes, np.nan)
+    for c, rows in enumerate(data.class_rows):
+        if rows.size:
+            recall[c] = float(correct.take(rows).mean())
     out = {
         "loss": loss,
         "accuracy": float(correct.mean()),
         "per_class_recall": recall,
         "worst_group_accuracy": math.nan,
     }
-    if group_ids is not None:
-        group_ids = np.asarray(group_ids)
-        accs = [float(correct[group_ids == g].mean())
-                for g in np.unique(group_ids)]
-        out["worst_group_accuracy"] = min(accs)
+    if data.group_rows is not None:
+        out["worst_group_accuracy"] = min(
+            float(correct.take(rows).mean()) for rows in data.group_rows)
     return out
 
 

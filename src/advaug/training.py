@@ -479,7 +479,7 @@ def full_train_characteristics(state: MetaState) -> np.ndarray:
         # the block's activations are freed before its columns are written
         view = _batch_view(state, np.arange(rows.start, rows.stop))[0]
         fill_rows(view, state.history, state.stats, raw[rows], sigma)
-    fill_set_columns(raw, state.dataset.labels)
+    fill_set_columns(raw, state.dataset.labels, state.dataset.class_rows)
     return raw
 
 
@@ -518,8 +518,7 @@ def _epoch_row(state: MetaState, epoch: int, phase: str,
     for c in range(num_classes):
         row[f"recall_{c}"] = math.nan
     if eval_data is not None:
-        report = evaluate(state.params, eval_data.features, eval_data.labels,
-                          eval_data.group_ids)
+        report = evaluate(state.params, eval_data)
         row["test_loss"] = report["loss"]
         row["test_accuracy"] = report["accuracy"]
         row["worst_group_accuracy"] = report["worst_group_accuracy"]
@@ -527,18 +526,17 @@ def _epoch_row(state: MetaState, epoch: int, phase: str,
             row[f"recall_{c}"] = float(report["per_class_recall"][c])
 
     eps = full_train_eps(state)
-    labels = state.dataset.labels
-    for c in range(num_classes):
-        eps_c = eps[labels == c]
-        row[f"mean_eps_{c}"] = float(eps_c.mean()) if eps_c.size else math.nan
-        row[f"adv_ratio_{c}"] = (float((eps_c > 0).mean()) if eps_c.size
+    data = state.dataset
+    for c, rows in enumerate(data.class_rows):
+        eps_c = eps.take(rows)
+        row[f"mean_eps_{c}"] = float(eps_c.mean()) if rows.size else math.nan
+        row[f"adv_ratio_{c}"] = (float((eps_c > 0).mean()) if rows.size
                                  else math.nan)
-    if state.dataset.noise_mask is not None:
-        noisy = state.dataset.noise_mask
-        if noisy.any():
-            row["eps_noisy_mean"] = float(eps[noisy].mean())
-        if (~noisy).any():
-            row["eps_clean_mean"] = float(eps[~noisy].mean())
+    if data.noise_mask is not None:
+        if data.noisy_rows.size:
+            row["eps_noisy_mean"] = float(eps.take(data.noisy_rows).mean())
+        if data.clean_rows.size:
+            row["eps_clean_mean"] = float(eps.take(data.clean_rows).mean())
 
     row.update(_regularizer_row(state, eps))
     return row
@@ -558,10 +556,11 @@ def _regularizer_row(state: MetaState, eps_all: np.ndarray) -> dict:
     q, _ = softmax_lse(z)
     # The three wrong-class sums; every own-class summand is an exact zero
     # (rho_yy, w_y - w_y and log pi_y - log pi_y), so no mask is needed.
-    gen = np.sum(q * rho, axis=1).sum()
-    rob = np.sum(q * np.einsum("ijh,ih->ij", dw[y], delta), axis=1).sum()
+    gen = np.add.reduce(np.add.reduce(q * rho, axis=1))
+    rob = np.add.reduce(np.add.reduce(
+        q * np.einsum("ijh,ih->ij", dw[y], delta), axis=1))
     log_ratio = np.log(state.priors) - np.log(state.priors[y])[:, None]
-    fair = np.sum(q * log_ratio, axis=1).sum()
+    fair = np.add.reduce(np.add.reduce(q * log_ratio, axis=1))
     # Scale by the loss coefficients so ablation toggles zero the columns.
     return {"gen_term": cfg.alpha * float(gen), "rob_term": float(rob),
             "fair_term": cfg.beta * float(fair)}

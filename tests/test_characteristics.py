@@ -5,7 +5,8 @@ import pytest
 
 from advaug.characteristics import (CHARACTERISTIC_NAMES, BatchView, History,
                                     NUM_CHARACTERISTICS, extract,
-                                    update_history)
+                                    fill_set_columns, update_history)
+from advaug.data import Dataset
 from advaug.kernels import label_index, softmax_lse
 from advaug.stats import ClassStats, update_covariance
 
@@ -64,7 +65,19 @@ def per_class_extract(view, history, stats):
         spread = np.sqrt(np.trace(dense) + 1e-12)
         mean_dist[sel] = np.linalg.norm(
             view.h[sel] - stats.means[c], axis=1) / spread
-    rank = np.empty(n)
+    raw = np.stack([
+        loss, loss_ema, zscore, margin, margin_ema, entropy,
+        q[rows, labels], correct, correct_ema, grad_norm, prior,
+        np.log(prior), mean_dist, np.full(n, view.progress),
+        per_class_rank(loss, labels),
+    ], axis=1)
+    return raw, history.normalize(raw)
+
+
+def per_class_rank(loss, labels):
+    """The within-class loss rank, one class at a time: the reference for
+    both ways `fill_set_columns` ranks."""
+    rank = np.empty(loss.size)
     for c in np.unique(labels):
         sel = np.flatnonzero(labels == c)
         if sel.size == 1:
@@ -73,12 +86,7 @@ def per_class_extract(view, history, stats):
             order = np.argsort(np.argsort(loss[sel], kind="stable"),
                                kind="stable")
             rank[sel] = order / (sel.size - 1)
-    raw = np.stack([
-        loss, loss_ema, zscore, margin, margin_ema, entropy,
-        q[rows, labels], correct, correct_ema, grad_norm, prior,
-        np.log(prior), mean_dist, np.full(n, view.progress), rank,
-    ], axis=1)
-    return raw, history.normalize(raw)
+    return rank
 
 
 @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
@@ -145,6 +153,36 @@ def test_extract_matches_reference_bit_for_bit_at_the_presets_shape(diagonal):
     for column in ("loss", "margin", "correct"):
         assert np.array_equal(batch[70:, names.index(column + "_ema")],
                               batch[70:, names.index(column)])
+
+
+def test_whole_set_rank_equals_the_batch_rank_bit_for_bit():
+    # Class 0 has distinct losses (the default sort's order stands); class 1
+    # draws 300 losses from six values, -0.0 and +0.0 among them, and class 2
+    # holds NaNs among distinct losses (both take the stable sort); class 3
+    # has one row and class 4 none.
+    rng = np.random.default_rng(21)
+    labels = rng.permutation(np.repeat([0, 1, 2, 3], [400, 300, 60, 1]))
+    loss = rng.exponential(size=labels.size)
+    ties = np.array([-0.0, 0.0, 0.5, 0.5, 1.25, 3.0])
+    loss[labels == 1] = rng.choice(ties, size=300)
+    loss[np.flatnonzero(labels == 2)[::7]] = np.nan
+    assert np.signbit(loss[labels == 1][loss[labels == 1] == 0]).any()
+    data = Dataset(np.zeros((labels.size, 1)), labels,
+                   np.bincount(labels, minlength=5))
+    assert data.class_rows[4].size == 0
+    tables = []
+    for class_rows in (data.class_rows, None):
+        raw = np.zeros((labels.size, NUM_CHARACTERISTICS))
+        raw[:, 0] = loss
+        fill_set_columns(raw, labels, class_rows)
+        tables.append(raw)
+    whole, batch = tables
+    assert whole.tobytes() == batch.tobytes()
+    rank = whole[:, CHARACTERISTIC_NAMES.index("class_loss_rank")]
+    assert rank.tobytes() == per_class_rank(loss, labels).tobytes()
+    assert rank[labels == 3].tolist() == [0.5]
+    assert (rank[np.isnan(loss)] > rank[(labels == 2) & ~np.isnan(loss)].max()
+            ).all()  # NaN last
 
 
 class TestExtract:

@@ -7,8 +7,10 @@ import pytest
 
 from advaug import kernels
 from advaug.classifier import init_classifier
+from advaug.data import Dataset
 from advaug.metrics import (MetricsLog, compare_runs, evaluate, log_columns,
                             run_summary)
+from advaug.scenarios import Subpop
 
 
 def known_params():
@@ -18,6 +20,11 @@ def known_params():
     return params
 
 
+def labeled(x, y, group_ids=None, num_classes=2):
+    return Dataset(x, y, np.bincount(y, minlength=num_classes),
+                   group_ids=group_ids)
+
+
 class TestEvaluate:
     def test_blocks_equal_the_whole_set_formula_bit_for_bit(self):
         n = 2 * kernels.BLOCK_ROWS + 1
@@ -25,7 +32,7 @@ class TestEvaluate:
         params = init_classifier(4, 3, hidden=(8,), feat_dim=5, seed=2)
         x = rng.normal(size=(n, 4))
         y = rng.integers(0, 3, size=n)
-        out = evaluate(params, x, y)
+        out = evaluate(params, labeled(x, y, num_classes=3))
         _, _, z = kernels.forward(params.arrays(), x)
         shifted = z - z.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -39,7 +46,7 @@ class TestEvaluate:
         params = known_params()
         x = np.array([[2.0, 0.0], [0.0, 2.0], [2.0, 0.0], [2.0, 0.0]])
         y = np.array([0, 1, 1, 0])
-        out = evaluate(params, x, y)
+        out = evaluate(params, labeled(x, y))
         assert out["accuracy"] == pytest.approx(0.75)
         assert out["per_class_recall"][0] == pytest.approx(1.0)
         assert out["per_class_recall"][1] == pytest.approx(0.5)
@@ -49,7 +56,7 @@ class TestEvaluate:
         params = known_params()
         x = np.array([[1.0, -1.0]])
         y = np.array([0])
-        out = evaluate(params, x, y)
+        out = evaluate(params, labeled(x, y))
         expect = -np.log(np.exp(1.0) / (np.exp(1.0) + np.exp(-1.0)))
         assert out["loss"] == pytest.approx(expect, rel=1e-12)
 
@@ -58,9 +65,39 @@ class TestEvaluate:
         x = np.array([[2.0, 0.0], [0.0, 2.0], [0.0, 2.0], [2.0, 0.0]])
         y = np.array([0, 1, 1, 1])
         g = np.array([0, 0, 1, 1])
-        out = evaluate(params, x, y, group_ids=g)
+        out = evaluate(params, labeled(x, y, group_ids=g))
         # group 0 fully correct, group 1 fully wrong on one of two
         assert out["worst_group_accuracy"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("case", ["fewer-classes", "empty-class",
+                                      "subpop-groups"])
+    def test_recall_and_groups_equal_the_boolean_masks_bit_for_bit(self,
+                                                                   case):
+        # A test set may hold fewer classes than the classifier (custom-csv
+        # allows it) or no rows of a class: those recalls stay nan.
+        rng = np.random.default_rng(11)
+        params = init_classifier(4, 4, hidden=(8,), feat_dim=5, seed=3)
+        if case == "subpop-groups":
+            data = Subpop().build(0).test
+        else:
+            y = (rng.integers(0, 2, size=300) if case == "fewer-classes"
+                 else rng.choice([0, 2, 3], size=300))
+            data = labeled(rng.normal(size=(300, 4)), y,
+                           num_classes=2 if case == "fewer-classes" else 4)
+        out = evaluate(params, data)
+        _, _, z = kernels.forward(params.arrays(), data.features)
+        y = data.labels
+        correct = z.argmax(axis=1) == y
+        recall = np.array([float(correct[y == c].mean()) if (y == c).any()
+                           else math.nan for c in range(4)])
+        assert out["per_class_recall"].tobytes() == recall.tobytes()
+        assert np.isnan(recall).sum() == (1 if case == "empty-class" else 2)
+        if case == "subpop-groups":
+            g = data.group_ids
+            assert out["worst_group_accuracy"] == min(
+                float(correct[g == v].mean()) for v in np.unique(g))
+        else:
+            assert math.isnan(out["worst_group_accuracy"])
 
 
 def sample_row(num_classes, epoch=1, acc=0.5):

@@ -33,7 +33,10 @@ def digest(data: bytes) -> str:
         "a86574cd8c410b5d", "72e9512616f25a6e", "0619382288f1a68f")),
     ("noise", {"freeze_eps": "true"}, (
         "67c1ae43ef39eee7", "51140fd9ff610c0d", "e350fed5aec5ee94")),
-], ids=["longtail-diagonal", "longtail-full", "subpop", "noise-frozen"])
+    ("noise", {"freeze_eps": "false"}, (
+        "0b44ff7698d184f9", "8b6db96a2f7fcd68", "cdf71f602658f79a")),
+], ids=["longtail-diagonal", "longtail-full", "subpop", "noise-frozen",
+        "noise"])
 def test_short_run_keeps_its_bits(tmp_path, preset, overrides, pinned):
     ini = configparser.ConfigParser(interpolation=None)
     ini.read(CONFIGS / f"{preset}.ini")

@@ -871,6 +871,40 @@ class TestFullTrainEps:
         assert peak <= 1.6e6
 
 
+def test_epoch_row_equals_the_boolean_mask_formulas_bit_for_bit():
+    # A noisy training set, and a test set with group ids that holds two of
+    # the three classes: the row's eps and test columns gather the sets'
+    # partitions, which must give the bits of the boolean masks.
+    state = full_set_state()
+    rng = np.random.default_rng(9)
+    ds = state.dataset
+    noisy = rng.random(ds.n) < 0.3
+    state.dataset = Dataset(ds.features, ds.labels, ds.class_counts,
+                            noise_mask=noisy)
+    test_y = rng.integers(0, 2, size=200)
+    test = Dataset(rng.normal(size=(200, 4)) + test_y[:, None], test_y,
+                   np.bincount(test_y, minlength=2),
+                   group_ids=rng.choice([-2, 5, 9], size=200))
+    row = training._epoch_row(state, 1, "meta", test)
+    eps, y = full_train_eps(state), ds.labels
+    assert 0.0 < (eps > 0).mean() < 1.0
+    expect = {"eps_noisy_mean": eps[noisy].mean(),
+              "eps_clean_mean": eps[~noisy].mean()}
+    for c in range(3):
+        expect[f"mean_eps_{c}"] = eps[y == c].mean()
+        expect[f"adv_ratio_{c}"] = (eps[y == c] > 0).mean()
+    _, _, z = kernels.forward(state.params.arrays(), test.features)
+    correct = z.argmax(axis=1) == test_y
+    for c in range(2):
+        expect[f"recall_{c}"] = correct[test_y == c].mean()
+    expect["recall_2"] = np.nan
+    expect["worst_group_accuracy"] = min(
+        correct[test.group_ids == g].mean() for g in (-2, 5, 9))
+    keys = sorted(expect)
+    assert (np.array([row[k] for k in keys]).tobytes()
+            == np.array([expect[k] for k in keys]).tobytes())
+
+
 def test_training_imports_no_tape_module():
     # The trainer runs on the kernels alone: importing it in a fresh
     # interpreter loads neither the tape nor its taped builders.
