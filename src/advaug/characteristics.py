@@ -84,13 +84,11 @@ class History:
 
 
 def extract(view: BatchView, history: History, stats: ClassStats,
-            sigma: np.ndarray | None = None) -> np.ndarray:
+            sigma: np.ndarray) -> np.ndarray:
     """The (n, 15) raw characteristics of one batch; `sigma` is the
-    covariance stack of `stats` (`ClassStats.covariances`), built when not
-    given."""
+    covariance stack of `stats` (`ClassStats.covariances`)."""
     raw = np.empty((view.ids.size, NUM_CHARACTERISTICS))
-    fill_rows(view, history, stats, raw,
-              stats.covariances() if sigma is None else sigma)
+    fill_rows(view, history, stats, raw, sigma)
     fill_set_columns(raw, view.labels)
     return raw
 

@@ -14,8 +14,6 @@ import math
 
 import numpy as np
 
-from .kernels import label_index
-
 
 def flatten(arrays) -> np.ndarray:
     """The arrays' entries, one after another, in one new float64 vector."""
@@ -98,13 +96,10 @@ def init_classifier(in_dim: int, num_classes: int, hidden: tuple[int, ...],
 
 
 def ce_grad_wrt_features(params: ClassifierParams, q: np.ndarray,
-                         labels: np.ndarray,
-                         label: np.ndarray | None = None) -> np.ndarray:
+                         label: np.ndarray) -> np.ndarray:
     """Detached per-sample d(CE)/dh = (q - onehot(y)) W, from the softmax q
     of the logits; `label` is the flat index of each (i, y_i) entry of q
-    (`kernels.label_index`), built when not given."""
-    if label is None:
-        label = label_index(np.asarray(labels, dtype=np.intp), q.shape[1])
+    (`kernels.label_index`)."""
     g = q.copy()
     g.ravel()[label] -= 1.0
     return g @ params.head_w

@@ -1,8 +1,9 @@
 """The labeled-set type, label corruption, metadata split, CSV io.
 
-Every labeled set, the training, meta and test sets alike, is a `Dataset`;
-`scenarios` draws the built-in ones.  Label corruption and the metadata
-split are pure functions of (dataset, seed).
+Every labeled set, the training, meta and test sets alike, is a `Dataset`,
+which derives its class counts from its labels; `scenarios` draws the
+built-in ones.  Label corruption and the metadata split are pure functions
+of (dataset, seed).
 """
 
 from __future__ import annotations
@@ -17,47 +18,56 @@ class DataError(ValueError):
     """Invalid dataset construction or malformed external data."""
 
 
-def _partition(keys: np.ndarray, count: int) -> list[np.ndarray]:
-    """The rows of each key in range(count), each in ascending order."""
-    order = np.argsort(keys, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(keys, minlength=count))[:-1])
+def _partition(keys: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """The rows of each key in range(len(counts)), each in ascending order;
+    `counts` holds the number of rows of each key."""
+    return np.split(np.argsort(keys, kind="stable"), np.cumsum(counts)[:-1])
 
 
 @dataclass
 class Dataset:
-    """A labeled set and its row partitions.
+    """A labeled set of `num_classes` classes, its class counts and its row
+    partitions.
 
-    The partitions are built once, on construction, from the label, group
-    and noise arrays, which are not modified afterwards: `class_rows` holds
-    the rows of each class, `group_rows` those of each group id in
-    ascending order of id (None without `group_ids`), and `noisy_rows` and
-    `clean_rows` those in and out of `noise_mask` (None without it), each
-    in ascending order. A gather of them has the bits of the boolean mask
-    of the same rows.
+    `labels`, `group_ids` and `noise_mask` hold one entry per feature row.
+    The counts and partitions are built once, on construction, from the
+    label, group and noise arrays, which are not modified afterwards:
+    `class_counts` holds the number of rows of each class (zero for a class
+    the labels lack), `class_rows` the rows of each class, `group_rows`
+    those of each group id in ascending order of id (None without
+    `group_ids`), and `noisy_rows` and `clean_rows` those in and out of
+    `noise_mask` (None without it), each in ascending order. A gather of
+    them has the bits of the boolean mask of the same rows. `num_classes`
+    is given, not derived: a noisy or CSV set may lack its top class.
     """
 
     features: np.ndarray  # N x D
     labels: np.ndarray  # N, ints in [0, C)
-    class_counts: np.ndarray  # C
+    num_classes: int  # C
     group_ids: np.ndarray | None = None
     noise_mask: np.ndarray | None = None
+    class_counts: np.ndarray = field(init=False, repr=False)  # C
     class_rows: list[np.ndarray] = field(init=False, repr=False)
     group_rows: list[np.ndarray] | None = field(init=False, repr=False)
     noisy_rows: np.ndarray | None = field(init=False, repr=False)
     clean_rows: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.features.shape[0]
-        c = len(self.class_counts)
+        c = self.num_classes
+        for name in ("labels", "group_ids", "noise_mask"):
+            values = getattr(self, name)
+            if values is not None and values.shape != (self.n,):
+                raise DataError(f"{name} has shape {values.shape}, "
+                                f"expected ({self.n},)")
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= c:
             raise DataError("labels out of range")
-        if int(self.class_counts.sum()) != n:
-            raise DataError("class counts do not sum to N")
-        self.class_rows = _partition(self.labels, c)
+        self.class_counts = np.bincount(self.labels, minlength=c)
+        self.class_rows = _partition(self.labels, self.class_counts)
         self.group_rows = self.noisy_rows = self.clean_rows = None
         if self.group_ids is not None:
-            ids, group = np.unique(self.group_ids, return_inverse=True)
-            self.group_rows = _partition(group, ids.size)
+            _, group, sizes = np.unique(self.group_ids, return_inverse=True,
+                                        return_counts=True)
+            self.group_rows = _partition(group, sizes)
         if self.noise_mask is not None:
             self.noisy_rows = np.flatnonzero(self.noise_mask)
             self.clean_rows = np.flatnonzero(~self.noise_mask)
@@ -69,14 +79,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_counts)
-
-
-def _counts(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    return np.bincount(labels, minlength=num_classes)
 
 
 def inject_label_noise(dataset: Dataset, kind: str, rate: float,
@@ -98,7 +100,7 @@ def inject_label_noise(dataset: Dataset, kind: str, rate: float,
     else:
         shift = rng.integers(1, c, size=int(selected.sum()))
         labels[selected] = (labels[selected] + shift) % c
-    return Dataset(dataset.features.copy(), labels, _counts(labels, c),
+    return Dataset(dataset.features.copy(), labels, c,
                    group_ids=None if dataset.group_ids is None
                    else dataset.group_ids.copy(),
                    noise_mask=selected)
@@ -113,24 +115,22 @@ def split_meta(dataset: Dataset, per_class: int,
     """
     if per_class < 1:
         raise DataError("per_class must be >= 1")
-    clean = (~dataset.noise_mask if dataset.noise_mask is not None
-             else np.ones(dataset.n, dtype=bool))
     rng = np.random.default_rng(seed)
     chosen = []
-    for c in range(dataset.num_classes):
-        pool = np.flatnonzero(clean & (dataset.labels == c))
+    for c, pool in enumerate(dataset.class_rows):
+        if dataset.noise_mask is not None:
+            pool = pool[~dataset.noise_mask.take(pool)]
         if pool.size <= per_class:
             raise DataError(
                 f"class {c}: {pool.size} clean samples, need > {per_class}")
         chosen.append(rng.choice(pool, size=per_class, replace=False))
     chosen = np.concatenate(chosen)
     meta = Dataset(dataset.features[chosen], dataset.labels[chosen],
-                   np.full(dataset.num_classes, per_class))
+                   dataset.num_classes)
     keep = np.ones(dataset.n, dtype=bool)
     keep[chosen] = False
     remainder = Dataset(
-        dataset.features[keep], dataset.labels[keep],
-        _counts(dataset.labels[keep], dataset.num_classes),
+        dataset.features[keep], dataset.labels[keep], dataset.num_classes,
         group_ids=None if dataset.group_ids is None
         else dataset.group_ids[keep],
         noise_mask=None if dataset.noise_mask is None
@@ -189,7 +189,6 @@ def load_csv(path) -> Dataset:
     if bad.size:
         raise DataError(f"row {bad[0] + 2}: non-finite cell")
     labels = np.asarray(labels, dtype=np.intp)
-    return Dataset(feats, labels,
-                   _counts(labels, int(labels.max()) + 1),
+    return Dataset(feats, labels, int(labels.max()) + 1,
                    group_ids=np.asarray(groups, dtype=np.intp)
                    if has_group else None)

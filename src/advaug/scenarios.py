@@ -86,8 +86,7 @@ class _Blobs:
             feats.append(np.hstack([core, nuisance]))
         labels = np.repeat(np.arange(num_classes, dtype=np.intp), sizes)
         order = rng.permutation(labels.size)
-        return Dataset(np.vstack(feats)[order], labels[order],
-                       np.bincount(labels, minlength=num_classes))
+        return Dataset(np.vstack(feats)[order], labels[order], num_classes)
 
 
 @dataclass(frozen=True)
@@ -168,8 +167,7 @@ class Subpop:
         groups = np.repeat(np.arange(4, dtype=np.intp), sizes)
         labels = groups // 2
         order = rng.permutation(groups.size)
-        return Dataset(np.vstack(feats)[order], labels[order],
-                       np.bincount(labels, minlength=2),
+        return Dataset(np.vstack(feats)[order], labels[order], 2,
                        group_ids=groups[order])
 
     def build(self, seed: int) -> ScenarioData:

@@ -320,7 +320,7 @@ def _batch_view(state: MetaState, ids: np.ndarray
     label = kernels.label_index(y, z.shape[1])
     view = BatchView(ids=ids, h=h, logits=z, q=q, lse=lse, labels=y,
                      label_index=label,
-                     grad_h=ce_grad_wrt_features(state.params, q, y, label),
+                     grad_h=ce_grad_wrt_features(state.params, q, label),
                      progress=state.t / state.config.t2)
     return view, acts
 

@@ -204,9 +204,9 @@ def _tiny_state(seed: int, **overrides):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(4, 2))
     y = np.array([0, 1, 0, 1])
-    ds = Dataset(features=x, labels=y, class_counts=np.array([2, 2]))
+    ds = Dataset(features=x, labels=y, num_classes=2)
     md = Dataset(features=rng.normal(size=(4, 2)),
-                 labels=np.array([0, 0, 1, 1]), class_counts=np.array([2, 2]))
+                 labels=np.array([0, 0, 1, 1]), num_classes=2)
     fields = dict(t1=0, t2=10, eta1=0.05, alpha=0.6, beta=1.0,
                   batch_train=4, batch_meta=4, hidden=(), feat_dim=2,
                   perturb_hidden=4, seed=seed)

@@ -109,7 +109,7 @@ def test_extract_matches_per_class_reference_bit_for_bit(diagonal):
     history = History(9)
     update_history(history, np.array([0, 4, 5]),
                    rng.normal(size=(3, NUM_CHARACTERISTICS)))
-    batch = extract(view, history, stats)
+    batch = extract(view, history, stats, stats.covariances())
     raw, normalized = per_class_extract(view, history, stats)
     assert batch.tobytes() == raw.tobytes()
     assert history.normalize(batch).tobytes() == normalized.tobytes()
@@ -145,7 +145,7 @@ def test_extract_matches_reference_bit_for_bit_at_the_presets_shape(diagonal):
         update_history(history, ids,
                        rng.normal(size=(50, NUM_CHARACTERISTICS)))
     assert not history.seen[70:n].any()
-    batch = extract(view, history, stats)
+    batch = extract(view, history, stats, stats.covariances())
     raw, normalized = per_class_extract(view, history, stats)
     assert batch.tobytes() == raw.tobytes()
     assert history.normalize(batch).tobytes() == normalized.tobytes()
@@ -167,8 +167,7 @@ def test_whole_set_rank_equals_the_batch_rank_bit_for_bit():
     loss[labels == 1] = rng.choice(ties, size=300)
     loss[np.flatnonzero(labels == 2)[::7]] = np.nan
     assert np.signbit(loss[labels == 1][loss[labels == 1] == 0]).any()
-    data = Dataset(np.zeros((labels.size, 1)), labels,
-                   np.bincount(labels, minlength=5))
+    data = Dataset(np.zeros((labels.size, 1)), labels, 5)
     assert data.class_rows[4].size == 0
     tables = []
     for class_rows in (data.class_rows, None):
@@ -190,13 +189,15 @@ class TestExtract:
         assert NUM_CHARACTERISTICS == 15
         assert len(set(CHARACTERISTIC_NAMES)) == 15
         view = make_view()
-        batch = extract(view, History(10), make_stats(view))
+        stats = make_stats(view)
+        batch = extract(view, History(10), stats, stats.covariances())
         assert batch.shape == (6, 15)
         assert np.all(np.isfinite(batch))
 
     def test_fresh_history_ema_equals_instantaneous(self):
         view = make_view(seed=1)
-        batch = extract(view, History(10), make_stats(view))
+        stats = make_stats(view)
+        batch = extract(view, History(10), stats, stats.covariances())
         names = list(CHARACTERISTIC_NAMES)
         assert np.array_equal(batch[:, names.index("loss_ema")],
                               batch[:, names.index("loss")])
@@ -209,7 +210,8 @@ class TestExtract:
         view = make_view(seed=2, n=2, c=3)
         view = view_of(view.h, np.array([[40.0, 0.0, 0.0], [0.0, 40.0, 0.0]]),
                        np.array([0, 1]), view.grad_h, view.progress)
-        batch = extract(view, History(10), make_stats(view))
+        stats = make_stats(view)
+        batch = extract(view, History(10), stats, stats.covariances())
         names = list(CHARACTERISTIC_NAMES)
         assert np.all(batch[:, names.index("loss")] < 1e-12)
         assert np.all(batch[:, names.index("margin")] == 40.0)
@@ -222,7 +224,7 @@ class TestExtract:
         stats = make_stats(view, c=4)
         stats.priors = np.array([0.4, 0.3, 0.2, 0.1])
         history = History(10)
-        batch = extract(view, history, stats)
+        batch = extract(view, history, stats, stats.covariances())
         names = list(CHARACTERISTIC_NAMES)
         z = view.logits
         losses = []
@@ -273,8 +275,8 @@ class TestExtract:
         stats = make_stats(view)
         before = (history.ema.copy(), history.norm_mean.copy(),
                   history.norm_count)
-        a = extract(view, history, stats)
-        b = extract(view, history, stats)
+        a = extract(view, history, stats, stats.covariances())
+        b = extract(view, history, stats, stats.covariances())
         assert a.tobytes() == b.tobytes()
         assert history.norm_count == before[2]
         assert np.array_equal(history.ema, before[0])
@@ -284,11 +286,12 @@ class TestExtract:
         view = make_view(seed=5)
         history = History(10)
         stats = make_stats(view)
-        batch = extract(view, history, stats)
+        batch = extract(view, history, stats, stats.covariances())
         update_history(history, view.ids, batch)
         view = view_of(view.h, view.logits * 1000.0,  # force outliers
                        view.labels, view.grad_h, view.progress)
-        again = history.normalize(extract(view, history, stats))
+        again = history.normalize(
+            extract(view, history, stats, stats.covariances()))
         assert np.max(np.abs(again)) <= 5.0
 
     def test_normalization_formula(self):
@@ -298,11 +301,12 @@ class TestExtract:
         view = make_view(seed=6)
         history = History(10)
         stats = make_stats(view)
-        raw = extract(view, history, stats)
+        raw = extract(view, history, stats, stats.covariances())
         assert history.normalize(raw).tobytes() == np.clip(raw, -5, 5).tobytes()
         for step in range(3):
             update_history(history, view.ids,
-                           extract(make_view(seed=10 + step), history, stats))
+                           extract(make_view(seed=10 + step), history, stats,
+                                   stats.covariances()))
             var = np.maximum(history.norm_sq - history.norm_mean ** 2, 0.0)
             expect = np.clip((raw - history.norm_mean)
                              / np.sqrt(var + 1e-12), -5, 5)

@@ -137,7 +137,8 @@ class TestCeGradWrtFeatures:
         params.arrays()[-1][:] = 0.0
         h = np.array([[10.0, 0.0]])  # q is onehot(0) to machine precision
         q, _ = softmax_lse(kernel_logits(params, h))
-        g = ce_grad_wrt_features(params, q, np.array([0]))
+        g = ce_grad_wrt_features(params, q,
+                                 kernels.label_index(np.array([0]), 2))
         assert np.max(np.abs(g)) < 1e-12
 
     def test_hand_evaluated_binary_case(self):
@@ -146,7 +147,7 @@ class TestCeGradWrtFeatures:
         params.arrays()[-1][:] = 0.0
         # equal logits: q = (1/2, 1/2)
         g = ce_grad_wrt_features(params, np.array([[0.5, 0.5]]),
-                                 np.array([0]))
+                                 kernels.label_index(np.array([0]), 2))
         assert g[0, 0] == pytest.approx(-1.0)
 
     def test_matches_finite_differences(self):
@@ -155,7 +156,8 @@ class TestCeGradWrtFeatures:
         h = rng.normal(size=(3, 6))
         y = np.array([1, 3, 0])
         g = ce_grad_wrt_features(params,
-                                 softmax_lse(kernel_logits(params, h))[0], y)
+                                 softmax_lse(kernel_logits(params, h))[0],
+                                 kernels.label_index(y, 4))
 
         def ce(hv):
             z = hv @ params.head_w.T + params.arrays()[-1]

@@ -1,13 +1,41 @@
-"""The scenarios' draws, corruption, metadata split, and CSV round-trip."""
+"""The labeled set, the scenarios' draws, corruption, metadata split, and
+CSV round-trip."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-from advaug.data import (DataError, inject_label_noise, load_csv, save_csv,
-                         split_meta)
+from advaug.data import (DataError, Dataset, inject_label_noise, load_csv,
+                         save_csv, split_meta)
 from advaug.scenarios import SCENARIOS, Longtail, Subpop
+
+
+@pytest.mark.parametrize("fields, counts", [
+    ({}, [3, 1]),
+    ({"num_classes": 3}, [3, 1, 0]),
+    ({"labels": np.array([0, 0, 1])}, None),
+    ({"group_ids": np.arange(5)}, None),
+    ({"noise_mask": np.zeros(2, dtype=bool)}, None),
+    ({"labels": np.array([0, 0, -1, 1])}, None),
+    ({"labels": np.array([0, 0, 2, 1])}, None),
+], ids=["counts-from-labels", "top-class-absent", "short-labels",
+        "long-group-ids", "short-noise-mask", "label-below-0",
+        "label-at-num-classes"])
+def test_dataset_construction(fields, counts):
+    """Four rows labeled 0, 0, 0, 1 of two classes, one field replaced: the
+    class counts are those of the labels and the class rows, and a label,
+    group or noise array of another length than the rows, or a label
+    outside [0, num_classes), is refused."""
+    args = {"features": np.zeros((4, 1)), "labels": np.array([0, 0, 0, 1]),
+            "num_classes": 2} | fields
+    if counts is None:
+        with pytest.raises(DataError):
+            Dataset(**args)
+        return
+    ds = Dataset(**args)
+    assert ds.class_counts.tolist() == counts
+    assert [rows.size for rows in ds.class_rows] == counts
 
 
 def longtail_train(seed, num_classes, n_max, imbalance_ratio, dim, **blobs):

@@ -336,10 +336,9 @@ def lookahead_state(seed, **overrides):
     """Three classes, six train and six meta rows, all classes observed."""
     rng = np.random.default_rng(seed)
     y = np.array([0, 1, 2, 0, 1, 2])
-    ds = Dataset(features=rng.normal(size=(6, 3)), labels=y,
-                 class_counts=np.array([2, 2, 2]))
+    ds = Dataset(features=rng.normal(size=(6, 3)), labels=y, num_classes=3)
     md = Dataset(features=rng.normal(size=(6, 3)), labels=y.copy(),
-                 class_counts=np.array([2, 2, 2]))
+                 num_classes=3)
     fields = dict(t1=0, t2=10, alpha=0.6, beta=0.7, batch_train=6,
                   batch_meta=6, hidden=(4,), feat_dim=3, perturb_hidden=5,
                   seed=seed)

@@ -275,7 +275,7 @@ class TestRegularizerTerms:
         c, width = len(counts), 3
         labels = np.repeat(np.arange(c), counts)
         ds = Dataset(features=rng.normal(size=(labels.size, width)),
-                     labels=labels, class_counts=np.array(counts))
+                     labels=labels, num_classes=c)
         cfg = TrainerConfig(t1=0, t2=1, alpha=alpha, beta=beta, hidden=(),
                             feat_dim=width, seed=seed)
         state = init_state(cfg, ds, ds)

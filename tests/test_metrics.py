@@ -21,8 +21,7 @@ def known_params():
 
 
 def labeled(x, y, group_ids=None, num_classes=2):
-    return Dataset(x, y, np.bincount(y, minlength=num_classes),
-                   group_ids=group_ids)
+    return Dataset(x, y, num_classes, group_ids=group_ids)
 
 
 class TestEvaluate:

@@ -33,12 +33,12 @@ def random_case(rng, one_row_class=False):
     labels = rng.permutation(np.repeat(np.arange(num_classes), sizes))
     dim = int(rng.integers(2, 7))
     data = Dataset(rng.normal(size=(labels.size, dim)) + labels[:, None],
-                   labels, sizes)
+                   labels, num_classes)
     batch_meta = int(rng.integers(2, 17))
     meta_labels = rng.integers(0, num_classes,
                                size=int(rng.integers(1, batch_meta)))
     meta = Dataset(rng.normal(size=(meta_labels.size, dim)), meta_labels,
-                   np.bincount(meta_labels, minlength=num_classes))
+                   num_classes)
     t2 = int(rng.integers(1, 31))
     hidden = rng.integers(1, 9, size=int(rng.integers(0, 3)))
     config = TrainerConfig(

@@ -34,6 +34,9 @@ def test_traced_child_run_completes_and_matches_an_untraced_run(tmp_path):
     trace = json.loads(result.read_text())["trace"]
     assert trace["training.meta_iterations"] == 50
     assert trace["training.final_step.calls"] == 50
+    # Every iteration of a live-net run extracts its 64-row batch.
+    assert (trace["characteristics.extract.calls"],
+            trace["characteristics.extract.rows"]) == (60, 3840)
     plain = subprocess.run(
         [sys.executable, "-m", "advaug.cli", "run", "--config", str(ini),
          "--output", str(untraced)],

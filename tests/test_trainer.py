@@ -46,10 +46,10 @@ def tiny_setup(alpha=0.5, beta=1.0, eta1=0.05, eta2=1e-3, freeze_eps=False,
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(4, 2))
     y = np.array([0, 1, 0, 1])
-    ds = Dataset(features=x, labels=y, class_counts=np.array([2, 2]))
+    ds = Dataset(features=x, labels=y, num_classes=2)
     mx = rng.normal(size=(4, 2))
     my = np.array([0, 0, 1, 1])
-    md = Dataset(features=mx, labels=my, class_counts=np.array([2, 2]))
+    md = Dataset(features=mx, labels=my, num_classes=2)
     cfg = TrainerConfig(t1=0, t2=10, eta1=eta1, eta2=eta2, alpha=alpha,
                         beta=beta, batch_train=4, batch_meta=4, hidden=(),
                         feat_dim=2, perturb_hidden=4, freeze_eps=freeze_eps,
@@ -304,10 +304,9 @@ class TestMetaUpdates:
         # has no estimate, and the meta iteration must leave it so.
         rng = np.random.default_rng(0)
         ds = Dataset(features=rng.normal(size=(6, 2)),
-                     labels=np.array([0, 1, 0, 1, 0, 2]),
-                     class_counts=np.array([3, 2, 1]))
+                     labels=np.array([0, 1, 0, 1, 0, 2]), num_classes=3)
         md = Dataset(features=rng.normal(size=(3, 2)),
-                     labels=np.array([0, 1, 2]), class_counts=np.ones(3, int))
+                     labels=np.array([0, 1, 2]), num_classes=3)
         cfg = TrainerConfig(t1=0, t2=10, alpha=0.6, batch_train=4,
                             batch_meta=3, hidden=(), feat_dim=2,
                             perturb_hidden=4, seed=0)
@@ -329,10 +328,9 @@ class TestMetaUpdates:
         # batch, and no later stage of the iteration writes its moments.
         rng = np.random.default_rng(1)
         ds = Dataset(features=rng.normal(size=(6, 2)),
-                     labels=np.array([0, 1, 2, 0, 1, 2]),
-                     class_counts=np.array([2, 2, 2]))
+                     labels=np.array([0, 1, 2, 0, 1, 2]), num_classes=3)
         md = Dataset(features=rng.normal(size=(3, 2)),
-                     labels=np.array([0, 1, 2]), class_counts=np.ones(3, int))
+                     labels=np.array([0, 1, 2]), num_classes=3)
         cfg = TrainerConfig(t1=0, t2=10, alpha=0.6, batch_train=6,
                             batch_meta=3, hidden=(), feat_dim=2,
                             perturb_hidden=4, seed=0)
@@ -689,11 +687,9 @@ class TestStateInit:
     def test_rejects_mismatched_meta_dim(self):
         rng = np.random.default_rng(0)
         ds = Dataset(features=rng.normal(size=(4, 3)),
-                     labels=np.array([0, 1, 0, 1]),
-                     class_counts=np.array([2, 2]))
+                     labels=np.array([0, 1, 0, 1]), num_classes=2)
         md = Dataset(features=rng.normal(size=(4, 2)),
-                     labels=np.array([0, 0, 1, 1]),
-                     class_counts=np.array([2, 2]))
+                     labels=np.array([0, 0, 1, 1]), num_classes=2)
         cfg = TrainerConfig(t1=0, t2=4, hidden=(), feat_dim=3)
         with pytest.raises(ValueError):
             init_state(cfg, ds, md)
@@ -742,10 +738,9 @@ def full_set_state(diagonal_sigma=True, freeze_eps=False):
     n = 2 * BLOCK + 1
     y = rng.integers(0, 3, size=n)
     ds = Dataset(features=rng.normal(size=(n, 4)) + y[:, None], labels=y,
-                 class_counts=np.bincount(y, minlength=3))
+                 num_classes=3)
     md = Dataset(features=rng.normal(size=(6, 4)),
-                 labels=np.array([0, 1, 2, 0, 1, 2]),
-                 class_counts=np.array([2, 2, 2]))
+                 labels=np.array([0, 1, 2, 0, 1, 2]), num_classes=3)
     cfg = TrainerConfig(t1=2, t2=10, batch_train=32, batch_meta=6,
                         hidden=(8,), feat_dim=5, perturb_hidden=6,
                         diagonal_sigma=diagonal_sigma, freeze_eps=freeze_eps,
@@ -768,7 +763,7 @@ def first_rows(state, n):
     ds = state.dataset
     y = ds.labels[:n]
     state.dataset = Dataset(features=ds.features[:n], labels=y,
-                            class_counts=np.bincount(y, minlength=3))
+                            num_classes=3)
     return state
 
 
@@ -780,11 +775,13 @@ def whole_set_eps(state):
     _, h, z = kernels.forward(state.params.arrays(), state.dataset.features)
     q, lse = kernels.softmax_lse(z)
     y = state.dataset.labels
+    label = kernels.label_index(y, z.shape[1])
     view = BatchView(ids=np.arange(n), h=h, logits=z, q=q, lse=lse,
-                     labels=y, label_index=kernels.label_index(y, z.shape[1]),
-                     grad_h=ce_grad_wrt_features(state.params, q, y),
+                     labels=y, label_index=label,
+                     grad_h=ce_grad_wrt_features(state.params, q, label),
                      progress=state.t / state.config.t2)
-    f = state.history.normalize(extract(view, state.history, state.stats))
+    f = state.history.normalize(extract(view, state.history, state.stats,
+                                        state.stats.covariances()))
     return kernels.eps_forward(state.perturb.arrays(), f).eps
 
 
@@ -808,7 +805,7 @@ class TestFullTrainEps:
         y = np.where(ds.labels == 2, 0, ds.labels)
         y[-1] = 2
         state.dataset = Dataset(features=ds.features, labels=y,
-                                class_counts=np.bincount(y, minlength=3))
+                                num_classes=3)
         n = state.dataset.n
         assert n == 2 * BLOCK + 1
         assert kernels.row_blocks(n)[-1] == slice(BLOCK, n)
@@ -879,11 +876,10 @@ def test_epoch_row_equals_the_boolean_mask_formulas_bit_for_bit():
     rng = np.random.default_rng(9)
     ds = state.dataset
     noisy = rng.random(ds.n) < 0.3
-    state.dataset = Dataset(ds.features, ds.labels, ds.class_counts,
+    state.dataset = Dataset(ds.features, ds.labels, ds.num_classes,
                             noise_mask=noisy)
     test_y = rng.integers(0, 2, size=200)
-    test = Dataset(rng.normal(size=(200, 4)) + test_y[:, None], test_y,
-                   np.bincount(test_y, minlength=2),
+    test = Dataset(rng.normal(size=(200, 4)) + test_y[:, None], test_y, 2,
                    group_ids=rng.choice([-2, 5, 9], size=200))
     row = training._epoch_row(state, 1, "meta", test)
     eps, y = full_train_eps(state), ds.labels
