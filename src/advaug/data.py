@@ -29,9 +29,9 @@ class Dataset:
     """A labeled set of `num_classes` classes, its class counts and its row
     partitions.
 
-    `labels`, `group_ids` and `noise_mask` hold one entry per feature row.
-    The counts and partitions are built once, on construction, from the
-    label, group and noise arrays, which are not modified afterwards:
+    `labels` (integers), `group_ids` and `noise_mask` (bools) hold one
+    entry per feature row. The counts and partitions are built once, on
+    construction, from them, and they are not modified afterwards:
     `class_counts` holds the number of rows of each class (zero for a class
     the labels lack), `class_rows` the rows of each class, `group_rows`
     those of each group id in ascending order of id (None without
@@ -59,6 +59,10 @@ class Dataset:
             if values is not None and values.shape != (self.n,):
                 raise DataError(f"{name} has shape {values.shape}, "
                                 f"expected ({self.n},)")
+        if not np.issubdtype(self.labels.dtype, np.integer):
+            raise DataError(f"labels are {self.labels.dtype}, not integers")
+        if self.noise_mask is not None and self.noise_mask.dtype != bool:
+            raise DataError(f"noise_mask is {self.noise_mask.dtype}, not bool")
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= c:
             raise DataError("labels out of range")
         self.class_counts = np.bincount(self.labels, minlength=c)

@@ -25,9 +25,9 @@ The kernels keep the bits of their plain numpy forms at fewer numpy calls:
 label sums go through `sum_by_label`, one bincount in np.add.at's order;
 reductions call np.add.reduce, which np.sum and ndarray.sum reach through
 Python wrappers; the ReLU masks of activations that several kernels reuse
-are built once by `relu_masks`, and a caller that runs several passes at
-the same W, covariances and labels builds the other operands they share
-once too (see `surrogate`).
+are built once by `relu_masks`. The operands the surrogate passes and the
+hypergradient of one batch share, at one W, covariance stack and labels,
+are built once, by `operands`, the one place that makes them.
 """
 
 from __future__ import annotations
@@ -120,9 +120,10 @@ def label_bins(labels: np.ndarray, width: int) -> np.ndarray:
     return (labels[:, None] * width + np.arange(width)).ravel()
 
 
-def sum_by_label(rows: np.ndarray, labels: np.ndarray, count: int,
-                 bins: np.ndarray | None = None) -> np.ndarray:
-    """Sum the rows of `rows` by label into a (count, width) table.
+def sum_by_label(rows: np.ndarray, bins: np.ndarray,
+                 count: int) -> np.ndarray:
+    """Sum the rows of `rows` by label into a (count, width) table, given
+    the `label_bins` of the labels at the rows' width.
 
     One bincount over the flat (label, column) bins adds the rows of each
     bin in row order, starting from +0.0: the order, hence the bits, of
@@ -132,7 +133,6 @@ def sum_by_label(rows: np.ndarray, labels: np.ndarray, count: int,
     n, width = rows.shape
     if not n:  # a bincount of no entries gives integer zeros
         return np.zeros((count, width))
-    bins = label_bins(labels, width) if bins is None else bins
     out = np.bincount(bins, weights=rows.ravel(), minlength=count * width)
     if out.size != count * width:
         raise ValueError(f"sum_by_label: a label is >= {count}")
@@ -268,38 +268,26 @@ def forward(phi: list[np.ndarray], x: np.ndarray,
     return acts, feats, z
 
 
-def cross_entropy(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
-                  delta: np.ndarray | None = None,
-                  offset: np.ndarray | None = None,
-                  acts: list[np.ndarray] | None = None,
-                  masks: list[np.ndarray] | None = None) -> ClassifierPass:
-    """Mean CE of the logits (h + delta) W^T + b + offset against y.
-
-    The front of the pass: the forward and the softmax; `cross_entropy_tail`
-    takes the value and the gradient from them. A caller that holds the
-    logits of x at phi, with their softmax, calls the tail alone. `acts` are
-    as in `forward`, `masks` their `relu_masks`, built when not given.
-    """
-    acts, feats, z = forward(phi, x, delta, offset, acts)
-    q, lse = softmax_lse(z)
-    return cross_entropy_tail(phi, y, acts, feats, z, q, lse, masks)
+def cross_entropy(phi: list[np.ndarray], x: np.ndarray,
+                  y: np.ndarray) -> ClassifierPass:
+    """Mean CE of the classifier's logits on the rows of x against y: the
+    forward and the softmax, handed to `cross_entropy_tail`, which a caller
+    holding the logits of x at phi and their softmax calls alone."""
+    acts, feats, z = forward(phi, x)
+    return cross_entropy_tail(phi, label_index(y, z.shape[1]), acts,
+                              relu_masks(acts), feats, z, *softmax_lse(z))
 
 
-def cross_entropy_tail(phi: list[np.ndarray], y: np.ndarray,
-                       acts: list[np.ndarray], feats: np.ndarray,
-                       z: np.ndarray, q: np.ndarray, lse: np.ndarray,
-                       masks: list[np.ndarray] | None = None,
-                       label: np.ndarray | None = None) -> ClassifierPass:
-    """The value and gradient of the mean CE of logits z against y, given
-    the `forward` (acts, feats, z) that made them and their `softmax_lse`
-    (q, lse); the gradient tail of every CE and surrogate pass. `masks` are
-    as in `cross_entropy`, `label` the `label_index` of y in z, each built
-    when not given. Only reads its inputs."""
-    if masks is None:
-        masks = relu_masks(acts)
-    if label is None:
-        label = label_index(y, z.shape[1])
-    n = y.size
+def cross_entropy_tail(phi: list[np.ndarray], label: np.ndarray,
+                       acts: list[np.ndarray], masks: list[np.ndarray],
+                       feats: np.ndarray, z: np.ndarray, q: np.ndarray,
+                       lse: np.ndarray) -> ClassifierPass:
+    """The value and gradient of the mean CE of logits z against the labels
+    whose `label_index` in z is `label`, given the `forward` (acts, feats,
+    z) that made them, the `relu_masks` of acts and their `softmax_lse`
+    (q, lse); the gradient tail of every CE and surrogate pass. Only reads
+    its inputs."""
+    n = label.size
     value = float(np.add.reduce(lse - z.take(label)) / n)
     g = q.copy()
     g.ravel()[label] -= 1.0
@@ -309,62 +297,63 @@ def cross_entropy_tail(phi: list[np.ndarray], y: np.ndarray,
     return ClassifierPass(value, grads, acts, masks, feats, q, g)
 
 
-def logit_offset(y: np.ndarray, dw: np.ndarray, sigma: np.ndarray,
-                 shift: np.ndarray, alpha: float) -> np.ndarray:
-    """The surrogate's (n, C) logit offset alpha rho + shift of the labels
-    y, given the head's `differences` dw and the covariance stack."""
-    return alpha * quad("a", du=dw, dv=dw, s=sigma)[y] + shift
+class Operands(NamedTuple):
+    """What the surrogate passes and hypergradient of a batch share."""
+
+    y: np.ndarray  # n labels
+    label: np.ndarray  # their `label_index` in the (n, C) tables
+    bins: np.ndarray  # their `label_bins` at width C, for the class sums
+    dw: np.ndarray  # the head's `differences`, (C, C, H)
+    sigma: np.ndarray  # covariance stack, (C, H, H) or (C, H) diagonals
+    rho: np.ndarray  # (n, C) ISDA quadratic terms of the labels
+    offset: np.ndarray  # (n, C) logit offset alpha * rho + shift
+    alpha: float
 
 
-def surrogate(phi: list[np.ndarray], x: np.ndarray, y: np.ndarray,
-              delta: np.ndarray | None, sigma: np.ndarray,
-              shift: np.ndarray, alpha: float,
-              acts: list[np.ndarray] | None = None,
-              dw: np.ndarray | None = None,
-              masks: list[np.ndarray] | None = None,
-              offset: np.ndarray | None = None,
-              label: np.ndarray | None = None,
-              bins: np.ndarray | None = None) -> ClassifierPass:
-    """The surrogate loss: CE of (h + delta) W^T + b + alpha rho + shift.
+def operands(w: np.ndarray, y: np.ndarray, label: np.ndarray,
+             sigma: np.ndarray, shift: np.ndarray, alpha: float) -> Operands:
+    """The `Operands` of labels y, `label` their `label_index` at width C,
+    at head w, covariance stack `sigma`, alpha and logit shift (beta log pi),
+    with rho[i, j] = 1/2 (w_j - w_y) Sigma_y (w_j - w_y)^T for y = y[i]."""
+    dw = differences(w)
+    rho = quad("a", du=dw, dv=dw, s=sigma)[y]
+    return Operands(y, label, label_bins(y, w.shape[0]), dw, sigma, rho,
+                    alpha * rho + shift, alpha)
 
-    rho[i, j] = 1/2 (w_j - w_y) Sigma_y (w_j - w_y)^T for y = y[i], with
-    `sigma` the covariance stack, (C, H, H) or the (C, H) diagonals;
-    `shift` is beta * log(priors). The head's gradient includes its path
-    through rho, weighted by alpha times the class sums of the logit
-    gradient. `acts` and `masks` are as in `cross_entropy`. A caller that
-    runs several passes at the same W, Sigma and y passes what they share,
-    and each is built here when not given: `dw`, the head's `differences`;
-    `offset`, the `logit_offset`; `label`, the `label_index` of y at width
-    C; and `bins`, its `label_bins`.
+
+def surrogate(phi: list[np.ndarray], x: np.ndarray, delta: np.ndarray | None,
+              ops: Operands, acts: list[np.ndarray] | None = None,
+              masks: list[np.ndarray] | None = None) -> ClassifierPass:
+    """The surrogate loss: CE of (h + delta) W^T + b + alpha rho + shift
+    against the labels of `ops`, the `operands` at phi's head.
+
+    The head's gradient includes its path through rho, weighted by alpha
+    times the class sums of the logit gradient. A caller holding the
+    extractor activations of x at phi passes them and their `relu_masks`.
     """
-    w = phi[-2]
-    if dw is None:
-        dw = differences(w)
-    if offset is None:
-        offset = logit_offset(y, dw, sigma, shift, alpha)
-    acts, feats, z = forward(phi, x, delta, offset, acts)
-    out = cross_entropy_tail(phi, y, acts, feats, z, *softmax_lse(z), masks,
-                             label)
-    a = alpha * sum_by_label(out.g, y, w.shape[0], bins)
-    if sigma.ndim == 2:
+    acts, feats, z = forward(phi, x, delta, ops.offset, acts)
+    if masks is None:
+        masks = relu_masks(acts)
+    out = cross_entropy_tail(phi, ops.label, acts, masks, feats, z,
+                             *softmax_lse(z))
+    a = ops.alpha * sum_by_label(out.g, ops.bins, phi[-2].shape[0])
+    if ops.sigma.ndim == 2:
         # the u and v forms multiply the same operands: equal bits
-        g = quad("u", a=a, dv=dw, s=sigma)
+        g = quad("u", a=a, dv=ops.dw, s=ops.sigma)
         out.grads[-2] += g + g
     else:
-        out.grads[-2] += (quad("u", a=a, dv=dw, s=sigma)
-                          + quad("v", a=a, du=dw, s=sigma))
+        out.grads[-2] += (quad("u", a=a, dv=ops.dw, s=ops.sigma)
+                          + quad("v", a=a, du=ops.dw, s=ops.sigma))
     return out
 
 
-def hypergradient(phi: list[np.ndarray], y: np.ndarray, train: ClassifierPass,
-                  v: list[np.ndarray], sigma: np.ndarray, alpha: float,
-                  dw: np.ndarray) -> np.ndarray:
+def hypergradient(phi: list[np.ndarray], train: ClassifierPass,
+                  v: list[np.ndarray], ops: Operands) -> np.ndarray:
     """ds/d(delta) for s = <grad_phi L_train, v>.
 
-    `train` is the `surrogate` pass of L_train at phi, with the covariance
-    stack `sigma`. The lookahead hypergradient is -lr times this; eps
-    reaches s through delta only. `dw` are the head's `differences`, the
-    ones `train` was built with.
+    `train` is the `surrogate` pass of L_train at phi on the operands
+    `ops`. The lookahead hypergradient is -lr times this; eps reaches s
+    through delta only.
     """
     layers, w = extractor_layers(phi), phi[-2]
     w_dot, b_dot = v[-2:]
@@ -372,12 +361,12 @@ def hypergradient(phi: list[np.ndarray], y: np.ndarray, train: ClassifierPass,
     h_dot = mlp_jvp(layers, train.acts, train.masks, v[:-2])
     if h_dot is not None:
         z_dot += h_dot @ w.T
-    dw_dot = differences(w_dot)
+    dw_dot, dw, sigma = differences(w_dot), ops.dw, ops.sigma
     rho_dot = (quad("a", du=dw_dot, dv=dw, s=sigma)
                + quad("a", du=dw, dv=dw_dot, s=sigma))
-    z_dot += alpha * rho_dot[y]
+    z_dot += ops.alpha * rho_dot[ops.y]
     # s = sum_i g_i . zdot_i: its partials in zdot and in the logits
     q = train.q
     d_z = (q * (z_dot - np.add.reduce(q * z_dot, axis=1, keepdims=True))
-           / y.size)
+           / ops.y.size)
     return d_z @ w + train.g @ w_dot

@@ -98,12 +98,12 @@ def update_covariance(stats: ClassStats, features: np.ndarray,
             f"update_covariance: feature width {features.shape[1]} != {stats.dim}")
     m = np.bincount(labels, minlength=stats.num_classes).astype(np.float64)
     bins = label_bins(labels, stats.dim)
-    mu_b = (sum_by_label(features, labels, stats.num_classes, bins)
+    mu_b = (sum_by_label(features, bins, stats.num_classes)
             / np.maximum(m, 1.0)[:, None])
     centered = features - mu_b.take(labels, axis=0)
     if stats.diagonal:
-        scat_b = sum_by_label(np.square(centered, out=centered), labels,
-                              stats.num_classes, bins)
+        scat_b = sum_by_label(np.square(centered, out=centered), bins,
+                              stats.num_classes)
     else:
         scat_b = np.zeros(stats.scatter.shape)
         for c in m.nonzero()[0]:

@@ -7,16 +7,14 @@ Each meta iteration runs four stages:
    (normalized by the history from before the batch) and the gradient
    signs. The classifier, the class covariances and the labels stay fixed
    until the final step, so the observation also builds once what the later
-   stages share: the extractor activations and their ReLU masks, the
-   covariance stack (which the characteristics' class spreads read too),
-   the head differences, the surrogate's logit offset alpha rho + shift,
-   the flat (row, label) index of the batch's (n, C) tables (read by the
-   detached feature gradient, the characteristics and every CE tail) and
-   the labels' width-C bins for the surrogate's class sums. Only the
-   observation indexes the training set: the later stages read the batch's
-   labels and input rows from it.
+   stages share: the extractor activations, their ReLU masks and the
+   surrogate's `kernels.Operands` (among them the covariance stack, which
+   the characteristics' class spreads read too, and the labels' flat index,
+   which the view holds for them and the detached feature gradient). Only
+   the observation indexes the training set: the later stages read the
+   batch's labels and input rows from it.
 2. ``lookahead_meta_loss``: the surrogate loss and its gradient (the
-   perturbation scale from the perturbation net), the plain-SGD lookahead
+   perturbation scale from the live perturbation net), the plain-SGD lookahead
    parameters phi' = phi - lr * grad_phi, cross-entropy on the balanced
    meta batch at phi' with its gradient v, and the hypergradient of that
    meta loss in the perturbation net, taken forward-over-reverse (see
@@ -230,7 +228,7 @@ class Lookahead(NamedTuple):
 
     meta_loss: float
     pseudo_params: list[np.ndarray]
-    omega_grads: list[np.ndarray] | None  # None when eps is frozen
+    omega_grads: list[np.ndarray]
 
 
 class Observation(NamedTuple):
@@ -247,11 +245,8 @@ class Observation(NamedTuple):
     # the next two are None if eps is frozen: nothing reads them
     characteristics: np.ndarray | None = None  # n x 15 normalized
     sign: np.ndarray | None = None  # sign(grad_h): delta_i = eps_i * sign_i
-    dw: np.ndarray | None = None  # head differences W_j - W_k, see kernels
     masks: list[np.ndarray] | None = None  # kernels.relu_masks(acts)
-    sigma: np.ndarray | None = None  # stats.covariances() after the batch
-    offset: np.ndarray | None = None  # kernels.logit_offset of the labels
-    bins: np.ndarray | None = None  # kernels.label_bins of the labels, width C
+    ops: kernels.Operands | None = None  # at the covariances after the batch
 
 
 def init_state(config: TrainerConfig, dataset: Dataset,
@@ -356,12 +351,10 @@ def _observe_batch(state: MetaState, batch_idx: np.ndarray,
         update_history(state.history, batch_idx, raw)
     if not meta:
         return Observation(view, acts)
-    y = view.labels
-    dw = kernels.differences(state.params.head_w)
     return Observation(
-        view, acts, characteristics, sign, dw, kernels.relu_masks(acts),
-        sigma, kernels.logit_offset(y, dw, sigma, state.shift, cfg.alpha),
-        kernels.label_bins(y, dw.shape[0]))
+        view, acts, characteristics, sign, kernels.relu_masks(acts),
+        kernels.operands(state.params.head_w, view.labels, view.label_index,
+                         sigma, state.shift, cfg.alpha))
 
 
 def _check_finite_loss(state: MetaState, loss: float, stage: str) -> None:
@@ -376,9 +369,9 @@ def warmup_step(state: MetaState, batch_idx: np.ndarray) -> None:
     the loss takes its gradient from them.
     """
     view, acts = _observe_batch(state, batch_idx, meta=False)[:2]
-    train = kernels.cross_entropy_tail(state.params.arrays(), view.labels,
-                                       acts, view.h, view.logits, view.q,
-                                       view.lse, label=view.label_index)
+    train = kernels.cross_entropy_tail(
+        state.params.arrays(), view.label_index, acts,
+        kernels.relu_masks(acts), view.h, view.logits, view.q, view.lse)
     _check_finite_loss(state, train.value, "warm-up")
     state.sgd.step(flatten(train.grads), learning_rate(state.config, state.t))
     state.last_train_loss = train.value
@@ -387,20 +380,13 @@ def warmup_step(state: MetaState, batch_idx: np.ndarray) -> None:
 def _surrogate(state: MetaState, obs: Observation) -> tuple[
         kernels.ClassifierPass, kernels.PerturbPass | None]:
     """The surrogate loss pass on the observed batch under the current state,
-    on the operands the observation built once.
-
-    Returns (pass, perturbation-net pass or None).
-    """
-    cfg = state.config
+    on the operands the observation built once: (pass, net pass or None)."""
     net = delta = None
-    if not cfg.freeze_eps:
+    if not state.config.freeze_eps:
         net = kernels.eps_forward(state.perturb.arrays(), obs.characteristics)
         delta = net.eps[:, None] * obs.sign
-    view = obs.view
-    train = kernels.surrogate(
-        state.params.arrays(), obs.acts[0], view.labels, delta, obs.sigma,
-        state.shift, cfg.alpha, acts=obs.acts, dw=obs.dw, masks=obs.masks,
-        offset=obs.offset, label=view.label_index, bins=obs.bins)
+    train = kernels.surrogate(state.params.arrays(), obs.acts[0], delta,
+                              obs.ops, obs.acts, obs.masks)
     _check_finite_loss(state, train.value, "train")
     return train, net
 
@@ -411,11 +397,11 @@ def lookahead_meta_loss(state: MetaState, obs: Observation,
 
     The lookahead is phi' = phi - lr * grad_phi(surrogate loss). The
     hypergradient of the meta loss in the perturbation net comes from one
-    forward-over-reverse product (see `kernels`); frozen perturbations have
-    none. Reads the state without changing it.
+    forward-over-reverse product (see `kernels`), so the net must be live:
+    a frozen-eps iteration runs no lookahead. Reads the state without
+    changing it.
     """
-    cfg = state.config
-    lr = learning_rate(cfg, state.t)
+    lr = learning_rate(state.config, state.t)
     train, net = _surrogate(state, obs)
     phi = state.params.arrays()
     pseudo = state.params.views(state.params.vector
@@ -424,16 +410,11 @@ def lookahead_meta_loss(state: MetaState, obs: Observation,
     meta = kernels.cross_entropy(pseudo, md.features.take(meta_idx, axis=0),
                                  md.labels.take(meta_idx))
     _check_finite_loss(state, meta.value, "meta")
-    omega_grads = None
-    if net is not None:
-        d_delta = kernels.hypergradient(
-            phi, obs.view.labels, train, meta.grads, obs.sigma, cfg.alpha,
-            obs.dw)
-        # delta_i = eps_i * sign(g_i), the sign factor constant
-        d_eps = np.add.reduce(d_delta * obs.sign, axis=1)
-        omega_grads = kernels.eps_backward(
-            state.perturb.arrays(), net, -lr * d_eps)
-    return Lookahead(meta.value, pseudo, omega_grads)
+    d_delta = kernels.hypergradient(phi, train, meta.grads, obs.ops)
+    # delta_i = eps_i * sign(g_i), the sign factor constant
+    d_eps = np.add.reduce(d_delta * obs.sign, axis=1)
+    return Lookahead(meta.value, pseudo, kernels.eps_backward(
+        state.perturb.arrays(), net, -lr * d_eps))
 
 
 def final_step(state: MetaState, obs: Observation) -> None:
@@ -548,17 +529,17 @@ def _regularizer_row(state: MetaState, eps_all: np.ndarray) -> dict:
     cfg = state.config
     y = view.labels
     delta = eps_all[view.ids][:, None] * np.sign(view.grad_h)
-    dw = kernels.differences(state.params.head_w)
-    rho = kernels.quad("a", du=dw, dv=dw, s=state.stats.covariances())[y]
+    ops = kernels.operands(state.params.head_w, y, view.label_index,
+                           state.stats.covariances(), state.shift, cfg.alpha)
     _, _, z = kernels.forward(state.params.arrays(),
                               state.dataset.features[view.ids], delta,
-                              cfg.alpha * rho + state.shift)
+                              ops.offset)
     q, _ = softmax_lse(z)
     # The three wrong-class sums; every own-class summand is an exact zero
     # (rho_yy, w_y - w_y and log pi_y - log pi_y), so no mask is needed.
-    gen = np.add.reduce(np.add.reduce(q * rho, axis=1))
+    gen = np.add.reduce(np.add.reduce(q * ops.rho, axis=1))
     rob = np.add.reduce(np.add.reduce(
-        q * np.einsum("ijh,ih->ij", dw[y], delta), axis=1))
+        q * np.einsum("ijh,ih->ij", ops.dw[y], delta), axis=1))
     log_ratio = np.log(state.priors) - np.log(state.priors[y])[:, None]
     fair = np.add.reduce(np.add.reduce(q * log_ratio, axis=1))
     # Scale by the loss coefficients so ablation toggles zero the columns.

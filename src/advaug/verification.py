@@ -48,8 +48,9 @@ def reduction_suite(instances: int = 100, seed: int = 0,
                                 priors, 0.0, beta)
             worst[name] = np.maximum(worst[name], np.abs(
                 softmax_cross_entropy(z, labels).value - ref).max())
-            mean = kernels.surrogate([w, b], h, labels, None, sigmas, shift,
-                                     0.0).value
+            ops = kernels.operands(w, labels, kernels.label_index(labels, c),
+                                   sigmas, shift, 0.0)
+            mean = kernels.surrogate([w, b], h, None, ops).value
             worst["kernel"] = np.maximum(worst["kernel"],
                                          abs(mean - ref.mean()))
     return {"name": "reduction", **worst,
@@ -73,8 +74,10 @@ def jensen_suite(instances: int = 200, draws: int = 4000,
         # Only the label's covariance enters rho; the other classes' are zero.
         sigmas = np.zeros((len(b),) + sigma.shape)
         sigmas[y] = sigma
-        closed = kernels.surrogate([w, b], h[None], np.array([y]), delta[None],
-                                   sigmas, np.zeros(len(b)), alpha).value
+        ys = np.array([y])
+        ops = kernels.operands(w, ys, kernels.label_index(ys, len(b)), sigmas,
+                               np.zeros(len(b)), alpha)
+        closed = kernels.surrogate([w, b], h[None], delta[None], ops).value
         mc, se = mc_expected_ce(w, b, h, delta, sigma, alpha, y, count=draws,
                                 seed=seed + 1000 + k)
         margin = float(closed + 1e-12 - (mc - 3.0 * se))
@@ -181,8 +184,10 @@ def gradient_suite(instances: int = 10, seed: int = 0,
     worst = 0.0
     for _ in range(instances):
         x, labels, delta, sigmas, priors, params, alpha = _random_pipeline(rng)
-        grads = kernels.surrogate(params, x, labels, delta, sigmas,
-                                  np.log(priors), alpha).grads
+        ops = kernels.operands(params[-2], labels,
+                               kernels.label_index(labels, len(priors)),
+                               sigmas, np.log(priors), alpha)
+        grads = kernels.surrogate(params, x, delta, ops).grads
         for k, value in enumerate(params):
             def f(v, k=k):
                 trial = [p.copy() for p in params]
@@ -233,10 +238,10 @@ def hypergradient_suite(seed: int = 0, tol: float = 1e-3,
     """Kernel meta-gradients in the perturbation net through the lookahead
     step vs finite differences of the lookahead meta loss.
 
-    `overrides` are TrainerConfig fields of the instance. The record's
-    `kink_margin` is the smallest |input| of the relus whose inputs move
-    with omega: the perturbation net's, unless it is frozen (`freeze_eps`:
-    no net reaches the meta loss, and `worst` is 0), and the extractor's on
+    `overrides` are TrainerConfig fields of the instance; the net must be
+    live (not `freeze_eps`), since a frozen net has no lookahead. The
+    record's `kink_margin` is the smallest |input| of the relus whose
+    inputs move with omega: the perturbation net's, and the extractor's on
     the meta batch at phi'. Finite differences are only meaningful when it
     is not tiny.
     """
@@ -250,16 +255,14 @@ def hypergradient_suite(seed: int = 0, tol: float = 1e-3,
     omega = state.perturb.arrays()
 
     worst = 0.0
-    for array, analytic in zip(omega, ahead.omega_grads or ()):
+    for array, analytic in zip(omega, ahead.omega_grads):
         # fd_gradient bumps this view of the net's vector in place
         fd = fd_gradient(lambda _: meta_value().meta_loss, array)
         worst = np.maximum(worst, _rel_err(analytic, fd))
 
-    kink = _kink_margin(kernels.extractor_layers(ahead.pseudo_params),
-                        state.metadata.features[meta_idx])
-    if ahead.omega_grads is not None:  # the net is live
-        kink = min(kink, _kink_margin([(omega[0], omega[1])],
-                                      obs.characteristics))
+    kink = min(_kink_margin(kernels.extractor_layers(ahead.pseudo_params),
+                            state.metadata.features[meta_idx]),
+               _kink_margin([(omega[0], omega[1])], obs.characteristics))
     return {"name": "hypergradient", "passed": worst < tol, "worst": worst,
             "kink_margin": kink,
             "detail": f"max rel err {worst:.3e}, relu margin {kink:.1e}"}

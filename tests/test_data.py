@@ -19,14 +19,17 @@ from advaug.scenarios import SCENARIOS, Longtail, Subpop
     ({"noise_mask": np.zeros(2, dtype=bool)}, None),
     ({"labels": np.array([0, 0, -1, 1])}, None),
     ({"labels": np.array([0, 0, 2, 1])}, None),
+    ({"labels": np.array([0., 0., 0., 1.])}, None),
+    ({"noise_mask": np.array([1, 1, 0, 0])}, None),
 ], ids=["counts-from-labels", "top-class-absent", "short-labels",
         "long-group-ids", "short-noise-mask", "label-below-0",
-        "label-at-num-classes"])
+        "label-at-num-classes", "float-labels", "int-noise-mask"])
 def test_dataset_construction(fields, counts):
     """Four rows labeled 0, 0, 0, 1 of two classes, one field replaced: the
     class counts are those of the labels and the class rows, and a label,
-    group or noise array of another length than the rows, or a label
-    outside [0, num_classes), is refused."""
+    group or noise array of another length than the rows, a label outside
+    [0, num_classes), labels that are not integers or a noise mask that is
+    not boolean (~1 is -2, which reads as true) is refused."""
     args = {"features": np.zeros((4, 1)), "labels": np.array([0, 0, 0, 1]),
             "num_classes": 2} | fields
     if counts is None:

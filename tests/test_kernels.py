@@ -48,6 +48,12 @@ def random_instance(seed, hidden=(5,), delta=True, diagonal=False,
     return phi, x, y, d, sigma, priors / priors.sum()
 
 
+def ops_of(phi, y, sigma, shift, alpha):
+    """The surrogate's `kernels.operands` of the labels y at phi's head."""
+    return kernels.operands(phi[-2], y, kernels.label_index(y, phi[-1].size),
+                            sigma, shift, alpha)
+
+
 def taped_surrogate(phi, x, y, delta, sigma, priors, alpha, beta):
     leaves = [Tensor(p) for p in phi]
     with Tape() as tape:
@@ -80,8 +86,8 @@ def test_surrogate_matches_taped_builders(case, seed):
     # diagonal covariances reach the kernel as their (C, H) diagonals
     stack = (np.diagonal(sigma, axis1=1, axis2=2).copy()
              if opts.get("diagonal") else sigma)
-    ours = kernels.surrogate(phi, x, y, delta, stack, 0.8 * np.log(priors),
-                             alpha)
+    ours = kernels.surrogate(
+        phi, x, delta, ops_of(phi, y, stack, 0.8 * np.log(priors), alpha))
     value, grads = taped_surrogate(phi, x, y, delta, sigma, priors, alpha,
                                    0.8)
     assert rel_err(ours.value, value) < TOL
@@ -102,71 +108,6 @@ def test_quad_diagonal_branch_matches_dense_form():
         np.testing.assert_allclose(kernels.quad(slot, s=s, **given),
                                    kernels.quad(slot, s=stack, **given),
                                    rtol=1e-13, atol=1e-15)
-
-
-@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
-def test_given_head_differences_keep_every_bit(diagonal):
-    phi, x, y, delta, sigma, priors = random_instance(4, diagonal=diagonal)
-    if diagonal:
-        sigma = np.diagonal(sigma, axis1=1, axis2=2).copy()
-    shift, alpha = 0.8 * np.log(priors), 0.7
-    rng = np.random.default_rng(5)
-    v = [rng.normal(size=p.shape) for p in phi]
-    outputs = []
-    for dw in (None, kernels.differences(phi[-2])):
-        train = kernels.surrogate(phi, x, y, delta, sigma, shift, alpha, dw=dw)
-        d_delta = kernels.hypergradient(
-            phi, y, train, v, sigma, alpha, kernels.differences(phi[-2]))
-        outputs.append([np.float64(train.value), *train.grads, train.q,
-                        train.g, d_delta])
-    for ours, ref in zip(*outputs):
-        assert ours.tobytes() == ref.tobytes()
-    # the head gradient sums the u and v forms, whichever way it is built
-    dw = kernels.differences(phi[-2])
-    rho = kernels.quad("a", du=dw, dv=dw, s=sigma)[y]
-    ce = kernels.cross_entropy(phi, x, y, delta, alpha * rho + shift)
-    a = np.zeros((4, 4))
-    np.add.at(a, y, ce.g)
-    a *= alpha
-    head = ce.grads[-2] + (kernels.quad("u", a=a, dv=dw, s=sigma)
-                           + kernels.quad("v", a=a, du=dw, s=sigma))
-    assert outputs[0][-5].tobytes() == head.tobytes()
-
-
-def pass_arrays(out):
-    """Every output of a classifier pass, as arrays."""
-    return [np.float64(out.value), *out.grads, *out.masks, out.feats, out.q,
-            out.g]
-
-
-@pytest.mark.parametrize("case", ["default", "diagonal_sigma",
-                                  "identity_extractor", "absent_class"])
-def test_shared_operands_keep_every_bit(case):
-    # A meta iteration's observation builds the head differences, the logit
-    # offset, the flat label index and the label bins once for its passes:
-    # given them, the surrogate and the CE tail give the bits of their own
-    # builds.
-    opts = dict(SURROGATE_CASES[case])
-    phi, x, y, delta, sigma, priors = random_instance(7, **opts)
-    if opts.get("diagonal"):
-        sigma = np.diagonal(sigma, axis1=1, axis2=2).copy()
-    shift, alpha, width = 0.8 * np.log(priors), 0.7, phi[-1].size
-    dw = kernels.differences(phi[-2])
-    label = kernels.label_index(y, width)
-    shared = dict(dw=dw, offset=kernels.logit_offset(y, dw, sigma, shift,
-                                                     alpha),
-                  label=label, bins=kernels.label_bins(y, width))
-    passes = [kernels.surrogate(phi, x, y, delta, sigma, shift, alpha,
-                                **given) for given in ({}, shared)]
-    acts, feats, z = kernels.forward(phi, x, delta)
-    q, lse = kernels.softmax_lse(z)
-    passes += [kernels.cross_entropy_tail(phi, y, acts, feats, z, q, lse,
-                                          label=given)
-               for given in (None, label)]
-    for own, given in (passes[:2], passes[2:]):
-        for ours, ref in zip(pass_arrays(given), pass_arrays(own),
-                             strict=True):
-            assert ours.tobytes() == ref.tobytes()
 
 
 def add_at_sums(rows, labels, count):
@@ -192,7 +133,8 @@ def test_sum_by_label_matches_add_at_bit_for_bit(n, width):
     rows[0, 2] = -np.inf
     rows[0, 3] = np.nan
     rows[n // 3, -1] = 0.0
-    ours = kernels.sum_by_label(rows, labels, count)
+    ours = kernels.sum_by_label(rows, kernels.label_bins(labels, width),
+                                count)
     assert ours.shape == (count, width)
     assert ours.tobytes() == add_at_sums(rows, labels, count).tobytes()
     assert np.signbit(ours[0]).sum() == 0  # an absent class sums to +0.0
@@ -201,9 +143,10 @@ def test_sum_by_label_matches_add_at_bit_for_bit(n, width):
 @pytest.mark.parametrize("width", [5, 16], ids=["C", "H"])
 def test_sum_by_label_of_no_rows_is_a_float_zero_table(width):
     # np.bincount of no entries returns integer counts
+    none = np.array([], dtype=np.intp)
     ours = kernels.sum_by_label(np.ones((0, width)),
-                                np.array([], dtype=np.intp), 5)
-    ref = add_at_sums(np.ones((0, width)), np.array([], dtype=np.intp), 5)
+                                kernels.label_bins(none, width), 5)
+    ref = add_at_sums(np.ones((0, width)), none, 5)
     assert ours.dtype == np.float64 and ours.shape == (5, width)
     assert ours.tobytes() == ref.tobytes()
 
@@ -212,10 +155,11 @@ def test_sum_by_label_of_no_rows_is_a_float_zero_table(width):
 def test_sum_by_label_refuses_a_label_out_of_range(bad):
     # np.bincount would widen the table for a label >= count
     with pytest.raises(ValueError):
-        kernels.sum_by_label(np.ones((3, 4)), np.array([0, bad, 1]), 5)
+        kernels.sum_by_label(np.ones((3, 4)),
+                             kernels.label_bins(np.array([0, bad, 1]), 4), 5)
 
 
-def hypergradient_reference(phi, y, train, v, sigma, alpha, dw):
+def hypergradient_reference(phi, train, v, ops):
     """kernels.hypergradient in plain numpy forms: bool ReLU masks, np.sum
     and no reuse of the pass's masks."""
     layers, w = kernels.extractor_layers(phi), phi[-2]
@@ -229,30 +173,47 @@ def hypergradient_reference(phi, y, train, v, sigma, alpha, dw):
         h_dot = pre * (train.acts[depth + 1] > 0)
     if h_dot is not None:
         z_dot += h_dot @ w.T
-    dw_dot = kernels.differences(w_dot)
+    dw_dot, dw, sigma = kernels.differences(w_dot), ops.dw, ops.sigma
     rho_dot = (kernels.quad("a", du=dw_dot, dv=dw, s=sigma)
                + kernels.quad("a", du=dw, dv=dw_dot, s=sigma))
-    z_dot += alpha * rho_dot[y]
+    z_dot += ops.alpha * rho_dot[ops.y]
     q = train.q
-    d_z = q * (z_dot - np.sum(q * z_dot, axis=1, keepdims=True)) / y.size
+    d_z = q * (z_dot - np.sum(q * z_dot, axis=1, keepdims=True)) / ops.y.size
     return d_z @ w + train.g @ w_dot
+
+
+def head_gradient_reference(phi, x, delta, ops):
+    """The surrogate's head gradient in plain numpy forms: the CE tail's
+    head gradient plus the u and the v form of the path through rho, with
+    np.add.at class sums."""
+    acts, feats, z = kernels.forward(phi, x, delta, ops.offset)
+    ce = kernels.cross_entropy_tail(phi, ops.label, acts,
+                                    kernels.relu_masks(acts), feats, z,
+                                    *kernels.softmax_lse(z))
+    a = np.zeros((phi[-1].size,) * 2)
+    np.add.at(a, ops.y, ce.g)
+    a *= ops.alpha
+    return ce.grads[-2] + (kernels.quad("u", a=a, dv=ops.dw, s=ops.sigma)
+                           + kernels.quad("v", a=a, du=ops.dw, s=ops.sigma))
 
 
 @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
 def test_hypergradient_matches_plain_numpy_reference_bit_for_bit(diagonal):
+    # and the head gradient of the surrogate pass it reads matches its own
     phi, x, y, delta, sigma, priors = random_instance(
         8, hidden=(6, 5), diagonal=diagonal, labels=[2, 0, 2, 2, 1, 0, 2])
     if diagonal:
         sigma = np.diagonal(sigma, axis1=1, axis2=2).copy()
-    shift, alpha = 0.5 * np.log(priors), 0.7
+    ops = ops_of(phi, y, sigma, 0.5 * np.log(priors), 0.7)
     rng = np.random.default_rng(9)
     v = [rng.normal(size=p.shape) for p in phi]
-    dw = kernels.differences(phi[-2])
-    train = kernels.surrogate(phi, x, y, delta, sigma, shift, alpha, dw=dw)
-    ours = kernels.hypergradient(phi, y, train, v, sigma, alpha, dw)
-    ref = hypergradient_reference(phi, y, train, v, sigma, alpha, dw)
+    train = kernels.surrogate(phi, x, delta, ops)
+    ours = kernels.hypergradient(phi, train, v, ops)
+    ref = hypergradient_reference(phi, train, v, ops)
     assert ours.shape == x.shape[:1] + phi[-2].shape[1:]
     assert ours.tobytes() == ref.tobytes()
+    head = head_gradient_reference(phi, x, delta, ops)
+    assert train.grads[-2].tobytes() == head.tobytes()
 
 
 def test_plain_cross_entropy_matches_tape():
@@ -357,7 +318,7 @@ def dense(sigma):
 
 def taped_lookahead(state, batch_idx, meta_idx, f, grad_h):
     """The lookahead on one tape, differentiated reverse-over-reverse in
-    the perturbation net (no gradient when eps is frozen)."""
+    the perturbation net."""
     cfg = state.config
     x = state.dataset.features[batch_idx]
     y = state.dataset.labels[batch_idx]
@@ -366,9 +327,7 @@ def taped_lookahead(state, batch_idx, meta_idx, f, grad_h):
     sigma = Tensor(dense(state.stats.covariances()))
     lr = Tensor(learning_rate(cfg, state.t))
     with Tape() as tape:
-        delta = None
-        if not cfg.freeze_eps:
-            delta = compute_delta(grad_h, eps_forward(omega, f))
+        delta = compute_delta(grad_h, eps_forward(omega, f))
         rho = quadratic_terms(phi[-2], sigma, y)
         z = adjusted_logits(phi[-2], phi[-1], extract_features(phi, x),
                             delta, rho, state.priors, cfg.alpha, cfg.beta)
@@ -378,8 +337,7 @@ def taped_lookahead(state, batch_idx, meta_idx, f, grad_h):
         h = extract_features(ahead, state.metadata.features[meta_idx])
         meta = augmented_ce_loss(base_logits(ahead[-2], ahead[-1], h, None),
                                  state.metadata.labels[meta_idx])
-    omega_grads = [] if cfg.freeze_eps else tape.gradient(meta, omega)
-    return float(meta.value), [g.value for g in omega_grads]
+    return float(meta.value), [g.value for g in tape.gradient(meta, omega)]
 
 
 LOOKAHEAD_CASES = {
@@ -392,7 +350,8 @@ LOOKAHEAD_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", LOOKAHEAD_CASES)
+@pytest.mark.parametrize("case", [case for case in LOOKAHEAD_CASES
+                                  if case != "freeze_eps"])
 def test_hypergradient_matches_reverse_over_reverse(case):
     state = lookahead_state(1, **LOOKAHEAD_CASES[case])
     batch = np.array([0, 1, 3, 4])  # class 2 is absent
@@ -402,25 +361,24 @@ def test_hypergradient_matches_reverse_over_reverse(case):
     value, omega_grads = taped_lookahead(
         state, batch, meta_idx, obs.characteristics, obs.view.grad_h)
     assert rel_err(ours.meta_loss, value) < TOL
-    if state.config.freeze_eps:
-        assert ours.omega_grads is None
-    else:
-        for g_ours, g_ref in zip(ours.omega_grads, omega_grads, strict=True):
-            assert rel_err(g_ours, g_ref) < TOL
+    for g_ours, g_ref in zip(ours.omega_grads, omega_grads, strict=True):
+        assert rel_err(g_ours, g_ref) < TOL
 
 
 @pytest.mark.parametrize("case", ["default", "two_hidden_layers",
                                   "identity_extractor", "freeze_eps"])
 def test_classifier_steps_leave_the_observed_activations_unchanged(case):
     # The final step reuses the activations the lookahead read: an in-place
-    # op on one of them would corrupt that step silently.
+    # op on one of them would corrupt that step silently. A frozen-eps
+    # iteration runs no lookahead, only the final step.
     state = lookahead_state(2, **LOOKAHEAD_CASES[case])
     batch = np.array([0, 1, 2, 4])
     obs = _observe_batch(state, batch)
     before = [a.copy() for a in obs.acts]
-    lookahead_meta_loss(state, obs, np.arange(6))
-    for a, b in zip(obs.acts, before, strict=True):
-        assert a.tobytes() == b.tobytes()
+    if not state.config.freeze_eps:
+        lookahead_meta_loss(state, obs, np.arange(6))
+        for a, b in zip(obs.acts, before, strict=True):
+            assert a.tobytes() == b.tobytes()
     final_step(state, obs)
     for a, b in zip(obs.acts, before, strict=True):
         assert a.tobytes() == b.tobytes()
@@ -429,7 +387,8 @@ def test_classifier_steps_leave_the_observed_activations_unchanged(case):
 @pytest.mark.parametrize("case", ["default", "diagonal_sigma", "freeze_eps"])
 def test_stages_read_the_batch_only_from_the_observation(case):
     # Labels rewritten after the observation reach none of the later stages:
-    # the lookahead and the final step give the bits of the untouched state.
+    # the lookahead (none in a frozen-eps iteration) and the final step give
+    # the bits of the untouched state.
     state = lookahead_state(3, **LOOKAHEAD_CASES[case])
     batch = np.array([0, 1, 3, 4])  # classes 0, 1, 0, 1
     runs = []
@@ -438,12 +397,11 @@ def test_stages_read_the_batch_only_from_the_observation(case):
         obs = _observe_batch(copied, batch)
         if rewrite:  # the batch would read classes 2, 0, 2, 0
             copied.dataset.labels[:] = np.roll(copied.dataset.labels, 1)
-        ahead = lookahead_meta_loss(copied, obs, np.arange(6))
+        outputs = []
+        if not copied.config.freeze_eps:
+            ahead = lookahead_meta_loss(copied, obs, np.arange(6))
+            outputs = [np.float64(ahead.meta_loss), *ahead.omega_grads]
         final_step(copied, obs)
-        runs.append((ahead, copied.params.vector.copy()))
-    (ahead, phi), (twisted, twisted_phi) = runs
-    assert ahead.meta_loss == twisted.meta_loss
-    for a, b in zip(ahead.omega_grads or (), twisted.omega_grads or (),
-                    strict=True):
+        runs.append(outputs + [copied.params.vector.copy()])
+    for a, b in zip(*runs, strict=True):
         assert a.tobytes() == b.tobytes()
-    assert phi.tobytes() == twisted_phi.tobytes()

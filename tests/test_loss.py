@@ -257,8 +257,9 @@ class TestWeightedSurrogateBound:
         sigma = a @ a.T / width
         delta = 0.5 * np.sign(rng.normal(size=(1, width)))
         sigmas = np.stack([np.zeros_like(sigma), sigma, np.zeros_like(sigma)])
-        closed = kernels.surrogate([w, b], h, labels, delta, sigmas,
-                                   np.zeros(c), alpha=0.8).value
+        ops = kernels.operands(w, labels, kernels.label_index(labels, c),
+                               sigmas, np.zeros(c), 0.8)
+        closed = kernels.surrogate([w, b], h, delta, ops).value
         mc, se = mc_expected_ce(w, b, h[0], delta[0], sigma, 0.8, 1,
                                 count=20000, seed=99)
         assert closed + 1e-12 >= mc - 3 * se

@@ -27,20 +27,23 @@ def digest(data: bytes) -> str:
 @pytest.mark.parametrize("preset, overrides, pinned", [
     ("longtail", {}, (
         "c8889ff5d397ff72", "99bfc7c8de9343d1", "026403a668f053e7")),
-    ("longtail", {"diagonal_sigma": "false"}, (
+    ("longtail", {"training": {"diagonal_sigma": "false"}}, (
         "38858945d6e652e3", "e00897e8578a6f91", "94dcd91457465830")),
+    ("longtail", {"loss": {"alpha": "0"}}, (
+        "14ced90527ca67b4", "233691df18698c85", "89c1b2487e494ab3")),
     ("subpop", {}, (
         "a86574cd8c410b5d", "72e9512616f25a6e", "0619382288f1a68f")),
-    ("noise", {"freeze_eps": "true"}, (
+    ("noise", {"training": {"freeze_eps": "true"}}, (
         "67c1ae43ef39eee7", "51140fd9ff610c0d", "e350fed5aec5ee94")),
-    ("noise", {"freeze_eps": "false"}, (
+    ("noise", {"training": {"freeze_eps": "false"}}, (
         "0b44ff7698d184f9", "8b6db96a2f7fcd68", "cdf71f602658f79a")),
-], ids=["longtail-diagonal", "longtail-full", "subpop", "noise-frozen",
-        "noise"])
+], ids=["longtail-diagonal", "longtail-full", "longtail-alpha-zero",
+        "subpop", "noise-frozen", "noise"])
 def test_short_run_keeps_its_bits(tmp_path, preset, overrides, pinned):
     ini = configparser.ConfigParser(interpolation=None)
     ini.read(CONFIGS / f"{preset}.ini")
-    ini["training"].update(t1="50", t2="100", **overrides)
+    ini["training"].update(t1="50", t2="100")
+    ini.read_dict(overrides)
     with open(tmp_path / "run.ini", "w") as fh:
         ini.write(fh)
     cfg = parse_config(str(tmp_path / "run.ini"))

@@ -249,10 +249,6 @@ class TestLookahead:
         np.testing.assert_allclose(ahead.pseudo_params[1], expect_b,
                                    rtol=1e-10, atol=1e-12)
 
-    def test_frozen_eps_builds_no_perturbation(self):
-        state = tiny_setup(freeze_eps=True)
-        assert observe_and_look_ahead(state).omega_grads is None
-
 
 class TestHypergradients:
     @staticmethod
@@ -267,9 +263,8 @@ class TestHypergradients:
         record = self.fd_record()
         assert record["worst"] < 1e-3, record["detail"]
 
-    @pytest.mark.parametrize("overrides", [
-        {}, {"diagonal_sigma": True}, {"freeze_eps": True}],
-        ids=["defaults", "diagonal_sigma", "freeze_eps"])
+    @pytest.mark.parametrize("overrides", [{}, {"diagonal_sigma": True}],
+                             ids=["defaults", "diagonal_sigma"])
     def test_hidden_layer_hypergradient_matches_fd(self, overrides):
         # A ReLU layer in the extractor: the JVP through it reaches s.
         record = hypergradient_suite(seed=2, hidden=(4,), **overrides)
@@ -413,8 +408,10 @@ def reference_la_trajectory(cfg, ds, md):
         idx = sample_train_batch(state)
         phi = state.params.arrays()
         offset = cfg.beta * log_pi if t > cfg.t1 else None
-        ce = kernels.cross_entropy(phi, ds.features[idx], ds.labels[idx],
-                                   offset=offset)
+        acts, feats, z = kernels.forward(phi, ds.features[idx], None, offset)
+        ce = kernels.cross_entropy_tail(
+            phi, kernels.label_index(ds.labels[idx], z.shape[1]), acts,
+            kernels.relu_masks(acts), feats, z, *kernels.softmax_lse(z))
         state.sgd.step(flatten(ce.grads), learning_rate(cfg, t))
     return state.params
 
