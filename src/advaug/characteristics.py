@@ -115,7 +115,7 @@ def fill_rows(view: BatchView, history: History, stats: ClassStats,
     z_label = z.take(label)
     np.subtract(view.lse, z_label, out=out[:, 0])  # loss
     masked = z.copy()
-    masked.flat[label] = -np.inf
+    masked.ravel()[label] = -np.inf
     np.subtract(z_label, kernels.row_max(masked), out=out[:, 3])  # margin
     out[:, 7] = z.argmax(axis=1) == y  # correct
     out[:, EMA_COLUMNS] = np.where(history.seen.take(ids)[:, None],
@@ -124,7 +124,7 @@ def fill_rows(view: BatchView, history: History, stats: ClassStats,
     plogq = np.maximum(q, 1e-300)
     np.log(plogq, out=plogq)
     plogq *= q
-    np.negative(np.add.reduce(plogq, axis=1), out=out[:, 5])  # entropy
+    np.negative(kernels.row_sum(plogq), out=out[:, 5])  # entropy
     out[:, 6] = q.take(label)  # true_class_prob
     _row_norms(np.square(view.grad_h), out[:, 9])  # grad_norm
     prior = stats.priors.take(y)

@@ -30,8 +30,8 @@ class Dataset:
     partitions.
 
     `labels` (integers), `group_ids` and `noise_mask` (bools) hold one
-    entry per feature row. The counts and partitions are built once, on
-    construction, from them, and they are not modified afterwards:
+    entry per feature row; the set holds them and `features` as read-only
+    views. The counts and partitions are built once, on construction:
     `class_counts` holds the number of rows of each class (zero for a class
     the labels lack), `class_rows` the rows of each class, `group_rows`
     those of each group id in ascending order of id (None without
@@ -54,11 +54,16 @@ class Dataset:
 
     def __post_init__(self):
         c = self.num_classes
-        for name in ("labels", "group_ids", "noise_mask"):
+        for name in ("features", "labels", "group_ids", "noise_mask"):
             values = getattr(self, name)
-            if values is not None and values.shape != (self.n,):
+            if values is None:
+                continue
+            if name != "features" and values.shape != (self.n,):
                 raise DataError(f"{name} has shape {values.shape}, "
                                 f"expected ({self.n},)")
+            values = values.view()
+            values.flags.writeable = False
+            setattr(self, name, values)
         if not np.issubdtype(self.labels.dtype, np.integer):
             raise DataError(f"labels are {self.labels.dtype}, not integers")
         if self.noise_mask is not None and self.noise_mask.dtype != bool:

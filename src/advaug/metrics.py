@@ -19,7 +19,17 @@ import numpy as np
 
 from .classifier import ClassifierParams
 from .data import Dataset
-from .kernels import forward, label_index, row_blocks, row_max
+from .kernels import forward, label_index, row_blocks, row_max, row_sum
+
+
+def mean(x: np.ndarray) -> float:
+    """x.mean() by its own sum and division, without numpy's Python wrapper."""
+    return float(np.add.reduce(x, axis=None) / x.size)
+
+
+def share(mask: np.ndarray) -> float:
+    """mask.mean() of a bool array: its count of True over its size."""
+    return np.count_nonzero(mask) / mask.size
 
 
 def evaluate(params: ClassifierParams, data: Dataset) -> dict:
@@ -41,23 +51,22 @@ def evaluate(params: ClassifierParams, data: Dataset) -> dict:
         shifted = z - row_max(z)[:, None]
         label = shifted.take(label_index(labels[rows], z.shape[1]))
         np.exp(shifted, out=shifted)
-        label_logp[rows] = label - np.log(np.add.reduce(shifted, axis=1))
+        label_logp[rows] = label - np.log(row_sum(shifted))
         pred[rows] = z.argmax(axis=1)
-    loss = float(-label_logp.mean())
     correct = pred == labels
     recall = np.full(params.num_classes, np.nan)
     for c, rows in enumerate(data.class_rows):
         if rows.size:
-            recall[c] = float(correct.take(rows).mean())
+            recall[c] = share(correct.take(rows))
     out = {
-        "loss": loss,
-        "accuracy": float(correct.mean()),
+        "loss": -mean(label_logp),
+        "accuracy": share(correct),
         "per_class_recall": recall,
         "worst_group_accuracy": math.nan,
     }
     if data.group_rows is not None:
         out["worst_group_accuracy"] = min(
-            float(correct.take(rows).mean()) for rows in data.group_rows)
+            share(correct.take(rows)) for rows in data.group_rows)
     return out
 
 

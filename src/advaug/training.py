@@ -59,7 +59,7 @@ from .classifier import (ClassifierParams, ce_grad_wrt_features, flatten,
                          init_classifier)
 from .data import Dataset
 from .kernels import softmax_lse
-from .metrics import MetricsLog, evaluate
+from .metrics import MetricsLog, evaluate, mean, share
 from .perturbation import PerturbNetParams, init_perturb_net
 from .stats import ClassStats, class_priors, update_covariance
 
@@ -510,14 +510,13 @@ def _epoch_row(state: MetaState, epoch: int, phase: str,
     data = state.dataset
     for c, rows in enumerate(data.class_rows):
         eps_c = eps.take(rows)
-        row[f"mean_eps_{c}"] = float(eps_c.mean()) if rows.size else math.nan
-        row[f"adv_ratio_{c}"] = (float((eps_c > 0).mean()) if rows.size
-                                 else math.nan)
+        row[f"mean_eps_{c}"] = mean(eps_c) if rows.size else math.nan
+        row[f"adv_ratio_{c}"] = share(eps_c > 0) if rows.size else math.nan
     if data.noise_mask is not None:
         if data.noisy_rows.size:
-            row["eps_noisy_mean"] = float(eps.take(data.noisy_rows).mean())
+            row["eps_noisy_mean"] = mean(eps.take(data.noisy_rows))
         if data.clean_rows.size:
-            row["eps_clean_mean"] = float(eps.take(data.clean_rows).mean())
+            row["eps_clean_mean"] = mean(eps.take(data.clean_rows))
 
     row.update(_regularizer_row(state, eps))
     return row

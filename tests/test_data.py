@@ -2,6 +2,7 @@
 CSV round-trip."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,10 +42,34 @@ def test_dataset_construction(fields, counts):
     assert [rows.size for rows in ds.class_rows] == counts
 
 
+@pytest.mark.parametrize("name", ["features", "labels", "group_ids",
+                                  "noise_mask"])
+def test_dataset_arrays_are_read_only(name):
+    """A write through a set's arrays raises, so its class counts and row
+    partitions cannot go stale; the caller's own arrays stay writable."""
+    given = {"features": np.zeros((4, 2)), "labels": np.array([0, 0, 1, 1]),
+             "group_ids": np.array([0, 1, 0, 1]),
+             "noise_mask": np.array([False, True, False, False])}
+    ds = Dataset(num_classes=2, **given)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(ds, name)[0] = 1
+    assert ds.class_counts.tolist() == [2, 2]
+    assert [rows.tolist() for rows in ds.class_rows] == [[0, 1], [2, 3]]
+    assert given[name].flags.writeable
+
+
 def longtail_train(seed, num_classes, n_max, imbalance_ratio, dim, **blobs):
     """The training set of a longtail scenario with these fields."""
     return Longtail(num_classes=num_classes, dim=dim, n_max=n_max,
                     imbalance_ratio=imbalance_ratio, **blobs).build(seed).train
+
+
+def tagged(ds):
+    """`ds` with each row's index as its last feature, so that a row's
+    identity survives a shuffle into the metadata."""
+    features = ds.features.copy()
+    features[:, -1] = np.arange(ds.n)
+    return replace(ds, features=features)
 
 
 class TestMakeLongtail:
@@ -290,10 +315,8 @@ class TestSplitMeta:
             split_meta(ds, per_class=5, seed=0)
 
     def test_meta_labels_match_pre_noise_ground_truth(self):
-        clean = longtail_train(1, num_classes=4, n_max=150, imbalance_ratio=1,
-                               dim=3)
-        # tag each row so identity survives shuffling into the metadata
-        clean.features[:, -1] = np.arange(clean.n)
+        clean = tagged(longtail_train(1, num_classes=4, n_max=150,
+                                      imbalance_ratio=1, dim=3))
         noisy = inject_label_noise(clean, "uniform", 0.4, seed=2)
         _, meta = split_meta(noisy, per_class=5, seed=3)
         original_rows = meta.features[:, -1].astype(int)
@@ -301,8 +324,7 @@ class TestSplitMeta:
         assert not noisy.noise_mask[original_rows].any()
 
     def test_meta_disjoint_from_remainder(self):
-        ds = longtail_train(2, 3, 60, 1, 3)
-        ds.features[:, -1] = np.arange(ds.n)
+        ds = tagged(longtail_train(2, 3, 60, 1, 3))
         rest, meta = split_meta(ds, per_class=7, seed=4)
         assert (set(meta.features[:, -1].astype(int))
                 & set(rest.features[:, -1].astype(int)) == set())

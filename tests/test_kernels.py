@@ -290,6 +290,44 @@ def test_by_row_blocks_cover_the_rows_without_a_one_row_block(n, monkeypatch):
     assert n <= 1 or min(sizes) > 1
 
 
+def sum_order_table(rng, n, width):
+    """An (n, width) table whose row sums depend on the order and the start
+    of the adds: magnitudes over 40 decades, a row of -0.0 (whose sum from
+    +0.0 is +0.0), and NaN, +-inf and subnormal entries."""
+    x = (rng.standard_normal((n, width))
+         * 10.0 ** rng.uniform(-20, 20, (n, width)))
+    x[0] = -0.0
+    x[1, -1] = np.nan
+    x[2, 0] = np.inf
+    x[3, -1] = -np.inf
+    x[4] = 5e-324 * rng.integers(-3, 4, width)
+    x[5, 0] = np.nan
+    x[5, -1] = np.inf
+    return x
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+@pytest.mark.parametrize("n", [kernels.FOLD_ROWS - 1, kernels.FOLD_ROWS,
+                               611, 768])
+def test_row_sum_keeps_the_bits_of_a_row_reduction(n, width):
+    x = sum_order_table(np.random.default_rng(n * 10 + width), n, width)
+    assert (kernels.row_sum(x).tobytes()
+            == np.add.reduce(x, axis=1).tobytes())
+
+
+@pytest.mark.parametrize("width", [2, 5])
+@pytest.mark.parametrize("n", [64, 611, 768])
+def test_softmax_lse_keeps_the_bits_of_its_keepdims_form(n, width):
+    z = 4.0 * np.random.default_rng(n + width).standard_normal((n, width))
+    top = z.max(axis=1, keepdims=True)
+    q = np.exp(z - top)
+    total = np.add.reduce(q, axis=1, keepdims=True)
+    q /= total
+    got_q, got_lse = kernels.softmax_lse(z)
+    assert got_q.tobytes() == q.tobytes()
+    assert got_lse.tobytes() == (np.log(total[:, 0]) + top[:, 0]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the lookahead hypergradient against reverse-over-reverse on the tape
 
