@@ -106,15 +106,7 @@ def ce_grad_wrt_features(params: ClassifierParams, q: np.ndarray,
 
 
 def save_checkpoint(params: FlatParams, path) -> None:
-    """Exact float64 dump of the arrays as p0, p1, ...; round-trips
-    bit-identically via load_checkpoint."""
+    """Exact float64 dump of the arrays as p0, p1, ...; `np.load` reads
+    them back bit for bit."""
     np.savez(path, **{f"p{i}": a for i, a in enumerate(params.arrays())})
 
-
-def load_checkpoint(path, kind: type[FlatParams] = ClassifierParams
-                    ) -> FlatParams:
-    """The `kind` parameters saved at `path`. The array count comes from the
-    keys; the `layout` key of older classifier files is ignored."""
-    with np.load(path) as blob:
-        count = len(blob.files) - ("layout" in blob.files)
-        return kind([blob[f"p{i}"] for i in range(count)])

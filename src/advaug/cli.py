@@ -206,15 +206,19 @@ def _load_summaries(dirs) -> dict[int, dict]:
         path = Path(d) / "summary.json"
         with open(path, encoding="utf-8") as fh:
             summary = json.load(fh)
-        if "aborted" in summary:
-            raise ValueError(f"{d} holds an aborted run")
-        if "interrupted" in summary:
-            raise ValueError(f"{d} holds an interrupted run")
+        if not isinstance(summary, dict):
+            raise ValueError(f"{d} holds a summary that is not an object")
+        for cut in ("aborted", "interrupted"):
+            if cut in summary:
+                raise ValueError(f"{d} holds an {cut} run")
         seed = summary["seed"]
         if seed in out:
             raise ValueError(f"duplicate seed {seed} in {d}")
         if summary.get("worst_group_accuracy") is None:
             summary["worst_group_accuracy"] = math.nan
+        for key in ("accuracy", "worst_class_recall", "worst_group_accuracy"):
+            if type(summary[key]) not in (int, float):
+                raise ValueError(f"{d} holds a {key} that is not a number")
         out[seed] = summary
     return out
 

@@ -345,8 +345,9 @@ def surrogate(phi: list[np.ndarray], x: np.ndarray, delta: np.ndarray | None,
     against the labels of `ops`, the `operands` at phi's head.
 
     The head's gradient includes its path through rho, weighted by alpha
-    times the class sums of the logit gradient. A caller holding the
-    extractor activations of x at phi passes them and their `relu_masks`.
+    times the class sums of the logit gradient; Sigma_c must be symmetric,
+    as `stats.update_covariance` builds it. A caller holding the extractor
+    activations of x at phi passes them and their `relu_masks`.
     """
     acts, feats, z = forward(phi, x, delta, ops.offset, acts)
     if masks is None:
@@ -354,13 +355,8 @@ def surrogate(phi: list[np.ndarray], x: np.ndarray, delta: np.ndarray | None,
     out = cross_entropy_tail(phi, ops.label, acts, masks, feats, z,
                              *softmax_lse(z))
     a = ops.alpha * sum_by_label(out.g, ops.bins, phi[-2].shape[0])
-    if ops.sigma.ndim == 2:
-        # the u and v forms multiply the same operands: equal bits
-        g = quad("u", a=a, dv=ops.dw, s=ops.sigma)
-        out.grads[-2] += g + g
-    else:
-        out.grads[-2] += (quad("u", a=a, dv=ops.dw, s=ops.sigma)
-                          + quad("v", a=a, du=ops.dw, s=ops.sigma))
+    g = quad("u", a=a, dv=ops.dw, s=ops.sigma)
+    out.grads[-2] += g + g  # the u and v forms: equal bits
     return out
 
 

@@ -112,28 +112,6 @@ class MetricsLog:
             for row in self.rows:
                 writer.writerow([_format_cell(row[c]) for c in self.columns])
 
-    @classmethod
-    def read_csv(cls, path: str) -> "MetricsLog":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            raw_rows = [dict(zip(header, row, strict=True)) for row in reader]
-        num_classes = sum(1 for c in header if c.startswith("recall_"))
-        log = cls(num_classes)
-        if header != log.columns:
-            raise ValueError(f"unexpected metrics header: {header}")
-        for raw in raw_rows:
-            row = {}
-            for key, text in raw.items():
-                if key == "phase":
-                    row[key] = text
-                elif key in ("epoch", "iteration"):
-                    row[key] = int(text)
-                else:
-                    row[key] = float(text)
-            log.append(row)
-        return log
-
 
 def _format_cell(value) -> str:
     if isinstance(value, str):

@@ -2,7 +2,7 @@
 
 Its parameters are one float64 vector that Adam steps in place; the net
 runs as `kernels.eps_forward`, with `loss.eps_forward` its taped reference.
-Checkpoints use `classifier.save_checkpoint` and `load_checkpoint`.
+Checkpoints use `classifier.save_checkpoint`.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """End-to-end CLI checks: artifacts, exit codes, and report formats."""
 
+import csv
 import json
 
 import numpy as np
@@ -33,6 +34,15 @@ t2 = 40
 """
 
 
+def read_rows(path):
+    """The rows of a metrics.csv: the phase as text, epoch and iteration as
+    int, every other cell as float."""
+    kinds = {"phase": str, "epoch": int, "iteration": int}
+    with open(path, newline="") as fh:
+        return [{key: kinds.get(key, float)(text) for key, text in row.items()}
+                for row in csv.DictReader(fh)]
+
+
 def write_ini(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -55,8 +65,7 @@ class TestRun:
         assert len(summary["per_class_recall"]) == 5
         assert "aborted" not in summary
         assert "run complete" in capsys.readouterr().out
-        log = MetricsLog.read_csv(str(out / "metrics.csv"))
-        assert log.rows[-1]["iteration"] == 40
+        assert read_rows(out / "metrics.csv")[-1]["iteration"] == 40
 
     @pytest.mark.parametrize("scenario", ["longtail", "subpop"])
     def test_the_defaults_train(self, tmp_path, capsys, scenario):
@@ -140,13 +149,13 @@ class TestRun:
         assert main(["run", "--config", cfg, "--output", str(out)]) == 3
         err = capsys.readouterr().err
         assert "numerical abort: non-finite train loss at iteration 6" in err
-        log = MetricsLog.read_csv(str(out / "metrics.csv"))
-        assert [row["iteration"] for row in log.rows] == [3]
+        rows = read_rows(out / "metrics.csv")
+        assert [row["iteration"] for row in rows] == [3]
         summary = json.loads((out / "summary.json").read_text())
         assert summary["aborted"] == {"stage": "train", "iteration": 6,
                                       "value": "nan"}
         assert summary["epochs"] == 1
-        assert summary["accuracy"] == log.rows[-1]["test_accuracy"]
+        assert summary["accuracy"] == rows[-1]["test_accuracy"]
         assert not (out / "classifier.npz").exists()
         assert not (out / "perturb_net.npz").exists()
 
@@ -166,7 +175,7 @@ class TestRun:
         cfg = write_ini(tmp_path, TINY.replace("t1 = 5", "t1 = 5\neta1 = 1e300"))
         out = tmp_path / "o"
         assert main(["run", "--config", cfg, "--output", str(out)]) == 3
-        assert MetricsLog.read_csv(str(out / "metrics.csv")).rows == []
+        assert read_rows(out / "metrics.csv") == []
         summary = json.loads((out / "summary.json").read_text())
         assert summary["aborted"] == {"stage": "warm-up", "iteration": 2,
                                       "value": "nan"}
@@ -205,7 +214,7 @@ class TestInterrupt:
         self.interrupt_at(monkeypatch, 3)
         out = tmp_path / "o"
         assert self.main(["run", "--config", cfg, "--output", str(out)]) == 130
-        rows = MetricsLog.read_csv(str(whole / "metrics.csv")).rows
+        rows = read_rows(whole / "metrics.csv")
         lines = (whole / "metrics.csv").read_text().splitlines(True)
         assert (out / "metrics.csv").read_text() == "".join(lines[:3])
         summary = json.loads((out / "summary.json").read_text())
@@ -433,20 +442,20 @@ class TestAblationColumns:
         cfg = write_ini(tmp_path, TINY + extra)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--output", str(out)]) == 0
-        return MetricsLog.read_csv(str(out / "metrics.csv"))
+        return read_rows(out / "metrics.csv")
 
     def test_beta_zero_zeroes_fairness_column(self, tmp_path):
-        log = self.run_and_read(tmp_path, "\n[loss]\nbeta = 0\n")
-        assert all(r["fair_term"] == 0.0 for r in log.rows)
+        rows = self.run_and_read(tmp_path, "\n[loss]\nbeta = 0\n")
+        assert all(r["fair_term"] == 0.0 for r in rows)
 
     def test_alpha_zero_zeroes_generalization_column(self, tmp_path):
-        log = self.run_and_read(tmp_path, "\n[loss]\nalpha = 0\n")
-        assert all(r["gen_term"] == 0.0 for r in log.rows)
+        rows = self.run_and_read(tmp_path, "\n[loss]\nalpha = 0\n")
+        assert all(r["gen_term"] == 0.0 for r in rows)
 
     def test_frozen_eps_zeroes_robustness_column(self, tmp_path):
-        log = self.run_and_read(tmp_path, "freeze_eps = true\n")
-        assert all(r["rob_term"] == 0.0 for r in log.rows)
-        assert all(r[f"mean_eps_{c}"] == 0.0 for r in log.rows for c in range(5))
+        rows = self.run_and_read(tmp_path, "freeze_eps = true\n")
+        assert all(r["rob_term"] == 0.0 for r in rows)
+        assert all(r[f"mean_eps_{c}"] == 0.0 for r in rows for c in range(5))
 
 
 class TestSweep:
@@ -574,6 +583,26 @@ class TestCompare:
             "stage": "train", "iteration": 6, "value": "nan"})
         assert main(["compare", "--baseline", b0, "--candidate", c0]) == 2
         assert "c0 holds an aborted run" in capsys.readouterr().err
+
+    def test_summary_not_an_object_exits_2(self, tmp_path, capsys):
+        b0 = self.fake_run(tmp_path, "b0", 0, 0.5, 0.1)
+        c0 = tmp_path / "c0"
+        c0.mkdir()
+        (c0 / "summary.json").write_text(json.dumps([0, 0.7, 0.4]))
+        assert main(["compare", "--baseline", b0, "--candidate", str(c0)]) == 2
+        assert "c0 holds a summary that is not an object" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key,value", [
+        ("accuracy", None), ("worst_class_recall", "0.4"),
+        ("worst_group_accuracy", [0.5]), ("accuracy", True)])
+    def test_summary_figure_not_a_number_exits_2(self, tmp_path, capsys,
+                                                 key, value):
+        b0 = self.fake_run(tmp_path, "b0", 0, 0.5, 0.1)
+        c0 = self.fake_run(tmp_path, "c0", 0, 0.7, 0.4, **{key: value})
+        assert main(["compare", "--baseline", b0, "--candidate", c0]) == 2
+        assert f"c0 holds a {key} that is not a number" in (
+            capsys.readouterr().err)
 
 
 class TestVerify:

@@ -12,6 +12,7 @@ from advaug.data import Dataset
 from advaug.loss import (adjusted_logits, augmented_ce_loss, base_logits,
                          compute_delta, eps_forward, extract_features,
                          quadratic_terms)
+from advaug.stats import ClassStats, update_covariance
 from advaug.training import (TrainerConfig, _observe_batch, final_step,
                              init_state, learning_rate, lookahead_meta_loss)
 
@@ -214,6 +215,36 @@ def test_hypergradient_matches_plain_numpy_reference_bit_for_bit(diagonal):
     assert ours.tobytes() == ref.tobytes()
     head = head_gradient_reference(phi, x, delta, ops)
     assert train.grads[-2].tobytes() == head.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_pooled_covariances_are_symmetric_and_keep_the_head_gradient(seed):
+    # The surrogate doubles the u form of the path through rho; that has
+    # the bits of the u and v forms only on a bitwise symmetric Sigma_c,
+    # which update_covariance builds.
+    rng = np.random.default_rng(seed)
+    n, classes, feat = 64, 5, 16
+    phi = [rng.normal(size=(4, 8)), rng.normal(size=8),
+           rng.normal(size=(8, feat)), rng.normal(size=feat),
+           rng.normal(size=(classes, feat)), rng.normal(size=classes)]
+    stats = ClassStats(classes, feat)
+    # classes 3 and 4 absent; 3 seen first, as a singleton; 3 absent again
+    # and 4 seen first beside a singleton 2; every class
+    for present, single in (([0, 1, 2], None), ([0, 1, 2], 3),
+                            ([0, 1, 4], 2), (range(classes), None)):
+        y = rng.choice(list(present), size=n)
+        if single is not None:
+            y[rng.integers(n)] = single
+        h = rng.normal(size=(n, feat)) * rng.uniform(0.1, 1e3, feat)
+        update_covariance(stats, h, y)
+        sigma = stats.covariances()
+        assert np.array_equal(sigma, sigma.transpose(0, 2, 1))
+        x = rng.normal(size=(n, 4))
+        delta = rng.uniform(-0.9, 0.9, size=(n, feat))
+        ops = ops_of(phi, y, sigma, rng.normal(size=classes), 0.7)
+        ours = kernels.surrogate(phi, x, delta, ops).grads[-2]
+        ref = head_gradient_reference(phi, x, delta, ops)
+        assert ours.tobytes() == ref.tobytes()
 
 
 def test_plain_cross_entropy_matches_tape():

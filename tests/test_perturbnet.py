@@ -11,7 +11,7 @@ from advaug import autodiff as ad
 from advaug import kernels
 from advaug.autodiff import Tape, Tensor
 from advaug.characteristics import NUM_CHARACTERISTICS
-from advaug.classifier import load_checkpoint, save_checkpoint
+from advaug.classifier import save_checkpoint
 from advaug.loss import eps_forward as taped_eps
 from advaug.oracles import fd_gradient
 from advaug.perturbation import PerturbNetParams, init_perturb_net
@@ -94,8 +94,9 @@ class TestCheckpoint:
         params.arrays()[2] += 0.25
         path = tmp_path / "omega.npz"
         save_checkpoint(params, path)
-        back = load_checkpoint(path, PerturbNetParams)
-        assert type(back) is PerturbNetParams
+        with np.load(path) as blob:
+            back = PerturbNetParams([blob[f"p{i}"]
+                                     for i in range(len(blob.files))])
         for a, b in zip(params.arrays(), back.arrays(), strict=True):
             assert a.tobytes() == b.tobytes()
 
